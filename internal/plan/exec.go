@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"mddm/internal/agg"
 	"mddm/internal/core"
@@ -15,14 +14,17 @@ import (
 
 // execFacts answers SELECT FACTS from the engine's fact dictionary: the
 // selected dense indices map straight to fact identities, sorted to match
-// the algebra's sorted fact-set iteration. One Facts(1) charge per
-// emitted row, like the row loop on the algebra path.
-func execFacts(guard *qos.Guard, eng *storage.Engine, m *core.MO, sel *storage.Bitmap, ex *Explain) (*query.Result, error) {
+// the algebra's sorted fact-set iteration, cut to LIMIT. One Facts(1)
+// charge per emitted row, like the row loop on the algebra path.
+func execFacts(guard *qos.Guard, eng *storage.Engine, m *core.MO, sel *storage.Bitmap, limit int, ex *Explain) (*query.Result, error) {
 	if ex != nil {
 		ex.Shape = ShapeFacts
 	}
 	ids := eng.SelectedFactIDs(sel)
 	sort.Strings(ids)
+	if limit > 0 && len(ids) > limit {
+		ids = ids[:limit]
+	}
 	res := &query.Result{Columns: []string{m.Schema().FactType()}, Summarizable: true}
 	for _, f := range ids {
 		if err := guard.Facts(1); err != nil {
@@ -77,7 +79,7 @@ func execGlobal(guard *qos.Guard, eng *storage.Engine, fn *agg.Func, argDim stri
 // per-value counts and argument columns from AggregateBy.
 func execOneDim(cctx context.Context, eng *storage.Engine, fn *agg.Func, gd groupDim, argDim string, sel *storage.Bitmap, ex *Explain, parts *Partials) ([][]string, error) {
 	if ex != nil {
-		if eng.HasColumn(gd.dim, gd.cat) {
+		if eng.PrefersColumn(gd.dim, gd.cat) {
 			ex.Kernel = "column"
 		} else {
 			ex.Kernel = "bitmap"
@@ -135,164 +137,69 @@ func execOneDim(cctx context.Context, eng *storage.Engine, fn *agg.Func, gd grou
 	return rows, nil
 }
 
-// execCross evaluates an aggregate grouped on several dimensions. It
-// replicates the algebra's grouping semantics exactly: a fact belongs to
-// every combination of its per-dimension ancestor values and is dropped
-// entirely when any grouping dimension yields none; combinations with
-// identical member sets collapse into one set-valued group whose
-// per-dimension values accumulate (fact.NewGroup identity), and the
-// flattened rows are the cross product of each group's per-dimension
-// value sets — including the cross-product rows that merging introduces.
+// execCross evaluates an aggregate grouped on several dimensions through
+// the storage cross kernel, which replicates the algebra's grouping
+// semantics exactly: a fact belongs to every combination of its
+// per-dimension ancestor values and is dropped entirely when any grouping
+// dimension yields none; combinations with identical member sets collapse
+// into one set-valued group whose per-dimension values accumulate
+// (fact.NewGroup identity). Each group is charged Check plus
+// Facts(|members|), evaluated once, and flattened to the cross product of
+// its per-dimension value sets — including the cross-product rows that
+// merging introduces.
 func execCross(cctx context.Context, guard *qos.Guard, eng *storage.Engine, fn *agg.Func, grouped []groupDim, argDim string, sel *storage.Bitmap) ([][]string, error) {
 	k := len(grouped)
-	lists := make([][][]string, k)
-	n := -1
-	for i, gd := range grouped {
-		l, err := eng.ValueLists(cctx, gd.dim, gd.cat, sel)
-		if err != nil {
-			return nil, fmt.Errorf("query: %w", err)
-		}
-		lists[i] = l
-		if n < 0 || len(l) < n {
-			n = len(l)
-		}
+	legs := make([]storage.CrossLeg, k)
+	for d, gd := range grouped {
+		legs[d] = storage.CrossLeg{Dim: gd.dim, Cat: gd.cat}
 	}
-	var av [][]float64
-	if argDim != "" {
-		av = eng.ArgValues(argDim)
-	}
-
-	// Group facts by combination key (phase A of aggregate formation).
-	type comboGroup struct {
-		vals    []string
-		members []int
-	}
-	combos := map[string]*comboGroup{}
-	perFact := make([][]string, k)
-	for i := 0; i < n; i++ {
-		if sel != nil && !sel.Has(i) {
-			continue
-		}
-		eligible := true
-		for d := 0; d < k; d++ {
-			if len(lists[d][i]) == 0 {
-				eligible = false
-				break
-			}
-		}
-		if !eligible {
-			continue
-		}
-		if err := guard.Check(); err != nil {
-			return nil, err
-		}
-		for d := 0; d < k; d++ {
-			perFact[d] = lists[d][i]
-		}
-		i := i
-		forEachCombo(perFact, func(combo []string) {
-			key := strings.Join(combo, "\x00")
-			cg := combos[key]
-			if cg == nil {
-				cg = &comboGroup{vals: append([]string(nil), combo...)}
-				combos[key] = cg
-			}
-			cg.members = append(cg.members, i)
-		})
-	}
-
-	// Merge combinations sharing a member set (fact.NewGroup identity) and
-	// accumulate each merged group's per-dimension value sets.
-	type mergedGroup struct {
-		members []int
-		perDim  []map[string]bool
-	}
-	byMembers := map[string]*mergedGroup{}
-	for _, cg := range combos {
-		mk := memberKey(cg.members)
-		mg := byMembers[mk]
-		if mg == nil {
-			mg = &mergedGroup{members: cg.members, perDim: make([]map[string]bool, k)}
-			for d := range mg.perDim {
-				mg.perDim[d] = map[string]bool{}
-			}
-			byMembers[mk] = mg
-		}
-		for d := 0; d < k; d++ {
-			mg.perDim[d][cg.vals[d]] = true
-		}
-	}
-
-	// Evaluate each merged group once and emit its cross-product rows.
+	// Aggregates outside the accumulator-foldable set finalize with their
+	// own Eval over the members' argument values.
+	listArgs := argDim != "" && !accFoldable(fn)
 	var rows [][]string
-	for _, mg := range byMembers {
+	pos := make([]int, k)
+	err := eng.CrossAggregateBy(cctx, legs, argDim, sel, listArgs, func(g *storage.CrossGroup) error {
 		if err := guard.Check(); err != nil {
-			return nil, err
+			return err
 		}
-		count := len(mg.members)
-		if err := guard.Facts(int64(count)); err != nil {
-			return nil, fmt.Errorf("query: %w", err)
+		if err := guard.Facts(g.Count); err != nil {
+			return err
 		}
-		var argvals []float64
-		if av != nil {
-			for _, i := range mg.members {
-				if i < len(av) {
-					argvals = append(argvals, av[i]...)
-				}
-			}
+		var v float64
+		var ok bool
+		switch {
+		case argDim == "":
+			v, ok = fn.Apply(int(g.Count), nil)
+		case listArgs:
+			v, ok = fn.Apply(int(g.Count), g.Args)
+		default:
+			v, ok = accApply(fn, g.Acc)
 		}
-		v, ok := fn.Apply(count, argvals)
 		if !ok {
-			continue
+			return nil
 		}
 		rv := agg.FormatResult(v)
-		perDim := make([][]string, k)
-		for d := 0; d < k; d++ {
-			perDim[d] = sortedKeys(mg.perDim[d])
-		}
-		forEachCombo(perDim, func(combo []string) {
-			row := make([]string, 0, k+1)
-			row = append(row, combo...)
-			row = append(row, rv)
+		for { // pos is all zeros here: a finished walk leaves it so
+			row := make([]string, k+1)
+			for d, vals := range g.Values {
+				row[d] = vals[pos[d]]
+			}
+			row[k] = rv
 			rows = append(rows, row)
-		})
+			d := k - 1
+			for ; d >= 0; d-- {
+				if pos[d]++; pos[d] < len(g.Values[d]) {
+					break
+				}
+				pos[d] = 0
+			}
+			if d < 0 {
+				return nil
+			}
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("query: %w", err)
 	}
 	return rows, nil
-}
-
-// forEachCombo calls fn for every element of the cross product of the
-// per-dimension value lists; the combo slice is reused across calls.
-func forEachCombo(perDim [][]string, fn func(combo []string)) {
-	vals := make([]string, len(perDim))
-	var rec func(d int)
-	rec = func(d int) {
-		if d == len(perDim) {
-			fn(vals)
-			return
-		}
-		for _, v := range perDim[d] {
-			vals[d] = v
-			rec(d + 1)
-		}
-	}
-	rec(0)
-}
-
-// memberKey canonicalizes a member-index set (already in ascending dense
-// order) into a map key.
-func memberKey(members []int) string {
-	var b strings.Builder
-	for _, i := range members {
-		fmt.Fprintf(&b, "%d,", i)
-	}
-	return b.String()
-}
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }

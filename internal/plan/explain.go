@@ -42,8 +42,9 @@ type Explain struct {
 	// Shape is the physical plan shape of a planned query: "facts",
 	// "global", "kernel-count", "kernel-sum", "group-fold", or "cross".
 	Shape string `json:"shape,omitempty"`
-	// Kernel reports which grouping kernel ran ("column" or "bitmap") for
-	// shapes that dispatch on the cost heuristic.
+	// Kernel reports which grouping kernel ran: "column" or "bitmap" for the
+	// one-leg shapes, which dispatch on the cost heuristic; always "column"
+	// for cross; "shared-scan" for a batched query.
 	Kernel string `json:"kernel,omitempty"`
 	// Degree is the context-carried parallelism degree (0: unset).
 	Degree int `json:"degree,omitempty"`

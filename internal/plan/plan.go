@@ -279,7 +279,7 @@ func (p *Prepared) Execute() (*query.Result, error) {
 		return nil, p.planErr
 	}
 	if p.factsOnly {
-		return execFacts(p.guard, p.eng, p.m, p.sel, p.ex)
+		return execFacts(p.guard, p.eng, p.m, p.sel, p.q.Limit, p.ex)
 	}
 	// Delta-maintenance capture: the single-leg shapes retain mergeable
 	// per-group partials so the serving layer can continue the fold over
@@ -304,6 +304,7 @@ func (p *Prepared) Execute() (*query.Result, error) {
 	default:
 		if p.ex != nil {
 			p.ex.Shape = ShapeCross
+			p.ex.Kernel = "column"
 		}
 		rows, err = execCross(p.cctx, p.guard, p.eng, p.fn, p.grouped, p.argDim, p.sel)
 	}

@@ -130,6 +130,10 @@ var plannedQueries = []string{
 	`SELECT FACTS FROM patients WHERE Diagnosis = 'no-such-value'`,
 	`SELECT FACTS FROM patients WHERE Diagnosis.Code = 'no-such-code'`,
 	`SELECT FACTS FROM gen WHERE (Residence = 'R0' OR Age < 20) AND NOT Diagnosis IN ('L3')`,
+	// LIMIT cuts the sorted fact rows.
+	`SELECT FACTS FROM patients LIMIT 10`,
+	`SELECT FACTS FROM gen LIMIT 10`,
+	`SELECT FACTS FROM gen WHERE Residence = 'R0' LIMIT 3`,
 	// Facts on a selection that empties the MO.
 	`SELECT SETCOUNT(*) FROM gen WHERE Age > 1000`,
 	`SELECT SETCOUNT(*) FROM gen WHERE Age > 1000 GROUP BY Residence."Region"`,
@@ -388,6 +392,11 @@ func TestBudgetParity(t *testing.T) {
 func TestBudgetExhaustion(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
+	// Resolve the engine outside the tiny budget: built under it the build
+	// itself exhausts and every query below would route to the algebra.
+	if _, err := engines.EngineFor(context.Background(), "gen"); err != nil {
+		t.Fatal(err)
+	}
 	for _, src := range []string{
 		`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`,
 		`SELECT SETCOUNT(*) FROM gen`,
@@ -395,10 +404,13 @@ func TestBudgetExhaustion(t *testing.T) {
 		`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group", Residence."Region"`,
 		`SELECT FACTS FROM gen`,
 	} {
-		ctx := qos.WithFactBudget(context.Background(), 1)
+		ctx, ex := WithExplain(qos.WithFactBudget(context.Background(), 1))
 		_, err := ExecContext(ctx, src, cat, testRef, engines)
 		if err == nil || !errors.Is(err, qos.ErrResourceExhausted) {
 			t.Fatalf("%s: got %v, want resource exhausted", src, err)
+		}
+		if ex.Mode != ModePlanned {
+			t.Fatalf("%s: exhausted on the %s path, want planned", src, ex.Mode)
 		}
 	}
 }

@@ -118,7 +118,11 @@ func RunContext(cctx context.Context, q *Query, cat Catalog, ref temporal.Chrono
 
 	if q.FactsOnly {
 		res := &Result{Columns: []string{m.Schema().FactType()}, Summarizable: true}
-		for _, f := range m.Facts().IDs() {
+		ids := m.Facts().IDs()
+		if q.Limit > 0 && len(ids) > q.Limit {
+			ids = ids[:q.Limit] // LIMIT keeps the first facts in sorted id order
+		}
+		for _, f := range ids {
 			if err := guard.Facts(1); err != nil {
 				return nil, fmt.Errorf("query: %w", err)
 			}

@@ -134,6 +134,26 @@ func TestMaxResultRowsLimit(t *testing.T) {
 	}
 }
 
+// TestFactsLimitUnderRowCap pins LIMIT on SELECT FACTS being applied
+// before the row cap is checked, on the algebra path and the planner: the
+// two-fact MO answers a LIMIT within a one-row cap and is still refused
+// without one.
+func TestFactsLimitUnderRowCap(t *testing.T) {
+	for _, planner := range []bool{false, true} {
+		s, _ := newTestServer(t, Limits{MaxResultRows: 1, Planner: planner})
+		res, err := s.Query(context.Background(), `SELECT FACTS FROM patients LIMIT 1`)
+		if err != nil {
+			t.Fatalf("planner=%v: LIMIT within the cap: %v", planner, err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("planner=%v: %d rows, want 1", planner, len(res.Rows))
+		}
+		if _, err := s.Query(context.Background(), `SELECT FACTS FROM patients`); !errors.Is(err, ErrResourceExhausted) {
+			t.Fatalf("planner=%v: unlimited FACTS over the cap: got %v, want ErrResourceExhausted", planner, err)
+		}
+	}
+}
+
 func TestMaxFactsScannedLimit(t *testing.T) {
 	s, _ := newTestServer(t, Limits{MaxFactsScanned: 1})
 	_, err := s.Query(context.Background(), groupQuery)

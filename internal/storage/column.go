@@ -39,9 +39,10 @@ import (
 // first n facts stays immutable.
 
 // Kernel-selection and column-maintenance metrics. The kernel counters
-// count aggregation calls (one per CountDistinctByContext /
-// SumByContext / CrossCountContext), so the ratio is the heuristic's
-// hit rate.
+// count aggregation calls by the kind of kernel that answered (one per
+// CountDistinctByContext / SumByContext / CrossCountContext /
+// CrossAggregateBy call, one per member of a SharedAggregateBy scan), so
+// the ratio is the share of aggregations the columns carry.
 var (
 	mKernelColumn = obs.NewCounter("mddm_storage_kernel_total",
 		"Aggregation calls answered by kernel kind.", obs.Label{Key: "kind", Value: "column"})
@@ -65,11 +66,6 @@ const (
 // this many values. Below it, the bitmap path's few popcount scans beat
 // the full-column read.
 const DefaultColumnMinValues = 16
-
-// maxCrossColumnCells caps the flat accumulator the cross-count column
-// kernel allocates (|values1| × |values2| int64 cells ≈ 32 MiB at the
-// cap); larger matrices fall back to bitmap intersection.
-const maxCrossColumnCells = 1 << 22
 
 // overPair is one overflow entry: fact (dense index) carries value-id vid.
 // The side-table is sorted by (fact, vid); appends keep the order because
@@ -117,6 +113,14 @@ func (e *Engine) columnFor(dim, cat string) *column {
 		return nil
 	}
 	return col
+}
+
+// PrefersColumn reports whether the one-leg kernels answer (dim, cat) from
+// its characterization column: it is built and meets the cardinality
+// threshold. The cross kernel builds columns below the threshold too; those
+// leave the one-leg calls on the bitmap path.
+func (e *Engine) PrefersColumn(dim, cat string) bool {
+	return e.columnFor(dim, cat) != nil
 }
 
 // HasColumn reports whether a characterization column is built for
@@ -463,104 +467,6 @@ func colVids(codes []uint32, over []overPair, i int, oc *int, dst []uint32) []ui
 	return dst
 }
 
-// crossColumnRange tallies the flat cell matrix (row-major, nv2 columns)
-// and the per-row fact counts over codes[lo:hi) of both columns.
-func crossColumnRange(codes1 []uint32, over1 []overPair, codes2 []uint32, over2 []overPair,
-	nv2, lo, hi int, cells, rowFacts []int64) {
-	oc1, oc2 := overStart(over1, lo), overStart(over2, lo)
-	var buf1, buf2 [8]uint32
-	v1s, v2s := buf1[:0], buf2[:0]
-	for i := lo; i < hi; i++ {
-		v1s = colVids(codes1, over1, i, &oc1, v1s)
-		if len(v1s) == 0 {
-			continue
-		}
-		for _, a := range v1s {
-			rowFacts[a]++
-		}
-		v2s = colVids(codes2, over2, i, &oc2, v2s)
-		for _, a := range v1s {
-			row := int64(a) * int64(nv2)
-			for _, b := range v2s {
-				cells[row+int64(b)]++
-			}
-		}
-	}
-}
-
-// crossCountByColumn is the single-pass cross-tab kernel: one read of both
-// code columns accumulating into a flat |values1|×|values2| cell matrix
-// (the caller caps its size via maxCrossColumnCells). Cell counts are
-// integers, so partition merges are exact at any degree. Budget parity
-// with crossCountSeq: per row value in dictionary order, Check always,
-// then Facts(row fact count) for non-empty rows only.
-func (e *Engine) crossCountByColumn(ctx context.Context, g *qos.Guard, c1, c2 *column) ([]CrossCell, error) {
-	e.mu.RLock()
-	codes1, over1 := c1.codes, c1.over
-	codes2, over2 := c2.codes, c2.over
-	e.mu.RUnlock()
-	n := len(codes1)
-	if m := len(codes2); m < n {
-		n = m
-	}
-	nv1, nv2 := len(c1.vals), len(c2.vals)
-	cells := make([]int64, nv1*nv2)
-	rowFacts := make([]int64, nv1)
-	if deg := exec.DegreeFrom(ctx); deg > 1 {
-		parts := exec.Partitions(n, deg)
-		pCells := make([][]int64, len(parts))
-		pRows := make([][]int64, len(parts))
-		if err := exec.Run(ctx, nil, deg, len(parts), func(p int) error {
-			pc := make([]int64, nv1*nv2)
-			pr := make([]int64, nv1)
-			crossColumnRange(codes1, over1, codes2, over2, nv2, parts[p].Lo, parts[p].Hi, pc, pr)
-			pCells[p], pRows[p] = pc, pr
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		for p := range parts {
-			for k, c := range pCells[p] {
-				cells[k] += c
-			}
-			for j, c := range pRows[p] {
-				rowFacts[j] += c
-			}
-		}
-	} else {
-		for lo := 0; lo < n; lo += checkStride {
-			if err := g.Check(); err != nil {
-				return nil, err
-			}
-			hi := lo + checkStride
-			if hi > n {
-				hi = n
-			}
-			crossColumnRange(codes1, over1, codes2, over2, nv2, lo, hi, cells, rowFacts)
-		}
-	}
-	var out []CrossCell
-	for j1, v1 := range c1.vals {
-		if err := g.Check(); err != nil {
-			return nil, err
-		}
-		if rowFacts[j1] == 0 {
-			continue
-		}
-		if err := g.Facts(rowFacts[j1]); err != nil {
-			return nil, fmt.Errorf("storage: cross-count %s/%s: %w", c1.dim, c1.cat, err)
-		}
-		row := j1 * nv2
-		for j2, v2 := range c2.vals {
-			if c := cells[row+j2]; c > 0 {
-				out = append(out, CrossCell{V1: v1, V2: v2, Count: int(c)})
-			}
-		}
-	}
-	sortCells(out)
-	return out, nil
-}
-
 // CountByColumn answers CountDistinctBy through the column kernel,
 // building the column first if needed — the exported entry point for
 // callers that want the columnar path regardless of the heuristic.
@@ -592,31 +498,6 @@ func (e *Engine) SumByColumn(ctx context.Context, dim, cat, argDim string) (map[
 	}
 	mKernelColumn.Inc()
 	return e.sumByColumn(ctx, qos.NewGuard(ctx), col, argDim)
-}
-
-// CrossCountByColumn answers CrossCount through the column kernel,
-// building both columns first if needed. It refuses matrices above
-// maxCrossColumnCells (the automatic selection also enforces the cap).
-func (e *Engine) CrossCountByColumn(ctx context.Context, dim1, cat1, dim2, cat2 string) ([]CrossCell, error) {
-	if err := e.BuildColumn(ctx, dim1, cat1); err != nil {
-		return nil, err
-	}
-	if err := e.BuildColumn(ctx, dim2, cat2); err != nil {
-		return nil, err
-	}
-	e.mu.RLock()
-	c1 := e.cols[colKey(dim1, cat1)]
-	c2 := e.cols[colKey(dim2, cat2)]
-	e.mu.RUnlock()
-	if c1 == nil || c2 == nil {
-		return nil, nil
-	}
-	if len(c1.vals)*len(c2.vals) > maxCrossColumnCells {
-		return nil, fmt.Errorf("storage: cross-count %s/%s × %s/%s: %d×%d cell matrix exceeds the column-kernel cap",
-			dim1, cat1, dim2, cat2, len(c1.vals), len(c2.vals))
-	}
-	mKernelColumn.Inc()
-	return e.crossCountByColumn(ctx, qos.NewGuard(ctx), c1, c2)
 }
 
 // appendToColumn maintains one built column for a newly appended fact i:

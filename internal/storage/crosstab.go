@@ -27,16 +27,14 @@ func (e *Engine) CrossCount(dim1, cat1, dim2, cat2 string) []CrossCell {
 
 // CrossCountContext is CrossCount with cooperative cancellation and
 // fact-budget accounting (every non-empty row charges its fact count).
-// When both axes have built characterization columns and the cell matrix
-// is small enough for flat accumulators, the single-pass column kernel
-// answers; otherwise closure bitmaps are intersected. A context-carried
+// When the cost heuristic prefers both axes' characterization columns, the
+// single-pass column kernel answers (CrossCountByColumn, sequential at any
+// degree); otherwise closure bitmaps are intersected, and a context-carried
 // parallelism degree above 1 evaluates per partition and merges the
 // integer counts — identical cells either way.
 func (e *Engine) CrossCountContext(ctx context.Context, dim1, cat1, dim2, cat2 string) ([]CrossCell, error) {
-	if c1, c2 := e.columnFor(dim1, cat1), e.columnFor(dim2, cat2); c1 != nil && c2 != nil &&
-		len(c1.vals)*len(c2.vals) <= maxCrossColumnCells {
-		mKernelColumn.Inc()
-		return e.crossCountByColumn(ctx, qos.NewGuard(ctx), c1, c2)
+	if e.columnFor(dim1, cat1) != nil && e.columnFor(dim2, cat2) != nil {
+		return e.CrossCountByColumn(ctx, dim1, cat1, dim2, cat2)
 	}
 	mKernelBitmap.Inc()
 	if deg := exec.DegreeFrom(ctx); deg > 1 {

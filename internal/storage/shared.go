@@ -246,8 +246,18 @@ func (e *Engine) SharedAggregateBy(ctx context.Context, dim, cat string, members
 			}
 		}
 	}
-	if len(listMI) == 0 {
+	// A finished scan counts once, and once per member under the kind of
+	// kernel that answered it — the closure bitmaps for count and
+	// accumulator members, the codes column for list members — so
+	// mddm_storage_kernel_total keeps its meaning when single-leg
+	// aggregates arrive batched.
+	scanned := func() {
 		mSharedScans.Inc()
+		mKernelColumn.Add(int64(len(listMI)))
+		mKernelBitmap.Add(int64(len(members) - len(listMI)))
+	}
+	if len(listMI) == 0 {
+		scanned()
 		return col.vals, counts, args, folds, nil
 	}
 
@@ -333,7 +343,7 @@ func (e *Engine) SharedAggregateBy(ctx context.Context, dim, cat string, members
 			sharedScanRange(codes, over, sMembers, sArgVals, lo, hi, sCounts, sArgs)
 		}
 	}
-	mSharedScans.Inc()
+	scanned()
 	return col.vals, counts, args, folds, nil
 }
 
