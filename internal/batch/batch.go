@@ -15,8 +15,8 @@
 // many small overlapping scans. Each member then finishes
 // independently — its own WHERE selection was already folded into the
 // scan, and its budget accounting, HAVING/ORDER/LIMIT, and cache fill run
-// solo (plan.Prepared.FinishShared) — so results are bit-identical to
-// unbatched execution.
+// solo (plan.Prepared.FinishScan, the finish of an unbatched query too) —
+// so results are bit-identical to unbatched execution.
 //
 // The gather window and the scan's parallelism degree adapt to load
 // through the admission limiter's signals: near-idle servers shrink the
@@ -28,6 +28,7 @@ package batch
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -89,8 +90,8 @@ type Signals interface {
 type Outcome string
 
 const (
-	// OutcomeSolo: the query bypassed batching (non-batchable shape,
-	// scheduler disabled, or the fused scan refused).
+	// OutcomeSolo: the query bypassed batching (non-batchable shape or
+	// scheduler disabled).
 	OutcomeSolo Outcome = "solo"
 	// OutcomeLeader: the query opened its batch and waited out the window.
 	OutcomeLeader Outcome = "leader"
@@ -110,20 +111,18 @@ type Request struct {
 	Sel    *storage.Bitmap
 	// ListArgs requests per-value argument lists instead of FoldAccs
 	// (plan.Prepared.NeedsArgLists: capture consumers and aggregates
-	// outside the accumulator-foldable set). List members cost a per-fact
-	// decode pass; accumulator members fold bitmap-side for free.
+	// outside the accumulator-foldable set).
 	ListArgs bool
 }
 
-// Result is one member's view of its batch's fused scan: the column
-// dictionary and this member's full-width per-value counts plus either
-// argument lists (ListArgs requests) or constant-size argument folds,
-// or the scan's error. Err of storage.ErrSharedScanUnavailable
-// means the whole batch bypassed (the caller runs solo and reports
-// OutcomeSolo); a member context cancellation surfaces as a qos
-// cancellation error.
+// Result is one member's view of its batch's scan: the value dictionary
+// and this member's full-width per-value counts plus either argument lists
+// (ListArgs requests) or constant-size argument folds, the strategy the
+// kernel ran, or the scan's error; a member context cancellation surfaces
+// as a qos cancellation error.
 type Result struct {
 	Outcome Outcome
+	Kernel  string
 	Values  []string
 	Counts  []int64
 	Args    [][]float64
@@ -165,17 +164,14 @@ type flight struct {
 	done    chan struct{}
 
 	// Scan outputs, valid after done closes. slot maps each member index
-	// to its row in counts/args: members with identical (ArgDim, Sel) are
-	// deduplicated into one fused-scan slot — their outputs are the same
-	// by construction, so computing them once per batch is pure savings
+	// to its scan member: members with identical (ArgDim, ListArgs, Sel)
+	// are deduplicated into one scan slot — their outputs are the same by
+	// construction, so computing them once per batch is pure savings
 	// (concurrent *identical* nocache queries land here; the result
 	// cache's single-flight only dedups cacheable ones).
-	slot   []int
-	values []string
-	counts [][]int64
-	args   [][][]float64
-	folds  [][]storage.FoldAcc
-	err    error
+	slot []int
+	out  storage.LegScan
+	err  error
 }
 
 // Scheduler groups concurrent batchable queries by leg. One scheduler
@@ -246,6 +242,10 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
+// ErrDisabled is Do's answer on a disabled scheduler: nothing was scanned,
+// the caller runs the query itself (plan.Prepared.Execute).
+var ErrDisabled = errors.New("batch: scheduler disabled")
+
 // Do routes one batchable query through the scheduler: join or open the
 // leg's forming batch, wait for its fused scan, and return this member's
 // slice of the outputs. It blocks for at most the gather window plus up
@@ -254,7 +254,7 @@ func (s *Scheduler) Stats() Stats {
 // running for the surviving members).
 func (s *Scheduler) Do(req Request) Result {
 	if !s.Enabled() {
-		return Result{Outcome: OutcomeSolo, Err: storage.ErrSharedScanUnavailable}
+		return Result{Outcome: OutcomeSolo, Err: ErrDisabled}
 	}
 	k := key{eng: req.Engine, dim: req.Dim, cat: req.Cat}
 	s.mu.Lock()
@@ -287,8 +287,8 @@ func (s *Scheduler) Do(req Request) Result {
 	if f.err != nil {
 		return Result{Outcome: outcome, Err: f.err}
 	}
-	j := f.slot[idx]
-	return Result{Outcome: outcome, Values: f.values, Counts: f.counts[j], Args: f.args[j], Folds: f.folds[j]}
+	m := f.out.Members[f.slot[idx]]
+	return Result{Outcome: outcome, Kernel: f.out.Kernel, Values: f.out.Values, Counts: m.Counts, Args: m.Args, Folds: m.Folds}
 }
 
 // windowExpired closes the flight when its gather window runs out
@@ -371,9 +371,9 @@ func (s *Scheduler) scanDone(k key) {
 	}
 }
 
-// runScan executes the fused scan under a context that outlives any one
-// member: it cancels only when every member's context is done, so one
-// impatient client cannot kill the batch for the others.
+// runScan executes the flight's kernel scan under a context that outlives
+// any one member: it cancels only when every member's context is done, so
+// one impatient client cannot kill the batch for the others.
 func (s *Scheduler) runScan(k key, f *flight, deg int) {
 	defer s.scanDone(k)
 	defer close(f.done)
@@ -400,7 +400,7 @@ func (s *Scheduler) runScan(k key, f *flight, deg int) {
 		}
 		f.slot[i] = j
 	}
-	f.values, f.counts, f.args, f.folds, f.err = k.eng.SharedAggregateBy(scanCtx, k.dim, k.cat, unique, deg)
+	f.out, f.err = k.eng.ScanLeg(scanCtx, k.dim, k.cat, unique, deg)
 }
 
 // allMembersCtx derives a context canceled once ALL member contexts are

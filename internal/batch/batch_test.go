@@ -42,15 +42,15 @@ func (f *fakeSignals) set(inflight, limit int) {
 }
 
 // TestDisabled pins the zero-value contract: a disabled (or nil-config)
-// scheduler answers every Do with the solo bypass sentinel.
+// scheduler scans nothing — every Do answers solo with ErrDisabled.
 func TestDisabled(t *testing.T) {
 	s := New(Config{}, nil)
 	if s.Enabled() {
 		t.Fatal("zero config must be disabled")
 	}
 	r := s.Do(Request{Ctx: context.Background()})
-	if r.Outcome != OutcomeSolo || !errors.Is(r.Err, storage.ErrSharedScanUnavailable) {
-		t.Fatalf("disabled Do = %+v, want solo + ErrSharedScanUnavailable", r)
+	if r.Outcome != OutcomeSolo || !errors.Is(r.Err, ErrDisabled) {
+		t.Fatalf("disabled Do = %+v, want solo + ErrDisabled", r)
 	}
 	var nilS *Scheduler
 	if nilS.Enabled() {
@@ -268,14 +268,14 @@ func TestMemberCancellation(t *testing.T) {
 	}
 }
 
-// TestScanUnavailablePropagates asserts the stale-column refusal reaches
-// every member as the bypass sentinel.
-func TestScanUnavailablePropagates(t *testing.T) {
+// TestScanErrorPropagates asserts a failed scan reaches its members as the
+// scan's error.
+func TestScanErrorPropagates(t *testing.T) {
 	e := testEngine(t, 20)
 	s := New(Config{Enabled: true, GatherWindow: time.Millisecond, MaxBatch: 64}, nil)
 	r := s.Do(Request{Ctx: context.Background(), Engine: e, Dim: "NoSuchDim", Cat: "NoSuchCat"})
-	if !errors.Is(r.Err, storage.ErrSharedScanUnavailable) {
-		t.Fatalf("err = %v, want ErrSharedScanUnavailable", r.Err)
+	if r.Err == nil || r.Outcome != OutcomeLeader {
+		t.Fatalf("Do on an unknown dimension = %+v, want the leader to get the scan error", r)
 	}
 }
 

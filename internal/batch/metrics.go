@@ -16,12 +16,11 @@ var (
 	mMembersPerBatch = obs.NewValueHistogram("mddm_batch_members_per_batch",
 		"Members per fused batch.", obs.CountBuckets)
 	mBypasses = map[string]*obs.Counter{
-		"fallback":         newBypassCounter("fallback"),
-		"facts":            newBypassCounter("facts"),
-		"global":           newBypassCounter("global"),
-		"cross":            newBypassCounter("cross"),
-		"error":            newBypassCounter("error"),
-		"scan-unavailable": newBypassCounter("scan-unavailable"),
+		"fallback": newBypassCounter("fallback"),
+		"facts":    newBypassCounter("facts"),
+		"global":   newBypassCounter("global"),
+		"cross":    newBypassCounter("cross"),
+		"error":    newBypassCounter("error"),
 	}
 	mBypassOther = newBypassCounter("other")
 )

@@ -104,6 +104,7 @@ type Dimension struct {
 	valueCat map[string]string // value id -> category type name
 	memberAt map[string]Annot  // value id -> membership annotation (e ∈Tv C)
 	catVals  map[string]map[string]bool
+	catVer   map[string]int // category type name -> values added or removed so far
 
 	up   map[string][]edge // child -> annotated parents
 	down map[string][]edge // parent -> annotated children
@@ -120,6 +121,7 @@ func New(t *DimensionType) *Dimension {
 		valueCat: map[string]string{},
 		memberAt: map[string]Annot{},
 		catVals:  map[string]map[string]bool{},
+		catVer:   map[string]int{},
 		up:       map[string][]edge{},
 		down:     map[string][]edge{},
 		reps:     map[string]*Representation{},
@@ -160,6 +162,7 @@ func (d *Dimension) AddValueAnnot(cat, id string, a Annot) error {
 		d.catVals[cat] = map[string]bool{}
 	}
 	d.catVals[cat][id] = true
+	d.catVer[cat]++
 	return nil
 }
 
@@ -176,6 +179,7 @@ func (d *Dimension) RemoveValue(id string) error {
 	delete(d.valueCat, id)
 	delete(d.memberAt, id)
 	delete(d.catVals[cat], id)
+	d.catVer[cat]++
 	drop := func(m map[string][]edge, from, to string) {
 		es := m[from]
 		out := es[:0]
@@ -241,6 +245,11 @@ func (d *Dimension) CategoryAt(cat string, ctx Context) []string {
 	sort.Strings(ids)
 	return ids
 }
+
+// CategoryVersion counts the values added to and removed from the category
+// on this dimension object so far: a constant-time probe for "did the
+// category's value set change since I looked".
+func (d *Dimension) CategoryVersion(cat string) int { return d.catVer[cat] }
 
 // Values returns all value ids of the dimension (including ⊤), sorted.
 func (d *Dimension) Values() []string {

@@ -594,3 +594,60 @@ func TestRepresentationEntries(t *testing.T) {
 		t.Error("second code at overlapping time must be rejected in the clone too")
 	}
 }
+
+// TestCoveringMatchesAncestorsIn pins Covering's one-walk-per-value probe
+// to its definition — every admitted value of the lower category has a
+// non-empty AncestorsIn in the upper one — on the temporal case hierarchy
+// and on a probabilistic one where a threshold prunes paths, for every
+// pair of categories and a spread of contexts.
+func TestCoveringMatchesAncestorsIn(t *testing.T) {
+	prob := New(diagnosisType(t))
+	for _, v := range [][2]string{
+		{"Low-level Diagnosis", "5"}, {"Low-level Diagnosis", "6"},
+		{"Diagnosis Family", "4"}, {"Diagnosis Family", "9"}, {"Diagnosis Group", "11"},
+	} {
+		if err := prob.AddValue(v[0], v[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []struct {
+		child, parent string
+		p             float64
+	}{{"5", "4", 0.9}, {"5", "9", 0.5}, {"6", "9", 0.7}, {"9", "11", 0.8}} {
+		if err := prob.AddEdgeAnnot(e.child, e.parent, Always().WithProb(e.p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctxs := []Context{
+		ctx(),
+		ctx().AtValid(temporal.MustDate("15/06/75")),
+		ctx().AtValid(temporal.MustDate("15/06/85")),
+		ctx().WithMinProb(0.45),
+		ctx().WithMinProb(0.6),
+		ctx().WithMinProb(0.75),
+	}
+	for name, d := range map[string]*Dimension{"temporal": diagnosisDim(t), "probabilistic": prob} {
+		cats := d.Type().CategoryTypes()
+		for _, c2 := range cats {
+			for _, c1 := range cats {
+				for ci, c := range ctxs {
+					// Covering filters the lower category by membership only
+					// under a valid-time context.
+					ids := d.Category(c2)
+					if c.Valid != nil {
+						ids = d.CategoryAt(c2, c)
+					}
+					want := true
+					for _, id := range ids {
+						if c1 != TopName && len(d.AncestorsIn(c1, id, c)) == 0 {
+							want = false
+						}
+					}
+					if got := d.Covering(c2, c1, c); got != want {
+						t.Errorf("%s: Covering(%s, %s) under context %d = %v, definition says %v", name, c2, c1, ci, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -153,16 +153,51 @@ func (d *Dimension) criticalInstants(ref temporal.Chronon) []temporal.Chronon {
 // "no gaps on this path" condition used by the summarizability checker for
 // a specific aggregation path.
 func (d *Dimension) Covering(c2, c1 string, ctx Context) bool {
+	if c1 == TopName {
+		return true
+	}
 	for id := range d.catVals[c2] {
 		if ctx.Valid != nil && !ctx.Admits(d.memberAt[id]) {
 			continue
 		}
-		if c1 == TopName {
-			continue
-		}
-		if len(d.AncestorsIn(c1, id, ctx)) == 0 {
+		if !d.reachesCategory(id, c1, ctx) {
 			return false
 		}
 	}
 	return true
+}
+
+// reachesCategory reports whether AncestorsIn(cat, e1, ctx) is non-empty —
+// LessEq(e1, a, ctx) holds for some value a of the category — with one
+// upward walk that stops at the first such value, where AncestorsIn walks
+// once per value of the category. The walk is LessEq's: edges the context
+// admits, along the path of maximum probability, pruned below MinProb.
+func (d *Dimension) reachesCategory(e1, cat string, ctx Context) bool {
+	if d.valueCat[e1] == cat {
+		return ctx.Admits(d.memberAt[e1])
+	}
+	best := map[string]float64{e1: 1}
+	stack := []string{e1}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		p := best[n]
+		for _, e := range d.up[n] {
+			if !ctx.Admits(e.annot) {
+				continue
+			}
+			np := p * e.annot.Prob
+			if np < ctx.MinProb || np <= 0 {
+				continue
+			}
+			if old, seen := best[e.other]; !seen || np > old {
+				if d.valueCat[e.other] == cat {
+					return true
+				}
+				best[e.other] = np
+				stack = append(stack, e.other)
+			}
+		}
+	}
+	return false
 }

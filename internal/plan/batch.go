@@ -16,11 +16,10 @@ import (
 // This file is the planner's half of shared-scan batching (internal/batch):
 // PrepareContext stops a query at the brink of shape execution so the
 // scheduler can group it with concurrent queries over the same
-// (engine, dimension, category) leg, and FinishShared consumes the fused
-// scan's full-width outputs while replaying — value by value, in
-// dictionary order — the exact qos budget sequence the solo kernels
-// charge. Batched results are bit-identical to solo execution: same rows,
-// same error texts, same budget spend, same captured delta partials.
+// (engine, dimension, category) leg, and FinishScan completes it from the
+// batch's kernel scan with the finish a solo Execute runs after its own
+// scan of one. Batched results are bit-identical to solo execution at the
+// same scan degree; see docs/TRAFFIC.md for the float-order argument.
 
 // Batch bypass reasons — the closed set of "why this query cannot join a
 // fused scan" labels (internal/batch registers a counter per reason).
@@ -37,9 +36,6 @@ const (
 	BypassCross = "cross"
 	// BypassError: planning failed; Execute surfaces the validation error.
 	BypassError = "error"
-	// BypassScanUnavailable: the fused kernel refused (stale column
-	// dictionary); members ran solo instead.
-	BypassScanUnavailable = "scan-unavailable"
 )
 
 // PrepareContext parses and plans a query, stopping short of shape
@@ -169,149 +165,82 @@ func accApply(fn *agg.Func, acc storage.FoldAcc) (float64, bool) {
 	return 0, false
 }
 
-// FinishShared completes a batchable query from a fused shared scan's
-// full-width outputs: values is the column dictionary in CategoryAt order
-// and counts this member's per-value fact counts (zero-count values
-// included); an argument-carrying member supplies either args (per-value
-// argument lists, when NeedsArgLists) or folds (the scan's constant-size
-// per-value FoldAccs). It replays the solo kernels' budget sequence — per
-// dictionary value, Check then Facts(count), with the solo paths' exact
-// error wrapping — against a fresh guard on the member's own context,
-// then runs the shared result tail (sort, HAVING/ORDER/LIMIT, partials
-// capture). The output is bit-identical to Execute at degree 1; see
-// docs/TRAFFIC.md for the float-order argument.
-func (p *Prepared) FinishShared(values []string, counts []int64, args [][]float64, folds []storage.FoldAcc) (*query.Result, error) {
+// FinishScan completes a batchable query from its member slot of a kernel
+// scan (storage.ScanLeg): kernel is the strategy the scan ran, values the
+// dictionary in CategoryAt order and counts this member's per-value fact
+// counts (zero-count values included); an argument-carrying member
+// supplies either args (per-value argument lists, when NeedsArgLists) or
+// folds (the scan's constant-size per-value FoldAccs). It is the finish
+// Execute runs after its own scan of one, so a batched answer is the solo
+// answer: same rows, same error texts, same budget spend, same captured
+// delta partials.
+func (p *Prepared) FinishScan(kernel string, values []string, counts []int64, args [][]float64, folds []storage.FoldAcc) (*query.Result, error) {
 	defer p.finishSpan()
 	if ok, reason := p.Batchable(); !ok {
 		return nil, fmt.Errorf("plan: FinishShared on a non-batchable query (%s)", reason)
 	}
+	return p.finishLeg(kernel, values, counts, args, folds)
+}
+
+// FinishShared is FinishScan without a strategy label, for callers that
+// ran the scan through storage.SharedAggregateBy.
+func (p *Prepared) FinishShared(values []string, counts []int64, args [][]float64, folds []storage.FoldAcc) (*query.Result, error) {
+	return p.FinishScan("", values, counts, args, folds)
+}
+
+// finishLeg is the one finish of the one-leg shapes, solo and batched: it
+// replays the budget — per dictionary value, Check then Facts(count) —
+// against a fresh guard on the query's own context, evaluates the
+// aggregate per non-empty group from its argument list or FoldAcc,
+// captures the delta partials, and runs the shared result tail. The shapes
+// kernel-count (no selection, no argument), kernel-sum (no selection, SUM)
+// and group-fold (everything else) are labels on this one path: they name
+// the explain shape and the operation in a budget-exhaustion error.
+func (p *Prepared) finishLeg(kernel string, values []string, counts []int64, args [][]float64, folds []storage.FoldAcc) (*query.Result, error) {
 	if p.NeedsArgLists() && args == nil {
 		return nil, fmt.Errorf("plan: FinishShared without argument lists for a list-mode member")
 	}
 	gd := p.grouped[0]
-	cp := captureFrom(p.cctx)
-	var parts *Partials
-	if cp != nil {
-		parts = newPartials(p.q, p.fn, p.grouped, p.argDim, p.m.Schema().FactType(), p.report)
-	}
-	g := qos.NewGuard(p.cctx)
-	var rows [][]string
+	shape, op := ShapeGroupFold, "aggregate"
 	switch {
 	case p.sel == nil && !p.fn.NeedsArg:
-		if p.ex != nil {
-			p.ex.Shape = ShapeKernelCount
-			p.ex.Kernel = KernelShared
-		}
-		parts.setShape(ShapeKernelCount)
-		out := make(map[string]int, len(values))
-		for j, v := range values {
-			if err := g.Check(); err != nil {
-				return nil, fmt.Errorf("query: %w", err)
-			}
-			if err := g.Facts(counts[j]); err != nil {
-				return nil, fmt.Errorf("query: %w",
-					fmt.Errorf("storage: count-distinct %s/%s: %w", gd.dim, gd.cat, err))
-			}
-			if counts[j] > 0 {
-				out[v] = int(counts[j])
-			}
-		}
-		parts.captureCounts(out)
-		rows = make([][]string, 0, len(out))
-		for v, c := range out {
-			rows = append(rows, []string{v, agg.FormatResult(float64(c))})
-		}
+		shape, op = ShapeKernelCount, "count-distinct"
 	case p.sel == nil && p.fn.Name == "SUM":
-		if p.ex != nil {
-			p.ex.Shape = ShapeKernelSum
-			p.ex.Kernel = KernelShared
+		shape, op = ShapeKernelSum, "sum"
+	}
+	if p.ex != nil {
+		p.ex.Shape, p.ex.Kernel = shape, kernel
+	}
+	if err := storage.ChargeLeg(qos.NewGuard(p.cctx), op, gd.dim, gd.cat, counts); err != nil {
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	parts, cp := p.partials(shape)
+	rows := make([][]string, 0, len(values))
+	for j, val := range values {
+		if counts[j] == 0 {
+			continue
 		}
-		parts.setShape(ShapeKernelSum)
-		sums := make(map[string]float64, len(values))
-		for j, v := range values {
-			if err := g.Check(); err != nil {
-				return nil, fmt.Errorf("query: %w", err)
-			}
-			if err := g.Facts(counts[j]); err != nil {
-				return nil, fmt.Errorf("query: %w",
-					fmt.Errorf("storage: sum %s/%s: %w", gd.dim, gd.cat, err))
-			}
-			if args != nil {
-				if len(args[j]) > 0 {
-					// Left fold in ascending dense-index order — the exact
-					// addition order of the sequential solo kernels.
-					s := 0.0
-					for _, x := range args[j] {
-						s += x
-					}
-					sums[v] = s
-				}
-			} else if folds[j].N > 0 {
-				// The FoldAcc's Sum already IS that left fold — the scan
-				// accumulated it in the same ascending order.
-				sums[v] = folds[j].Sum
-			}
+		// A list is in ascending dense-index order: fn's own Eval folds it,
+		// and the delta partials are rebuilt from the values themselves
+		// (capture forces list mode, so parts is nil beside a FoldAcc). The
+		// FoldAcc already is that left fold — the scan accumulated it in
+		// the same order.
+		var list []float64
+		if args != nil {
+			list = args[j]
 		}
-		parts.captureSums(sums)
-		rows = make([][]string, 0, len(sums))
-		for v, s := range sums {
-			rows = append(rows, []string{v, agg.FormatResult(s)})
+		parts.captureGroup(val, int(counts[j]), list)
+		var v float64
+		var ok bool
+		if p.argDim != "" && args == nil {
+			v, ok = accApply(p.fn, folds[j])
+		} else {
+			v, ok = p.fn.Apply(int(counts[j]), list)
 		}
-	default:
-		if p.ex != nil {
-			p.ex.Shape = ShapeGroupFold
-			p.ex.Kernel = KernelShared
+		if !ok {
+			continue
 		}
-		parts.setShape(ShapeGroupFold)
-		// An argument-carrying member finishes from lists or from FoldAccs,
-		// depending on what the scan materialized for it.
-		accMode := p.argDim != "" && args == nil
-		var kvals []string
-		var kcounts []int
-		var kargs [][]float64
-		var kaccs []storage.FoldAcc
-		for j, v := range values {
-			if err := g.Check(); err != nil {
-				return nil, fmt.Errorf("query: %w", err)
-			}
-			if err := g.Facts(counts[j]); err != nil {
-				return nil, fmt.Errorf("query: %w",
-					fmt.Errorf("storage: aggregate %s/%s: %w", gd.dim, gd.cat, err))
-			}
-			if counts[j] == 0 {
-				continue
-			}
-			kvals = append(kvals, v)
-			kcounts = append(kcounts, int(counts[j]))
-			switch {
-			case accMode:
-				kaccs = append(kaccs, folds[j])
-				kargs = append(kargs, nil)
-			case p.argDim != "":
-				list := args[j]
-				if list == nil {
-					list = []float64{}
-				}
-				kargs = append(kargs, list)
-			default:
-				kargs = append(kargs, nil)
-			}
-		}
-		parts.captureFold(kvals, kcounts, kargs)
-		rows = make([][]string, 0, len(kvals))
-		for j, val := range kvals {
-			var v float64
-			var ok bool
-			if accMode {
-				v, ok = accApply(p.fn, kaccs[j])
-			} else {
-				v, ok = p.fn.Apply(kcounts[j], kargs[j])
-			}
-			if !ok {
-				continue
-			}
-			rows = append(rows, []string{val, agg.FormatResult(v)})
-		}
+		rows = append(rows, []string{val, agg.FormatResult(v)})
 	}
 	return p.finish(rows, parts, cp)
 }

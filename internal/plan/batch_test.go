@@ -52,22 +52,24 @@ func runShared(t *testing.T, ctx context.Context, src string, cat query.Catalog,
 	members := []storage.SharedScanMember{{ArgDim: p.ArgDim(), Sel: p.Selection(), ListArgs: p.NeedsArgLists()}}
 	// The scan runs under the scheduler's own context in production
 	// (allMembersCtx), never the member's budget context.
-	values, counts, args, folds, err := p.Engine().SharedAggregateBy(context.Background(), dim, gcat, members, deg)
+	scan, err := p.Engine().ScanLeg(context.Background(), dim, gcat, members, deg)
 	if err != nil {
 		t.Fatalf("%s: fused scan: %v", src, err)
 	}
-	return p.FinishShared(values, counts[0], args[0], folds[0])
+	m := scan.Members[0]
+	return p.FinishScan(scan.Kernel, scan.Values, m.Counts, m.Args, m.Folds)
 }
 
 // TestFinishSharedDifferential asserts shared-scan completion ≡ solo
 // planner execution ≡ algebra for the whole batchable corpus at every
 // scan degree — rows, columns, summarizability, warnings, and the
-// explain routing (shared kernel label, solo shape names).
+// explain routing (the solo run's shape and kernel strategy).
 func TestFinishSharedDifferential(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
 	for _, src := range batchableQueries {
-		want, wantErr := ExecContext(context.Background(), src, cat, testRef, engines)
+		sctx, soloEx := WithExplain(context.Background())
+		want, wantErr := ExecContext(sctx, src, cat, testRef, engines)
 		if wantErr != nil {
 			t.Fatalf("%s: solo: %v", src, wantErr)
 		}
@@ -93,13 +95,16 @@ func TestFinishSharedDifferential(t *testing.T) {
 			if !reflect.DeepEqual(got.Warnings, want.Warnings) {
 				t.Fatalf("%s deg=%d: warnings diverged", src, deg)
 			}
-			if ex.Kernel != KernelShared {
-				t.Fatalf("%s deg=%d: explain kernel %q, want %q", src, deg, ex.Kernel, KernelShared)
+			if ex.Kernel != soloEx.Kernel || (ex.Kernel != storage.KernelColumn && ex.Kernel != storage.KernelBitmap) {
+				t.Fatalf("%s deg=%d: explain kernel %q, solo ran %q", src, deg, ex.Kernel, soloEx.Kernel)
 			}
 			switch ex.Shape {
 			case ShapeKernelCount, ShapeKernelSum, ShapeGroupFold:
 			default:
 				t.Fatalf("%s deg=%d: explain shape %q", src, deg, ex.Shape)
+			}
+			if ex.Shape != soloEx.Shape {
+				t.Fatalf("%s deg=%d: explain shape %q, solo ran %q", src, deg, ex.Shape, soloEx.Shape)
 			}
 		}
 	}

@@ -163,16 +163,11 @@ func (p *Partials) rebuildReport(multiValued bool) agg.Report {
 	return rep
 }
 
-// setShape records the executed plan shape; nil-safe like the capture
-// methods so exec code calls it unconditionally.
-func (p *Partials) setShape(s string) {
-	if p != nil {
-		p.Shape = s
-	}
-}
-
-// captureGlobal records the global shape's single group.
-func (p *Partials) captureGlobal(count int, argvals []float64) {
+// captureGroup records one group's partial: the member count and, for an
+// argument-consuming function, the state fed with the group's argument
+// values in ascending dense-index order. Nil-safe, so exec code calls it
+// unconditionally.
+func (p *Partials) captureGroup(value string, count int, argvals []float64) {
 	if p == nil {
 		return
 	}
@@ -184,53 +179,7 @@ func (p *Partials) captureGlobal(count int, argvals []float64) {
 		}
 		gs.State = st
 	}
-	p.Groups[""] = gs
-}
-
-// captureCounts records a kernel-count result (no-argument functions:
-// the count is the whole partial).
-func (p *Partials) captureCounts(counts map[string]int) {
-	if p == nil {
-		return
-	}
-	for v, c := range counts {
-		p.Groups[v] = &GroupState{Count: c}
-	}
-}
-
-// captureSums records a kernel-sum result. The kernel's per-group sum is
-// itself a left fold in ascending dense-index order, so seeding the
-// state with one Add of the sum continues exactly where the kernel
-// stopped — (sum + d1) + d2 + … is the same association a full
-// sequential fold would produce.
-func (p *Partials) captureSums(sums map[string]float64) {
-	if p == nil {
-		return
-	}
-	for v, s := range sums {
-		st := p.Fn.State()
-		st.Add(s)
-		p.Groups[v] = &GroupState{Count: 1, State: st}
-	}
-}
-
-// captureFold records a group-fold result: per-value counts plus the
-// argument values AggregateBy extracted in ascending dense-index order.
-func (p *Partials) captureFold(values []string, counts []int, args [][]float64) {
-	if p == nil {
-		return
-	}
-	for j, v := range values {
-		gs := &GroupState{Count: counts[j]}
-		if p.Fn.NeedsArg {
-			st := p.Fn.State()
-			for _, x := range args[j] {
-				st.Add(x)
-			}
-			gs.State = st
-		}
-		p.Groups[v] = gs
-	}
+	p.Groups[value] = gs
 }
 
 // UpgradeResult continues cached partials over the appended fact range

@@ -50,7 +50,7 @@ func execGlobal(guard *qos.Guard, eng *storage.Engine, fn *agg.Func, argDim stri
 		return nil, err
 	}
 	if count == 0 {
-		parts.captureGlobal(0, nil)
+		parts.captureGroup("", 0, nil)
 		return nil, nil
 	}
 	if err := guard.Facts(int64(count)); err != nil {
@@ -64,77 +64,12 @@ func execGlobal(guard *qos.Guard, eng *storage.Engine, fn *agg.Func, argDim stri
 			}
 		}
 	}
-	parts.captureGlobal(count, argvals)
+	parts.captureGroup("", count, argvals)
 	v, ok := fn.Apply(count, argvals)
 	if !ok {
 		return nil, nil
 	}
 	return [][]string{{agg.FormatResult(v)}}, nil
-}
-
-// execOneDim evaluates an aggregate grouped on a single dimension. The
-// unselected count/sum cases dispatch to the existing kernels
-// (CountByColumn/SumByColumn with bitmap fallback) — the exact paths the
-// per-kernel differential tests pin; everything else folds the grouped
-// per-value counts and argument columns from AggregateBy.
-func execOneDim(cctx context.Context, eng *storage.Engine, fn *agg.Func, gd groupDim, argDim string, sel *storage.Bitmap, ex *Explain, parts *Partials) ([][]string, error) {
-	if ex != nil {
-		if eng.PrefersColumn(gd.dim, gd.cat) {
-			ex.Kernel = "column"
-		} else {
-			ex.Kernel = "bitmap"
-		}
-	}
-	if sel == nil && !fn.NeedsArg {
-		if ex != nil {
-			ex.Shape = ShapeKernelCount
-		}
-		parts.setShape(ShapeKernelCount)
-		counts, err := eng.CountDistinctByContext(cctx, gd.dim, gd.cat)
-		if err != nil {
-			return nil, fmt.Errorf("query: %w", err)
-		}
-		parts.captureCounts(counts)
-		rows := make([][]string, 0, len(counts))
-		for v, c := range counts {
-			rows = append(rows, []string{v, agg.FormatResult(float64(c))})
-		}
-		return rows, nil
-	}
-	if sel == nil && fn.Name == "SUM" {
-		if ex != nil {
-			ex.Shape = ShapeKernelSum
-		}
-		parts.setShape(ShapeKernelSum)
-		sums, err := eng.SumByContext(cctx, gd.dim, gd.cat, argDim)
-		if err != nil {
-			return nil, fmt.Errorf("query: %w", err)
-		}
-		parts.captureSums(sums)
-		rows := make([][]string, 0, len(sums))
-		for v, s := range sums {
-			rows = append(rows, []string{v, agg.FormatResult(s)})
-		}
-		return rows, nil
-	}
-	if ex != nil {
-		ex.Shape = ShapeGroupFold
-	}
-	parts.setShape(ShapeGroupFold)
-	values, counts, args, err := eng.AggregateBy(cctx, gd.dim, gd.cat, argDim, sel)
-	if err != nil {
-		return nil, fmt.Errorf("query: %w", err)
-	}
-	parts.captureFold(values, counts, args)
-	rows := make([][]string, 0, len(values))
-	for j, val := range values {
-		v, ok := fn.Apply(counts[j], args[j])
-		if !ok {
-			continue
-		}
-		rows = append(rows, []string{val, agg.FormatResult(v)})
-	}
-	return rows, nil
 }
 
 // execCross evaluates an aggregate grouped on several dimensions through

@@ -13,10 +13,6 @@ const (
 	ShapeKernelSum   = "kernel-sum"
 	ShapeGroupFold   = "group-fold"
 	ShapeCross       = "cross"
-
-	// KernelShared marks a query answered from a fused shared scan (batch
-	// scheduling); solo queries report "column" or "bitmap".
-	KernelShared = "shared-scan"
 )
 
 // Fallback reasons — the operators that need full MO semantics, plus the
@@ -40,11 +36,12 @@ type Explain struct {
 	// Reason names the fallback trigger; empty when planned.
 	Reason string `json:"reason,omitempty"`
 	// Shape is the physical plan shape of a planned query: "facts",
-	// "global", "kernel-count", "kernel-sum", "group-fold", or "cross".
+	// "global", "cross", or one of the one-leg labels "kernel-count",
+	// "kernel-sum" and "group-fold" (one execution path; see finishLeg).
 	Shape string `json:"shape,omitempty"`
-	// Kernel reports which grouping kernel ran: "column" or "bitmap" for the
-	// one-leg shapes, which dispatch on the cost heuristic; always "column"
-	// for cross; "shared-scan" for a batched query.
+	// Kernel reports the strategy the storage kernel ran: "column" or
+	// "bitmap" for the one-leg shapes, solo and batched alike (the value
+	// storage.ScanLeg returned); always "column" for cross.
 	Kernel string `json:"kernel,omitempty"`
 	// Degree is the context-carried parallelism degree (0: unset).
 	Degree int `json:"degree,omitempty"`

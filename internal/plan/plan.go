@@ -72,8 +72,8 @@ func RunContext(cctx context.Context, q *query.Query, cat query.Catalog, ref tem
 
 // Prepared is a query planned to the brink of shape execution: parsed,
 // routed (planned vs fallback), engine-resolved, WHERE-compiled, and
-// validated. Execute runs the solo tail; FinishShared consumes a fused
-// shared scan's outputs instead (batch.go). A Prepared is good for one
+// validated. Execute runs the solo tail; FinishScan consumes a batch's
+// kernel scan instead (batch.go). A Prepared is good for one
 // execution and is not safe for concurrent use.
 type Prepared struct {
 	cctx    context.Context
@@ -281,42 +281,61 @@ func (p *Prepared) Execute() (*query.Result, error) {
 	if p.factsOnly {
 		return execFacts(p.guard, p.eng, p.m, p.sel, p.q.Limit, p.ex)
 	}
-	// Delta-maintenance capture: the single-leg shapes retain mergeable
-	// per-group partials so the serving layer can continue the fold over
-	// appended facts instead of recomputing (delta.go). Cross stays out —
-	// its merged set-valued groups do not decompose per appended fact.
-	cp := captureFrom(p.cctx)
-	var parts *Partials
-	if cp != nil && len(p.grouped) <= 1 {
-		parts = newPartials(p.q, p.fn, p.grouped, p.argDim, p.m.Schema().FactType(), p.report)
-	}
-	var rows [][]string
-	var err error
-	switch {
-	case len(p.grouped) == 0:
+	switch len(p.grouped) {
+	case 0:
 		if p.ex != nil {
 			p.ex.Shape = ShapeGlobal
 		}
-		parts.setShape(ShapeGlobal)
-		rows, err = execGlobal(p.guard, p.eng, p.fn, p.argDim, p.sel, parts)
-	case len(p.grouped) == 1:
-		rows, err = execOneDim(p.cctx, p.eng, p.fn, p.grouped[0], p.argDim, p.sel, p.ex, parts)
+		parts, cp := p.partials(ShapeGlobal)
+		rows, err := execGlobal(p.guard, p.eng, p.fn, p.argDim, p.sel, parts)
+		if err != nil {
+			return nil, err
+		}
+		return p.finish(rows, parts, cp)
+	case 1:
+		// Solo is a batch of one: the same kernel scan the batch scheduler
+		// runs, with this query as its only member, then the same finish.
+		gd := p.grouped[0]
+		scan, err := p.eng.ScanLeg(p.cctx, gd.dim, gd.cat,
+			[]storage.SharedScanMember{{ArgDim: p.argDim, Sel: p.sel, ListArgs: p.NeedsArgLists()}},
+			exec.DegreeFrom(p.cctx))
+		if err != nil {
+			return nil, fmt.Errorf("query: %w", err)
+		}
+		m := scan.Members[0]
+		return p.finishLeg(scan.Kernel, scan.Values, m.Counts, m.Args, m.Folds)
 	default:
 		if p.ex != nil {
 			p.ex.Shape = ShapeCross
-			p.ex.Kernel = "column"
+			p.ex.Kernel = storage.KernelColumn
 		}
-		rows, err = execCross(p.cctx, p.guard, p.eng, p.fn, p.grouped, p.argDim, p.sel)
+		// Cross captures nothing: its merged set-valued groups do not
+		// decompose per appended fact.
+		rows, err := execCross(p.cctx, p.guard, p.eng, p.fn, p.grouped, p.argDim, p.sel)
+		if err != nil {
+			return nil, err
+		}
+		return p.finish(rows, nil, nil)
 	}
-	if err != nil {
-		return nil, err
+}
+
+// partials returns the delta-maintenance capture skeleton for an
+// upgradeable shape (global or one-leg) and the sink it goes to: those
+// shapes retain mergeable per-group partials so the serving layer can
+// continue the fold over appended facts instead of recomputing (delta.go).
+// Both are nil when the context installed no capture.
+func (p *Prepared) partials(shape string) (*Partials, *Capture) {
+	cp := captureFrom(p.cctx)
+	if cp == nil {
+		return nil, nil
 	}
-	return p.finish(rows, parts, cp)
+	parts := newPartials(p.q, p.fn, p.grouped, p.argDim, p.m.Schema().FactType(), p.report)
+	parts.Shape = shape
+	return parts, cp
 }
 
 // finish is the shared result tail: canonical row order, header assembly,
-// HAVING/ORDER/LIMIT, and partials attachment — identical after solo
-// shape execution and after a shared-scan finish.
+// HAVING/ORDER/LIMIT, and partials attachment — the same for every shape.
 func (p *Prepared) finish(rows [][]string, parts *Partials, cp *Capture) (*query.Result, error) {
 	sortRows(rows)
 	if len(rows) == 0 {

@@ -2,13 +2,11 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"mddm/internal/batch"
 	"mddm/internal/plan"
 	"mddm/internal/query"
-	"mddm/internal/storage"
 )
 
 // This file wires the shared-scan batch scheduler (internal/batch) into
@@ -16,9 +14,9 @@ import (
 // Query splits into prepare → schedule → finish: the query is planned to
 // the brink of shape execution (plan.PrepareContext), batchable shapes
 // join the scheduler's gather window for their (engine, dim, cat) leg,
-// and the fused scan's outputs finish through plan.FinishShared — which
-// replays the solo budget sequence, so a batched answer is bit-identical
-// to solo execution. Non-batchable shapes (fallbacks, facts, global,
+// and the batch's kernel scan finishes through plan.FinishScan — the
+// finish a solo Execute runs after its own scan of one, so a batched
+// answer is bit-identical to solo execution. Non-batchable shapes (fallbacks, facts, global,
 // cross) Execute solo immediately and are counted as bypasses.
 //
 // Placement: batching sits BELOW the result cache and its single-flight
@@ -82,10 +80,9 @@ func (s *Server) BatchStats() batch.Stats {
 }
 
 // batchedQuery is the planner branch with batching on: prepare, route
-// batchable shapes through the scheduler, finish from the fused scan.
-// Every bypass (and the fused kernel refusing) degrades to plain solo
-// execution — batching never fails a query that solo execution would
-// answer.
+// batchable shapes through the scheduler, finish from the batch's scan.
+// Every bypass degrades to plain solo execution — batching never fails a
+// query that solo execution would answer.
 func (s *Server) batchedQuery(ctx context.Context, src string) (*query.Result, error) {
 	p, err := plan.PrepareContext(ctx, src, s.cat.Snapshot(), s.ref, s)
 	if err != nil {
@@ -106,22 +103,13 @@ func (s *Server) batchedQuery(ctx context.Context, src string) (*query.Result, e
 		Sel:      p.Selection(),
 		ListArgs: p.NeedsArgLists(),
 	})
+	setBatchOutcome(ctx, r.Outcome, "")
 	if r.Err != nil {
-		if errors.Is(r.Err, storage.ErrSharedScanUnavailable) {
-			// The fused kernel refused (stale column dictionary): run solo
-			// against the live dictionary. Transparent — same result, one
-			// more kernel pass.
-			s.batcher.Bypass(plan.BypassScanUnavailable)
-			setBatchOutcome(ctx, batch.OutcomeSolo, plan.BypassScanUnavailable)
-			return p.Execute()
-		}
 		// Cancellation: this member's context died while waiting, or the
 		// scan died after every member's did. Same wrap the planner puts
 		// on a kernel cancellation.
-		setBatchOutcome(ctx, r.Outcome, "")
 		p.Abort()
 		return nil, fmt.Errorf("query: %w", r.Err)
 	}
-	setBatchOutcome(ctx, r.Outcome, "")
-	return p.FinishShared(r.Values, r.Counts, r.Args, r.Folds)
+	return p.FinishScan(r.Kernel, r.Values, r.Counts, r.Args, r.Folds)
 }

@@ -232,23 +232,33 @@ func (b *Bitmap) IterateRange(lo, hi int, fn func(i int) bool) {
 	if lo >= hi {
 		return
 	}
-	lw, hw := lo>>6, (hi-1)>>6
-	for wi := lw; wi <= hw; wi++ {
-		w := b.words[wi]
-		if wi == lw {
-			w &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if wi == hw && hi&63 != 0 {
-			w &= ^uint64(0) >> (64 - uint(hi)&63)
-		}
+	for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
 		base := wi << 6
-		for w != 0 {
+		for w := b.andWord(nil, wi, lo, hi); w != 0; w &= w - 1 {
 			if !fn(base + bits.TrailingZeros64(w)) {
 				return
 			}
-			w &= w - 1
 		}
 	}
+}
+
+// andWord returns word wi of b ∧ o restricted to the (clamped, non-empty)
+// index range [lo, hi); a nil o admits every index.
+func (b *Bitmap) andWord(o *Bitmap, wi, lo, hi int) uint64 {
+	w := b.words[wi]
+	if o != nil {
+		if wi >= len(o.words) {
+			return 0
+		}
+		w &= o.words[wi]
+	}
+	if wi == lo>>6 {
+		w &= ^uint64(0) << (uint(lo) & 63)
+	}
+	if wi == (hi-1)>>6 && hi&63 != 0 {
+		w &= ^uint64(0) >> (64 - uint(hi)&63)
+	}
+	return w
 }
 
 // Indices returns the marked fact indices.

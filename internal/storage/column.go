@@ -5,44 +5,33 @@ import (
 	"fmt"
 	"sort"
 
-	"mddm/internal/exec"
 	"mddm/internal/obs"
 	"mddm/internal/qos"
 )
 
 // This file implements characterization columns: a dictionary-encoded
 // columnar layout of the characterization relation, built per (dimension,
-// category) on top of the memoized closure bitmaps, and single-pass
-// group-by kernels over it. The bitmap paths cost
-// O(|values(category)| × facts/64) — one closure scan per category value —
-// while a column kernel reads the dense fact→value-id codes once and
-// accumulates into flat arrays indexed by value-id: O(facts) regardless of
-// category cardinality, and cache-friendly. The paper's hard cases map to
-// two sentinels: a fact attached above the category (mixed granularity)
+// category) on top of the memoized closure bitmaps. The one-leg kernel
+// (kernel.go) reads the dense fact→value-id codes once and accumulates
+// into flat arrays indexed by value-id — O(facts) regardless of category
+// cardinality, and cache-friendly — where the bitmap strategy costs
+// O(|values(category)| × facts/64). The paper's hard cases map to two
+// sentinels: a fact attached above the category (mixed granularity)
 // characterizes no value of it and encodes colNone; a many-to-many fact
 // carrying several values of the category encodes colMulti and stores its
 // value-ids in a compact overflow side-table sorted by (fact, value-id).
 //
-// Every kernel is bit-identical to the bitmap path it replaces, at every
-// parallelism degree, and charges the same qos fact budget: per category
-// value, in CategoryAt order, Check then Facts(|facts of value|) — exactly
-// the bitmap paths' accounting. Sequential float sums fold per value in
-// ascending fact order (the same order Bitmap.Iterate visits); parallel
-// sums split on the same exec.Partitions ranges as the bitmap parallel
-// path and merge per-partition partials in ascending partition order, so
-// the float association is identical too.
-//
 // Concurrency: columns live behind the engine's RWMutex. Builds take the
-// write lock; kernels snapshot the codes and overflow slice headers under
+// write lock; scans snapshot the codes and overflow slice headers under
 // the read lock and then run lock-free — AppendFact only ever appends to
 // these slices (never mutates existing elements), so a snapshot of the
 // first n facts stays immutable.
 
 // Kernel-selection and column-maintenance metrics. The kernel counters
-// count aggregation calls by the kind of kernel that answered (one per
-// CountDistinctByContext / SumByContext / CrossCountContext /
-// CrossAggregateBy call, one per member of a SharedAggregateBy scan), so
-// the ratio is the share of aggregations the columns carry.
+// count aggregations by the strategy that answered — one per member of a
+// one-leg kernel scan (set in scanLeg from the strategy it ran), one per
+// cross-tab call — so the ratio is the share of aggregations the columns
+// carry.
 var (
 	mKernelColumn = obs.NewCounter("mddm_storage_kernel_total",
 		"Aggregation calls answered by kernel kind.", obs.Label{Key: "kind", Value: "column"})
@@ -82,6 +71,28 @@ type column struct {
 	vid      map[string]uint32 // reverse dictionary
 	codes    []uint32          // fact index → value-id, colNone, or colMulti
 	over     []overPair        // overflow side-table, sorted by (fact, vid)
+	// catVer is the category's Dimension.CategoryVersion when the
+	// dictionary was taken; see fresh.
+	catVer int
+}
+
+// fresh reports whether the column's dictionary still matches the live
+// category: no value was added to or removed from it since the dictionary
+// was taken. appendToColumn admits dictionary values only, so a stale
+// column under-codes the newer facts and must not be scanned.
+func (e *Engine) fresh(col *column) bool {
+	return col.catVer == e.mo.Dimension(col.dim).CategoryVersion(col.cat)
+}
+
+// builtColumn returns the column of (dim, cat) if one is built and fresh.
+func (e *Engine) builtColumn(dim, cat string) *column {
+	e.mu.RLock()
+	col := e.cols[colKey(dim, cat)]
+	e.mu.RUnlock()
+	if col == nil || !e.fresh(col) {
+		return nil
+	}
+	return col
 }
 
 func colKey(dim, cat string) string { return dim + "\x00" + cat }
@@ -102,25 +113,19 @@ func (e *Engine) columnMinValuesLocked() int {
 	return DefaultColumnMinValues
 }
 
-// columnFor returns the built column for (dim, cat) when the cost
-// heuristic prefers it: the column exists and its category cardinality
-// meets the threshold. Nil means the bitmap path answers.
+// columnFor returns the built column for (dim, cat) when the one-leg
+// kernel should scan it: the column exists, its dictionary is fresh, and
+// its category cardinality meets the threshold. Nil means the bitmap
+// strategy answers, over the live dictionary.
 func (e *Engine) columnFor(dim, cat string) *column {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	col := e.cols[colKey(dim, cat)]
-	if col == nil || len(col.vals) < e.columnMinValuesLocked() {
+	minValues := e.columnMinValuesLocked()
+	e.mu.RUnlock()
+	col := e.builtColumn(dim, cat)
+	if col == nil || len(col.vals) < minValues {
 		return nil
 	}
 	return col
-}
-
-// PrefersColumn reports whether the one-leg kernels answer (dim, cat) from
-// its characterization column: it is built and meets the cardinality
-// threshold. The cross kernel builds columns below the threshold too; those
-// leave the one-leg calls on the bitmap path.
-func (e *Engine) PrefersColumn(dim, cat string) bool {
-	return e.columnFor(dim, cat) != nil
 }
 
 // HasColumn reports whether a characterization column is built for
@@ -132,22 +137,18 @@ func (e *Engine) HasColumn(dim, cat string) bool {
 }
 
 // BuildColumn materializes the characterization column of (dim, cat) from
-// the closure bitmaps (building any missing ones first). It is idempotent
-// and charges no fact budget — like closure memoization, it is
-// infrastructure work, so queries cost the same whether they build or
-// reuse. Unknown dimensions or categories build an empty column.
+// the closure bitmaps (building any missing ones first), replacing a stale
+// one — the engine's one staleness rule: whoever asks for a column gets it
+// over the live dictionary. It is idempotent and charges no fact budget —
+// like closure memoization, it is infrastructure work, so queries cost the
+// same whether they build or reuse. Unknown dimensions or categories build
+// an empty column.
 func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
-	e.mu.RLock()
-	built := e.cols[colKey(dim, cat)] != nil
-	e.mu.RUnlock()
-	if built {
-		return nil
-	}
 	d := e.mo.Dimension(dim)
-	if d == nil {
+	if d == nil || e.builtColumn(dim, cat) != nil {
 		return nil
 	}
-	vals := d.CategoryAt(cat, e.ctx)
+	vals, catVer := d.CategoryAt(cat, e.ctx), d.CategoryVersion(cat)
 	if uint64(len(vals)) >= uint64(colMulti) {
 		return fmt.Errorf("storage: column %s/%s: %d values exceed the uint32 dictionary", dim, cat, len(vals))
 	}
@@ -160,15 +161,16 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 	if e.cols == nil {
 		e.cols = map[string]*column{}
 	}
-	if e.cols[colKey(dim, cat)] != nil {
+	if old := e.cols[colKey(dim, cat)]; old != nil && e.fresh(old) {
 		return nil
 	}
 	col := &column{
-		dim:   dim,
-		cat:   cat,
-		vals:  vals,
-		vid:   make(map[string]uint32, len(vals)),
-		codes: make([]uint32, len(e.facts)),
+		dim:    dim,
+		cat:    cat,
+		vals:   vals,
+		vid:    make(map[string]uint32, len(vals)),
+		codes:  make([]uint32, len(e.facts)),
+		catVer: catVer,
 	}
 	for j, v := range vals {
 		col.vid[v] = uint32(j)
@@ -215,20 +217,20 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 	return nil
 }
 
-// EnsureColumn builds the column of (dim, cat) when the cost heuristic
-// would select it — the category has at least ColumnMinValues values — and
-// is a no-op otherwise. Pre-aggregation and the serving layer call it
-// before aggregating, so the threshold decides both build and use.
+// EnsureColumn builds the column of (dim, cat) — or rebuilds a stale one —
+// when the cost heuristic would select it — the category has at least
+// ColumnMinValues values — and is a no-op otherwise. Pre-aggregation, the
+// serving layer and ScanLeg call it before aggregating, so the threshold
+// decides both build and use.
 func (e *Engine) EnsureColumn(ctx context.Context, dim, cat string) error {
 	d := e.mo.Dimension(dim)
-	if d == nil {
+	if d == nil || e.builtColumn(dim, cat) != nil {
 		return nil
 	}
 	e.mu.RLock()
-	built := e.cols[colKey(dim, cat)] != nil
 	min := e.columnMinValuesLocked()
 	e.mu.RUnlock()
-	if built || len(d.CategoryAt(cat, e.ctx)) < min {
+	if len(d.CategoryAt(cat, e.ctx)) < min {
 		return nil
 	}
 	return e.BuildColumn(ctx, dim, cat)
@@ -256,248 +258,33 @@ func (e *Engine) WarmColumns(ctx context.Context, minValues int) error {
 	return nil
 }
 
-// snapshot captures the column's slice headers under the read lock; the
-// slices are append-only, so the first len(codes) facts stay immutable
-// while a kernel runs lock-free against them.
-func (e *Engine) snapshotColumn(col *column) (codes []uint32, over []overPair) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return col.codes, col.over
-}
-
 // overStart positions an overflow cursor at the first entry with
 // fact ≥ lo.
 func overStart(over []overPair, lo int) int {
 	return sort.Search(len(over), func(k int) bool { return over[k].fact >= lo })
 }
 
-// checkStride is how often the sequential single-pass kernels poll the
-// guard: cancellation granularity of a few µs without per-fact overhead.
+// checkStride is how often the sequential per-fact scans poll the guard:
+// cancellation granularity of a few µs without per-fact overhead.
 const checkStride = 1 << 14
 
-// countColumnRange tallies facts-per-value over codes[lo:hi) into counts.
-// Integer tallies are order-free, so it runs two tight passes — the dense
-// codes, then the overflow entries of the range directly — instead of the
-// per-fact cursor synchronization the float-sum kernel needs for its
-// addition order. Both sentinels sit at the top of the uint32 range, so
-// `c < colMulti` admits exactly the real value-ids.
-func countColumnRange(codes []uint32, over []overPair, lo, hi int, counts []int64) {
-	for _, c := range codes[lo:hi] {
-		if c < colMulti {
-			counts[c]++
-		}
-	}
-	for k, ke := overStart(over, lo), overStart(over, hi); k < ke; k++ {
-		counts[over[k].vid]++
-	}
-}
-
-// countByColumn is the single-pass CountDistinctBy kernel: one read of the
-// codes column accumulating into a flat []int64 indexed by value-id. A
-// context-carried degree above 1 gives each exec partition its own
-// accumulator array, merged by integer addition in ascending partition
-// order — the same partition ranges as the bitmap parallel path, and
-// integer merges are always exact. The budget loop then mirrors the
-// bitmap paths: per value in dictionary (CategoryAt) order, Check then
-// Facts(count).
-func (e *Engine) countByColumn(ctx context.Context, g *qos.Guard, col *column) (map[string]int, error) {
-	codes, over := e.snapshotColumn(col)
-	n := len(codes)
-	counts := make([]int64, len(col.vals))
-	if deg := exec.DegreeFrom(ctx); deg > 1 {
-		parts := exec.Partitions(n, deg)
-		partial := make([][]int64, len(parts))
-		if err := exec.Run(ctx, nil, deg, len(parts), func(p int) error {
-			pc := make([]int64, len(col.vals))
-			countColumnRange(codes, over, parts[p].Lo, parts[p].Hi, pc)
-			partial[p] = pc
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		for p := range parts {
-			for j, c := range partial[p] {
-				counts[j] += c
-			}
-		}
-	} else {
-		for lo := 0; lo < n; lo += checkStride {
-			if err := g.Check(); err != nil {
-				return nil, err
-			}
-			hi := lo + checkStride
-			if hi > n {
-				hi = n
-			}
-			countColumnRange(codes, over, lo, hi, counts)
-		}
-	}
-	out := make(map[string]int, len(col.vals))
-	for j, v := range col.vals {
-		if err := g.Check(); err != nil {
-			return nil, err
-		}
-		if err := g.Facts(counts[j]); err != nil {
-			return nil, fmt.Errorf("storage: count-distinct %s/%s: %w", col.dim, col.cat, err)
-		}
-		if counts[j] > 0 {
-			out[v] = int(counts[j])
-		}
-	}
-	return out, nil
-}
-
-// sumColumnRange folds codes[lo:hi) into per-value sums: sums[vid]
-// accumulates the argument values of every fact carrying vid, counts[vid]
-// the facts (for budget parity with Facts(bitmap count)), adds[vid] the
-// argument contributions (a value appears in the result only when a fact
-// contributed an argument value — the bitmap path's `any` flag /
-// SUM-state n). Facts are visited in ascending index order, so per-value
-// float addition order equals Bitmap.Iterate's.
-func sumColumnRange(codes []uint32, over []overPair, argVals [][]float64, lo, hi int,
-	sums []float64, counts, adds []int64) {
-	addFact := func(vid uint32, i int) {
-		counts[vid]++
-		for _, x := range argVals[i] {
-			sums[vid] += x
-			adds[vid]++
-		}
-	}
-	oc := overStart(over, lo)
-	for i := lo; i < hi; i++ {
-		switch c := codes[i]; c {
-		case colNone:
-		case colMulti:
-			for oc < len(over) && over[oc].fact < i {
-				oc++
-			}
-			for oc < len(over) && over[oc].fact == i {
-				addFact(over[oc].vid, i)
-				oc++
-			}
-		default:
-			addFact(c, i)
-		}
-	}
-}
-
-// sumByColumn is the single-pass SumBy kernel. Sequentially it folds every
-// fact in ascending order, which for any one value is the exact addition
-// order of the bitmap path's Iterate — bit-identical floats. At degree
-// above 1 it uses the same exec.Partitions ranges as sumByParallel and
-// merges per-partition (sum, adds) partials in ascending partition order,
-// the same association as the agg.State merge of the bitmap parallel path.
-func (e *Engine) sumByColumn(ctx context.Context, g *qos.Guard, col *column, argDim string) (map[string]float64, error) {
-	e.ensureArgValues(argDim)
-	e.mu.RLock()
-	codes, over := col.codes, col.over
-	argVals := e.argCols[argDim]
-	e.mu.RUnlock()
-	n := len(codes)
-	nv := len(col.vals)
-	sums := make([]float64, nv)
-	counts := make([]int64, nv)
-	adds := make([]int64, nv)
-	if deg := exec.DegreeFrom(ctx); deg > 1 {
-		parts := exec.Partitions(n, deg)
-		pSums := make([][]float64, len(parts))
-		pCounts := make([][]int64, len(parts))
-		pAdds := make([][]int64, len(parts))
-		if err := exec.Run(ctx, nil, deg, len(parts), func(p int) error {
-			s := make([]float64, nv)
-			c := make([]int64, nv)
-			a := make([]int64, nv)
-			sumColumnRange(codes, over, argVals, parts[p].Lo, parts[p].Hi, s, c, a)
-			pSums[p], pCounts[p], pAdds[p] = s, c, a
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		for p := range parts {
-			for j := 0; j < nv; j++ {
-				sums[j] += pSums[p][j]
-				counts[j] += pCounts[p][j]
-				adds[j] += pAdds[p][j]
-			}
-		}
-	} else {
-		for lo := 0; lo < n; lo += checkStride {
-			if err := g.Check(); err != nil {
-				return nil, err
-			}
-			hi := lo + checkStride
-			if hi > n {
-				hi = n
-			}
-			sumColumnRange(codes, over, argVals, lo, hi, sums, counts, adds)
-		}
-	}
-	out := make(map[string]float64, len(col.vals))
-	for j, v := range col.vals {
-		if err := g.Check(); err != nil {
-			return nil, err
-		}
-		if err := g.Facts(counts[j]); err != nil {
-			return nil, fmt.Errorf("storage: sum %s/%s: %w", col.dim, col.cat, err)
-		}
-		if adds[j] > 0 {
-			out[v] = sums[j]
-		}
-	}
-	return out, nil
-}
-
-// colVids appends the value-ids of fact i to dst (reusing its backing
-// array) given its code and an overflow cursor, advancing the cursor.
-func colVids(codes []uint32, over []overPair, i int, oc *int, dst []uint32) []uint32 {
-	dst = dst[:0]
-	switch c := codes[i]; c {
-	case colNone:
-	case colMulti:
-		for *oc < len(over) && over[*oc].fact < i {
-			*oc++
-		}
-		for *oc < len(over) && over[*oc].fact == i {
-			dst = append(dst, over[*oc].vid)
-			*oc++
-		}
-	default:
-		dst = append(dst, c)
-	}
-	return dst
-}
-
-// CountByColumn answers CountDistinctBy through the column kernel,
-// building the column first if needed — the exported entry point for
-// callers that want the columnar path regardless of the heuristic.
+// CountByColumn builds the column of (dim, cat) if needed — whatever the
+// category's cardinality — and answers CountDistinctByContext. The kernel
+// scans the column when it meets the selection threshold.
 func (e *Engine) CountByColumn(ctx context.Context, dim, cat string) (map[string]int, error) {
 	if err := e.BuildColumn(ctx, dim, cat); err != nil {
 		return nil, err
 	}
-	e.mu.RLock()
-	col := e.cols[colKey(dim, cat)]
-	e.mu.RUnlock()
-	if col == nil {
-		return map[string]int{}, nil
-	}
-	mKernelColumn.Inc()
-	return e.countByColumn(ctx, qos.NewGuard(ctx), col)
+	return e.CountDistinctByContext(ctx, dim, cat)
 }
 
-// SumByColumn answers SumBy through the column kernel, building the
-// column first if needed.
+// SumByColumn builds the column of (dim, cat) if needed and answers
+// SumByContext.
 func (e *Engine) SumByColumn(ctx context.Context, dim, cat, argDim string) (map[string]float64, error) {
 	if err := e.BuildColumn(ctx, dim, cat); err != nil {
 		return nil, err
 	}
-	e.mu.RLock()
-	col := e.cols[colKey(dim, cat)]
-	e.mu.RUnlock()
-	if col == nil {
-		return map[string]float64{}, nil
-	}
-	mKernelColumn.Inc()
-	return e.sumByColumn(ctx, qos.NewGuard(ctx), col, argDim)
+	return e.SumByContext(ctx, dim, cat, argDim)
 }
 
 // appendToColumn maintains one built column for a newly appended fact i:

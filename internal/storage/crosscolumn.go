@@ -119,35 +119,13 @@ func mix64(x uint64) uint64 {
 
 // liveColumn returns the column of (dim, cat), building it on first use
 // whatever the category's cardinality (columnFor's threshold steers only
-// the one-leg kernels) and rebuilding it when the category gained values
-// since the build: appendToColumn admits dictionary values only, so a
-// stale column under-codes the newer facts. Nil means an unknown dimension.
+// the one-leg kernel) and rebuilding it when it is no longer fresh. Nil
+// means an unknown dimension.
 func (e *Engine) liveColumn(ctx context.Context, dim, cat string) (*column, error) {
-	d := e.mo.Dimension(dim)
-	if d == nil {
-		return nil, nil
-	}
-	want := len(d.CategoryAt(cat, e.ctx))
-	key := colKey(dim, cat)
-	e.mu.RLock()
-	col := e.cols[key]
-	e.mu.RUnlock()
-	if col != nil && len(col.vals) == want {
-		return col, nil
-	}
-	if col != nil {
-		e.mu.Lock()
-		if e.cols[key] == col {
-			delete(e.cols, key)
-		}
-		e.mu.Unlock()
-	}
 	if err := e.BuildColumn(ctx, dim, cat); err != nil {
 		return nil, err
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.cols[key], nil
+	return e.builtColumn(dim, cat), nil
 }
 
 // crossSnapshot resolves the legs' live columns and snapshots them, and the
@@ -287,9 +265,11 @@ func (e *Engine) CrossCountByColumn(ctx context.Context, dim1, cat1, dim2, cat2 
 	if err != nil {
 		return nil, err
 	}
-	rowFacts := make([]int64, len(legs[0].vals))
-	countColumnRange(legs[0].codes, legs[0].over, 0, n, rowFacts)
-	for _, c := range rowFacts {
+	row := LegMember{Counts: make([]int64, len(legs[0].vals))}
+	if err := scanCodes(g, legs[0].codes, legs[0].over, 0, n, &row); err != nil {
+		return nil, err
+	}
+	for _, c := range row.Counts {
 		if err := g.Check(); err != nil {
 			return nil, err
 		}

@@ -267,21 +267,35 @@ func TestCrossAggregateEdges(t *testing.T) {
 }
 
 // TestKernelCountersUnderBatching pins mddm_storage_kernel_total for the
-// kernels the batched full-stack configuration runs: a shared scan counts
-// every member under the kernel kind that answered it, the cross kernel
-// counts as a column kernel.
+// kernels the batched full-stack configuration runs: a leg scan counts
+// every member once, under the strategy the kernel ran for the scan; the
+// cross kernel counts as a column kernel.
 func TestKernelCountersUnderBatching(t *testing.T) {
 	e := genVariants(t)["full"]
 	col0, bm0 := mKernelColumn.Value(), mKernelBitmap.Value()
 	members := []SharedScanMember{{}, {ArgDim: casestudy.DimAge}, {ArgDim: casestudy.DimAge, ListArgs: true}}
-	if _, _, _, _, err := e.SharedAggregateBy(context.Background(), casestudy.DimDiagnosis, casestudy.CatFamily, members, 1); err != nil {
+	s, err := e.ScanLeg(context.Background(), casestudy.DimDiagnosis, casestudy.CatFamily, members, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if col, bm := mKernelColumn.Value()-col0, mKernelBitmap.Value()-bm0; col != 1 || bm != 2 {
-		t.Fatalf("shared scan of a count, an accumulator and a list member counted column=%d bitmap=%d, want 1 and 2", col, bm)
+	if s.Kernel != KernelColumn {
+		t.Fatalf("scan of the family leg ran %q, want the column ScanLeg builds on first use", s.Kernel)
+	}
+	if col, bm := mKernelColumn.Value()-col0, mKernelBitmap.Value()-bm0; col != 3 || bm != 0 {
+		t.Fatalf("column scan of three members counted column=%d bitmap=%d, want 3 and 0", col, bm)
+	}
+	s, err = e.ScanLeg(context.Background(), casestudy.DimDiagnosis, casestudy.CatGroup, members, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Kernel != KernelBitmap {
+		t.Fatalf("scan of the low-cardinality group leg ran %q, want bitmap", s.Kernel)
+	}
+	if col, bm := mKernelColumn.Value()-col0, mKernelBitmap.Value()-bm0; col != 3 || bm != 3 {
+		t.Fatalf("bitmap scan of three members counted column=%d bitmap=%d, want 3 and 3", col, bm)
 	}
 	crossGroups(t, e, crossLegSets[0], "", nil, false)
-	if col := mKernelColumn.Value() - col0; col != 2 {
-		t.Fatalf("cross kernel not counted as a column kernel: column=%d, want 2", col)
+	if col := mKernelColumn.Value() - col0; col != 4 {
+		t.Fatalf("cross kernel not counted as a column kernel: column=%d, want 4", col)
 	}
 }

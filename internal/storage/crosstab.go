@@ -21,7 +21,7 @@ type CrossCell struct {
 // group × area") the case study motivates. Cells with zero facts are
 // omitted; the result is sorted by (V1, V2).
 func (e *Engine) CrossCount(dim1, cat1, dim2, cat2 string) []CrossCell {
-	out, _ := e.crossCountSeq(nil, dim1, cat1, dim2, cat2) // nil guard: cannot fail
+	out, _ := e.crossCount(context.Background(), nil, dim1, cat1, dim2, cat2, 1) // nil guard: cannot fail
 	return out
 }
 
@@ -37,17 +37,18 @@ func (e *Engine) CrossCountContext(ctx context.Context, dim1, cat1, dim2, cat2 s
 		return e.CrossCountByColumn(ctx, dim1, cat1, dim2, cat2)
 	}
 	mKernelBitmap.Inc()
-	if deg := exec.DegreeFrom(ctx); deg > 1 {
-		return e.crossCountParallel(ctx, dim1, cat1, dim2, cat2, deg)
-	}
-	return e.crossCountSeq(qos.NewGuard(ctx), dim1, cat1, dim2, cat2)
+	return e.crossCount(ctx, qos.NewGuard(ctx), dim1, cat1, dim2, cat2, exec.DegreeFrom(ctx))
 }
 
-// crossCountSeq is the sequential cross-tab: one scratch bitmap reused via
-// AndInto across every cell pair instead of a Clone allocation per cell.
-// The whole pass runs under the read lock over the shared memoized
-// closures, so concurrent cross-tabs proceed in parallel.
-func (e *Engine) crossCountSeq(g *qos.Guard, dim1, cat1, dim2, cat2 string) ([]CrossCell, error) {
+// crossCount is the bitmap cross-tab. It reads both axes' memoized closures
+// in place under the read lock (held across the partition run, so
+// concurrent cross-tabs proceed in parallel and an AppendFact waits): each
+// exec partition computes AndCountRange for every cell pair of the
+// non-empty rows — no intersection is materialized — and the per-partition
+// counts merge by integer addition. Degree 1 runs the partitions inline.
+// Budget: per row value Check, then Facts(row fact count) for non-empty
+// rows only.
+func (e *Engine) crossCount(ctx context.Context, g *qos.Guard, dim1, cat1, dim2, cat2 string, degree int) ([]CrossCell, error) {
 	d1 := e.mo.Dimension(dim1)
 	d2 := e.mo.Dimension(dim2)
 	if d1 == nil || d2 == nil {
@@ -63,65 +64,15 @@ func (e *Engine) crossCountSeq(g *qos.Guard, dim1, cat1, dim2, cat2 string) ([]C
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	empty := NewBitmap(0)
-	closureOf := func(dim, v string) *Bitmap {
-		if di := e.dims[dim]; di != nil {
-			if bm := di.closure[v]; bm != nil {
-				return bm
-			}
-		}
-		return empty
-	}
-	bms2 := make([]*Bitmap, len(vals2))
-	for j, v2 := range vals2 {
-		bms2[j] = closureOf(dim2, v2)
-	}
-	var out []CrossCell
-	scratch := NewBitmap(0)
-	for _, v1 := range vals1 {
-		if err := g.Check(); err != nil {
-			return nil, err
-		}
-		bm1 := closureOf(dim1, v1)
-		if bm1.IsEmpty() {
-			continue
-		}
-		if err := g.Facts(int64(bm1.Count())); err != nil {
-			return nil, fmt.Errorf("storage: cross-count %s/%s: %w", dim1, cat1, err)
-		}
-		for j, v2 := range vals2 {
-			if n := scratch.AndInto(bm1, bms2[j]).Count(); n > 0 {
-				out = append(out, CrossCell{V1: v1, V2: v2, Count: n})
-			}
-		}
-	}
-	sortCells(out)
-	return out, nil
-}
-
-// crossCountParallel freezes both axes' bitmaps, then each partition
-// computes AndCountRange for every cell pair of the non-empty rows; the
-// per-partition counts merge by integer addition. Budget accounting
-// matches the sequential path: each non-empty row charges its fact count.
-func (e *Engine) crossCountParallel(ctx context.Context, dim1, cat1, dim2, cat2 string, degree int) ([]CrossCell, error) {
-	if e.mo.Dimension(dim1) == nil || e.mo.Dimension(dim2) == nil {
-		return nil, nil
-	}
-	g := qos.NewGuard(ctx)
-	vals1, bms1, n, err := e.frozenValueBitmaps(g, dim1, cat1)
-	if err != nil {
-		return nil, err
-	}
-	vals2, bms2, _, err := e.frozenValueBitmaps(g, dim2, cat2)
-	if err != nil {
-		return nil, err
-	}
-	// Drop empty rows up front (the sequential path skips them before
-	// charging the budget).
+	bms1 := e.closuresLocked(dim1, vals1)
+	bms2 := e.closuresLocked(dim2, vals2)
 	keptVals := vals1[:0]
 	keptBms := bms1[:0]
 	for i, bm := range bms1 {
-		if bm.IsEmpty() {
+		if err := g.Check(); err != nil {
+			return nil, err
+		}
+		if bm == nil || bm.IsEmpty() {
 			continue
 		}
 		if err := g.Facts(int64(bm.Count())); err != nil {
@@ -131,14 +82,16 @@ func (e *Engine) crossCountParallel(ctx context.Context, dim1, cat1, dim2, cat2 
 		keptBms = append(keptBms, bm)
 	}
 	cols := len(vals2)
-	parts := exec.Partitions(n, degree)
+	parts := exec.Partitions(len(e.facts), degree)
 	partial := make([][]int, len(parts))
 	if err := exec.Run(ctx, nil, degree, len(parts), func(p int) error {
 		counts := make([]int, len(keptBms)*cols)
 		r := parts[p]
 		for i, bm1 := range keptBms {
 			for j, bm2 := range bms2 {
-				counts[i*cols+j] = bm1.AndCountRange(bm2, r.Lo, r.Hi)
+				if bm2 != nil {
+					counts[i*cols+j] = bm1.AndCountRange(bm2, r.Lo, r.Hi)
+				}
 			}
 		}
 		partial[p] = counts

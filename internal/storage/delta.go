@@ -8,10 +8,10 @@ import (
 )
 
 // This file holds the delta-fold read primitives of incremental
-// maintenance: the same closure-bitmap walks the aggregation kernels
-// run, restricted to the appended fact range [lo, hi) an epoch-window
-// lookup resolved (see epoch.go). Because AppendFact only ever adds
-// facts at new dense indices — it never rewrites an existing fact's
+// maintenance: the scans the aggregation paths run, restricted to the
+// appended fact range [lo, hi) an epoch-window lookup resolved (see
+// epoch.go). Because AppendFact only ever adds facts at new dense
+// indices — it never rewrites an existing fact's
 // characterizations — the facts in [lo, hi) are exactly the difference
 // between the engine at the old epoch and now, and folding just that
 // range continues a cached fold where it stopped.
@@ -19,74 +19,23 @@ import (
 // Delta folds charge no fact budget: they are maintenance work bounded
 // by the append volume, priced like a cache hit rather than a query
 // (the computation they extend already paid once). Cancellation is
-// still honored per category value.
+// still honored.
 
 // AggregateByRange is AggregateBy restricted to the dense fact range
-// [lo, hi): for every category value (in CategoryAt order) it returns
-// the value, the number of selected in-range facts it characterizes,
-// and — when argDim is non-empty — those facts' argument values
-// concatenated in ascending dense-index order. Values with no in-range
-// selected facts are omitted. Appending the returned argument lists to
-// a fold over [0, lo) reproduces, element for element, the fold
-// AggregateBy would produce over [0, hi).
+// [lo, hi) — the same kernel scan over that range, uncharged: for every
+// category value (in CategoryAt order) it returns the value, the number
+// of selected in-range facts it characterizes, and — when argDim is
+// non-empty — those facts' argument values concatenated in ascending
+// dense-index order. Values with no in-range selected facts are omitted;
+// the range is clamped to the fact universe. Appending the returned
+// argument lists to a fold over [0, lo) reproduces, element for element,
+// the fold AggregateBy would produce over [0, hi).
 func (e *Engine) AggregateByRange(ctx context.Context, dim, cat, argDim string, sel *Bitmap, lo, hi int) (values []string, counts []int, args [][]float64, err error) {
-	g := qos.NewGuard(ctx)
-	d := e.mo.Dimension(dim)
-	if d == nil {
-		return nil, nil, nil, nil
+	vals, m, err := e.scanOne(ctx, dim, cat, SharedScanMember{ArgDim: argDim, Sel: sel, ListArgs: true}, lo, hi)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("storage: delta aggregate %s/%s: %w", dim, cat, err)
 	}
-	vals := d.CategoryAt(cat, e.ctx)
-	if err := e.ensureClosures(g, dim, vals); err != nil {
-		return nil, nil, nil, err
-	}
-	if argDim != "" {
-		e.ensureArgValues(argDim)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if hi > len(e.facts) {
-		hi = len(e.facts)
-	}
-	di := e.dims[dim]
-	if di == nil || lo >= hi {
-		return nil, nil, nil, nil
-	}
-	var av [][]float64
-	if argDim != "" {
-		av = e.argCols[argDim]
-	}
-	scanned := int64(0)
-	for _, v := range vals {
-		// CheckNow, not the sampled Check: a delta fold visits few values,
-		// so sampling could skip the poll entirely and outlive its caller.
-		if err := g.CheckNow(); err != nil {
-			return nil, nil, nil, fmt.Errorf("storage: delta aggregate %s/%s: %w", dim, cat, err)
-		}
-		bm := di.closure[v]
-		if bm == nil {
-			continue
-		}
-		scanned++
-		c := 0
-		var list []float64
-		bm.IterateRange(lo, hi, func(i int) bool {
-			if sel != nil && !sel.Has(i) {
-				return true
-			}
-			c++
-			if av != nil && i < len(av) {
-				list = append(list, av[i]...)
-			}
-			return true
-		})
-		if c == 0 {
-			continue
-		}
-		values = append(values, v)
-		counts = append(counts, c)
-		args = append(args, list)
-	}
-	mBitmapScans.Add(scanned)
+	values, counts, args = compactLeg(vals, m)
 	return values, counts, args, nil
 }
 

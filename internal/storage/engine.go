@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"mddm/internal/core"
 	"mddm/internal/dimension"
-	"mddm/internal/exec"
 	"mddm/internal/faultinject"
 	"mddm/internal/obs"
 	"mddm/internal/qos"
@@ -301,55 +301,25 @@ func (e *Engine) CountDistinctBy(dim, cat string) map[string]int {
 }
 
 // CountDistinctByContext is CountDistinctBy with cooperative cancellation
-// and fact-budget accounting. The kernel is selected by the cost
-// heuristic: a built characterization column with at least
-// ColumnMinValues values answers in one O(facts) pass (CountByColumn);
-// otherwise the per-value closure bitmaps are scanned. When the context
-// carries a parallelism degree above 1 (exec.WithParallelism), either
-// kernel evaluates partition-parallel; the result and the budget charged
-// are identical across kernels and degrees.
+// and fact-budget accounting: one count-only kernel scan (kernel.go picks
+// the column or the bitmap strategy; a context-carried parallelism degree
+// above 1 lets a column scan run partition-parallel), then the budget
+// replay. The result and the budget charged are identical across
+// strategies and degrees.
 func (e *Engine) CountDistinctByContext(ctx context.Context, dim, cat string) (map[string]int, error) {
-	if col := e.columnFor(dim, cat); col != nil {
-		mKernelColumn.Inc()
-		return e.countByColumn(ctx, qos.NewGuard(ctx), col)
-	}
-	mKernelBitmap.Inc()
-	if deg := exec.DegreeFrom(ctx); deg > 1 {
-		return e.countDistinctByParallel(ctx, dim, cat, deg)
-	}
-	return e.countDistinctBy(qos.NewGuard(ctx), dim, cat)
-}
-
-func (e *Engine) countDistinctBy(g *qos.Guard, dim, cat string) (map[string]int, error) {
-	d := e.mo.Dimension(dim)
-	vals := d.CategoryAt(cat, e.ctx)
-	if err := e.ensureClosures(g, dim, vals); err != nil {
+	vals, m, err := e.scanOne(ctx, dim, cat, SharedScanMember{}, 0, math.MaxInt)
+	if err != nil {
 		return nil, err
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	di := e.dims[dim]
+	if err := ChargeLeg(qos.NewGuard(ctx), "count-distinct", dim, cat, m.Counts); err != nil {
+		return nil, err
+	}
 	out := make(map[string]int, len(vals))
-	scanned := int64(0)
-	for _, v := range vals {
-		if err := g.Check(); err != nil {
-			return nil, err
-		}
-		c := 0
-		if di != nil {
-			if bm := di.closure[v]; bm != nil {
-				scanned++
-				c = bm.Count()
-			}
-		}
-		if err := g.Facts(int64(c)); err != nil {
-			return nil, fmt.Errorf("storage: count-distinct %s/%s: %w", dim, cat, err)
-		}
-		if c > 0 {
-			out[v] = c
+	for j, v := range vals {
+		if m.Counts[j] > 0 {
+			out[v] = int(m.Counts[j])
 		}
 	}
-	mBitmapScans.Add(scanned)
 	return out, nil
 }
 
@@ -384,66 +354,24 @@ func (e *Engine) SumBy(dim, cat, argDim string) map[string]float64 {
 	return out
 }
 
-// SumByContext is SumBy with cooperative cancellation. The kernel is
-// selected like CountDistinctByContext's (column single-pass when a
-// large-enough column is built, per-value bitmap scans otherwise). A
-// context-carried parallelism degree above 1 evaluates
-// partition-parallel, merging per-partition sums in ascending partition
-// order — exact for integer-valued measures, identical across kernels.
+// SumByContext is SumBy with cooperative cancellation: one accumulator
+// kernel scan, then the budget replay. Every sum is the left fold in
+// ascending fact order, at any degree.
 func (e *Engine) SumByContext(ctx context.Context, dim, cat, argDim string) (map[string]float64, error) {
-	if col := e.columnFor(dim, cat); col != nil {
-		mKernelColumn.Inc()
-		return e.sumByColumn(ctx, qos.NewGuard(ctx), col, argDim)
-	}
-	mKernelBitmap.Inc()
-	if deg := exec.DegreeFrom(ctx); deg > 1 {
-		return e.sumByParallel(ctx, dim, cat, argDim, deg)
-	}
-	return e.sumBy(qos.NewGuard(ctx), dim, cat, argDim)
-}
-
-func (e *Engine) sumBy(g *qos.Guard, dim, cat, argDim string) (map[string]float64, error) {
-	d := e.mo.Dimension(dim)
-	catVals := d.CategoryAt(cat, e.ctx)
-	if err := e.ensureClosures(g, dim, catVals); err != nil {
+	vals, m, err := e.scanOne(ctx, dim, cat, SharedScanMember{ArgDim: argDim}, 0, math.MaxInt)
+	if err != nil {
 		return nil, err
 	}
-	e.ensureArgValues(argDim)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	di := e.dims[dim]
-	vals := e.argCols[argDim]
-	out := make(map[string]float64, len(catVals))
-	scanned := int64(0)
-	empty := NewBitmap(0)
-	for _, v := range catVals {
-		if err := g.Check(); err != nil {
-			return nil, err
-		}
-		bm := empty
-		if di != nil {
-			if c := di.closure[v]; c != nil {
-				bm = c
-			}
-		}
-		if err := g.Facts(int64(bm.Count())); err != nil {
-			return nil, fmt.Errorf("storage: sum %s/%s: %w", dim, cat, err)
-		}
-		scanned++
-		sum := 0.0
-		any := false
-		bm.Iterate(func(i int) bool {
-			for _, x := range vals[i] {
-				sum += x
-				any = true
-			}
-			return true
-		})
-		if any {
-			out[v] = sum
+	if err := ChargeLeg(qos.NewGuard(ctx), "sum", dim, cat, m.Counts); err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64, len(vals))
+	for j, f := range m.Folds {
+		// A value appears only when a fact contributed an argument value.
+		if f.N > 0 {
+			out[vals[j]] = f.Sum
 		}
 	}
-	mBitmapScans.Add(scanned)
 	return out, nil
 }
 

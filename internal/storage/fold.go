@@ -3,8 +3,8 @@ package storage
 import (
 	"context"
 	"fmt"
+	"math"
 
-	"mddm/internal/exec"
 	"mddm/internal/qos"
 )
 
@@ -81,110 +81,24 @@ func (e *Engine) MultiValued(dim, cat string, sel *Bitmap) bool {
 	return !dup.IsEmpty()
 }
 
-// AggregateBy is the planner's grouped fold: for every value of the
+// AggregateBy is the grouped fold in list form: for every value of the
 // category (in CategoryAt order) it returns the value, the number of
 // selected facts it characterizes, and — when argDim is non-empty — the
 // facts' argument values concatenated in ascending dense-index order
 // (the algebra's extraction order, so float folds stay bit-identical).
-// Values characterizing no selected fact are omitted. The fact budget is
-// charged exactly like countDistinctBy: one Check plus Facts(count) per
-// category value, selection itself costing nothing. A context-carried
-// parallelism degree above 1 evaluates value partitions in parallel with
-// in-order compaction, so results and budget totals are identical at any
-// degree.
+// Values characterizing no selected fact are omitted. It is one list-member
+// kernel scan plus the budget replay: one Check plus Facts(count) per
+// category value, selection itself costing nothing; results and budget
+// totals are identical at any degree.
 func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *Bitmap) (values []string, counts []int, args [][]float64, err error) {
-	g := qos.NewGuard(ctx)
-	d := e.mo.Dimension(dim)
-	vals := d.CategoryAt(cat, e.ctx)
-	if err := e.ensureClosures(g, dim, vals); err != nil {
-		return nil, nil, nil, err
-	}
-	if argDim != "" {
-		e.ensureArgValues(argDim)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	di := e.dims[dim]
-	var av [][]float64
-	if argDim != "" {
-		av = e.argCols[argDim]
-	}
-	n := len(e.facts)
-	kcounts := make([]int, len(vals))
-	kargs := make([][]float64, len(vals))
-	keep := make([]bool, len(vals))
-	evalOne := func(g *qos.Guard, j int, scratch *Bitmap) error {
-		if err := g.Check(); err != nil {
-			return err
-		}
-		var members *Bitmap
-		if di != nil {
-			if bm := di.closure[vals[j]]; bm != nil {
-				members = bm
-				if sel != nil {
-					members = scratch.AndInto(bm, sel)
-				}
-			}
-		}
-		c := 0
-		if members != nil {
-			c = members.Count()
-		}
-		if err := g.Facts(int64(c)); err != nil {
-			return fmt.Errorf("storage: aggregate %s/%s: %w", dim, cat, err)
-		}
-		if c == 0 {
-			return nil
-		}
-		keep[j] = true
-		kcounts[j] = c
-		if av != nil {
-			list := make([]float64, 0, c)
-			members.Iterate(func(i int) bool {
-				if i < len(av) {
-					list = append(list, av[i]...)
-				}
-				return true
-			})
-			kargs[j] = list
-		}
-		return nil
-	}
-	deg := exec.DegreeFrom(ctx)
-	parts := exec.Partitions(len(vals), deg)
-	if deg > 1 && len(parts) > 1 {
-		err = exec.Run(ctx, nil, deg, len(parts), func(p int) error {
-			wg := qos.NewGuard(ctx)
-			scratch := NewBitmap(n)
-			for j := parts[p].Lo; j < parts[p].Hi && j < len(vals); j++ {
-				if err := evalOne(wg, j, scratch); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	} else {
-		scratch := NewBitmap(n)
-		for j := range vals {
-			if err = evalOne(g, j, scratch); err != nil {
-				break
-			}
-		}
-	}
+	vals, m, err := e.scanOne(ctx, dim, cat, SharedScanMember{ArgDim: argDim, Sel: sel, ListArgs: true}, 0, math.MaxInt)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	scanned := int64(0)
-	for j, v := range vals {
-		if !keep[j] {
-			continue
-		}
-		scanned++
-		values = append(values, v)
-		counts = append(counts, kcounts[j])
-		args = append(args, kargs[j])
+	if err := ChargeLeg(qos.NewGuard(ctx), "aggregate", dim, cat, m.Counts); err != nil {
+		return nil, nil, nil, err
 	}
-	mBitmapScans.Add(scanned)
+	values, counts, args = compactLeg(vals, m)
 	return values, counts, args, nil
 }
 

@@ -1,0 +1,532 @@
+package storage
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/bits"
+
+	"mddm/internal/exec"
+	"mddm/internal/obs"
+	"mddm/internal/qos"
+)
+
+// This file is the engine's one one-leg group-by kernel: every aggregation
+// over a single (dimension, category) leg — solo or batched, whole engine
+// or an appended range, counts, sums or argument folds — is one call of
+// scanLeg. A scan serves a set of members, each a (selection, argument
+// dimension, lists-or-FoldAcc) triple, over the dense fact range [lo, hi),
+// and fills per member one slot per dictionary value: the number of
+// selected facts the value characterizes and, for an argument member, the
+// facts' argument values as a list or folded into a FoldAcc.
+//
+// The kernel picks one of two strategies from what it can observe:
+//
+//	column  a built characterization column whose dictionary still matches
+//	        the live category and meets the cardinality threshold
+//	        (columnFor): scanCodes, per member one ascending per-fact pass
+//	        over the codes; count-only and list members run it
+//	        partition-parallel on exec.Partitions ranges.
+//	bitmap  anything else — no column, a low-cardinality category, or a
+//	        category whose values changed since the build: scanClosures, per
+//	        live dictionary value and member a popcount or one ascending
+//	        iterate of closure ∧ selection. It reads the memoized closures
+//	        in place under the engine's read lock; nothing is cloned.
+//
+// Both strategies visit the facts of a value in ascending dense-index
+// order, so they agree element for element: counts are integers, argument
+// lists are the values in that order, and a FoldAcc is the left fold over
+// that list. Splitting the range composes the same way — scan[0,lo)
+// followed by scan[lo,hi) appends to the lists and continues the folds of
+// scan[0,hi) — which is what delta maintenance relies on. The degree does
+// not show in the output either: a parallel column scan merges the
+// partitions of a count-only or list member in ascending order — counts
+// add, lists concatenate, both exact — and never splits a fold member,
+// because merging per-partition FoldAccs would re-associate the float sum.
+//
+// The scan charges no fact budget. Callers replay the budget from the
+// returned counts with ChargeLeg — per dictionary value, Check then
+// Facts(count) — so a query spends the same whichever strategy, degree or
+// batch answered it.
+
+// Kernel strategy labels, as reported in LegScan.Kernel, plan.Explain and
+// the kind label of mddm_storage_kernel_total.
+const (
+	KernelColumn = "column"
+	KernelBitmap = "bitmap"
+)
+
+// mLegScans counts ScanLeg calls: one per query batch, or per solo query.
+var mLegScans = obs.NewCounter("mddm_storage_shared_scans_total",
+	"One-leg kernel scans run for the planner (one per query batch or solo query).")
+
+// SharedScanMember is one query's slice of a leg scan.
+type SharedScanMember struct {
+	// ArgDim is the member's argument dimension; "" extracts no arguments.
+	ArgDim string
+	// Sel is the member's WHERE selection; nil admits every fact.
+	Sel *Bitmap
+	// ListArgs materializes per-value argument lists for this member
+	// instead of FoldAccs — required by consumers that need the values
+	// themselves (delta-capture partials, aggregates outside the
+	// accumulator-foldable set). Ignored when ArgDim is empty.
+	ListArgs bool
+}
+
+// FoldAcc is the constant-size argument fold a scan keeps per (member,
+// dictionary value): every argument value is folded in ascending
+// dense-index order, so Sum replays agg's Eval addition sequence
+// bit-for-bit and Min/Max replay its exact comparison ladder (first value
+// seeds, later values compare — NaN semantics included).
+type FoldAcc struct {
+	// N counts argument values folded (len(args) in list terms).
+	N int64
+	// Sum is the running sum in ascending fold order.
+	Sum float64
+	// Min and Max are the running extrema; meaningful only when Seen.
+	Min, Max float64
+	// Seen reports at least one value was folded.
+	Seen bool
+}
+
+// Add folds one argument value, replaying Eval's arithmetic: the first
+// value seeds the extrema (m := vals[0]), later values compare with the
+// same strict < / > Eval uses, and the sum accumulates left to right.
+func (a *FoldAcc) Add(x float64) {
+	a.N++
+	a.Sum += x
+	if !a.Seen {
+		a.Seen, a.Min, a.Max = true, x, x
+		return
+	}
+	if x < a.Min {
+		a.Min = x
+	}
+	if x > a.Max {
+		a.Max = x
+	}
+}
+
+// LegMember is one member's output of a leg scan, full width: one slot per
+// dictionary value, zero-count values included.
+type LegMember struct {
+	// Counts holds the selected facts per value.
+	Counts []int64
+	// Args holds the per-value argument lists; nil unless ListArgs.
+	Args [][]float64
+	// Folds holds the per-value argument folds; nil for count-only and
+	// list members.
+	Folds []FoldAcc
+
+	sel *Bitmap
+	av  [][]float64 // the member's measure column; nil extracts nothing
+}
+
+// LegScan is the output of one leg scan.
+type LegScan struct {
+	// Values is the value dictionary in CategoryAt order; shared, read-only.
+	Values []string
+	// Members holds one output per requested member, in request order.
+	Members []LegMember
+	// Kernel is the strategy that ran: KernelColumn or KernelBitmap.
+	Kernel string
+}
+
+// blank returns a count-only or list member with m's inputs and fresh,
+// empty outputs: one partition's share of m.
+func (m *LegMember) blank() LegMember {
+	b := LegMember{sel: m.sel, av: m.av, Counts: make([]int64, len(m.Counts))}
+	if m.Args != nil {
+		b.Args = make([][]float64, len(m.Counts))
+	}
+	return b
+}
+
+// scanLeg is the kernel: see the file comment. hi is clamped to the fact
+// count, so math.MaxInt scans to the end; deg above 1 lets a column scan
+// run its members, and the partitions of its count-only and list members,
+// in parallel. An unknown dimension has no values and scans
+// nothing.
+func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, members []SharedScanMember, deg int) (LegScan, error) {
+	g := qos.NewGuard(ctx)
+	if err := g.CheckNow(); err != nil {
+		return LegScan{}, err
+	}
+	out := LegScan{Kernel: KernelBitmap, Members: make([]LegMember, len(members))}
+	answered := mKernelBitmap
+	d := e.mo.Dimension(dim)
+	if d == nil {
+		return out, nil
+	}
+	for _, m := range members {
+		if m.ArgDim != "" {
+			e.ensureArgValues(m.ArgDim)
+		}
+	}
+	col := e.columnFor(dim, cat)
+	if col != nil {
+		out.Kernel, out.Values, answered = KernelColumn, col.vals, mKernelColumn
+	} else {
+		out.Values = d.CategoryAt(cat, e.ctx)
+		if err := e.ensureClosures(g, dim, out.Values); err != nil {
+			return LegScan{}, err
+		}
+	}
+	nv := len(out.Values)
+
+	// One consistent snapshot: the fact count, the measure columns and the
+	// codes (or, for the bitmap strategy, the whole scan) under one reader
+	// lock, so every member sees the same fact universe.
+	e.mu.RLock()
+	for k, m := range members {
+		om := &out.Members[k]
+		om.sel, om.Counts = m.Sel, make([]int64, nv)
+		if m.ArgDim != "" {
+			om.av = e.argCols[m.ArgDim]
+			if m.ListArgs {
+				om.Args = make([][]float64, nv)
+			} else {
+				om.Folds = make([]FoldAcc, nv)
+			}
+		}
+	}
+	lo, hi = max(lo, 0), min(hi, len(e.facts))
+	var err error
+	if col != nil {
+		// The column's slices are append-only: the headers snapshotted here
+		// stay immutable while the scan runs lock-free.
+		codes, over := col.codes, col.over
+		e.mu.RUnlock()
+		err = scanCodesRange(ctx, g, codes, over, lo, hi, out.Members, deg)
+	} else {
+		err = scanClosures(g, e.closuresLocked(dim, out.Values), lo, hi, out.Members)
+		e.mu.RUnlock()
+	}
+	if err != nil {
+		return LegScan{}, err
+	}
+	answered.Add(int64(len(members)))
+	return out, nil
+}
+
+// scanCodesRange runs scanCodes over [lo, hi) for every member: in one
+// piece, or — deg above 1 and a range worth splitting — as parallel tasks.
+// A count-only or list member is one task per exec partition, merged in
+// ascending partition order (counts add, lists concatenate: both exact). A
+// fold member is one task over the whole range: merging per-partition
+// FoldAccs would re-associate the float sum, and a fold must stay the left
+// fold over the ascending facts at every degree.
+func scanCodesRange(ctx context.Context, g *qos.Guard, codes []uint32, over []overPair, lo, hi int, ms []LegMember, deg int) error {
+	var parts []exec.Range
+	if deg > 1 {
+		parts = exec.Partitions(hi-lo, deg)
+	}
+	if len(parts) <= 1 {
+		for k := range ms {
+			if err := scanCodes(g, codes, over, lo, hi, &ms[k]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	type task struct {
+		m      *LegMember
+		lo, hi int
+	}
+	var tasks []task
+	partial := make([][]LegMember, len(ms)) // per partitioned member, per partition
+	for k := range ms {
+		if ms[k].Folds != nil {
+			tasks = append(tasks, task{&ms[k], lo, hi})
+			continue
+		}
+		partial[k] = make([]LegMember, len(parts))
+		for p, r := range parts {
+			partial[k][p] = ms[k].blank()
+			tasks = append(tasks, task{&partial[k][p], lo + r.Lo, lo + r.Hi})
+		}
+	}
+	// The workers share g: scanCodes only polls it (CheckNow reads, never
+	// writes).
+	if err := exec.Run(ctx, nil, deg, len(tasks), func(t int) error {
+		return scanCodes(g, codes, over, tasks[t].lo, tasks[t].hi, tasks[t].m)
+	}); err != nil {
+		return err
+	}
+	for k, pms := range partial {
+		if pms == nil {
+			continue // a fold member: scanned in place
+		}
+		m := &ms[k]
+		for j := range m.Counts {
+			argc := 0
+			for p := range pms {
+				m.Counts[j] += pms[p].Counts[j]
+				if pms[p].Args != nil {
+					argc += len(pms[p].Args[j])
+				}
+			}
+			if argc > 0 {
+				m.Args[j] = make([]float64, 0, argc)
+				for p := range pms {
+					m.Args[j] = append(m.Args[j], pms[p].Args[j]...)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// scanCodes is the column strategy's one loop: it folds codes[lo:hi) into
+// the (zeroed) slots of one member, polling g every checkStride facts.
+//
+// A count-only or list member counts first. Integer tallies are
+// order-free, so two flat passes — the dense codes, then the overflow
+// entries of the range directly — do without the per-fact cursor the
+// argument order needs. Both sentinels sit at the top of the uint32 range,
+// so c < colMulti admits exactly the real value-ids. The counts size the
+// lists, cut from one slab, so appending does not regrow them (a fact with
+// several argument values still may).
+//
+// An argument member then makes one pass in ascending fact order — the
+// order Bitmap.Iterate visits a closure in — that decodes each selected
+// fact to its value-id, or to the overflow entries of a many-to-many fact,
+// and appends the fact's argument values to those lists, or folds them
+// (and counts the fact) into those FoldAccs.
+func scanCodes(g *qos.Guard, codes []uint32, over []overPair, lo, hi int, m *LegMember) error {
+	counts, sel, av, lists, folds := m.Counts, m.sel, m.av, m.Args, m.Folds
+	if folds == nil {
+		for clo := lo; clo < hi; clo += checkStride {
+			if err := g.CheckNow(); err != nil {
+				return err
+			}
+			for i, c := range codes[clo:min(clo+checkStride, hi)] {
+				if c < colMulti && (sel == nil || sel.Has(clo+i)) {
+					counts[c]++
+				}
+			}
+		}
+		for k, ke := overStart(over, lo), overStart(over, hi); k < ke; k++ {
+			if sel == nil || sel.Has(over[k].fact) {
+				counts[over[k].vid]++
+			}
+		}
+		if lists == nil {
+			return nil
+		}
+		total := int64(0)
+		for _, c := range counts {
+			total += c
+		}
+		slab := make([]float64, total)
+		for vid, c := range counts {
+			if c > 0 {
+				lists[vid] = slab[:0:c]
+				slab = slab[c:]
+			}
+		}
+	}
+	add := func(vid uint32, i int) {
+		if lists != nil {
+			if i < len(av) {
+				lists[vid] = append(lists[vid], av[i]...)
+			}
+			return
+		}
+		counts[vid]++
+		if i < len(av) {
+			for _, x := range av[i] {
+				folds[vid].Add(x)
+			}
+		}
+	}
+	oc := overStart(over, lo)
+	for i := lo; i < hi; i++ {
+		if i&(checkStride-1) == 0 {
+			if err := g.CheckNow(); err != nil {
+				return err
+			}
+		}
+		c := codes[i]
+		if c == colNone || (sel != nil && !sel.Has(i)) {
+			continue
+		}
+		if c != colMulti {
+			add(c, i)
+			continue
+		}
+		for oc < len(over) && over[oc].fact < i {
+			oc++
+		}
+		for ; oc < len(over) && over[oc].fact == i; oc++ {
+			add(over[oc].vid, i)
+		}
+	}
+	return nil
+}
+
+// scanClosures is the bitmap strategy's one loop, per dictionary value and
+// member over closure ∧ selection within [lo, hi): a count-only member
+// takes its word-parallel popcount; a list member sizes its list by that
+// count and a fold member counts on the way, and both walk the marked
+// facts once, in ascending order, to collect or fold their argument
+// values. The caller holds the engine's read lock — bms are the memoized
+// closures themselves.
+func scanClosures(g *qos.Guard, bms []*Bitmap, lo, hi int, ms []LegMember) error {
+	scanned := int64(0)
+	for j, bm := range bms {
+		if err := g.Check(); err != nil {
+			return err
+		}
+		if bm == nil {
+			continue
+		}
+		blo, bhi := bm.clamp(lo, hi)
+		if blo >= bhi {
+			continue
+		}
+		scanned++
+		for k := range ms {
+			m := &ms[k]
+			sel, av := m.sel, m.av
+			if m.Folds != nil {
+				// The accumulator stays a local of this loop: folding through
+				// an iterate callback costs a fifth more per value.
+				var acc FoldAcc
+				facts := 0
+				for wi := blo >> 6; wi <= (bhi-1)>>6; wi++ {
+					w := bm.andWord(sel, wi, blo, bhi)
+					facts += bits.OnesCount64(w)
+					for ; w != 0; w &= w - 1 {
+						if i := wi<<6 + bits.TrailingZeros64(w); i < len(av) {
+							for _, x := range av[i] {
+								acc.Add(x)
+							}
+						}
+					}
+				}
+				m.Counts[j], m.Folds[j] = int64(facts), acc
+				continue
+			}
+			c := 0
+			if sel != nil {
+				c = bm.AndCountRange(sel, blo, bhi)
+			} else {
+				c = bm.CountRange(blo, bhi)
+			}
+			m.Counts[j] = int64(c)
+			if c == 0 || m.Args == nil {
+				continue
+			}
+			list, ahi := make([]float64, 0, c), min(bhi, len(av))
+			for wi := blo >> 6; wi <= (ahi-1)>>6; wi++ {
+				for w := bm.andWord(sel, wi, blo, ahi); w != 0; w &= w - 1 {
+					list = append(list, av[wi<<6+bits.TrailingZeros64(w)]...)
+				}
+			}
+			m.Args[j] = list
+		}
+	}
+	mBitmapScans.Add(scanned)
+	return nil
+}
+
+// closuresLocked returns the memoized closure bitmap of every value, nil
+// where none is memoized (ensureClosures materializes them first). The
+// bitmaps are the shared instances: the caller holds e.mu for as long as
+// it reads them.
+func (e *Engine) closuresLocked(dim string, vals []string) []*Bitmap {
+	bms := make([]*Bitmap, len(vals))
+	if di := e.dims[dim]; di != nil {
+		for j, v := range vals {
+			bms[j] = di.closure[v]
+		}
+	}
+	return bms
+}
+
+// ChargeLeg replays the one-leg budget sequence against g from a scan's
+// full-width counts: per dictionary value, Check then Facts(count). op
+// names the charging operation in the exhaustion error ("count-distinct",
+// "sum", "aggregate").
+func ChargeLeg(g *qos.Guard, op, dim, cat string, counts []int64) error {
+	for _, c := range counts {
+		if err := g.Check(); err != nil {
+			return err
+		}
+		if err := g.Facts(c); err != nil {
+			return fmt.Errorf("storage: %s %s/%s: %w", op, dim, cat, err)
+		}
+	}
+	return nil
+}
+
+// scanOne runs a scan of one member over [lo, hi) at the context's
+// parallelism degree; the exported one-member entry points are adapters
+// over it.
+func (e *Engine) scanOne(ctx context.Context, dim, cat string, m SharedScanMember, lo, hi int) ([]string, LegMember, error) {
+	s, err := e.scanLeg(ctx, dim, cat, lo, hi, []SharedScanMember{m}, exec.DegreeFrom(ctx))
+	if err != nil {
+		return nil, LegMember{}, err
+	}
+	return s.Values, s.Members[0], nil
+}
+
+// compactLeg drops a member's zero-count values: the surviving values in
+// dictionary order, their counts and — for a list member — their argument
+// lists (never nil for a surviving value).
+func compactLeg(vals []string, m LegMember) (values []string, counts []int, args [][]float64) {
+	for j, v := range vals {
+		if m.Counts[j] == 0 {
+			continue
+		}
+		values = append(values, v)
+		counts = append(counts, int(m.Counts[j]))
+		var list []float64
+		if m.Args != nil {
+			if list = m.Args[j]; list == nil {
+				list = []float64{}
+			}
+		}
+		args = append(args, list)
+	}
+	return values, counts, args
+}
+
+// ScanLeg runs one scan of the (dim, cat) leg for every member at once —
+// the planner's entry to the kernel: a solo query is a batch of one. It
+// returns the value dictionary and, per member, full-width counts plus
+// argument lists (ListArgs members) or FoldAccs, and the strategy that
+// ran. deg above 1 lets a column scan split the fact range into exec
+// partitions. The scan charges no fact budget; each member replays its own
+// with ChargeLeg.
+func (e *Engine) ScanLeg(ctx context.Context, dim, cat string, members []SharedScanMember, deg int) (LegScan, error) {
+	if e.mo.Dimension(dim) == nil {
+		return LegScan{}, fmt.Errorf("storage: scan %s/%s: unknown dimension", dim, cat)
+	}
+	// Build the column — or replace a stale one — when the cost heuristic
+	// would select it, so a server that never warmed its columns, or whose
+	// category gained a value, still gets the single-pass strategy.
+	if err := e.EnsureColumn(ctx, dim, cat); err != nil {
+		return LegScan{}, err
+	}
+	mLegScans.Inc()
+	return e.scanLeg(ctx, dim, cat, 0, math.MaxInt, members, deg)
+}
+
+// SharedAggregateBy is ScanLeg with the outputs split per kind and without
+// the strategy label: per member full-width counts, argument lists
+// (ListArgs members) and FoldAccs (accumulator members).
+func (e *Engine) SharedAggregateBy(ctx context.Context, dim, cat string, members []SharedScanMember, deg int) (values []string, counts [][]int64, args [][][]float64, folds [][]FoldAcc, err error) {
+	s, err := e.ScanLeg(ctx, dim, cat, members, deg)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	counts = make([][]int64, len(members))
+	args = make([][][]float64, len(members))
+	folds = make([][]FoldAcc, len(members))
+	for k, m := range s.Members {
+		counts[k], args[k], folds[k] = m.Counts, m.Args, m.Folds
+	}
+	return s.Values, counts, args, folds, nil
+}

@@ -231,11 +231,12 @@ func (e *Engine) InstallColumn(dim, cat string, vals []string, codes []uint32, o
 		return nil
 	}
 	col := &column{
-		dim:   dim,
-		cat:   cat,
-		vals:  append([]string(nil), vals...),
-		vid:   make(map[string]uint32, len(vals)),
-		codes: codes[:len(codes):len(codes)],
+		dim:    dim,
+		cat:    cat,
+		vals:   append([]string(nil), vals...),
+		vid:    make(map[string]uint32, len(vals)),
+		codes:  codes[:len(codes):len(codes)],
+		catVer: d.CategoryVersion(cat),
 	}
 	for j, v := range col.vals {
 		col.vid[v] = uint32(j)

@@ -2,9 +2,9 @@ package storage
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"mddm/internal/casestudy"
@@ -171,29 +171,141 @@ func TestSharedScanFullWidth(t *testing.T) {
 	}
 }
 
-// TestSharedScanStaleDictionary asserts the freshness refusal: growing a
-// category after the column build makes the fused kernel step aside with
-// ErrSharedScanUnavailable (the solo kernels read the live dictionary;
-// the stale column would silently under-code the newer facts).
-func TestSharedScanStaleDictionary(t *testing.T) {
-	e, grow := growEngine(t, 30)
+// TestStaleDictionaryAgreement is the regression test for the stale
+// dictionary: a category that gains a value after its column was built
+// (the column admits dictionary values only, so it codes the newer fact
+// colNone) must still answer with the new group from every one-leg entry
+// point — the kernel steps off the stale column onto the live dictionary —
+// on a column-preferring engine and on a bitmap engine alike.
+func TestStaleDictionaryAgreement(t *testing.T) {
 	dim, cat := casestudy.DimAge, casestudy.CatTenYear
-	if _, _, _, _, err := e.SharedAggregateBy(context.Background(), dim, cat, []SharedScanMember{{}}, 1); err != nil {
-		t.Fatalf("fresh column: %v", err)
+	bg := context.Background()
+	for _, columns := range []bool{true, false} {
+		e, grow := growEngine(t, 30)
+		if columns {
+			e.SetColumnMinValues(1) // the ten-year category has few values
+			if err := e.BuildColumn(bg, dim, cat); err != nil {
+				t.Fatal(err)
+			}
+			if e.columnFor(dim, cat) == nil {
+				t.Fatal("fresh column not selected")
+			}
+		}
+		// grow appends facts with ages in [20, 80); age 200 adds a ten-year
+		// group the built column has never seen.
+		m := e.MO()
+		ageID, err := casestudy.AddAge(m.Dimension(dim), 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lows := m.Dimension(casestudy.DimDiagnosis).Category(casestudy.CatLowLevel)
+		if err := m.Relate(casestudy.DimDiagnosis, "old-timer", lows[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Relate(dim, "old-timer", ageID); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AppendFact("old-timer"); err != nil {
+			t.Fatal(err)
+		}
+		grow(2)
+		if columns && (!e.HasColumn(dim, cat) || e.columnFor(dim, cat) != nil) {
+			t.Fatal("a stale column must stay built but unselected")
+		}
+		group := casestudy.TenYearGroup(200)
+		want := e.CountDistinctScan(dim, cat)
+		if want[group] != 1 {
+			t.Fatalf("model layer counts %d facts in %s, want 1", want[group], group)
+		}
+		n := e.NumFacts()
+		tag := fmt.Sprintf("columns=%v", columns)
+
+		check := func(entry string, got map[string]int, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s %s: %v", tag, entry, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s %s: %v, want %v", tag, entry, got, want)
+			}
+		}
+		compacted := func(values []string, cs []int) map[string]int {
+			out := map[string]int{}
+			for j, v := range values {
+				out[v] = cs[j]
+			}
+			return out
+		}
+		checkSum := func(entry string, sums map[string]float64, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s %s: %v", tag, entry, err)
+			}
+			if len(sums) != len(want) || sums[group] != 200 {
+				t.Fatalf("%s %s: %v, want %d groups with %s→200", tag, entry, sums, len(want), group)
+			}
+		}
+		// First the entry points that take the engine as it is: over a stale
+		// column they run the bitmap strategy on the live dictionary.
+		counts, err := e.CountDistinctByContext(bg, dim, cat)
+		check("CountDistinctByContext", counts, err)
+		sums, err := e.SumByContext(bg, dim, cat, dim)
+		checkSum("SumByContext", sums, err)
+		vs, cs, _, err := e.AggregateBy(bg, dim, cat, "", nil)
+		check("AggregateBy", compacted(vs, cs), err)
+		vs, cs, _, err = e.AggregateByRange(bg, dim, cat, "", nil, 0, n)
+		check("AggregateByRange", compacted(vs, cs), err)
+		if columns && e.columnFor(dim, cat) != nil {
+			t.Fatal("a scan that builds no column rebuilt the stale one")
+		}
+		// Then the ones that build the column they prefer: they replace the
+		// stale one (BuildColumn's rule, the cross kernel's too), so the
+		// leg is back on the column strategy afterwards.
+		values, full, _, _, err := e.SharedAggregateBy(bg, dim, cat, []SharedScanMember{{}}, 1)
+		if err == nil {
+			vs, cs, _ = compactShared(values, full[0], nil)
+		}
+		check("SharedAggregateBy", compacted(vs, cs), err)
+		if columns && e.columnFor(dim, cat) == nil {
+			t.Fatal("ScanLeg left the stale column in place")
+		}
+		counts, err = e.CountByColumn(bg, dim, cat)
+		check("CountByColumn", counts, err)
+		sums, err = e.SumByColumn(bg, dim, cat, dim)
+		checkSum("SumByColumn", sums, err)
 	}
-	// grow appends facts with ages in [20, 80); age 200 adds a ten-year
-	// group the built column has never seen.
-	if _, err := casestudy.AddAge(e.mo.Dimension(casestudy.DimAge), 200); err != nil {
+}
+
+// TestColumnStaleAfterRemoveAndAdd pins the freshness probe: a category
+// that lost one value and gained another has its old size but not its old
+// dictionary, and the column must be rebuilt all the same.
+func TestColumnStaleAfterRemoveAndAdd(t *testing.T) {
+	dim, cat := casestudy.DimAge, casestudy.CatTenYear
+	bg := context.Background()
+	e, _ := growEngine(t, 30)
+	e.SetColumnMinValues(1)
+	d := e.MO().Dimension(dim)
+	if err := d.AddValue(cat, "gone"); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, err := e.SharedAggregateBy(context.Background(), dim, cat, []SharedScanMember{{}}, 1)
-	if !errors.Is(err, ErrSharedScanUnavailable) {
-		t.Fatalf("stale dictionary: got %v, want ErrSharedScanUnavailable", err)
+	if err := e.BuildColumn(bg, dim, cat); err != nil {
+		t.Fatal(err)
 	}
-	grow(1) // facts keep appending; the refusal persists until a rebuild
-	_, _, _, _, err = e.SharedAggregateBy(context.Background(), dim, cat, []SharedScanMember{{}}, 1)
-	if !errors.Is(err, ErrSharedScanUnavailable) {
-		t.Fatalf("stale dictionary after append: got %v, want ErrSharedScanUnavailable", err)
+	if err := d.RemoveValue("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddValue(cat, "come"); err != nil {
+		t.Fatal(err)
+	}
+	if e.columnFor(dim, cat) != nil {
+		t.Fatal("a column over a dictionary that swapped a value still passes as fresh")
+	}
+	s, err := e.ScanLeg(bg, dim, cat, []SharedScanMember{{}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Kernel != KernelColumn || !reflect.DeepEqual(s.Values, d.CategoryAt(cat, e.ctx)) {
+		t.Fatalf("ScanLeg ran %q over %v, want the rebuilt column over %v", s.Kernel, s.Values, d.CategoryAt(cat, e.ctx))
 	}
 }
 
@@ -222,9 +334,6 @@ func TestSharedScanGrownFacts(t *testing.T) {
 	grow(7)
 	members := sharedMembers(e)
 	values, counts, args, folds, err := e.SharedAggregateBy(context.Background(), dim, cat, members, 2)
-	if errors.Is(err, ErrSharedScanUnavailable) {
-		t.Skip("append grew the dictionary; covered by TestSharedScanStaleDictionary")
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
