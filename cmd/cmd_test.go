@@ -189,15 +189,26 @@ func TestMdserveSelfcheckBatch(t *testing.T) {
 	}
 }
 
-// TestMdserveBatchNeedsPlanner: -batch without -planner must refuse to
-// start — there is no algebra-path batching to silently fall back to.
-func TestMdserveBatchNeedsPlanner(t *testing.T) {
-	out, err := exec.Command(filepath.Join(binDir, "mdserve"), "-batch", "-selfcheck").CombinedOutput()
-	if err == nil {
-		t.Fatalf("mdserve -batch without -planner started:\n%s", out)
-	}
-	if !strings.Contains(string(out), "-batch needs -planner") {
-		t.Fatalf("rejection message wrong:\n%s", out)
+// TestMdserveFlagDependencies: a flag whose feature is inert without
+// another must refuse to start, naming what it needs — there is nothing
+// to silently fall back to.
+func TestMdserveFlagDependencies(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-batch"}, "-batch needs -planner"},
+		{[]string{"-delta", "-planner"}, "-delta needs -planner and a positive -result-cache"},
+		{[]string{"-delta", "-result-cache", "1048576"}, "-delta needs -planner and a positive -result-cache"},
+		{[]string{"-stale-on-shed", "30s", "-admission", "4"}, "-stale-on-shed needs a positive -result-cache"},
+	} {
+		out, err := exec.Command(filepath.Join(binDir, "mdserve"), append(tc.args, "-selfcheck")...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("mdserve %v started:\n%s", tc.args, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Fatalf("mdserve %v: rejection message wrong, want %q:\n%s", tc.args, tc.want, out)
+		}
 	}
 }
 

@@ -700,11 +700,11 @@ func b14(nFacts int) {
 	if err != nil {
 		fatal(err)
 	}
-	fill, hit, err := srv.QueryCached(exec.WithParallelism(bg, 4), q)
+	fill, out, err := srv.ServeQuery(exec.WithParallelism(bg, 4), q)
 	if err != nil {
 		fatal(err)
 	}
-	if hit {
+	if out.CacheHit {
 		fatal(fmt.Errorf("B14: first lookup hit an empty cache"))
 	}
 	if fmt.Sprint(fill.Rows) != fmt.Sprint(base.Rows) {
@@ -722,11 +722,11 @@ func b14(nFacts int) {
 		if fmt.Sprint(unc.Rows) != fmt.Sprint(base.Rows) {
 			fatal(fmt.Errorf("B14: uncached serve at degree %d diverged", d))
 		}
-		res, hit, err := srv.QueryCached(c, q)
+		res, out, err := srv.ServeQuery(c, q)
 		if err != nil {
 			fatal(err)
 		}
-		if !hit {
+		if !out.CacheHit {
 			fatal(fmt.Errorf("B14: repeat lookup at degree %d missed", d))
 		}
 		if fmt.Sprint(res.Rows) != fmt.Sprint(base.Rows) {
@@ -745,11 +745,11 @@ func b14(nFacts int) {
 		}
 	})
 	tHit := measure("query-hit", nFacts, func() {
-		_, hit, err := srv.QueryCached(bg, q)
+		_, out, err := srv.ServeQuery(bg, q)
 		if err != nil {
 			fatal(err)
 		}
-		if !hit {
+		if !out.CacheHit {
 			fatal(fmt.Errorf("B14: hit op missed"))
 		}
 	})
@@ -759,11 +759,11 @@ func b14(nFacts int) {
 	missSeq := 0
 	tMiss := measure("query-miss", nFacts, func() {
 		missSeq++
-		_, hit, err := srv.QueryCached(bg, fmt.Sprintf("%s LIMIT %d", q, 1_000_000+missSeq))
+		_, out, err := srv.ServeQuery(bg, fmt.Sprintf("%s LIMIT %d", q, 1_000_000+missSeq))
 		if err != nil {
 			fatal(err)
 		}
-		if hit {
+		if out.CacheHit {
 			fatal(fmt.Errorf("B14: miss op hit"))
 		}
 	})
@@ -782,17 +782,17 @@ func b14(nFacts int) {
 		hot := make([]string, k)
 		for i := range hot {
 			hot[i] = fmt.Sprintf("%s LIMIT %d", cheap, 2_000_000+i)
-			if _, _, err := srv.QueryCached(bg, hot[i]); err != nil {
+			if _, _, err := srv.ServeQuery(bg, hot[i]); err != nil {
 				fatal(err)
 			}
 		}
 		i := 0
 		th := measure(fmt.Sprintf("hot-set-%d", k), k, func() {
-			_, hit, err := srv.QueryCached(bg, hot[i%k])
+			_, out, err := srv.ServeQuery(bg, hot[i%k])
 			if err != nil {
 				fatal(err)
 			}
-			if !hit {
+			if !out.CacheHit {
 				fatal(fmt.Errorf("B14: hot-set %d evicted mid-sweep", k))
 			}
 			i++
@@ -806,14 +806,14 @@ func b14(nFacts int) {
 	small := serve.NewServer(scat, serve.Limits{ResultCacheBytes: 16 << 10}, ref)
 	const churnSet = 64 // ~3 entries fit per shard: the set is ~4x the capacity
 	for i := 0; i < churnSet; i++ {
-		if _, _, err := small.QueryCached(bg, fmt.Sprintf("%s LIMIT %d", cheap, 3_000_000+i)); err != nil {
+		if _, _, err := small.ServeQuery(bg, fmt.Sprintf("%s LIMIT %d", cheap, 3_000_000+i)); err != nil {
 			fatal(err)
 		}
 	}
 	evSeq := 0
 	tEv := measure("evict-churn", nFacts, func() {
 		evSeq++
-		if _, _, err := small.QueryCached(bg, fmt.Sprintf("%s LIMIT %d", cheap, 3_000_000+evSeq%churnSet)); err != nil {
+		if _, _, err := small.ServeQuery(bg, fmt.Sprintf("%s LIMIT %d", cheap, 3_000_000+evSeq%churnSet)); err != nil {
 			fatal(err)
 		}
 	})

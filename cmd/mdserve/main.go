@@ -84,6 +84,9 @@ func main() {
 	if *batching && !*planner {
 		fatal(fmt.Errorf("-batch needs -planner: only planned kernel legs can share a scan"))
 	}
+	if *staleOnShed > 0 && *resultCache <= 0 {
+		fatal(fmt.Errorf("-stale-on-shed needs a positive -result-cache: a shed query degrades to a result-cache entry"))
+	}
 	ref, err := temporal.ParseDate(*refS)
 	if err != nil {
 		fatal(err)

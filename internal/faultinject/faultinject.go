@@ -27,8 +27,6 @@ const (
 	EngineBuild Point = "engine-build"
 	// ClosureExpand fires when a rollup-closure bitmap is expanded.
 	ClosureExpand Point = "closure-expand"
-	// PreAggLookup fires on pre-aggregate cache lookups.
-	PreAggLookup Point = "preagg-lookup"
 	// Serialize fires when a query result is serialized for transport.
 	Serialize Point = "serialize"
 	// QueryExec fires at the start of serve.(*Server).Query, inside the

@@ -18,19 +18,19 @@ func TestDisarmedIsNil(t *testing.T) {
 func TestEnableAndDisable(t *testing.T) {
 	t.Cleanup(Reset)
 	boom := errors.New("boom")
-	Enable(PreAggLookup, boom)
-	if err := Check(PreAggLookup); !errors.Is(err, boom) {
+	Enable(Serialize, boom)
+	if err := Check(Serialize); !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
 	// Other points stay clean.
 	if err := Check(EngineBuild); err != nil {
 		t.Fatal(err)
 	}
-	if Hits(PreAggLookup) != 1 {
-		t.Fatalf("hits = %d", Hits(PreAggLookup))
+	if Hits(Serialize) != 1 {
+		t.Fatalf("hits = %d", Hits(Serialize))
 	}
-	Disable(PreAggLookup)
-	if err := Check(PreAggLookup); err != nil {
+	Disable(Serialize)
+	if err := Check(Serialize); err != nil {
 		t.Fatal(err)
 	}
 }

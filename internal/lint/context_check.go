@@ -28,9 +28,8 @@ var requiredContextFuncs = map[string][]string{
 	"internal/storage": {
 		"BuildEngine", "CharacterizingContext", "CountDistinctByContext",
 		"SumByContext", "MaterializeContext", "RollupFromContext",
-		"AggregateContext",
 	},
-	"internal/serve": {"Query", "Aggregate"},
+	"internal/serve": {"Query", "ServeQuery"},
 }
 
 // CheckContextPlumbing parses the query-path packages under root (the

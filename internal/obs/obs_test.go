@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -176,5 +177,56 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestRegistryScrapeRacesRuntimeRegistration: children registered at run
+// time (per-tenant series) grow a family while a scraper renders it; under
+// -race the render must not read a family's order or children outside the
+// registry lock, and every scrape sees whole lines.
+func TestRegistryScrapeRacesRuntimeRegistration(t *testing.T) {
+	r := NewRegistry()
+	const writers, perWriter = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				r.NewCounter("tenant_requests_total", "Requests by tenant.",
+					Label{Key: "tenant", Value: fmt.Sprintf("t%d-%d", w, i)}).Inc()
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			var buf strings.Builder
+			if err := r.WritePrometheus(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			if out := buf.String(); out != "" && !strings.HasSuffix(out, "\n") {
+				t.Errorf("scrape ends mid-line: %q", out[len(out)-20:])
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-scraped
+	var buf strings.Builder
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), "tenant_requests_total{"); got != writers*perWriter {
+		t.Fatalf("%d tenant series after the storm, want %d", got, writers*perWriter)
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -160,64 +161,50 @@ func NewValueHistogram(name, help string, bounds []float64, labels ...Label) *Hi
 
 // WritePrometheus renders every family in the text exposition format
 // (version 0.0.4): families in registration order, children in
-// registration order — deterministic output for tests and diffing.
+// registration order — deterministic output for tests and diffing. It
+// renders under the registry lock, because a child registered at run time
+// (a per-tenant series) grows its family's order and children under that
+// lock, and into a buffer, so the lock is not held across a write to a
+// slow scraper.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	var buf bytes.Buffer
 	r.mu.Lock()
-	fams := append([]*family(nil), r.fams...)
-	r.mu.Unlock()
-	for _, f := range fams {
-		if err := f.write(w); err != nil {
-			return err
-		}
+	for _, f := range r.fams {
+		f.write(&buf)
 	}
-	return nil
+	r.mu.Unlock()
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
-func (f *family) write(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-		f.name, escapeHelp(f.help), f.name, f.kind); err != nil {
-		return err
-	}
+// write renders the family; the caller holds the registry lock.
+func (f *family) write(b *bytes.Buffer) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.kind)
 	for _, key := range f.order {
-		c := f.children[key]
-		var err error
-		switch m := c.(type) {
+		switch m := f.children[key].(type) {
 		case *Counter:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, key, m.Value())
+			fmt.Fprintf(b, "%s%s %d\n", f.name, key, m.Value())
 		case *TimeCounter:
-			_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatFloat(m.Seconds()))
+			fmt.Fprintf(b, "%s%s %s\n", f.name, key, formatFloat(m.Seconds()))
 		case *Gauge:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, key, m.Value())
+			fmt.Fprintf(b, "%s%s %d\n", f.name, key, m.Value())
 		case *Histogram:
-			err = writeHistogram(w, f.name, key, m)
-		}
-		if err != nil {
-			return err
+			writeHistogram(b, f.name, key, m)
 		}
 	}
-	return nil
 }
 
 // writeHistogram emits cumulative _bucket series plus _sum and _count.
-func writeHistogram(w io.Writer, name, key string, h *Histogram) error {
+func writeHistogram(b *bytes.Buffer, name, key string, h *Histogram) {
 	var cum int64
-	for i, b := range h.bounds {
+	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			name, mergeLabels(key, Label{"le", formatFloat(b)}), cum); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "%s_bucket%s %d\n", name, mergeLabels(key, Label{"le", formatFloat(bound)}), cum)
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-		name, mergeLabels(key, Label{"le", "+Inf"}), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, key, formatFloat(h.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, key, h.Count())
-	return err
+	fmt.Fprintf(b, "%s_bucket%s %d\n", name, mergeLabels(key, Label{"le", "+Inf"}), cum)
+	fmt.Fprintf(b, "%s_sum%s %s\n", name, key, formatFloat(h.Sum()))
+	fmt.Fprintf(b, "%s_count%s %d\n", name, key, h.Count())
 }
 
 // Handler serves the registry as text/plain for Prometheus scrapers.

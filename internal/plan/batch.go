@@ -40,26 +40,19 @@ const (
 
 // PrepareContext parses and plans a query, stopping short of shape
 // execution. The caller then either Executes it solo or — when Batchable —
-// routes it through a fused shared scan and FinishShared. Spans and
-// planner latency metrics cover prepare through finish, mirroring
-// ExecContext.
+// routes it through a fused shared scan and FinishScan. The plan.query span
+// and the planner latency metric cover prepare through finish.
 func PrepareContext(cctx context.Context, src string, cat query.Catalog, ref temporal.Chronon, engines Engines) (*Prepared, error) {
-	start := time.Now()
-	sp := obs.StartSpan(cctx, "plan.query")
+	p := &Prepared{cctx: cctx, cat: cat, ref: ref, sp: obs.StartSpan(cctx, "plan.query"), start: time.Now()}
 	q, err := query.Parse(src)
-	if err != nil {
-		mPlanSeconds.Observe(time.Since(start))
-		sp.End()
-		return nil, err
+	if err == nil {
+		err = p.route(q)
 	}
-	p, err := prepare(cctx, q, cat, ref)
 	if err != nil {
-		mPlanSeconds.Observe(time.Since(start))
-		sp.End()
+		p.finishSpan()
 		return nil, err
 	}
 	p.plan(engines)
-	p.sp, p.start = sp, start
 	return p, nil
 }
 

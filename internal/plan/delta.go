@@ -16,7 +16,7 @@ import (
 // group-fold) are folds over per-group fact sets; because AppendFact only
 // ever adds facts at new dense indices, the fold over the full engine
 // decomposes as the fold over the old prefix continued with the appended
-// range. A Capture installed in the context makes RunContext retain those
+// range. A Capture installed in the context makes Execute retain those
 // per-group partials (Partials) alongside the result rows; UpgradeResult
 // later continues them over a delta range [lo, hi) the engine's epoch
 // journal resolved, reproducing — bit for bit — what a recompute from
@@ -83,7 +83,7 @@ type Partials struct {
 	CoverReasons []string
 }
 
-// Capture is the context sink RunContext fills with the partials of an
+// Capture is the context sink Execute fills with the partials of an
 // upgradeable planned query; Partials stays nil when the query took a
 // fallback or a non-upgradeable shape (facts, cross).
 type Capture struct {

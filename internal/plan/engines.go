@@ -14,7 +14,7 @@ import (
 // CatalogEngines is the standalone Engines implementation: it builds one
 // engine per catalog MO on demand and memoizes it until the catalog entry
 // is swapped for a different MO. The serving layer has its own richer
-// implementation (single-flight, stale-while-revalidate, column warming);
+// implementation (single-flight builds, column warming);
 // this one serves tests, fuzzing, and benchmarks.
 type CatalogEngines struct {
 	cat query.Catalog

@@ -41,32 +41,15 @@ type Engines interface {
 // back to the algebra path (query.RunContext) for operators that need MO
 // semantics. It is a drop-in replacement for query.ExecContext: same
 // results, same error texts for every validation error, same result-cache
-// canonical key (planning happens after cache keying).
-func ExecContext(cctx context.Context, src string, cat query.Catalog, ref temporal.Chronon, engines Engines) (*query.Result, error) {
-	start := time.Now()
-	sp := obs.StartSpan(cctx, "plan.query")
-	defer func() {
-		mPlanSeconds.Observe(time.Since(start))
-		sp.End()
-	}()
-	q, err := query.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return RunContext(cctx, q, cat, ref, engines)
-}
-
-// RunContext executes a parsed query through the planner; see ExecContext.
-// It is prepare followed by Execute — the split exists so the batch
+// canonical key (planning happens after cache keying). It is
+// PrepareContext followed by Execute — the split exists so the batch
 // scheduler (internal/batch) can hold a query between planning and shape
-// execution; running them back to back is byte-identical to the original
-// single pass.
-func RunContext(cctx context.Context, q *query.Query, cat query.Catalog, ref temporal.Chronon, engines Engines) (*query.Result, error) {
-	p, err := prepare(cctx, q, cat, ref)
+// execution.
+func ExecContext(cctx context.Context, src string, cat query.Catalog, ref temporal.Chronon, engines Engines) (*query.Result, error) {
+	p, err := PrepareContext(cctx, src, cat, ref, engines)
 	if err != nil {
 		return nil, err
 	}
-	p.plan(engines)
 	return p.Execute()
 }
 
@@ -101,31 +84,33 @@ type Prepared struct {
 	// validation errors before that point surface from plan itself.
 	planErr error
 
-	// Span bookkeeping for PrepareContext callers; nil on the RunContext
-	// path, which is covered by ExecContext's own span.
-	sp    *obs.Span
-	start time.Time
+	// The plan.query span (nil when the query is untraced) and the start of
+	// the latency observation PrepareContext opened; finishSpan closes both,
+	// once.
+	sp       *obs.Span
+	start    time.Time
+	finished bool
 }
 
-// prepare routes the query: the fallback decisions that need no engine.
-func prepare(cctx context.Context, q *query.Query, cat query.Catalog, ref temporal.Chronon) (*Prepared, error) {
-	p := &Prepared{cctx: cctx, q: q, cat: cat, ref: ref, ex: explainFrom(cctx), guard: qos.NewGuard(cctx)}
+// route makes the fallback decisions that need no engine.
+func (p *Prepared) route(q *query.Query) error {
+	p.q, p.ex, p.guard = q, explainFrom(p.cctx), qos.NewGuard(p.cctx)
 	if err := p.guard.CheckNow(); err != nil {
-		return nil, fmt.Errorf("query: %w", err)
+		return fmt.Errorf("query: %w", err)
 	}
 	// Operators that need MO semantics route to the algebra before any
 	// planning work; see docs/PLANNER.md for the fallback matrix.
 	if q.Describe != "" {
 		p.fallbackReason = ReasonDescribe
-		return p, nil
+		return nil
 	}
 	if q.MinProb > 0 {
 		p.fallbackReason = ReasonMinProb
-		return p, nil
+		return nil
 	}
 	if q.AsofValid != nil || q.AsofTrans != nil {
 		p.fallbackReason = ReasonTimeslice
-		return p, nil
+		return nil
 	}
 	if !q.FactsOnly {
 		// A resolvable aggregate decides its path here; an unknown name
@@ -134,15 +119,15 @@ func prepare(cctx context.Context, q *query.Query, cat query.Catalog, ref tempor
 		if fn, err := agg.Lookup(q.Agg); err == nil {
 			if fn.NeedsProb {
 				p.fallbackReason = ReasonProbabilistic
-				return p, nil
+				return nil
 			}
 			if fn.NewState == nil {
 				p.fallbackReason = ReasonHolistic
-				return p, nil
+				return nil
 			}
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // plan resolves the engine, compiles the WHERE selection, and runs every
@@ -258,14 +243,15 @@ func (p *Prepared) plan(engines Engines) {
 	p.grouped = groupedDims(m, groupBy)
 }
 
-// finishSpan closes the span a PrepareContext call opened; no-op on the
-// RunContext path.
+// finishSpan closes the span and the latency observation PrepareContext
+// opened. Idempotent: Abort, Execute and FinishScan all end through it.
 func (p *Prepared) finishSpan() {
-	if p.sp != nil {
-		mPlanSeconds.Observe(time.Since(p.start))
-		p.sp.End()
-		p.sp = nil
+	if p.finished {
+		return
 	}
+	p.finished = true
+	mPlanSeconds.Observe(time.Since(p.start))
+	p.sp.End()
 }
 
 // Execute runs the prepared query's solo tail: the algebra fallback when

@@ -80,11 +80,11 @@ func TestConcurrentExecAndIncrementalUpdates(t *testing.T) {
 	}
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
-		go func() { // readers: the pre-aggregate serving path
+		go func() { // readers: the pre-aggregate rollup path
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				_, err := cache.AggregateContext(context.Background(),
-					casestudy.DimDiagnosis, casestudy.CatGroup, storage.KindCount, "")
+				_, err := cache.RollupFromContext(context.Background(),
+					casestudy.DimDiagnosis, casestudy.CatLowLevel, casestudy.CatGroup, storage.KindCount, "")
 				if err != nil {
 					t.Error(err)
 					return

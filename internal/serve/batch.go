@@ -10,14 +10,14 @@ import (
 )
 
 // This file wires the shared-scan batch scheduler (internal/batch) into
-// the query path. With Limits.Batching enabled the planner branch of
-// Query splits into prepare → schedule → finish: the query is planned to
-// the brink of shape execution (plan.PrepareContext), batchable shapes
-// join the scheduler's gather window for their (engine, dim, cat) leg,
-// and the batch's kernel scan finishes through plan.FinishScan — the
+// the query path. Query plans every query to the brink of shape execution
+// (plan.PrepareContext); with Limits.Batching enabled, batchable shapes
+// then join the scheduler's gather window for their (engine, dim, cat)
+// leg, and the batch's kernel scan finishes through plan.FinishScan — the
 // finish a solo Execute runs after its own scan of one, so a batched
-// answer is bit-identical to solo execution. Non-batchable shapes (fallbacks, facts, global,
-// cross) Execute solo immediately and are counted as bypasses.
+// answer is bit-identical to solo execution. Non-batchable shapes
+// (fallbacks, facts, global, cross) Execute solo immediately and are
+// counted as bypasses.
 //
 // Placement: batching sits BELOW the result cache and its single-flight
 // (results.go) and AFTER admission. A cache hit never reaches the
@@ -37,7 +37,7 @@ func (a admissionSignals) Load() (inflight, limit int) {
 
 // BatchOutcome is the context sink the HTTP layer installs to learn how
 // a query moved through the scheduler (the X-Mddm-Batch header). Outcome
-// stays empty when the query never reached the batching planner branch —
+// stays empty when the query never reached the scheduler —
 // cache hits, delta upgrades, stale-on-shed serves, sheds, and
 // single-flight followers carry no batch header (see docs/TRAFFIC.md for
 // the header precedence rules).
@@ -79,14 +79,13 @@ func (s *Server) BatchStats() batch.Stats {
 	return s.batcher.Stats()
 }
 
-// batchedQuery is the planner branch with batching on: prepare, route
-// batchable shapes through the scheduler, finish from the batch's scan.
-// Every bypass degrades to plain solo execution — batching never fails a
-// query that solo execution would answer.
-func (s *Server) batchedQuery(ctx context.Context, src string) (*query.Result, error) {
-	p, err := plan.PrepareContext(ctx, src, s.cat.Snapshot(), s.ref, s)
-	if err != nil {
-		return nil, err
+// execute runs a prepared query: Execute when no scheduler exists or the
+// plan cannot batch, else the scheduler's fused scan and FinishScan. Every
+// bypass degrades to plain solo execution — batching never fails a query
+// that solo execution would answer.
+func (s *Server) execute(ctx context.Context, p *plan.Prepared) (*query.Result, error) {
+	if s.batcher == nil {
+		return p.Execute()
 	}
 	if ok, reason := p.Batchable(); !ok {
 		s.batcher.Bypass(reason)

@@ -74,11 +74,11 @@ func TestCachedDifferentialAllAggregates(t *testing.T) {
 
 			// Fill once at degree 8, then demand hits at every degree.
 			fillCtx := exec.WithParallelism(context.Background(), 8)
-			fill, hit, err := s.QueryCached(fillCtx, src)
+			fill, out, err := s.ServeQuery(fillCtx, src)
 			if err != nil {
 				t.Fatalf("fill: %v", err)
 			}
-			if hit {
+			if out.CacheHit {
 				t.Fatal("first lookup hit an empty cache")
 			}
 			sameResult(t, "fill@8 vs baseline", fill, base)
@@ -91,11 +91,11 @@ func TestCachedDifferentialAllAggregates(t *testing.T) {
 				}
 				sameResult(t, fmt.Sprintf("uncached@%d vs baseline", d), unc, base)
 
-				res, hit, err := s.QueryCached(ctx, src)
+				res, out, err := s.ServeQuery(ctx, src)
 				if err != nil {
 					t.Fatalf("cached@%d: %v", d, err)
 				}
-				if !hit {
+				if !out.CacheHit {
 					t.Fatalf("repeat lookup at degree %d missed", d)
 				}
 				sameResult(t, fmt.Sprintf("hit@%d vs baseline", d), res, base)
@@ -122,18 +122,18 @@ func TestCacheInterleavedAppendInvalidation(t *testing.T) {
 	m, _ := s.cat.Get("patients")
 	lows := m.Dimension(casestudy.DimDiagnosis).Category(casestudy.CatLowLevel)
 
-	r1, hit, err := s.QueryCached(ctx, groupQuery)
+	r1, out, err := s.ServeQuery(ctx, groupQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
+	if out.CacheHit {
 		t.Fatal("first lookup hit")
 	}
-	r2, hit, err := s.QueryCached(ctx, groupQuery)
+	r2, out, err := s.ServeQuery(ctx, groupQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
+	if !out.CacheHit {
 		t.Fatal("repeat lookup before any write missed")
 	}
 	sameResult(t, "pre-append hit", r2, r1)
@@ -147,11 +147,11 @@ func TestCacheInterleavedAppendInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		res, hit, err := s.QueryCached(ctx, groupQuery)
+		res, out, err := s.ServeQuery(ctx, groupQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hit {
+		if out.CacheHit {
 			t.Fatalf("append %d: lookup after AppendFact hit — stale serve", i)
 		}
 		fresh, err := query.Exec(groupQuery, s.cat.Snapshot(), testRef)
@@ -163,11 +163,11 @@ func TestCacheInterleavedAppendInvalidation(t *testing.T) {
 			t.Fatalf("append %d: result did not change — the schedule is not observing the write", i)
 		}
 
-		again, hit, err := s.QueryCached(ctx, groupQuery)
+		again, out, err := s.ServeQuery(ctx, groupQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hit {
+		if !out.CacheHit {
 			t.Fatalf("append %d: second lookup after refill missed", i)
 		}
 		sameResult(t, fmt.Sprintf("post-append %d hit", i), again, res)
@@ -186,21 +186,21 @@ func TestCacheReregistrationInvalidates(t *testing.T) {
 	s, cat := newTestServer(t, cacheLimits)
 	ctx := context.Background()
 
-	r1, _, err := s.QueryCached(ctx, groupQuery)
+	r1, _, err := s.ServeQuery(ctx, groupQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, _ := s.QueryCached(ctx, groupQuery); !hit {
+	if _, out, _ := s.ServeQuery(ctx, groupQuery); !out.CacheHit {
 		t.Fatal("repeat lookup missed")
 	}
 	if err := cat.Register("patients", patientMO(t)); err != nil {
 		t.Fatal(err)
 	}
-	res, hit, err := s.QueryCached(ctx, groupQuery)
+	res, out, err := s.ServeQuery(ctx, groupQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
+	if out.CacheHit {
 		t.Fatal("lookup after re-registration hit — stale serve")
 	}
 	// The replacement MO is identical data, so the refilled result matches.
@@ -219,15 +219,15 @@ func TestCacheHitBudgetPolicy(t *testing.T) {
 		t.Fatal("no budget on context")
 	}
 
-	if _, hit, err := s.QueryCached(ctx, groupQuery); err != nil || hit {
-		t.Fatalf("fill: hit=%v err=%v", hit, err)
+	if _, out, err := s.ServeQuery(ctx, groupQuery); err != nil || out.CacheHit {
+		t.Fatalf("fill: hit=%v err=%v", out.CacheHit, err)
 	}
 	missSpent := b.Spent()
 	if missSpent == 0 {
 		t.Fatal("the miss charged no budget — the parity claim would be vacuous")
 	}
-	if _, hit, err := s.QueryCached(ctx, groupQuery); err != nil || !hit {
-		t.Fatalf("hit: hit=%v err=%v", hit, err)
+	if _, out, err := s.ServeQuery(ctx, groupQuery); err != nil || !out.CacheHit {
+		t.Fatalf("hit: hit=%v err=%v", out.CacheHit, err)
 	}
 	if got := b.Spent(); got != missSpent {
 		t.Fatalf("cache hit charged %d budget, want 0 (pinned policy)", got-missSpent)
@@ -242,7 +242,7 @@ func TestCacheHitBudgetPolicy(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledFallsThrough: ResultCacheBytes 0 makes QueryCached
+// TestCacheDisabledFallsThrough: ResultCacheBytes 0 makes ServeQuery
 // exactly Query — no hits, no cache state, no behavior change.
 func TestCacheDisabledFallsThrough(t *testing.T) {
 	s, _ := newTestServer(t, Limits{})
@@ -251,11 +251,11 @@ func TestCacheDisabledFallsThrough(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		res, hit, err := s.QueryCached(ctx, groupQuery)
+		res, out, err := s.ServeQuery(ctx, groupQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hit {
+		if out.CacheHit {
 			t.Fatal("hit reported with the cache disabled")
 		}
 		if len(res.Rows) == 0 {
@@ -275,7 +275,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	ctx := context.Background()
 	bad := `SELECT SETCOUNT(*) FROM nosuch`
 	for i := 0; i < 2; i++ {
-		if _, _, err := s.QueryCached(ctx, bad); err == nil {
+		if _, _, err := s.ServeQuery(ctx, bad); err == nil {
 			t.Fatalf("call %d: no error for unknown MO", i)
 		}
 	}
@@ -289,7 +289,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	if err := cat.Register("nosuch", patientMO(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.QueryCached(ctx, bad); err != nil {
+	if _, _, err := s.ServeQuery(ctx, bad); err != nil {
 		t.Fatalf("after registering the MO: %v", err)
 	}
 }
@@ -298,8 +298,8 @@ func TestCacheErrorsNotCached(t *testing.T) {
 // the uncached path and report its parse error.
 func TestCacheUnparseableFallsThrough(t *testing.T) {
 	s, _ := newTestServer(t, cacheLimits)
-	if _, hit, err := s.QueryCached(context.Background(), `SELECT ((((`); err == nil || hit {
-		t.Fatalf("hit=%v err=%v, want parse error miss", hit, err)
+	if _, out, err := s.ServeQuery(context.Background(), `SELECT ((((`); err == nil || out.CacheHit {
+		t.Fatalf("hit=%v err=%v, want parse error miss", out.CacheHit, err)
 	}
 	if st := s.ResultCacheStats(); st.Hits+st.Misses != 0 {
 		t.Fatalf("unparseable input consulted the cache: %+v", st)
@@ -314,15 +314,15 @@ func TestCacheKeyNormalizationSharesEntries(t *testing.T) {
 	ctx := context.Background()
 	a := groupQuery
 	b := `select   SETCOUNT( * )   as "SETCOUNT"   from "patients" group by "Diagnosis"."Diagnosis Group"`
-	ra, hit, err := s.QueryCached(ctx, a)
-	if err != nil || hit {
-		t.Fatalf("fill: hit=%v err=%v", hit, err)
+	ra, out, err := s.ServeQuery(ctx, a)
+	if err != nil || out.CacheHit {
+		t.Fatalf("fill: hit=%v err=%v", out.CacheHit, err)
 	}
-	rb, hit, err := s.QueryCached(ctx, b)
+	rb, out, err := s.ServeQuery(ctx, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
+	if !out.CacheHit {
 		t.Fatal("normalized spelling missed the filled entry")
 	}
 	sameResult(t, "normalized hit", rb, ra)

@@ -34,9 +34,7 @@ import (
 // normal miss path and the fallback reason is counted, so the delta
 // win is never silently inflated by recomputes.
 
-// Delta-maintenance metrics for the result-cache layer; the
-// pre-aggregate layer records under the same names with layer=preagg
-// (internal/storage/preagg.go).
+// Delta-maintenance metrics; result-cache is the one layer.
 var (
 	mDeltaUpgrades = obs.NewCounter("mddm_delta_upgrades_total",
 		"Cached results repaired in place by a delta merge instead of invalidated.",

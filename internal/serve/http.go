@@ -216,39 +216,39 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.batcher != nil {
 		ctx, bo = WithBatchOutcome(ctx)
 	}
+	// The X-Mddm-Cache header appears only when a result cache exists, so
+	// the response shape is unchanged from servers built without
+	// Limits.ResultCacheBytes.
 	var res *query.Result
+	var out QueryOutcome
 	var err error
-	switch {
-	case !s.ResultCacheEnabled():
-		// No cache, no header: the response shape is unchanged from
-		// servers built without Limits.ResultCacheBytes.
-		res, err = s.Query(ctx, src)
-	case nocache:
+	cacheHeader := "miss"
+	if nocache {
 		// ?nocache=1 is the escape hatch: compute uncached and leave the
 		// cache contents alone (it neither reads nor fills).
-		w.Header().Set("X-Mddm-Cache", "bypass")
+		cacheHeader = "bypass"
 		res, err = s.Query(ctx, src)
-	default:
-		var out QueryOutcome
+	} else {
 		res, out, err = s.ServeQuery(ctx, src)
-		switch {
-		case out.Upgraded:
-			// A version-stale entry answered fresh after a delta merge
-			// folded the appended facts in (Limits.DeltaMaintenance): a hit
-			// for freshness purposes, distinguished so clients can see the
-			// maintenance machinery working.
-			w.Header().Set("X-Mddm-Cache", "hit-upgraded")
-		case out.CacheHit:
-			w.Header().Set("X-Mddm-Cache", "hit")
-		case out.DegradedStale:
-			// Shed under overload but answered from a bounded-staleness
-			// cache entry; the body carries the warning, the headers let
-			// clients and proxies see the degradation without parsing it.
-			w.Header().Set("X-Mddm-Cache", "stale")
-			w.Header().Set("X-Mddm-Degraded", "stale-on-shed")
-		default:
-			w.Header().Set("X-Mddm-Cache", "miss")
-		}
+	}
+	switch {
+	case out.Upgraded:
+		// A version-stale entry answered fresh after a delta merge folded
+		// the appended facts in (Limits.DeltaMaintenance): a hit for
+		// freshness purposes, distinguished so clients can see the
+		// maintenance machinery working.
+		cacheHeader = "hit-upgraded"
+	case out.CacheHit:
+		cacheHeader = "hit"
+	case out.DegradedStale:
+		// Shed under overload but answered from a bounded-staleness cache
+		// entry; the body carries the warning, the headers let clients and
+		// proxies see the degradation without parsing it.
+		cacheHeader = "stale"
+		w.Header().Set("X-Mddm-Degraded", "stale-on-shed")
+	}
+	if s.ResultCacheEnabled() {
+		w.Header().Set("X-Mddm-Cache", cacheHeader)
 	}
 	if bo != nil && bo.Outcome != "" {
 		// Set before the error check: a member canceled mid-batch still

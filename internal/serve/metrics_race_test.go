@@ -315,7 +315,7 @@ func TestResultCacheRaceUnderLoad(t *testing.T) {
 			defer wg.Done()
 			ctx := exec.WithParallelism(context.Background(), 1+g)
 			for i := 0; i < iters; i++ {
-				if _, _, err := s.QueryCached(ctx, growQuery); err != nil {
+				if _, _, err := s.ServeQuery(ctx, growQuery); err != nil {
 					fail("cached query: %v", err)
 					return
 				}
@@ -357,7 +357,7 @@ func TestResultCacheRaceUnderLoad(t *testing.T) {
 	}
 	// Every serve under load must have been correct-by-version: a final
 	// quiescent lookup agrees with a fresh uncached computation.
-	res, _, err := s.QueryCached(context.Background(), growQuery)
+	res, _, err := s.ServeQuery(context.Background(), growQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // docs/OBSERVABILITY.md for the full inventory).
 var (
 	mQueries = obs.NewCounter("mddm_serve_queries_total",
-		"Queries received by the serving layer (SQL-ish and aggregate requests).")
+		"Queries received by the serving layer.")
 	mActive = obs.NewGauge("mddm_serve_active_queries",
 		"Queries currently executing.")
 	mQuerySeconds = obs.NewHistogram("mddm_serve_query_seconds",
@@ -42,10 +42,9 @@ var (
 		"Queries answered degraded under overload, by mode.",
 		obs.Label{Key: "mode", Value: "stale-on-shed"})
 
-	cacheHelp    = "Engine-cache outcomes: snapshot reused, rebuild started, or stale snapshot served after a rebuild failure."
-	mCacheHit    = obs.NewCounter("mddm_serve_engine_cache_total", cacheHelp, obs.Label{Key: "outcome", Value: "hit"})
+	cacheHelp     = "Engine-cache outcomes: snapshot reused or rebuild started."
+	mCacheHit     = obs.NewCounter("mddm_serve_engine_cache_total", cacheHelp, obs.Label{Key: "outcome", Value: "hit"})
 	mCacheRebuild = obs.NewCounter("mddm_serve_engine_cache_total", cacheHelp, obs.Label{Key: "outcome", Value: "rebuild"})
-	mCacheStale  = obs.NewCounter("mddm_serve_engine_cache_total", cacheHelp, obs.Label{Key: "outcome", Value: "stale"})
 
 	// The counterpart of mddm_qos_budget_exhausted_total: total facts
 	// charged against per-query budgets, accumulated once when each query

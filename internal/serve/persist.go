@@ -10,7 +10,6 @@ import (
 
 	"mddm/internal/dimension"
 	"mddm/internal/segment"
-	"mddm/internal/storage"
 	"mddm/internal/temporal"
 )
 
@@ -35,11 +34,11 @@ func (s *Server) AttachStore(name string, st *segment.Store) error {
 		return err
 	}
 	// Pre-populate the engine cache slot exactly as a successful
-	// snapshotFor build would, keyed to the MO pointer just registered.
+	// EngineFor build would: the store's engine is over the MO just
+	// registered.
 	e := s.entry(name)
 	e.mu.Lock()
-	e.gen++
-	e.last = &snapshotState{gen: e.gen, source: m, engine: eng, cache: storage.NewCache(eng)}
+	e.last = eng
 	e.inflight = nil
 	e.mu.Unlock()
 	s.mu.Lock()
@@ -72,9 +71,9 @@ func (s *Server) StoreNames() []string {
 
 // Append durably appends one fact to the named MO through its attached
 // store: logged to the WAL first, then applied to the serving MO and
-// engine. The engine's epoch bump invalidates every derived layer —
-// result cache, pre-aggregates, stale-on-shed bounds — exactly as an
-// in-memory append does. Returns the assigned append sequence number.
+// engine. The engine's epoch bump invalidates the result cache (and
+// starts the stale-on-shed clock of its entries) exactly as an in-memory
+// append does. Returns the assigned append sequence number.
 func (s *Server) Append(name string, rec segment.FactAppend) (uint64, error) {
 	st := s.store(name)
 	if st == nil {

@@ -149,20 +149,20 @@ func TestServerAppendInvalidatesCache(t *testing.T) {
 
 	src := `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Group"`
 	ctx := context.Background()
-	if _, hit, err := s.QueryCached(ctx, src); err != nil || hit {
-		t.Fatalf("fill: hit=%v err=%v", hit, err)
+	if _, out, err := s.ServeQuery(ctx, src); err != nil || out.CacheHit {
+		t.Fatalf("fill: hit=%v err=%v", out.CacheHit, err)
 	}
-	if _, hit, err := s.QueryCached(ctx, src); err != nil || !hit {
-		t.Fatalf("warm lookup: hit=%v err=%v", hit, err)
+	if _, out, err := s.ServeQuery(ctx, src); err != nil || !out.CacheHit {
+		t.Fatalf("warm lookup: hit=%v err=%v", out.CacheHit, err)
 	}
 	if _, err := s.Append("patients", recs[0]); err != nil {
 		t.Fatal(err)
 	}
-	res, hit, err := s.QueryCached(ctx, src)
+	res, out, err := s.ServeQuery(ctx, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
+	if out.CacheHit {
 		t.Fatal("append did not invalidate the result cache")
 	}
 	if res == nil || len(res.Rows) == 0 {

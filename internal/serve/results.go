@@ -11,7 +11,6 @@ import (
 	"mddm/internal/obs"
 	"mddm/internal/plan"
 	"mddm/internal/query"
-	"mddm/internal/storage"
 )
 
 // This file wires the versioned query-result cache (internal/cache) into
@@ -53,8 +52,8 @@ func (s *Server) ResultCacheStats() cache.Stats {
 }
 
 // resultVersion snapshots the named MO's freshness identity. Epoch is 0
-// until an engine exists (pure SQL traffic never builds one); the first
-// EngineFor/Aggregate then moves the version, costing one spurious
+// until an engine exists (algebra-only traffic never builds one); the
+// first EngineFor then moves the version, costing one spurious
 // refill — engine construction changes no data — but never a stale hit.
 func (s *Server) resultVersion(name string) cache.Version {
 	v := cache.Version{Gen: s.cat.Gen(name)}
@@ -64,7 +63,7 @@ func (s *Server) resultVersion(name string) cache.Version {
 	if e != nil {
 		e.mu.Lock()
 		if e.last != nil {
-			v.Epoch = e.last.engine.Epoch()
+			v.Epoch = e.last.Epoch()
 		}
 		e.mu.Unlock()
 	}
@@ -90,19 +89,13 @@ type QueryOutcome struct {
 	StaleAge time.Duration
 }
 
-// QueryCached is ServeQuery with the legacy shape; the second return
-// reports a cache hit. Kept for callers that predate QueryOutcome.
-func (s *Server) QueryCached(ctx context.Context, src string) (*query.Result, bool, error) {
-	res, out, err := s.ServeQuery(ctx, src)
-	return res, out.CacheHit, err
-}
-
-// ServeQuery is Query behind the result cache: a lookup keyed by the
-// canonical form of src and validated against the MO's current version,
-// falling through to Query on a miss with the fill single-flighted per
-// (key, version) so a thundering herd of identical misses computes once.
-// The returned Result is shared with other cache readers — treat it as
-// immutable.
+// ServeQuery is the serving pipeline — key → version → cache get → delta
+// upgrade → single-flight{Query} — and the one entry point in front of
+// Query: a lookup keyed by the canonical form of src and validated against
+// the MO's current version, falling through to Query on a miss with the
+// fill single-flighted per (key, version) so a thundering herd of
+// identical misses computes once. The returned Result is shared with other
+// cache readers — treat it as immutable.
 //
 // A hit charges no fact budget, no timeout, and no admission ticket: the
 // pinned policy (docs/SERVING.md, TestCacheHitBudgetPolicy) is that the
@@ -221,24 +214,6 @@ func (s *Server) staleOnShed(ctx context.Context, key string, ver cache.Version)
 		fmt.Sprintf("degraded: served stale cached result (age %s) because the server shed this query under overload",
 			age.Round(time.Millisecond)))
 	return &cp, QueryOutcome{DegradedStale: true, StaleAge: age}, true
-}
-
-// EngineFor returns the serving engine for the named MO, building it on
-// first use (single-flight, like Aggregate). This is the sanctioned
-// append flow: mutate the registered MO (e.g. core.MO.Relate), then call
-// AppendFact on this engine — the epoch bump invalidates every cached
-// result computed before the append. Unlike Aggregate it never degrades
-// to a stale snapshot: appending to an engine whose source is not the
-// registered MO would bump an epoch no current version uses.
-func (s *Server) EngineFor(ctx context.Context, name string) (*storage.Engine, error) {
-	snap, degraded, err := s.snapshotFor(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	if degraded != nil {
-		return nil, fmt.Errorf("serve: engine for %q is stale: %w", name, degraded)
-	}
-	return snap.engine, nil
 }
 
 // flightKey scopes a fill to its version, so a write landing while a

@@ -1,10 +1,12 @@
 // Package serve is the concurrent serving layer over the query path: a
-// copy-on-write catalog of MOs, a single-flight engine/pre-aggregate
-// cache with stale-while-revalidate degradation, per-query resource
-// limits, and panic isolation. It is what turns the single-shot research
-// pipeline (parse → algebra → render) into something that can sit behind
-// an HTTP listener and survive bad inputs, slow queries, and rebuild
-// failures without taking the process down.
+// copy-on-write catalog of MOs, a single-flight engine cache, and one
+// query pipeline — ServeQuery (result cache, delta upgrade, single-flight)
+// in front of Query (limits, admission, panic isolation, planner, batch
+// scheduler, row cap) — whose stages are each a no-op when unconfigured.
+// It is what turns the single-shot research pipeline (parse → algebra →
+// render) into something that can sit behind an HTTP listener and survive
+// bad inputs, slow queries, and rebuild failures without taking the
+// process down. See docs/SERVING.md.
 package serve
 
 import (
@@ -85,13 +87,13 @@ type Limits struct {
 	// results are validated at lookup against the MO's registration
 	// generation and its engine's mutation epoch, so re-registrations and
 	// appended facts invalidate by version comparison — a stale result is
-	// never served. Zero disables caching; QueryCached then degrades to
+	// never served. Zero disables caching; ServeQuery is then exactly
 	// Query. A cache hit charges no fact budget (the computation it
 	// replaces already charged it once); see docs/SERVING.md.
 	ResultCacheBytes int64
 	// Admission, when its MaxConcurrency is positive, installs the
 	// adaptive admission controller (internal/admission) in front of
-	// Query and Aggregate: an AIMD concurrency limit, a bounded
+	// Query: an AIMD concurrency limit, a bounded
 	// deadline-aware wait queue, and optional per-tenant token-bucket
 	// quotas. Shed requests fail fast with ErrOverloaded. Result-cache
 	// hits bypass admission entirely — answering from memory is cheaper
@@ -112,9 +114,9 @@ type Limits struct {
 	// either path — only wall-clock and allocations change. See
 	// docs/PLANNER.md.
 	Planner bool
-	// DeltaMaintenance keeps cached results and pre-aggregates warm under
-	// sustained appends: result-cache fills through the planner retain
-	// mergeable per-group partials, and a lookup that misses only because
+	// DeltaMaintenance keeps cached results warm under sustained appends:
+	// result-cache fills through the planner retain mergeable per-group
+	// partials, and a lookup that misses only because
 	// facts were appended is answered by folding just the appended fact
 	// range and merging — work proportional to the append volume, not to
 	// history. Requires Planner and ResultCacheBytes (it is inert without

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +11,9 @@ import (
 	"mddm/internal/casestudy"
 	"mddm/internal/core"
 	"mddm/internal/faultinject"
-	"mddm/internal/storage"
+	"mddm/internal/obs"
+	"mddm/internal/plan"
+	"mddm/internal/query"
 	"mddm/internal/temporal"
 )
 
@@ -201,85 +202,70 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-func groupReq() AggRequest {
-	return AggRequest{
-		MO: "patients", Dim: casestudy.DimDiagnosis, Cat: casestudy.CatGroup,
-		Kind: storage.KindCount,
-	}
-}
-
-func TestAggregateBuildsOnceAndCaches(t *testing.T) {
-	s, _ := newTestServer(t, Limits{})
-	a, err := s.Aggregate(context.Background(), groupReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stale || a.Generation != 1 || len(a.Rows) == 0 {
-		t.Fatalf("first answer: %+v", a)
-	}
-	b, err := s.Aggregate(context.Background(), groupReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Generation != 1 {
-		t.Fatalf("second call rebuilt: %+v", b)
-	}
-	if s.Stats().Rebuilds != 1 {
-		t.Fatalf("stats: %+v", s.Stats())
-	}
-}
-
-// TestStaleWhileRevalidate is the degradation acceptance scenario: after
-// the catalog entry is replaced, a forced engine-rebuild failure must
-// not take queries down — repeated requests keep returning the last good
-// answer, flagged stale with a warning, until the rebuild succeeds.
-func TestStaleWhileRevalidate(t *testing.T) {
+// TestEngineBuildFailureDegradesToAlgebra is the degrade that remains:
+// after the catalog entry is replaced, a forced engine-build failure must
+// not take queries down and must not serve the old MO either — every
+// query answers from the algebra on the NEW registration, counted once as
+// an engine-unavailable fallback, and planned mode resumes when the fault
+// clears.
+func TestEngineBuildFailureDegradesToAlgebra(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	s, cat := newTestServer(t, Limits{})
-	good, err := s.Aggregate(context.Background(), groupReq())
+	s, cat := newTestServer(t, Limits{Planner: true, ResultCacheBytes: 1 << 20, DeltaMaintenance: true})
+	ctx := context.Background()
+	if _, _, err := s.ServeQuery(ctx, groupQuery); err != nil {
+		t.Fatal(err)
+	}
+
+	// A visibly different MO, so an answer from the old snapshot shows.
+	m := patientMO(t)
+	lows := m.Dimension(casestudy.DimDiagnosis).Category(casestudy.CatLowLevel)
+	if err := m.Relate(casestudy.DimDiagnosis, "extra", lows[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Register("patients", m); err != nil {
+		t.Fatal(err)
+	}
+	want, err := query.ExecContext(ctx, groupQuery, cat.Snapshot(), testRef)
 	if err != nil {
 		t.Fatal(err)
 	}
+	faultinject.Enable(faultinject.EngineBuild, errors.New("disk on fire"))
 
-	// Replace the MO (new pointer, same data) and make rebuilds fail.
-	if err := cat.Register("patients", patientMO(t)); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("disk on fire")
-	faultinject.Enable(faultinject.EngineBuild, boom)
-
+	// Registration is idempotent: this is the planner's own counter.
+	unavailable := obs.NewCounter("mddm_plan_fallbacks_total", "",
+		obs.Label{Key: "reason", Value: plan.ReasonEngineUnavailable})
+	fallbacks := unavailable.Value()
 	for i := 0; i < 3; i++ {
-		a, err := s.Aggregate(context.Background(), groupReq())
+		ectx, ex := plan.WithExplain(ctx)
+		// ?nocache=1's path: every call computes, so every call must degrade.
+		got, err := s.Query(ectx, groupQuery)
 		if err != nil {
 			t.Fatalf("degraded call %d must not error: %v", i, err)
 		}
-		if !a.Stale || a.Generation != good.Generation {
-			t.Fatalf("call %d: want stale generation %d, got %+v", i, good.Generation, a)
+		sameResult(t, fmt.Sprintf("degraded call %d vs algebra on the new MO", i), got, want)
+		if ex.Mode != plan.ModeFallback || ex.Reason != plan.ReasonEngineUnavailable {
+			t.Fatalf("call %d: plan %+v, want fallback/engine-unavailable", i, ex)
 		}
-		if len(a.Warnings) == 0 || !containsAll(a.Warnings[0], "stale", "rebuild failed", "disk on fire") {
-			t.Fatalf("call %d: missing degradation warning: %v", i, a.Warnings)
-		}
-		if len(a.Rows) != len(good.Rows) {
-			t.Fatalf("call %d: stale answer differs: %v vs %v", i, a.Rows, good.Rows)
-		}
-		for k, v := range good.Rows {
-			if a.Rows[k] != v {
-				t.Fatalf("call %d: stale answer differs at %q", i, k)
-			}
+		if d := unavailable.Value() - fallbacks; d != int64(i+1) {
+			t.Fatalf("call %d: %d engine-unavailable fallbacks counted, want %d", i, d, i+1)
 		}
 	}
-	if s.Stats().StaleServes != 3 {
-		t.Fatalf("stats: %+v", s.Stats())
+	got, out, err := s.ServeQuery(ctx, groupQuery)
+	if err != nil || out.CacheHit {
+		t.Fatalf("ServeQuery under the fault: hit=%v err=%v, want a computed answer", out.CacheHit, err)
 	}
+	sameResult(t, "ServeQuery under the fault vs algebra on the new MO", got, want)
 
-	// Recovery: disable the fault and the next call serves fresh.
+	// Recovery: the fault clears, the engine builds, planned mode resumes.
 	faultinject.Disable(faultinject.EngineBuild)
-	a, err := s.Aggregate(context.Background(), groupReq())
+	ectx, ex := plan.WithExplain(ctx)
+	got, err = s.Query(ectx, groupQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Stale || a.Generation != good.Generation+1 {
-		t.Fatalf("recovered answer: %+v", a)
+	sameResult(t, "recovered vs algebra", got, want)
+	if ex.Mode != plan.ModePlanned {
+		t.Fatalf("recovered plan %+v, want planned", ex)
 	}
 }
 
@@ -287,24 +273,24 @@ func TestRebuildFailureWithoutSnapshotErrors(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	s, _ := newTestServer(t, Limits{})
 	faultinject.Enable(faultinject.EngineBuild, errors.New("cold start failure"))
-	if _, err := s.Aggregate(context.Background(), groupReq()); err == nil {
-		t.Fatal("no stale snapshot to degrade to: must error")
+	if _, err := s.EngineFor(context.Background(), "patients"); err == nil {
+		t.Fatal("no engine could be built: must error")
 	}
 }
 
 func TestCanceledBuildPropagatesInsteadOfDegrading(t *testing.T) {
 	s, cat := newTestServer(t, Limits{})
-	if _, err := s.Aggregate(context.Background(), groupReq()); err != nil {
+	if _, err := s.EngineFor(context.Background(), "patients"); err != nil {
 		t.Fatal(err)
 	}
 	// Force a rebuild with a pre-canceled context: the caller must see
-	// its own cancellation, not a silently stale answer.
+	// its own cancellation, not a silently stale engine.
 	if err := cat.Register("patients", patientMO(t)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.Aggregate(ctx, groupReq())
+	_, err := s.EngineFor(ctx, "patients")
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -319,7 +305,7 @@ func TestSingleFlightBuild(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Aggregate(context.Background(), groupReq())
+			_, errs[i] = s.EngineFor(context.Background(), "patients")
 		}(i)
 	}
 	wg.Wait()
@@ -331,13 +317,4 @@ func TestSingleFlightBuild(t *testing.T) {
 	if got := s.Stats().Rebuilds; got != 1 {
 		t.Fatalf("want exactly 1 build for %d concurrent callers, got %d", n, got)
 	}
-}
-
-func containsAll(s string, subs ...string) bool {
-	for _, sub := range subs {
-		if !strings.Contains(s, sub) {
-			return false
-		}
-	}
-	return true
 }

@@ -12,7 +12,6 @@ import (
 	"mddm/internal/admission"
 	"mddm/internal/batch"
 	"mddm/internal/cache"
-	"mddm/internal/core"
 	"mddm/internal/dimension"
 	"mddm/internal/exec"
 	"mddm/internal/faultinject"
@@ -26,8 +25,9 @@ import (
 )
 
 // Server executes queries against a Catalog under resource limits, with
-// panic isolation and a per-MO engine/pre-aggregate cache. It is safe
-// for concurrent use.
+// panic isolation and a per-MO engine cache. It has two query methods:
+// ServeQuery is the whole pipeline (result cache in front), Query its
+// compute stage. It is safe for concurrent use.
 type Server struct {
 	cat    *Catalog
 	limits Limits
@@ -50,8 +50,8 @@ type Server struct {
 	flights cache.Flight
 
 	// adm is the admission controller (nil when Limits.Admission is
-	// zero): every Query/Aggregate holds one of its tickets for the
-	// duration of execution. Result-cache hits bypass it.
+	// zero): every Query holds one of its tickets for the duration of
+	// execution. Result-cache hits bypass it.
 	adm *admission.Controller
 
 	// batcher is the shared-scan batch scheduler (nil unless
@@ -61,7 +61,6 @@ type Server struct {
 	queries        atomic.Int64
 	panics         atomic.Int64
 	rebuilds       atomic.Int64
-	staleServes    atomic.Int64
 	degradedServes atomic.Int64
 }
 
@@ -102,9 +101,6 @@ type Stats struct {
 	Panics int64
 	// Rebuilds counts engine build attempts (successful or not).
 	Rebuilds int64
-	// StaleServes counts degraded answers served from a stale engine
-	// snapshot after a rebuild failure.
-	StaleServes int64
 	// DegradedServes counts shed queries answered from a version-stale
 	// result-cache entry under Limits.StaleOnShed.
 	DegradedServes int64
@@ -116,7 +112,6 @@ func (s *Server) Stats() Stats {
 		Queries:        s.queries.Load(),
 		Panics:         s.panics.Load(),
 		Rebuilds:       s.rebuilds.Load(),
-		StaleServes:    s.staleServes.Load(),
 		DegradedServes: s.degradedServes.Load(),
 	}
 }
@@ -140,7 +135,7 @@ func (s *Server) admit(ctx context.Context) (*admission.Ticket, error) {
 	return tk, nil
 }
 
-// Drain stops admitting queries: every later Query/Aggregate sheds with
+// Drain stops admitting queries: every later Query sheds with
 // ReasonDraining (HTTP 503) and queued waiters fail fast. In-flight
 // queries are unaffected; pair with http.Server.Shutdown to drain them.
 // A server without admission control ignores Drain.
@@ -163,12 +158,15 @@ func (s *Server) AdmissionStats() admission.Stats {
 	return s.adm.Stats()
 }
 
-// Query parses and executes src against the current catalog snapshot,
-// applying the server's limits: the deadline (Timeout) and fact budget
-// (MaxFactsScanned) are installed into the context before execution, and
-// MaxResultRows is enforced on the result. A panic anywhere in the query
-// path is recovered into an *InternalError rather than crashing the
-// process.
+// Query is the pipeline's compute stage — limits → admit → track/recover
+// → prepare → (batch | execute) → row cap — run against the current
+// catalog snapshot. Each stage is a no-op when its Limits field is unset:
+// the deadline (Timeout) and fact budget (MaxFactsScanned) are installed
+// into the context before admission, the planner prepares the query
+// (without Limits.Planner the algebra executes it), the batch scheduler
+// fuses one-leg aggregates, and MaxResultRows is enforced on the result. A
+// panic anywhere in the query path is recovered into an *InternalError
+// rather than crashing the process.
 func (s *Server) Query(ctx context.Context, src string) (res *query.Result, err error) {
 	s.queries.Add(1)
 	mQueries.Inc()
@@ -180,7 +178,10 @@ func (s *Server) Query(ctx context.Context, src string) (res *query.Result, err 
 	if s.limits.MaxFactsScanned > 0 {
 		ctx = qos.WithFactBudget(ctx, s.limits.MaxFactsScanned)
 	}
-	ctx = s.withParallelism(ctx)
+	if s.limits.Parallelism > 1 && exec.DegreeFrom(ctx) == 0 {
+		// A degree the caller already carries (?parallelism=) wins.
+		ctx = exec.WithParallelism(ctx, s.limits.Parallelism)
+	}
 	// Admission happens after the timeout is installed so the queue sees
 	// the request's real deadline, and before any tracking — a shed never
 	// counts as an executing query.
@@ -213,20 +214,16 @@ func (s *Server) Query(ctx context.Context, src string) (res *query.Result, err 
 	if ferr := faultinject.Check(faultinject.QueryExec); ferr != nil {
 		return nil, fmt.Errorf("serve: query: %w", ferr)
 	}
-	if s.limits.Planner {
-		// The server itself is the engine resolver, so the planner reads
-		// the same warmed, version-checked snapshots the aggregate
-		// endpoints use; an unresolvable engine falls back to the algebra
-		// inside the planner. With batching on, the query pauses between
-		// planning and shape execution so concurrent similar queries can
-		// share one fused scan (batch.go).
-		if s.batcher != nil {
-			res, err = s.batchedQuery(ctx, src)
-		} else {
-			res, err = plan.ExecContext(ctx, src, s.cat.Snapshot(), s.ref, s)
-		}
-	} else {
+	if !s.limits.Planner {
 		res, err = query.ExecContext(ctx, src, s.cat.Snapshot(), s.ref)
+	} else {
+		// The server itself is the engine resolver, so the planner reads the
+		// warmed, version-checked snapshots EngineFor hands out; an
+		// unresolvable engine falls back to the algebra inside the planner.
+		var p *plan.Prepared
+		if p, err = plan.PrepareContext(ctx, src, s.cat.Snapshot(), s.ref, s); err == nil {
+			res, err = s.execute(ctx, p)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -239,112 +236,19 @@ func (s *Server) Query(ctx context.Context, src string) (res *query.Result, err 
 	return res, nil
 }
 
-// withParallelism installs the server's default parallelism degree into
-// the context unless the caller already carries a per-query override.
-func (s *Server) withParallelism(ctx context.Context) context.Context {
-	if s.limits.Parallelism > 1 && exec.DegreeFrom(ctx) == 0 {
-		ctx = exec.WithParallelism(ctx, s.limits.Parallelism)
-	}
-	return ctx
-}
-
-// AggRequest addresses one cached aggregate: the MO, the grouping
-// dimension and category, and the aggregate function.
-type AggRequest struct {
-	MO   string
-	Dim  string
-	Cat  string
-	Kind storage.AggKind
-	Arg  string // argument dimension for SUM
-}
-
-// AggResult is a served aggregate: value → aggregate per value of the
-// requested category, plus the degradation bookkeeping.
-type AggResult struct {
-	Rows map[string]float64
-	// Generation identifies the engine snapshot that answered; it
-	// increments on every successful rebuild.
-	Generation int64
-	// Stale reports that the answer came from a snapshot older than the
-	// registered MO because rebuilding failed; Warnings says why.
-	Stale    bool
-	Warnings []string
-}
-
-// Aggregate answers an aggregate request from the MO's bitmap engine and
-// pre-aggregate cache, building them on first use and rebuilding when
-// the registered MO changes. Rebuild failure degrades rather than
-// errors: if a previous good snapshot exists, it answers with Stale set
-// and a warning naming the failure (stale-while-revalidate); only a
-// failure with no prior snapshot is an error.
-func (s *Server) Aggregate(ctx context.Context, req AggRequest) (out *AggResult, err error) {
-	s.queries.Add(1)
-	mQueries.Inc()
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			mPanics.Inc()
-			out, err = nil, &InternalError{
-				Query: fmt.Sprintf("aggregate %s/%s.%s", req.MO, req.Dim, req.Cat),
-				Panic: r, Stack: debug.Stack(),
-			}
-		}
-	}()
-	if s.limits.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.limits.Timeout)
-		defer cancel()
-	}
-	ctx = s.withParallelism(ctx)
-	tk, aerr := s.admit(ctx)
-	if aerr != nil {
-		return nil, aerr
-	}
-	if tk != nil {
-		defer tk.Release()
-	}
-	snap, degraded, serr := s.snapshotFor(ctx, req.MO)
-	if serr != nil {
-		return nil, serr
-	}
-	rows, aerr := snap.cache.AggregateContext(ctx, req.Dim, req.Cat, req.Kind, req.Arg)
-	if aerr != nil {
-		return nil, fmt.Errorf("serve: aggregate %s/%s: %w", req.MO, req.Dim, aerr)
-	}
-	out = &AggResult{Rows: rows, Generation: snap.gen}
-	if degraded != nil {
-		s.staleServes.Add(1)
-		mCacheStale.Inc()
-		out.Stale = true
-		out.Warnings = append(out.Warnings,
-			fmt.Sprintf("serving stale aggregates (generation %d): engine rebuild failed: %v", snap.gen, degraded))
-	}
-	return out, nil
-}
-
-// engineEntry is the per-MO cache slot: the last good snapshot, the
-// in-flight build (single-flight), and the generation counter.
+// engineEntry is the per-MO engine cache slot: the last good engine —
+// current while its MO() is still the catalog entry, by pointer identity —
+// and the in-flight build (single-flight).
 type engineEntry struct {
 	mu       sync.Mutex
-	last     *snapshotState
+	last     *storage.Engine
 	inflight *buildState
-	gen      int64
-}
-
-// snapshotState is one immutable generation of the per-MO serving
-// state: the MO it was built from, the bitmap engine, and the
-// pre-aggregate cache layered over it.
-type snapshotState struct {
-	gen    int64
-	source *core.MO // identity comparison against the catalog entry
-	engine *storage.Engine
-	cache  *storage.Cache
 }
 
 type buildState struct {
-	done chan struct{}
-	snap *snapshotState
-	err  error
+	done   chan struct{}
+	engine *storage.Engine
+	err    error
 }
 
 func (s *Server) entry(name string) *engineEntry {
@@ -358,86 +262,59 @@ func (s *Server) entry(name string) *engineEntry {
 	return e
 }
 
-// snapshotFor returns a serving snapshot for the named MO. It rebuilds
+// EngineFor returns the serving engine for the named MO. It rebuilds
 // (single-flight: concurrent callers share one build) when the catalog's
-// MO pointer differs from the snapshot's source. On rebuild failure with
-// a prior good snapshot it returns that snapshot plus the failure as
-// degraded; cancellation is never degraded — it propagates.
-func (s *Server) snapshotFor(ctx context.Context, name string) (*snapshotState, error, error) {
+// MO pointer differs from the cached engine's, and never hands out an
+// engine built from anything but the registered MO: a failed build is an
+// error (the planner then answers from the algebra, counted as an
+// engine-unavailable fallback), and the caller's own cancellation
+// propagates as ErrCanceled. This is also the sanctioned append flow:
+// mutate the registered MO (e.g. core.MO.Relate), then call AppendFact on
+// this engine — the epoch bump invalidates every cached result computed
+// before the append.
+func (s *Server) EngineFor(ctx context.Context, name string) (*storage.Engine, error) {
 	m, ok := s.cat.Get(name)
 	if !ok {
-		return nil, nil, fmt.Errorf("serve: unknown MO %q (catalog has %v)", name, s.cat.Names())
+		return nil, fmt.Errorf("serve: unknown MO %q (catalog has %v)", name, s.cat.Names())
 	}
 	e := s.entry(name)
 	e.mu.Lock()
-	if e.last != nil && e.last.source == m {
-		snap := e.last
+	if eng := e.last; eng != nil && eng.MO() == m {
 		e.mu.Unlock()
 		mCacheHit.Inc()
-		return snap, nil, nil
+		return eng, nil
 	}
-	if b := e.inflight; b != nil {
+	b := e.inflight
+	if b != nil {
 		e.mu.Unlock()
 		select {
 		case <-b.done:
 		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("serve: %w", qos.Canceled(ctx))
+			return nil, fmt.Errorf("serve: %w", qos.Canceled(ctx))
 		}
-		return s.buildOutcome(e, b)
-	}
-	b := &buildState{done: make(chan struct{})}
-	e.inflight = b
-	e.mu.Unlock()
-
-	s.rebuilds.Add(1)
-	mCacheRebuild.Inc()
-	eng, err := storage.BuildEngine(ctx, m, dimension.CurrentContext(s.ref))
-	if err == nil && s.limits.ColumnMinValues > 0 {
-		// Warm the characterization columns as part of the build, so the
-		// snapshot is born with its kernel choice already materialized.
-		err = eng.WarmColumns(ctx, s.limits.ColumnMinValues)
-	}
-
-	e.mu.Lock()
-	if err == nil {
-		e.gen++
-		b.snap = &snapshotState{gen: e.gen, source: m, engine: eng, cache: storage.NewCache(eng)}
-		e.last = b.snap
 	} else {
-		b.err = err
-	}
-	e.inflight = nil
-	e.mu.Unlock()
-	close(b.done)
-	return s.buildOutcome(e, b)
-}
+		b = &buildState{done: make(chan struct{})}
+		e.inflight = b
+		e.mu.Unlock()
 
-// buildOutcome classifies a finished build for one caller: success,
-// degraded (failure with a stale snapshot to fall back to), or error.
-func (s *Server) buildOutcome(e *engineEntry, b *buildState) (*snapshotState, error, error) {
-	if b.err == nil {
-		return b.snap, nil, nil
+		s.rebuilds.Add(1)
+		mCacheRebuild.Inc()
+		b.engine, b.err = storage.BuildEngine(ctx, m, dimension.CurrentContext(s.ref))
+		if b.err == nil && s.limits.ColumnMinValues > 0 {
+			// Warm the characterization columns as part of the build, so the
+			// snapshot is born with its kernel choice already materialized.
+			b.err = b.engine.WarmColumns(ctx, s.limits.ColumnMinValues)
+		}
+		e.mu.Lock()
+		if b.err == nil {
+			e.last = b.engine
+		}
+		e.inflight = nil
+		e.mu.Unlock()
+		close(b.done)
 	}
-	// Cancellation is the caller's own doing, not an engine failure;
-	// serving stale data for it would mask deadline bugs.
-	if errors.Is(b.err, qos.ErrCanceled) || errors.Is(b.err, context.Canceled) || errors.Is(b.err, context.DeadlineExceeded) {
-		return nil, nil, fmt.Errorf("serve: engine build: %w", b.err)
+	if b.err != nil {
+		return nil, fmt.Errorf("serve: engine build: %w", b.err)
 	}
-	e.mu.Lock()
-	stale := e.last
-	e.mu.Unlock()
-	if stale != nil {
-		return stale, b.err, nil
-	}
-	return nil, nil, fmt.Errorf("serve: engine build: %w", b.err)
-}
-
-// Invalidate drops the cached engine snapshot for name, forcing a
-// rebuild on next use. It is for operators; normal operation rebuilds
-// automatically when the catalog entry is replaced.
-func (s *Server) Invalidate(name string) {
-	e := s.entry(name)
-	e.mu.Lock()
-	e.last = nil
-	e.mu.Unlock()
+	return b.engine, nil
 }

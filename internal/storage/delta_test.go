@@ -247,134 +247,52 @@ func TestMultiValuedRangeIdentity(t *testing.T) {
 	}
 }
 
-// TestPreaggDeltaRefresh drives the pre-aggregate cache through the
-// append schedule the delta gate exists for: a materialization is
-// upgraded in place when the appended range keeps the category strict,
-// its refreshed rows are bit-identical to a from-scratch recompute, and
-// the upgrade/fallback accounting states which happened. CatLowLevel is
-// the category where strictness is deterministic — each appended fact
-// is related to exactly one low-level diagnosis (at CatGroup a single
-// low-level value can roll up to several groups, making the delta
-// legitimately multi-valued).
-func TestPreaggDeltaRefresh(t *testing.T) {
-	e, grow := growEngine(t, 40)
-	c := NewCache(e)
-	ctx := context.Background()
-
-	for _, mt := range []struct {
-		kind AggKind
-		arg  string
-	}{{KindCount, ""}, {KindSum, casestudy.DimAge}} {
-		if _, err := c.MaterializeContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel, mt.kind, mt.arg); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for round := 0; round < 3; round++ {
-		grow(5)
-		for _, mt := range []struct {
-			kind AggKind
-			arg  string
-		}{{KindCount, ""}, {KindSum, casestudy.DimAge}} {
-			rows, err := c.AggregateContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel, mt.kind, mt.arg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := NewCache(e).AggregateContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel, mt.kind, mt.arg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(rows, fresh) {
-				t.Fatalf("round %d %s: upgraded rows != fresh recompute\n%v\n%v", round, mt.kind, rows, fresh)
-			}
-		}
-	}
-	c.mu.Lock()
-	ups, fbs := c.Upgrades, c.Fallbacks
-	c.mu.Unlock()
-	// 3 rounds × 2 materializations, all strict deltas: every refresh is
-	// an upgrade, none a fallback.
-	if ups != 6 || fbs != 0 {
-		t.Fatalf("upgrades=%d fallbacks=%d, want 6/0", ups, fbs)
-	}
-}
-
-// TestPreaggDeltaNonStrictFallback: a delta that attaches one fact to
-// two values of the materialized category flips the partitioning
-// premise; the gate must refuse the merge and invalidate, and the next
-// lookup recomputes the correct rows from base data.
-func TestPreaggDeltaNonStrictFallback(t *testing.T) {
-	cfg := casestudy.DefaultGen()
-	cfg.Patients = 30
-	m := casestudy.MustGenerate(cfg)
-	e := NewEngine(m, dimension.CurrentContext(ref))
-	c := NewCache(e)
-	ctx := context.Background()
-
-	if _, err := c.MaterializeContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel, KindCount, ""); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fact under two low-level diagnoses: multi-valued at CatLowLevel.
-	lows := m.Dimension(casestudy.DimDiagnosis).Category(casestudy.CatLowLevel)
-	if err := m.Relate(casestudy.DimDiagnosis, "twofold", lows[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Relate(casestudy.DimDiagnosis, "twofold", lows[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendFact("twofold"); err != nil {
-		t.Fatal(err)
-	}
-
-	rows, err := c.AggregateContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel, KindCount, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewCache(e).AggregateContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel, KindCount, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, fresh) {
-		t.Fatalf("post-fallback rows != fresh recompute\n%v\n%v", rows, fresh)
-	}
-	c.mu.Lock()
-	ups, fbs := c.Upgrades, c.Fallbacks
-	c.mu.Unlock()
-	if ups != 0 || fbs != 1 {
-		t.Fatalf("upgrades=%d fallbacks=%d, want 0/1 (non-strict delta must invalidate)", ups, fbs)
-	}
-}
-
-// TestPreaggFreshAfterAppend is the regression pin for the staleness
-// hole delta maintenance closed: before the refresh hook, a cache built
-// before an append would serve the old rows forever. Lookup (the
-// non-refreshing read) still returning the pre-append rows proves the
-// refresh is what moves the data, not a silent recompute.
+// TestPreaggFreshAfterAppend pins invalidation on append: a cache built
+// before an append must not serve the old rows. After the append,
+// RollupFrom answers exactly what a cache built fresh answers, and a
+// materialization the rollup did not rebuild is gone — Lookup, the
+// non-refreshing read, misses: an epoch move drops, it does not merge.
 func TestPreaggFreshAfterAppend(t *testing.T) {
 	e, grow := growEngine(t, 25)
 	c := NewCache(e)
-	ctx := context.Background()
+	dim, from, to := casestudy.DimDiagnosis, casestudy.CatLowLevel, casestudy.CatGroup
 
-	before, err := c.AggregateContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel, KindCount, "")
+	before, err := c.Materialize(dim, from, KindCount, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var totalBefore float64
-	for _, v := range before {
+	for _, v := range before.Rows {
 		totalBefore += v
+	}
+	if _, err := c.Materialize(dim, from, KindSum, casestudy.DimAge); err != nil {
+		t.Fatal(err)
 	}
 
 	grow(7)
-	after, err := c.AggregateContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel, KindCount, "")
+	got, err := c.RollupFrom(dim, from, to, KindCount, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := NewCache(e).RollupFrom(dim, from, to, KindCount, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rollup after append != a cache built fresh\n%v\n%v", got, want)
+	}
+	after, ok := c.Lookup(dim, from, KindCount, "")
+	if !ok {
+		t.Fatal("rollup did not re-materialize its source")
+	}
 	var totalAfter float64
-	for _, v := range after {
+	for _, v := range after.Rows {
 		totalAfter += v
 	}
 	if totalAfter != totalBefore+7 {
-		t.Fatalf("refreshed total = %v, want %v (stale pre-aggregate served?)", totalAfter, totalBefore+7)
+		t.Fatalf("re-materialized total = %v, want %v (stale pre-aggregate served?)", totalAfter, totalBefore+7)
+	}
+	if _, ok := c.Lookup(dim, from, KindSum, casestudy.DimAge); ok {
+		t.Fatal("a pre-append materialization survived the epoch move")
 	}
 }

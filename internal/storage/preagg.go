@@ -7,13 +7,12 @@ import (
 	"strings"
 	"sync"
 
-	"mddm/internal/faultinject"
 	"mddm/internal/obs"
 )
 
 // Pre-aggregate reuse outcomes, the process-wide view of the per-cache
-// Hits/Misses fields: "hit" is a cache answer or a guard-approved rollup,
-// "miss" is a materialize-on-demand, and "fallback" is the
+// Hits/Misses fields: "hit" is a guard-approved rollup, "miss" is a
+// rollup that had to materialize its source first, and "fallback" is the
 // summarizability guard rejecting reuse and forcing a base-cube recompute
 // — the paper's §3.4 safety rule firing in production.
 var (
@@ -23,26 +22,6 @@ var (
 		"Pre-aggregate reuse decisions by outcome.", obs.Label{Key: "outcome", Value: "miss"})
 	mPreaggFallbacks = obs.NewCounter("mddm_storage_preagg_total",
 		"Pre-aggregate reuse decisions by outcome.", obs.Label{Key: "outcome", Value: "fallback"})
-)
-
-// Delta-maintenance outcomes for the pre-aggregate layer (the result
-// cache registers the same family with layer="result-cache" in
-// internal/serve): an upgrade keeps a materialization warm by folding
-// only the appended facts; a fallback is the gate refusing the merge
-// and reverting to invalidation, labeled by why.
-var (
-	mDeltaPreaggUpgrades = obs.NewCounter("mddm_delta_upgrades_total",
-		"Cached aggregates upgraded in place by a delta merge instead of invalidated.",
-		obs.Label{Key: "layer", Value: "preagg"})
-	mDeltaPreaggFolds = obs.NewCounter("mddm_delta_folds_total",
-		"Delta folds run over appended fact ranges.",
-		obs.Label{Key: "layer", Value: "preagg"})
-	mDeltaPreaggFallbackNonStrict = obs.NewCounter("mddm_delta_fallbacks_total",
-		"Delta upgrades abandoned for invalidation, by reason.",
-		obs.Label{Key: "layer", Value: "preagg"}, obs.Label{Key: "reason", Value: "non-strict"})
-	mDeltaPreaggFallbackWindow = obs.NewCounter("mddm_delta_fallbacks_total",
-		"Delta upgrades abandoned for invalidation, by reason.",
-		obs.Label{Key: "layer", Value: "preagg"}, obs.Label{Key: "reason", Value: "window-unknown"})
 )
 
 // This file implements the summarizability-guarded pre-aggregate cache:
@@ -77,18 +56,15 @@ type Materialization struct {
 // (lock order: Cache.mu, then the engine's — never the reverse).
 type Cache struct {
 	engine *Engine
-	mu     sync.Mutex // guards mats, guards, epoch, Hits, Misses, Upgrades, Fallbacks
+	mu     sync.Mutex // guards mats, guards, epoch, Hits, Misses
 	mats   map[string]*Materialization
 	guards map[string]error // memoized ReuseGuard verdicts
 	// epoch is the engine epoch every cached materialization (and guard
-	// verdict) reflects; refresh folds the appended delta when it lags.
+	// verdict) reflects; refresh drops them all when it lags.
 	epoch uint64
-	// Hits and Misses count reuse outcomes; Upgrades and Fallbacks count
-	// delta-refresh outcomes (materializations kept warm by a delta merge
-	// vs dropped back to invalidation). For observability and tests —
+	// Hits and Misses count reuse outcomes. For observability and tests —
 	// read them only after concurrent work has quiesced.
-	Hits, Misses        int
-	Upgrades, Fallbacks int
+	Hits, Misses int
 }
 
 // NewCache creates an empty pre-aggregate cache over an engine.
@@ -107,9 +83,7 @@ func (c *Cache) Materialize(dim, cat string, kind AggKind, arg string) (*Materia
 
 // MaterializeContext is Materialize with cooperative cancellation.
 func (c *Cache) MaterializeContext(ctx context.Context, dim, cat string, kind AggKind, arg string) (*Materialization, error) {
-	if err := c.refresh(ctx); err != nil {
-		return nil, err
-	}
+	c.refresh()
 	e0, _ := c.engine.EpochFacts()
 	rows, err := c.computeBaseContext(ctx, dim, cat, kind, arg)
 	if err != nil {
@@ -118,9 +92,8 @@ func (c *Cache) MaterializeContext(ctx context.Context, dim, cat string, kind Ag
 	m := &Materialization{Dim: dim, Cat: cat, Kind: kind, Arg: arg, Rows: rows}
 	c.mu.Lock()
 	// Store only when no append raced the compute (the rows would cover
-	// facts beyond the cache's epoch, and a later delta fold would count
-	// them twice). The caller still gets the answer; the cache just skips
-	// an entry it could not tag coherently.
+	// facts beyond the cache's epoch). The caller still gets the answer;
+	// the cache just skips an entry it could not tag coherently.
 	if post, _ := c.engine.EpochFacts(); post == e0 && c.epoch == e0 {
 		c.mats[key(dim, cat, kind, arg)] = m
 	}
@@ -129,7 +102,7 @@ func (c *Cache) MaterializeContext(ctx context.Context, dim, cat string, kind Ag
 }
 
 // Lookup returns the cached materialization, if any. It does not
-// refresh: callers outside the AggregateContext/RollupFromContext entry
+// refresh: callers outside the MaterializeContext/RollupFromContext entry
 // points see the rows as of the cache's last refresh epoch.
 func (c *Cache) Lookup(dim, cat string, kind AggKind, arg string) (*Materialization, bool) {
 	c.mu.Lock()
@@ -138,114 +111,19 @@ func (c *Cache) Lookup(dim, cat string, kind AggKind, arg string) (*Materializat
 	return m, ok
 }
 
-// refresh brings every materialization and memoized guard verdict up to
-// the engine's current epoch. For each materialization the delta gate
-// runs ReuseGuard's partitioning check on just the appended range: when
-// the delta keeps the category strict (no new many-to-many attachment),
-// the per-value delta fold is merged into the rows in place — an
-// upgrade; otherwise the materialization is invalidated, exactly the
-// pre-delta behaviour. Guard verdicts are always dropped on an epoch
-// move: an appended fact can flip the fact-level disjointness and
-// coverage checks, so a memoized verdict must be re-proven against the
-// new fact population.
-func (c *Cache) refresh(ctx context.Context) error {
-	if c.engine.Epoch() == c.loadEpoch() {
-		return nil
-	}
+// refresh invalidates on an epoch move: when the engine has taken appends
+// since the cache's epoch, every materialization and every memoized guard
+// verdict is dropped — an appended fact changes the rows and can flip the
+// fact-level disjointness and coverage checks, so both must be re-derived
+// from the new fact population.
+func (c *Cache) refresh() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.engine.Epoch() == c.epoch {
-		return nil // raced with another refresher
+	if cur := c.engine.Epoch(); cur != c.epoch {
+		c.mats = map[string]*Materialization{}
+		c.guards = map[string]error{}
+		c.epoch = cur
 	}
-	// Whatever happens below, the memoized verdicts are stale.
-	c.guards = map[string]error{}
-	lo, hi, cur, ok := c.engine.DeltaRange(c.epoch)
-	if !ok {
-		// The cache's epoch is not in the engine's journal (it predates the
-		// journal window, or the engine was swapped): no sound delta exists.
-		// Today's invalidation — drop everything.
-		if n := len(c.mats); n > 0 {
-			c.Fallbacks += n
-			mDeltaPreaggFallbackWindow.Add(int64(n))
-			c.mats = map[string]*Materialization{}
-		}
-		c.epoch = c.engine.Epoch()
-		return nil
-	}
-	for k, m := range c.mats {
-		if c.engine.MultiValuedRange(m.Dim, m.Cat, nil, lo, hi) {
-			// The delta attached a fact to two values of the category: the
-			// strict/partitioning premise behind reusing this materialization
-			// (ReuseGuard's Σ|B_v| = |∪B_v| check) no longer holds, so the
-			// gate refuses the merge and falls back to invalidation.
-			delete(c.mats, k)
-			c.Fallbacks++
-			mDeltaPreaggFallbackNonStrict.Inc()
-			continue
-		}
-		values, counts, args, err := c.engine.AggregateByRange(ctx, m.Dim, m.Cat, m.Arg, nil, lo, hi)
-		if err != nil {
-			// Cancellation mid-refresh: leave the epoch unmoved so the next
-			// entry retries; already-merged materializations were tagged by
-			// the same fold and stay coherent once the epoch does move.
-			return err
-		}
-		mDeltaPreaggFolds.Inc()
-		for j, v := range values {
-			switch m.Kind {
-			case KindSum:
-				// Continue the fold value by value in ascending fact order —
-				// the exact association a from-scratch sequential recompute
-				// would use, so the merged float is bit-identical to it.
-				acc := m.Rows[v]
-				for _, x := range args[j] {
-					acc += x
-				}
-				m.Rows[v] = acc
-			default:
-				m.Rows[v] += float64(counts[j])
-			}
-		}
-		c.Upgrades++
-		mDeltaPreaggUpgrades.Inc()
-	}
-	c.epoch = cur
-	return nil
-}
-
-func (c *Cache) loadEpoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
-// AggregateContext answers (dim, cat, kind, arg) from the cache,
-// materializing on a miss — the serving layer's entry point. The
-// faultinject.PreAggLookup point fires before the lookup, so robustness
-// tests can fail or panic this path deterministically.
-func (c *Cache) AggregateContext(ctx context.Context, dim, cat string, kind AggKind, arg string) (map[string]float64, error) {
-	if err := faultinject.Check(faultinject.PreAggLookup); err != nil {
-		return nil, fmt.Errorf("storage: pre-agg lookup: %w", err)
-	}
-	if err := c.refresh(ctx); err != nil {
-		return nil, err
-	}
-	if m, ok := c.Lookup(dim, cat, kind, arg); ok {
-		c.mu.Lock()
-		c.Hits++
-		c.mu.Unlock()
-		mPreaggHits.Inc()
-		return m.Rows, nil
-	}
-	c.mu.Lock()
-	c.Misses++
-	c.mu.Unlock()
-	mPreaggMisses.Inc()
-	m, err := c.MaterializeContext(ctx, dim, cat, kind, arg)
-	if err != nil {
-		return nil, err
-	}
-	return m.Rows, nil
 }
 
 // ReuseGuard checks whether a materialization at fromCat may be combined
@@ -338,11 +216,10 @@ func (c *Cache) RollupFrom(dim, fromCat, toCat string, kind AggKind, arg string)
 
 // RollupFromContext is RollupFrom with cooperative cancellation.
 func (c *Cache) RollupFromContext(ctx context.Context, dim, fromCat, toCat string, kind AggKind, arg string) (map[string]float64, error) {
-	if err := c.refresh(ctx); err != nil {
-		return nil, err
-	}
+	c.refresh()
 	m, ok := c.Lookup(dim, fromCat, kind, arg)
 	if !ok {
+		mPreaggMisses.Inc()
 		var err error
 		m, err = c.MaterializeContext(ctx, dim, fromCat, kind, arg)
 		if err != nil {

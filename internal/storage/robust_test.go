@@ -138,17 +138,17 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 	}
 }
 
-// TestAggregateContextBudget checks the storage-level scan budget: a
+// TestMaterializeContextBudget checks the storage-level scan budget: a
 // fact budget smaller than the dataset stops the base computation with
 // the typed error.
-func TestAggregateContextBudget(t *testing.T) {
+func TestMaterializeContextBudget(t *testing.T) {
 	cfg := casestudy.DefaultGen()
 	cfg.Patients = 200
 	m := casestudy.MustGenerate(cfg)
 	e := NewEngine(m, dimension.CurrentContext(ref))
 	cache := NewCache(e)
 	ctx := qos.WithFactBudget(context.Background(), 10)
-	_, err := cache.AggregateContext(ctx, casestudy.DimDiagnosis, casestudy.CatGroup, KindCount, "")
+	_, err := cache.MaterializeContext(ctx, casestudy.DimDiagnosis, casestudy.CatGroup, KindCount, "")
 	if !errors.Is(err, qos.ErrResourceExhausted) {
 		t.Fatalf("want ErrResourceExhausted, got %v", err)
 	}

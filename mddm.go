@@ -292,8 +292,9 @@ var (
 // ServeCatalog is a concurrency-safe copy-on-write MO registry.
 type ServeCatalog = serve.Catalog
 
-// ServeServer executes queries and pre-aggregate requests under resource
-// limits with panic isolation and stale-while-revalidate engine caching.
+// ServeServer executes queries through one pipeline (ServeQuery in front
+// of Query) under resource limits, with panic isolation and a
+// single-flight engine cache.
 type ServeServer = serve.Server
 
 // ServeLimits bounds a query's deadline, result size, and fact scans.
