@@ -84,7 +84,7 @@ func b19(nFacts int) {
 		if fn.NeedsArg {
 			arg = "(Age)"
 		}
-		batchable := !fn.NeedsProb && fn.NewState != nil
+		batchable := !fn.NeedsProb // every planned aggregate joins a scan; MEDIAN as a list member
 		for _, src := range []string{
 			fmt.Sprintf(`SELECT %s%s FROM patients GROUP BY Diagnosis."Diagnosis Group"`, name, arg),
 			fmt.Sprintf(`SELECT %s%s FROM patients WHERE Age >= 30 GROUP BY Residence."Region"`, name, arg),

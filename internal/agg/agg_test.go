@@ -1,6 +1,8 @@
 package agg
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -220,5 +222,92 @@ func TestCheckLegal(t *testing.T) {
 	}
 	if err := CheckLegal(m, MustLookup("SUM"), []string{"Nope"}); err == nil {
 		t.Error("unknown dimension must be illegal")
+	}
+}
+
+// TestFoldMatchesEval pins the one partial aggregate to the functions'
+// own definition: for every function with a Fold, the Acc that Added a
+// list finalizes to exactly — bit for bit, ok included — what Eval
+// computes over the list, on empty input, NaN, ±Inf and −0 too. A copy of
+// the Acc taken mid-list and continued with the rest is the fold of the
+// whole list, and the Acc it was copied from still is the fold of the
+// prefix: that is all delta maintenance does to a cached partial.
+func TestFoldMatchesEval(t *testing.T) {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e308, -1e308, 1.0 / 3}
+	r := rand.New(rand.NewSource(15))
+	lists := [][]float64{nil, {math.Copysign(0, -1)}, {math.NaN()}, {math.Inf(1), math.Inf(-1)}, {1, math.NaN(), 0}}
+	for i := 0; i < 300; i++ {
+		xs := make([]float64, r.Intn(12))
+		for k := range xs {
+			if r.Intn(4) == 0 {
+				xs[k] = special[r.Intn(len(special))]
+			} else {
+				xs[k] = (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(18)-6))
+			}
+		}
+		lists = append(lists, xs)
+	}
+	// Bitwise, so −0 is not 0 — except that any NaN is any NaN: which
+	// payload an addition propagates is the compiler's operand order, and
+	// every NaN renders as "NaN".
+	same := func(a float64, aok bool, b float64, bok bool) bool {
+		return aok == bok && (math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b))
+	}
+	folded := 0
+	for _, name := range Names() {
+		g := MustLookup(name)
+		if g.Fold == nil {
+			if g.NeedsArg && g.Distributive {
+				t.Errorf("%s is distributive and argument-consuming but has no Fold", name)
+			}
+			continue
+		}
+		folded++
+		for _, xs := range lists {
+			cut := r.Intn(len(xs) + 1)
+			var prefix Acc
+			for _, x := range xs[:cut] {
+				prefix.Add(x)
+			}
+			whole := prefix
+			for _, x := range xs[cut:] {
+				whole.Add(x)
+			}
+			got, gok := g.Fold(whole)
+			want, wok := g.Eval(xs)
+			if !same(got, gok, want, wok) {
+				t.Fatalf("%s over %v: Fold = (%v, %v), Eval = (%v, %v)", name, xs, got, gok, want, wok)
+			}
+			got, gok = g.Fold(prefix)
+			want, wok = g.Eval(xs[:cut])
+			if !same(got, gok, want, wok) {
+				t.Fatalf("%s: continuing a copy changed the prefix fold of %v: (%v, %v), Eval = (%v, %v)", name, xs[:cut], got, gok, want, wok)
+			}
+		}
+	}
+	if folded != 5 {
+		t.Errorf("%d functions have a Fold, want SUM, COUNT, AVG, MIN and MAX", folded)
+	}
+	if MustLookup("MEDIAN").Fold != nil {
+		t.Error("MEDIAN must be holistic (no constant-size partial)")
+	}
+}
+
+func TestMedianEval(t *testing.T) {
+	med := MustLookup("MEDIAN")
+	if v, ok := med.Eval([]float64{5, 1, 3}); !ok || v != 3 {
+		t.Errorf("median(5,1,3) = %v,%v", v, ok)
+	}
+	if v, ok := med.Eval([]float64{4, 1, 3, 2}); !ok || v != 2.5 {
+		t.Errorf("median(4,1,3,2) = %v,%v", v, ok)
+	}
+	if _, ok := med.Eval(nil); ok {
+		t.Error("median of empty input must not be ok")
+	}
+	// Eval must not mutate its input.
+	in := []float64{9, 1, 5}
+	med.Eval(in)
+	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
+		t.Errorf("Eval mutated its input: %v", in)
 	}
 }

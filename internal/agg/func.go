@@ -48,11 +48,13 @@ type Func struct {
 	NeedsProb bool
 	// ProbEval folds the membership probabilities; used when NeedsProb.
 	ProbEval func(probs []float64) (res float64, ok bool)
-	// NewState builds a constant-size mergeable partial-aggregate state
-	// for partition-parallel execution (see state.go). Nil marks the
-	// function holistic: partials cannot merge in constant space and
-	// State() falls back to collecting values and recomputing.
-	NewState func() State
+	// Fold finalizes the function from the constant-size partial of its
+	// argument values: Fold(acc) is bit for bit Eval(vals) for the Acc that
+	// Added vals in order. Nil on an argument-consuming function means it
+	// has no such partial (MEDIAN: an order statistic needs the values), so
+	// it is evaluated from argument lists and its results are recomputed,
+	// never continued, when facts are appended.
+	Fold func(acc Acc) (res float64, ok bool)
 }
 
 // Apply evaluates the function over a group: n is the group size (|set|),
@@ -129,7 +131,7 @@ func init() {
 	Register(&Func{
 		Name: "SUM", Distributive: true,
 		MinClass: dimension.Sum, ResultClass: dimension.Sum, NeedsArg: true,
-		NewState: func() State { return &sumState{} },
+		Fold: func(a Acc) (float64, bool) { return a.Sum, a.N > 0 },
 		Eval: func(vals []float64) (float64, bool) {
 			if len(vals) == 0 {
 				return 0, false
@@ -144,7 +146,7 @@ func init() {
 	Register(&Func{
 		Name: "COUNT", Distributive: true,
 		MinClass: dimension.Constant, ResultClass: dimension.Sum, NeedsArg: true,
-		NewState: func() State { return &countState{} },
+		Fold: func(a Acc) (float64, bool) { return float64(a.N), true },
 		Eval: func(vals []float64) (float64, bool) {
 			return float64(len(vals)), true
 		},
@@ -152,7 +154,12 @@ func init() {
 	Register(&Func{
 		Name: "AVG", Distributive: false,
 		MinClass: dimension.Average, ResultClass: dimension.Average, NeedsArg: true,
-		NewState: func() State { return &avgState{} },
+		Fold: func(a Acc) (float64, bool) {
+			if a.N == 0 {
+				return 0, false
+			}
+			return a.Sum / float64(a.N), true
+		},
 		Eval: func(vals []float64) (float64, bool) {
 			if len(vals) == 0 {
 				return 0, false
@@ -167,7 +174,7 @@ func init() {
 	Register(&Func{
 		Name: "MIN", Distributive: true,
 		MinClass: dimension.Average, ResultClass: dimension.Average, NeedsArg: true,
-		NewState: func() State { return &extremeState{less: func(a, b float64) bool { return a < b }} },
+		Fold: func(a Acc) (float64, bool) { return a.Min, a.Seen },
 		Eval: func(vals []float64) (float64, bool) {
 			if len(vals) == 0 {
 				return 0, false
@@ -184,7 +191,7 @@ func init() {
 	Register(&Func{
 		Name: "MAX", Distributive: true,
 		MinClass: dimension.Average, ResultClass: dimension.Average, NeedsArg: true,
-		NewState: func() State { return &extremeState{less: func(a, b float64) bool { return a > b }} },
+		Fold: func(a Acc) (float64, bool) { return a.Max, a.Seen },
 		Eval: func(vals []float64) (float64, bool) {
 			if len(vals) == 0 {
 				return 0, false
@@ -198,13 +205,32 @@ func init() {
 			return m, true
 		},
 	})
+	// MEDIAN is the registry's holistic exemplar: an order statistic has no
+	// constant-size partial (Fold stays nil), so it is evaluated from the
+	// group's argument values — and, being non-distributive, it also fails
+	// the summarizability check, so its results get aggregation type c.
+	Register(&Func{
+		Name: "MEDIAN", Distributive: false,
+		MinClass: dimension.Average, ResultClass: dimension.Average, NeedsArg: true,
+		Eval: func(vals []float64) (float64, bool) {
+			if len(vals) == 0 {
+				return 0, false
+			}
+			s := append([]float64(nil), vals...)
+			sort.Float64s(s)
+			mid := len(s) / 2
+			if len(s)%2 == 1 {
+				return s[mid], true
+			}
+			return (s[mid-1] + s[mid]) / 2, true
+		},
+	})
 	// SETCOUNT is the set-count of Example 12: the number of members of a
 	// group. It needs no argument dimension and is distributive over
 	// disjoint groups.
 	Register(&Func{
 		Name: "SETCOUNT", Distributive: true,
 		MinClass: dimension.Constant, ResultClass: dimension.Sum, NeedsArg: false,
-		NewState: func() State { return &countState{} },
 	})
 }
 
@@ -225,7 +251,6 @@ func init() {
 		Name: "EXPECTED", Distributive: true,
 		MinClass: dimension.Constant, ResultClass: dimension.Sum,
 		NeedsProb: true,
-		NewState:  func() State { return &sumState{okEmpty: true} },
 		ProbEval: func(probs []float64) (float64, bool) {
 			var s float64
 			for _, p := range probs {
@@ -238,7 +263,6 @@ func init() {
 		Name: "MINCOUNT", Distributive: true,
 		MinClass: dimension.Constant, ResultClass: dimension.Sum,
 		NeedsProb: true,
-		NewState:  func() State { return &countState{pred: func(p float64) bool { return p >= 1 }} },
 		ProbEval: func(probs []float64) (float64, bool) {
 			n := 0
 			for _, p := range probs {
@@ -253,7 +277,6 @@ func init() {
 		Name: "MAXCOUNT", Distributive: true,
 		MinClass: dimension.Constant, ResultClass: dimension.Sum,
 		NeedsProb: true,
-		NewState:  func() State { return &countState{pred: func(p float64) bool { return p > 0 }} },
 		ProbEval: func(probs []float64) (float64, bool) {
 			n := 0
 			for _, p := range probs {

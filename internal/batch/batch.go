@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"mddm/internal/agg"
 	"mddm/internal/qos"
 	"mddm/internal/storage"
 )
@@ -109,9 +110,8 @@ type Request struct {
 	Cat    string
 	ArgDim string
 	Sel    *storage.Bitmap
-	// ListArgs requests per-value argument lists instead of FoldAccs
-	// (plan.Prepared.NeedsArgLists: capture consumers and aggregates
-	// outside the accumulator-foldable set).
+	// ListArgs requests per-value argument lists instead of Accs
+	// (plan.Prepared.NeedsArgLists: an aggregate without a Fold).
 	ListArgs bool
 }
 
@@ -126,7 +126,7 @@ type Result struct {
 	Values  []string
 	Counts  []int64
 	Args    [][]float64
-	Folds   []storage.FoldAcc
+	Folds   []agg.Acc
 	Err     error
 }
 

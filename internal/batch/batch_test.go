@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mddm/internal/agg"
 	"mddm/internal/casestudy"
 	"mddm/internal/dimension"
 	"mddm/internal/qos"
@@ -122,7 +123,7 @@ func TestLeaderAndMembers(t *testing.T) {
 		t.Fatalf("stats.ScansSaved = %d, want members-batches = %d", st.ScansSaved, st.Members-st.Batches)
 	}
 	// Differential: every member's slice equals its solo fold — argument
-	// lists element-for-element for list members, FoldAccs replayed over
+	// lists element-for-element for list members, Accs replayed over
 	// the solo lists (bitwise) for accumulator members.
 	for i, r := range results {
 		argDim, listArgs := memberShape(i)
@@ -150,7 +151,7 @@ func TestLeaderAndMembers(t *testing.T) {
 			case r.Args != nil:
 				gotA = append(gotA, r.Args[j])
 			case r.Folds != nil:
-				var want storage.FoldAcc
+				var want agg.Acc
 				for _, x := range wantA[wi] {
 					want.Add(x)
 				}

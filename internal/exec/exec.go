@@ -1,8 +1,8 @@
 // Package exec is the partition-parallel execution engine: it splits the
 // dense fact universe into fixed-size ranges, runs per-partition work on a
 // shared worker pool, and leaves combining the partial results to the
-// caller (mergeable partial-aggregate states live in internal/agg). The
-// paper defers "efficient implementation using special-purpose algorithms
+// caller (counts add and lists concatenate exactly; a float fold, agg.Acc,
+// is never split across partitions). The paper defers "efficient implementation using special-purpose algorithms
 // and data structures" to future work; this package is the data-parallel
 // half of that implementation — the same split/compute-partials/merge
 // shape as a data-parallel reduce tree.

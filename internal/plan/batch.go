@@ -25,7 +25,7 @@ import (
 // fused scan" labels (internal/batch registers a counter per reason).
 const (
 	// BypassFallback: the query routes to the algebra path (probabilistic,
-	// holistic, timeslice, …) — there is no kernel leg to share.
+	// timeslice, …) — there is no kernel leg to share.
 	BypassFallback = "fallback"
 	// BypassFacts: SELECT FACTS enumerates identities, not group folds.
 	BypassFacts = "facts"
@@ -97,65 +97,29 @@ func (p *Prepared) ArgDim() string { return p.argDim }
 // Selection returns the compiled WHERE bitmap (nil admits every fact).
 func (p *Prepared) Selection() *storage.Bitmap { return p.sel }
 
-// NeedsArgLists reports whether this member's slice of the fused scan
-// must materialize per-value argument lists (storage.SharedScanMember
-// ListArgs): delta-capture consumers rebuild mergeable partials from the
-// value lists themselves, and aggregates outside the accumulator-foldable
-// set finalize with their own Eval over a list. Everything else finishes
-// from the scan's constant-size FoldAccs, which cost no per-member
-// allocation.
+// NeedsArgLists reports whether this member's slice of the scan must
+// materialize per-value argument lists (storage.SharedScanMember
+// ListArgs): only an aggregate without a Fold — MEDIAN — finalizes with its
+// own Eval over the values. Everything else finishes from the scan's
+// constant-size Accs, which are also what a delta capture keeps.
 func (p *Prepared) NeedsArgLists() bool {
-	if p.argDim == "" {
-		return false
-	}
-	if captureFrom(p.cctx) != nil {
-		return true
-	}
-	return !accFoldable(p.fn)
+	return p.argDim != "" && p.fn.Fold == nil
 }
 
-// accFoldable reports whether fn finalizes bit-identically from a FoldAcc
-// folded in the solo kernels' ascending order: SUM and AVG replay the
-// exact left-to-right addition sequence, COUNT is the fold's value count,
-// MIN/MAX replay Eval's seed-then-compare ladder. Anything else (or a
-// future registration) falls back to argument lists.
-func accFoldable(fn *agg.Func) bool {
-	switch fn.Name {
-	case "SUM", "COUNT", "AVG", "MIN", "MAX":
-		return true
+// groupValue is the one evaluation of a group, for every shape and for a
+// delta-upgraded result: count facts, and their argument values as the
+// scan's Acc or — for a function without a Fold — as a list in ascending
+// fact order. No facts, no group, no row (the algebra forms no group from
+// an empty fact set); not ok — the function is undefined on the group's
+// values, as SUM is on none — no row either.
+func groupValue(fn *agg.Func, count int64, acc agg.Acc, list []float64) (float64, bool) {
+	if count == 0 {
+		return 0, false
 	}
-	return false
-}
-
-// accApply finalizes fn from a FoldAcc exactly as fn.Apply would from the
-// argument list the fold consumed: same empty-list ok semantics, same
-// float results.
-func accApply(fn *agg.Func, acc storage.FoldAcc) (float64, bool) {
-	switch fn.Name {
-	case "SUM":
-		if acc.N == 0 {
-			return 0, false
-		}
-		return acc.Sum, true
-	case "COUNT":
-		return float64(acc.N), true
-	case "AVG":
-		if acc.N == 0 {
-			return 0, false
-		}
-		return acc.Sum / float64(acc.N), true
-	case "MIN":
-		if !acc.Seen {
-			return 0, false
-		}
-		return acc.Min, true
-	case "MAX":
-		if !acc.Seen {
-			return 0, false
-		}
-		return acc.Max, true
+	if fn.NeedsArg && fn.Fold != nil {
+		return fn.Fold(acc)
 	}
-	return 0, false
+	return fn.Apply(int(count), list)
 }
 
 // FinishScan completes a batchable query from its member slot of a kernel
@@ -163,39 +127,51 @@ func accApply(fn *agg.Func, acc storage.FoldAcc) (float64, bool) {
 // dictionary in CategoryAt order and counts this member's per-value fact
 // counts (zero-count values included); an argument-carrying member
 // supplies either args (per-value argument lists, when NeedsArgLists) or
-// folds (the scan's constant-size per-value FoldAccs). It is the finish
+// folds (the scan's constant-size per-value Accs). It is the finish
 // Execute runs after its own scan of one, so a batched answer is the solo
 // answer: same rows, same error texts, same budget spend, same captured
 // delta partials.
-func (p *Prepared) FinishScan(kernel string, values []string, counts []int64, args [][]float64, folds []storage.FoldAcc) (*query.Result, error) {
-	defer p.finishSpan()
-	if ok, reason := p.Batchable(); !ok {
-		return nil, fmt.Errorf("plan: FinishShared on a non-batchable query (%s)", reason)
-	}
-	return p.finishLeg(kernel, values, counts, args, folds)
+func (p *Prepared) FinishScan(kernel string, values []string, counts []int64, args [][]float64, folds []agg.Acc) (*query.Result, error) {
+	return p.finishMember("FinishScan", kernel, values, counts, args, folds)
 }
 
 // FinishShared is FinishScan without a strategy label, for callers that
 // ran the scan through storage.SharedAggregateBy.
-func (p *Prepared) FinishShared(values []string, counts []int64, args [][]float64, folds []storage.FoldAcc) (*query.Result, error) {
-	return p.FinishScan("", values, counts, args, folds)
+func (p *Prepared) FinishShared(values []string, counts []int64, args [][]float64, folds []agg.Acc) (*query.Result, error) {
+	return p.finishMember("FinishShared", "", values, counts, args, folds)
 }
 
-// finishLeg is the one finish of the one-leg shapes, solo and batched: it
-// replays the budget — per dictionary value, Check then Facts(count) —
-// against a fresh guard on the query's own context, evaluates the
-// aggregate per non-empty group from its argument list or FoldAcc,
-// captures the delta partials, and runs the shared result tail. The shapes
-// kernel-count (no selection, no argument), kernel-sum (no selection, SUM)
-// and group-fold (everything else) are labels on this one path: they name
-// the explain shape and the operation in a budget-exhaustion error.
-func (p *Prepared) finishLeg(kernel string, values []string, counts []int64, args [][]float64, folds []storage.FoldAcc) (*query.Result, error) {
-	if p.NeedsArgLists() && args == nil {
-		return nil, fmt.Errorf("plan: FinishShared without argument lists for a list-mode member")
+// finishMember checks that the query may finish from a batch member's slot
+// and that the slot carries what NeedsArgLists asked the scan for; caller
+// names the entry point in the refusal.
+func (p *Prepared) finishMember(caller, kernel string, values []string, counts []int64, args [][]float64, folds []agg.Acc) (*query.Result, error) {
+	defer p.finishSpan()
+	if ok, reason := p.Batchable(); !ok {
+		return nil, fmt.Errorf("plan: %s on a non-batchable query (%s)", caller, reason)
 	}
-	gd := p.grouped[0]
+	if lists := p.NeedsArgLists(); lists && args == nil {
+		return nil, fmt.Errorf("plan: %s without argument lists for a list-mode member", caller)
+	} else if !lists && p.argDim != "" && folds == nil {
+		return nil, fmt.Errorf("plan: %s without argument folds for a fold-mode member", caller)
+	}
+	return p.finishLeg(kernel, values, counts, args, folds)
+}
+
+// finishLeg is the one finish of the global and one-leg shapes, solo and
+// batched: it replays the budget — per dictionary value, Check then
+// Facts(count) — against a fresh guard on the query's own context,
+// evaluates each group with groupValue, keeps the scan's (count, Acc) per
+// group as the delta partials when the context asked for a capture, and
+// runs the shared result tail. The shapes global (the ⊤ leg), kernel-count
+// (no selection, no argument), kernel-sum (no selection, SUM) and
+// group-fold (everything else) are labels on this one path: they name the
+// explain shape and the operation in a budget-exhaustion error.
+func (p *Prepared) finishLeg(kernel string, values []string, counts []int64, args [][]float64, folds []agg.Acc) (*query.Result, error) {
+	gd := p.leg()
 	shape, op := ShapeGroupFold, "aggregate"
 	switch {
+	case gd.dim == "":
+		shape = ShapeGlobal
 	case p.sel == nil && !p.fn.NeedsArg:
 		shape, op = ShapeKernelCount, "count-distinct"
 	case p.sel == nil && p.fn.Name == "SUM":
@@ -207,33 +183,23 @@ func (p *Prepared) finishLeg(kernel string, values []string, counts []int64, arg
 	if err := storage.ChargeLeg(qos.NewGuard(p.cctx), op, gd.dim, gd.cat, counts); err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
-	parts, cp := p.partials(shape)
+	parts := p.newPartials(shape, len(values))
 	rows := make([][]string, 0, len(values))
 	for j, val := range values {
-		if counts[j] == 0 {
-			continue
+		var acc agg.Acc
+		if folds != nil {
+			acc = folds[j]
 		}
-		// A list is in ascending dense-index order: fn's own Eval folds it,
-		// and the delta partials are rebuilt from the values themselves
-		// (capture forces list mode, so parts is nil beside a FoldAcc). The
-		// FoldAcc already is that left fold — the scan accumulated it in
-		// the same order.
 		var list []float64
 		if args != nil {
 			list = args[j]
 		}
-		parts.captureGroup(val, int(counts[j]), list)
-		var v float64
-		var ok bool
-		if p.argDim != "" && args == nil {
-			v, ok = accApply(p.fn, folds[j])
-		} else {
-			v, ok = p.fn.Apply(int(counts[j]), list)
+		if parts != nil && counts[j] > 0 {
+			parts.Groups[val] = Group{Count: counts[j], Acc: acc}
 		}
-		if !ok {
-			continue
+		if v, ok := groupValue(p.fn, counts[j], acc, list); ok {
+			rows = append(rows, gd.row(val, v))
 		}
-		rows = append(rows, []string{val, agg.FormatResult(v)})
 	}
-	return p.finish(rows, parts, cp)
+	return p.finish(rows, parts)
 }

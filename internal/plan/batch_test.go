@@ -251,11 +251,11 @@ func TestBatchableClassification(t *testing.T) {
 }
 
 // TestNeedsArgLists pins the scan-output mode classification: no lists
-// without an argument dimension, FoldAccs for the accumulator-foldable
-// registered aggregates, lists under delta capture (partials need the
-// values themselves). A misclassification either re-introduces the
-// full-width list allocation the accumulator path exists to avoid or
-// hands FinishShared folds where capture needs lists (which it refuses).
+// without an argument dimension, Accs for every aggregate with a Fold —
+// under delta capture too, the Acc is the partial — and lists only for
+// MEDIAN, which has none. A misclassification either re-introduces the
+// full-width list allocation the Acc path exists to avoid or hands
+// FinishShared folds where the function needs values (which it refuses).
 func TestNeedsArgLists(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
@@ -270,9 +270,11 @@ func TestNeedsArgLists(t *testing.T) {
 		{`SELECT MIN(Age) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, false, false},
 		{`SELECT MAX(Age) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, false, false},
 		{`SELECT COUNT(Age) FROM gen GROUP BY Residence."Region"`, false, false},
-		// Capture forces lists even for accumulator-foldable aggregates.
-		{`SELECT AVG(Age) FROM gen GROUP BY Residence."Region"`, true, true},
+		// Capture changes nothing: the scan's Acc is what it keeps.
+		{`SELECT AVG(Age) FROM gen GROUP BY Residence."Region"`, true, false},
 		{`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, true, false},
+		{`SELECT MEDIAN(Age) FROM gen GROUP BY Residence."Region"`, false, true},
+		{`SELECT MEDIAN(Age) FROM gen GROUP BY Residence."Region"`, true, true},
 	}
 	for _, tc := range cases {
 		ctx := context.Background()
@@ -290,28 +292,39 @@ func TestNeedsArgLists(t *testing.T) {
 	}
 }
 
-// TestFinishSharedListModeContract asserts the defensive refusal: a
-// list-mode member (capture installed) finished with folds instead of
-// argument lists is a glue bug, surfaced as an error rather than silently
-// dropped partials.
-func TestFinishSharedListModeContract(t *testing.T) {
+// TestFinishMemberSlotContract asserts the defensive refusal: a member
+// finished from a slot of the other mode — folds for MEDIAN, which needs
+// lists, or lists for AVG, which finalizes its Acc — is a glue bug,
+// surfaced as an error naming the entry point that was called rather than
+// as a wrong answer.
+func TestFinishMemberSlotContract(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
-	cctx, _ := WithCapture(context.Background())
-	src := `SELECT AVG(Age) FROM gen GROUP BY Residence."Region"`
-	p, err := PrepareContext(cctx, src, cat, testRef, engines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dim, gcat := p.GroupLeg()
-	members := []storage.SharedScanMember{{ArgDim: p.ArgDim(), Sel: p.Selection()}} // acc mode, wrongly
-	values, counts, args, folds, err := p.Engine().SharedAggregateBy(context.Background(), dim, gcat, members, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.FinishShared(values, counts[0], args[0], folds[0]); err == nil ||
-		!strings.Contains(err.Error(), "argument lists") {
-		t.Fatalf("FinishShared folds under capture = %v, want argument-lists contract error", err)
+	for _, tc := range []struct{ fn, want string }{
+		{"MEDIAN", "without argument lists"},
+		{"AVG", "without argument folds"},
+	} {
+		src := `SELECT ` + tc.fn + `(Age) FROM gen GROUP BY Residence."Region"`
+		for _, entry := range []string{"FinishShared", "FinishScan"} {
+			p, err := PrepareContext(context.Background(), src, cat, testRef, engines)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dim, gcat := p.GroupLeg()
+			members := []storage.SharedScanMember{{ArgDim: p.ArgDim(), Sel: p.Selection(), ListArgs: !p.NeedsArgLists()}} // the wrong mode
+			values, counts, args, folds, err := p.Engine().SharedAggregateBy(context.Background(), dim, gcat, members, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if entry == "FinishShared" {
+				_, err = p.FinishShared(values, counts[0], args[0], folds[0])
+			} else {
+				_, err = p.FinishScan(storage.KernelBitmap, values, counts[0], args[0], folds[0])
+			}
+			if err == nil || !strings.Contains(err.Error(), entry+" "+tc.want) {
+				t.Fatalf("%s, %s from the wrong slot = %v, want %q", tc.fn, entry, err, entry+" "+tc.want)
+			}
+		}
 	}
 }
 
@@ -324,7 +337,7 @@ func TestFinishSharedNonBatchable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.FinishShared(nil, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "non-batchable") {
+	if _, err := p.FinishShared(nil, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "FinishShared on a non-batchable") {
 		t.Fatalf("FinishShared on FACTS = %v, want non-batchable error", err)
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
-	"mddm/internal/agg"
 	"mddm/internal/casestudy"
 	"mddm/internal/core"
 	"mddm/internal/dimension"
@@ -208,57 +206,11 @@ func TestCrossBudgetExhaustionText(t *testing.T) {
 	}
 }
 
-// TestAccumulatorContract pins the contract the cross kernel and the
-// shared scan finalize under: every registered aggregate the planner keeps
-// (not probabilistic, not holistic) is argument-free or accFoldable, and
-// accApply agrees with its Eval. A new registration outside the set still
-// answers correctly — through argument lists — but must be added here
-// knowingly, since it leaves the constant-size fold path.
-func TestAccumulatorContract(t *testing.T) {
-	lists := [][]float64{nil, {7}, {3, -1.5, 8, 3}, {0.1, 0.2, 0.3}}
-	for _, name := range agg.Names() {
-		fn := agg.MustLookup(name)
-		if fn.NeedsProb || fn.NewState == nil || !fn.NeedsArg {
-			continue
-		}
-		if !accFoldable(fn) {
-			t.Errorf("%s is planned, takes an argument, and is not accFoldable", name)
-			continue
-		}
-		for _, vals := range lists {
-			var acc storage.FoldAcc
-			for _, x := range vals {
-				acc.Add(x)
-			}
-			got, gotOK := accApply(fn, acc)
-			want, wantOK := fn.Eval(vals)
-			if got != want || gotOK != wantOK {
-				t.Errorf("%s over %v: accApply = (%v, %v), Eval = (%v, %v)", name, vals, got, gotOK, want, wantOK)
-			}
-		}
-	}
-}
-
-// TestCrossUnfoldableAggregate registers an aggregate outside the
-// accumulator set and checks the cross shape still finalizes it from the
-// members' argument lists, planner ≡ algebra.
+// TestCrossUnfoldableAggregate checks the cross shape finalizes an
+// aggregate without a Fold from the members' argument lists, merged
+// set-valued groups included, planner ≡ algebra.
 func TestCrossUnfoldableAggregate(t *testing.T) {
-	const name = "TESTRANGE"
-	if _, err := agg.Lookup(name); err != nil {
-		agg.Register(&agg.Func{
-			Name: name, Distributive: false,
-			MinClass: dimension.Average, ResultClass: dimension.Average, NeedsArg: true,
-			NewState: agg.MustLookup("AVG").NewState, // non-nil: not routed as holistic
-			Eval: func(vals []float64) (float64, bool) {
-				if len(vals) == 0 {
-					return 0, false
-				}
-				s := append([]float64(nil), vals...)
-				sort.Float64s(s)
-				return s[len(s)-1] - s[0], true
-			},
-		})
-	}
+	const name = "MEDIAN"
 	cat := testCatalog(t)
 	cat["m"] = mergeCornerMO(t, 0)
 	engines := NewCatalogEngines(cat, testRef)

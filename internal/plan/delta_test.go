@@ -5,10 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
+	"mddm/internal/agg"
 	"mddm/internal/casestudy"
+	"mddm/internal/core"
+	"mddm/internal/dimension"
 	"mddm/internal/faultinject"
 	"mddm/internal/query"
 	"mddm/internal/storage"
@@ -204,8 +208,8 @@ func TestUpgradeResultGroupedStrict(t *testing.T) {
 	if next.MultiValued {
 		t.Fatal("single-valued append flipped the strictness verdict")
 	}
-	if gs := next.Groups[newLow]; gs == nil || gs.Count != 1 {
-		t.Fatalf("new group %q not merged: %+v", newLow, next.Groups[newLow])
+	if g := next.Groups[newLow]; g.Count != 1 {
+		t.Fatalf("new group %q not merged: %+v", newLow, g)
 	}
 
 	avgSrc := `SELECT AVG(Age) FROM gen GROUP BY Diagnosis."Low-level Diagnosis"`
@@ -217,8 +221,8 @@ func TestUpgradeResultGroupedStrict(t *testing.T) {
 	appendFact(-1, noAge)
 	avgRes, avgNext, _ := upgradeOnce(t, eng, avgParts, epoch)
 	requireMatchesAlgebra(t, avgSrc, cat, avgRes)
-	if gs := avgNext.Groups[noAge]; gs == nil || gs.Count != 1 {
-		t.Fatalf("age-less group %q not tracked in partials: %+v", noAge, avgNext.Groups[noAge])
+	if g := avgNext.Groups[noAge]; g.Count != 1 {
+		t.Fatalf("age-less group %q not tracked in partials: %+v", noAge, g)
 	}
 	for _, row := range avgRes.Rows {
 		if row[0] == noAge {
@@ -310,4 +314,184 @@ func TestUpgradeResultSelectionAndErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireMatchesAlgebra(t, whereSrc, cat, res2)
+}
+
+// fractionalFixture builds a sales MO whose measure is not integer-valued
+// — the fractions of storage's fractionalAges: thirds, sevenths and
+// 1e-9-scale terms over magnitudes from 1 to 1e9, so any re-association of
+// a float fold shows in its last bits — with one leg a column scan answers
+// (24 SKUs) and one the bitmap strategy answers (4 brands). Fact ids sort
+// in append order, which keeps the algebra's member order the dense order.
+// The last SKU starts without facts. The appender adds one sale of a SKU,
+// priced by the same formula (or unpriced, for a negative seed).
+func fractionalFixture(t *testing.T, sales int) (query.Catalog, *CatalogEngines, *storage.Engine, func(sku, seed int)) {
+	t.Helper()
+	const skus, brands = 24, 4
+	product := dimension.MustDimensionType("Product", dimension.Constant, dimension.KindString, "SKU", "Brand")
+	price := dimension.MustDimensionType("Price", dimension.Sum, dimension.KindFloat, "Price")
+	m := core.NewMO(core.MustSchema("Sale", product, price))
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pd := m.Dimension("Product")
+	for b := 0; b < brands; b++ {
+		must(pd.AddValue("Brand", fmt.Sprintf("brand-%d", b)))
+	}
+	for s := 0; s < skus; s++ {
+		must(pd.AddValue("SKU", fmt.Sprintf("sku-%02d", s)))
+		must(pd.AddEdge(fmt.Sprintf("sku-%02d", s), fmt.Sprintf("brand-%d", s%brands)))
+	}
+	n := 0
+	relate := func(sku, seed int) string {
+		id := fmt.Sprintf("s%06d", n)
+		n++
+		must(m.Relate("Product", id, fmt.Sprintf("sku-%02d", sku)))
+		if seed >= 0 {
+			x := float64(seed+1)/3 + float64(seed)/7 + 1e-9*float64(seed*seed) + float64(seed%5)*1e9
+			v := strconv.FormatFloat(x, 'g', -1, 64)
+			if !m.Dimension("Price").Has(v) {
+				must(m.Dimension("Price").AddValue("Price", v))
+			}
+			must(m.Relate("Price", id, v))
+		}
+		return id
+	}
+	for i := 0; i < sales; i++ {
+		relate(i%(skus-1), i)
+	}
+	cat := query.Catalog{"sales": m}
+	engines := NewCatalogEngines(cat, testRef)
+	eng, err := engines.EngineFor(context.Background(), "sales")
+	must(err)
+	return cat, engines, eng, func(sku, seed int) {
+		t.Helper()
+		must(eng.AppendFact(relate(sku, seed)))
+	}
+}
+
+// TestUpgradeResultContinuesFolds is the bit-for-bit contract of the one
+// partial on a measure whose sums round: for every function with a Fold,
+// on ⊤, a column leg and a bitmap leg, k successive appends each followed
+// by an UpgradeResult of the previous round's partials equal the algebra's
+// recompute — a group first seen in a delta and an unpriced fact included.
+// The cached partials are values: upgrading twice from the first round's
+// gives the same answer twice and leaves them as they were captured.
+func TestUpgradeResultContinuesFolds(t *testing.T) {
+	legs := []struct{ groupBy, kernel string }{
+		{``, storage.KernelBitmap}, // ⊤: one closure, every fact
+		{` GROUP BY Product."SKU"`, storage.KernelColumn},
+		{` GROUP BY Product."Brand"`, storage.KernelBitmap},
+	}
+	for _, name := range agg.Names() {
+		if agg.MustLookup(name).Fold == nil {
+			continue
+		}
+		for _, leg := range legs {
+			src := fmt.Sprintf(`SELECT %s(Price) FROM sales%s`, name, leg.groupBy)
+			t.Run(src, func(t *testing.T) {
+				cat, engines, eng, sell := fractionalFixture(t, 200)
+				cctx, cp := WithCapture(context.Background())
+				cctx, ex := WithExplain(cctx)
+				if _, err := ExecContext(cctx, src, cat, testRef, engines); err != nil {
+					t.Fatal(err)
+				}
+				if cp.Partials == nil || ex.Kernel != leg.kernel {
+					t.Fatalf("partials %v by kernel %q, want captured by %q", cp.Partials, ex.Kernel, leg.kernel)
+				}
+				first, epoch0 := cp.Partials, eng.Epoch()
+				captured := make(map[string]Group, len(first.Groups))
+				for v, g := range first.Groups {
+					captured[v] = g
+				}
+
+				parts, epoch := first, epoch0
+				for round := 0; round < 4; round++ {
+					for k := 0; k <= round; k++ {
+						sell((7*round+k)%23, 1000+31*round+k)
+					}
+					sell(23, 2000+round) // round 0: a SKU the capture never saw
+					sell(round, -1)      // unpriced: counted, no value to fold
+					var res *query.Result
+					res, parts, epoch = upgradeOnce(t, eng, parts, epoch)
+					requireMatchesAlgebra(t, src, cat, res)
+				}
+
+				once, _, _ := upgradeOnce(t, eng, first, epoch0)
+				requireMatchesAlgebra(t, src, cat, once)
+				twice, _, _ := upgradeOnce(t, eng, first, epoch0)
+				if !reflect.DeepEqual(once, twice) {
+					t.Fatalf("two upgrades of the same partials differ:\n %v\n %v", once.Rows, twice.Rows)
+				}
+				if !reflect.DeepEqual(first.Groups, captured) {
+					t.Fatalf("upgrades mutated the partials they continued:\n captured: %v\n now:      %v", captured, first.Groups)
+				}
+			})
+		}
+	}
+
+	// The fixture can see a merge: adding the fold of the appended prices to
+	// the fold of the captured ones is not the fold of all of them.
+	cat, engines, eng, sell := fractionalFixture(t, 200)
+	_, parts := capturePartials(t, `SELECT SUM(Price) FROM sales`, cat, engines)
+	epoch := eng.Epoch()
+	for k := 0; k < 8; k++ {
+		sell(k, 3000+k)
+	}
+	lo, hi, _, _ := eng.DeltaRange(epoch)
+	_, _, delta, err := eng.AggregateByRange(context.Background(), "", "", "Price", nil, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tail agg.Acc
+	for _, x := range delta[0] {
+		tail.Add(x)
+	}
+	_, next, _ := upgradeOnce(t, eng, parts, epoch)
+	if merged := parts.Groups[""].Acc.Sum + tail.Sum; merged == next.Groups[""].Acc.Sum {
+		t.Fatal("the measure sums exactly under re-association: the test cannot see a merged partial")
+	}
+}
+
+// TestCaptureAddsNoLists pins what a delta capture costs a miss: the copy
+// of the scan's (count, Acc) per group into the partials' map — not a
+// switch of the scan to argument lists (at the parent commit a captured
+// SUM over 140 groups of 2000 patients allocated twice the objects and
+// twenty times the bytes of an uncaptured one).
+func TestCaptureAddsNoLists(t *testing.T) {
+	cfg := casestudy.DefaultGen()
+	cfg.Patients = 2000
+	cfg.LowLevel = 140
+	cat := query.Catalog{"gen": casestudy.MustGenerate(cfg)}
+	engines := NewCatalogEngines(cat, testRef)
+	const src = `SELECT SUM(Age) FROM gen GROUP BY Diagnosis."Low-level Diagnosis"`
+	groups := 0
+	run := func(capture bool) float64 {
+		return testing.AllocsPerRun(20, func() {
+			ctx := context.Background()
+			var cp *Capture
+			if capture {
+				ctx, cp = WithCapture(ctx)
+			}
+			res, err := ExecContext(ctx, src, cat, testRef, engines)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if capture {
+				if cp.Partials == nil || len(cp.Partials.Groups) != len(res.Rows) {
+					t.Fatalf("captured %v for %d rows", cp.Partials, len(res.Rows))
+				}
+				groups = len(res.Rows)
+			}
+		})
+	}
+	plain, captured := run(false), run(true)
+	if groups < 100 {
+		t.Fatalf("%d groups: the fixture is too small to tell a per-group list from a constant", groups)
+	}
+	if captured > plain+float64(groups)+16 {
+		t.Fatalf("a captured miss allocates %.0f objects, an uncaptured one %.0f: want at most %d more", captured, plain, groups+16)
+	}
 }

@@ -38,40 +38,6 @@ func execFacts(guard *qos.Guard, eng *storage.Engine, m *core.MO, sel *storage.B
 	return res, nil
 }
 
-// execGlobal evaluates an aggregate with every dimension grouped at ⊤:
-// one group holding every selected fact. No facts, no group, no row —
-// the algebra forms no group from an empty fact set.
-func execGlobal(guard *qos.Guard, eng *storage.Engine, fn *agg.Func, argDim string, sel *storage.Bitmap, parts *Partials) ([][]string, error) {
-	count := eng.NumFacts()
-	if sel != nil {
-		count = sel.Count()
-	}
-	if err := guard.Check(); err != nil {
-		return nil, err
-	}
-	if count == 0 {
-		parts.captureGroup("", 0, nil)
-		return nil, nil
-	}
-	if err := guard.Facts(int64(count)); err != nil {
-		return nil, fmt.Errorf("query: %w", err)
-	}
-	var argvals []float64
-	if argDim != "" {
-		for i, vals := range eng.ArgValues(argDim) {
-			if sel == nil || sel.Has(i) {
-				argvals = append(argvals, vals...)
-			}
-		}
-	}
-	parts.captureGroup("", count, argvals)
-	v, ok := fn.Apply(count, argvals)
-	if !ok {
-		return nil, nil
-	}
-	return [][]string{{agg.FormatResult(v)}}, nil
-}
-
 // execCross evaluates an aggregate grouped on several dimensions through
 // the storage cross kernel, which replicates the algebra's grouping
 // semantics exactly: a fact belongs to every combination of its
@@ -88,9 +54,9 @@ func execCross(cctx context.Context, guard *qos.Guard, eng *storage.Engine, fn *
 	for d, gd := range grouped {
 		legs[d] = storage.CrossLeg{Dim: gd.dim, Cat: gd.cat}
 	}
-	// Aggregates outside the accumulator-foldable set finalize with their
-	// own Eval over the members' argument values.
-	listArgs := argDim != "" && !accFoldable(fn)
+	// An aggregate without a Fold finalizes with its own Eval over the
+	// members' argument values.
+	listArgs := argDim != "" && fn.Fold == nil
 	var rows [][]string
 	pos := make([]int, k)
 	err := eng.CrossAggregateBy(cctx, legs, argDim, sel, listArgs, func(g *storage.CrossGroup) error {
@@ -100,16 +66,7 @@ func execCross(cctx context.Context, guard *qos.Guard, eng *storage.Engine, fn *
 		if err := guard.Facts(g.Count); err != nil {
 			return err
 		}
-		var v float64
-		var ok bool
-		switch {
-		case argDim == "":
-			v, ok = fn.Apply(int(g.Count), nil)
-		case listArgs:
-			v, ok = fn.Apply(int(g.Count), g.Args)
-		default:
-			v, ok = accApply(fn, g.Acc)
-		}
+		v, ok := groupValue(fn, g.Count, g.Acc, g.Args)
 		if !ok {
 			return nil
 		}

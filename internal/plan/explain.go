@@ -23,7 +23,6 @@ const (
 	ReasonMinProb           = "min-prob"
 	ReasonTimeslice         = "timeslice"
 	ReasonProbabilistic     = "probabilistic"
-	ReasonHolistic          = "holistic"
 	ReasonEngineUnavailable = "engine-unavailable"
 	ReasonContextMismatch   = "context-mismatch"
 )
@@ -36,12 +35,14 @@ type Explain struct {
 	// Reason names the fallback trigger; empty when planned.
 	Reason string `json:"reason,omitempty"`
 	// Shape is the physical plan shape of a planned query: "facts",
-	// "global", "cross", or one of the one-leg labels "kernel-count",
-	// "kernel-sum" and "group-fold" (one execution path; see finishLeg).
+	// "cross", or one of the leg labels "global" (the ⊤ leg),
+	// "kernel-count", "kernel-sum" and "group-fold" (one execution path;
+	// see finishLeg).
 	Shape string `json:"shape,omitempty"`
 	// Kernel reports the strategy the storage kernel ran: "column" or
-	// "bitmap" for the one-leg shapes, solo and batched alike (the value
-	// storage.ScanLeg returned); always "column" for cross.
+	// "bitmap" for the leg shapes, solo and batched alike (the value
+	// storage.ScanLeg returned; ⊤ has no column); always "column" for
+	// cross.
 	Kernel string `json:"kernel,omitempty"`
 	// Degree is the context-carried parallelism degree (0: unset).
 	Degree int `json:"degree,omitempty"`

@@ -21,7 +21,6 @@ var (
 		ReasonMinProb:           newFallbackCounter(ReasonMinProb),
 		ReasonTimeslice:         newFallbackCounter(ReasonTimeslice),
 		ReasonProbabilistic:     newFallbackCounter(ReasonProbabilistic),
-		ReasonHolistic:          newFallbackCounter(ReasonHolistic),
 		ReasonEngineUnavailable: newFallbackCounter(ReasonEngineUnavailable),
 		ReasonContextMismatch:   newFallbackCounter(ReasonContextMismatch),
 	}

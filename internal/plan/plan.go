@@ -6,8 +6,7 @@
 // internal/algebra), which builds a complete result MO per the paper's
 // aggregate-formation operator, remains the semantic oracle: every
 // operator the planner cannot express columnar (probabilistic functions,
-// temporal timeslices, holistic aggregates, probability thresholds)
-// falls back to it, and every planned result is differentially tested
+// temporal timeslices, probability thresholds) falls back to it, and every planned result is differentially tested
 // against it (see plan_test.go), mirroring how column ≡ bitmap ≡
 // index-free is pinned per-kernel in internal/storage.
 package plan
@@ -116,15 +115,9 @@ func (p *Prepared) route(q *query.Query) error {
 		// A resolvable aggregate decides its path here; an unknown name
 		// stays on the planned path so the lookup error surfaces in the
 		// same order the algebra path reports it (after WHERE compilation).
-		if fn, err := agg.Lookup(q.Agg); err == nil {
-			if fn.NeedsProb {
-				p.fallbackReason = ReasonProbabilistic
-				return nil
-			}
-			if fn.NewState == nil {
-				p.fallbackReason = ReasonHolistic
-				return nil
-			}
+		if fn, err := agg.Lookup(q.Agg); err == nil && fn.NeedsProb {
+			p.fallbackReason = ReasonProbabilistic
+			return nil
 		}
 	}
 	return nil
@@ -267,30 +260,7 @@ func (p *Prepared) Execute() (*query.Result, error) {
 	if p.factsOnly {
 		return execFacts(p.guard, p.eng, p.m, p.sel, p.q.Limit, p.ex)
 	}
-	switch len(p.grouped) {
-	case 0:
-		if p.ex != nil {
-			p.ex.Shape = ShapeGlobal
-		}
-		parts, cp := p.partials(ShapeGlobal)
-		rows, err := execGlobal(p.guard, p.eng, p.fn, p.argDim, p.sel, parts)
-		if err != nil {
-			return nil, err
-		}
-		return p.finish(rows, parts, cp)
-	case 1:
-		// Solo is a batch of one: the same kernel scan the batch scheduler
-		// runs, with this query as its only member, then the same finish.
-		gd := p.grouped[0]
-		scan, err := p.eng.ScanLeg(p.cctx, gd.dim, gd.cat,
-			[]storage.SharedScanMember{{ArgDim: p.argDim, Sel: p.sel, ListArgs: p.NeedsArgLists()}},
-			exec.DegreeFrom(p.cctx))
-		if err != nil {
-			return nil, fmt.Errorf("query: %w", err)
-		}
-		m := scan.Members[0]
-		return p.finishLeg(scan.Kernel, scan.Values, m.Counts, m.Args, m.Folds)
-	default:
+	if len(p.grouped) > 1 {
 		if p.ex != nil {
 			p.ex.Shape = ShapeCross
 			p.ex.Kernel = storage.KernelColumn
@@ -301,50 +271,71 @@ func (p *Prepared) Execute() (*query.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.finish(rows, nil, nil)
+		return p.finish(rows, nil)
 	}
+	// Solo is a batch of one, and ungrouped is a leg of one value: the same
+	// kernel scan the batch scheduler runs, with this query as its only
+	// member, then the same finish.
+	gd := p.leg()
+	scan, err := p.eng.ScanLeg(p.cctx, gd.dim, gd.cat,
+		[]storage.SharedScanMember{{ArgDim: p.argDim, Sel: p.sel, ListArgs: p.NeedsArgLists()}},
+		exec.DegreeFrom(p.cctx))
+	if err != nil {
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	m := scan.Members[0]
+	return p.finishLeg(scan.Kernel, scan.Values, m.Counts, m.Args, m.Folds)
 }
 
-// partials returns the delta-maintenance capture skeleton for an
-// upgradeable shape (global or one-leg) and the sink it goes to: those
-// shapes retain mergeable per-group partials so the serving layer can
-// continue the fold over appended facts instead of recomputing (delta.go).
-// Both are nil when the context installed no capture.
-func (p *Prepared) partials(shape string) (*Partials, *Capture) {
-	cp := captureFrom(p.cctx)
-	if cp == nil {
-		return nil, nil
+// leg returns the leg a global or one-leg query scans: its single grouping
+// leg, or ⊤ — the zero groupDim, storage's empty leg — when no dimension is
+// grouped below ⊤.
+func (p *Prepared) leg() groupDim {
+	if len(p.grouped) == 0 {
+		return groupDim{}
 	}
-	parts := newPartials(p.q, p.fn, p.grouped, p.argDim, p.m.Schema().FactType(), p.report)
-	parts.Shape = shape
-	return parts, cp
+	return p.grouped[0]
 }
 
-// finish is the shared result tail: canonical row order, header assembly,
-// HAVING/ORDER/LIMIT, and partials attachment — the same for every shape.
-func (p *Prepared) finish(rows [][]string, parts *Partials, cp *Capture) (*query.Result, error) {
-	sortRows(rows)
-	if len(rows) == 0 {
-		rows = nil // the algebra path leaves empty row sets nil
-	}
-	res := &query.Result{
-		Columns:      append(append([]string{}, p.shownDims...), p.resultDim),
-		Rows:         rows,
-		Summarizable: p.report.Summarizable,
-		Reasons:      p.report.Reasons,
-	}
+// finish is the planned shapes' result tail: header assembly and the
+// shared row tail, then — for a shape that captured partials — their
+// attachment to the context's sink.
+func (p *Prepared) finish(rows [][]string, parts *Partials) (*query.Result, error) {
+	columns := append(append([]string{}, p.shownDims...), p.resultDim)
 	if p.ex != nil {
 		p.ex.Groups = len(rows)
 	}
-	if err := query.ApplyHaving(p.q, res); err != nil {
-		return nil, err
-	}
-	if err := query.OrderAndLimit(p.q, res); err != nil {
+	res, err := assemble(p.q, columns, rows, p.report)
+	if err != nil {
 		return nil, err
 	}
 	if parts != nil {
-		parts.Columns = res.Columns
-		cp.Partials = parts
+		parts.Columns = columns
+		captureFrom(p.cctx).Partials = parts
+	}
+	return res, nil
+}
+
+// assemble turns a shape's pre-HAVING rows into the result, for a computed
+// query and a delta-upgraded one alike: canonical row order, nil for an
+// empty row set (as the algebra path leaves it), the summarizability
+// verdict, then HAVING, ORDER and LIMIT.
+func assemble(q *query.Query, columns []string, rows [][]string, report agg.Report) (*query.Result, error) {
+	sortRows(rows)
+	if len(rows) == 0 {
+		rows = nil
+	}
+	res := &query.Result{
+		Columns:      columns,
+		Rows:         rows,
+		Summarizable: report.Summarizable,
+		Reasons:      report.Reasons,
+	}
+	if err := query.ApplyHaving(q, res); err != nil {
+		return nil, err
+	}
+	if err := query.OrderAndLimit(q, res); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -362,10 +353,20 @@ func fallback(cctx context.Context, q *query.Query, cat query.Catalog, ref tempo
 	return query.RunContext(cctx, q, cat, ref)
 }
 
-// groupDim is one effective grouping leg: a dimension grouped below ⊤.
+// groupDim is one effective grouping leg: a dimension grouped below ⊤. The
+// zero value is ⊤ itself, the leg of the global shape.
 type groupDim struct {
 	dim string
 	cat string
+}
+
+// row flattens one group of the leg: its value — ⊤ shows none — then the
+// aggregate.
+func (gd groupDim) row(val string, v float64) []string {
+	if gd.dim == "" {
+		return []string{agg.FormatResult(v)}
+	}
+	return []string{val, agg.FormatResult(v)}
 }
 
 // groupedDims lists the effective grouping legs in schema order — the

@@ -185,8 +185,9 @@ func TestDifferentialOracle(t *testing.T) {
 
 // TestDifferentialAllAggregates sweeps every registered aggregate through
 // global, one-dimensional, selected and cross shapes on both MOs,
-// asserting planner ≡ algebra for each (probabilistic and holistic
-// functions route to the algebra and must still agree trivially).
+// asserting planner ≡ algebra for each (probabilistic functions route to
+// the algebra and must still agree trivially; MEDIAN, which has no Fold,
+// runs planned from argument lists on every shape).
 func TestDifferentialAllAggregates(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
@@ -213,8 +214,6 @@ func TestDifferentialAllAggregates(t *testing.T) {
 			reason := ""
 			if fn.NeedsProb {
 				wantMode, reason = ModeFallback, ReasonProbabilistic
-			} else if fn.NewState == nil {
-				wantMode, reason = ModeFallback, ReasonHolistic
 			}
 			if ex.Mode != wantMode || ex.Reason != reason {
 				t.Fatalf("%s: routed mode=%q reason=%q, want mode=%q reason=%q",
@@ -278,7 +277,6 @@ func TestFallbackRouting(t *testing.T) {
 		{`SELECT EXPECTED(*) FROM patients`, ReasonProbabilistic},
 		{`SELECT MINCOUNT(*) FROM patients`, ReasonProbabilistic},
 		{`SELECT MAXCOUNT(*) FROM patients`, ReasonProbabilistic},
-		{`SELECT MEDIAN(Age) FROM patients`, ReasonHolistic},
 	}
 	for _, c := range cases {
 		ex := diffOne(t, ctx, c.src, cat, engines)

@@ -40,8 +40,8 @@ func batchedLimits(deg int) Limits {
 // planner server and to the algebra server — and the batch outcome flag
 // must prove which path actually ran: batchable aggregates must report
 // leader or member (a silent bypass-to-solo fails the test), while
-// probabilistic and holistic aggregates must report solo with the
-// fallback bypass reason.
+// probabilistic aggregates must report solo with the fallback bypass
+// reason.
 func TestBatchDifferentialOracle(t *testing.T) {
 	for _, deg := range []int{1, 2, 4, 8} {
 		batched, _ := newTestServer(t, batchedLimits(deg))
@@ -56,7 +56,7 @@ func TestBatchDifferentialOracle(t *testing.T) {
 			if fn.NeedsArg {
 				arg = "(Age)"
 			}
-			batchable := !fn.NeedsProb && fn.NewState != nil
+			batchable := !fn.NeedsProb // every planned aggregate joins a scan; MEDIAN as a list member
 			for _, src := range []string{
 				fmt.Sprintf(`SELECT %s%s FROM patients GROUP BY Diagnosis."Diagnosis Group"`, name, arg),
 				fmt.Sprintf(`SELECT %s%s FROM patients WHERE Age >= 30 GROUP BY Residence."Region"`, name, arg),

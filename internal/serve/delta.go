@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"unsafe"
 
 	"mddm/internal/cache"
 	"mddm/internal/obs"
@@ -151,16 +152,17 @@ func (s *Server) tryUpgrade(ctx context.Context, key, mo string, ver cache.Versi
 	return merged, QueryOutcome{CacheHit: true, Upgraded: true}, nil, true
 }
 
-// partialsBytes estimates the retained size of an entry's partials for
-// the cache's byte bound: per-group key and state overhead on top of
-// resultBytes' row accounting.
+// partialsBytes is the retained size of an entry's partials for the cache's
+// byte bound, on top of resultBytes' row accounting: per group the key's
+// bytes and header plus the value-typed partial, as the map stores them.
 func partialsBytes(p *plan.Partials) int64 {
 	if p == nil {
 		return 0
 	}
-	n := int64(256)
+	const perGroup = int64(unsafe.Sizeof("") + unsafe.Sizeof(plan.Group{}))
+	n := int64(256) + perGroup*int64(len(p.Groups))
 	for v := range p.Groups {
-		n += int64(len(v)) + 64
+		n += int64(len(v))
 	}
 	for _, r := range p.CoverReasons {
 		n += int64(len(r)) + 16

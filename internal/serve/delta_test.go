@@ -64,12 +64,12 @@ func deltaAppender(t *testing.T, s *Server, prefix string) func(n int) {
 // append schedule at parallelism degrees 1/2/4/8, the delta-merged
 // answer is bit-identical (columns, rows, summarizability verdict, and
 // reasons) to both a from-scratch recompute through the server and the
-// index-free query.Exec baseline. Mergeable, non-probabilistic
-// functions must take the upgrade path every round — a silent fallback
-// to recompute would pass the equality and inflate nothing, so the
-// outcome flag is asserted too. Holistic and probabilistic functions
-// must never upgrade (their fills carry no partials) and still answer
-// correctly through the recompute path.
+// index-free query.Exec baseline. Functions with a constant-size
+// partial (argument-free, or with a Fold) must take the upgrade path
+// every round — a silent fallback to recompute would pass the equality
+// and inflate nothing, so the outcome flag is asserted too. MEDIAN and
+// the probabilistic functions must never upgrade (their fills carry no
+// partials) and still answer correctly through the recompute path.
 func TestDeltaUpgradeDifferentialAllAggregates(t *testing.T) {
 	names := agg.Names()
 	sort.Strings(names)
@@ -88,7 +88,7 @@ func TestDeltaUpgradeDifferentialAllAggregates(t *testing.T) {
 				t.Fatalf("fill outcome = %+v", out)
 			}
 
-			mergeable := g.Mergeable() && !g.NeedsProb
+			mergeable := !g.NeedsProb && (g.Fold != nil || !g.NeedsArg)
 			for round, d := range degrees {
 				grow(round + 1)
 				dctx := exec.WithParallelism(ctx, d)
@@ -341,8 +341,8 @@ func TestDeltaStaleOnShedInterplay(t *testing.T) {
 	grow := deltaAppender(t, s, "dshed")
 	ctx := context.Background()
 
-	// MEDIAN is holistic: its fill carries no partials, so under
-	// overload it can only degrade.
+	// MEDIAN has no constant-size partial: its fill carries none, so
+	// under overload it can only degrade.
 	medianQuery := `SELECT MEDIAN(Age) AS N FROM patients GROUP BY Diagnosis."Diagnosis Group"`
 	if _, out, err := s.ServeQuery(ctx, groupQuery); err != nil || out.CacheHit {
 		t.Fatalf("fill: %+v %v", out, err)

@@ -37,7 +37,7 @@ var pipelineCases = []pipelineCase{
 	{src: `SELECT SETCOUNT(*) FROM patients GROUP BY Diagnosis."Diagnosis Group" WITH PROB >= 0.95`, reason: plan.ReasonMinProb},
 	{src: `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Family" ASOF VALID '15/06/1975'`, reason: plan.ReasonTimeslice},
 	{src: `SELECT EXPECTED(*) FROM patients GROUP BY Diagnosis."Diagnosis Group"`, reason: plan.ReasonProbabilistic},
-	{src: `SELECT MEDIAN(Age) FROM patients GROUP BY Diagnosis."Diagnosis Group"`, reason: plan.ReasonHolistic},
+	{src: `SELECT MEDIAN(Age) FROM patients GROUP BY Diagnosis."Diagnosis Group"`, shape: plan.ShapeGroupFold, batchable: true},
 	{src: `SELECT SETCOUNT(*) FROM nowhere`, fails: true},
 	{src: `SELECT SUM(*) FROM patients`, fails: true},
 	{src: `SELECT ((((`, fails: true},

@@ -83,12 +83,12 @@ func TestPlannerExplainHTTP(t *testing.T) {
 		t.Fatalf("plan %+v, want planned/kernel-count", qr.Plan)
 	}
 
-	qr, code = get(ts.URL + "/query?plan=1&q=" + url.QueryEscape(`SELECT MEDIAN(Age) FROM patients`))
+	qr, code = get(ts.URL + "/query?plan=1&q=" + url.QueryEscape(`SELECT EXPECTED(*) FROM patients`))
 	if code != http.StatusOK || qr.Plan == nil {
 		t.Fatalf("status %d plan %+v, want OK with a plan", code, qr.Plan)
 	}
-	if qr.Plan.Mode != plan.ModeFallback || qr.Plan.Reason != plan.ReasonHolistic {
-		t.Fatalf("plan %+v, want fallback/holistic", qr.Plan)
+	if qr.Plan.Mode != plan.ModeFallback || qr.Plan.Reason != plan.ReasonProbabilistic {
+		t.Fatalf("plan %+v, want fallback/probabilistic", qr.Plan)
 	}
 
 	// Without ?plan= the field stays off the wire.

@@ -109,8 +109,7 @@ type Limits struct {
 	// (internal/plan): selection, grouping, and aggregation run over the
 	// engine's bitmap indexes and kernels without materializing a result
 	// MO, and operators needing full MO semantics (probabilistic,
-	// timeslice, holistic, probability thresholds) fall back to the
-	// algebra path. Results, error texts, and cache keys are identical on
+	// timeslice, probability thresholds) fall back to the algebra path. Results, error texts, and cache keys are identical on
 	// either path — only wall-clock and allocations change. See
 	// docs/PLANNER.md.
 	Planner bool

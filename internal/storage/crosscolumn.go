@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"mddm/internal/agg"
 	"mddm/internal/qos"
 )
 
@@ -41,7 +42,7 @@ type CrossGroup struct {
 	// Count is the number of member facts.
 	Count int64
 	// Acc folds the members' argument values in ascending fact order.
-	Acc FoldAcc
+	Acc agg.Acc
 	// Args lists those argument values instead; set only in list mode.
 	Args []float64
 }
@@ -61,7 +62,7 @@ type crossCell struct {
 	// fp sums a 64-bit mix of the member fact indices: order-independent,
 	// so equal member sets have equal (count, fp) whatever their fold order.
 	fp  uint64
-	acc FoldAcc
+	acc agg.Acc
 }
 
 // crossCells is the cell store: touched cells live compactly in cells, in

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mddm/internal/agg"
 	"mddm/internal/casestudy"
 	"mddm/internal/qos"
 )
@@ -98,7 +99,7 @@ func refCrossGroups(t *testing.T, e *Engine, legs []CrossLeg, argDim string, sel
 			sort.Strings(vs)
 			fmt.Fprintf(&b, "%v ", vs)
 		}
-		var acc FoldAcc
+		var acc agg.Acc
 		var args []float64
 		for _, i := range g.members {
 			if i < len(av) {

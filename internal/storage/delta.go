@@ -3,8 +3,6 @@ package storage
 import (
 	"context"
 	"fmt"
-
-	"mddm/internal/qos"
 )
 
 // This file holds the delta-fold read primitives of incremental
@@ -27,7 +25,8 @@ import (
 // of selected in-range facts it characterizes, and — when argDim is
 // non-empty — those facts' argument values concatenated in ascending
 // dense-index order. Values with no in-range selected facts are omitted;
-// the range is clamped to the fact universe. Appending the returned
+// the range is clamped to the fact universe. The empty leg is ⊤: its one
+// value, "", stands for every selected fact of the range. Appending the returned
 // argument lists to a fold over [0, lo) reproduces, element for element,
 // the fold AggregateBy would produce over [0, hi).
 func (e *Engine) AggregateByRange(ctx context.Context, dim, cat, argDim string, sel *Bitmap, lo, hi int) (values []string, counts []int, args [][]float64, err error) {
@@ -37,44 +36,6 @@ func (e *Engine) AggregateByRange(ctx context.Context, dim, cat, argDim string, 
 	}
 	values, counts, args = compactLeg(vals, m)
 	return values, counts, args, nil
-}
-
-// GlobalRange is the ungrouped delta fold: the number of selected facts
-// in [lo, hi) and — when argDim is non-empty — their argument values
-// concatenated in ascending dense-index order, matching the extraction
-// order of the planner's global shape.
-func (e *Engine) GlobalRange(ctx context.Context, argDim string, sel *Bitmap, lo, hi int) (int, []float64, error) {
-	g := qos.NewGuard(ctx)
-	if err := g.CheckNow(); err != nil {
-		return 0, nil, fmt.Errorf("storage: delta global fold: %w", err)
-	}
-	if argDim != "" {
-		e.ensureArgValues(argDim)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if hi > len(e.facts) {
-		hi = len(e.facts)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	var av [][]float64
-	if argDim != "" {
-		av = e.argCols[argDim]
-	}
-	count := 0
-	var list []float64
-	for i := lo; i < hi; i++ {
-		if sel != nil && !sel.Has(i) {
-			continue
-		}
-		count++
-		if av != nil && i < len(av) {
-			list = append(list, av[i]...)
-		}
-	}
-	return count, list, nil
 }
 
 // MultiValuedRange is MultiValued restricted to the dense fact range

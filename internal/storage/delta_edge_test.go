@@ -36,12 +36,15 @@ func TestRangeFoldEdges(t *testing.T) {
 			t.Fatalf("clamped counts diverged: %v vs %v", counts, fullCounts)
 		}
 	}
-	cnt, _, err := e.GlobalRange(ctx, "", nil, -5, n+100)
-	if err != nil {
-		t.Fatal(err)
+	// The ⊤ leg clamps the same way, and a selection restricts its count.
+	if v, c, _, err := e.AggregateByRange(ctx, "", "", "", nil, -5, n+100); err != nil || len(v) != 1 || v[0] != "" || c[0] != n {
+		t.Fatalf("clamped ⊤ fold = %v %v %v, want one group of %d", v, c, err, n)
 	}
-	if cnt != n {
-		t.Fatalf("clamped global count = %d, want %d", cnt, n)
+	two := NewBitmap(n)
+	two.Set(0)
+	two.Set(n - 1)
+	if _, c, _, err := e.AggregateByRange(ctx, "", "", "", two, 0, n+1000); err != nil || len(c) != 1 || c[0] != 2 {
+		t.Fatalf("selected ⊤ count = %v %v, want 2", c, err)
 	}
 	if e.MultiValuedRange(casestudy.DimDiagnosis, casestudy.CatGroup, nil, -5, n+100) !=
 		e.MultiValuedRange(casestudy.DimDiagnosis, casestudy.CatGroup, nil, 0, n) {
@@ -71,7 +74,7 @@ func TestRangeFoldEdges(t *testing.T) {
 	if _, _, _, err := e.AggregateByRange(canceled, casestudy.DimDiagnosis, casestudy.CatGroup, "", nil, 0, n); err == nil {
 		t.Fatal("canceled grouped fold did not error")
 	}
-	if _, _, err := e.GlobalRange(canceled, "", nil, 0, n); err == nil {
-		t.Fatal("canceled global fold did not error")
+	if _, _, _, err := e.AggregateByRange(canceled, "", "", "", nil, 0, n); err == nil {
+		t.Fatal("canceled ⊤ fold did not error")
 	}
 }

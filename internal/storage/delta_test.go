@@ -126,6 +126,7 @@ func TestAggregateByRangeComposition(t *testing.T) {
 		{casestudy.DimDiagnosis, casestudy.CatGroup, casestudy.DimAge},
 		{casestudy.DimDiagnosis, casestudy.CatFamily, ""},
 		{casestudy.DimResidence, casestudy.CatRegion, casestudy.DimAge},
+		{"", "", casestudy.DimAge}, // ⊤: the ungrouped fold is the leg of one value
 	} {
 		label := q.dim + "/" + q.cat
 		fullV, fullC, fullA, err := e.AggregateBy(ctx, q.dim, q.cat, q.arg, nil)
@@ -171,49 +172,6 @@ func TestAggregateByRangeComposition(t *testing.T) {
 		if len(counts) != 0 {
 			t.Fatalf("%s: stitched values not in the full fold: %v", label, counts)
 		}
-	}
-}
-
-// TestGlobalRangeComposition: same decomposition for the ungrouped fold.
-func TestGlobalRangeComposition(t *testing.T) {
-	e, grow := growEngine(t, 30)
-	_, lo := e.EpochFacts()
-	grow(12)
-	_, n := e.EpochFacts()
-	ctx := context.Background()
-
-	fullC, fullA, err := e.GlobalRange(ctx, casestudy.DimAge, nil, 0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fullC != n {
-		t.Fatalf("GlobalRange(0,n) count = %d want %d", fullC, n)
-	}
-	preC, preA, err := e.GlobalRange(ctx, casestudy.DimAge, nil, 0, lo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dC, dA, err := e.GlobalRange(ctx, casestudy.DimAge, nil, lo, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if preC+dC != fullC {
-		t.Fatalf("counts: %d + %d != %d", preC, dC, fullC)
-	}
-	if !reflect.DeepEqual(append(preA, dA...), fullA) {
-		t.Fatal("prefix+delta argument stream != full stream")
-	}
-
-	// Selection restricts the count, and a clamp past the end is safe.
-	sel := NewBitmap(n)
-	sel.Set(0)
-	sel.Set(n - 1)
-	c, _, err := e.GlobalRange(ctx, "", sel, 0, n+1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != 2 {
-		t.Fatalf("selected count = %d want 2", c)
 	}
 }
 

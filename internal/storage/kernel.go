@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 
+	"mddm/internal/agg"
 	"mddm/internal/exec"
 	"mddm/internal/obs"
 	"mddm/internal/qos"
@@ -15,10 +16,10 @@ import (
 // over a single (dimension, category) leg — solo or batched, whole engine
 // or an appended range, counts, sums or argument folds — is one call of
 // scanLeg. A scan serves a set of members, each a (selection, argument
-// dimension, lists-or-FoldAcc) triple, over the dense fact range [lo, hi),
-// and fills per member one slot per dictionary value: the number of
-// selected facts the value characterizes and, for an argument member, the
-// facts' argument values as a list or folded into a FoldAcc.
+// dimension, lists-or-Acc) triple, over the dense fact range [lo, hi), and
+// fills per member one slot per dictionary value: the number of selected
+// facts the value characterizes and, for an argument member, the facts'
+// argument values as a list or folded into an agg.Acc.
 //
 // The kernel picks one of two strategies from what it can observe:
 //
@@ -35,14 +36,14 @@ import (
 //
 // Both strategies visit the facts of a value in ascending dense-index
 // order, so they agree element for element: counts are integers, argument
-// lists are the values in that order, and a FoldAcc is the left fold over
+// lists are the values in that order, and an Acc is the left fold over
 // that list. Splitting the range composes the same way — scan[0,lo)
 // followed by scan[lo,hi) appends to the lists and continues the folds of
 // scan[0,hi) — which is what delta maintenance relies on. The degree does
 // not show in the output either: a parallel column scan merges the
 // partitions of a count-only or list member in ascending order — counts
 // add, lists concatenate, both exact — and never splits a fold member,
-// because merging per-partition FoldAccs would re-associate the float sum.
+// because merging per-partition Accs would re-associate the float sum.
 //
 // The scan charges no fact budget. Callers replay the budget from the
 // returned counts with ChargeLeg — per dictionary value, Check then
@@ -67,44 +68,9 @@ type SharedScanMember struct {
 	// Sel is the member's WHERE selection; nil admits every fact.
 	Sel *Bitmap
 	// ListArgs materializes per-value argument lists for this member
-	// instead of FoldAccs — required by consumers that need the values
-	// themselves (delta-capture partials, aggregates outside the
-	// accumulator-foldable set). Ignored when ArgDim is empty.
+	// instead of Accs — for aggregates that need the values themselves
+	// (agg.Func.Fold nil). Ignored when ArgDim is empty.
 	ListArgs bool
-}
-
-// FoldAcc is the constant-size argument fold a scan keeps per (member,
-// dictionary value): every argument value is folded in ascending
-// dense-index order, so Sum replays agg's Eval addition sequence
-// bit-for-bit and Min/Max replay its exact comparison ladder (first value
-// seeds, later values compare — NaN semantics included).
-type FoldAcc struct {
-	// N counts argument values folded (len(args) in list terms).
-	N int64
-	// Sum is the running sum in ascending fold order.
-	Sum float64
-	// Min and Max are the running extrema; meaningful only when Seen.
-	Min, Max float64
-	// Seen reports at least one value was folded.
-	Seen bool
-}
-
-// Add folds one argument value, replaying Eval's arithmetic: the first
-// value seeds the extrema (m := vals[0]), later values compare with the
-// same strict < / > Eval uses, and the sum accumulates left to right.
-func (a *FoldAcc) Add(x float64) {
-	a.N++
-	a.Sum += x
-	if !a.Seen {
-		a.Seen, a.Min, a.Max = true, x, x
-		return
-	}
-	if x < a.Min {
-		a.Min = x
-	}
-	if x > a.Max {
-		a.Max = x
-	}
 }
 
 // LegMember is one member's output of a leg scan, full width: one slot per
@@ -116,7 +82,7 @@ type LegMember struct {
 	Args [][]float64
 	// Folds holds the per-value argument folds; nil for count-only and
 	// list members.
-	Folds []FoldAcc
+	Folds []agg.Acc
 
 	sel *Bitmap
 	av  [][]float64 // the member's measure column; nil extracts nothing
@@ -142,11 +108,15 @@ func (m *LegMember) blank() LegMember {
 	return b
 }
 
+// topValues is the dictionary of the ⊤ leg: one value, named "".
+var topValues = []string{""}
+
 // scanLeg is the kernel: see the file comment. hi is clamped to the fact
 // count, so math.MaxInt scans to the end; deg above 1 lets a column scan
 // run its members, and the partitions of its count-only and list members,
-// in parallel. An unknown dimension has no values and scans
-// nothing.
+// in parallel. The empty leg (dim "") is ⊤ — the ungrouped aggregate: one
+// value whose closure is every fact, scanned by the bitmap strategy like
+// any other closure. An unknown dimension has no values and scans nothing.
 func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, members []SharedScanMember, deg int) (LegScan, error) {
 	g := qos.NewGuard(ctx)
 	if err := g.CheckNow(); err != nil {
@@ -154,8 +124,8 @@ func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, membe
 	}
 	out := LegScan{Kernel: KernelBitmap, Members: make([]LegMember, len(members))}
 	answered := mKernelBitmap
-	d := e.mo.Dimension(dim)
-	if d == nil {
+	top, d := dim == "", e.mo.Dimension(dim)
+	if !top && d == nil {
 		return out, nil
 	}
 	for _, m := range members {
@@ -163,8 +133,10 @@ func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, membe
 			e.ensureArgValues(m.ArgDim)
 		}
 	}
-	col := e.columnFor(dim, cat)
-	if col != nil {
+	var col *column
+	if top {
+		out.Values = topValues
+	} else if col = e.columnFor(dim, cat); col != nil {
 		out.Kernel, out.Values, answered = KernelColumn, col.vals, mKernelColumn
 	} else {
 		out.Values = d.CategoryAt(cat, e.ctx)
@@ -186,7 +158,7 @@ func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, membe
 			if m.ListArgs {
 				om.Args = make([][]float64, nv)
 			} else {
-				om.Folds = make([]FoldAcc, nv)
+				om.Folds = make([]agg.Acc, nv)
 			}
 		}
 	}
@@ -199,7 +171,13 @@ func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, membe
 		e.mu.RUnlock()
 		err = scanCodesRange(ctx, g, codes, over, lo, hi, out.Members, deg)
 	} else {
-		err = scanClosures(g, e.closuresLocked(dim, out.Values), lo, hi, out.Members)
+		var closures []*Bitmap
+		if top {
+			closures = []*Bitmap{NewBitmap(hi).Fill()}
+		} else {
+			closures = e.closuresLocked(dim, out.Values)
+		}
+		err = scanClosures(g, closures, lo, hi, out.Members)
 		e.mu.RUnlock()
 	}
 	if err != nil {
@@ -214,7 +192,7 @@ func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, membe
 // A count-only or list member is one task per exec partition, merged in
 // ascending partition order (counts add, lists concatenate: both exact). A
 // fold member is one task over the whole range: merging per-partition
-// FoldAccs would re-associate the float sum, and a fold must stay the left
+// Accs would re-associate the float sum, and a fold must stay the left
 // fold over the ascending facts at every degree.
 func scanCodesRange(ctx context.Context, g *qos.Guard, codes []uint32, over []overPair, lo, hi int, ms []LegMember, deg int) error {
 	var parts []exec.Range
@@ -292,7 +270,7 @@ func scanCodesRange(ctx context.Context, g *qos.Guard, codes []uint32, over []ov
 // order Bitmap.Iterate visits a closure in — that decodes each selected
 // fact to its value-id, or to the overflow entries of a many-to-many fact,
 // and appends the fact's argument values to those lists, or folds them
-// (and counts the fact) into those FoldAccs.
+// (and counts the fact) into those Accs.
 func scanCodes(g *qos.Guard, codes []uint32, over []overPair, lo, hi int, m *LegMember) error {
 	counts, sel, av, lists, folds := m.Counts, m.sel, m.av, m.Args, m.Folds
 	if folds == nil {
@@ -392,7 +370,7 @@ func scanClosures(g *qos.Guard, bms []*Bitmap, lo, hi int, ms []LegMember) error
 			if m.Folds != nil {
 				// The accumulator stays a local of this loop: folding through
 				// an iterate callback costs a fifth more per value.
-				var acc FoldAcc
+				var acc agg.Acc
 				facts := 0
 				for wi := blo >> 6; wi <= (bhi-1)>>6; wi++ {
 					w := bm.andWord(sel, wi, blo, bhi)
@@ -455,6 +433,9 @@ func ChargeLeg(g *qos.Guard, op, dim, cat string, counts []int64) error {
 			return err
 		}
 		if err := g.Facts(c); err != nil {
+			if dim == "" {
+				return err // ⊤ has no leg to name
+			}
 			return fmt.Errorf("storage: %s %s/%s: %w", op, dim, cat, err)
 		}
 	}
@@ -493,22 +474,25 @@ func compactLeg(vals []string, m LegMember) (values []string, counts []int, args
 	return values, counts, args
 }
 
-// ScanLeg runs one scan of the (dim, cat) leg for every member at once —
-// the planner's entry to the kernel: a solo query is a batch of one. It
+// ScanLeg runs one scan of the (dim, cat) leg — or of ⊤, the empty leg —
+// for every member at once: the planner's entry to the kernel, where a
+// solo query is a batch of one and an ungrouped one a leg of one value. It
 // returns the value dictionary and, per member, full-width counts plus
-// argument lists (ListArgs members) or FoldAccs, and the strategy that
+// argument lists (ListArgs members) or Accs, and the strategy that
 // ran. deg above 1 lets a column scan split the fact range into exec
 // partitions. The scan charges no fact budget; each member replays its own
 // with ChargeLeg.
 func (e *Engine) ScanLeg(ctx context.Context, dim, cat string, members []SharedScanMember, deg int) (LegScan, error) {
-	if e.mo.Dimension(dim) == nil {
-		return LegScan{}, fmt.Errorf("storage: scan %s/%s: unknown dimension", dim, cat)
-	}
-	// Build the column — or replace a stale one — when the cost heuristic
-	// would select it, so a server that never warmed its columns, or whose
-	// category gained a value, still gets the single-pass strategy.
-	if err := e.EnsureColumn(ctx, dim, cat); err != nil {
-		return LegScan{}, err
+	if dim != "" { // the ⊤ leg has neither a dimension nor a column
+		if e.mo.Dimension(dim) == nil {
+			return LegScan{}, fmt.Errorf("storage: scan %s/%s: unknown dimension", dim, cat)
+		}
+		// Build the column — or replace a stale one — when the cost heuristic
+		// would select it, so a server that never warmed its columns, or whose
+		// category gained a value, still gets the single-pass strategy.
+		if err := e.EnsureColumn(ctx, dim, cat); err != nil {
+			return LegScan{}, err
+		}
 	}
 	mLegScans.Inc()
 	return e.scanLeg(ctx, dim, cat, 0, math.MaxInt, members, deg)
@@ -516,15 +500,15 @@ func (e *Engine) ScanLeg(ctx context.Context, dim, cat string, members []SharedS
 
 // SharedAggregateBy is ScanLeg with the outputs split per kind and without
 // the strategy label: per member full-width counts, argument lists
-// (ListArgs members) and FoldAccs (accumulator members).
-func (e *Engine) SharedAggregateBy(ctx context.Context, dim, cat string, members []SharedScanMember, deg int) (values []string, counts [][]int64, args [][][]float64, folds [][]FoldAcc, err error) {
+// (ListArgs members) and Accs (accumulator members).
+func (e *Engine) SharedAggregateBy(ctx context.Context, dim, cat string, members []SharedScanMember, deg int) (values []string, counts [][]int64, args [][][]float64, folds [][]agg.Acc, err error) {
 	s, err := e.ScanLeg(ctx, dim, cat, members, deg)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
 	counts = make([][]int64, len(members))
 	args = make([][][]float64, len(members))
-	folds = make([][]FoldAcc, len(members))
+	folds = make([][]agg.Acc, len(members))
 	for k, m := range s.Members {
 		counts[k], args[k], folds[k] = m.Counts, m.Args, m.Folds
 	}

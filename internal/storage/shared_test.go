@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mddm/internal/agg"
 	"mddm/internal/casestudy"
 	"mddm/internal/dimension"
 )
@@ -30,19 +31,19 @@ func compactShared(values []string, counts []int64, args [][]float64) (vs []stri
 	return vs, cs, as
 }
 
-// foldOf replays FoldAcc.Add over a solo argument list — the reference
+// foldOf replays agg.Acc.Add over a solo argument list — the reference
 // for what an accumulator member's fold must equal, bit for bit.
-func foldOf(list []float64) FoldAcc {
-	var a FoldAcc
+func foldOf(list []float64) agg.Acc {
+	var a agg.Acc
 	for _, x := range list {
 		a.Add(x)
 	}
 	return a
 }
 
-// foldEqual compares FoldAccs bitwise: Sum must be the exact float the
+// foldEqual compares Accs bitwise: Sum must be the exact float the
 // ascending left fold produces, not merely approximately equal.
-func foldEqual(a, b FoldAcc) bool {
+func foldEqual(a, b agg.Acc) bool {
 	return a.N == b.N && a.Seen == b.Seen &&
 		math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
 		math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
@@ -70,10 +71,10 @@ func sharedMembers(e *Engine) []SharedScanMember {
 
 // checkSharedMember asserts one member's fused outputs against its own
 // solo AggregateBy: counts always, argument lists element-for-element for
-// list members, and bitwise-equal FoldAccs (replayed over the solo lists)
+// list members, and bitwise-equal Accs (replayed over the solo lists)
 // for accumulator members.
 func checkSharedMember(t *testing.T, tag string, e *Engine, dim, cat string, m SharedScanMember,
-	values []string, counts []int64, args [][]float64, folds []FoldAcc) {
+	values []string, counts []int64, args [][]float64, folds []agg.Acc) {
 	t.Helper()
 	gotV, gotC, gotA := compactShared(values, counts, args)
 	wantV, wantC, wantA, err := e.AggregateBy(context.Background(), dim, cat, m.ArgDim, m.Sel)
@@ -90,7 +91,7 @@ func checkSharedMember(t *testing.T, tag string, e *Engine, dim, cat string, m S
 			t.Fatalf("%s: shared args %v, solo %v", tag, gotA, wantA)
 		}
 	default:
-		// Accumulator member: the scan's FoldAcc per value must be the
+		// Accumulator member: the scan's agg.Acc per value must be the
 		// bitwise replay of folding the solo argument list in order.
 		if folds == nil {
 			t.Fatalf("%s: accumulator member got no folds", tag)
@@ -116,7 +117,7 @@ func checkSharedMember(t *testing.T, tag string, e *Engine, dim, cat string, m S
 // corpus engine, corpus (dim, cat), and parallelism degree. List members'
 // argument lists are compared element-for-element (the fused scan must
 // append in the same ascending dense-index order the solo kernels
-// iterate); accumulator members' FoldAccs are compared bitwise against a
+// iterate); accumulator members' Accs are compared bitwise against a
 // replay over the solo lists.
 func TestSharedScanDifferential(t *testing.T) {
 	for name, e := range genVariants(t) {
@@ -139,7 +140,7 @@ func TestSharedScanDifferential(t *testing.T) {
 
 // TestSharedScanFullWidth pins the full-width contract the batch budget
 // replay depends on: per member one count per dictionary value — zeros
-// included — argument-list slots only for list members, and FoldAcc slots
+// included — argument-list slots only for list members, and agg.Acc slots
 // only for accumulator members.
 func TestSharedScanFullWidth(t *testing.T) {
 	e, _ := growEngine(t, 30)
