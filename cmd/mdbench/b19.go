@@ -84,7 +84,6 @@ func b19(nFacts int) {
 		if fn.NeedsArg {
 			arg = "(Age)"
 		}
-		batchable := !fn.NeedsProb // every planned aggregate joins a scan; MEDIAN as a list member
 		for _, src := range []string{
 			fmt.Sprintf(`SELECT %s%s FROM patients GROUP BY Diagnosis."Diagnosis Group"`, name, arg),
 			fmt.Sprintf(`SELECT %s%s FROM patients WHERE Age >= 30 GROUP BY Residence."Region"`, name, arg),
@@ -106,13 +105,11 @@ func b19(nFacts int) {
 				fatal(fmt.Errorf("B19 oracle %s: batched diverged:\n batched: %s\n solo:    %s\n algebra: %s",
 					src, jb, js, ja))
 			}
-			if batchable && bo.Outcome != batch.OutcomeLeader && bo.Outcome != batch.OutcomeMember {
+			// Every aggregate joins a scan: MEDIAN as a list member, the
+			// probabilistic functions as probability members of a view's.
+			if bo.Outcome != batch.OutcomeLeader && bo.Outcome != batch.OutcomeMember {
 				fatal(fmt.Errorf("B19 oracle %s: outcome %q (reason %q) — the batched path silently bypassed",
 					src, bo.Outcome, bo.Reason))
-			}
-			if !batchable && bo.Outcome != batch.OutcomeSolo {
-				fatal(fmt.Errorf("B19 oracle %s: outcome %q, want solo for a non-batchable aggregate",
-					src, bo.Outcome))
 			}
 			verified++
 		}

@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -267,6 +268,54 @@ func b4() {
 		}
 	}
 	fmt.Println()
+
+	// The query that pays for the slice: a grouped count at an instant,
+	// through the algebra (slice the MO, then aggregate formation) and
+	// through the planner (the kernel over a context view of the engine) —
+	// with the view built per query (more instants in rotation than the
+	// engine memoizes) and with it cached.
+	fmt.Println("B4: ASOF VALID grouped count — algebra vs planner over a context view")
+	fmt.Printf("%10s %14s %18s %18s\n", "patients", "algebra/op", "planned, built/op", "planned, cached/op")
+	const src = `SELECT SETCOUNT(*) FROM patients GROUP BY Residence."Region" ASOF VALID '%s'`
+	for _, n := range []int{1000, 4000} {
+		cat := query.Catalog{"patients": gen(n, false, true)}
+		engines := plan.NewCatalogEngines(cat, ref)
+		at := temporal.MustDate("01/01/1995")
+		asof := func(k int) string { return fmt.Sprintf(src, at+temporal.Chronon(k)) }
+		equal := func(k int) {
+			planned, err := plan.ExecContext(context.Background(), asof(k), cat, ref, engines)
+			if err != nil {
+				fatal(err)
+			}
+			if want, err := query.Exec(asof(k), cat, ref); err != nil || !reflect.DeepEqual(planned, want) {
+				fatal(fmt.Errorf("B4: planner and algebra disagree on %s (%v)", asof(k), err))
+			}
+		}
+		equal(0)
+		alg := measure("asof-algebra", n, func() {
+			if _, err := query.Exec(asof(0), cat, ref); err != nil {
+				fatal(err)
+			}
+		})
+		k := 0
+		built := measure("asof-planned-view-built", n, func() {
+			k = (k + 1) % 64
+			mustRun(plan.ExecContext(context.Background(), asof(k), cat, ref, engines))
+		})
+		cached := measure("asof-planned-view-cached", n, func() {
+			mustRun(plan.ExecContext(context.Background(), asof(0), cat, ref, engines))
+		})
+		equal(63)
+		fmt.Printf("%10d %14v %18v %18v\n", n, alg, built, cached)
+	}
+	fmt.Println()
+}
+
+// mustRun fails the benchmark on a query error.
+func mustRun(_ *query.Result, err error) {
+	if err != nil {
+		fatal(err)
+	}
 }
 
 func b5() {

@@ -9,31 +9,35 @@ import (
 	"mddm"
 )
 
+var ref = mddm.MustDate("01/01/1999")
+
+// queries are the example's query-language statements: timeslices of the
+// case-study MO before and after the 1980 reclassification. The columnar
+// planner answers each from a context view of its engine (main_test.go
+// holds it to that, and to the algebra's rows).
+var queries = []struct{ title, src string }{
+	// The world as of 1975: only the old classification exists; patient 1
+	// has no diagnosis yet.
+	{"Patients per diagnosis family, as the world was on 15/06/1975:",
+		`SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Family" ASOF VALID '15/06/1975'`},
+	// The world as of 1995: the new classification, both patients.
+	{"Patients per diagnosis group, as the world was on 01/01/1995:",
+		`SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Group" ASOF VALID '01/01/1995'`},
+}
+
 func main() {
-	ref := mddm.MustDate("01/01/1999")
 	mo := mddm.MustPatientMO()
 	cat := mddm.QueryCatalog{"patients": mo}
 
-	// The world as of 1975: only the old classification exists; patient 1
-	// has no diagnosis yet.
-	fmt.Println("Patients per diagnosis family, as the world was on 15/06/1975:")
-	q75 := `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Family" ASOF VALID '15/06/1975'`
-	r75, err := mddm.ExecQuery(q75, cat, ref)
-	if err != nil {
-		log.Fatal(err)
+	for _, q := range queries {
+		fmt.Println(q.title)
+		r, err := mddm.ExecQuery(q.src, cat, ref)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Print(mddm.RenderQueryResult(r))
+		fmt.Println()
 	}
-	fmt.Print(mddm.RenderQueryResult(r75))
-	fmt.Println()
-
-	// The world as of 1999: the new classification, both patients.
-	fmt.Println("Patients per diagnosis group, as the world was on 01/01/1995:")
-	r95, err := mddm.ExecQuery(
-		`SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Group" ASOF VALID '01/01/1995'`, cat, ref)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(mddm.RenderQueryResult(r95))
-	fmt.Println()
 
 	// Timeslice as an algebra operator: the temporal type changes
 	// valid-time → snapshot.

@@ -10,15 +10,32 @@ import (
 	"mddm"
 )
 
-func main() {
-	ref := mddm.MustDate("01/01/1999")
-	ctx := mddm.CurrentContext(ref)
-	mo := mddm.MustPatientMO()
+var ref = mddm.MustDate("01/01/1999")
 
-	// The physician is only 90% certain that patient 1 has non-insulin-
-	// dependent diabetes (10), and 40% that it is gestational (5).
+// uncertainMO is the case-study MO with two uncertain diagnoses: the
+// physician is only 90% certain that patient 1 has non-insulin-dependent
+// diabetes (10), and 40% that it is gestational (5).
+func uncertainMO() *mddm.MO {
+	mo := mddm.MustPatientMO()
 	must(mo.RelateAnnot("Diagnosis", "1", "10", mddm.Always().WithProb(0.9)))
 	must(mo.RelateAnnot("Diagnosis", "1", "5", mddm.Always().WithProb(0.4)))
+	return mo
+}
+
+// thresholdQuery and probabilisticQuery are the example's query-language
+// statements. The columnar planner answers each from a context view of its
+// engine (main_test.go holds it to that, and to the algebra's rows).
+const thresholdQuery = `SELECT FACTS FROM patients WHERE Diagnosis = '5' WITH PROB >= 0.5`
+
+func probabilisticQuery(fn string) string {
+	return fmt.Sprintf(`SELECT %s(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Group"`, fn)
+}
+
+var probabilisticFunctions = []string{"EXPECTED", "MINCOUNT", "MAXCOUNT"}
+
+func main() {
+	ctx := mddm.CurrentContext(ref)
+	mo := uncertainMO()
 
 	for _, minProb := range []float64{0, 0.5, 0.95} {
 		n := 0
@@ -51,7 +68,7 @@ func main() {
 
 	// The query language exposes the same filter.
 	cat := mddm.QueryCatalog{"patients": mo}
-	res, err := mddm.ExecQuery(`SELECT FACTS FROM patients WHERE Diagnosis = '5' WITH PROB >= 0.5`, cat, ref)
+	res, err := mddm.ExecQuery(thresholdQuery, cat, ref)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,9 +77,8 @@ func main() {
 
 	// Probabilistic aggregation: expected, minimum, and maximum patient
 	// counts per diagnosis group under uncertainty.
-	for _, fn := range []string{"EXPECTED", "MINCOUNT", "MAXCOUNT"} {
-		q := fmt.Sprintf(`SELECT %s(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Group"`, fn)
-		r, err := mddm.ExecQuery(q, cat, ref)
+	for _, fn := range probabilisticFunctions {
+		r, err := mddm.ExecQuery(probabilisticQuery(fn), cat, ref)
 		if err != nil {
 			log.Fatal(err)
 		}

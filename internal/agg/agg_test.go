@@ -228,7 +228,9 @@ func TestCheckLegal(t *testing.T) {
 // TestFoldMatchesEval pins the one partial aggregate to the functions'
 // own definition: for every function with a Fold, the Acc that Added a
 // list finalizes to exactly — bit for bit, ok included — what Eval
-// computes over the list, on empty input, NaN, ±Inf and −0 too. A copy of
+// computes over the list, on empty input, NaN, ±Inf and −0 too; for a
+// probabilistic function the list holds membership probabilities, the Acc
+// Adds their ProbArg reading, and ProbEval is the definition. A copy of
 // the Acc taken mid-list and continued with the rest is the fold of the
 // whole list, and the Acc it was copied from still is the fold of the
 // prefix: that is all delta maintenance does to a cached partial.
@@ -263,30 +265,37 @@ func TestFoldMatchesEval(t *testing.T) {
 			continue
 		}
 		folded++
+		eval, read := g.Eval, func(x float64) float64 { return x }
+		if g.NeedsProb {
+			if g.ProbArg == ProbNone {
+				t.Fatalf("%s has a Fold but no ProbArg to feed it", name)
+			}
+			eval, read = g.ProbEval, g.ProbArg.Of
+		}
 		for _, xs := range lists {
 			cut := r.Intn(len(xs) + 1)
 			var prefix Acc
 			for _, x := range xs[:cut] {
-				prefix.Add(x)
+				prefix.Add(read(x))
 			}
 			whole := prefix
 			for _, x := range xs[cut:] {
-				whole.Add(x)
+				whole.Add(read(x))
 			}
 			got, gok := g.Fold(whole)
-			want, wok := g.Eval(xs)
+			want, wok := eval(xs)
 			if !same(got, gok, want, wok) {
 				t.Fatalf("%s over %v: Fold = (%v, %v), Eval = (%v, %v)", name, xs, got, gok, want, wok)
 			}
 			got, gok = g.Fold(prefix)
-			want, wok = g.Eval(xs[:cut])
+			want, wok = eval(xs[:cut])
 			if !same(got, gok, want, wok) {
 				t.Fatalf("%s: continuing a copy changed the prefix fold of %v: (%v, %v), Eval = (%v, %v)", name, xs[:cut], got, gok, want, wok)
 			}
 		}
 	}
-	if folded != 5 {
-		t.Errorf("%d functions have a Fold, want SUM, COUNT, AVG, MIN and MAX", folded)
+	if folded != 8 {
+		t.Errorf("%d functions have a Fold, want SUM, COUNT, AVG, MIN, MAX, EXPECTED, MINCOUNT and MAXCOUNT", folded)
 	}
 	if MustLookup("MEDIAN").Fold != nil {
 		t.Error("MEDIAN must be holistic (no constant-size partial)")

@@ -48,6 +48,12 @@ type Func struct {
 	NeedsProb bool
 	// ProbEval folds the membership probabilities; used when NeedsProb.
 	ProbEval func(probs []float64) (res float64, ok bool)
+	// ProbArg says what Fold consumes of a probabilistic function's members:
+	// Fold(acc) is bit for bit ProbEval(probs) for the Acc that Added
+	// ProbArg.Of(p) for each p of probs in order. ProbNone on a probabilistic
+	// function means it has no such partial and is evaluated from the
+	// probability list.
+	ProbArg ProbArg
 	// Fold finalizes the function from the constant-size partial of its
 	// argument values: Fold(acc) is bit for bit Eval(vals) for the Acc that
 	// Added vals in order. Nil on an argument-consuming function means it
@@ -56,6 +62,44 @@ type Func struct {
 	// never continued, when facts are appended.
 	Fold func(acc Acc) (res float64, ok bool)
 }
+
+// ProbArg is the reading of a membership probability that a probabilistic
+// function's partial folds: the probability itself, or an indicator of it.
+// Sums of 0/1 indicators are exact, so the counting functions fold to the
+// integers ProbEval counts.
+type ProbArg uint8
+
+const (
+	// ProbNone: the function folds no membership probabilities.
+	ProbNone ProbArg = iota
+	// ProbValue reads p.
+	ProbValue
+	// ProbCertain reads 1 when p ≥ 1, else 0.
+	ProbCertain
+	// ProbPossible reads 1 when p > 0, else 0.
+	ProbPossible
+)
+
+// Of applies the reading to one membership probability.
+func (k ProbArg) Of(p float64) float64 {
+	switch k {
+	case ProbCertain:
+		if p >= 1 {
+			return 1
+		}
+		return 0
+	case ProbPossible:
+		if p > 0 {
+			return 1
+		}
+		return 0
+	}
+	return p
+}
+
+// sumFold is the Fold of the probabilistic functions: each is the sum of
+// its ProbArg reading, defined on every group like its ProbEval.
+func sumFold(a Acc) (float64, bool) { return a.Sum, true }
 
 // Apply evaluates the function over a group: n is the group size (|set|),
 // vals the argument values extracted from the argument dimension. For
@@ -250,7 +294,7 @@ func init() {
 	Register(&Func{
 		Name: "EXPECTED", Distributive: true,
 		MinClass: dimension.Constant, ResultClass: dimension.Sum,
-		NeedsProb: true,
+		NeedsProb: true, ProbArg: ProbValue, Fold: sumFold,
 		ProbEval: func(probs []float64) (float64, bool) {
 			var s float64
 			for _, p := range probs {
@@ -262,7 +306,7 @@ func init() {
 	Register(&Func{
 		Name: "MINCOUNT", Distributive: true,
 		MinClass: dimension.Constant, ResultClass: dimension.Sum,
-		NeedsProb: true,
+		NeedsProb: true, ProbArg: ProbCertain, Fold: sumFold,
 		ProbEval: func(probs []float64) (float64, bool) {
 			n := 0
 			for _, p := range probs {
@@ -276,7 +320,7 @@ func init() {
 	Register(&Func{
 		Name: "MAXCOUNT", Distributive: true,
 		MinClass: dimension.Constant, ResultClass: dimension.Sum,
-		NeedsProb: true,
+		NeedsProb: true, ProbArg: ProbPossible, Fold: sumFold,
 		ProbEval: func(probs []float64) (float64, bool) {
 			n := 0
 			for _, p := range probs {

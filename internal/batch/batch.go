@@ -113,6 +113,9 @@ type Request struct {
 	// ListArgs requests per-value argument lists instead of Accs
 	// (plan.Prepared.NeedsArgLists: an aggregate without a Fold).
 	ListArgs bool
+	// Prob makes the member a probability member (plan.Prepared.ProbArg:
+	// a probabilistic aggregate, on a context view).
+	Prob agg.ProbArg
 }
 
 // Result is one member's view of its batch's scan: the value dictionary
@@ -389,14 +392,14 @@ func (s *Scheduler) runScan(k key, f *flight, deg int) {
 	for i, m := range f.members {
 		j := -1
 		for u := range unique {
-			if unique[u].ArgDim == m.ArgDim && unique[u].ListArgs == m.ListArgs && unique[u].Sel.Equal(m.Sel) {
+			if unique[u].ArgDim == m.ArgDim && unique[u].ListArgs == m.ListArgs && unique[u].Prob == m.Prob && unique[u].Sel.Equal(m.Sel) {
 				j = u
 				break
 			}
 		}
 		if j < 0 {
 			j = len(unique)
-			unique = append(unique, storage.SharedScanMember{ArgDim: m.ArgDim, Sel: m.Sel, ListArgs: m.ListArgs})
+			unique = append(unique, storage.SharedScanMember{ArgDim: m.ArgDim, Sel: m.Sel, ListArgs: m.ListArgs, Prob: m.Prob})
 		}
 		f.slot[i] = j
 	}

@@ -360,6 +360,19 @@ func (d *Dimension) LessEq(e1, e2 string, ctx Context) (bool, float64) {
 		}
 		return false, 0
 	}
+	p, ok := d.UpReach(e1, ctx)[e2]
+	return ok, p
+}
+
+// UpReach walks upward from e1 through the edges the context admits and
+// returns every value it reaches — e1 itself included, at probability 1 —
+// with the maximum over admitted paths of the product of edge
+// probabilities; a path is abandoned where its product falls below
+// ctx.MinProb. It is LessEq's walk: LessEq(e1, e2) holds, for e2 above e1,
+// exactly when e2 is in the map, with that probability. Indexes that need
+// e1's every ancestor (storage's context views) take them from one walk
+// where LessEq would walk once per candidate.
+func (d *Dimension) UpReach(e1 string, ctx Context) map[string]float64 {
 	best := map[string]float64{e1: 1}
 	stack := []string{e1}
 	for len(stack) > 0 {
@@ -380,8 +393,7 @@ func (d *Dimension) LessEq(e1, e2 string, ctx Context) (bool, float64) {
 			}
 		}
 	}
-	p, ok := best[e2]
-	return ok, p
+	return best
 }
 
 // LessEqTime returns the valid-time element during which e1 ⊑ e2 holds

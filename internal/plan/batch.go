@@ -24,8 +24,8 @@ import (
 // Batch bypass reasons — the closed set of "why this query cannot join a
 // fused scan" labels (internal/batch registers a counter per reason).
 const (
-	// BypassFallback: the query routes to the algebra path (probabilistic,
-	// timeslice, …) — there is no kernel leg to share.
+	// BypassFallback: the query routes to the algebra path (DESCRIBE, an
+	// unresolvable engine) — there is no kernel leg to share.
 	BypassFallback = "fallback"
 	// BypassFacts: SELECT FACTS enumerates identities, not group folds.
 	BypassFacts = "facts"
@@ -99,25 +99,40 @@ func (p *Prepared) Selection() *storage.Bitmap { return p.sel }
 
 // NeedsArgLists reports whether this member's slice of the scan must
 // materialize per-value argument lists (storage.SharedScanMember
-// ListArgs): only an aggregate without a Fold — MEDIAN — finalizes with its
-// own Eval over the values. Everything else finishes from the scan's
-// constant-size Accs, which are also what a delta capture keeps.
+// ListArgs): only an aggregate without a Fold — MEDIAN, or a probabilistic
+// function registered without one — finalizes with its own Eval over the
+// values. Everything else finishes from the scan's constant-size Accs,
+// which are also what a delta capture keeps.
 func (p *Prepared) NeedsArgLists() bool {
-	return p.argDim != "" && p.fn.Fold == nil
+	return (p.argDim != "" || p.fn.NeedsProb) && p.fn.Fold == nil
+}
+
+// ProbArg returns the reading of membership probabilities this member's
+// slice of the scan folds (storage.SharedScanMember Prob): the function's
+// own, the plain probability for one that evaluates from the list, and
+// agg.ProbNone for an aggregate that is not probabilistic.
+func (p *Prepared) ProbArg() agg.ProbArg {
+	if !p.fn.NeedsProb || p.fn.Fold != nil {
+		return p.fn.ProbArg
+	}
+	return agg.ProbValue
 }
 
 // groupValue is the one evaluation of a group, for every shape and for a
-// delta-upgraded result: count facts, and their argument values as the
-// scan's Acc or — for a function without a Fold — as a list in ascending
-// fact order. No facts, no group, no row (the algebra forms no group from
-// an empty fact set); not ok — the function is undefined on the group's
-// values, as SUM is on none — no row either.
+// delta-upgraded result: count facts, and their argument values — for a
+// probabilistic function their membership probabilities — as the scan's
+// Acc or, for a function without a Fold, as a list in ascending fact order.
+// No facts, no group, no row (the algebra forms no group from an empty fact
+// set); not ok — the function is undefined on the group's values, as SUM is
+// on none — no row either.
 func groupValue(fn *agg.Func, count int64, acc agg.Acc, list []float64) (float64, bool) {
-	if count == 0 {
+	switch {
+	case count == 0:
 		return 0, false
-	}
-	if fn.NeedsArg && fn.Fold != nil {
+	case (fn.NeedsArg || fn.NeedsProb) && fn.Fold != nil:
 		return fn.Fold(acc)
+	case fn.NeedsProb:
+		return fn.ApplyProb(list)
 	}
 	return fn.Apply(int(count), list)
 }
@@ -151,7 +166,7 @@ func (p *Prepared) finishMember(caller, kernel string, values []string, counts [
 	}
 	if lists := p.NeedsArgLists(); lists && args == nil {
 		return nil, fmt.Errorf("plan: %s without argument lists for a list-mode member", caller)
-	} else if !lists && p.argDim != "" && folds == nil {
+	} else if !lists && (p.argDim != "" || p.fn.NeedsProb) && folds == nil {
 		return nil, fmt.Errorf("plan: %s without argument folds for a fold-mode member", caller)
 	}
 	return p.finishLeg(kernel, values, counts, args, folds)
@@ -172,7 +187,7 @@ func (p *Prepared) finishLeg(kernel string, values []string, counts []int64, arg
 	switch {
 	case gd.dim == "":
 		shape = ShapeGlobal
-	case p.sel == nil && !p.fn.NeedsArg:
+	case p.sel == nil && !p.fn.NeedsArg && !p.fn.NeedsProb:
 		shape, op = ShapeKernelCount, "count-distinct"
 	case p.sel == nil && p.fn.Name == "SUM":
 		shape, op = ShapeKernelSum, "sum"

@@ -207,7 +207,7 @@ func TestBatchableClassification(t *testing.T) {
 		{`SELECT FACTS FROM gen WHERE Residence = 'R0'`, BypassFacts},
 		{`SELECT SETCOUNT(*) FROM gen`, BypassGlobal},
 		{`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group", Residence."Region"`, BypassCross},
-		{`SELECT EXPECTED(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, BypassFallback},
+		{`DESCRIBE gen Diagnosis`, BypassFallback},
 		{`SELECT SETCOUNT(*) FROM gen GROUP BY NoSuchDim."X"`, BypassError},
 	}
 	for _, tc := range cases {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"mddm/internal/core"
 	"mddm/internal/dimension"
 	"mddm/internal/query"
 	"mddm/internal/storage"
@@ -16,13 +15,15 @@ import (
 // comparisons scan the memoized measure column, and the boolean
 // connectives are word-parallel bitmap algebra. Name-resolution error
 // texts replicate the algebra compiler (query.compilePred) exactly, so a
-// bad WHERE reads identically on either path.
-func compileWhere(cctx context.Context, n query.PredNode, m *core.MO, eng *storage.Engine, ectx dimension.Context) (*storage.Bitmap, error) {
+// bad WHERE reads identically on either path. Dimensions and the context
+// for their lookups are the engine's (Engine.Dimension, Engine.Context):
+// on a context view, the sliced dimension the algebra would compile against.
+func compileWhere(cctx context.Context, n query.PredNode, eng *storage.Engine) (*storage.Bitmap, error) {
 	switch x := n.(type) {
 	case query.AndNode:
 		out := storage.NewBitmap(eng.NumFacts()).Fill()
 		for _, k := range x.Kids {
-			kb, err := compileWhere(cctx, k, m, eng, ectx)
+			kb, err := compileWhere(cctx, k, eng)
 			if err != nil {
 				return nil, err
 			}
@@ -32,7 +33,7 @@ func compileWhere(cctx context.Context, n query.PredNode, m *core.MO, eng *stora
 	case query.OrNode:
 		out := storage.NewBitmap(eng.NumFacts())
 		for _, k := range x.Kids {
-			kb, err := compileWhere(cctx, k, m, eng, ectx)
+			kb, err := compileWhere(cctx, k, eng)
 			if err != nil {
 				return nil, err
 			}
@@ -40,21 +41,21 @@ func compileWhere(cctx context.Context, n query.PredNode, m *core.MO, eng *stora
 		}
 		return out, nil
 	case query.NotNode:
-		kb, err := compileWhere(cctx, x.Kid, m, eng, ectx)
+		kb, err := compileWhere(cctx, x.Kid, eng)
 		if err != nil {
 			return nil, err
 		}
 		return storage.NewBitmap(eng.NumFacts()).Fill().AndNot(kb), nil
 	case query.CondNode:
-		return compileCondBitmap(cctx, x, m, eng, ectx)
+		return compileCondBitmap(cctx, x, eng)
 	case query.InNode:
-		d := m.Dimension(x.Dim)
+		d := eng.Dimension(x.Dim)
 		if d == nil {
 			return nil, fmt.Errorf("query: unknown dimension %q", x.Dim)
 		}
 		out := storage.NewBitmap(eng.NumFacts())
 		for _, v := range x.Vals {
-			ab, err := resolveValueBitmap(cctx, query.CondNode{Dim: x.Dim, Qualifier: x.Qualifier, Op: "=", StrVal: v}, d, eng, ectx)
+			ab, err := resolveValueBitmap(cctx, query.CondNode{Dim: x.Dim, Qualifier: x.Qualifier, Op: "=", StrVal: v}, d, eng)
 			if err != nil {
 				return nil, err
 			}
@@ -69,8 +70,8 @@ func compileWhere(cctx context.Context, n query.PredNode, m *core.MO, eng *stora
 	}
 }
 
-func compileCondBitmap(cctx context.Context, c query.CondNode, m *core.MO, eng *storage.Engine, ectx dimension.Context) (*storage.Bitmap, error) {
-	d := m.Dimension(c.Dim)
+func compileCondBitmap(cctx context.Context, c query.CondNode, eng *storage.Engine) (*storage.Bitmap, error) {
+	d := eng.Dimension(c.Dim)
 	if d == nil {
 		return nil, fmt.Errorf("query: unknown dimension %q", c.Dim)
 	}
@@ -95,7 +96,7 @@ func compileCondBitmap(cctx context.Context, c query.CondNode, m *core.MO, eng *
 		}
 		return out, nil
 	}
-	base, err := resolveValueBitmap(cctx, c, d, eng, ectx)
+	base, err := resolveValueBitmap(cctx, c, d, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,8 @@ func compileCondBitmap(cctx context.Context, c query.CondNode, m *core.MO, eng *
 // qualifier names a representation; an unqualified literal resolves first
 // as a value id, then through every representation of the dimension —
 // the same resolution order as query.resolveValuePred.
-func resolveValueBitmap(cctx context.Context, c query.CondNode, d *dimension.Dimension, eng *storage.Engine, ectx dimension.Context) (*storage.Bitmap, error) {
+func resolveValueBitmap(cctx context.Context, c query.CondNode, d *dimension.Dimension, eng *storage.Engine) (*storage.Bitmap, error) {
+	ectx := eng.Context()
 	if c.Qualifier != "" {
 		rep := d.Representation(c.Qualifier)
 		if rep == nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mddm/internal/agg"
-	"mddm/internal/dimension"
 	"mddm/internal/query"
 	"mddm/internal/storage"
 	"mddm/internal/temporal"
@@ -51,8 +50,8 @@ type Partials struct {
 	// Shape is the plan shape that produced the partials (informational).
 	Shape string
 	// Fn is the aggregate function: argument-free, or one with a Fold
-	// (MEDIAN has none and is never captured; probabilistic functions fall
-	// back to the algebra).
+	// (MEDIAN has none and is never captured; neither is a probabilistic
+	// function, which answers from a context view).
 	Fn *agg.Func
 	// Dim/Cat are the single effective grouping leg; empty (⊤) for global.
 	Dim, Cat string
@@ -76,8 +75,9 @@ type Partials struct {
 
 // Capture is the context sink Execute fills with the partials of an
 // upgradeable planned query; Partials stays nil when the query took a
-// fallback, a non-upgradeable shape (facts, cross) or a function without a
-// constant-size partial.
+// fallback, a non-upgradeable shape (facts, cross), a function without a
+// constant-size partial, or a context view — an append drops the view, so
+// there is nothing to continue.
 type Capture struct {
 	Partials *Partials
 }
@@ -98,15 +98,16 @@ func captureFrom(ctx context.Context) *Capture {
 }
 
 // newPartials assembles the capture skeleton of a global or one-leg query
-// — nil unless the context installed a Capture and the function's partial
-// is constant-size: argument-free (the count) or with a Fold (the Acc). It
+// — nil unless the context installed a Capture, the engine is no context
+// view, and the function's partial is constant-size: argument-free (the
+// count) or with a Fold (the Acc). It
 // decomposes the summarizability report into its append-sensitive and
 // append-invariant parts. The report lists, in order: the function reason
 // (iff Fn is not distributive), the grouping leg's strictness reason, then
 // its covering reasons — checkSummarizable order, which rebuildReport
 // reproduces.
 func (p *Prepared) newPartials(shape string, groups int) *Partials {
-	if captureFrom(p.cctx) == nil || p.NeedsArgLists() {
+	if captureFrom(p.cctx) == nil || p.eng.IsView() || p.NeedsArgLists() {
 		return nil
 	}
 	gd, factType := p.leg(), p.m.Schema().FactType()
@@ -175,13 +176,15 @@ func (p *Partials) rebuildReport() agg.Report {
 // failure, cancellation). Bit-identity with a recompute from scratch
 // follows from the kernel's extraction order: every argument value is
 // Added in ascending dense-index order on both paths, and an Acc is only
-// ever continued, never merged.
-func UpgradeResult(ctx context.Context, eng *storage.Engine, old *Partials, lo, hi int, ref temporal.Chronon) (*query.Result, *Partials, error) {
+// ever continued, never merged. eng is the engine the partials were captured
+// on, never a context view; ref is its context's reference chronon, which
+// the engine carries (Engine.Context), so it is not read here.
+func UpgradeResult(ctx context.Context, eng *storage.Engine, old *Partials, lo, hi int, _ temporal.Chronon) (*query.Result, *Partials, error) {
 	q := old.Query
 	var sel *storage.Bitmap
 	if q.Where != nil {
 		var err error
-		sel, err = compileWhere(ctx, q.Where, eng.MO(), eng, dimension.CurrentContext(ref))
+		sel, err = compileWhere(ctx, q.Where, eng)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -386,8 +386,8 @@ func TestUpgradeResultContinuesFolds(t *testing.T) {
 		{` GROUP BY Product."Brand"`, storage.KernelBitmap},
 	}
 	for _, name := range agg.Names() {
-		if agg.MustLookup(name).Fold == nil {
-			continue
+		if fn := agg.MustLookup(name); fn.Fold == nil || fn.NeedsProb {
+			continue // no constant-size partial, or answered from a view: nothing captured
 		}
 		for _, leg := range legs {
 			src := fmt.Sprintf(`SELECT %s(Price) FROM sales%s`, name, leg.groupBy)

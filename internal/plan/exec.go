@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -47,19 +46,18 @@ func execFacts(guard *qos.Guard, eng *storage.Engine, m *core.MO, sel *storage.B
 // (fact.NewGroup identity). Each group is charged Check plus
 // Facts(|members|), evaluated once, and flattened to the cross product of
 // its per-dimension value sets — including the cross-product rows that
-// merging introduces.
-func execCross(cctx context.Context, guard *qos.Guard, eng *storage.Engine, fn *agg.Func, grouped []groupDim, argDim string, sel *storage.Bitmap) ([][]string, error) {
+// merging introduces. A probabilistic function's groups are the cells
+// themselves, each evaluated over its members' cell probabilities.
+func (p *Prepared) execCross() ([][]string, error) {
+	guard, fn, grouped := p.guard, p.fn, p.grouped
 	k := len(grouped)
 	legs := make([]storage.CrossLeg, k)
 	for d, gd := range grouped {
 		legs[d] = storage.CrossLeg{Dim: gd.dim, Cat: gd.cat}
 	}
-	// An aggregate without a Fold finalizes with its own Eval over the
-	// members' argument values.
-	listArgs := argDim != "" && fn.Fold == nil
 	var rows [][]string
 	pos := make([]int, k)
-	err := eng.CrossAggregateBy(cctx, legs, argDim, sel, listArgs, func(g *storage.CrossGroup) error {
+	err := p.eng.CrossAggregateBy(p.cctx, legs, p.argDim, p.sel, p.NeedsArgLists(), p.ProbArg(), func(g *storage.CrossGroup) error {
 		if err := guard.Check(); err != nil {
 			return err
 		}

@@ -15,16 +15,12 @@ const (
 	ShapeCross       = "cross"
 )
 
-// Fallback reasons — the operators that need full MO semantics, plus the
-// defensive engine conditions. The set is closed so the per-reason
+// Fallback reasons — the one statement that needs full MO semantics, plus
+// the defensive engine condition. The set is closed so the per-reason
 // fallback counters can be registered up front.
 const (
 	ReasonDescribe          = "describe"
-	ReasonMinProb           = "min-prob"
-	ReasonTimeslice         = "timeslice"
-	ReasonProbabilistic     = "probabilistic"
 	ReasonEngineUnavailable = "engine-unavailable"
-	ReasonContextMismatch   = "context-mismatch"
 )
 
 // Explain describes how one query was executed; it is filled in when the
@@ -48,6 +44,16 @@ type Explain struct {
 	Degree int `json:"degree,omitempty"`
 	// Groups counts the result rows before HAVING/ORDER/LIMIT.
 	Groups int `json:"groups,omitempty"`
+	// View is set when the query was answered from a context view of the
+	// engine — it asked for an ASOF instant or a WITH PROB threshold, or
+	// its aggregate reads membership probabilities: "built" when resolving
+	// the engine made the view, "cached" when the engine still had it
+	// (storage.Engine.View). AsofValid, AsofTrans and MinProb are the
+	// view's evaluation context beyond the current one.
+	View      string  `json:"view,omitempty"`
+	AsofValid string  `json:"asof_valid,omitempty"`
+	AsofTrans string  `json:"asof_trans,omitempty"`
+	MinProb   float64 `json:"min_prob,omitempty"`
 }
 
 type explainKey struct{}

@@ -40,6 +40,16 @@ func FuzzPlanDifferential(f *testing.F) {
 		`SELECT MEDIAN(Age) FROM patients GROUP BY Residence."Region"`,
 		`SELECT MAX(Age) FROM patients GROUP BY Diagnosis."⊤", Diagnosis."⊤"`,
 		`SELECT SETCOUNT(*) FROM patients WHERE NOT (Diagnosis = 'E10' OR Diagnosis = 'E11')`,
+		// Context views: timeslices, thresholds and probabilistic functions
+		// over temporal, uncertain hierarchies (wardsMO) and attachments.
+		`SELECT SETCOUNT(*) FROM wards GROUP BY Site."Hospital" ASOF VALID '15/06/1996' ASOF TRANS '15/06/1993' WITH PROB >= 0.45`,
+		`SELECT EXPECTED(*) FROM wards WHERE Site.Code = 'A' GROUP BY Site."Clinic", Cost ASOF VALID '15/06/1987'`,
+		`SELECT MINCOUNT(*) AS N FROM gen GROUP BY Diagnosis."Diagnosis Family" HAVING >= 1 ASOF VALID '15/06/1988' ORDER BY N DESC LIMIT 3`,
+		`SELECT MAXCOUNT(*) FROM gen WHERE Residence = 'R0' WITH PROB >= 0.95`,
+		`SELECT FACTS FROM wards WHERE Site = '⊤' OR NOT Site = 'H1' ASOF TRANS '15/06/1991' WITH PROB >= 0.85 LIMIT 5`,
+		`SELECT AVG(Cost) FROM wards GROUP BY Site."Ward" WITH PROB >= 0.75`,
+		`SELECT LEASTSURE(*) FROM wards GROUP BY Site."Clinic" ASOF VALID '15/06/1996'`,
+		`SELECT SUM(Age) FROM patients WHERE Diagnosis.Code = 'P11' GROUP BY Diagnosis."Diagnosis Family" ASOF VALID '15/06/1975'`,
 		// Malformed.
 		`'unclosed`,
 		`SELECT ((((`,

@@ -18,11 +18,7 @@ var (
 		obs.DurationBuckets)
 	mFallbacks = map[string]*obs.Counter{
 		ReasonDescribe:          newFallbackCounter(ReasonDescribe),
-		ReasonMinProb:           newFallbackCounter(ReasonMinProb),
-		ReasonTimeslice:         newFallbackCounter(ReasonTimeslice),
-		ReasonProbabilistic:     newFallbackCounter(ReasonProbabilistic),
 		ReasonEngineUnavailable: newFallbackCounter(ReasonEngineUnavailable),
-		ReasonContextMismatch:   newFallbackCounter(ReasonContextMismatch),
 	}
 )
 

@@ -1,14 +1,16 @@
 // Package plan is the columnar query planner: it lowers a parsed query to
 // a physical plan over the storage engine's kernels and bitmap indexes —
 // selection becomes bitmap algebra, grouping becomes per-value closure
-// folds, aggregation becomes flat column folds — and materializes nothing
-// but the surviving result rows. The full-algebra path (internal/query →
+// folds, aggregation becomes flat column folds, and the evaluation context
+// (ASOF VALID, ASOF TRANS, WITH PROB >=) becomes a context view of the
+// engine that the same kernels scan — and materializes nothing but the
+// surviving result rows. The full-algebra path (internal/query →
 // internal/algebra), which builds a complete result MO per the paper's
-// aggregate-formation operator, remains the semantic oracle: every
-// operator the planner cannot express columnar (probabilistic functions,
-// temporal timeslices, probability thresholds) falls back to it, and every planned result is differentially tested
-// against it (see plan_test.go), mirroring how column ≡ bitmap ≡
-// index-free is pinned per-kernel in internal/storage.
+// aggregate-formation operator, remains the semantic oracle: DESCRIBE, and
+// a query whose engine cannot be resolved, fall back to it, and every
+// planned result is differentially tested against it (see plan_test.go),
+// mirroring how column ≡ bitmap ≡ index-free is pinned per-kernel in
+// internal/storage.
 package plan
 
 import (
@@ -29,18 +31,21 @@ import (
 	"mddm/internal/temporal"
 )
 
-// Engines resolves the read-optimized engine snapshot for a catalog MO.
-// serve.(*Server) satisfies it directly; standalone callers use
-// CatalogEngines.
+// Engines resolves the read-optimized engine snapshot for a catalog MO,
+// under the current context at the resolver's reference chronon. The
+// planner derives the engine for the query's own context from it
+// (storage.Engine.View), so a resolver memoizes per context through the
+// snapshot it hands out. serve.(*Server) satisfies it directly; standalone
+// callers use CatalogEngines.
 type Engines interface {
 	EngineFor(ctx context.Context, name string) (*storage.Engine, error)
 }
 
 // ExecContext parses and executes a query through the planner, falling
-// back to the algebra path (query.RunContext) for operators that need MO
-// semantics. It is a drop-in replacement for query.ExecContext: same
-// results, same error texts for every validation error, same result-cache
-// canonical key (planning happens after cache keying). It is
+// back to the algebra path (query.RunContext) for DESCRIBE and for an
+// unresolvable engine. It is a drop-in replacement for query.ExecContext:
+// same results, same error texts for every validation error, same
+// result-cache canonical key (planning happens after cache keying). It is
 // PrepareContext followed by Execute — the split exists so the batch
 // scheduler (internal/batch) can hold a query between planning and shape
 // execution.
@@ -101,26 +106,23 @@ func (p *Prepared) route(q *query.Query) error {
 	// planning work; see docs/PLANNER.md for the fallback matrix.
 	if q.Describe != "" {
 		p.fallbackReason = ReasonDescribe
-		return nil
-	}
-	if q.MinProb > 0 {
-		p.fallbackReason = ReasonMinProb
-		return nil
-	}
-	if q.AsofValid != nil || q.AsofTrans != nil {
-		p.fallbackReason = ReasonTimeslice
-		return nil
-	}
-	if !q.FactsOnly {
-		// A resolvable aggregate decides its path here; an unknown name
-		// stays on the planned path so the lookup error surfaces in the
-		// same order the algebra path reports it (after WHERE compilation).
-		if fn, err := agg.Lookup(q.Agg); err == nil && fn.NeedsProb {
-			p.fallbackReason = ReasonProbabilistic
-			return nil
-		}
 	}
 	return nil
+}
+
+// evalContext is the evaluation context the query's clauses ask for: the
+// current one at ref, at the ASOF instants, above the WITH PROB threshold —
+// the instants the algebra path slices the MO at and the context it then
+// evaluates under, in one value.
+func evalContext(q *query.Query, ref temporal.Chronon) dimension.Context {
+	ectx := dimension.CurrentContext(ref).WithMinProb(q.MinProb)
+	if q.AsofValid != nil {
+		ectx = ectx.AtValid(*q.AsofValid)
+	}
+	if q.AsofTrans != nil {
+		ectx = ectx.AtTrans(*q.AsofTrans)
+	}
+	return ectx
 }
 
 // plan resolves the engine, compiles the WHERE selection, and runs every
@@ -140,22 +142,33 @@ func (p *Prepared) plan(engines Engines) {
 		p.fallbackReason = ReasonEngineUnavailable
 		return
 	}
-	ectx := dimension.CurrentContext(p.ref)
-	if ec := eng.Context(); ec.Valid != nil || ec.Trans != nil || ec.MinProb != 0 || ec.Ref != ectx.Ref {
-		// The engine was built under a different evaluation context than
-		// this query's; its closures would answer a different question.
-		p.fallbackReason = ReasonContextMismatch
-		return
+	// The engine for the query's context: the snapshot itself for a plain
+	// query, a context view of it otherwise. A probabilistic aggregate (a
+	// name that does not resolve errors later, where the algebra reports it)
+	// reads membership probabilities, which only views index.
+	fn, fnErr := agg.Lookup(q.Agg)
+	ectx := evalContext(q, p.ref)
+	eng, resolved := eng.View(ectx, !q.FactsOnly && fnErr == nil && fn.NeedsProb)
+	if p.ex != nil && resolved != "" {
+		p.ex.View = resolved
+		p.ex.MinProb = ectx.MinProb
+		if ectx.Valid != nil {
+			p.ex.AsofValid = ectx.Valid.String()
+		}
+		if ectx.Trans != nil {
+			p.ex.AsofTrans = ectx.Trans.String()
+		}
 	}
 	// The engine's MO is the authoritative pairing: reading names through
 	// it keeps dimension metadata and bitmap indexes from one snapshot
 	// even if the catalog entry was swapped after the engine resolved.
+	// Dimensions are read through the engine: a view's are sliced.
 	p.eng = eng
 	m := eng.MO()
 	p.m = m
 
 	if q.Where != nil {
-		p.sel, err = compileWhere(p.cctx, q.Where, m, eng, ectx)
+		p.sel, err = compileWhere(p.cctx, q.Where, eng)
 		if err != nil {
 			p.planErr = err
 			return
@@ -176,9 +189,8 @@ func (p *Prepared) plan(engines Engines) {
 		return
 	}
 
-	fn, err := agg.Lookup(q.Agg)
-	if err != nil {
-		p.planErr = fmt.Errorf("query: %w", err)
+	if fnErr != nil {
+		p.planErr = fmt.Errorf("query: %w", fnErr)
 		return
 	}
 	p.fn = fn
@@ -232,7 +244,7 @@ func (p *Prepared) plan(engines Engines) {
 		p.planErr = fmt.Errorf("query: %w", err)
 		return
 	}
-	p.report = checkSummarizable(eng, m, fn, groupBy, ectx, p.sel)
+	p.report = checkSummarizable(eng, fn, groupBy, p.sel)
 	p.grouped = groupedDims(m, groupBy)
 }
 
@@ -267,7 +279,7 @@ func (p *Prepared) Execute() (*query.Result, error) {
 		}
 		// Cross captures nothing: its merged set-valued groups do not
 		// decompose per appended fact.
-		rows, err := execCross(p.cctx, p.guard, p.eng, p.fn, p.grouped, p.argDim, p.sel)
+		rows, err := p.execCross()
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +290,7 @@ func (p *Prepared) Execute() (*query.Result, error) {
 	// member, then the same finish.
 	gd := p.leg()
 	scan, err := p.eng.ScanLeg(p.cctx, gd.dim, gd.cat,
-		[]storage.SharedScanMember{{ArgDim: p.argDim, Sel: p.sel, ListArgs: p.NeedsArgLists()}},
+		[]storage.SharedScanMember{{ArgDim: p.argDim, Sel: p.sel, ListArgs: p.NeedsArgLists(), Prob: p.ProbArg()}},
 		exec.DegreeFrom(p.cctx))
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)

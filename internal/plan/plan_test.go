@@ -22,11 +22,13 @@ import (
 // testRef matches the reference chronon used across the query test suites.
 var testRef = temporal.MustDate("01/01/1999")
 
-// testCatalog returns a two-MO catalog: "patients" is the hand-built
-// Example 8 MO from the paper (representations, temporal annotations,
-// probabilities), "gen" is the synthetic generator MO (non-strict
-// hierarchy, churn, mixed granularity, 100 patients) — together they
-// cover every structural feature the planner must reproduce.
+// testCatalog returns a three-MO catalog: "patients" is the hand-built
+// Example 8 MO from the paper (representations, temporal annotations),
+// "gen" is the synthetic generator MO (non-strict hierarchy, churn, mixed
+// granularity, uncertain attachments, 100 patients) and "wards" is wardsMO,
+// whose hierarchy edges and memberships are themselves temporal and
+// uncertain — together they cover every structural feature the planner
+// must reproduce.
 func testCatalog(t testing.TB) query.Catalog {
 	t.Helper()
 	m, err := casestudy.BuildPatientMO(casestudy.DefaultOptions())
@@ -36,6 +38,7 @@ func testCatalog(t testing.TB) query.Catalog {
 	return query.Catalog{
 		"patients": m,
 		"gen":      casestudy.MustGenerate(casestudy.DefaultGen()),
+		"wards":    wardsMO(t),
 	}
 }
 
@@ -45,9 +48,15 @@ func testCatalog(t testing.TB) query.Catalog {
 // filled Explain so callers can additionally pin the routing.
 func diffOne(t *testing.T, ctx context.Context, src string, cat query.Catalog, engines Engines) *Explain {
 	t.Helper()
+	return diffOneAt(t, ctx, src, cat, engines, testRef)
+}
+
+// diffOneAt is diffOne with NOW resolving to ref on both paths.
+func diffOneAt(t *testing.T, ctx context.Context, src string, cat query.Catalog, engines Engines, ref temporal.Chronon) *Explain {
+	t.Helper()
 	pctx, ex := WithExplain(ctx)
-	r1, err1 := ExecContext(pctx, src, cat, testRef, engines)
-	r2, err2 := query.ExecContext(ctx, src, cat, testRef)
+	r1, err1 := ExecContext(pctx, src, cat, ref, engines)
+	r2, err2 := query.ExecContext(ctx, src, cat, ref)
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("%s:\n planner err: %v\n algebra err: %v", src, err1, err2)
 	}
@@ -169,15 +178,29 @@ var errorQueries = []string{
 	`SELECT SUM(Name) FROM patients`,
 }
 
+// TestDifferentialOracle runs the static query lists and the context-view
+// matrix (viewQueries, views_test.go) through planner and algebra at every
+// parallelism degree: the whole matrix sequentially, an eighth of it — a
+// different one per degree — at the others. A view query must also report
+// that it ran planned, from a view.
 func TestDifferentialOracle(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
 	all := append(append(append([]string{}, docExamples...), plannedQueries...), errorQueries...)
+	views := viewQueries()
 	for _, deg := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("degree=%d", deg), func(t *testing.T) {
 			ctx := exec.WithParallelism(context.Background(), deg)
 			for _, src := range all {
 				diffOne(t, ctx, src, cat, engines)
+			}
+			for k, src := range views {
+				if deg > 1 && k%8 != deg-1 {
+					continue
+				}
+				if ex := diffOne(t, ctx, src, cat, engines); ex.Mode != ModePlanned || ex.View == "" {
+					t.Fatalf("%s: mode=%q reason=%q view=%q, want planned from a view", src, ex.Mode, ex.Reason, ex.View)
+				}
 			}
 		})
 	}
@@ -185,9 +208,9 @@ func TestDifferentialOracle(t *testing.T) {
 
 // TestDifferentialAllAggregates sweeps every registered aggregate through
 // global, one-dimensional, selected and cross shapes on both MOs,
-// asserting planner ≡ algebra for each (probabilistic functions route to
-// the algebra and must still agree trivially; MEDIAN, which has no Fold,
-// runs planned from argument lists on every shape).
+// asserting planner ≡ algebra for each (probabilistic functions fold
+// membership probabilities on a view of the current context; MEDIAN, which
+// has no Fold, runs planned from argument lists on every shape).
 func TestDifferentialAllAggregates(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
@@ -210,14 +233,12 @@ func TestDifferentialAllAggregates(t *testing.T) {
 		}
 		for _, src := range shapes {
 			ex := diffOne(t, ctx, src, cat, engines)
-			wantMode := ModePlanned
-			reason := ""
-			if fn.NeedsProb {
-				wantMode, reason = ModeFallback, ReasonProbabilistic
+			if ex.Mode != ModePlanned || ex.Reason != "" {
+				t.Fatalf("%s: routed mode=%q reason=%q, want planned", src, ex.Mode, ex.Reason)
 			}
-			if ex.Mode != wantMode || ex.Reason != reason {
-				t.Fatalf("%s: routed mode=%q reason=%q, want mode=%q reason=%q",
-					src, ex.Mode, ex.Reason, wantMode, reason)
+			// Membership probabilities are indexed by context views only.
+			if (ex.View != "") != fn.NeedsProb {
+				t.Fatalf("%s: view=%q, want a view exactly for a probabilistic function", src, ex.View)
 			}
 		}
 	}
@@ -271,12 +292,6 @@ func TestFallbackRouting(t *testing.T) {
 		reason string
 	}{
 		{`DESCRIBE patients Diagnosis`, ReasonDescribe},
-		{`SELECT SETCOUNT(*) FROM patients WITH PROB >= 0.5`, ReasonMinProb},
-		{`SELECT SETCOUNT(*) FROM patients ASOF VALID '15/06/1975'`, ReasonTimeslice},
-		{`SELECT SETCOUNT(*) FROM patients ASOF TRANS '01/01/1998'`, ReasonTimeslice},
-		{`SELECT EXPECTED(*) FROM patients`, ReasonProbabilistic},
-		{`SELECT MINCOUNT(*) FROM patients`, ReasonProbabilistic},
-		{`SELECT MAXCOUNT(*) FROM patients`, ReasonProbabilistic},
 	}
 	for _, c := range cases {
 		ex := diffOne(t, ctx, c.src, cat, engines)
@@ -303,25 +318,68 @@ func TestFallbackEngineUnavailable(t *testing.T) {
 }
 
 // staleEngines resolves an engine built under a different evaluation
-// context than the query's; the planner must refuse its closures.
+// context than the query's.
 type staleEngines struct{ eng *storage.Engine }
 
 func (s staleEngines) EngineFor(context.Context, string) (*storage.Engine, error) {
 	return s.eng, nil
 }
 
-func TestFallbackContextMismatch(t *testing.T) {
+// TestContextViews pins how an engine is resolved for a context: the
+// snapshot itself for the context it was built under, and for any other —
+// an ASOF instant, a threshold, another reference chronon, even the current
+// context when the snapshot was built under a timeslice — a context view,
+// built once per context and per snapshot and answering like the algebra.
+func TestContextViews(t *testing.T) {
 	cat := testCatalog(t)
-	at := temporal.MustDate("15/06/1975")
-	eng, err := storage.BuildEngine(context.Background(), cat["gen"],
-		dimension.CurrentContext(testRef).AtValid(at))
+	ctx := context.Background()
+	const plain = `SELECT SETCOUNT(*) FROM gen GROUP BY Residence."Region"`
+	const asof = plain + ` ASOF VALID '15/06/1985'`
+
+	// A snapshot built under a timeslice answers a current query from a view.
+	at := temporal.MustDate("15/06/1985")
+	sliced, err := storage.BuildEngine(ctx, cat["gen"], dimension.CurrentContext(testRef).AtValid(at))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := diffOne(t, context.Background(),
-		`SELECT SETCOUNT(*) FROM gen GROUP BY Residence."Region"`, cat, staleEngines{eng})
-	if ex.Mode != ModeFallback || ex.Reason != ReasonContextMismatch {
-		t.Fatalf("mode=%q reason=%q, want fallback/context-mismatch", ex.Mode, ex.Reason)
+	if ex := diffOne(t, ctx, plain, cat, staleEngines{sliced}); ex.Mode != ModePlanned || ex.View != storage.ViewBuilt {
+		t.Fatalf("current query on a sliced snapshot: mode=%q view=%q, want planned from a built view", ex.Mode, ex.View)
+	}
+	// ... and the query at its own instant from the snapshot itself.
+	if ex := diffOne(t, ctx, asof, cat, staleEngines{sliced}); ex.Mode != ModePlanned || ex.View != "" {
+		t.Fatalf("query at the snapshot's instant: mode=%q view=%q, want planned with no view", ex.Mode, ex.View)
+	}
+
+	engines := NewCatalogEngines(cat, testRef)
+	base, err := engines.EngineFor(ctx, "gen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ectx := dimension.CurrentContext(testRef).AtValid(at)
+	for i, want := range []string{storage.ViewBuilt, storage.ViewCached} {
+		ex := diffOne(t, ctx, asof, cat, engines)
+		if ex.Mode != ModePlanned || ex.View != want || ex.AsofValid != "15/06/1985" || ex.AsofTrans != "" || ex.MinProb != 0 {
+			t.Fatalf("round %d: explain %+v, want planned from a %s view at 15/06/1985", i, *ex, want)
+		}
+	}
+	v1, _ := base.View(ectx, false)
+	if v2, outcome := base.View(ectx, false); v2 != v1 || outcome != storage.ViewCached || !v1.IsView() {
+		t.Fatalf("view not memoized per context: %p vs %p (%s)", v1, v2, outcome)
+	}
+	if other, _ := base.View(ectx.WithMinProb(0.5), false); other == v1 {
+		t.Fatal("two contexts share one view")
+	}
+	// Another reference chronon is another context.
+	if ex := diffOneAt(t, ctx, plain, cat, engines, temporal.MustDate("01/01/1990")); ex.View == "" {
+		t.Fatal("a query at another reference chronon answered from the snapshot")
+	}
+	// Swapping the catalog entry rebuilds the snapshot, and its views with it.
+	cat["gen"] = casestudy.MustGenerate(casestudy.DefaultGen())
+	if ex := diffOne(t, ctx, asof, cat, engines); ex.View != storage.ViewBuilt {
+		t.Fatalf("after a catalog swap: view=%q, want built", ex.View)
+	}
+	if swapped, _ := engines.EngineFor(ctx, "gen"); swapped == base {
+		t.Fatal("engine not rebuilt after catalog swap")
 	}
 }
 
@@ -355,38 +413,50 @@ func TestCatalogEnginesMemoizes(t *testing.T) {
 
 // TestBudgetParity pins the planner's budget accounting to the kernel
 // contract: a planned grouped count spends exactly what the kernel it
-// dispatches to spends, so admission-control sizing transfers unchanged.
+// dispatches to spends, so admission-control sizing transfers unchanged —
+// on the engine itself and on a context view of it, where the count is of
+// the facts the context admits.
 func TestBudgetParity(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
-	eng, err := engines.EngineFor(context.Background(), "gen")
+	base, err := engines.EngineFor(context.Background(), "gen")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const budget = int64(1 << 40)
+	at := temporal.MustDate("15/06/1988")
+	view, _ := base.View(dimension.CurrentContext(testRef).AtValid(at), false)
+	spent := map[string]int64{}
+	for clause, eng := range map[string]*storage.Engine{"": base, ` ASOF VALID '15/06/1988'`: view} {
+		pctx := qos.WithFactBudget(context.Background(), budget)
+		if _, err := ExecContext(pctx, `SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`+clause, cat, testRef, engines); err != nil {
+			t.Fatal(err)
+		}
+		plannedSpent := qos.BudgetFrom(pctx).Spent()
 
-	pctx := qos.WithFactBudget(context.Background(), budget)
-	if _, err := ExecContext(pctx, `SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, cat, testRef, engines); err != nil {
-		t.Fatal(err)
-	}
-	plannedSpent := qos.BudgetFrom(pctx).Spent()
+		kctx := qos.WithFactBudget(context.Background(), budget)
+		if _, err := eng.CountDistinctByContext(kctx, casestudy.DimDiagnosis, casestudy.CatGroup); err != nil {
+			t.Fatal(err)
+		}
+		kernelSpent := qos.BudgetFrom(kctx).Spent()
 
-	kctx := qos.WithFactBudget(context.Background(), budget)
-	if _, err := eng.CountDistinctByContext(kctx, casestudy.DimDiagnosis, casestudy.CatGroup); err != nil {
-		t.Fatal(err)
+		if plannedSpent != kernelSpent {
+			t.Fatalf("%q: planned spent %d, kernel spent %d", clause, plannedSpent, kernelSpent)
+		}
+		if plannedSpent == 0 {
+			t.Fatalf("%q: planned query spent no budget", clause)
+		}
+		spent[clause] = plannedSpent
 	}
-	kernelSpent := qos.BudgetFrom(kctx).Spent()
-
-	if plannedSpent != kernelSpent {
-		t.Fatalf("planned spent %d, kernel spent %d", plannedSpent, kernelSpent)
-	}
-	if plannedSpent == 0 {
-		t.Fatal("planned query spent no budget")
+	if spent[""] <= spent[` ASOF VALID '15/06/1988'`] {
+		t.Fatalf("the timeslice spent %v: it should count fewer facts than the current context", spent)
 	}
 }
 
 // TestBudgetExhaustion drives a planned query into a tiny budget on every
-// shape and requires a resource-exhausted error, not a partial result.
+// shape — on the engine and on context views — and requires a
+// resource-exhausted error, not a partial result, worded by the shape that
+// ran: the view changes which facts are counted, not who reports them.
 func TestBudgetExhaustion(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
@@ -395,21 +465,33 @@ func TestBudgetExhaustion(t *testing.T) {
 	if _, err := engines.EngineFor(context.Background(), "gen"); err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range []string{
-		`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`,
-		`SELECT SETCOUNT(*) FROM gen`,
-		`SELECT AVG(Age) FROM gen WHERE Age >= 0 GROUP BY Residence."Region"`,
-		`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group", Residence."Region"`,
-		`SELECT FACTS FROM gen`,
+	const exhausted = `resource limit exhausted: scanned more than the allowed facts`
+	for _, c := range []struct{ src, text string }{
+		{`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, `query: storage: count-distinct Diagnosis/Diagnosis Group: ` + exhausted},
+		{`SELECT SETCOUNT(*) FROM gen`, `query: ` + exhausted},
+		{`SELECT AVG(Age) FROM gen WHERE Age >= 0 GROUP BY Residence."Region"`, `query: storage: aggregate Residence/Region: ` + exhausted},
+		{`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group", Residence."Region"`, `query: ` + exhausted},
+		{`SELECT FACTS FROM gen`, `query: ` + exhausted},
 	} {
-		ctx, ex := WithExplain(qos.WithFactBudget(context.Background(), 1))
-		_, err := ExecContext(ctx, src, cat, testRef, engines)
-		if err == nil || !errors.Is(err, qos.ErrResourceExhausted) {
-			t.Fatalf("%s: got %v, want resource exhausted", src, err)
+		for _, clause := range []string{"", ` ASOF VALID '15/06/1988'`, ` WITH PROB >= 0.95`} {
+			src := c.src + clause
+			ctx, ex := WithExplain(qos.WithFactBudget(context.Background(), 1))
+			_, err := ExecContext(ctx, src, cat, testRef, engines)
+			if err == nil || !errors.Is(err, qos.ErrResourceExhausted) {
+				t.Fatalf("%s: got %v, want resource exhausted", src, err)
+			}
+			if !strings.HasPrefix(err.Error(), c.text) {
+				t.Fatalf("%s: exhausted as %q, want %q…", src, err, c.text)
+			}
+			if ex.Mode != ModePlanned || (ex.View != "") != (clause != "") {
+				t.Fatalf("%s: exhausted on the %s path (view %q), want planned", src, ex.Mode, ex.View)
+			}
 		}
-		if ex.Mode != ModePlanned {
-			t.Fatalf("%s: exhausted on the %s path, want planned", src, ex.Mode)
-		}
+	}
+	ctx := qos.WithFactBudget(context.Background(), 1)
+	_, err := ExecContext(ctx, `SELECT EXPECTED(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, cat, testRef, engines)
+	if err == nil || !strings.HasPrefix(err.Error(), `query: storage: aggregate Diagnosis/Diagnosis Group: `+exhausted) {
+		t.Fatalf("EXPECTED: got %v, want the group fold's exhaustion", err)
 	}
 }
 
@@ -469,20 +551,35 @@ func TestWhereClosureExpandFault(t *testing.T) {
 	}
 }
 
-// TestExplainOutput pins the explain payload fields per shape.
+// TestExplainOutput pins the explain payload fields per shape, and for a
+// query answered from a context view the view's evaluation context and
+// whether resolving it built the view or found it cached.
 func TestExplainOutput(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
 	cases := []struct {
 		src   string
 		shape string
+		view  Explain // the view fields expected; zero for an answer from the engine itself
 	}{
-		{`SELECT FACTS FROM gen WHERE Residence = 'R0'`, ShapeFacts},
-		{`SELECT SETCOUNT(*) FROM gen`, ShapeGlobal},
-		{`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, ShapeKernelCount},
-		{`SELECT SUM(Age) FROM gen GROUP BY Residence."Region"`, ShapeKernelSum},
-		{`SELECT AVG(Age) FROM gen GROUP BY Residence."Region"`, ShapeGroupFold},
-		{`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group", Residence."Region"`, ShapeCross},
+		{src: `SELECT FACTS FROM gen WHERE Residence = 'R0'`, shape: ShapeFacts},
+		{src: `SELECT SETCOUNT(*) FROM gen`, shape: ShapeGlobal},
+		{src: `SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, shape: ShapeKernelCount},
+		{src: `SELECT SUM(Age) FROM gen GROUP BY Residence."Region"`, shape: ShapeKernelSum},
+		{src: `SELECT AVG(Age) FROM gen GROUP BY Residence."Region"`, shape: ShapeGroupFold},
+		{src: `SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group", Residence."Region"`, shape: ShapeCross},
+		{src: `SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group" ASOF VALID '15/06/1988'`, shape: ShapeKernelCount,
+			view: Explain{View: storage.ViewBuilt, AsofValid: "15/06/1988"}},
+		{src: `SELECT SUM(Age) FROM gen GROUP BY Residence."Region" ASOF VALID '15/06/1988'`, shape: ShapeKernelSum,
+			view: Explain{View: storage.ViewCached, AsofValid: "15/06/1988"}},
+		{src: `SELECT FACTS FROM gen ASOF VALID '15/06/1988' ASOF TRANS '01/01/1990' WITH PROB >= 0.95`, shape: ShapeFacts,
+			view: Explain{View: storage.ViewBuilt, AsofValid: "15/06/1988", AsofTrans: "01/01/1990", MinProb: 0.95}},
+		{src: `SELECT SETCOUNT(*) FROM gen WITH PROB >= 0.95`, shape: ShapeGlobal,
+			view: Explain{View: storage.ViewBuilt, MinProb: 0.95}},
+		{src: `SELECT EXPECTED(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, shape: ShapeGroupFold,
+			view: Explain{View: storage.ViewBuilt}},
+		{src: `SELECT MINCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group", Residence."Region"`, shape: ShapeCross,
+			view: Explain{View: storage.ViewCached}},
 	}
 	for _, c := range cases {
 		ctx, ex := WithExplain(exec.WithParallelism(context.Background(), 4))
@@ -498,6 +595,9 @@ func TestExplainOutput(t *testing.T) {
 		}
 		if ex.Groups != len(res.Rows) && c.shape != ShapeFacts {
 			t.Fatalf("%s: groups=%d, rows=%d", c.src, ex.Groups, len(res.Rows))
+		}
+		if got := (Explain{View: ex.View, AsofValid: ex.AsofValid, AsofTrans: ex.AsofTrans, MinProb: ex.MinProb}); got != c.view {
+			t.Fatalf("%s: view fields %+v, want %+v", c.src, got, c.view)
 		}
 	}
 }

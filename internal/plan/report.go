@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mddm/internal/agg"
-	"mddm/internal/core"
 	"mddm/internal/dimension"
 	"mddm/internal/storage"
 )
@@ -15,8 +14,10 @@ import (
 // by two closure bitmaps of the same category is exactly a fact with two
 // admitted ancestors there. The covering check still walks the hierarchy
 // — it is value-count bound, not fact-count bound. Reason texts and
-// ordering match agg.CheckSummarizable verbatim.
-func checkSummarizable(eng *storage.Engine, m *core.MO, fn *agg.Func, groupBy map[string]string, ectx dimension.Context, sel *storage.Bitmap) agg.Report {
+// ordering match agg.CheckSummarizable verbatim. The hierarchy is the
+// engine's (a context view's is sliced), walked under the engine's context.
+func checkSummarizable(eng *storage.Engine, fn *agg.Func, groupBy map[string]string, sel *storage.Bitmap) agg.Report {
+	m, ectx := eng.MO(), eng.Context()
 	rep := agg.Report{Summarizable: true}
 	fail := func(format string, args ...any) {
 		rep.Summarizable = false
@@ -30,7 +31,7 @@ func checkSummarizable(eng *storage.Engine, m *core.MO, fn *agg.Func, groupBy ma
 		if !ok || cat == dimension.TopName {
 			continue
 		}
-		d := m.Dimension(dimName)
+		d := eng.Dimension(dimName)
 		if eng.MultiValued(dimName, cat, sel) {
 			fail("path from %s facts to %s/%s is non-strict",
 				m.Schema().FactType(), dimName, cat)

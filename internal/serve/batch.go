@@ -17,7 +17,8 @@ import (
 // finish a solo Execute runs after its own scan of one, so a batched
 // answer is bit-identical to solo execution. Non-batchable shapes
 // (fallbacks, facts, global, cross) Execute solo immediately and are
-// counted as bypasses.
+// counted as bypasses. A context view is an engine like any other here:
+// queries at the same ASOF instant or WITH PROB threshold share its scans.
 //
 // Placement: batching sits BELOW the result cache and its single-flight
 // (results.go) and AFTER admission. A cache hit never reaches the
@@ -101,6 +102,7 @@ func (s *Server) execute(ctx context.Context, p *plan.Prepared) (*query.Result, 
 		ArgDim:   p.ArgDim(),
 		Sel:      p.Selection(),
 		ListArgs: p.NeedsArgLists(),
+		Prob:     p.ProbArg(),
 	})
 	setBatchOutcome(ctx, r.Outcome, "")
 	if r.Err != nil {

@@ -38,10 +38,11 @@ func batchedLimits(deg int) Limits {
 // batching: for EVERY registered aggregate function, at scan degrees 1,
 // 2, 4, and 8, a batched server must answer bit-identically to a solo
 // planner server and to the algebra server — and the batch outcome flag
-// must prove which path actually ran: batchable aggregates must report
-// leader or member (a silent bypass-to-solo fails the test), while
-// probabilistic aggregates must report solo with the fallback bypass
-// reason.
+// must prove which path actually ran: every aggregate is batchable (MEDIAN
+// as a list member, the probabilistic functions as probability members of
+// a context view's scan) and must report leader or member — a silent
+// bypass-to-solo fails the test — while DESCRIBE, the one statement that
+// still falls back, must report solo with the fallback bypass reason.
 func TestBatchDifferentialOracle(t *testing.T) {
 	for _, deg := range []int{1, 2, 4, 8} {
 		batched, _ := newTestServer(t, batchedLimits(deg))
@@ -56,7 +57,6 @@ func TestBatchDifferentialOracle(t *testing.T) {
 			if fn.NeedsArg {
 				arg = "(Age)"
 			}
-			batchable := !fn.NeedsProb // every planned aggregate joins a scan; MEDIAN as a list member
 			for _, src := range []string{
 				fmt.Sprintf(`SELECT %s%s FROM patients GROUP BY Diagnosis."Diagnosis Group"`, name, arg),
 				fmt.Sprintf(`SELECT %s%s FROM patients WHERE Age >= 30 GROUP BY Residence."Region"`, name, arg),
@@ -81,17 +81,18 @@ func TestBatchDifferentialOracle(t *testing.T) {
 						t.Fatalf("%s deg=%d: batched diverged from algebra:\n batched: %+v\n algebra: %+v", src, deg, rb, ra)
 					}
 				}
-				if batchable {
-					if bo.Outcome != batch.OutcomeLeader && bo.Outcome != batch.OutcomeMember {
-						t.Fatalf("%s deg=%d: outcome %q (reason %q), want leader or member — silent bypass",
-							src, deg, bo.Outcome, bo.Reason)
-					}
-				} else {
-					if bo.Outcome != batch.OutcomeSolo || bo.Reason != plan.BypassFallback {
-						t.Fatalf("%s deg=%d: outcome %q reason %q, want solo/fallback", src, deg, bo.Outcome, bo.Reason)
-					}
+				if bo.Outcome != batch.OutcomeLeader && bo.Outcome != batch.OutcomeMember {
+					t.Fatalf("%s deg=%d: outcome %q (reason %q), want leader or member — silent bypass",
+						src, deg, bo.Outcome, bo.Reason)
 				}
 			}
+		}
+		ctx, bo := WithBatchOutcome(context.Background())
+		if _, err := batched.Query(ctx, `DESCRIBE patients Diagnosis`); err != nil {
+			t.Fatal(err)
+		}
+		if bo.Outcome != batch.OutcomeSolo || bo.Reason != plan.BypassFallback {
+			t.Fatalf("DESCRIBE deg=%d: outcome %q reason %q, want solo/fallback", deg, bo.Outcome, bo.Reason)
 		}
 		if st := batched.BatchStats(); st.Batches == 0 || st.Bypasses[plan.BypassFallback] == 0 {
 			t.Fatalf("deg=%d: stats %+v, want batches and fallback bypasses", deg, st)

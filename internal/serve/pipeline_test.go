@@ -9,8 +9,11 @@ import (
 
 	"mddm/internal/admission"
 	"mddm/internal/batch"
+	"mddm/internal/casestudy"
+	"mddm/internal/dimension"
 	"mddm/internal/plan"
 	"mddm/internal/query"
+	"mddm/internal/temporal"
 )
 
 // pipelineCase is one query of the matrix: what the planner must report
@@ -23,6 +26,32 @@ type pipelineCase struct {
 	batchable   bool   // joins the scheduler (leader) instead of running solo
 	upgradeable bool
 	fails       bool // errors on every path, with the algebra's text
+	// grown, when set, is the fact the "after append" round adds in place of
+	// deltaAppender's plain one, and whether it must change the answer.
+	grown *grownFact
+}
+
+// grownFact is one appended fact: its Diagnosis pair, and whether the query
+// it is appended under must see it.
+type grownFact struct {
+	value string
+	annot dimension.Annot
+	moves bool
+}
+
+// The context-view rows: each query answers from a view of the engine, and
+// an append must reach it exactly once — the views made before the append
+// are dropped, not served. At 15/06/1975 low-level diagnosis 3 is in
+// families 7 and 8; today diagnosis 5 is in groups 11 and 12.
+const (
+	asofQuery     = `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Family" ASOF VALID '15/06/1975'`
+	minProbQuery  = `SELECT SETCOUNT(*) FROM patients GROUP BY Diagnosis."Diagnosis Group" WITH PROB >= 0.95`
+	expectedQuery = `SELECT EXPECTED(*) FROM patients GROUP BY Diagnosis."Diagnosis Group"`
+	minCountQuery = `SELECT MINCOUNT(*) FROM patients GROUP BY Diagnosis."Diagnosis Group"`
+)
+
+func validFrom(date string) dimension.Annot {
+	return dimension.ValidDuring(temporal.Span(date, "NOW"))
 }
 
 var pipelineCases = []pipelineCase{
@@ -34,9 +63,15 @@ var pipelineCases = []pipelineCase{
 		shape: plan.ShapeGroupFold, batchable: true, upgradeable: true},
 	{src: `SELECT SUM(Age) FROM patients GROUP BY Diagnosis."Diagnosis Group", Residence`, shape: plan.ShapeCross},
 	{src: `DESCRIBE patients Diagnosis`, reason: plan.ReasonDescribe},
-	{src: `SELECT SETCOUNT(*) FROM patients GROUP BY Diagnosis."Diagnosis Group" WITH PROB >= 0.95`, reason: plan.ReasonMinProb},
-	{src: `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Family" ASOF VALID '15/06/1975'`, reason: plan.ReasonTimeslice},
-	{src: `SELECT EXPECTED(*) FROM patients GROUP BY Diagnosis."Diagnosis Group"`, reason: plan.ReasonProbabilistic},
+	// timeslice: a fact valid at the instant appears, one valid later does not.
+	{src: asofQuery, shape: plan.ShapeKernelCount, batchable: true, grown: &grownFact{"3", validFrom("01/01/70"), true}},
+	{src: asofQuery, shape: plan.ShapeKernelCount, batchable: true, grown: &grownFact{"3", validFrom("01/01/90"), false}},
+	// min-prob: a certain fact passes the threshold, one attached at 0.9 does not.
+	{src: minProbQuery, shape: plan.ShapeKernelCount, batchable: true, grown: &grownFact{"5", dimension.Always(), true}},
+	{src: minProbQuery, shape: plan.ShapeKernelCount, batchable: true, grown: &grownFact{"5", dimension.Always().WithProb(0.9), false}},
+	// probabilistic: a fact attached at 0.9 moves EXPECTED, not MINCOUNT.
+	{src: expectedQuery, shape: plan.ShapeGroupFold, batchable: true, grown: &grownFact{"5", dimension.Always().WithProb(0.9), true}},
+	{src: minCountQuery, shape: plan.ShapeGroupFold, batchable: true, grown: &grownFact{"5", dimension.Always().WithProb(0.9), false}},
 	{src: `SELECT MEDIAN(Age) FROM patients GROUP BY Diagnosis."Diagnosis Group"`, shape: plan.ShapeGroupFold, batchable: true},
 	{src: `SELECT SETCOUNT(*) FROM nowhere`, fails: true},
 	{src: `SELECT SUM(*) FROM patients`, fails: true},
@@ -47,9 +82,10 @@ var pipelineCases = []pipelineCase{
 // factor of: every configuration mdserve accepts of {planner} × {result
 // cache} × {delta} × {batch} × {admission}, every plan shape and every
 // query-expressible fallback reason, each through ServeQuery as a miss, a
-// repeat, and a lookup after one appended fact. Every answer must equal
-// the algebra's on the same MO — rows, summarizability verdict and
-// reasons, error text — and the reported outcome (cache, batch, plan
+// repeat, and a lookup after one appended fact — for the context-view rows
+// a fact chosen to be seen, or not, under the query's context. Every answer
+// must equal the algebra's on the same MO — rows, summarizability verdict
+// and reasons, error text — and the reported outcome (cache, batch, plan
 // shape) must be the one the configuration implies.
 func TestPipelineMatrix(t *testing.T) {
 	for bits := 0; bits < 1<<5; bits++ {
@@ -82,6 +118,10 @@ func runPipelineCase(t *testing.T, limits Limits, pc pipelineCase) {
 	t.Helper()
 	s, cat := newTestServer(t, limits)
 	grow := deltaAppender(t, s, "px")
+	if pc.grown != nil {
+		grow = func(int) { appendDiagnosed(t, s, "px0000", pc.grown.value, pc.grown.annot) }
+	}
+	var before *query.Result
 	cached := limits.ResultCacheBytes > 0 && !pc.fails
 	rounds := []struct {
 		label string
@@ -116,6 +156,10 @@ func runPipelineCase(t *testing.T, limits Limits, pc pipelineCase) {
 			continue
 		}
 		sameResult(t, label, got, want)
+		if i == 2 && pc.grown != nil && reflect.DeepEqual(got.Rows, before.Rows) == pc.grown.moves {
+			t.Fatalf("%s: rows %v after %v, want moved=%v", label, got.Rows, before.Rows, pc.grown.moves)
+		}
+		before = got
 		if !reflect.DeepEqual(got.Reasons, want.Reasons) || !reflect.DeepEqual(got.Warnings, want.Warnings) {
 			t.Fatalf("%s: reasons/warnings %v %v, algebra %v %v", label, got.Reasons, got.Warnings, want.Reasons, want.Warnings)
 		}
@@ -143,5 +187,23 @@ func runPipelineCase(t *testing.T, limits Limits, pc pipelineCase) {
 		if bo.Outcome != wantBatch {
 			t.Fatalf("%s: batch outcome %q, want %q", label, bo.Outcome, wantBatch)
 		}
+	}
+}
+
+// appendDiagnosed appends one fact whose only characterization is the given
+// Diagnosis pair, through the sanctioned flow: relate it in the registered
+// MO, then AppendFact on the serving engine.
+func appendDiagnosed(t *testing.T, s *Server, id, value string, a dimension.Annot) {
+	t.Helper()
+	eng, err := s.EngineFor(context.Background(), "patients")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := s.cat.Get("patients")
+	if err := m.RelateAnnot(casestudy.DimDiagnosis, id, value, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AppendFact(id); err != nil {
+		t.Fatal(err)
 	}
 }

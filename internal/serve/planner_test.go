@@ -16,6 +16,7 @@ import (
 	"mddm/internal/casestudy"
 	"mddm/internal/plan"
 	"mddm/internal/query"
+	"mddm/internal/storage"
 )
 
 // TestPlannerServerParity runs the same queries through a planner server
@@ -87,8 +88,16 @@ func TestPlannerExplainHTTP(t *testing.T) {
 	if code != http.StatusOK || qr.Plan == nil {
 		t.Fatalf("status %d plan %+v, want OK with a plan", code, qr.Plan)
 	}
-	if qr.Plan.Mode != plan.ModeFallback || qr.Plan.Reason != plan.ReasonProbabilistic {
-		t.Fatalf("plan %+v, want fallback/probabilistic", qr.Plan)
+	if qr.Plan.Mode != plan.ModePlanned || qr.Plan.Shape != plan.ShapeGlobal || qr.Plan.View != storage.ViewBuilt {
+		t.Fatalf("plan %+v, want planned/global from a built view", qr.Plan)
+	}
+
+	qr, code = get(ts.URL + "/query?plan=1&q=" + url.QueryEscape(`DESCRIBE patients Diagnosis`))
+	if code != http.StatusOK || qr.Plan == nil {
+		t.Fatalf("status %d plan %+v, want OK with a plan", code, qr.Plan)
+	}
+	if qr.Plan.Mode != plan.ModeFallback || qr.Plan.Reason != plan.ReasonDescribe {
+		t.Fatalf("plan %+v, want fallback/describe", qr.Plan)
 	}
 
 	// Without ?plan= the field stays off the wire.
@@ -216,20 +225,37 @@ func TestPlannerRaceUnderLoad(t *testing.T) {
 		}(g)
 	}
 
-	// A fallback querier keeps the algebra path and its counters racing
-	// with the planned path.
+	// A context-view querier: resolving, indexing and scanning views races
+	// with the appender dropping them and the registrar replacing their
+	// base; every other request is a DESCRIBE, which keeps the algebra path
+	// and its counters in the race.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			u := ts.URL + "/query?plan=1&q=" + url.QueryEscape(`SELECT MEDIAN(Age) FROM patients`)
-			resp, err := http.Get(u)
+		views := []string{
+			`SELECT SETCOUNT(*) FROM patients GROUP BY Diagnosis."Diagnosis Family" ASOF VALID '15/06/1975'`,
+			`SELECT EXPECTED(*) FROM patients GROUP BY Diagnosis."Diagnosis Group"`,
+			`SELECT AVG(Age) FROM patients GROUP BY Residence."Region" ASOF VALID '15/06/1985' WITH PROB >= 0.5`,
+			`DESCRIBE patients Diagnosis`,
+		}
+		for i := 0; i < 2*iters; i++ {
+			src := views[i%len(views)]
+			resp, err := http.Get(ts.URL + "/query?plan=1&q=" + url.QueryEscape(src))
 			if err != nil {
-				fail("fallback query: %v", err)
+				fail("view query: %v", err)
 				return
 			}
-			io.Copy(io.Discard, resp.Body)
+			var qr queryResponse
+			err = json.NewDecoder(resp.Body).Decode(&qr)
 			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || qr.Plan == nil {
+				fail("view query %s: status %d err %v", src, resp.StatusCode, err)
+				return
+			}
+			if describe := i%len(views) == 3; describe != (qr.Plan.Mode == plan.ModeFallback) || describe == (qr.Plan.View != "") {
+				fail("view query %s: plan %+v", src, qr.Plan)
+				return
+			}
 		}
 	}()
 

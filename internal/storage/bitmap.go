@@ -34,6 +34,13 @@ func (b *Bitmap) Set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
+// Clear unmarks bit i; out-of-range indices are ignored.
+func (b *Bitmap) Clear(i int) {
+	if i >= 0 && i < b.n {
+		b.words[i>>6] &^= 1 << uint(i&63)
+	}
+}
+
 // Has reports whether fact i is marked.
 func (b *Bitmap) Has(i int) bool {
 	if i < 0 || i >= b.n {

@@ -81,7 +81,7 @@ type column struct {
 // was taken. appendToColumn admits dictionary values only, so a stale
 // column under-codes the newer facts and must not be scanned.
 func (e *Engine) fresh(col *column) bool {
-	return col.catVer == e.mo.Dimension(col.dim).CategoryVersion(col.cat)
+	return col.catVer == e.Dimension(col.dim).CategoryVersion(col.cat)
 }
 
 // builtColumn returns the column of (dim, cat) if one is built and fresh.
@@ -144,11 +144,11 @@ func (e *Engine) HasColumn(dim, cat string) bool {
 // same whether they build or reuse. Unknown dimensions or categories build
 // an empty column.
 func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
-	d := e.mo.Dimension(dim)
+	d := e.Dimension(dim)
 	if d == nil || e.builtColumn(dim, cat) != nil {
 		return nil
 	}
-	vals, catVer := d.CategoryAt(cat, e.ctx), d.CategoryVersion(cat)
+	vals, catVer := e.categoryValues(d, cat), d.CategoryVersion(cat)
 	if uint64(len(vals)) >= uint64(colMulti) {
 		return fmt.Errorf("storage: column %s/%s: %d values exceed the uint32 dictionary", dim, cat, len(vals))
 	}
@@ -223,14 +223,14 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 // serving layer and ScanLeg call it before aggregating, so the threshold
 // decides both build and use.
 func (e *Engine) EnsureColumn(ctx context.Context, dim, cat string) error {
-	d := e.mo.Dimension(dim)
+	d := e.Dimension(dim)
 	if d == nil || e.builtColumn(dim, cat) != nil {
 		return nil
 	}
 	e.mu.RLock()
 	min := e.columnMinValuesLocked()
 	e.mu.RUnlock()
-	if len(d.CategoryAt(cat, e.ctx)) < min {
+	if len(e.categoryValues(d, cat)) < min {
 		return nil
 	}
 	return e.BuildColumn(ctx, dim, cat)
@@ -245,7 +245,7 @@ func (e *Engine) WarmColumns(ctx context.Context, minValues int) error {
 		e.SetColumnMinValues(minValues)
 	}
 	for _, dim := range e.mo.Schema().DimensionNames() {
-		d := e.mo.Dimension(dim)
+		d := e.Dimension(dim)
 		if d == nil {
 			continue
 		}
@@ -296,7 +296,7 @@ func (e *Engine) appendToColumn(col *column, factID string, i int) {
 	for len(col.codes) < i {
 		col.codes = append(col.codes, colNone)
 	}
-	d := e.mo.Dimension(col.dim)
+	d := e.Dimension(col.dim)
 	r := e.mo.Relation(col.dim)
 	var vids []uint32
 	seen := map[uint32]bool{}

@@ -19,7 +19,11 @@ import (
 // any leg characterizes it by no value. CrossCountByColumn reads the cell
 // counts; CrossAggregateBy — the planner's `cross` shape — additionally
 // folds an argument column per cell and merges cells holding the same
-// member set into one set-valued group, the algebra's group identity.
+// member set into one set-valued group, the algebra's group identity. In
+// probability mode (a context view's scan) a cell folds, in place of
+// argument values, each member's probability of being in the cell — the
+// product over the legs of P(f ⤳ value) — and cells never merge: a
+// probabilistic result depends on the combination, not only on the members.
 
 // maxCrossColumnCells caps the dense cell index of the cross kernel
 // (4 bytes per cell of the legs' cross product, 16 MiB at the cap); larger
@@ -47,12 +51,26 @@ type CrossGroup struct {
 	Args []float64
 }
 
-// crossLeg is one leg's column snapshot plus its mixed-radix stride.
+// crossLeg is one leg's column snapshot plus its mixed-radix stride and, in
+// probability mode, the leg's membership probabilities that are not 1.
 type crossLeg struct {
 	vals   []string
 	codes  []uint32
 	over   []overPair
 	stride uint64
+	probs  [][]factProb
+}
+
+// cellProb is the probability that fact i is in the cell id: the product,
+// in leg order, of its membership probabilities in the cell's values.
+func cellProb(legs []crossLeg, i int, id uint64) float64 {
+	p := 1.0
+	for d := range legs {
+		if l := &legs[d]; l.probs != nil {
+			p *= probAt(l.probs[id/l.stride%uint64(len(l.vals))], i)
+		}
+	}
+	return p
 }
 
 // crossCell accumulates one touched cell.
@@ -130,10 +148,10 @@ func (e *Engine) liveColumn(ctx context.Context, dim, cat string) (*column, erro
 }
 
 // crossSnapshot resolves the legs' live columns and snapshots them, and the
-// argument column, under one reader lock, so every leg covers the same n
-// facts. space is the size of the cells' id space. A nil snapshot means
+// argument column — or, with probs, the legs' membership probabilities —
+// under one reader lock, so every leg covers the same n facts. space is the size of the cells' id space. A nil snapshot means
 // the schema lacks a leg's dimension: no fact is in any cell then.
-func (e *Engine) crossSnapshot(ctx context.Context, legs []CrossLeg, argDim string) (snap []crossLeg, av [][]float64, n int, space uint64, err error) {
+func (e *Engine) crossSnapshot(ctx context.Context, legs []CrossLeg, argDim string, probs bool) (snap []crossLeg, av [][]float64, n int, space uint64, err error) {
 	cols := make([]*column, len(legs))
 	for d, l := range legs {
 		if cols[d], err = e.liveColumn(ctx, l.Dim, l.Cat); err != nil {
@@ -153,6 +171,9 @@ func (e *Engine) crossSnapshot(ctx context.Context, legs []CrossLeg, argDim stri
 		snap[d] = crossLeg{vals: col.vals, codes: col.codes, over: col.over}
 		if len(col.codes) < n {
 			n = len(col.codes)
+		}
+		if probs {
+			snap[d].probs = e.legProbs(legs[d].Dim, col.vals)
 		}
 	}
 	if argDim != "" {
@@ -229,8 +250,9 @@ func scanCross(g *qos.Guard, legs []crossLeg, sel *Bitmap, n int, visit func(i i
 }
 
 // crossAccumulate is the kernel's first pass: count, member fingerprint
-// and argument fold of every touched cell.
-func crossAccumulate(g *qos.Guard, legs []crossLeg, sel *Bitmap, av [][]float64, n int, space uint64) (*crossCells, error) {
+// and argument fold — with prob set, the fold of the reading of each
+// member's cell probability — of every touched cell.
+func crossAccumulate(g *qos.Guard, legs []crossLeg, sel *Bitmap, av [][]float64, prob agg.ProbArg, n int, space uint64) (*crossCells, error) {
 	cs := newCrossCells(space)
 	err := scanCross(g, legs, sel, n, func(i int, ids []uint64) {
 		h := mix64(uint64(i))
@@ -242,6 +264,9 @@ func crossAccumulate(g *qos.Guard, legs []crossLeg, sel *Bitmap, av [][]float64,
 			c := cs.at(id)
 			c.count++
 			c.fp += h
+			if prob != agg.ProbNone {
+				c.acc.Add(prob.Of(cellProb(legs, i, id)))
+			}
 			for _, x := range xs {
 				c.acc.Add(x)
 			}
@@ -258,11 +283,11 @@ func crossAccumulate(g *qos.Guard, legs []crossLeg, sel *Bitmap, av [][]float64,
 func (e *Engine) CrossCountByColumn(ctx context.Context, dim1, cat1, dim2, cat2 string) ([]CrossCell, error) {
 	mKernelColumn.Inc()
 	g := qos.NewGuard(ctx)
-	legs, _, n, space, err := e.crossSnapshot(ctx, []CrossLeg{{dim1, cat1}, {dim2, cat2}}, "")
+	legs, _, n, space, err := e.crossSnapshot(ctx, []CrossLeg{{dim1, cat1}, {dim2, cat2}}, "", false)
 	if err != nil || legs == nil {
 		return nil, err
 	}
-	cs, err := crossAccumulate(g, legs, nil, nil, n, space)
+	cs, err := crossAccumulate(g, legs, nil, nil, agg.ProbNone, n, space)
 	if err != nil {
 		return nil, err
 	}
@@ -304,17 +329,28 @@ func (e *Engine) CrossCountByColumn(ctx context.Context, dim1, cat1, dim2, cat2 
 // combinations holding the same member set are one set-valued group whose
 // Values accumulate per leg. Cells whose (count, fingerprint) is unique
 // are their own group; only cells that share both are compared member for
-// member, from lists a second scan collects for those cells alone. The
-// scan charges no fact budget — the caller's emit charges per group. An
-// emit error stops the kernel and is returned as is.
-func (e *Engine) CrossAggregateBy(ctx context.Context, legs []CrossLeg, argDim string, sel *Bitmap, listArgs bool, emit func(*CrossGroup) error) error {
+// member, from lists a second scan collects for those cells alone. With
+// prob set — on a context view, argDim ignored — every cell is its own
+// group (the algebra tags a probabilistic group with its combination) and
+// Acc, or Args in list mode, takes prob's reading of each member's
+// probability of being in the cell. The scan charges no fact budget — the
+// caller's emit charges per group. An emit error stops the kernel and is
+// returned as is.
+func (e *Engine) CrossAggregateBy(ctx context.Context, legs []CrossLeg, argDim string, sel *Bitmap, listArgs bool, prob agg.ProbArg, emit func(*CrossGroup) error) error {
 	mKernelColumn.Inc()
 	g := qos.NewGuard(ctx)
-	snap, av, n, space, err := e.crossSnapshot(ctx, legs, argDim)
+	probs := prob != agg.ProbNone
+	if probs {
+		if e.view == nil {
+			return fmt.Errorf("storage: cross %v: membership probabilities are indexed by context views only", legs)
+		}
+		argDim = ""
+	}
+	snap, av, n, space, err := e.crossSnapshot(ctx, legs, argDim, probs)
 	if err != nil || snap == nil {
 		return err
 	}
-	cs, err := crossAccumulate(g, snap, sel, av, n, space)
+	cs, err := crossAccumulate(g, snap, sel, av, prob, n, space)
 	if err != nil {
 		return err
 	}
@@ -338,7 +374,7 @@ func (e *Engine) CrossAggregateBy(ctx context.Context, legs []CrossLeg, argDim s
 	})
 	same := func(a, b int) bool {
 		ca, cb := &cells[order[a]], &cells[order[b]]
-		return ca.count == cb.count && ca.fp == cb.fp
+		return !probs && ca.count == cb.count && ca.fp == cb.fp
 	}
 
 	// Second scan: member lists for the cells that need them — every cell
@@ -386,7 +422,9 @@ func (e *Engine) CrossAggregateBy(ctx context.Context, legs []CrossLeg, argDim s
 		grp.Count, grp.Acc, grp.Args = ca.count, ca.acc, grp.Args[:0]
 		if listArgs {
 			for _, i := range members[order[a]] {
-				if i < len(av) {
+				if probs {
+					grp.Args = append(grp.Args, prob.Of(cellProb(snap, i, ca.id)))
+				} else if i < len(av) {
 					grp.Args = append(grp.Args, av[i]...)
 				}
 			}

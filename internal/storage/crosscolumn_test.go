@@ -19,7 +19,7 @@ import (
 func crossGroups(t *testing.T, e *Engine, legs []CrossLeg, argDim string, sel *Bitmap, listArgs bool) []string {
 	t.Helper()
 	var out []string
-	err := e.CrossAggregateBy(context.Background(), legs, argDim, sel, listArgs, func(g *CrossGroup) error {
+	err := e.CrossAggregateBy(context.Background(), legs, argDim, sel, listArgs, agg.ProbNone, func(g *CrossGroup) error {
 		var b strings.Builder
 		for _, vals := range g.Values {
 			vs := append([]string(nil), vals...)
@@ -248,18 +248,18 @@ func TestCrossAggregateEdges(t *testing.T) {
 	e := genVariants(t)["full"]
 	legs := crossLegSets[1]
 	none := func(*CrossGroup) error { t.Fatal("emit called"); return nil }
-	if err := e.CrossAggregateBy(context.Background(), []CrossLeg{{"NoSuchDim", "X"}, legs[1]}, "", nil, false, none); err != nil {
+	if err := e.CrossAggregateBy(context.Background(), []CrossLeg{{"NoSuchDim", "X"}, legs[1]}, "", nil, false, agg.ProbNone, none); err != nil {
 		t.Fatalf("unknown dimension: %v", err)
 	}
 	boom := errors.New("emit failed")
 	calls := 0
-	err := e.CrossAggregateBy(context.Background(), legs, "", nil, false, func(*CrossGroup) error { calls++; return boom })
+	err := e.CrossAggregateBy(context.Background(), legs, "", nil, false, agg.ProbNone, func(*CrossGroup) error { calls++; return boom })
 	if err != boom || calls != 1 {
 		t.Fatalf("emit error: got %v after %d calls, want the error after 1", err, calls)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := e.CrossAggregateBy(ctx, legs, "", nil, false, none); !errors.Is(err, qos.ErrCanceled) {
+	if err := e.CrossAggregateBy(ctx, legs, "", nil, false, agg.ProbNone, none); !errors.Is(err, qos.ErrCanceled) {
 		t.Fatalf("canceled context: got %v, want a qos cancellation", err)
 	}
 	if _, err := e.CrossCountByColumn(ctx, legs[0].Dim, legs[0].Cat, legs[1].Dim, legs[1].Cat); !errors.Is(err, qos.ErrCanceled) {

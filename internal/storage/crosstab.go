@@ -49,13 +49,13 @@ func (e *Engine) CrossCountContext(ctx context.Context, dim1, cat1, dim2, cat2 s
 // Budget: per row value Check, then Facts(row fact count) for non-empty
 // rows only.
 func (e *Engine) crossCount(ctx context.Context, g *qos.Guard, dim1, cat1, dim2, cat2 string, degree int) ([]CrossCell, error) {
-	d1 := e.mo.Dimension(dim1)
-	d2 := e.mo.Dimension(dim2)
+	d1 := e.Dimension(dim1)
+	d2 := e.Dimension(dim2)
 	if d1 == nil || d2 == nil {
 		return nil, nil
 	}
-	vals1 := d1.CategoryAt(cat1, e.ctx)
-	vals2 := d2.CategoryAt(cat2, e.ctx)
+	vals1 := e.categoryValues(d1, cat1)
+	vals2 := e.categoryValues(d2, cat2)
 	if err := e.ensureClosures(g, dim1, vals1); err != nil {
 		return nil, err
 	}
@@ -127,8 +127,8 @@ func sortCells(out []CrossCell) {
 // CrossCountScan answers the same query through the model layer, for
 // cross-checking and benchmarking.
 func (e *Engine) CrossCountScan(dim1, cat1, dim2, cat2 string) []CrossCell {
-	d1 := e.mo.Dimension(dim1)
-	d2 := e.mo.Dimension(dim2)
+	d1 := e.Dimension(dim1)
+	d2 := e.Dimension(dim2)
 	if d1 == nil || d2 == nil {
 		return nil
 	}

@@ -39,7 +39,7 @@ type CubePlan struct {
 // category derives from the highest already-planned category below it that
 // passes the reuse guard, otherwise from base.
 func (c *Cache) PlanCube(dim string, kind AggKind, arg string) (*CubePlan, error) {
-	d := c.engine.mo.Dimension(dim)
+	d := c.engine.Dimension(dim)
 	if d == nil {
 		return nil, fmt.Errorf("storage: unknown dimension %q", dim)
 	}
@@ -88,7 +88,7 @@ func (c *Cache) PlanCube(dim string, kind AggKind, arg string) (*CubePlan, error
 // result maps category → value → aggregate.
 func (c *Cache) BuildCube(plan *CubePlan) (map[string]map[string]float64, error) {
 	out := map[string]map[string]float64{}
-	d := c.engine.mo.Dimension(plan.Dim)
+	d := c.engine.Dimension(plan.Dim)
 	for _, e := range plan.Entries {
 		if e.DeriveFrom == "" {
 			m, err := c.Materialize(plan.Dim, e.Cat, plan.Kind, plan.Arg)

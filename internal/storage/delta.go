@@ -49,11 +49,11 @@ func (e *Engine) AggregateByRange(ctx context.Context, dim, cat, argDim string, 
 // rescanning history. Like MultiValued it is a metadata probe and
 // charges no fact budget.
 func (e *Engine) MultiValuedRange(dim, cat string, sel *Bitmap, lo, hi int) bool {
-	d := e.mo.Dimension(dim)
+	d := e.Dimension(dim)
 	if d == nil {
 		return false
 	}
-	vals := d.CategoryAt(cat, e.ctx)
+	vals := e.categoryValues(d, cat)
 	_ = e.ensureClosures(nil, dim, vals) // nil guard: cannot fail
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -70,11 +70,20 @@ type Engine struct {
 	// resolve "what was appended since epoch E" (see epoch.go); guarded
 	// by mu, appended by bumpEpoch.
 	windows []epochWindow
+	// view is set on a context view of another engine, views memoizes this
+	// engine's own; see views.go.
+	view  *view
+	views viewTable
 }
 
+// dimIndex is one dimension's bitmaps. A base engine holds the direct
+// pairs and memoizes closures on demand. A view holds no direct bitmaps:
+// its closure map is complete from the start (indexViewDim) and prob lists,
+// per value, the membership probabilities that are not 1, sorted by fact.
 type dimIndex struct {
 	direct  map[string]*Bitmap
 	closure map[string]*Bitmap
+	prob    map[string][]factProb
 }
 
 // ErrUnknownFact reports a fact–dimension pair whose fact identity is not
@@ -207,7 +216,17 @@ func (e *Engine) characterizingClone(g *qos.Guard, dim, value string) (*Bitmap, 
 	defer e.mu.RUnlock()
 	if di := e.dims[dim]; di != nil {
 		if bm := di.closure[value]; bm != nil {
-			return bm.Clone(), nil
+			bm = bm.Clone()
+			// Under a threshold a fact is characterized by the value only
+			// when the whole witness — pair times path — reaches it
+			// (core.MO.CharacterizedBy); the closure, like the algebra's
+			// grouping, asks that of the pair and of the path separately.
+			for _, fp := range di.prob[value] {
+				if fp.p < e.ctx.MinProb || fp.p <= 0 {
+					bm.Clear(fp.fact)
+				}
+			}
+			return bm, nil
 		}
 	}
 	return NewBitmap(len(e.facts)), nil
@@ -218,8 +237,12 @@ func (e *Engine) characterizingClone(g *qos.Guard, dim, value string) (*Bitmap, 
 // case — every closure already memoized — takes only an RLock; a cold
 // miss upgrades to the write lock and computes every missing closure.
 // Nothing evicts memoized closures, so after this returns nil the read
-// paths can rely on di.closure[v] being present for every v.
+// paths can rely on di.closure[v] being present for every v — on a context
+// view, for every v that characterizes a fact: its index is built whole.
 func (e *Engine) ensureClosures(g *qos.Guard, dim string, vals []string) error {
+	if e.view != nil {
+		return e.ensureViewIndex(g, dim) // complete once built: nothing to expand per value
+	}
 	e.mu.RLock()
 	di := e.dims[dim]
 	missing := false
@@ -267,7 +290,7 @@ func (e *Engine) closure(g *qos.Guard, dim string, di *dimIndex, value string, o
 	if d := di.direct[value]; d != nil {
 		bm.Or(d)
 	}
-	d := e.mo.Dimension(dim)
+	d := e.Dimension(dim)
 	if value == dimension.TopValue {
 		// ⊤ logically contains every value: union every direct bitmap.
 		for _, dbm := range di.direct {
@@ -325,9 +348,10 @@ func (e *Engine) CountDistinctByContext(ctx context.Context, dim, cat string) (m
 
 // CountDistinctScan is the index-free comparator: it answers the same
 // query by testing f ⤳ e for every (fact, value) pair through the model
-// layer. Benchmarks contrast it with CountDistinctBy.
+// layer. Benchmarks contrast it with CountDistinctBy. It reads the base
+// model, so it is a comparator for base engines, not for context views.
 func (e *Engine) CountDistinctScan(dim, cat string) map[string]int {
-	d := e.mo.Dimension(dim)
+	d := e.Dimension(dim)
 	e.mu.RLock()
 	facts := append([]string(nil), e.facts...)
 	e.mu.RUnlock()
@@ -405,13 +429,14 @@ func (e *Engine) ensureArgValues(argDim string) {
 // fact in the argument dimension — the memoization cold path of
 // ensureArgValues. The caller holds e.mu (read or write).
 func (e *Engine) argValues(argDim string) [][]float64 {
-	d := e.mo.Dimension(argDim)
+	d := e.Dimension(argDim)
 	r := e.mo.Relation(argDim)
 	out := make([][]float64, len(e.facts))
+	defer e.lockRelations()()
 	for i, f := range e.facts {
 		for _, v := range r.ValuesOf(f) {
 			a, _ := r.Annot(f, v)
-			if !e.ctx.Admits(a) {
+			if !e.admits(d, v, a) {
 				continue
 			}
 			if x, ok := d.Numeric(v, e.ctx); ok {
@@ -425,8 +450,8 @@ func (e *Engine) argValues(argDim string) [][]float64 {
 // Values returns the sorted values of a category that characterize at
 // least one fact.
 func (e *Engine) Values(dim, cat string) []string {
-	d := e.mo.Dimension(dim)
-	vals := d.CategoryAt(cat, e.ctx)
+	d := e.Dimension(dim)
+	vals := e.categoryValues(d, cat)
 	_ = e.ensureClosures(nil, dim, vals) // nil guard: cannot fail
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -447,7 +472,11 @@ func (e *Engine) Values(dim, cat string) []string {
 // MO returns the engine's underlying MO.
 func (e *Engine) MO() *core.MO { return e.mo }
 
-// Context returns the engine's evaluation context.
+// Context returns the evaluation context to pass to dimension-level calls
+// on the engine's dimensions (Engine.Dimension): the context the engine was
+// built under or, for a view, what remains of its context once the
+// dimensions are sliced — the reference chronon and the probability
+// threshold. Answers is the whole context.
 func (e *Engine) Context() dimension.Context { return e.ctx }
 
 // String summarizes the engine.

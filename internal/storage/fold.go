@@ -53,8 +53,8 @@ func (e *Engine) SelectedFactIDs(sel *Bitmap) []string {
 // Like the algebra's StrictPath it charges no fact budget: it is a
 // metadata probe, not an aggregation scan.
 func (e *Engine) MultiValued(dim, cat string, sel *Bitmap) bool {
-	d := e.mo.Dimension(dim)
-	vals := d.CategoryAt(cat, e.ctx)
+	d := e.Dimension(dim)
+	vals := e.categoryValues(d, cat)
 	_ = e.ensureClosures(nil, dim, vals) // nil guard: cannot fail
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -111,8 +111,8 @@ func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *
 // charges when it folds the groups.
 func (e *Engine) ValueLists(ctx context.Context, dim, cat string, sel *Bitmap) ([][]string, error) {
 	g := qos.NewGuard(ctx)
-	d := e.mo.Dimension(dim)
-	vals := d.CategoryAt(cat, e.ctx)
+	d := e.Dimension(dim)
+	vals := e.categoryValues(d, cat)
 	if err := e.ensureClosures(g, dim, vals); err != nil {
 		return nil, err
 	}

@@ -34,7 +34,11 @@ func (b *Bitmap) grow(n int) {
 // AppendFact indexes one new fact of the underlying MO: the fact must
 // already exist in the MO with its fact–dimension pairs recorded. Pairs
 // not admitted by the engine's context are skipped, mirroring NewEngine.
+// The engine's context views (views.go) are dropped, not maintained.
 func (e *Engine) AppendFact(factID string) error {
+	if e.view != nil {
+		return fmt.Errorf("storage: a context view is read-only: append %q to its base engine", factID)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.idx[factID]; ok {
@@ -53,7 +57,7 @@ func (e *Engine) AppendFact(factID string) error {
 		if di == nil {
 			continue
 		}
-		d := e.mo.Dimension(name)
+		d := e.Dimension(name)
 		r := e.mo.Relation(name)
 		for _, v := range r.ValuesOf(factID) {
 			a, _ := r.Annot(factID, v)
@@ -104,7 +108,7 @@ func (e *Engine) AppendFact(factID string) error {
 	// relation order argValues uses, so an incrementally maintained column
 	// is element-for-element identical to a fresh one.
 	for argDim, vals := range e.argCols {
-		d := e.mo.Dimension(argDim)
+		d := e.Dimension(argDim)
 		r := e.mo.Relation(argDim)
 		var xs []float64
 		for _, v := range r.ValuesOf(factID) {
@@ -121,7 +125,9 @@ func (e *Engine) AppendFact(factID string) error {
 	// The append succeeded: move to a fresh mutation epoch so versioned
 	// readers (the result cache) see every entry filled before this write
 	// as stale. Failed appends above return without bumping — they did
-	// not change what a query would observe.
+	// not change what a query would observe. The context views were made
+	// over the facts before this one: drop them.
 	e.bumpEpoch()
+	e.dropViews()
 	return nil
 }

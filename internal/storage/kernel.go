@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 
 	"mddm/internal/agg"
 	"mddm/internal/exec"
@@ -19,7 +20,11 @@ import (
 // dimension, lists-or-Acc) triple, over the dense fact range [lo, hi), and
 // fills per member one slot per dictionary value: the number of selected
 // facts the value characterizes and, for an argument member, the facts'
-// argument values as a list or folded into an agg.Acc.
+// argument values as a list or folded into an agg.Acc. A probability member
+// (of a context view's scan) takes, in place of argument values, each
+// fact's membership probability P(f ⤳ value); it reads the view's
+// per-value probability lists beside the closures, so a scan with one runs
+// the bitmap strategy.
 //
 // The kernel picks one of two strategies from what it can observe:
 //
@@ -69,8 +74,15 @@ type SharedScanMember struct {
 	Sel *Bitmap
 	// ListArgs materializes per-value argument lists for this member
 	// instead of Accs — for aggregates that need the values themselves
-	// (agg.Func.Fold nil). Ignored when ArgDim is empty.
+	// (agg.Func.Fold nil). Ignored when ArgDim is empty and Prob is not set.
 	ListArgs bool
+	// Prob, when set, makes this a probability member: for every selected
+	// fact a value characterizes it folds (or, with ListArgs, lists) the
+	// reading Prob.Of(P(f ⤳ value)) of the membership probability, in
+	// ascending fact order — what agg.Func.ProbEval is given over the
+	// group's sorted members. ArgDim is ignored. Only a context view
+	// indexes membership probabilities.
+	Prob agg.ProbArg
 }
 
 // LegMember is one member's output of a leg scan, full width: one slot per
@@ -86,6 +98,10 @@ type LegMember struct {
 
 	sel *Bitmap
 	av  [][]float64 // the member's measure column; nil extracts nothing
+	// A probability member's reading and, per dictionary value, the
+	// membership probabilities that are not 1 (nil: all are 1).
+	probArg agg.ProbArg
+	probs   [][]factProb
 }
 
 // LegScan is the output of one leg scan.
@@ -124,22 +140,31 @@ func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, membe
 	}
 	out := LegScan{Kernel: KernelBitmap, Members: make([]LegMember, len(members))}
 	answered := mKernelBitmap
-	top, d := dim == "", e.mo.Dimension(dim)
+	top, d := dim == "", e.Dimension(dim)
 	if !top && d == nil {
 		return out, nil
 	}
+	probs := false
 	for _, m := range members {
-		if m.ArgDim != "" {
+		if m.Prob != agg.ProbNone {
+			probs = true
+		} else if m.ArgDim != "" {
 			e.ensureArgValues(m.ArgDim)
 		}
 	}
+	if probs && e.view == nil {
+		return LegScan{}, fmt.Errorf("storage: scan %s/%s: membership probabilities are indexed by context views only", dim, cat)
+	}
 	var col *column
+	if !top && !probs {
+		col = e.columnFor(dim, cat)
+	}
 	if top {
 		out.Values = topValues
-	} else if col = e.columnFor(dim, cat); col != nil {
+	} else if col != nil {
 		out.Kernel, out.Values, answered = KernelColumn, col.vals, mKernelColumn
 	} else {
-		out.Values = d.CategoryAt(cat, e.ctx)
+		out.Values = e.categoryValues(d, cat)
 		if err := e.ensureClosures(g, dim, out.Values); err != nil {
 			return LegScan{}, err
 		}
@@ -153,8 +178,15 @@ func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, membe
 	for k, m := range members {
 		om := &out.Members[k]
 		om.sel, om.Counts = m.Sel, make([]int64, nv)
-		if m.ArgDim != "" {
+		if m.Prob != agg.ProbNone {
+			om.probArg = m.Prob
+			if !top { // every fact is in ⊤ with probability 1
+				om.probs = e.legProbs(dim, out.Values)
+			}
+		} else if m.ArgDim != "" {
 			om.av = e.argCols[m.ArgDim]
+		}
+		if m.Prob != agg.ProbNone || m.ArgDim != "" {
 			if m.ListArgs {
 				om.Args = make([][]float64, nv)
 			} else {
@@ -366,6 +398,10 @@ func scanClosures(g *qos.Guard, bms []*Bitmap, lo, hi int, ms []LegMember) error
 		scanned++
 		for k := range ms {
 			m := &ms[k]
+			if m.probArg != agg.ProbNone {
+				m.scanProbs(bm, blo, bhi, j)
+				continue
+			}
 			sel, av := m.sel, m.av
 			if m.Folds != nil {
 				// The accumulator stays a local of this loop: folding through
@@ -407,6 +443,46 @@ func scanClosures(g *qos.Guard, bms []*Bitmap, lo, hi int, ms []LegMember) error
 	}
 	mBitmapScans.Add(scanned)
 	return nil
+}
+
+// scanProbs is scanClosures' loop body for a probability member: over the
+// facts of closure ∧ selection within [blo, bhi), ascending, it counts and
+// folds — or lists — the member's reading of each fact's membership
+// probability in value j: 1 unless the value's list says otherwise.
+func (m *LegMember) scanProbs(bm *Bitmap, blo, bhi, j int) {
+	var list []factProb
+	if m.probs != nil {
+		list = m.probs[j]
+	}
+	k := sort.Search(len(list), func(k int) bool { return list[k].fact >= blo })
+	one := m.probArg.Of(1)
+	var acc agg.Acc
+	var ps []float64
+	facts := 0
+	for wi := blo >> 6; wi <= (bhi-1)>>6; wi++ {
+		w := bm.andWord(m.sel, wi, blo, bhi)
+		facts += bits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			i, x := wi<<6+bits.TrailingZeros64(w), one
+			for k < len(list) && list[k].fact < i {
+				k++
+			}
+			if k < len(list) && list[k].fact == i {
+				x = m.probArg.Of(list[k].p)
+			}
+			if m.Args != nil {
+				ps = append(ps, x)
+			} else {
+				acc.Add(x)
+			}
+		}
+	}
+	m.Counts[j] = int64(facts)
+	if m.Args != nil {
+		m.Args[j] = ps
+	} else {
+		m.Folds[j] = acc
+	}
 }
 
 // closuresLocked returns the memoized closure bitmap of every value, nil
@@ -484,7 +560,7 @@ func compactLeg(vals []string, m LegMember) (values []string, counts []int, args
 // with ChargeLeg.
 func (e *Engine) ScanLeg(ctx context.Context, dim, cat string, members []SharedScanMember, deg int) (LegScan, error) {
 	if dim != "" { // the ⊤ leg has neither a dimension nor a column
-		if e.mo.Dimension(dim) == nil {
+		if e.Dimension(dim) == nil {
 			return LegScan{}, fmt.Errorf("storage: scan %s/%s: unknown dimension", dim, cat)
 		}
 		// Build the column — or replace a stale one — when the cost heuristic

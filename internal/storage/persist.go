@@ -161,11 +161,11 @@ func (e *Engine) ColumnData(dim, cat string) (vals []string, codes []uint32, ove
 // segment): the engine only ever appends to them, and an append copies
 // to fresh memory because the views are handed over with len == cap.
 func (e *Engine) InstallColumn(dim, cat string, vals []string, codes []uint32, over []OverflowEntry) error {
-	d := e.mo.Dimension(dim)
+	d := e.Dimension(dim)
 	if d == nil {
 		return fmt.Errorf("%w: unknown dimension %q", ErrBadColumn, dim)
 	}
-	want := d.CategoryAt(cat, e.ctx)
+	want := e.categoryValues(d, cat)
 	if len(want) != len(vals) {
 		return fmt.Errorf("%w: %s/%s dictionary has %d values, category has %d",
 			ErrBadColumn, dim, cat, len(vals), len(want))

@@ -136,7 +136,7 @@ func (c *Cache) refresh() {
 // visible at toCat — see the inline comments for the Table 1 scenarios
 // that make both fact-level checks necessary.
 func (c *Cache) ReuseGuard(dim, fromCat, toCat string, kind AggKind) error {
-	d := c.engine.mo.Dimension(dim)
+	d := c.engine.Dimension(dim)
 	dt := d.Type()
 	if !dt.LessEq(fromCat, toCat) || fromCat == toCat {
 		return fmt.Errorf("storage: %q is not above %q in dimension %s", toCat, fromCat, dim)
@@ -237,7 +237,7 @@ func (c *Cache) RollupFromContext(ctx context.Context, dim, fromCat, toCat strin
 	c.Hits++
 	c.mu.Unlock()
 	mPreaggHits.Inc()
-	d := c.engine.mo.Dimension(dim)
+	d := c.engine.Dimension(dim)
 	out := map[string]float64{}
 	for v1, x := range m.Rows {
 		for _, v2 := range d.AncestorsIn(toCat, v1, c.engine.Context()) {
