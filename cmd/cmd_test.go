@@ -183,7 +183,7 @@ func TestMdserveSelfcheckAdmission(t *testing.T) {
 // (solo, leader, member) through real HTTP.
 func TestMdserveSelfcheckBatch(t *testing.T) {
 	out := run(t, "mdserve", "-selfcheck", "-planner", "-batch",
-		"-parallelism", "2", "-result-cache", "1048576")
+		"-result-cache", "1048576")
 	if !strings.Contains(out, "selfcheck ok: batch outcomes solo/leader/member") {
 		t.Fatalf("selfcheck output wrong:\n%s", out)
 	}
@@ -201,6 +201,7 @@ func TestMdserveFlagDependencies(t *testing.T) {
 		{[]string{"-delta", "-planner"}, "-delta needs -planner and a positive -result-cache"},
 		{[]string{"-delta", "-result-cache", "1048576"}, "-delta needs -planner and a positive -result-cache"},
 		{[]string{"-stale-on-shed", "30s", "-admission", "4"}, "-stale-on-shed needs a positive -result-cache"},
+		{[]string{"-parallelism", "2"}, "partition-parallel execution was removed"},
 	} {
 		out, err := exec.Command(filepath.Join(binDir, "mdserve"), append(tc.args, "-selfcheck")...).CombinedOutput()
 		if err == nil {

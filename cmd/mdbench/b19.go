@@ -26,9 +26,8 @@ import (
 // (p999) stays within 3× of solo.
 func b19(nFacts int) {
 	const (
-		clients     = 64 // the saturated phase
-		lightLoad   = 4  // the 1× phase
-		parallelism = 2
+		clients   = 64 // the saturated phase
+		lightLoad = 4  // the 1× phase
 	)
 	bg := context.Background()
 	m := gen(nFacts, false, false)
@@ -39,9 +38,8 @@ func b19(nFacts int) {
 			fatal(err)
 		}
 		return serve.NewServer(cat, serve.Limits{
-			Planner:     true,
-			Parallelism: parallelism,
-			Batching:    batching,
+			Planner:  true,
+			Batching: batching,
 		}, ref)
 	}
 	solo := newServer(batch.Config{})
@@ -62,10 +60,9 @@ func b19(nFacts int) {
 		window = 2 * time.Millisecond
 	}
 	batched := newServer(batch.Config{
-		Enabled:        true,
-		GatherWindow:   window,
-		MaxBatch:       32,
-		MaxParallelism: parallelism,
+		Enabled:      true,
+		GatherWindow: window,
+		MaxBatch:     32,
 	})
 	fmt.Printf("B19: shared-scan batching (%d facts, %d similar clients, gather window %v)\n",
 		nFacts, clients, window)

@@ -12,7 +12,6 @@
 //	mdbench -exp B7   # cube materialization: derive vs recompute
 //	mdbench -exp B9   # cross tabulation: bitmap vs scan
 //	mdbench -exp B10  # incremental index maintenance vs rebuild
-//	mdbench -exp B11  # partition-parallel vs sequential execution
 //	mdbench -exp B12  # observability overhead: obs enabled vs disabled
 //	mdbench -exp B13  # column kernel vs bitmap over category cardinality
 //	mdbench -exp B14  # result cache hit vs recompute
@@ -49,7 +48,6 @@ import (
 	"mddm/internal/casestudy"
 	"mddm/internal/core"
 	"mddm/internal/dimension"
-	"mddm/internal/exec"
 	"mddm/internal/obs"
 	"mddm/internal/plan"
 	"mddm/internal/query"
@@ -87,7 +85,7 @@ type benchRow struct {
 func main() {
 	exp := flag.String("exp", "", "experiment id (B1..B19; B8 runs under go test -bench=WideMO)")
 	all := flag.Bool("all", false, "run every experiment")
-	nFacts := flag.Int("n", 100000, "synthetic MO size (facts) for B11–B14 and B16–B19")
+	nFacts := flag.Int("n", 100000, "synthetic MO size (facts) for B12–B14 and B16–B19")
 	jsonOut = flag.Bool("json", false, "also write BENCH_<exp>.json with one row per measurement")
 	flag.Parse()
 	if !*all && *exp == "" {
@@ -112,7 +110,6 @@ func main() {
 	run("B7", b7)
 	run("B9", b9)
 	run("B10", b10)
-	run("B11", func() { b11(*nFacts) })
 	run("B12", func() { b12(*nFacts) })
 	run("B13", func() { b13(*nFacts) })
 	run("B14", func() { b14(*nFacts) })
@@ -448,92 +445,14 @@ func b10() {
 	fmt.Printf("  append-one %v, rebuild %v (%.0fx)\n\n", appendOne, rebuild, float64(rebuild)/float64(appendOne))
 }
 
-// b11 sweeps the partition-parallel storage paths against their sequential
-// baselines on one n-fact synthetic MO, and differentially verifies that
-// the parallel results are identical before timing anything.
-func b11(nFacts int) {
-	procs := runtime.GOMAXPROCS(0)
-	fmt.Printf("B11: partition-parallel vs sequential execution (%d facts, GOMAXPROCS=%d)\n", nFacts, procs)
-	if procs == 1 {
-		fmt.Println("  note: GOMAXPROCS=1 — parallel degrees cannot beat sequential on this")
-		fmt.Println("  machine; the sweep still verifies result identity and shows the")
-		fmt.Println("  scheduling overhead. Run on a multi-core host to see the speedup.")
-	}
-	cfg := casestudy.DefaultGen()
-	cfg.Patients = nFacts
-	cfg.NonStrict = false
-	cfg.Churn = false
-	cfg.LowLevel = 140
-	m := casestudy.MustGenerate(cfg)
-	e := storage.NewEngine(m, ctx())
-
-	seq := context.Background()
-	degCtx := func(d int) context.Context { return exec.WithParallelism(context.Background(), d) }
-
-	ops := []struct {
-		name string
-		run  func(c context.Context) (any, error)
-	}{
-		{"countdistinct", func(c context.Context) (any, error) {
-			return e.CountDistinctByContext(c, casestudy.DimDiagnosis, casestudy.CatGroup)
-		}},
-		{"sumby", func(c context.Context) (any, error) {
-			return e.SumByContext(c, casestudy.DimResidence, casestudy.CatCounty, casestudy.DimAge)
-		}},
-		{"crosscount", func(c context.Context) (any, error) {
-			return e.CrossCountContext(c, casestudy.DimDiagnosis, casestudy.CatGroup, casestudy.DimResidence, casestudy.CatRegion)
-		}},
-	}
-	degrees := []int{2, 4, 8}
-
-	// Differential verification first: parallel answers must be identical
-	// to sequential at every degree before their timings mean anything.
-	for _, op := range ops {
-		want, err := op.run(seq)
-		if err != nil {
-			fatal(err)
-		}
-		for _, d := range degrees {
-			got, err := op.run(degCtx(d))
-			if err != nil {
-				fatal(err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				fatal(fmt.Errorf("B11: %s at parallelism %d diverged from sequential", op.name, d))
-			}
-		}
-	}
-	fmt.Println("  verify: parallel results identical to sequential at degrees 2, 4, 8 ✓")
-
-	fmt.Printf("%14s %14s %14s %14s %14s %10s\n", "op", "seq/op", "par2/op", "par4/op", "par8/op", "seq/par4")
-	for _, op := range ops {
-		tseq := measure(op.name+"-seq", nFacts, func() {
-			if _, err := op.run(seq); err != nil {
-				fatal(err)
-			}
-		})
-		var td []time.Duration
-		for _, d := range degrees {
-			c := degCtx(d)
-			td = append(td, measure(fmt.Sprintf("%s-par%d", op.name, d), nFacts, func() {
-				if _, err := op.run(c); err != nil {
-					fatal(err)
-				}
-			}))
-		}
-		fmt.Printf("%14s %14v %14v %14v %14v %9.2fx\n", op.name, tseq, td[0], td[1], td[2], float64(tseq)/float64(td[1]))
-	}
-	fmt.Println()
-}
-
 // b12Rounds is B12's interleaving depth: each op is timed enabled and
 // disabled b12Rounds times in alternation, and the minima are compared —
 // so thermal or scheduler drift during the sweep hits both sides equally
 // instead of masquerading as instrumentation overhead.
 const b12Rounds = 11
 
-// b12 measures the observability layer's cost on the B11 workloads plus a
-// full serving-layer query: per-op wall time with obs recording enabled
+// b12 measures the observability layer's cost on two storage kernels plus
+// a full serving-layer query: per-op wall time with obs recording enabled
 // vs disabled (obs.SetEnabled). The acceptance budget for this repo is
 // <2% overhead on every op; BENCH_B12.json records the per-op deltas.
 func b12(nFacts int) {
@@ -560,7 +479,6 @@ func b12(nFacts int) {
 	qsrc := `SELECT SETCOUNT(*) AS N FROM patients WHERE Age >= 40 GROUP BY Residence."Region"`
 
 	bg := context.Background()
-	par4 := exec.WithParallelism(bg, 4)
 	ops := []struct {
 		name string
 		n    int
@@ -573,15 +491,6 @@ func b12(nFacts int) {
 		}},
 		{"sumby-seq", nFacts, func() {
 			if _, err := e.SumByContext(bg, casestudy.DimResidence, casestudy.CatCounty, casestudy.DimAge); err != nil {
-				fatal(err)
-			}
-		}},
-		// The parallel side is measured on the long op: exec.Run's fixed
-		// instrumentation (two counters, two histogram observes, per-worker
-		// busy clocks) is identical per call, but a µs-scale parallel op is
-		// bimodal under goroutine scheduling and would drown the signal.
-		{"sumby-par4", nFacts, func() {
-			if _, err := e.SumByContext(par4, casestudy.DimResidence, casestudy.CatCounty, casestudy.DimAge); err != nil {
 				fatal(err)
 			}
 		}},
@@ -636,8 +545,8 @@ func b12(nFacts int) {
 // the column kernels one pass over the facts regardless of cardinality, so
 // the crossover (and the kernel-selection threshold's rationale) shows as
 // the value count grows. Before timing, every column result is
-// differentially verified against the bitmap path at degrees 1, 2, 4 and 8
-// — the timings of diverging kernels would be meaningless.
+// differentially verified against the bitmap path — the timings of
+// diverging kernels would be meaningless.
 func b13(nFacts int) {
 	fmt.Printf("B13: column kernel vs bitmap path over category cardinality (%d facts)\n", nFacts)
 	bg := context.Background()
@@ -666,25 +575,19 @@ func b13(nFacts int) {
 		if err != nil {
 			fatal(err)
 		}
-		for _, d := range []int{1, 2, 4, 8} {
-			c := bg
-			if d > 1 {
-				c = exec.WithParallelism(bg, d)
-			}
-			gotCount, err := colEng.CountByColumn(c, casestudy.DimDiagnosis, casestudy.CatLowLevel)
-			if err != nil {
-				fatal(err)
-			}
-			if fmt.Sprint(gotCount) != fmt.Sprint(wantCount) {
-				fatal(fmt.Errorf("B13: column count at %d values, degree %d diverged from bitmap", nv, d))
-			}
-			gotSum, err := colEng.SumByColumn(c, casestudy.DimDiagnosis, casestudy.CatLowLevel, casestudy.DimAge)
-			if err != nil {
-				fatal(err)
-			}
-			if fmt.Sprint(gotSum) != fmt.Sprint(wantSum) {
-				fatal(fmt.Errorf("B13: column sum at %d values, degree %d diverged from bitmap", nv, d))
-			}
+		gotCount, err := colEng.CountByColumn(bg, casestudy.DimDiagnosis, casestudy.CatLowLevel)
+		if err != nil {
+			fatal(err)
+		}
+		if fmt.Sprint(gotCount) != fmt.Sprint(wantCount) {
+			fatal(fmt.Errorf("B13: column count at %d values diverged from bitmap", nv))
+		}
+		gotSum, err := colEng.SumByColumn(bg, casestudy.DimDiagnosis, casestudy.CatLowLevel, casestudy.DimAge)
+		if err != nil {
+			fatal(err)
+		}
+		if fmt.Sprint(gotSum) != fmt.Sprint(wantSum) {
+			fatal(fmt.Errorf("B13: column sum at %d values diverged from bitmap", nv))
 		}
 
 		tcb := measure("count-bitmap", nv, func() {
@@ -710,7 +613,7 @@ func b13(nFacts int) {
 		fmt.Printf("%10d %14v %14v %9.1fx %14v %14v %9.1fx\n",
 			nv, tcb, tcc, float64(tcb)/float64(tcc), tsb, tsc, float64(tsb)/float64(tsc))
 	}
-	fmt.Println("  verify: column results identical to bitmap at degrees 1, 2, 4, 8 and every cardinality ✓")
+	fmt.Println("  verify: column results identical to bitmap at every cardinality ✓")
 	fmt.Println()
 }
 
@@ -742,14 +645,13 @@ func b14(nFacts int) {
 	const q = `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Group"`
 	const cheap = `SELECT SETCOUNT(*) FROM patients`
 
-	// Verification before any timing: index-free baseline ≡ uncached serve
-	// at degrees 1–8 ≡ a degree-4-filled cache entry served to a degree-1
-	// request. A wrong fast path is worthless.
+	// Verification before any timing: index-free baseline ≡ cache fill ≡
+	// uncached serve ≡ cache hit. A wrong fast path is worthless.
 	base, err := query.Exec(q, scat.Snapshot(), ref)
 	if err != nil {
 		fatal(err)
 	}
-	fill, out, err := srv.ServeQuery(exec.WithParallelism(bg, 4), q)
+	fill, out, err := srv.ServeQuery(bg, q)
 	if err != nil {
 		fatal(err)
 	}
@@ -757,30 +659,24 @@ func b14(nFacts int) {
 		fatal(fmt.Errorf("B14: first lookup hit an empty cache"))
 	}
 	if fmt.Sprint(fill.Rows) != fmt.Sprint(base.Rows) {
-		fatal(fmt.Errorf("B14: degree-4 fill diverged from the index-free baseline"))
+		fatal(fmt.Errorf("B14: fill diverged from the index-free baseline"))
 	}
-	for _, d := range []int{1, 2, 4, 8} {
-		c := bg
-		if d > 1 {
-			c = exec.WithParallelism(bg, d)
-		}
-		unc, err := srv.Query(c, q)
-		if err != nil {
-			fatal(err)
-		}
-		if fmt.Sprint(unc.Rows) != fmt.Sprint(base.Rows) {
-			fatal(fmt.Errorf("B14: uncached serve at degree %d diverged", d))
-		}
-		res, out, err := srv.ServeQuery(c, q)
-		if err != nil {
-			fatal(err)
-		}
-		if !out.CacheHit {
-			fatal(fmt.Errorf("B14: repeat lookup at degree %d missed", d))
-		}
-		if fmt.Sprint(res.Rows) != fmt.Sprint(base.Rows) {
-			fatal(fmt.Errorf("B14: cache hit at degree %d diverged", d))
-		}
+	unc, err := srv.Query(bg, q)
+	if err != nil {
+		fatal(err)
+	}
+	if fmt.Sprint(unc.Rows) != fmt.Sprint(base.Rows) {
+		fatal(fmt.Errorf("B14: uncached serve diverged"))
+	}
+	res, out, err := srv.ServeQuery(bg, q)
+	if err != nil {
+		fatal(err)
+	}
+	if !out.CacheHit {
+		fatal(fmt.Errorf("B14: repeat lookup missed"))
+	}
+	if fmt.Sprint(res.Rows) != fmt.Sprint(base.Rows) {
+		fatal(fmt.Errorf("B14: cache hit diverged"))
 	}
 
 	tUncached := measure("query-uncached", nFacts, func() {
@@ -871,7 +767,7 @@ func b14(nFacts int) {
 		fatal(fmt.Errorf("B14: eviction case produced no evictions"))
 	}
 	fmt.Printf("\n%16s %14v  (evictions %d over %d lookups)\n", "evict-churn", tEv, st.Evictions, st.Hits+st.Misses)
-	fmt.Println("  verify: cached ≡ uncached ≡ index-free baseline at degrees 1, 2, 4, 8; degree-4 fill served degree-1 ✓")
+	fmt.Println("  verify: cached ≡ uncached ≡ index-free baseline ✓")
 	fmt.Println()
 }
 
@@ -1331,8 +1227,7 @@ func timed(fn func()) time.Duration {
 
 // b17 — columnar planner vs full algebra, with the differential oracle
 // asserted before any timing: the planned result must be bit-identical
-// (JSON bytes) to the algebra result at parallelism degrees 1–8 on every
-// timed query shape. The planner's point is skipping the materialized
+// (JSON bytes) to the algebra result on every timed query shape. The planner's point is skipping the materialized
 // result MO; the oracle proves the skip loses nothing.
 func b17(nFacts int) {
 	fmt.Printf("B17: columnar planner vs full algebra (%d facts, 1000 low-level values)\n", nFacts)
@@ -1368,28 +1263,22 @@ func b17(nFacts int) {
 		if err != nil {
 			fatal(err)
 		}
-		for _, d := range []int{1, 2, 4, 8} {
-			c := bg
-			if d > 1 {
-				c = exec.WithParallelism(bg, d)
-			}
-			res, err := plan.ExecContext(c, src, cat, ref, engines)
-			if err != nil {
-				fatal(err)
-			}
-			got, err := json.Marshal(res)
-			if err != nil {
-				fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				fatal(fmt.Errorf("B17: planned result at degree %d diverged from the algebra for %s:\n planned: %s\n algebra: %s", d, src, got, want))
-			}
+		res, err := plan.ExecContext(bg, src, cat, ref, engines)
+		if err != nil {
+			fatal(err)
+		}
+		got, err := json.Marshal(res)
+		if err != nil {
+			fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			fatal(fmt.Errorf("B17: planned result diverged from the algebra for %s:\n planned: %s\n algebra: %s", src, got, want))
 		}
 	}
 	for _, src := range []string{q, qWhere, qSum} {
 		verify(src)
 	}
-	fmt.Println("differential oracle: planned ≡ algebra (bit-identical JSON) at degrees 1/2/4/8 on all timed shapes")
+	fmt.Println("differential oracle: planned ≡ algebra (bit-identical JSON) on all timed shapes")
 
 	tAlgebra := measure("algebra-uncached", nFacts, func() {
 		if _, err := query.Exec(q, cat, ref); err != nil {
@@ -1429,8 +1318,8 @@ func b17(nFacts int) {
 // appended facts — µs-class, within 10× of a pure hit's p99 — instead
 // of recomputed, and the repair is bit-identical to the recompute.
 // Before any timing, the differential oracle runs for every registered
-// distributive (mergeable, non-probabilistic) aggregate at parallelism
-// degrees 1/2/4/8 under an interleaved append schedule, asserting both
+// distributive (mergeable, non-probabilistic) aggregate under an
+// interleaved append schedule (rounds of 1, 2, 4 and 8 facts), asserting both
 // the equality and that every round actually took the upgrade path — a
 // silent fallback to recompute would pass the equality and fake the
 // win, so upgrade outcomes and cache upgrade counters are hard-checked.
@@ -1504,20 +1393,16 @@ func b18(nFacts int) {
 			fatal(fmt.Errorf("B18: %s fill hit an empty cache", name))
 		}
 		var lastUpgraded []byte
-		for _, d := range []int{1, 2, 4, 8} {
-			grow(d)
-			c := bg
-			if d > 1 {
-				c = exec.WithParallelism(bg, d)
-			}
-			got, out, err := srv.ServeQuery(c, src)
+		for _, n := range []int{1, 2, 4, 8} {
+			grow(n)
+			got, out, err := srv.ServeQuery(bg, src)
 			if err != nil {
 				fatal(err)
 			}
 			if !out.Upgraded {
-				fatal(fmt.Errorf("B18: %s at degree %d answered without an upgrade (outcome %+v) — silent fallback-to-recompute", name, d, out))
+				fatal(fmt.Errorf("B18: %s after %d appends answered without an upgrade (outcome %+v) — silent fallback-to-recompute", name, n, out))
 			}
-			want, err := srv.Query(c, src)
+			want, err := srv.Query(bg, src)
 			if err != nil {
 				fatal(err)
 			}
@@ -1530,7 +1415,7 @@ func b18(nFacts int) {
 				fatal(err)
 			}
 			if !bytes.Equal(gj, wj) {
-				fatal(fmt.Errorf("B18: %s delta-merged result at degree %d diverged from recompute:\n merged:    %s\n recompute: %s", name, d, gj, wj))
+				fatal(fmt.Errorf("B18: %s delta-merged result after %d appends diverged from recompute:\n merged:    %s\n recompute: %s", name, n, gj, wj))
 			}
 			lastUpgraded = gj
 		}
@@ -1548,7 +1433,7 @@ func b18(nFacts int) {
 		}
 		verified++
 	}
-	fmt.Printf("differential oracle: delta-merged ≡ recompute ≡ algebra (bit-identical JSON) for %d distributive aggregates at degrees 1/2/4/8\n", verified)
+	fmt.Printf("differential oracle: delta-merged ≡ recompute ≡ algebra (bit-identical JSON) for %d distributive aggregates over 4 append rounds\n", verified)
 
 	// Phase 2: the write-heavy serving loop on the headline query.
 	const q = `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Group"`

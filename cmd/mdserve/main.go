@@ -54,7 +54,9 @@ func main() {
 	timeout := flag.Duration("timeout", 5*time.Second, "per-query deadline (0 disables)")
 	maxRows := flag.Int("max-rows", 10000, "per-query result-row limit (0 disables)")
 	maxFacts := flag.Int64("max-facts", 10_000_000, "per-query scanned-facts limit (0 disables)")
-	parallelism := flag.Int("parallelism", 1, "default partition-parallel degree per query (1 = sequential; ?parallelism= overrides per query)")
+	// Deprecated: ignored — queries run sequentially; kept only because
+	// bench/ sets it (ROADMAP item 1).
+	parallelism := flag.Int("parallelism", 1, "deprecated: queries run on one goroutine; only 1 is accepted")
 	columns := flag.Int("columns", 0, "warm characterization columns for categories with at least N values (0 = bitmap kernels only)")
 	resultCache := flag.Int64("result-cache", 0, "result-cache size in bytes (0 disables; ?nocache=1 bypasses per query)")
 	admit := flag.Int("admission", 0, "admission-control concurrency ceiling (0 disables admission control)")
@@ -78,6 +80,9 @@ func main() {
 	dataMMap := flag.Bool("data-mmap", false, "serve the persisted column checkpoint via a read-only memory mapping instead of copying it onto the heap")
 	flag.Parse()
 
+	if *parallelism != 1 {
+		fatal(fmt.Errorf("-parallelism %d: partition-parallel execution was removed, every query runs on one goroutine; only -parallelism 1 is accepted", *parallelism))
+	}
 	if *delta && (!*planner || *resultCache <= 0) {
 		fatal(fmt.Errorf("-delta needs -planner and a positive -result-cache: the upgrade path folds through the planner into result-cache entries"))
 	}
@@ -100,17 +105,15 @@ func main() {
 		Timeout:          *timeout,
 		MaxResultRows:    *maxRows,
 		MaxFactsScanned:  *maxFacts,
-		Parallelism:      *parallelism,
 		ColumnMinValues:  *columns,
 		ResultCacheBytes: *resultCache,
 		StaleOnShed:      *staleOnShed,
 		Planner:          *planner,
 		DeltaMaintenance: *delta,
 		Batching: batch.Config{
-			Enabled:        *batching,
-			GatherWindow:   *batchWindow,
-			MaxBatch:       *batchMax,
-			MaxParallelism: *parallelism,
+			Enabled:      *batching,
+			GatherWindow: *batchWindow,
+			MaxBatch:     *batchMax,
 		},
 		Admission: admission.Config{
 			MaxConcurrency: *admit,

@@ -31,7 +31,6 @@ func TestMainSelfcheck(t *testing.T) {
 		"-selfcheck", "-metrics",
 		"-gen", "200",
 		"-columns", "4",
-		"-parallelism", "2",
 		"-result-cache", "1048576",
 		"-admission", "4",
 		"-admit-target", "250ms",

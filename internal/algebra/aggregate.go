@@ -10,7 +10,6 @@ import (
 	"mddm/internal/agg"
 	"mddm/internal/core"
 	"mddm/internal/dimension"
-	"mddm/internal/exec"
 	"mddm/internal/fact"
 	"mddm/internal/obs"
 	"mddm/internal/qos"
@@ -224,68 +223,21 @@ func AggregateContext(cctx context.Context, m *core.MO, spec AggSpec, ctx dimens
 	// grouping category; the fact belongs to every combination of its
 	// per-dimension ancestors. (Iterating C_1 × … × C_n directly would be
 	// exponential in n; per-fact expansion visits exactly the non-empty
-	// groups.) With a context-carried parallelism degree above 1 the fact
-	// universe is partitioned and worker-local groupings merge in ascending
-	// partition order; the member sets are order-free (fact.Set sorts), so
-	// the merged grouping is identical to the sequential one.
-	degree := exec.DegreeFrom(cctx)
+	// groups.)
 	factIDs := m.Facts().IDs()
 	groups := map[string]*fact.Set{} // combo key -> member facts
 	combos := map[string]combo{}
-	addToGroup := func(groups map[string]*fact.Set, combos map[string]combo, key string, vals []string, ff fact.Fact) {
-		if _, seen := groups[key]; !seen {
-			groups[key] = fact.NewSet()
-			cp := make([]string, len(vals))
-			copy(cp, vals)
-			combos[key] = combo{key: key, vals: cp}
+	for _, f := range factIDs {
+		if err := guard.Facts(1); err != nil {
+			return nil, fmt.Errorf("algebra: aggregate: %w", err)
 		}
-		groups[key].Add(ff)
-	}
-	if degree > 1 {
-		type partial struct {
-			groups map[string]*fact.Set
-			combos map[string]combo
-		}
-		parts := exec.Partitions(len(factIDs), degree)
-		partials := make([]partial, len(parts))
-		if err := exec.Run(cctx, nil, degree, len(parts), func(p int) error {
-			g := qos.NewGuard(cctx)
-			loc := partial{groups: map[string]*fact.Set{}, combos: map[string]combo{}}
-			for _, f := range factIDs[parts[p].Lo:parts[p].Hi] {
-				if err := g.Facts(1); err != nil {
-					return fmt.Errorf("algebra: aggregate: %w", err)
-				}
-				groupOneFact(m, names, groupCats, f, ctx, func(key string, vals []string, ff fact.Fact) {
-					addToGroup(loc.groups, loc.combos, key, vals, ff)
-				})
+		groupOneFact(m, names, groupCats, f, ctx, func(key string, vals []string, ff fact.Fact) {
+			if _, seen := groups[key]; !seen {
+				groups[key] = fact.NewSet()
+				combos[key] = combo{key: key, vals: append([]string(nil), vals...)}
 			}
-			partials[p] = loc
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		for _, loc := range partials {
-			for key, set := range loc.groups {
-				if _, seen := groups[key]; !seen {
-					groups[key] = set
-					combos[key] = loc.combos[key]
-					continue
-				}
-				for _, id := range set.IDs() {
-					ff, _ := set.Get(id)
-					groups[key].Add(ff)
-				}
-			}
-		}
-	} else {
-		for _, f := range factIDs {
-			if err := guard.Facts(1); err != nil {
-				return nil, fmt.Errorf("algebra: aggregate: %w", err)
-			}
-			groupOneFact(m, names, groupCats, f, ctx, func(key string, vals []string, ff fact.Fact) {
-				addToGroup(groups, combos, key, vals, ff)
-			})
-		}
+			groups[key].Add(ff)
+		})
 	}
 
 	keys := make([]string, 0, len(groups))
@@ -295,45 +247,23 @@ func AggregateContext(cctx context.Context, m *core.MO, spec AggSpec, ctx dimens
 	sort.Strings(keys)
 	sp.SetAttr("facts", int64(len(factIDs)))
 	sp.SetAttr("groups", int64(len(keys)))
-	if degree > 1 {
-		sp.SetAttr("degree", int64(degree))
-	}
 
 	// Phase B — evaluate each group: the group fact, the R'_i annotations,
-	// and g(group). Each group is evaluated wholly by one worker with a
-	// sequential fold over its sorted member ids, so the result value is
-	// bit-identical at any degree (no partial-sum re-association within a
-	// group); parallelism comes from evaluating distinct groups
-	// concurrently.
+	// and g(group), folding over the group's sorted member ids.
 	outs := make([]*groupOut, len(keys))
-	if degree > 1 {
-		if err := exec.Run(cctx, nil, degree, len(keys), func(t int) error {
-			g := qos.NewGuard(cctx)
-			o, err := evalGroup(g, m, &spec, names, combos[keys[t]], groups[keys[t]], ctx)
-			if err != nil {
-				return err
-			}
-			outs[t] = o
-			return nil
-		}); err != nil {
+	for t, key := range keys {
+		if err := guard.Check(); err != nil {
+			return nil, fmt.Errorf("algebra: aggregate: %w", err)
+		}
+		o, err := evalGroup(guard, m, &spec, names, combos[key], groups[key], ctx)
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		for t, key := range keys {
-			if err := guard.Check(); err != nil {
-				return nil, fmt.Errorf("algebra: aggregate: %w", err)
-			}
-			o, err := evalGroup(guard, m, &spec, names, combos[key], groups[key], ctx)
-			if err != nil {
-				return nil, err
-			}
-			outs[t] = o
-		}
+		outs[t] = o
 	}
 
-	// Serial apply, in sorted key order: the result MO is assembled by one
-	// goroutine in the same mutation order as a fully sequential run, so
-	// the output is identical structure-for-structure at any degree.
+	// Apply, in sorted key order: add every group's fact, annotations and
+	// result value to the result MO.
 	for t, key := range keys {
 		o := outs[t]
 		cb := combos[key]
@@ -399,9 +329,8 @@ func groupOneFact(m *core.MO, names []string, groupCats map[string]string, f str
 	})
 }
 
-// evalGroup computes one group's output without touching the result MO —
-// the parallelizable core of the per-group loop. The fold over members is
-// sequential in sorted member-id order regardless of the caller's degree.
+// evalGroup computes one group's output without touching the result MO. The
+// fold over members is sequential in sorted member-id order.
 func evalGroup(guard *qos.Guard, m *core.MO, spec *AggSpec, names []string, cb combo, members *fact.Set, ctx dimension.Context) (*groupOut, error) {
 	o := &groupOut{annots: make([]dimension.Annot, len(names))}
 	if spec.Func.NeedsProb {

@@ -105,7 +105,7 @@ func TestMidFlightCancelAbortsWithinBound(t *testing.T) {
 }
 
 // TestFactBudgetStopsAggregate bounds the facts an aggregate formation
-// may visit.
+// may visit, and checks an ample budget is charged without stopping it.
 func TestFactBudgetStopsAggregate(t *testing.T) {
 	m := bigMO(t, 10_000)
 	dctx := dimension.CurrentContext(temporal.MustDate("01/01/1999"))
@@ -113,5 +113,12 @@ func TestFactBudgetStopsAggregate(t *testing.T) {
 	_, err := AggregateContext(ctx, m, bigSpec(), dctx)
 	if !errors.Is(err, qos.ErrResourceExhausted) {
 		t.Fatalf("want ErrResourceExhausted, got %v", err)
+	}
+	ctx = qos.WithFactBudget(context.Background(), 1<<40)
+	if _, err := AggregateContext(ctx, m, bigSpec(), dctx); err != nil {
+		t.Fatal(err)
+	}
+	if qos.BudgetFrom(ctx).Spent() == 0 {
+		t.Fatal("aggregate spent no budget")
 	}
 }

@@ -18,17 +18,21 @@
 // solo (plan.Prepared.FinishScan, the finish of an unbatched query too) —
 // so results are bit-identical to unbatched execution.
 //
-// The gather window and the scan's parallelism degree adapt to load
-// through the admission limiter's signals: near-idle servers shrink the
-// window toward zero (batching would only add latency when no similar
-// query is coming) and scan wide; loaded servers hold the full window
-// (more members per scan is exactly where sharing pays) and scan narrow
-// to leave cores for admitted queries.
+// The gather window adapts to load through the admission limiter's
+// signals: near-idle servers shrink the window toward zero (batching would
+// only add latency when no similar query is coming); loaded servers hold
+// the full window (more members per scan is exactly where sharing pays).
+//
+// The fused scan runs on a goroutine of its own, outside every member's
+// panic isolation, so it recovers a panic itself: every member gets a
+// *ScanPanic error and the leg is released for the next batch.
 package batch
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -46,9 +50,6 @@ const DefaultGatherWindow = 2 * time.Millisecond
 // immediately instead of waiting out the window.
 const DefaultMaxBatch = 32
 
-// DefaultMaxParallelism caps the fused scan's partition degree.
-const DefaultMaxParallelism = 4
-
 // Config tunes the scheduler; the zero value (Enabled false) disables
 // batching entirely.
 type Config struct {
@@ -59,8 +60,8 @@ type Config struct {
 	GatherWindow time.Duration
 	// MaxBatch caps members per batch (DefaultMaxBatch when 0).
 	MaxBatch int
-	// MaxParallelism caps the fused scan degree (DefaultMaxParallelism
-	// when 0); the adaptive policy only ever narrows it.
+	// Deprecated: ignored — queries run sequentially; kept only because
+	// bench/ sets it (ROADMAP item 1).
 	MaxParallelism int
 }
 
@@ -71,15 +72,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
 	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = DefaultMaxParallelism
-	}
 	return c
 }
 
 // Signals exposes the admission limiter's load view to the adaptive
-// policy. A nil Signals pins the window and degree to their configured
-// values.
+// policy. A nil Signals pins the window to its configured value.
 type Signals interface {
 	// Load returns the currently admitted query count and the admission
 	// limit (0 limit: unknown — treated as unloaded).
@@ -203,7 +200,7 @@ type Stats struct {
 	Bypasses map[string]int64
 }
 
-// New builds a scheduler; sig may be nil (fixed window and degree).
+// New builds a scheduler; sig may be nil (fixed window).
 func New(cfg Config, sig Signals) *Scheduler {
 	return &Scheduler{cfg: cfg.withDefaults(), sig: sig, legs: map[key]*legState{}}
 }
@@ -244,6 +241,15 @@ func (s *Scheduler) Stats() Stats {
 	}
 	return st
 }
+
+// ScanPanic is the error every member of a batch gets when its fused scan
+// panicked: the panic value and the scan goroutine's stack at recovery.
+type ScanPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *ScanPanic) Error() string { return fmt.Sprintf("batch: scan panic: %v", p.Value) }
 
 // ErrDisabled is Do's answer on a disabled scheduler: nothing was scanned,
 // the caller runs the query itself (plan.Prepared.Execute).
@@ -337,7 +343,6 @@ func (s *Scheduler) readyLocked(k key, f *flight) {
 // startScanLocked records the batch and starts its scan goroutine; the
 // caller holds s.mu and has claimed the leg's scanner slot.
 func (s *Scheduler) startScanLocked(k key, f *flight) {
-	deg := s.degree()
 	n := int64(len(f.members))
 	s.stats.Batches++
 	s.stats.Members += n
@@ -346,7 +351,7 @@ func (s *Scheduler) startScanLocked(k key, f *flight) {
 	mMembers.Add(n)
 	mScansSaved.Add(n - 1)
 	mMembersPerBatch.ObserveValue(float64(n))
-	go s.runScan(k, f, deg)
+	go s.runScan(k, f)
 }
 
 // scanDone releases the leg's scanner slot and hands it to the next
@@ -376,10 +381,17 @@ func (s *Scheduler) scanDone(k key) {
 
 // runScan executes the flight's kernel scan under a context that outlives
 // any one member: it cancels only when every member's context is done, so
-// one impatient client cannot kill the batch for the others.
-func (s *Scheduler) runScan(k key, f *flight, deg int) {
+// one impatient client cannot kill the batch for the others. A panic in the
+// scan becomes the flight's *ScanPanic error; the leg is released either
+// way.
+func (s *Scheduler) runScan(k key, f *flight) {
 	defer s.scanDone(k)
 	defer close(f.done)
+	defer func() {
+		if r := recover(); r != nil {
+			f.err = &ScanPanic{Value: r, Stack: debug.Stack()}
+		}
+	}()
 	scanCtx, cancel := allMembersCtx(f.members)
 	defer cancel()
 	// Deduplicate identical members: equal ArgDim, equal output mode, and
@@ -403,7 +415,7 @@ func (s *Scheduler) runScan(k key, f *flight, deg int) {
 		}
 		f.slot[i] = j
 	}
-	f.out, f.err = k.eng.ScanLeg(scanCtx, k.dim, k.cat, unique, deg)
+	f.out, f.err = k.eng.ScanLeg(scanCtx, k.dim, k.cat, unique)
 }
 
 // allMembersCtx derives a context canceled once ALL member contexts are
@@ -447,25 +459,4 @@ func (s *Scheduler) window() time.Duration {
 	default:
 		return w
 	}
-}
-
-// degree is the adaptive scan parallelism: full width when the limiter
-// has spare capacity, narrowing toward 1 as admitted queries fill the
-// limit so the scan does not steal their cores.
-func (s *Scheduler) degree() int {
-	d := s.cfg.MaxParallelism
-	if s.sig == nil {
-		return d
-	}
-	inflight, limit := s.sig.Load()
-	if limit <= 0 {
-		return d
-	}
-	if free := limit - inflight; free < d {
-		d = free
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
 }

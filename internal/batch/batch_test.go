@@ -11,6 +11,7 @@ import (
 	"mddm/internal/agg"
 	"mddm/internal/casestudy"
 	"mddm/internal/dimension"
+	"mddm/internal/faultinject"
 	"mddm/internal/qos"
 	"mddm/internal/storage"
 	"mddm/internal/temporal"
@@ -280,6 +281,41 @@ func TestScanErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestScanPanicReachesMembers asserts a panic in the fused scan — which
+// runs on the scheduler's goroutine, outside any member's recover — reaches
+// every member as a *ScanPanic carrying the value and the stack, and that
+// the leg is released: the next batch on it scans normally.
+func TestScanPanicReachesMembers(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	e := testEngine(t, 20)
+	s := New(Config{Enabled: true, GatherWindow: 200 * time.Millisecond, MaxBatch: 64}, nil)
+	faultinject.EnablePanic(faultinject.KernelScan, "scan boom")
+	req := Request{Ctx: context.Background(), Engine: e, Dim: casestudy.DimDiagnosis, Cat: casestudy.CatLowLevel}
+	results := make([]Result, 3)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = s.Do(req)
+		}()
+	}
+	wg.Wait()
+	for i, r := range results {
+		var sp *ScanPanic
+		if !errors.As(r.Err, &sp) || sp.Value != "scan boom" || len(sp.Stack) == 0 {
+			t.Fatalf("member %d err = %v, want a *ScanPanic with value and stack", i, r.Err)
+		}
+	}
+	if st := s.Stats(); st.Batches != 1 || st.Members != 3 {
+		t.Fatalf("stats = %+v, want one batch of three", st)
+	}
+	faultinject.Reset()
+	if r := s.Do(req); r.Err != nil || len(r.Values) == 0 {
+		t.Fatalf("leg not released after a scan panic: %+v", r)
+	}
+}
+
 // TestBypassStats asserts bypass accounting, including an unknown reason
 // (counted under the other-bucket metric but still in Stats).
 func TestBypassStats(t *testing.T) {
@@ -325,40 +361,14 @@ func TestAdaptiveWindow(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDegree pins the degree policy: full width with spare
-// capacity, narrowing to 1 as the limit fills, never below 1.
-func TestAdaptiveDegree(t *testing.T) {
-	sig := &fakeSignals{}
-	cases := []struct {
-		name            string
-		sig             Signals
-		inflight, limit int
-		want            int
-	}{
-		{"nil-signals", nil, 0, 0, 4},
-		{"no-limit", sig, 5, 0, 4},
-		{"spare", sig, 2, 16, 4},
-		{"tight", sig, 14, 16, 2},
-		{"saturated", sig, 16, 16, 1},
-		{"over", sig, 20, 16, 1},
-	}
-	for _, tc := range cases {
-		sig.set(tc.inflight, tc.limit)
-		s := New(Config{Enabled: true, MaxParallelism: 4}, tc.sig)
-		if got := s.degree(); got != tc.want {
-			t.Errorf("%s: degree = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestWithDefaults pins the zero-field fill-ins.
 func TestWithDefaults(t *testing.T) {
 	c := Config{Enabled: true}.withDefaults()
-	if c.GatherWindow != DefaultGatherWindow || c.MaxBatch != DefaultMaxBatch || c.MaxParallelism != DefaultMaxParallelism {
+	if c.GatherWindow != DefaultGatherWindow || c.MaxBatch != DefaultMaxBatch {
 		t.Fatalf("defaults = %+v", c)
 	}
-	c = Config{Enabled: true, GatherWindow: time.Second, MaxBatch: 7, MaxParallelism: 2}.withDefaults()
-	if c.GatherWindow != time.Second || c.MaxBatch != 7 || c.MaxParallelism != 2 {
+	c = Config{Enabled: true, GatherWindow: time.Second, MaxBatch: 7}.withDefaults()
+	if c.GatherWindow != time.Second || c.MaxBatch != 7 {
 		t.Fatalf("explicit config rewritten: %+v", c)
 	}
 }

@@ -14,10 +14,8 @@ import (
 // because the canonical form is injective on the parsed query
 // (FuzzCacheKey pushes on both properties).
 //
-// The key deliberately excludes the parallelism degree and every other
-// execution knob: results are pinned bit-identical across degrees
-// (docs/EXECUTION.md), so a result filled at degree 8 may serve a
-// degree-1 request.
+// The key deliberately excludes tracing, explain and every other
+// context-carried execution knob: none of them changes a result.
 func QueryKey(src string) (key, mo string, err error) {
 	q, err := query.Parse(src)
 	if err != nil {

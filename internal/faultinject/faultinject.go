@@ -37,11 +37,11 @@ const (
 	// executor runs — arming it proves the planner surfaces injected
 	// failures instead of silently falling back to the algebra.
 	PlanExec Point = "plan-exec"
-	// PartitionWorker fires inside every partition worker of the parallel
-	// execution engine (internal/exec), once per claimed task — arming it
-	// with EnablePanic makes exactly the worker-panic containment path
-	// reproducible.
-	PartitionWorker Point = "partition-worker"
+	// KernelScan fires once per one-leg kernel scan (storage scanLeg), on
+	// whichever goroutine runs it — the query's own or, for a fused batch,
+	// the scheduler's scan goroutine. Arming it with EnablePanic makes the
+	// scan-panic containment path reproducible.
+	KernelScan Point = "kernel-scan"
 	// QueueStall fires in the admission controller's wake scan; while
 	// armed the queue stops granting slots, so tests can deterministically
 	// expire queued requests and prove expired entries never execute.

@@ -3,14 +3,14 @@
 // renders the Prometheus text exposition format, and per-query trace
 // spans carried on the context alongside the qos budgets. It is a leaf
 // package (stdlib only), so every layer of the query path — serve, query,
-// algebra, exec, storage, qos — can record into it without import cycles.
+// algebra, storage, qos — can record into it without import cycles.
 //
 // The design keeps the hot-path cost near zero: instrumentation points
-// sit at operation granularity (per query, per operator, per partition —
+// sit at operation granularity (per query, per operator, per scan —
 // never per fact), a counter add is one atomic add on a cache-padded
 // shard, and the whole layer collapses to a single atomic load when
 // disabled with SetEnabled(false). mdbench -exp B12 checks the <2%
-// overhead budget against the B11 workloads.
+// overhead budget against two storage kernels and a served query.
 package obs
 
 import (

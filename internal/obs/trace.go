@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the per-query tracing half of the observability layer.
-// A Trace rides the same context.Context the qos budgets and the
-// parallelism degree already use, so every layer that has the query
+// A Trace rides the same context.Context the qos budgets already use, so
+// every layer that has the query
 // context can open spans without new plumbing. Tracing is opt-in per
 // query (the HTTP layer's ?trace=1): a query without a trace pays one
 // nil-returning context lookup per span site and nothing else.
@@ -21,8 +21,8 @@ type traceKey struct{}
 // inspector.
 var traceIDs atomic.Uint64
 
-// Trace accumulates the spans of one query. Safe for concurrent use —
-// partition workers open spans from many goroutines.
+// Trace accumulates the spans of one query. Safe for concurrent use — the
+// active-query inspector reads a trace while its query still records.
 type Trace struct {
 	ID    uint64
 	Query string

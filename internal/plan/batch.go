@@ -18,8 +18,8 @@ import (
 // scheduler can group it with concurrent queries over the same
 // (engine, dimension, category) leg, and FinishScan completes it from the
 // batch's kernel scan with the finish a solo Execute runs after its own
-// scan of one. Batched results are bit-identical to solo execution at the
-// same scan degree; see docs/TRAFFIC.md for the float-order argument.
+// scan of one. Batched results are bit-identical to solo execution; see
+// docs/TRAFFIC.md for the float-order argument.
 
 // Batch bypass reasons — the closed set of "why this query cannot join a
 // fused scan" labels (internal/batch registers a counter per reason).

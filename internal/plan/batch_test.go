@@ -38,8 +38,8 @@ var batchableQueries = []string{
 
 // runShared drives one query through the batch-side API exactly as the
 // serve glue does — PrepareContext, the fused scan, FinishShared — as a
-// single-member batch at the given scan degree.
-func runShared(t *testing.T, ctx context.Context, src string, cat query.Catalog, engines Engines, deg int) (*query.Result, error) {
+// single-member batch.
+func runShared(t *testing.T, ctx context.Context, src string, cat query.Catalog, engines Engines) (*query.Result, error) {
 	t.Helper()
 	p, err := PrepareContext(ctx, src, cat, testRef, engines)
 	if err != nil {
@@ -52,7 +52,7 @@ func runShared(t *testing.T, ctx context.Context, src string, cat query.Catalog,
 	members := []storage.SharedScanMember{{ArgDim: p.ArgDim(), Sel: p.Selection(), ListArgs: p.NeedsArgLists()}}
 	// The scan runs under the scheduler's own context in production
 	// (allMembersCtx), never the member's budget context.
-	scan, err := p.Engine().ScanLeg(context.Background(), dim, gcat, members, deg)
+	scan, err := p.Engine().ScanLeg(context.Background(), dim, gcat, members)
 	if err != nil {
 		t.Fatalf("%s: fused scan: %v", src, err)
 	}
@@ -61,9 +61,9 @@ func runShared(t *testing.T, ctx context.Context, src string, cat query.Catalog,
 }
 
 // TestFinishSharedDifferential asserts shared-scan completion ≡ solo
-// planner execution ≡ algebra for the whole batchable corpus at every
-// scan degree — rows, columns, summarizability, warnings, and the
-// explain routing (the solo run's shape and kernel strategy).
+// planner execution ≡ algebra for the whole batchable corpus — rows,
+// columns, summarizability, warnings, and the explain routing (the solo
+// run's shape and kernel strategy).
 func TestFinishSharedDifferential(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
@@ -80,32 +80,30 @@ func TestFinishSharedDifferential(t *testing.T) {
 		if !reflect.DeepEqual(want.Rows, alg.Rows) {
 			t.Fatalf("%s: solo planner diverged from algebra", src)
 		}
-		for _, deg := range []int{1, 2, 4, 8} {
-			ctx, ex := WithExplain(context.Background())
-			got, err := runShared(t, ctx, src, cat, engines, deg)
-			if err != nil {
-				t.Fatalf("%s deg=%d: %v", src, deg, err)
-			}
-			if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("%s deg=%d: shared diverged:\n shared: %v\n solo:   %v", src, deg, got.Rows, want.Rows)
-			}
-			if got.Summarizable != want.Summarizable || !reflect.DeepEqual(got.Reasons, want.Reasons) {
-				t.Fatalf("%s deg=%d: summarizability diverged", src, deg)
-			}
-			if !reflect.DeepEqual(got.Warnings, want.Warnings) {
-				t.Fatalf("%s deg=%d: warnings diverged", src, deg)
-			}
-			if ex.Kernel != soloEx.Kernel || (ex.Kernel != storage.KernelColumn && ex.Kernel != storage.KernelBitmap) {
-				t.Fatalf("%s deg=%d: explain kernel %q, solo ran %q", src, deg, ex.Kernel, soloEx.Kernel)
-			}
-			switch ex.Shape {
-			case ShapeKernelCount, ShapeKernelSum, ShapeGroupFold:
-			default:
-				t.Fatalf("%s deg=%d: explain shape %q", src, deg, ex.Shape)
-			}
-			if ex.Shape != soloEx.Shape {
-				t.Fatalf("%s deg=%d: explain shape %q, solo ran %q", src, deg, ex.Shape, soloEx.Shape)
-			}
+		ctx, ex := WithExplain(context.Background())
+		got, err := runShared(t, ctx, src, cat, engines)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%s: shared diverged:\n shared: %v\n solo:   %v", src, got.Rows, want.Rows)
+		}
+		if got.Summarizable != want.Summarizable || !reflect.DeepEqual(got.Reasons, want.Reasons) {
+			t.Fatalf("%s: summarizability diverged", src)
+		}
+		if !reflect.DeepEqual(got.Warnings, want.Warnings) {
+			t.Fatalf("%s: warnings diverged", src)
+		}
+		if ex.Kernel != soloEx.Kernel || (ex.Kernel != storage.KernelColumn && ex.Kernel != storage.KernelBitmap) {
+			t.Fatalf("%s: explain kernel %q, solo ran %q", src, ex.Kernel, soloEx.Kernel)
+		}
+		switch ex.Shape {
+		case ShapeKernelCount, ShapeKernelSum, ShapeGroupFold:
+		default:
+			t.Fatalf("%s: explain shape %q", src, ex.Shape)
+		}
+		if ex.Shape != soloEx.Shape {
+			t.Fatalf("%s: explain shape %q, solo ran %q", src, ex.Shape, soloEx.Shape)
 		}
 	}
 }
@@ -131,7 +129,7 @@ func TestFinishSharedBudgetParity(t *testing.T) {
 		soloSpent := qos.BudgetFrom(sctx).Spent()
 
 		bctx := qos.WithFactBudget(context.Background(), budget)
-		if _, err := runShared(t, bctx, src, cat, engines, 1); err != nil {
+		if _, err := runShared(t, bctx, src, cat, engines); err != nil {
 			t.Fatal(err)
 		}
 		sharedSpent := qos.BudgetFrom(bctx).Spent()
@@ -164,7 +162,7 @@ func TestFinishSharedBudgetExhaustion(t *testing.T) {
 		if soloErr == nil || !errors.Is(soloErr, qos.ErrResourceExhausted) {
 			t.Fatalf("%s: solo err = %v, want resource exhausted", src, soloErr)
 		}
-		_, sharedErr := runShared(t, qos.WithFactBudget(context.Background(), 1), src, cat, engines, 1)
+		_, sharedErr := runShared(t, qos.WithFactBudget(context.Background(), 1), src, cat, engines)
 		if sharedErr == nil || !errors.Is(sharedErr, qos.ErrResourceExhausted) {
 			t.Fatalf("%s: shared err = %v, want resource exhausted", src, sharedErr)
 		}
@@ -181,7 +179,7 @@ func TestFinishSharedCapturesPartials(t *testing.T) {
 	cat, engines, eng, appendFact := deltaFixture(t, 30)
 	src := `SELECT AVG(Age) FROM gen GROUP BY Diagnosis."Low-level Diagnosis"`
 	cctx, cp := WithCapture(context.Background())
-	if _, err := runShared(t, cctx, src, cat, engines, 1); err != nil {
+	if _, err := runShared(t, cctx, src, cat, engines); err != nil {
 		t.Fatal(err)
 	}
 	if cp.Partials == nil {

@@ -40,8 +40,6 @@ type Explain struct {
 	// storage.ScanLeg returned; ⊤ has no column); always "column" for
 	// cross.
 	Kernel string `json:"kernel,omitempty"`
-	// Degree is the context-carried parallelism degree (0: unset).
-	Degree int `json:"degree,omitempty"`
 	// Groups counts the result rows before HAVING/ORDER/LIMIT.
 	Groups int `json:"groups,omitempty"`
 	// View is set when the query was answered from a context view of the

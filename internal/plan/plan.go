@@ -22,7 +22,6 @@ import (
 	"mddm/internal/agg"
 	"mddm/internal/core"
 	"mddm/internal/dimension"
-	"mddm/internal/exec"
 	"mddm/internal/faultinject"
 	"mddm/internal/obs"
 	"mddm/internal/qos"
@@ -181,7 +180,6 @@ func (p *Prepared) plan(engines Engines) {
 	mPlanPlanned.Inc()
 	if p.ex != nil {
 		p.ex.Mode = ModePlanned
-		p.ex.Degree = exec.DegreeFrom(p.cctx)
 	}
 
 	if q.FactsOnly {
@@ -290,8 +288,7 @@ func (p *Prepared) Execute() (*query.Result, error) {
 	// member, then the same finish.
 	gd := p.leg()
 	scan, err := p.eng.ScanLeg(p.cctx, gd.dim, gd.cat,
-		[]storage.SharedScanMember{{ArgDim: p.argDim, Sel: p.sel, ListArgs: p.NeedsArgLists(), Prob: p.ProbArg()}},
-		exec.DegreeFrom(p.cctx))
+		[]storage.SharedScanMember{{ArgDim: p.argDim, Sel: p.sel, ListArgs: p.NeedsArgLists(), Prob: p.ProbArg()}})
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}

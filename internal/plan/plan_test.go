@@ -11,7 +11,6 @@ import (
 	"mddm/internal/agg"
 	"mddm/internal/casestudy"
 	"mddm/internal/dimension"
-	"mddm/internal/exec"
 	"mddm/internal/faultinject"
 	"mddm/internal/qos"
 	"mddm/internal/query"
@@ -179,31 +178,23 @@ var errorQueries = []string{
 }
 
 // TestDifferentialOracle runs the static query lists and the context-view
-// matrix (viewQueries, views_test.go) through planner and algebra at every
-// parallelism degree: the whole matrix sequentially, an eighth of it — a
-// different one per degree — at the others. A view query must also report
-// that it ran planned, from a view.
+// matrix (viewQueries, views_test.go) through planner and algebra. A view
+// query must also report that it ran planned, from a view. Every scan runs on
+// the calling goroutine, so degree 1 is the one degree the matrix runs at.
 func TestDifferentialOracle(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
-	all := append(append(append([]string{}, docExamples...), plannedQueries...), errorQueries...)
-	views := viewQueries()
-	for _, deg := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("degree=%d", deg), func(t *testing.T) {
-			ctx := exec.WithParallelism(context.Background(), deg)
-			for _, src := range all {
-				diffOne(t, ctx, src, cat, engines)
+	t.Run("degree=1", func(t *testing.T) {
+		ctx := context.Background()
+		for _, src := range append(append(append([]string{}, docExamples...), plannedQueries...), errorQueries...) {
+			diffOne(t, ctx, src, cat, engines)
+		}
+		for _, src := range viewQueries() {
+			if ex := diffOne(t, ctx, src, cat, engines); ex.Mode != ModePlanned || ex.View == "" {
+				t.Fatalf("%s: mode=%q reason=%q view=%q, want planned from a view", src, ex.Mode, ex.Reason, ex.View)
 			}
-			for k, src := range views {
-				if deg > 1 && k%8 != deg-1 {
-					continue
-				}
-				if ex := diffOne(t, ctx, src, cat, engines); ex.Mode != ModePlanned || ex.View == "" {
-					t.Fatalf("%s: mode=%q reason=%q view=%q, want planned from a view", src, ex.Mode, ex.Reason, ex.View)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestDifferentialAllAggregates sweeps every registered aggregate through
@@ -582,16 +573,13 @@ func TestExplainOutput(t *testing.T) {
 			view: Explain{View: storage.ViewCached}},
 	}
 	for _, c := range cases {
-		ctx, ex := WithExplain(exec.WithParallelism(context.Background(), 4))
+		ctx, ex := WithExplain(context.Background())
 		res, err := ExecContext(ctx, c.src, cat, testRef, engines)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ex.Mode != ModePlanned || ex.Shape != c.shape {
 			t.Fatalf("%s: mode=%q shape=%q, want planned/%s", c.src, ex.Mode, ex.Shape, c.shape)
-		}
-		if ex.Degree != 4 {
-			t.Fatalf("%s: degree=%d, want 4", c.src, ex.Degree)
 		}
 		if ex.Groups != len(res.Rows) && c.shape != ShapeFacts {
 			t.Fatalf("%s: groups=%d, rows=%d", c.src, ex.Groups, len(res.Rows))

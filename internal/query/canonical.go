@@ -20,10 +20,9 @@ import (
 // succeeds and reaches the same fixpoint
 // (Parse(q.Canonical()).Canonical() == q.Canonical()).
 //
-// Deliberately NOT part of the canonical form: the parallelism degree,
-// tracing, and every other context-carried execution knob — results are
-// pinned identical across degrees (docs/EXECUTION.md), so a result
-// computed at degree 8 may serve a degree-1 request. Catalog state
+// Deliberately NOT part of the canonical form: tracing, explain and every
+// other context-carried execution knob — none of them changes a result.
+// Catalog state
 // (e.g. a GROUP BY with the category elided resolving to the bottom
 // category) is also not folded in: such pairs simply occupy two cache
 // slots, which costs duplicate work, never staleness.

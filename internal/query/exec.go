@@ -51,11 +51,7 @@ func Exec(src string, cat Catalog, ref temporal.Chronon) (*Result, error) {
 // threaded through selection, aggregate formation, and the row loops, so
 // canceling it (or letting its deadline expire) aborts the query promptly
 // with a qos.ErrCanceled-wrapped error. A fact budget installed with
-// qos.WithFactBudget bounds the number of facts the query may scan. The
-// context also carries the per-query parallelism degree
-// (exec.WithParallelism): aggregate formation evaluates
-// partition-parallel when the degree exceeds 1, with results and budget
-// accounting identical to the sequential path (see docs/EXECUTION.md).
+// qos.WithFactBudget bounds the number of facts the query may scan.
 func ExecContext(cctx context.Context, src string, cat Catalog, ref temporal.Chronon) (*Result, error) {
 	start := time.Now()
 	sp := obs.StartSpan(cctx, "query.parse")

@@ -108,7 +108,8 @@ func (s *Server) execute(ctx context.Context, p *plan.Prepared) (*query.Result, 
 	if r.Err != nil {
 		// Cancellation: this member's context died while waiting, or the
 		// scan died after every member's did. Same wrap the planner puts
-		// on a kernel cancellation.
+		// on a kernel cancellation. A *batch.ScanPanic passes through the
+		// wrap for Query to isolate.
 		p.Abort()
 		return nil, fmt.Errorf("query: %w", r.Err)
 	}

@@ -22,81 +22,77 @@ import (
 	"mddm/internal/query"
 )
 
-func batchedLimits(deg int) Limits {
+func batchedLimits() Limits {
 	return Limits{
-		Planner:     true,
-		Parallelism: deg,
+		Planner: true,
 		Batching: batch.Config{
-			Enabled:        true,
-			GatherWindow:   5 * time.Millisecond,
-			MaxParallelism: deg,
+			Enabled:      true,
+			GatherWindow: 5 * time.Millisecond,
 		},
 	}
 }
 
 // TestBatchDifferentialOracle is the serving-layer oracle for shared-scan
-// batching: for EVERY registered aggregate function, at scan degrees 1,
-// 2, 4, and 8, a batched server must answer bit-identically to a solo
-// planner server and to the algebra server — and the batch outcome flag
-// must prove which path actually ran: every aggregate is batchable (MEDIAN
-// as a list member, the probabilistic functions as probability members of
-// a context view's scan) and must report leader or member — a silent
-// bypass-to-solo fails the test — while DESCRIBE, the one statement that
-// still falls back, must report solo with the fallback bypass reason.
+// batching: for EVERY registered aggregate function, a batched server must
+// answer bit-identically to a solo planner server and to the algebra
+// server — and the batch outcome flag must prove which path actually ran:
+// every aggregate is batchable (MEDIAN as a list member, the probabilistic
+// functions as probability members of a context view's scan) and must
+// report leader or member — a silent bypass-to-solo fails the test — while
+// DESCRIBE, the one statement that still falls back, must report solo with
+// the fallback bypass reason.
 func TestBatchDifferentialOracle(t *testing.T) {
-	for _, deg := range []int{1, 2, 4, 8} {
-		batched, _ := newTestServer(t, batchedLimits(deg))
-		solo, _ := newTestServer(t, Limits{Planner: true, Parallelism: deg})
-		algebra, _ := newTestServer(t, Limits{Parallelism: deg})
-		for _, name := range agg.Names() {
-			fn, err := agg.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arg := "(*)"
-			if fn.NeedsArg {
-				arg = "(Age)"
-			}
-			for _, src := range []string{
-				fmt.Sprintf(`SELECT %s%s FROM patients GROUP BY Diagnosis."Diagnosis Group"`, name, arg),
-				fmt.Sprintf(`SELECT %s%s FROM patients WHERE Age >= 30 GROUP BY Residence."Region"`, name, arg),
-			} {
-				ctx, bo := WithBatchOutcome(context.Background())
-				rb, errB := batched.Query(ctx, src)
-				rs, errS := solo.Query(context.Background(), src)
-				ra, errA := algebra.Query(context.Background(), src)
-				if (errB == nil) != (errS == nil) || (errB == nil) != (errA == nil) {
-					t.Fatalf("%s deg=%d: errs batched=%v solo=%v algebra=%v", src, deg, errB, errS, errA)
-				}
-				if errB != nil {
-					if errB.Error() != errS.Error() || errB.Error() != errA.Error() {
-						t.Fatalf("%s deg=%d: error text diverged:\n batched: %v\n solo:    %v\n algebra: %v",
-							src, deg, errB, errS, errA)
-					}
-				} else {
-					if !reflect.DeepEqual(rb, rs) {
-						t.Fatalf("%s deg=%d: batched diverged from solo:\n batched: %+v\n solo:    %+v", src, deg, rb, rs)
-					}
-					if !reflect.DeepEqual(rb, ra) {
-						t.Fatalf("%s deg=%d: batched diverged from algebra:\n batched: %+v\n algebra: %+v", src, deg, rb, ra)
-					}
-				}
-				if bo.Outcome != batch.OutcomeLeader && bo.Outcome != batch.OutcomeMember {
-					t.Fatalf("%s deg=%d: outcome %q (reason %q), want leader or member — silent bypass",
-						src, deg, bo.Outcome, bo.Reason)
-				}
-			}
-		}
-		ctx, bo := WithBatchOutcome(context.Background())
-		if _, err := batched.Query(ctx, `DESCRIBE patients Diagnosis`); err != nil {
+	batched, _ := newTestServer(t, batchedLimits())
+	solo, _ := newTestServer(t, Limits{Planner: true})
+	algebra, _ := newTestServer(t, Limits{})
+	for _, name := range agg.Names() {
+		fn, err := agg.Lookup(name)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if bo.Outcome != batch.OutcomeSolo || bo.Reason != plan.BypassFallback {
-			t.Fatalf("DESCRIBE deg=%d: outcome %q reason %q, want solo/fallback", deg, bo.Outcome, bo.Reason)
+		arg := "(*)"
+		if fn.NeedsArg {
+			arg = "(Age)"
 		}
-		if st := batched.BatchStats(); st.Batches == 0 || st.Bypasses[plan.BypassFallback] == 0 {
-			t.Fatalf("deg=%d: stats %+v, want batches and fallback bypasses", deg, st)
+		for _, src := range []string{
+			fmt.Sprintf(`SELECT %s%s FROM patients GROUP BY Diagnosis."Diagnosis Group"`, name, arg),
+			fmt.Sprintf(`SELECT %s%s FROM patients WHERE Age >= 30 GROUP BY Residence."Region"`, name, arg),
+		} {
+			ctx, bo := WithBatchOutcome(context.Background())
+			rb, errB := batched.Query(ctx, src)
+			rs, errS := solo.Query(context.Background(), src)
+			ra, errA := algebra.Query(context.Background(), src)
+			if (errB == nil) != (errS == nil) || (errB == nil) != (errA == nil) {
+				t.Fatalf("%s: errs batched=%v solo=%v algebra=%v", src, errB, errS, errA)
+			}
+			if errB != nil {
+				if errB.Error() != errS.Error() || errB.Error() != errA.Error() {
+					t.Fatalf("%s: error text diverged:\n batched: %v\n solo:    %v\n algebra: %v",
+						src, errB, errS, errA)
+				}
+			} else {
+				if !reflect.DeepEqual(rb, rs) {
+					t.Fatalf("%s: batched diverged from solo:\n batched: %+v\n solo:    %+v", src, rb, rs)
+				}
+				if !reflect.DeepEqual(rb, ra) {
+					t.Fatalf("%s: batched diverged from algebra:\n batched: %+v\n algebra: %+v", src, rb, ra)
+				}
+			}
+			if bo.Outcome != batch.OutcomeLeader && bo.Outcome != batch.OutcomeMember {
+				t.Fatalf("%s: outcome %q (reason %q), want leader or member — silent bypass",
+					src, bo.Outcome, bo.Reason)
+			}
 		}
+	}
+	ctx, bo := WithBatchOutcome(context.Background())
+	if _, err := batched.Query(ctx, `DESCRIBE patients Diagnosis`); err != nil {
+		t.Fatal(err)
+	}
+	if bo.Outcome != batch.OutcomeSolo || bo.Reason != plan.BypassFallback {
+		t.Fatalf("DESCRIBE: outcome %q reason %q, want solo/fallback", bo.Outcome, bo.Reason)
+	}
+	if st := batched.BatchStats(); st.Batches == 0 || st.Bypasses[plan.BypassFallback] == 0 {
+		t.Fatalf("stats %+v, want batches and fallback bypasses", st)
 	}
 }
 
@@ -105,10 +101,10 @@ func TestBatchDifferentialOracle(t *testing.T) {
 // at least one member outcome, shared-scan savings, and every member's
 // result identical to its own solo execution.
 func TestBatchMemberFusion(t *testing.T) {
-	limits := batchedLimits(2)
+	limits := batchedLimits()
 	limits.Batching.GatherWindow = 100 * time.Millisecond
 	batched, _ := newTestServer(t, limits)
-	solo, _ := newTestServer(t, Limits{Planner: true, Parallelism: 2})
+	solo, _ := newTestServer(t, Limits{Planner: true})
 
 	regions := []string{"R0", "R1", "R2", "R3"}
 	srcs := make([]string, 8)
@@ -173,7 +169,7 @@ func TestBatchMemberFusion(t *testing.T) {
 // cache headers alone, ?nocache=1 computes and carries both.
 func TestBatchHeaderPrecedence(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	limits := batchedLimits(1)
+	limits := batchedLimits()
 	limits.ResultCacheBytes = 1 << 20
 	limits.StaleOnShed = time.Minute
 	limits.Admission = admissionLimits().Admission
@@ -277,7 +273,7 @@ func TestBatchRaceUnderLoad(t *testing.T) {
 	if err := cat.Register("patients", m); err != nil {
 		t.Fatal(err)
 	}
-	limits := batchedLimits(2)
+	limits := batchedLimits()
 	limits.ResultCacheBytes = 1 << 20
 	limits.DeltaMaintenance = true
 	limits.MaxFactsScanned = 1 << 20

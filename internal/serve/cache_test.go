@@ -12,7 +12,6 @@ import (
 
 	"mddm/internal/agg"
 	"mddm/internal/casestudy"
-	"mddm/internal/exec"
 	"mddm/internal/qos"
 	"mddm/internal/query"
 )
@@ -48,14 +47,10 @@ func sameResult(t *testing.T, label string, got, want *query.Result) {
 
 // TestCachedDifferentialAllAggregates pins, for every registered
 // aggregate over the Table 1 case-study MO: index-free direct execution
-// ≡ uncached serve ≡ cache fill ≡ cache hit, bit-identically, at
-// parallelism degrees 1, 2, 4, and 8 — including a hit filled at one
-// degree serving requests at every other degree (the key excludes the
-// degree on purpose; results are pinned identical across degrees).
+// ≡ uncached serve ≡ cache fill ≡ cache hit, bit-identically.
 func TestCachedDifferentialAllAggregates(t *testing.T) {
 	names := agg.Names()
 	sort.Strings(names)
-	degrees := []int{1, 2, 4, 8}
 	for _, name := range names {
 		g, err := agg.Lookup(name)
 		if err != nil {
@@ -72,34 +67,30 @@ func TestCachedDifferentialAllAggregates(t *testing.T) {
 				t.Fatalf("baseline: %v", err)
 			}
 
-			// Fill once at degree 8, then demand hits at every degree.
-			fillCtx := exec.WithParallelism(context.Background(), 8)
-			fill, out, err := s.ServeQuery(fillCtx, src)
+			ctx := context.Background()
+			fill, out, err := s.ServeQuery(ctx, src)
 			if err != nil {
 				t.Fatalf("fill: %v", err)
 			}
 			if out.CacheHit {
 				t.Fatal("first lookup hit an empty cache")
 			}
-			sameResult(t, "fill@8 vs baseline", fill, base)
+			sameResult(t, "fill vs baseline", fill, base)
 
-			for _, d := range degrees {
-				ctx := exec.WithParallelism(context.Background(), d)
-				unc, err := s.Query(ctx, src)
-				if err != nil {
-					t.Fatalf("uncached@%d: %v", d, err)
-				}
-				sameResult(t, fmt.Sprintf("uncached@%d vs baseline", d), unc, base)
-
-				res, out, err := s.ServeQuery(ctx, src)
-				if err != nil {
-					t.Fatalf("cached@%d: %v", d, err)
-				}
-				if !out.CacheHit {
-					t.Fatalf("repeat lookup at degree %d missed", d)
-				}
-				sameResult(t, fmt.Sprintf("hit@%d vs baseline", d), res, base)
+			unc, err := s.Query(ctx, src)
+			if err != nil {
+				t.Fatalf("uncached: %v", err)
 			}
+			sameResult(t, "uncached vs baseline", unc, base)
+
+			res, out, err := s.ServeQuery(ctx, src)
+			if err != nil {
+				t.Fatalf("cached: %v", err)
+			}
+			if !out.CacheHit {
+				t.Fatal("repeat lookup missed")
+			}
+			sameResult(t, "hit vs baseline", res, base)
 		})
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"mddm/internal/agg"
 	"mddm/internal/casestudy"
-	"mddm/internal/exec"
 	"mddm/internal/faultinject"
 	"mddm/internal/query"
 	"mddm/internal/segment"
@@ -61,7 +60,7 @@ func deltaAppender(t *testing.T, s *Server, prefix string) func(n int) {
 
 // TestDeltaUpgradeDifferentialAllAggregates is the tentpole's proof
 // obligation: for every registered aggregate, under an interleaved
-// append schedule at parallelism degrees 1/2/4/8, the delta-merged
+// append schedule (four rounds), the delta-merged
 // answer is bit-identical (columns, rows, summarizability verdict, and
 // reasons) to both a from-scratch recompute through the server and the
 // index-free query.Exec baseline. Functions with a constant-size
@@ -73,7 +72,6 @@ func deltaAppender(t *testing.T, s *Server, prefix string) func(n int) {
 func TestDeltaUpgradeDifferentialAllAggregates(t *testing.T) {
 	names := agg.Names()
 	sort.Strings(names)
-	degrees := []int{1, 2, 4, 8}
 	for _, name := range names {
 		g := agg.MustLookup(name)
 		t.Run(name, func(t *testing.T) {
@@ -89,10 +87,9 @@ func TestDeltaUpgradeDifferentialAllAggregates(t *testing.T) {
 			}
 
 			mergeable := !g.NeedsProb && (g.Fold != nil || !g.NeedsArg)
-			for round, d := range degrees {
+			for round := range 4 {
 				grow(round + 1)
-				dctx := exec.WithParallelism(ctx, d)
-				got, out, err := s.ServeQuery(dctx, src)
+				got, out, err := s.ServeQuery(ctx, src)
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
@@ -111,7 +108,7 @@ func TestDeltaUpgradeDifferentialAllAggregates(t *testing.T) {
 				if !reflect.DeepEqual(got.Reasons, base.Reasons) {
 					t.Fatalf("round %d: reasons %v != baseline %v", round, got.Reasons, base.Reasons)
 				}
-				recomp, err := s.Query(dctx, src)
+				recomp, err := s.Query(ctx, src)
 				if err != nil {
 					t.Fatalf("round %d recompute: %v", round, err)
 				}

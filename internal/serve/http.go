@@ -15,17 +15,11 @@ import (
 	"time"
 
 	"mddm/internal/admission"
-	"mddm/internal/exec"
 	"mddm/internal/faultinject"
 	"mddm/internal/obs"
 	"mddm/internal/plan"
 	"mddm/internal/query"
 )
-
-// maxHTTPParallelism caps the per-query ?parallelism= override: the pool
-// degrades gracefully anyway, but a cap keeps one request from asking for
-// an absurd goroutine fan-out.
-const maxHTTPParallelism = 64
 
 // queryResponse is the JSON shape of a /query answer. Trace is present
 // only when the request opted in with ?trace=1.
@@ -49,8 +43,6 @@ type errorResponse struct {
 // Handler returns the server's HTTP API:
 //
 //	GET/POST /query?q=…   run a query (POST may carry the query as the body);
-//	                      &parallelism=k overrides the server's default
-//	                      partition-parallel degree for this query (1 = sequential);
 //	                      &trace=1 attaches a per-query trace summary to the response;
 //	                      &nocache=1 bypasses the result cache for this query;
 //	                      &tenant=… (or the X-Mddm-Tenant header) names the
@@ -157,17 +149,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tenant = r.URL.Query().Get("tenant")
 	}
 	ctx = admission.WithTenant(ctx, tenant)
-	if p := r.URL.Query().Get("parallelism"); p != "" {
-		deg, err := strconv.Atoi(p)
-		if err != nil || deg < 1 || deg > maxHTTPParallelism {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("serve: invalid parallelism %q: want an integer in [1, %d]", p, maxHTTPParallelism))
-			return
-		}
-		// Degree 1 is an explicit request for the sequential path; it still
-		// overrides the server default because WithParallelism stores it.
-		ctx = exec.WithParallelism(ctx, deg)
-	}
 	var tr *obs.Trace
 	if t := r.URL.Query().Get("trace"); t != "" {
 		on, err := strconv.ParseBool(t)

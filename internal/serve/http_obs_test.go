@@ -39,16 +39,6 @@ func TestQueryEndpointErrorEnvelopes(t *testing.T) {
 		wantErr    string // substring of the envelope's error field
 	}{
 		{
-			name: "invalid parallelism", method: http.MethodGet,
-			target:     "/query?parallelism=zero&q=" + url.QueryEscape(groupQuery),
-			wantStatus: http.StatusBadRequest, wantErr: `invalid parallelism "zero"`,
-		},
-		{
-			name: "parallelism above cap", method: http.MethodGet,
-			target:     "/query?parallelism=65&q=" + url.QueryEscape(groupQuery),
-			wantStatus: http.StatusBadRequest, wantErr: "want an integer in [1, 64]",
-		},
-		{
 			name: "invalid trace", method: http.MethodGet,
 			target:     "/query?trace=maybe&q=" + url.QueryEscape(groupQuery),
 			wantStatus: http.StatusBadRequest, wantErr: `invalid trace "maybe"`,
@@ -111,7 +101,7 @@ func TestQueryEndpointErrorEnvelopes(t *testing.T) {
 // trace summary whose spans cover the parse and aggregate stages, and
 // untraced requests carry none.
 func TestQueryTraceOptIn(t *testing.T) {
-	ts := httpServer(t, Limits{Parallelism: 2})
+	ts := httpServer(t, Limits{})
 	resp, err := http.Get(ts.URL + "/query?trace=1&q=" + url.QueryEscape(groupQuery))
 	if err != nil {
 		t.Fatal(err)
@@ -171,9 +161,9 @@ func TestQueryTraceOptIn(t *testing.T) {
 // selfcheck relies on: content type, the serving/engine/operator series,
 // and well-formed histogram output with a +Inf bucket.
 func TestMetricsEndpointSurface(t *testing.T) {
-	ts := obsServer(t, Limits{Parallelism: 2})
-	// One traced parallel query so every layer has recorded something.
-	resp, err := http.Get(ts.URL + "/query?trace=1&parallelism=2&q=" + url.QueryEscape(groupQuery))
+	ts := obsServer(t, Limits{})
+	// One traced query so every layer has recorded something.
+	resp, err := http.Get(ts.URL + "/query?trace=1&q=" + url.QueryEscape(groupQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +189,6 @@ func TestMetricsEndpointSurface(t *testing.T) {
 		"# TYPE mddm_serve_queries_total counter",
 		"mddm_serve_engine_cache_total{outcome=\"rebuild\"}",
 		"mddm_qos_budget_spent_facts_total",
-		"mddm_exec_runs_total{mode=",
 		"mddm_operator_seconds_bucket{op=\"aggregate\",le=\"+Inf\"}",
 		"mddm_operator_seconds_count{op=\"parse\"}",
 		"mddm_serve_query_seconds_sum",

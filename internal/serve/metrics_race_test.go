@@ -15,18 +15,17 @@ import (
 
 	"mddm/internal/casestudy"
 	"mddm/internal/dimension"
-	"mddm/internal/exec"
 	"mddm/internal/storage"
 )
 
 // TestMetricsScrapeUnderLoad is the race test for the observability
 // surface: /metrics and /debug/queries are scraped continuously while
-// parallel queries (traced and untraced) run through the HTTP API, the
+// concurrent queries (traced and untraced) run through the HTTP API, the
 // catalog entry is re-registered to force engine-cache rebuilds, and a
 // bitmap engine is maintained by incremental appends. Every one of these
 // writes the shared metric registry; `go test -race` must stay silent.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
-	s, cat := newTestServer(t, Limits{Parallelism: 2, MaxFactsScanned: 1 << 20, ColumnMinValues: 8})
+	s, cat := newTestServer(t, Limits{MaxFactsScanned: 1 << 20, ColumnMinValues: 8})
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())
 	mux.Handle("/metrics", s.MetricsHandler())
@@ -96,13 +95,13 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		}()
 	}
 
-	// Two queriers, alternating traced and untraced parallel queries.
+	// Two queriers, alternating traced and untraced queries.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				u := ts.URL + "/query?parallelism=2&q=" + url.QueryEscape(groupQuery)
+				u := ts.URL + "/query?q=" + url.QueryEscape(groupQuery)
 				if (i+g)%2 == 0 {
 					u += "&trace=1"
 				}
@@ -139,8 +138,8 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		}
 	}()
 
-	// The appender grows the engine while a reader aggregates from it in
-	// parallel mode — incremental maintenance under observation. Columns
+	// The appender grows the engine while it aggregates from it between
+	// appends — incremental maintenance under observation. Columns
 	// are warmed first, so the appends also maintain the columnar layer.
 	if err := eng.WarmColumns(context.Background(), 1); err != nil {
 		t.Fatal(err)
@@ -148,7 +147,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ctx := exec.WithParallelism(context.Background(), 2)
+		ctx := context.Background()
 		for i := 0; i < appends; i++ {
 			if err := eng.AppendFact(fmt.Sprintf("new%d", i)); err != nil {
 				fail("append: %v", err)
@@ -166,14 +165,11 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	// closure clones) while the appender takes the write lock. Under the
 	// old exclusive mutex this mix serialized; under -race it now proves
 	// reader-reader sharing is safe.
-	for g := 0; g < 3; g++ {
+	for range 3 {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			ctx := context.Background()
-			if g%2 == 1 {
-				ctx = exec.WithParallelism(ctx, 4)
-			}
 			for i := 0; i < iters; i++ {
 				if _, err := eng.CountByColumn(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel); err != nil {
 					fail("column count: %v", err)
@@ -189,7 +185,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 				}
 				eng.Characterizing(casestudy.DimDiagnosis, lows[i%len(lows)])
 			}
-		}(g)
+		}()
 	}
 
 	wg.Wait()
@@ -210,7 +206,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 // "growing" is append-maintained — its facts are all related before any
 // goroutine starts, so only AppendFact and lookups race on shared state.
 func TestResultCacheRaceUnderLoad(t *testing.T) {
-	s, cat := newTestServer(t, Limits{Parallelism: 2, ResultCacheBytes: 1 << 20})
+	s, cat := newTestServer(t, Limits{ResultCacheBytes: 1 << 20})
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())
 	mux.Handle("/metrics", s.MetricsHandler())
@@ -308,19 +304,19 @@ func TestResultCacheRaceUnderLoad(t *testing.T) {
 	}
 
 	// Direct cached callers exercising the single-flight path without HTTP
-	// overhead, at mixed parallelism degrees.
-	for g := 0; g < 2; g++ {
+	// overhead.
+	for range 2 {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			ctx := exec.WithParallelism(context.Background(), 1+g)
+			ctx := context.Background()
 			for i := 0; i < iters; i++ {
 				if _, _, err := s.ServeQuery(ctx, growQuery); err != nil {
 					fail("cached query: %v", err)
 					return
 				}
 			}
-		}(g)
+		}()
 	}
 
 	// The registrar bumps the "patients" generation under load.

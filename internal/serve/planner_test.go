@@ -24,7 +24,7 @@ import (
 // serving-layer leg of the differential oracle (the package-level legs
 // live in internal/plan).
 func TestPlannerServerParity(t *testing.T) {
-	planned, _ := newTestServer(t, Limits{Planner: true, Parallelism: 2})
+	planned, _ := newTestServer(t, Limits{Planner: true})
 	algebra, _ := newTestServer(t, Limits{})
 	for _, src := range []string{
 		groupQuery,
@@ -165,7 +165,7 @@ func TestPlannerRaceUnderLoad(t *testing.T) {
 	if err := cat.Register("patients", m); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(cat, Limits{Planner: true, Parallelism: 2, MaxFactsScanned: 1 << 20, ColumnMinValues: 8}, testRef)
+	s := NewServer(cat, Limits{Planner: true, MaxFactsScanned: 1 << 20, ColumnMinValues: 8}, testRef)
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())
 	mux.Handle("/metrics", s.MetricsHandler())
@@ -200,7 +200,7 @@ func TestPlannerRaceUnderLoad(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				u := ts.URL + "/query?parallelism=2&q=" + url.QueryEscape(groupQuery)
+				u := ts.URL + "/query?q=" + url.QueryEscape(groupQuery)
 				explained := (i+g)%2 == 0
 				if explained {
 					u += "&plan=1"

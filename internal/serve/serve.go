@@ -69,11 +69,8 @@ type Limits struct {
 	// selection, aggregation, and output; exceeding it yields
 	// ErrResourceExhausted.
 	MaxFactsScanned int64
-	// Parallelism is the default per-query parallelism degree installed
-	// into the query context (0 or 1 = sequential). A degree already
-	// carried by the caller's context — e.g. the HTTP layer's per-query
-	// ?parallelism= override — takes precedence. Budgets and results are
-	// identical at any degree; only wall-clock changes.
+	// Deprecated: ignored — queries run sequentially; kept only because
+	// bench/ sets it (ROADMAP item 1).
 	Parallelism int
 	// ColumnMinValues, when positive, warms the characterization columns
 	// of every category with at least this many values right after an
@@ -131,8 +128,8 @@ type Limits struct {
 	// over the characterization column, bit-identical to solo execution
 	// (budget accounting and fallbacks included). Non-batchable shapes
 	// (facts, global, cross, fallbacks) bypass transparently. Requires
-	// Planner (inert without it); the gather window and scan degree adapt
-	// to the admission controller's load signals when Admission is also
+	// Planner (inert without it); the gather window adapts to the
+	// admission controller's load signals when Admission is also
 	// configured. See docs/TRAFFIC.md.
 	Batching batch.Config
 }

@@ -13,7 +13,6 @@ import (
 	"mddm/internal/batch"
 	"mddm/internal/cache"
 	"mddm/internal/dimension"
-	"mddm/internal/exec"
 	"mddm/internal/faultinject"
 	"mddm/internal/obs"
 	"mddm/internal/plan"
@@ -83,7 +82,7 @@ func NewServer(cat *Catalog, limits Limits, ref temporal.Chronon) *Server {
 	}
 	if limits.Batching.Enabled && limits.Planner {
 		// The admission controller doubles as the scheduler's load signal
-		// (nil adm: fixed window and degree).
+		// (nil adm: fixed window).
 		var sig batch.Signals
 		if s.adm != nil {
 			sig = admissionSignals{s}
@@ -178,10 +177,6 @@ func (s *Server) Query(ctx context.Context, src string) (res *query.Result, err 
 	if s.limits.MaxFactsScanned > 0 {
 		ctx = qos.WithFactBudget(ctx, s.limits.MaxFactsScanned)
 	}
-	if s.limits.Parallelism > 1 && exec.DegreeFrom(ctx) == 0 {
-		// A degree the caller already carries (?parallelism=) wins.
-		ctx = exec.WithParallelism(ctx, s.limits.Parallelism)
-	}
 	// Admission happens after the timeout is installed so the queue sees
 	// the request's real deadline, and before any tracking — a shed never
 	// counts as an executing query.
@@ -206,9 +201,7 @@ func (s *Server) Query(ctx context.Context, src string) (res *query.Result, err 
 	}()
 	defer func() {
 		if r := recover(); r != nil {
-			s.panics.Add(1)
-			mPanics.Inc()
-			res, err = nil, &InternalError{Query: src, Panic: r, Stack: debug.Stack()}
+			res, err = nil, s.internalError(src, r, debug.Stack())
 		}
 	}()
 	if ferr := faultinject.Check(faultinject.QueryExec); ferr != nil {
@@ -225,6 +218,12 @@ func (s *Server) Query(ctx context.Context, src string) (res *query.Result, err 
 			res, err = s.execute(ctx, p)
 		}
 	}
+	var sp *batch.ScanPanic
+	if errors.As(err, &sp) {
+		// The fused scan panicked on the scheduler's goroutine, outside the
+		// recover above: isolate it the same way, for every member.
+		return nil, s.internalError(src, sp.Value, sp.Stack)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -234,6 +233,14 @@ func (s *Server) Query(ctx context.Context, src string) (res *query.Result, err 
 			len(res.Rows), s.limits.MaxResultRows, qos.ErrResourceExhausted)
 	}
 	return res, nil
+}
+
+// internalError counts a recovered panic and wraps it for the query that
+// triggered it.
+func (s *Server) internalError(src string, v any, stack []byte) *InternalError {
+	s.panics.Add(1)
+	mPanics.Inc()
+	return &InternalError{Query: src, Panic: v, Stack: stack}
 }
 
 // engineEntry is the per-MO engine cache slot: the last good engine —

@@ -59,8 +59,8 @@ func (b *Bitmap) Count() int {
 }
 
 // CountRange returns the population count within the half-open index
-// range [lo, hi) — the per-partition evaluation primitive of the parallel
-// execution engine. Out-of-universe bounds are clamped.
+// range [lo, hi) — what a kernel scan over an appended fact range counts
+// with. Out-of-universe bounds are clamped.
 func (b *Bitmap) CountRange(lo, hi int) int {
 	lo, hi = b.clamp(lo, hi)
 	if lo >= hi {

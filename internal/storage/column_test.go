@@ -7,20 +7,33 @@ import (
 
 	"mddm/internal/casestudy"
 	"mddm/internal/dimension"
-	"mddm/internal/exec"
 	"mddm/internal/qos"
 )
 
-// allDegrees includes degree 1: the column kernels have a dedicated
-// sequential pass, so the differential tests pin it explicitly alongside
-// the partitioned ones.
-var allDegrees = []int{1, 2, 4, 8}
-
-func degreeCtx(deg int) context.Context {
-	if deg > 1 {
-		return exec.WithParallelism(context.Background(), deg)
+// genVariants returns the differential-test corpus: the fully featured
+// generator output (non-strict hierarchy, churn, probabilistic pairs), a
+// strict/certain variant, and a larger universe spanning many bitmap
+// words.
+func genVariants(t *testing.T) map[string]*Engine {
+	t.Helper()
+	out := map[string]*Engine{}
+	full := casestudy.DefaultGen()
+	full.Patients = 150
+	strict := casestudy.DefaultGen()
+	strict.Patients = 150
+	strict.NonStrict = false
+	strict.Churn = false
+	strict.UncertainFrac = 0
+	big := casestudy.DefaultGen()
+	big.Patients = 700
+	for name, cfg := range map[string]casestudy.GenConfig{"full": full, "strict": strict, "big": big} {
+		m, err := casestudy.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = NewEngine(m, dimension.CurrentContext(ref))
 	}
-	return context.Background()
+	return out
 }
 
 // columnDims is the differential corpus of (dim, cat) pairs: the
@@ -35,8 +48,8 @@ var columnDims = [][2]string{
 }
 
 // TestColumnDifferentialCount asserts CountByColumn ≡ the bitmap path ≡
-// the model-layer CountDistinctScan, for every corpus engine, corpus
-// (dim, cat), and parallelism degree. The bitmap result is taken before
+// the model-layer CountDistinctScan, for every corpus engine and corpus
+// (dim, cat). The bitmap result is taken before
 // the column is built, so the automatic kernel selection cannot mask a
 // divergence.
 func TestColumnDifferentialCount(t *testing.T) {
@@ -51,22 +64,20 @@ func TestColumnDifferentialCount(t *testing.T) {
 			if fmt.Sprint(scan) != fmt.Sprint(want) {
 				t.Fatalf("%s %s/%s: bitmap %v, scan %v", name, dim, cat, want, scan)
 			}
-			for _, deg := range allDegrees {
-				got, err := e.CountByColumn(degreeCtx(deg), dim, cat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s %s/%s deg=%d: column %v, want %v", name, dim, cat, deg, got, want)
-				}
+			got, err := e.CountByColumn(context.Background(), dim, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s %s/%s: column %v, want %v", name, dim, cat, got, want)
 			}
 		}
 	}
 }
 
-// TestColumnDifferentialSum asserts SumByColumn ≡ the bitmap SumBy at
-// every degree. Ages are integer-valued, so even the re-associated
-// parallel sums must be bit-identical.
+// TestColumnDifferentialSum asserts SumByColumn ≡ the bitmap SumBy: both
+// are the left fold over the ascending facts, so the sums are
+// bit-identical.
 func TestColumnDifferentialSum(t *testing.T) {
 	for name, e := range genVariants(t) {
 		for _, dc := range columnDims {
@@ -75,18 +86,16 @@ func TestColumnDifferentialSum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, deg := range allDegrees {
-				got, err := e.SumByColumn(degreeCtx(deg), dim, cat, casestudy.DimAge)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s %s/%s deg=%d: %d sums, want %d", name, dim, cat, deg, len(got), len(want))
-				}
-				for v, w := range want {
-					if got[v] != w {
-						t.Errorf("%s %s/%s deg=%d %s: column %v, want %v", name, dim, cat, deg, v, got[v], w)
-					}
+			got, err := e.SumByColumn(context.Background(), dim, cat, casestudy.DimAge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s %s/%s: %d sums, want %d", name, dim, cat, len(got), len(want))
+			}
+			for v, w := range want {
+				if got[v] != w {
+					t.Errorf("%s %s/%s %s: column %v, want %v", name, dim, cat, v, got[v], w)
 				}
 			}
 		}
@@ -94,7 +103,7 @@ func TestColumnDifferentialSum(t *testing.T) {
 }
 
 // TestColumnDifferentialCrossCount asserts CrossCountByColumn ≡ the bitmap
-// cross-tab ≡ the model-layer CrossCountScan at every degree.
+// cross-tab (both its entry points) ≡ the model-layer CrossCountScan.
 func TestColumnDifferentialCrossCount(t *testing.T) {
 	for name, e := range genVariants(t) {
 		want := e.CrossCount(casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea)
@@ -102,14 +111,19 @@ func TestColumnDifferentialCrossCount(t *testing.T) {
 		if fmt.Sprint(scan) != fmt.Sprint(want) {
 			t.Fatalf("%s: bitmap %v, scan %v", name, want, scan)
 		}
-		for _, deg := range allDegrees {
-			got, err := e.CrossCountByColumn(degreeCtx(deg), casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s deg=%d: column %v, want %v", name, deg, got, want)
-			}
+		ctxPath, err := e.CrossCountContext(context.Background(), casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(ctxPath) != fmt.Sprint(want) {
+			t.Errorf("%s: context path %v, want %v", name, ctxPath, want)
+		}
+		got, err := e.CrossCountByColumn(context.Background(), casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: column %v, want %v", name, got, want)
 		}
 	}
 }
@@ -129,14 +143,12 @@ func TestColumnTable1Shapes(t *testing.T) {
 	} {
 		dim, cat := dc[0], dc[1]
 		want := e.CountDistinctScan(dim, cat)
-		for _, deg := range allDegrees {
-			got, err := e.CountByColumn(degreeCtx(deg), dim, cat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s/%s deg=%d: column %v, scan %v", dim, cat, deg, got, want)
-			}
+		got, err := e.CountByColumn(context.Background(), dim, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s/%s: column %v, scan %v", dim, cat, got, want)
 		}
 	}
 	// Figure 3's exact counts through the column kernel.
@@ -214,7 +226,7 @@ func TestColumnKernelSelection(t *testing.T) {
 
 // TestColumnBudgetParity pins that the column kernels charge exactly the
 // fact budget of the bitmap paths — per category value, the value's fact
-// count — at every degree, and that exhaustion surfaces identically.
+// count — and that exhaustion surfaces identically.
 func TestColumnBudgetParity(t *testing.T) {
 	cfg := casestudy.DefaultGen()
 	cfg.Patients = 150
@@ -224,11 +236,8 @@ func TestColumnBudgetParity(t *testing.T) {
 	if err := colEng.WarmColumns(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	spend := func(e *Engine, deg int) int64 {
+	spend := func(e *Engine) int64 {
 		ctx := qos.WithFactBudget(context.Background(), 1<<40)
-		if deg > 1 {
-			ctx = exec.WithParallelism(ctx, deg)
-		}
 		if _, err := e.CountDistinctByContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel); err != nil {
 			t.Fatal(err)
 		}
@@ -240,19 +249,17 @@ func TestColumnBudgetParity(t *testing.T) {
 		}
 		return qos.BudgetFrom(ctx).Spent()
 	}
-	want := spend(bitmapEng, 1)
+	want := spend(bitmapEng)
 	if want == 0 {
 		t.Fatal("bitmap run spent no budget")
 	}
-	for _, deg := range allDegrees {
-		if got := spend(colEng, deg); got != want {
-			t.Errorf("column deg=%d spent %d facts, bitmap spent %d", deg, got, want)
-		}
+	if got := spend(colEng); got != want {
+		t.Errorf("column spent %d facts, bitmap spent %d", got, want)
 	}
-	for _, deg := range []int{1, 4} {
-		ctx := qos.WithFactBudget(degreeCtx(deg), 3)
-		if _, err := colEng.CountDistinctByContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel); err == nil {
-			t.Errorf("deg=%d: tight budget must exhaust through the column kernel", deg)
+	for name, e := range map[string]*Engine{"bitmap": bitmapEng, "column": colEng} {
+		ctx := qos.WithFactBudget(context.Background(), 3)
+		if _, err := e.CountDistinctByContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel); err == nil {
+			t.Errorf("tight budget must exhaust through the %s kernel", name)
 		}
 	}
 }
@@ -303,14 +310,12 @@ func TestColumnAppendFactMaintains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, deg := range allDegrees {
-			got, err := e.CountByColumn(degreeCtx(deg), dim, cat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s/%s deg=%d after appends: column %v, want %v", dim, cat, deg, got, want)
-			}
+		got, err := e.CountByColumn(context.Background(), dim, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s/%s after appends: column %v, want %v", dim, cat, got, want)
 		}
 	}
 	wantSum, err := fresh.SumByContext(context.Background(), casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimAge)
@@ -327,7 +332,7 @@ func TestColumnAppendFactMaintains(t *testing.T) {
 }
 
 // TestColumnCancellation pins cooperative cancellation through the column
-// kernels at sequential and parallel degrees.
+// kernels.
 func TestColumnCancellation(t *testing.T) {
 	m := casestudy.MustGenerate(casestudy.DefaultGen())
 	e := NewEngine(m, dimension.CurrentContext(ref))
@@ -337,11 +342,7 @@ func TestColumnCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.CountByColumn(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel); err == nil {
-		t.Error("canceled sequential column count must fail")
-	}
-	pctx := exec.WithParallelism(ctx, 4)
-	if _, err := e.CountByColumn(pctx, casestudy.DimDiagnosis, casestudy.CatLowLevel); err == nil {
-		t.Error("canceled parallel column count must fail")
+		t.Error("canceled column count must fail")
 	}
 	if _, err := e.SumByColumn(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel, casestudy.DimAge); err == nil {
 		t.Error("canceled column sum must fail")

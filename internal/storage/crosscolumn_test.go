@@ -275,7 +275,7 @@ func TestKernelCountersUnderBatching(t *testing.T) {
 	e := genVariants(t)["full"]
 	col0, bm0 := mKernelColumn.Value(), mKernelBitmap.Value()
 	members := []SharedScanMember{{}, {ArgDim: casestudy.DimAge}, {ArgDim: casestudy.DimAge, ListArgs: true}}
-	s, err := e.ScanLeg(context.Background(), casestudy.DimDiagnosis, casestudy.CatFamily, members, 1)
+	s, err := e.ScanLeg(context.Background(), casestudy.DimDiagnosis, casestudy.CatFamily, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestKernelCountersUnderBatching(t *testing.T) {
 	if col, bm := mKernelColumn.Value()-col0, mKernelBitmap.Value()-bm0; col != 3 || bm != 0 {
 		t.Fatalf("column scan of three members counted column=%d bitmap=%d, want 3 and 0", col, bm)
 	}
-	s, err = e.ScanLeg(context.Background(), casestudy.DimDiagnosis, casestudy.CatGroup, members, 1)
+	s, err = e.ScanLeg(context.Background(), casestudy.DimDiagnosis, casestudy.CatGroup, members)
 	if err != nil {
 		t.Fatal(err)
 	}

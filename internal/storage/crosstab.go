@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mddm/internal/exec"
 	"mddm/internal/qos"
 )
 
@@ -21,34 +20,30 @@ type CrossCell struct {
 // group × area") the case study motivates. Cells with zero facts are
 // omitted; the result is sorted by (V1, V2).
 func (e *Engine) CrossCount(dim1, cat1, dim2, cat2 string) []CrossCell {
-	out, _ := e.crossCount(context.Background(), nil, dim1, cat1, dim2, cat2, 1) // nil guard: cannot fail
+	out, _ := e.crossCount(nil, dim1, cat1, dim2, cat2) // nil guard: cannot fail
 	return out
 }
 
 // CrossCountContext is CrossCount with cooperative cancellation and
 // fact-budget accounting (every non-empty row charges its fact count).
 // When the cost heuristic prefers both axes' characterization columns, the
-// single-pass column kernel answers (CrossCountByColumn, sequential at any
-// degree); otherwise closure bitmaps are intersected, and a context-carried
-// parallelism degree above 1 evaluates per partition and merges the
-// integer counts — identical cells either way.
+// single-pass column kernel answers (CrossCountByColumn); otherwise closure
+// bitmaps are intersected — identical cells either way.
 func (e *Engine) CrossCountContext(ctx context.Context, dim1, cat1, dim2, cat2 string) ([]CrossCell, error) {
 	if e.columnFor(dim1, cat1) != nil && e.columnFor(dim2, cat2) != nil {
 		return e.CrossCountByColumn(ctx, dim1, cat1, dim2, cat2)
 	}
 	mKernelBitmap.Inc()
-	return e.crossCount(ctx, qos.NewGuard(ctx), dim1, cat1, dim2, cat2, exec.DegreeFrom(ctx))
+	return e.crossCount(qos.NewGuard(ctx), dim1, cat1, dim2, cat2)
 }
 
 // crossCount is the bitmap cross-tab. It reads both axes' memoized closures
-// in place under the read lock (held across the partition run, so
-// concurrent cross-tabs proceed in parallel and an AppendFact waits): each
-// exec partition computes AndCountRange for every cell pair of the
-// non-empty rows — no intersection is materialized — and the per-partition
-// counts merge by integer addition. Degree 1 runs the partitions inline.
-// Budget: per row value Check, then Facts(row fact count) for non-empty
-// rows only.
-func (e *Engine) crossCount(ctx context.Context, g *qos.Guard, dim1, cat1, dim2, cat2 string, degree int) ([]CrossCell, error) {
+// in place under the read lock (held across the pass, so concurrent
+// cross-tabs proceed together and an AppendFact waits) and takes
+// AndCountRange over every fact for each cell pair of the non-empty rows —
+// no intersection is materialized. Budget: per row value Check, then
+// Facts(row fact count) for non-empty rows only.
+func (e *Engine) crossCount(g *qos.Guard, dim1, cat1, dim2, cat2 string) ([]CrossCell, error) {
 	d1 := e.Dimension(dim1)
 	d2 := e.Dimension(dim2)
 	if d1 == nil || d2 == nil {
@@ -81,33 +76,17 @@ func (e *Engine) crossCount(ctx context.Context, g *qos.Guard, dim1, cat1, dim2,
 		keptVals = append(keptVals, vals1[i])
 		keptBms = append(keptBms, bm)
 	}
-	cols := len(vals2)
-	parts := exec.Partitions(len(e.facts), degree)
-	partial := make([][]int, len(parts))
-	if err := exec.Run(ctx, nil, degree, len(parts), func(p int) error {
-		counts := make([]int, len(keptBms)*cols)
-		r := parts[p]
-		for i, bm1 := range keptBms {
-			for j, bm2 := range bms2 {
-				if bm2 != nil {
-					counts[i*cols+j] = bm1.AndCountRange(bm2, r.Lo, r.Hi)
-				}
-			}
-		}
-		partial[p] = counts
-		return nil
-	}); err != nil {
+	if err := g.CheckNow(); err != nil {
 		return nil, err
 	}
 	var out []CrossCell
-	for i, v1 := range keptVals {
-		for j, v2 := range vals2 {
-			c := 0
-			for p := range parts {
-				c += partial[p][i*cols+j]
+	for i, bm1 := range keptBms {
+		for j, bm2 := range bms2 {
+			if bm2 == nil {
+				continue
 			}
-			if c > 0 {
-				out = append(out, CrossCell{V1: v1, V2: v2, Count: c})
+			if c := bm1.AndCountRange(bm2, 0, len(e.facts)); c > 0 {
+				out = append(out, CrossCell{V1: keptVals[i], V2: vals2[j], Count: c})
 			}
 		}
 	}

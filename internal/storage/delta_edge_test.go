@@ -10,7 +10,8 @@ import (
 // TestRangeFoldEdges pins the range folds' boundary behavior: ranges are
 // clamped rather than trusted (a caller holding a slightly-stale hi must
 // not read past the universe, and a negative lo must not panic), an
-// unknown dimension is an empty answer rather than a nil-map crash, and
+// unknown dimension is an empty answer from every entry point rather than a
+// nil-dereference crash, and
 // cancellation surfaces as an error on both the grouped and global
 // paths.
 func TestRangeFoldEdges(t *testing.T) {
@@ -51,12 +52,37 @@ func TestRangeFoldEdges(t *testing.T) {
 		t.Fatal("clamped multi-valued probe diverged from the exact range")
 	}
 
-	// Empty range and unknown dimension: empty answers, no error.
+	// Empty range: empty answers, no error.
 	if v, c, a, err := e.AggregateByRange(ctx, casestudy.DimDiagnosis, casestudy.CatGroup, "", nil, n, n); err != nil || v != nil || c != nil || a != nil {
 		t.Fatalf("empty range = %v %v %v %v", v, c, a, err)
 	}
-	if v, _, _, err := e.AggregateByRange(ctx, "Nope", "Nada", "", nil, 0, n); err != nil || v != nil {
-		t.Fatalf("unknown dimension = %v %v", v, err)
+	// Unknown dimension: every entry point answers empty, none panics.
+	for name, empty := range map[string]func() bool{
+		"AggregateByRange": func() bool {
+			v, _, _, err := e.AggregateByRange(ctx, "Nope", "Nada", "", nil, 0, n)
+			return err == nil && v == nil
+		},
+		"AggregateBy": func() bool {
+			v, _, _, err := e.AggregateBy(ctx, "Nope", "Nada", "", nil)
+			return err == nil && v == nil
+		},
+		"CountDistinctByContext": func() bool {
+			m, err := e.CountDistinctByContext(ctx, "Nope", "Nada")
+			return err == nil && len(m) == 0
+		},
+		"CountDistinctScan": func() bool { return len(e.CountDistinctScan("Nope", "Nada")) == 0 },
+		"CrossCount":        func() bool { return e.CrossCount("Nope", "Nada", casestudy.DimResidence, casestudy.CatRegion) == nil },
+		"MultiValuedRange":  func() bool { return !e.MultiValuedRange("Nope", "Nada", nil, 0, n) },
+		"MultiValued":       func() bool { return !e.MultiValued("Nope", "Nada", nil) },
+		"Values":            func() bool { return len(e.Values("Nope", "Nada")) == 0 },
+		"ValueLists": func() bool {
+			l, err := e.ValueLists(ctx, "Nope", "Nada", nil)
+			return err == nil && l == nil
+		},
+	} {
+		if !empty() {
+			t.Errorf("unknown dimension: %s is not an empty answer", name)
+		}
 	}
 	if e.MultiValuedRange(casestudy.DimDiagnosis, casestudy.CatGroup, nil, n, n) {
 		t.Fatal("empty range reported multi-valued")

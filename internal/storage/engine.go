@@ -325,10 +325,8 @@ func (e *Engine) CountDistinctBy(dim, cat string) map[string]int {
 
 // CountDistinctByContext is CountDistinctBy with cooperative cancellation
 // and fact-budget accounting: one count-only kernel scan (kernel.go picks
-// the column or the bitmap strategy; a context-carried parallelism degree
-// above 1 lets a column scan run partition-parallel), then the budget
-// replay. The result and the budget charged are identical across
-// strategies and degrees.
+// the column or the bitmap strategy), then the budget replay. The result
+// and the budget charged are identical across strategies.
 func (e *Engine) CountDistinctByContext(ctx context.Context, dim, cat string) (map[string]int, error) {
 	vals, m, err := e.scanOne(ctx, dim, cat, SharedScanMember{}, 0, math.MaxInt)
 	if err != nil {
@@ -352,6 +350,9 @@ func (e *Engine) CountDistinctByContext(ctx context.Context, dim, cat string) (m
 // model, so it is a comparator for base engines, not for context views.
 func (e *Engine) CountDistinctScan(dim, cat string) map[string]int {
 	d := e.Dimension(dim)
+	if d == nil {
+		return map[string]int{}
+	}
 	e.mu.RLock()
 	facts := append([]string(nil), e.facts...)
 	e.mu.RUnlock()
@@ -380,7 +381,7 @@ func (e *Engine) SumBy(dim, cat, argDim string) map[string]float64 {
 
 // SumByContext is SumBy with cooperative cancellation: one accumulator
 // kernel scan, then the budget replay. Every sum is the left fold in
-// ascending fact order, at any degree.
+// ascending fact order.
 func (e *Engine) SumByContext(ctx context.Context, dim, cat, argDim string) (map[string]float64, error) {
 	vals, m, err := e.scanOne(ctx, dim, cat, SharedScanMember{ArgDim: argDim}, 0, math.MaxInt)
 	if err != nil {
@@ -451,6 +452,9 @@ func (e *Engine) argValues(argDim string) [][]float64 {
 // least one fact.
 func (e *Engine) Values(dim, cat string) []string {
 	d := e.Dimension(dim)
+	if d == nil {
+		return nil
+	}
 	vals := e.categoryValues(d, cat)
 	_ = e.ensureClosures(nil, dim, vals) // nil guard: cannot fail
 	e.mu.RLock()

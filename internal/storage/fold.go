@@ -54,6 +54,9 @@ func (e *Engine) SelectedFactIDs(sel *Bitmap) []string {
 // metadata probe, not an aggregation scan.
 func (e *Engine) MultiValued(dim, cat string, sel *Bitmap) bool {
 	d := e.Dimension(dim)
+	if d == nil {
+		return false
+	}
 	vals := e.categoryValues(d, cat)
 	_ = e.ensureClosures(nil, dim, vals) // nil guard: cannot fail
 	e.mu.RLock()
@@ -88,8 +91,7 @@ func (e *Engine) MultiValued(dim, cat string, sel *Bitmap) bool {
 // (the algebra's extraction order, so float folds stay bit-identical).
 // Values characterizing no selected fact are omitted. It is one list-member
 // kernel scan plus the budget replay: one Check plus Facts(count) per
-// category value, selection itself costing nothing; results and budget
-// totals are identical at any degree.
+// category value, selection itself costing nothing.
 func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *Bitmap) (values []string, counts []int, args [][]float64, err error) {
 	vals, m, err := e.scanOne(ctx, dim, cat, SharedScanMember{ArgDim: argDim, Sel: sel, ListArgs: true}, 0, math.MaxInt)
 	if err != nil {
@@ -108,10 +110,13 @@ func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *
 // algebra's per-fact ancestor lists use, so combo expansion over these
 // lists reproduces the algebra's group keys. Budget: one Check per
 // category value; the per-fact appends are materialization the caller
-// charges when it folds the groups.
+// charges when it folds the groups. An unknown dimension yields nil.
 func (e *Engine) ValueLists(ctx context.Context, dim, cat string, sel *Bitmap) ([][]string, error) {
 	g := qos.NewGuard(ctx)
 	d := e.Dimension(dim)
+	if d == nil {
+		return nil, nil
+	}
 	vals := e.categoryValues(d, cat)
 	if err := e.ensureClosures(g, dim, vals); err != nil {
 		return nil, err

@@ -8,7 +8,7 @@ import (
 	"sort"
 
 	"mddm/internal/agg"
-	"mddm/internal/exec"
+	"mddm/internal/faultinject"
 	"mddm/internal/obs"
 	"mddm/internal/qos"
 )
@@ -31,8 +31,7 @@ import (
 //	column  a built characterization column whose dictionary still matches
 //	        the live category and meets the cardinality threshold
 //	        (columnFor): scanCodes, per member one ascending per-fact pass
-//	        over the codes; count-only and list members run it
-//	        partition-parallel on exec.Partitions ranges.
+//	        over the codes.
 //	bitmap  anything else — no column, a low-cardinality category, or a
 //	        category whose values changed since the build: scanClosures, per
 //	        live dictionary value and member a popcount or one ascending
@@ -44,16 +43,15 @@ import (
 // lists are the values in that order, and an Acc is the left fold over
 // that list. Splitting the range composes the same way — scan[0,lo)
 // followed by scan[lo,hi) appends to the lists and continues the folds of
-// scan[0,hi) — which is what delta maintenance relies on. The degree does
-// not show in the output either: a parallel column scan merges the
-// partitions of a count-only or list member in ascending order — counts
-// add, lists concatenate, both exact — and never splits a fold member,
-// because merging per-partition Accs would re-associate the float sum.
+// scan[0,hi) — which is what delta maintenance relies on. An Acc is only
+// ever continued, never merged: merging two Accs would re-associate the
+// float sum.
 //
-// The scan charges no fact budget. Callers replay the budget from the
-// returned counts with ChargeLeg — per dictionary value, Check then
-// Facts(count) — so a query spends the same whichever strategy, degree or
-// batch answered it.
+// The scan runs on its caller's goroutine: the query's own or, for a fused
+// batch, the batch scheduler's. It charges no fact budget. Callers replay
+// the budget from the returned counts with ChargeLeg — per dictionary
+// value, Check then Facts(count) — so a query spends the same whichever
+// strategy or batch answered it.
 
 // Kernel strategy labels, as reported in LegScan.Kernel, plan.Explain and
 // the kind label of mddm_storage_kernel_total.
@@ -114,29 +112,21 @@ type LegScan struct {
 	Kernel string
 }
 
-// blank returns a count-only or list member with m's inputs and fresh,
-// empty outputs: one partition's share of m.
-func (m *LegMember) blank() LegMember {
-	b := LegMember{sel: m.sel, av: m.av, Counts: make([]int64, len(m.Counts))}
-	if m.Args != nil {
-		b.Args = make([][]float64, len(m.Counts))
-	}
-	return b
-}
-
 // topValues is the dictionary of the ⊤ leg: one value, named "".
 var topValues = []string{""}
 
 // scanLeg is the kernel: see the file comment. hi is clamped to the fact
-// count, so math.MaxInt scans to the end; deg above 1 lets a column scan
-// run its members, and the partitions of its count-only and list members,
-// in parallel. The empty leg (dim "") is ⊤ — the ungrouped aggregate: one
-// value whose closure is every fact, scanned by the bitmap strategy like
-// any other closure. An unknown dimension has no values and scans nothing.
-func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, members []SharedScanMember, deg int) (LegScan, error) {
+// count, so math.MaxInt scans to the end. The empty leg (dim "") is ⊤ —
+// the ungrouped aggregate: one value whose closure is every fact, scanned
+// by the bitmap strategy like any other closure. An unknown dimension has
+// no values and scans nothing.
+func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, members []SharedScanMember) (LegScan, error) {
 	g := qos.NewGuard(ctx)
 	if err := g.CheckNow(); err != nil {
 		return LegScan{}, err
+	}
+	if err := faultinject.Check(faultinject.KernelScan); err != nil {
+		return LegScan{}, fmt.Errorf("storage: scan %s/%s: %w", dim, cat, err)
 	}
 	out := LegScan{Kernel: KernelBitmap, Members: make([]LegMember, len(members))}
 	answered := mKernelBitmap
@@ -201,7 +191,11 @@ func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, membe
 		// stay immutable while the scan runs lock-free.
 		codes, over := col.codes, col.over
 		e.mu.RUnlock()
-		err = scanCodesRange(ctx, g, codes, over, lo, hi, out.Members, deg)
+		for k := range out.Members {
+			if err = scanCodes(g, codes, over, lo, hi, &out.Members[k]); err != nil {
+				break
+			}
+		}
 	} else {
 		var closures []*Bitmap
 		if top {
@@ -217,74 +211,6 @@ func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, membe
 	}
 	answered.Add(int64(len(members)))
 	return out, nil
-}
-
-// scanCodesRange runs scanCodes over [lo, hi) for every member: in one
-// piece, or — deg above 1 and a range worth splitting — as parallel tasks.
-// A count-only or list member is one task per exec partition, merged in
-// ascending partition order (counts add, lists concatenate: both exact). A
-// fold member is one task over the whole range: merging per-partition
-// Accs would re-associate the float sum, and a fold must stay the left
-// fold over the ascending facts at every degree.
-func scanCodesRange(ctx context.Context, g *qos.Guard, codes []uint32, over []overPair, lo, hi int, ms []LegMember, deg int) error {
-	var parts []exec.Range
-	if deg > 1 {
-		parts = exec.Partitions(hi-lo, deg)
-	}
-	if len(parts) <= 1 {
-		for k := range ms {
-			if err := scanCodes(g, codes, over, lo, hi, &ms[k]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	type task struct {
-		m      *LegMember
-		lo, hi int
-	}
-	var tasks []task
-	partial := make([][]LegMember, len(ms)) // per partitioned member, per partition
-	for k := range ms {
-		if ms[k].Folds != nil {
-			tasks = append(tasks, task{&ms[k], lo, hi})
-			continue
-		}
-		partial[k] = make([]LegMember, len(parts))
-		for p, r := range parts {
-			partial[k][p] = ms[k].blank()
-			tasks = append(tasks, task{&partial[k][p], lo + r.Lo, lo + r.Hi})
-		}
-	}
-	// The workers share g: scanCodes only polls it (CheckNow reads, never
-	// writes).
-	if err := exec.Run(ctx, nil, deg, len(tasks), func(t int) error {
-		return scanCodes(g, codes, over, tasks[t].lo, tasks[t].hi, tasks[t].m)
-	}); err != nil {
-		return err
-	}
-	for k, pms := range partial {
-		if pms == nil {
-			continue // a fold member: scanned in place
-		}
-		m := &ms[k]
-		for j := range m.Counts {
-			argc := 0
-			for p := range pms {
-				m.Counts[j] += pms[p].Counts[j]
-				if pms[p].Args != nil {
-					argc += len(pms[p].Args[j])
-				}
-			}
-			if argc > 0 {
-				m.Args[j] = make([]float64, 0, argc)
-				for p := range pms {
-					m.Args[j] = append(m.Args[j], pms[p].Args[j]...)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // scanCodes is the column strategy's one loop: it folds codes[lo:hi) into
@@ -518,11 +444,10 @@ func ChargeLeg(g *qos.Guard, op, dim, cat string, counts []int64) error {
 	return nil
 }
 
-// scanOne runs a scan of one member over [lo, hi) at the context's
-// parallelism degree; the exported one-member entry points are adapters
-// over it.
+// scanOne runs a scan of one member over [lo, hi); the exported one-member
+// entry points are adapters over it.
 func (e *Engine) scanOne(ctx context.Context, dim, cat string, m SharedScanMember, lo, hi int) ([]string, LegMember, error) {
-	s, err := e.scanLeg(ctx, dim, cat, lo, hi, []SharedScanMember{m}, exec.DegreeFrom(ctx))
+	s, err := e.scanLeg(ctx, dim, cat, lo, hi, []SharedScanMember{m})
 	if err != nil {
 		return nil, LegMember{}, err
 	}
@@ -554,11 +479,10 @@ func compactLeg(vals []string, m LegMember) (values []string, counts []int, args
 // for every member at once: the planner's entry to the kernel, where a
 // solo query is a batch of one and an ungrouped one a leg of one value. It
 // returns the value dictionary and, per member, full-width counts plus
-// argument lists (ListArgs members) or Accs, and the strategy that
-// ran. deg above 1 lets a column scan split the fact range into exec
-// partitions. The scan charges no fact budget; each member replays its own
-// with ChargeLeg.
-func (e *Engine) ScanLeg(ctx context.Context, dim, cat string, members []SharedScanMember, deg int) (LegScan, error) {
+// argument lists (ListArgs members) or Accs, and the strategy that ran.
+// The scan charges no fact budget; each member replays its own with
+// ChargeLeg.
+func (e *Engine) ScanLeg(ctx context.Context, dim, cat string, members []SharedScanMember) (LegScan, error) {
 	if dim != "" { // the ⊤ leg has neither a dimension nor a column
 		if e.Dimension(dim) == nil {
 			return LegScan{}, fmt.Errorf("storage: scan %s/%s: unknown dimension", dim, cat)
@@ -571,14 +495,17 @@ func (e *Engine) ScanLeg(ctx context.Context, dim, cat string, members []SharedS
 		}
 	}
 	mLegScans.Inc()
-	return e.scanLeg(ctx, dim, cat, 0, math.MaxInt, members, deg)
+	return e.scanLeg(ctx, dim, cat, 0, math.MaxInt, members)
 }
 
 // SharedAggregateBy is ScanLeg with the outputs split per kind and without
 // the strategy label: per member full-width counts, argument lists
 // (ListArgs members) and Accs (accumulator members).
+//
+// The deg argument is deprecated: ignored — queries run sequentially; kept
+// only because bench/ sets it (ROADMAP item 1).
 func (e *Engine) SharedAggregateBy(ctx context.Context, dim, cat string, members []SharedScanMember, deg int) (values []string, counts [][]int64, args [][][]float64, folds [][]agg.Acc, err error) {
-	s, err := e.ScanLeg(ctx, dim, cat, members, deg)
+	s, err := e.ScanLeg(ctx, dim, cat, members)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

@@ -153,3 +153,99 @@ func TestMaterializeContextBudget(t *testing.T) {
 		t.Fatalf("want ErrResourceExhausted, got %v", err)
 	}
 }
+
+// TestQueryCancellation pins cooperative cancellation: a canceled context
+// stops the count and the bitmap cross-tab with qos.ErrCanceled.
+func TestQueryCancellation(t *testing.T) {
+	m := casestudy.MustGenerate(casestudy.DefaultGen())
+	e := NewEngine(m, dimension.CurrentContext(ref))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.CountDistinctByContext(ctx, casestudy.DimDiagnosis, casestudy.CatGroup); !errors.Is(err, qos.ErrCanceled) {
+		t.Errorf("canceled count = %v, want ErrCanceled", err)
+	}
+	if _, err := e.CrossCountContext(ctx, casestudy.DimDiagnosis, casestudy.CatGroup, casestudy.DimResidence, casestudy.CatCounty); !errors.Is(err, qos.ErrCanceled) {
+		t.Errorf("canceled cross-count = %v, want ErrCanceled", err)
+	}
+}
+
+// TestConcurrentQueriesRaceWithAppends is the stress mix the race detector
+// watches: concurrent counting and cross-tab readers interleaved with
+// incremental appends. The MO is fully prepared single-threaded (the MO
+// itself is read-only once goroutines start); the engine is the only
+// shared mutable state. Counts are checked to never go below the base
+// population — every read must be a consistent snapshot — and the quiesced
+// engine must answer like a fresh rebuild.
+func TestConcurrentQueriesRaceWithAppends(t *testing.T) {
+	cfg := casestudy.DefaultGen()
+	cfg.Patients = 80
+	m := casestudy.MustGenerate(cfg)
+	e := NewEngine(m, dimension.CurrentContext(ref))
+	e.CountDistinctBy(casestudy.DimDiagnosis, casestudy.CatGroup) // warm closures
+
+	diag := m.Dimension(casestudy.DimDiagnosis)
+	lows := diag.Category(casestudy.CatLowLevel)
+	const extra = 40
+	ids := make([]string, extra)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("pnew%d", i)
+		if err := m.Relate(casestudy.DimDiagnosis, ids[i], lows[i%len(lows)]); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Relate(casestudy.DimResidence, ids[i], "A0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, id := range ids {
+			if err := e.AppendFact(id); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			for i := 0; i < 30; i++ {
+				counts, err := e.CountDistinctByContext(ctx, casestudy.DimDiagnosis, casestudy.CatGroup)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				total := 0
+				for _, n := range counts {
+					total += n
+				}
+				if total < cfg.Patients {
+					t.Errorf("lost facts: %d < %d", total, cfg.Patients)
+					return
+				}
+				if _, err := e.CrossCountContext(ctx, casestudy.DimDiagnosis, casestudy.CatGroup, casestudy.DimResidence, casestudy.CatCounty); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	fresh := NewEngine(m, dimension.CurrentContext(ref))
+	got, err := e.CountDistinctByContext(context.Background(), casestudy.DimDiagnosis, casestudy.CatGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fresh.CountDistinctBy(casestudy.DimDiagnosis, casestudy.CatGroup); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("post-append count: %v, want %v", got, want)
+	}
+	gotCross := e.CrossCount(casestudy.DimDiagnosis, casestudy.CatGroup, casestudy.DimResidence, casestudy.CatCounty)
+	if want := fresh.CrossCount(casestudy.DimDiagnosis, casestudy.CatGroup, casestudy.DimResidence, casestudy.CatCounty); fmt.Sprint(gotCross) != fmt.Sprint(want) {
+		t.Errorf("post-append cross-count: %v, want %v", gotCross, want)
+	}
+}

@@ -114,25 +114,22 @@ func checkSharedMember(t *testing.T, tag string, e *Engine, dim, cat string, m S
 
 // TestSharedScanDifferential asserts that every member of a fused shared
 // scan gets bit-identical outputs to its own solo AggregateBy — for every
-// corpus engine, corpus (dim, cat), and parallelism degree. List members'
-// argument lists are compared element-for-element (the fused scan must
-// append in the same ascending dense-index order the solo kernels
-// iterate); accumulator members' Accs are compared bitwise against a
-// replay over the solo lists.
+// corpus engine and corpus (dim, cat). List members' argument lists are
+// compared element-for-element (the fused scan must append in the same
+// ascending dense-index order the solo kernels iterate); accumulator
+// members' Accs are compared bitwise against a replay over the solo lists.
 func TestSharedScanDifferential(t *testing.T) {
 	for name, e := range genVariants(t) {
 		members := sharedMembers(e)
 		for _, dc := range columnDims {
 			dim, cat := dc[0], dc[1]
-			for _, deg := range allDegrees {
-				values, counts, args, folds, err := e.SharedAggregateBy(context.Background(), dim, cat, members, deg)
-				if err != nil {
-					t.Fatalf("%s %s/%s deg=%d: %v", name, dim, cat, deg, err)
-				}
-				for mi, m := range members {
-					tag := fmt.Sprintf("%s %s/%s deg=%d member=%d", name, dim, cat, deg, mi)
-					checkSharedMember(t, tag, e, dim, cat, m, values, counts[mi], args[mi], folds[mi])
-				}
+			values, counts, args, folds, err := e.SharedAggregateBy(context.Background(), dim, cat, members, 1)
+			if err != nil {
+				t.Fatalf("%s %s/%s: %v", name, dim, cat, err)
+			}
+			for mi, m := range members {
+				tag := fmt.Sprintf("%s %s/%s member=%d", name, dim, cat, mi)
+				checkSharedMember(t, tag, e, dim, cat, m, values, counts[mi], args[mi], folds[mi])
 			}
 		}
 	}
@@ -301,7 +298,7 @@ func TestColumnStaleAfterRemoveAndAdd(t *testing.T) {
 	if e.columnFor(dim, cat) != nil {
 		t.Fatal("a column over a dictionary that swapped a value still passes as fresh")
 	}
-	s, err := e.ScanLeg(bg, dim, cat, []SharedScanMember{{}}, 1)
+	s, err := e.ScanLeg(bg, dim, cat, []SharedScanMember{{}})
 	if err != nil {
 		t.Fatal(err)
 	}

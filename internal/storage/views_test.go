@@ -137,7 +137,7 @@ func TestViewProbMembers(t *testing.T) {
 			{casestudy.DimDiagnosis, casestudy.CatLowLevel},
 			{"", ""},
 		} {
-			scan, err := view.ScanLeg(context.Background(), leg.dim, leg.cat, members, 1)
+			scan, err := view.ScanLeg(context.Background(), leg.dim, leg.cat, members)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +234,7 @@ func TestViewProbMembers(t *testing.T) {
 	}
 
 	// Membership probabilities are a view's: the base engine refuses.
-	if _, err := base.ScanLeg(context.Background(), casestudy.DimDiagnosis, casestudy.CatFamily, []SharedScanMember{{Prob: agg.ProbValue}}, 1); err == nil {
+	if _, err := base.ScanLeg(context.Background(), casestudy.DimDiagnosis, casestudy.CatFamily, []SharedScanMember{{Prob: agg.ProbValue}}); err == nil {
 		t.Fatal("a base engine scanned a probability member")
 	}
 	if err := base.CrossAggregateBy(context.Background(), []CrossLeg{{casestudy.DimDiagnosis, casestudy.CatFamily}}, "", nil, false, agg.ProbValue, func(*CrossGroup) error { return nil }); err == nil {
@@ -392,7 +392,7 @@ func TestViewRaceBuildAppendEvict(t *testing.T) {
 					return
 				}
 				scan, err := v.ScanLeg(ctx, casestudy.DimResidence, casestudy.CatRegion,
-					[]SharedScanMember{{}, {Prob: agg.ProbValue}, {ArgDim: casestudy.DimAge}}, 2)
+					[]SharedScanMember{{}, {Prob: agg.ProbValue}, {ArgDim: casestudy.DimAge}})
 				if err != nil {
 					t.Error(err)
 					return

@@ -20,12 +20,10 @@ func newPatientMO() (*core.MO, error) {
 func batchedLimits() serve.Limits {
 	return serve.Limits{
 		Planner:          true,
-		Parallelism:      4,
 		ResultCacheBytes: 1 << 20,
 		Batching: batch.Config{
-			Enabled:        true,
-			GatherWindow:   5 * time.Millisecond,
-			MaxParallelism: 4,
+			Enabled:      true,
+			GatherWindow: 5 * time.Millisecond,
 		},
 	}
 }
