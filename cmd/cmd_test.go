@@ -182,7 +182,7 @@ func TestMdserveSelfcheckAdmission(t *testing.T) {
 // to end: the selfcheck must observe all three X-Mddm-Batch outcomes
 // (solo, leader, member) through real HTTP.
 func TestMdserveSelfcheckBatch(t *testing.T) {
-	out := run(t, "mdserve", "-selfcheck", "-planner", "-batch",
+	out := run(t, "mdserve", "-selfcheck", "-batch",
 		"-result-cache", "1048576")
 	if !strings.Contains(out, "selfcheck ok: batch outcomes solo/leader/member") {
 		t.Fatalf("selfcheck output wrong:\n%s", out)
@@ -190,16 +190,15 @@ func TestMdserveSelfcheckBatch(t *testing.T) {
 }
 
 // TestMdserveFlagDependencies: a flag whose feature is inert without
-// another must refuse to start, naming what it needs — there is nothing
-// to silently fall back to.
+// another must refuse to start, naming what it needs, and a removed switch
+// refuses to be turned off — there is nothing to silently fall back to.
 func TestMdserveFlagDependencies(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-batch"}, "-batch needs -planner"},
-		{[]string{"-delta", "-planner"}, "-delta needs -planner and a positive -result-cache"},
-		{[]string{"-delta", "-result-cache", "1048576"}, "-delta needs -planner and a positive -result-cache"},
+		{[]string{"-planner=false"}, "the algebra serving path was removed"},
+		{[]string{"-delta=false"}, "a result cache is always delta-maintained"},
 		{[]string{"-stale-on-shed", "30s", "-admission", "4"}, "-stale-on-shed needs a positive -result-cache"},
 		{[]string{"-parallelism", "2"}, "partition-parallel execution was removed"},
 	} {
@@ -218,7 +217,7 @@ func TestMdserveFlagDependencies(t *testing.T) {
 // JSON report: clean requests, batch outcomes tallied, sane latency.
 func TestMdloadEndToEnd(t *testing.T) {
 	srv := exec.Command(filepath.Join(binDir, "mdserve"),
-		"-addr", "127.0.0.1:0", "-planner", "-batch", "-result-cache", "1048576")
+		"-addr", "127.0.0.1:0", "-batch", "-result-cache", "1048576")
 	stderr, err := srv.StderrPipe()
 	if err != nil {
 		t.Fatal(err)

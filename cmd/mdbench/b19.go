@@ -37,10 +37,7 @@ func b19(nFacts int) {
 		if err := cat.Register("patients", m); err != nil {
 			fatal(err)
 		}
-		return serve.NewServer(cat, serve.Limits{
-			Planner:  true,
-			Batching: batching,
-		}, ref)
+		return serve.NewServer(cat, serve.Limits{Batching: batching}, ref)
 	}
 	solo := newServer(batch.Config{})
 

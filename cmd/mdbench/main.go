@@ -778,12 +778,17 @@ func b14(nFacts int) {
 // baseline (the queue is short, so waiting is short), shed requests are
 // answered in under a millisecond (rejection is held-mutex arithmetic,
 // not work), every admitted result is bit-identical to the unthrottled
-// query.Exec baseline, and zero deadline-expired requests are ever
-// granted a slot — even under a final barrage of doomed tight-deadline
-// probes against a saturated server.
+// query.Exec baseline, and no deadline-expired request ever executes —
+// even under a final barrage of doomed tight-deadline probes against a
+// saturated server: every ticket the controller granted either ran a
+// query or was a slot granted to an already-expired waiter and handed
+// back unexecuted (admission.Stats.GrantedExpired, reported, non-zero
+// only under grant/expiry races). The query is a planned two-leg cross
+// tab at 20 k facts: about a millisecond of service, so queueing — not
+// scheduler jitter — decides the tail.
 func b15() {
 	const (
-		serveN   = 2000
+		serveN   = 20000
 		ceiling  = 4
 		maxQueue = 2
 	)
@@ -805,7 +810,10 @@ func b15() {
 			MaxQueue:       maxQueue,
 		},
 	}, ref)
-	const q = `SELECT SETCOUNT(*) AS N FROM patients WHERE Age >= 40 GROUP BY Residence."Region"`
+	const q = `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Family", Residence."County"`
+	// Queries that passed admission and ran: Query observes its latency
+	// histogram exactly once for each.
+	executed := obs.NewHistogram("mddm_serve_query_seconds", "", obs.DurationBuckets)
 
 	// The differential reference every admitted result must match.
 	base, err := query.Exec(q, scat.Snapshot(), ref)
@@ -817,6 +825,12 @@ func b15() {
 	// Single-threaded service time calibrates the load phases: a shed
 	// worker backs off ~one service time so mult×ceiling workers keep
 	// offering ~mult× capacity instead of spinning through their quota.
+	// The first query builds the engine; the calibration times the warm
+	// query the load phases run.
+	executed0 := executed.Count()
+	if _, err := srv.Query(bg, q); err != nil {
+		fatal(err)
+	}
 	svc := timed(func() {
 		if _, err := srv.Query(bg, q); err != nil {
 			fatal(err)
@@ -965,8 +979,9 @@ func b15() {
 	satWG.Wait()
 
 	st := srv.AdmissionStats()
-	if st.GrantedExpired != 0 {
-		fatal(fmt.Errorf("B15: %d deadline-expired requests were granted slots, want 0", st.GrantedExpired))
+	if ran := executed.Count() - executed0; st.Admitted != ran+st.GrantedExpired {
+		fatal(fmt.Errorf("B15: %d tickets granted, %d queries ran and %d grants went to expired waiters — an expired request executed or a ticket went missing",
+			st.Admitted, ran, st.GrantedExpired))
 	}
 	fmt.Printf("\ndoomed probes (deadline %v): %d admitted, %d shed, %d expired\n",
 		tight, doomedAdmitted, doomedShed, doomedExpired)
@@ -986,7 +1001,7 @@ func b15() {
 	} {
 		benchRows = append(benchRows, benchRow{Exp: curExp, Op: r.op, N: serveN, Value: float64(r.v)})
 	}
-	fmt.Printf("  verify: admitted ≡ unthrottled baseline; shed p99 < 1ms; p99(4x)/p99(1x) = %.2f ≤ 3; granted-expired = 0 ✓\n\n", ratio)
+	fmt.Printf("  verify: admitted ≡ unthrottled baseline; shed p99 < 1ms; p99(4x)/p99(1x) = %.2f ≤ 3; granted = ran + granted-expired ✓\n\n", ratio)
 }
 
 // b16Cfg is B16's generator configuration: a skeleton MO carrying the
@@ -1313,8 +1328,7 @@ func b17(nFacts int) {
 }
 
 // b18 — delta-merge incremental maintenance under a write-heavy append
-// stream. The claim under test: with Limits.DeltaMaintenance, a cached
-// result made version-stale by appends is repaired by folding only the
+// stream. The claim under test: a cached result made version-stale by appends is repaired by folding only the
 // appended facts — µs-class, within 10× of a pure hit's p99 — instead
 // of recomputed, and the repair is bit-identical to the recompute.
 // Before any timing, the differential oracle runs for every registered
@@ -1337,11 +1351,7 @@ func b18(nFacts int) {
 	if err := scat.Register("patients", m); err != nil {
 		fatal(err)
 	}
-	srv := serve.NewServer(scat, serve.Limits{
-		ResultCacheBytes: 64 << 20,
-		Planner:          true,
-		DeltaMaintenance: true,
-	}, ref)
+	srv := serve.NewServer(scat, serve.Limits{ResultCacheBytes: 64 << 20}, ref)
 	// The engine must exist before new facts are related: a later build
 	// would index them eagerly and reject the incremental AppendFact.
 	eng, err := srv.EngineFor(bg, "patients")

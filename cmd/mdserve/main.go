@@ -10,7 +10,7 @@
 //	                                    # shed past the knee: 429 + Retry-After
 //	mdserve -data /var/lib/mddm         # persistent appends: WAL + segments,
 //	                                    # crash-recovered at startup
-//	mdserve -planner -batch             # fuse concurrent similar queries
+//	mdserve -batch                      # fuse concurrent similar queries
 //	                                    # into shared scans (X-Mddm-Batch)
 //	curl 'localhost:8344/query?q=SELECT+SETCOUNT(*)+FROM+patients'
 //
@@ -66,9 +66,11 @@ func main() {
 	tenantRPS := flag.Float64("tenant-rps", 0, "per-tenant admissions per second (0 disables tenant quotas; tenant from X-Mddm-Tenant or ?tenant=)")
 	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant quota burst (0 = 2× -tenant-rps)")
 	staleOnShed := flag.Duration("stale-on-shed", 0, "serve a result-cache entry this stale (with a warning) instead of shedding a query under overload (0 disables; needs -result-cache)")
-	planner := flag.Bool("planner", false, "execute queries through the columnar planner (late materialization; ?plan=1 shows the chosen plan)")
-	delta := flag.Bool("delta", false, "delta-merge incremental maintenance: repair version-stale cached results by folding only appended facts (needs -planner and -result-cache)")
-	batching := flag.Bool("batch", false, "shared-scan batching: fuse concurrent similar queries into one scan (needs -planner; responses carry X-Mddm-Batch: solo|leader|member)")
+	// Deprecated: ignored — every query is planned and every result cache
+	// delta-maintained; kept only because bench/ sets them (ROADMAP item 1).
+	planner := flag.Bool("planner", true, "deprecated: every query runs through the columnar planner; only true is accepted")
+	delta := flag.Bool("delta", true, "deprecated: the result cache always repairs version-stale entries by folding only appended facts; only true is accepted")
+	batching := flag.Bool("batch", false, "shared-scan batching: fuse concurrent similar queries into one scan (responses carry X-Mddm-Batch: solo|leader|member)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a batch leader waits gathering similar queries before scanning")
 	batchMax := flag.Int("batch-max", 32, "batch size that launches the fused scan before the gather window expires")
 	shutdownGrace := flag.Duration("shutdown-grace", 5*time.Second, "drain window on SIGINT/SIGTERM")
@@ -83,11 +85,11 @@ func main() {
 	if *parallelism != 1 {
 		fatal(fmt.Errorf("-parallelism %d: partition-parallel execution was removed, every query runs on one goroutine; only -parallelism 1 is accepted", *parallelism))
 	}
-	if *delta && (!*planner || *resultCache <= 0) {
-		fatal(fmt.Errorf("-delta needs -planner and a positive -result-cache: the upgrade path folds through the planner into result-cache entries"))
+	if !*planner {
+		fatal(fmt.Errorf("-planner=false: the algebra serving path was removed, every query is planned; only -planner=true is accepted"))
 	}
-	if *batching && !*planner {
-		fatal(fmt.Errorf("-batch needs -planner: only planned kernel legs can share a scan"))
+	if !*delta {
+		fatal(fmt.Errorf("-delta=false: the switch was removed, a result cache is always delta-maintained; only -delta=true is accepted"))
 	}
 	if *staleOnShed > 0 && *resultCache <= 0 {
 		fatal(fmt.Errorf("-stale-on-shed needs a positive -result-cache: a shed query degrades to a result-cache entry"))
@@ -108,8 +110,6 @@ func main() {
 		ColumnMinValues:  *columns,
 		ResultCacheBytes: *resultCache,
 		StaleOnShed:      *staleOnShed,
-		Planner:          *planner,
-		DeltaMaintenance: *delta,
 		Batching: batch.Config{
 			Enabled:      *batching,
 			GatherWindow: *batchWindow,

@@ -16,7 +16,7 @@ var (
 	mMembersPerBatch = obs.NewValueHistogram("mddm_batch_members_per_batch",
 		"Members per fused batch.", obs.CountBuckets)
 	mBypasses = map[string]*obs.Counter{
-		"fallback": newBypassCounter("fallback"),
+		"describe": newBypassCounter("describe"),
 		"facts":    newBypassCounter("facts"),
 		"global":   newBypassCounter("global"),
 		"cross":    newBypassCounter("cross"),

@@ -171,13 +171,15 @@ func (c *Cache) Get(key string, ver Version) (any, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if ok && e.ver == ver {
-		// Move to the front of the LRU order.
+		// Move to the front of the LRU order. The value is read under the
+		// lock: Upgrade replaces it in place.
 		e.unlink()
 		e.linkFront(&s.front)
+		v := e.val
 		s.mu.Unlock()
 		mHits.Inc()
 		c.count(func(st *Stats) { st.Hits++ })
-		return e.val, true
+		return v, true
 	}
 	invalidated := false
 	var freed int64

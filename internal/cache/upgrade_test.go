@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -68,6 +69,31 @@ func TestUpgradeCAS(t *testing.T) {
 	if st.Upgrades != 1 {
 		t.Fatalf("Stats.Upgrades = %d, want 1 (refused CASes must not count)", st.Upgrades)
 	}
+}
+
+// TestUpgradeRacesGet runs upgrades against hits on the same entry: a hit
+// returns the value stored at the version it asked for, never the one an
+// upgrade is swapping in (and go test -race checks the accesses).
+func TestUpgradeRacesGet(t *testing.T) {
+	c := New(1 << 20)
+	c.PutUpgradeable("k", Version{}, uint64(0), 8)
+	const n = 2000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := uint64(0); i < n; i++ {
+			c.Upgrade("k", Version{Epoch: i}, Version{Epoch: i + 1}, i+1, 8)
+		}
+	}()
+	for i := 0; i < n; i++ {
+		_, ver, _, _ := c.GetForUpgrade("k")
+		if v, ok := c.Get("k", ver); ok && v != any(ver.Epoch) {
+			t.Errorf("hit at epoch %d returned the value of epoch %v", ver.Epoch, v)
+			break
+		}
+	}
+	wg.Wait()
 }
 
 // TestUpgradeOversizedDrops: a merged value that outgrew a shard is

@@ -24,9 +24,9 @@ import (
 // Batch bypass reasons — the closed set of "why this query cannot join a
 // fused scan" labels (internal/batch registers a counter per reason).
 const (
-	// BypassFallback: the query routes to the algebra path (DESCRIBE, an
-	// unresolvable engine) — there is no kernel leg to share.
-	BypassFallback = "fallback"
+	// BypassDescribe: DESCRIBE renders the schema — there is no kernel leg
+	// to share.
+	BypassDescribe = "describe"
 	// BypassFacts: SELECT FACTS enumerates identities, not group folds.
 	BypassFacts = "facts"
 	// BypassGlobal: the single ⊤ group needs no per-value scan.
@@ -46,7 +46,10 @@ func PrepareContext(cctx context.Context, src string, cat query.Catalog, ref tem
 	p := &Prepared{cctx: cctx, cat: cat, ref: ref, sp: obs.StartSpan(cctx, "plan.query"), start: time.Now()}
 	q, err := query.Parse(src)
 	if err == nil {
-		err = p.route(q)
+		p.q, p.ex, p.guard = q, explainFrom(cctx), qos.NewGuard(cctx)
+		if err = p.guard.CheckNow(); err != nil {
+			err = fmt.Errorf("query: %w", err)
+		}
 	}
 	if err != nil {
 		p.finishSpan()
@@ -66,10 +69,10 @@ func (p *Prepared) Abort() { p.finishSpan() }
 // cannot (one of the Bypass* constants).
 func (p *Prepared) Batchable() (bool, string) {
 	switch {
-	case p.fallbackReason != "":
-		return false, BypassFallback
 	case p.planErr != nil:
 		return false, BypassError
+	case p.q.Describe != "":
+		return false, BypassDescribe
 	case p.factsOnly:
 		return false, BypassFacts
 	case len(p.grouped) == 0:

@@ -205,7 +205,7 @@ func TestBatchableClassification(t *testing.T) {
 		{`SELECT FACTS FROM gen WHERE Residence = 'R0'`, BypassFacts},
 		{`SELECT SETCOUNT(*) FROM gen`, BypassGlobal},
 		{`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group", Residence."Region"`, BypassCross},
-		{`DESCRIBE gen Diagnosis`, BypassFallback},
+		{`DESCRIBE gen Diagnosis`, BypassDescribe},
 		{`SELECT SETCOUNT(*) FROM gen GROUP BY NoSuchDim."X"`, BypassError},
 	}
 	for _, tc := range cases {

@@ -188,11 +188,6 @@ func TestCrossBudgetParity(t *testing.T) {
 func TestCrossBudgetExhaustionText(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
-	// Resolve the engine first: built under the tiny budget it would fail
-	// and route the query to the algebra.
-	if _, err := engines.EngineFor(context.Background(), "gen"); err != nil {
-		t.Fatal(err)
-	}
 	ctx, ex := WithExplain(qos.WithFactBudget(context.Background(), 1))
 	_, err := ExecContext(ctx, crossQuery("AVG(Age)", "gen", "", crossLegPairs[0]), cat, testRef, engines)
 	if ex.Mode != ModePlanned || ex.Shape != ShapeCross {

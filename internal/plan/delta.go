@@ -75,7 +75,7 @@ type Partials struct {
 
 // Capture is the context sink Execute fills with the partials of an
 // upgradeable planned query; Partials stays nil when the query took a
-// fallback, a non-upgradeable shape (facts, cross), a function without a
+// non-upgradeable shape (describe, facts, cross), a function without a
 // constant-size partial, or a context view — an append drops the view, so
 // there is nothing to continue.
 type Capture struct {

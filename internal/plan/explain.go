@@ -4,7 +4,9 @@ import "context"
 
 // Explain mode and shape labels.
 const (
-	ModePlanned  = "planned"
+	ModePlanned = "planned"
+	// Deprecated: ignored — never set; kept only because bench/ reads it
+	// (ROADMAP item 1).
 	ModeFallback = "fallback"
 
 	ShapeFacts       = "facts"
@@ -13,25 +15,21 @@ const (
 	ShapeKernelSum   = "kernel-sum"
 	ShapeGroupFold   = "group-fold"
 	ShapeCross       = "cross"
-)
-
-// Fallback reasons — the one statement that needs full MO semantics, plus
-// the defensive engine condition. The set is closed so the per-reason
-// fallback counters can be registered up front.
-const (
-	ReasonDescribe          = "describe"
-	ReasonEngineUnavailable = "engine-unavailable"
+	ShapeDescribe    = "describe"
 )
 
 // Explain describes how one query was executed; it is filled in when the
 // caller installed a sink with WithExplain (the `?plan=1` HTTP output).
 type Explain struct {
-	// Mode is "planned" (columnar execution) or "fallback" (full algebra).
+	// Mode is "planned" for every query the planner resolved; empty when it
+	// never ran (a cache hit) or stopped first (an unknown MO, an engine
+	// that could not be built).
 	Mode string `json:"mode"`
-	// Reason names the fallback trigger; empty when planned.
+	// Deprecated: ignored — never set; kept only because bench/ reads it
+	// (ROADMAP item 1).
 	Reason string `json:"reason,omitempty"`
-	// Shape is the physical plan shape of a planned query: "facts",
-	// "cross", or one of the leg labels "global" (the ⊤ leg),
+	// Shape is the physical plan shape: "describe" (the schema rendering),
+	// "facts", "cross", or one of the leg labels "global" (the ⊤ leg),
 	// "kernel-count", "kernel-sum" and "group-fold" (one execution path;
 	// see finishLeg).
 	Shape string `json:"shape,omitempty"`

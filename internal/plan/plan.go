@@ -4,13 +4,14 @@
 // folds, aggregation becomes flat column folds, and the evaluation context
 // (ASOF VALID, ASOF TRANS, WITH PROB >=) becomes a context view of the
 // engine that the same kernels scan — and materializes nothing but the
-// surviving result rows. The full-algebra path (internal/query →
-// internal/algebra), which builds a complete result MO per the paper's
-// aggregate-formation operator, remains the semantic oracle: DESCRIBE, and
-// a query whose engine cannot be resolved, fall back to it, and every
+// surviving result rows; DESCRIBE renders the schema (query.Describe). The
+// full-algebra path (internal/query → internal/algebra), which builds a
+// complete result MO per the paper's aggregate-formation operator, is the
+// semantic oracle and nothing else: the planner never calls it, and every
 // planned result is differentially tested against it (see plan_test.go),
 // mirroring how column ≡ bitmap ≡ index-free is pinned per-kernel in
-// internal/storage.
+// internal/storage. A query whose engine cannot be resolved fails with the
+// resolver's error.
 package plan
 
 import (
@@ -40,14 +41,12 @@ type Engines interface {
 	EngineFor(ctx context.Context, name string) (*storage.Engine, error)
 }
 
-// ExecContext parses and executes a query through the planner, falling
-// back to the algebra path (query.RunContext) for DESCRIBE and for an
-// unresolvable engine. It is a drop-in replacement for query.ExecContext:
-// same results, same error texts for every validation error, same
-// result-cache canonical key (planning happens after cache keying). It is
-// PrepareContext followed by Execute — the split exists so the batch
-// scheduler (internal/batch) can hold a query between planning and shape
-// execution.
+// ExecContext parses and executes a query through the planner. It is a
+// drop-in replacement for query.ExecContext: same results, same error texts
+// for every validation error, same result-cache canonical key (planning
+// happens after cache keying). It is PrepareContext followed by Execute —
+// the split exists so the batch scheduler (internal/batch) can hold a query
+// between planning and shape execution.
 func ExecContext(cctx context.Context, src string, cat query.Catalog, ref temporal.Chronon, engines Engines) (*query.Result, error) {
 	p, err := PrepareContext(cctx, src, cat, ref, engines)
 	if err != nil {
@@ -57,10 +56,9 @@ func ExecContext(cctx context.Context, src string, cat query.Catalog, ref tempor
 }
 
 // Prepared is a query planned to the brink of shape execution: parsed,
-// routed (planned vs fallback), engine-resolved, WHERE-compiled, and
-// validated. Execute runs the solo tail; FinishScan consumes a batch's
-// kernel scan instead (batch.go). A Prepared is good for one
-// execution and is not safe for concurrent use.
+// engine-resolved, WHERE-compiled, and validated. Execute runs the solo
+// tail; FinishScan consumes a batch's kernel scan instead (batch.go). A
+// Prepared is good for one execution and is not safe for concurrent use.
 type Prepared struct {
 	cctx    context.Context
 	q       *query.Query
@@ -79,12 +77,10 @@ type Prepared struct {
 	argDim    string
 	shownDims []string
 
-	// fallbackReason, when non-empty, routes Execute to the algebra path.
-	fallbackReason string
-	factsOnly      bool
+	factsOnly bool
 
-	// planned records that planning completed (mode metrics fired); the
-	// validation errors before that point surface from plan itself.
+	// planErr is the first error planning met — engine resolution, WHERE
+	// compilation, validation — deferred so Execute surfaces it.
 	planErr error
 
 	// The plan.query span (nil when the query is untraced) and the start of
@@ -93,20 +89,6 @@ type Prepared struct {
 	sp       *obs.Span
 	start    time.Time
 	finished bool
-}
-
-// route makes the fallback decisions that need no engine.
-func (p *Prepared) route(q *query.Query) error {
-	p.q, p.ex, p.guard = q, explainFrom(p.cctx), qos.NewGuard(p.cctx)
-	if err := p.guard.CheckNow(); err != nil {
-		return fmt.Errorf("query: %w", err)
-	}
-	// Operators that need MO semantics route to the algebra before any
-	// planning work; see docs/PLANNER.md for the fallback matrix.
-	if q.Describe != "" {
-		p.fallbackReason = ReasonDescribe
-	}
-	return nil
 }
 
 // evalContext is the evaluation context the query's clauses ask for: the
@@ -128,17 +110,19 @@ func evalContext(q *query.Query, ref temporal.Chronon) dimension.Context {
 // validation up to the shape dispatch. Errors are deferred into planErr so
 // Execute surfaces them in the original call order.
 func (p *Prepared) plan(engines Engines) {
-	if p.fallbackReason != "" {
+	q := p.q
+	if q.Describe != "" {
+		// DESCRIBE reads the schema only: no engine, nothing to compile.
+		p.markPlanned()
 		return
 	}
-	q := p.q
 	if _, ok := p.cat[q.From]; !ok {
 		p.planErr = fmt.Errorf("query: unknown MO %q (catalog has %v)", q.From, query.CatalogNames(p.cat))
 		return
 	}
 	eng, err := engines.EngineFor(p.cctx, q.From)
 	if err != nil {
-		p.fallbackReason = ReasonEngineUnavailable
+		p.planErr = err
 		return
 	}
 	// The engine for the query's context: the snapshot itself for a plain
@@ -177,10 +161,7 @@ func (p *Prepared) plan(engines Engines) {
 		p.planErr = fmt.Errorf("plan: %w", err)
 		return
 	}
-	mPlanPlanned.Inc()
-	if p.ex != nil {
-		p.ex.Mode = ModePlanned
-	}
+	p.markPlanned()
 
 	if q.FactsOnly {
 		p.factsOnly = true
@@ -225,7 +206,7 @@ func (p *Prepared) plan(engines Engines) {
 		p.shownDims = append(p.shownDims, g.Dim)
 	}
 	// Aggregate-formation validations, replicated in the algebra's order
-	// and wrapping so error texts match the fallback path byte-for-byte.
+	// and wrapping so error texts match the oracle's byte-for-byte.
 	if m.Schema().DimensionType(p.resultDim) != nil {
 		p.planErr = fmt.Errorf("query: algebra: aggregate: result dimension %q collides with an argument dimension", p.resultDim)
 		return
@@ -246,6 +227,15 @@ func (p *Prepared) plan(engines Engines) {
 	p.grouped = groupedDims(m, groupBy)
 }
 
+// markPlanned counts the query in the planned mode series and reports the
+// mode to explain.
+func (p *Prepared) markPlanned() {
+	mPlanPlanned.Inc()
+	if p.ex != nil {
+		p.ex.Mode = ModePlanned
+	}
+}
+
 // finishSpan closes the span and the latency observation PrepareContext
 // opened. Idempotent: Abort, Execute and FinishScan all end through it.
 func (p *Prepared) finishSpan() {
@@ -257,15 +247,18 @@ func (p *Prepared) finishSpan() {
 	p.sp.End()
 }
 
-// Execute runs the prepared query's solo tail: the algebra fallback when
-// routing chose it, otherwise the shape dispatch over the engine kernels.
+// Execute runs the prepared query's solo tail: the schema rendering for
+// DESCRIBE, otherwise the shape dispatch over the engine kernels.
 func (p *Prepared) Execute() (*query.Result, error) {
 	defer p.finishSpan()
-	if p.fallbackReason != "" {
-		return fallback(p.cctx, p.q, p.cat, p.ref, p.ex, p.fallbackReason)
-	}
 	if p.planErr != nil {
 		return nil, p.planErr
+	}
+	if p.q.Describe != "" {
+		if p.ex != nil {
+			p.ex.Shape = ShapeDescribe
+		}
+		return query.Describe(p.q, p.cat)
 	}
 	if p.factsOnly {
 		return execFacts(p.guard, p.eng, p.m, p.sel, p.q.Limit, p.ex)
@@ -347,19 +340,6 @@ func assemble(q *query.Query, columns []string, rows [][]string, report agg.Repo
 		return nil, err
 	}
 	return res, nil
-}
-
-// fallback delegates the query to the full algebra path, recording why.
-func fallback(cctx context.Context, q *query.Query, cat query.Catalog, ref temporal.Chronon, ex *Explain, reason string) (*query.Result, error) {
-	mPlanFallback.Inc()
-	if c := mFallbacks[reason]; c != nil {
-		c.Inc()
-	}
-	if ex != nil {
-		ex.Mode = ModeFallback
-		ex.Reason = reason
-	}
-	return query.RunContext(cctx, q, cat, ref)
 }
 
 // groupDim is one effective grouping leg: a dimension grouped below ⊤. The

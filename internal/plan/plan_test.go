@@ -191,7 +191,7 @@ func TestDifferentialOracle(t *testing.T) {
 		}
 		for _, src := range viewQueries() {
 			if ex := diffOne(t, ctx, src, cat, engines); ex.Mode != ModePlanned || ex.View == "" {
-				t.Fatalf("%s: mode=%q reason=%q view=%q, want planned from a view", src, ex.Mode, ex.Reason, ex.View)
+				t.Fatalf("%s: mode=%q view=%q, want planned from a view", src, ex.Mode, ex.View)
 			}
 		}
 	})
@@ -224,8 +224,8 @@ func TestDifferentialAllAggregates(t *testing.T) {
 		}
 		for _, src := range shapes {
 			ex := diffOne(t, ctx, src, cat, engines)
-			if ex.Mode != ModePlanned || ex.Reason != "" {
-				t.Fatalf("%s: routed mode=%q reason=%q, want planned", src, ex.Mode, ex.Reason)
+			if ex.Mode != ModePlanned {
+				t.Fatalf("%s: routed mode=%q, want planned", src, ex.Mode)
 			}
 			// Membership probabilities are indexed by context views only.
 			if (ex.View != "") != fn.NeedsProb {
@@ -272,39 +272,54 @@ func TestIndexFreeComparator(t *testing.T) {
 	}
 }
 
-// TestFallbackRouting pins each fallback reason to its trigger and checks
-// the fallback still produces algebra-identical results.
-func TestFallbackRouting(t *testing.T) {
+// TestDescribePlanned pins DESCRIBE to the planner's schema rendering —
+// planned, shape describe, no engine resolved — with the algebra's rows and
+// error texts.
+func TestDescribePlanned(t *testing.T) {
 	cat := testCatalog(t)
-	engines := NewCatalogEngines(cat, testRef)
 	ctx := context.Background()
-	cases := []struct {
-		src    string
-		reason string
-	}{
-		{`DESCRIBE patients Diagnosis`, ReasonDescribe},
-	}
-	for _, c := range cases {
-		ex := diffOne(t, ctx, c.src, cat, engines)
-		if ex.Mode != ModeFallback || ex.Reason != c.reason {
-			t.Fatalf("%s: mode=%q reason=%q, want fallback/%s", c.src, ex.Mode, ex.Reason, c.reason)
+	for _, src := range []string{
+		`DESCRIBE patients Diagnosis`,
+		`DESCRIBE wards`,
+		`DESCRIBE nowhere`,
+		`DESCRIBE patients Bogus`,
+	} {
+		// failingEngines: a DESCRIBE that resolved an engine would fail.
+		ex := diffOne(t, ctx, src, cat, failingEngines{})
+		if ex.Mode != ModePlanned || ex.Shape != ShapeDescribe {
+			t.Fatalf("%s: mode=%q shape=%q, want planned/describe", src, ex.Mode, ex.Shape)
 		}
 	}
 }
 
-// failingEngines always fails resolution, forcing the defensive fallback.
+// errNoEngines is what failingEngines resolves to.
+var errNoEngines = errors.New("no engines today")
+
+// failingEngines always fails resolution.
 type failingEngines struct{}
 
 func (failingEngines) EngineFor(context.Context, string) (*storage.Engine, error) {
-	return nil, errors.New("no engines today")
+	return nil, errNoEngines
 }
 
-func TestFallbackEngineUnavailable(t *testing.T) {
+// TestEngineUnavailableIsError pins what an unresolvable engine does to a
+// query: it fails with the resolver's error, unwrapped, before anything is
+// planned — the planner has no other way to answer it.
+func TestEngineUnavailableIsError(t *testing.T) {
 	cat := testCatalog(t)
-	ex := diffOne(t, context.Background(),
-		`SELECT SETCOUNT(*) FROM gen GROUP BY Residence."Region"`, cat, failingEngines{})
-	if ex.Mode != ModeFallback || ex.Reason != ReasonEngineUnavailable {
-		t.Fatalf("mode=%q reason=%q, want fallback/engine-unavailable", ex.Mode, ex.Reason)
+	ctx, ex := WithExplain(context.Background())
+	p, err := PrepareContext(ctx, `SELECT SETCOUNT(*) FROM gen GROUP BY Residence."Region"`, cat, testRef, failingEngines{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, reason := p.Batchable(); ok || reason != BypassError {
+		t.Fatalf("Batchable = %v %q, want false %q", ok, reason, BypassError)
+	}
+	if _, err := p.Execute(); err != errNoEngines {
+		t.Fatalf("err = %v, want the resolver's error", err)
+	}
+	if ex.Mode != "" {
+		t.Fatalf("explain %+v, want no mode: nothing was planned", *ex)
 	}
 }
 
@@ -451,11 +466,8 @@ func TestBudgetParity(t *testing.T) {
 func TestBudgetExhaustion(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
-	// Resolve the engine outside the tiny budget: built under it the build
-	// itself exhausts and every query below would route to the algebra.
-	if _, err := engines.EngineFor(context.Background(), "gen"); err != nil {
-		t.Fatal(err)
-	}
+	// The engine and its views are built under the tiny budget: a build
+	// charges none, so every query below exhausts in its own scan.
 	const exhausted = `resource limit exhausted: scanned more than the allowed facts`
 	for _, c := range []struct{ src, text string }{
 		{`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, `query: storage: count-distinct Diagnosis/Diagnosis Group: ` + exhausted},
@@ -515,11 +527,12 @@ func TestFaultInjectPlanExec(t *testing.T) {
 	if faultinject.Hits(faultinject.PlanExec) == 0 {
 		t.Fatal("plan-exec injection point never hit")
 	}
-	// A fallback query must not pass through the plan executor's point.
+	// DESCRIBE compiles nothing: it must not pass through the plan
+	// executor's point.
 	faultinject.Reset()
 	faultinject.Enable(faultinject.PlanExec, boom)
 	if _, err := ExecContext(context.Background(), `DESCRIBE patients Diagnosis`, cat, testRef, engines); err != nil {
-		t.Fatalf("fallback query tripped the plan-exec point: %v", err)
+		t.Fatalf("DESCRIBE tripped the plan-exec point: %v", err)
 	}
 }
 

@@ -78,7 +78,7 @@ func RunContext(cctx context.Context, q *Query, cat Catalog, ref temporal.Chrono
 		return nil, fmt.Errorf("query: %w", err)
 	}
 	if q.Describe != "" {
-		return describe(q, cat)
+		return Describe(q, cat)
 	}
 	m, ok := cat[q.From]
 	if !ok {
@@ -377,9 +377,11 @@ func CmpOp(s string) (algebra.CmpOp, error) {
 	}
 }
 
-// describe renders an MO's schema lattices (or one dimension's) as rows of
-// (category, aggregation type, immediate containments).
-func describe(q *Query, cat Catalog) (*Result, error) {
+// Describe answers a DESCRIBE query: it renders an MO's schema lattices (or
+// one dimension's) as rows of (category, aggregation type, immediate
+// containments). It reads the schema only, so the planner answers DESCRIBE
+// with it as well.
+func Describe(q *Query, cat Catalog) (*Result, error) {
 	m, ok := cat[q.Describe]
 	if !ok {
 		return nil, fmt.Errorf("query: unknown MO %q (catalog has %v)", q.Describe, CatalogNames(cat))

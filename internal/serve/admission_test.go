@@ -20,6 +20,11 @@ import (
 	"mddm/internal/faultinject"
 )
 
+// partialLessQuery is cacheable and keeps no delta partials (MEDIAN has no
+// constant-size fold): after an append its entry cannot be upgraded, so a
+// lookup must recompute — or, when shed, degrade to the stale entry.
+const partialLessQuery = `SELECT MEDIAN(Age) FROM patients GROUP BY Diagnosis."Diagnosis Group"`
+
 // admissionLimits is the baseline config for the admission tests: a
 // real controller in front of the query path, cache enabled.
 func admissionLimits() Limits {
@@ -167,10 +172,10 @@ func TestRequestIDEchoAndUniqueness(t *testing.T) {
 }
 
 // TestDegradedStaleOnShed drives graceful degradation end to end: fill
-// the cache, invalidate it with an append (version moves), arm the
-// quota so the refill is shed — with StaleOnShed the server answers 200
-// from the stale entry with a warning and the degraded headers; without
-// it the same traffic gets the 429.
+// the cache with a query a delta merge cannot repair, invalidate it with
+// an append (version moves), arm the quota so the refill is shed — with
+// StaleOnShed the server answers 200 from the stale entry with a warning
+// and the degraded headers; without it the same traffic gets the 429.
 func TestDegradedStaleOnShed(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	limits := admissionLimits()
@@ -188,7 +193,7 @@ func TestDegradedStaleOnShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, out, err := s.ServeQuery(ctx, groupQuery)
+	fresh, out, err := s.ServeQuery(ctx, partialLessQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +214,7 @@ func TestDegradedStaleOnShed(t *testing.T) {
 
 	// Shed the refill: the degraded path serves the stale entry.
 	faultinject.Enable(faultinject.QuotaExhausted, nil)
-	res, out, err := s.ServeQuery(ctx, groupQuery)
+	res, out, err := s.ServeQuery(ctx, partialLessQuery)
 	if err != nil {
 		t.Fatalf("degraded serve: %v", err)
 	}
@@ -231,7 +236,7 @@ func TestDegradedStaleOnShed(t *testing.T) {
 	}
 
 	// Same thing on the wire: 200 + the degraded headers.
-	resp, _ := getWithHeaders(t, ts, "/query?q="+url.QueryEscape(groupQuery), nil)
+	resp, _ := getWithHeaders(t, ts, "/query?q="+url.QueryEscape(partialLessQuery), nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded HTTP: status %d, want 200", resp.StatusCode)
 	}
@@ -245,7 +250,7 @@ func TestDegradedStaleOnShed(t *testing.T) {
 
 	// Recovered: the next query refills fresh (no degraded markers) and
 	// observes the appended fact.
-	res2, out, err := s.ServeQuery(ctx, groupQuery)
+	res2, out, err := s.ServeQuery(ctx, partialLessQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +278,7 @@ func TestShedWithoutStaleBoundIs429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.ServeQuery(ctx, groupQuery); err != nil {
+	if _, _, err := s.ServeQuery(ctx, partialLessQuery); err != nil {
 		t.Fatal(err)
 	}
 	m, _ := s.cat.Get("patients")
@@ -286,7 +291,7 @@ func TestShedWithoutStaleBoundIs429(t *testing.T) {
 	}
 
 	faultinject.Enable(faultinject.QuotaExhausted, nil)
-	resp, _ := getWithHeaders(t, ts, "/query?q="+url.QueryEscape(groupQuery), nil)
+	resp, _ := getWithHeaders(t, ts, "/query?q="+url.QueryEscape(partialLessQuery), nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 with no staleness bound", resp.StatusCode)
 	}

@@ -16,7 +16,7 @@ import (
 // leg, and the batch's kernel scan finishes through plan.FinishScan — the
 // finish a solo Execute runs after its own scan of one, so a batched
 // answer is bit-identical to solo execution. Non-batchable shapes
-// (fallbacks, facts, global, cross) Execute solo immediately and are
+// (describe, facts, global, cross) Execute solo immediately and are
 // counted as bypasses. A context view is an engine like any other here:
 // queries at the same ASOF instant or WITH PROB threshold share its scans.
 //
@@ -68,7 +68,7 @@ func setBatchOutcome(ctx context.Context, o batch.Outcome, reason string) {
 }
 
 // BatchingEnabled reports whether the server was built with the shared-
-// scan batch scheduler (Limits.Batching.Enabled with Limits.Planner).
+// scan batch scheduler (Limits.Batching.Enabled).
 func (s *Server) BatchingEnabled() bool { return s.batcher != nil }
 
 // BatchStats snapshots the scheduler's counters (zero value when

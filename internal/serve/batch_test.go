@@ -24,7 +24,6 @@ import (
 
 func batchedLimits() Limits {
 	return Limits{
-		Planner: true,
 		Batching: batch.Config{
 			Enabled:      true,
 			GatherWindow: 5 * time.Millisecond,
@@ -34,17 +33,15 @@ func batchedLimits() Limits {
 
 // TestBatchDifferentialOracle is the serving-layer oracle for shared-scan
 // batching: for EVERY registered aggregate function, a batched server must
-// answer bit-identically to a solo planner server and to the algebra
-// server — and the batch outcome flag must prove which path actually ran:
-// every aggregate is batchable (MEDIAN as a list member, the probabilistic
-// functions as probability members of a context view's scan) and must
-// report leader or member — a silent bypass-to-solo fails the test — while
-// DESCRIBE, the one statement that still falls back, must report solo with
-// the fallback bypass reason.
+// answer bit-identically to a solo server and to the algebra — and the
+// batch outcome flag must prove which path actually ran: every aggregate
+// is batchable (MEDIAN as a list member, the probabilistic functions as
+// probability members of a context view's scan) and must report leader or
+// member — a silent bypass-to-solo fails the test — while DESCRIBE, which
+// has no kernel leg, must report solo with the describe bypass reason.
 func TestBatchDifferentialOracle(t *testing.T) {
-	batched, _ := newTestServer(t, batchedLimits())
-	solo, _ := newTestServer(t, Limits{Planner: true})
-	algebra, _ := newTestServer(t, Limits{})
+	batched, cat := newTestServer(t, batchedLimits())
+	solo, _ := newTestServer(t, Limits{})
 	for _, name := range agg.Names() {
 		fn, err := agg.Lookup(name)
 		if err != nil {
@@ -61,7 +58,7 @@ func TestBatchDifferentialOracle(t *testing.T) {
 			ctx, bo := WithBatchOutcome(context.Background())
 			rb, errB := batched.Query(ctx, src)
 			rs, errS := solo.Query(context.Background(), src)
-			ra, errA := algebra.Query(context.Background(), src)
+			ra, errA := query.ExecContext(context.Background(), src, cat.Snapshot(), testRef)
 			if (errB == nil) != (errS == nil) || (errB == nil) != (errA == nil) {
 				t.Fatalf("%s: errs batched=%v solo=%v algebra=%v", src, errB, errS, errA)
 			}
@@ -88,11 +85,11 @@ func TestBatchDifferentialOracle(t *testing.T) {
 	if _, err := batched.Query(ctx, `DESCRIBE patients Diagnosis`); err != nil {
 		t.Fatal(err)
 	}
-	if bo.Outcome != batch.OutcomeSolo || bo.Reason != plan.BypassFallback {
-		t.Fatalf("DESCRIBE: outcome %q reason %q, want solo/fallback", bo.Outcome, bo.Reason)
+	if bo.Outcome != batch.OutcomeSolo || bo.Reason != plan.BypassDescribe {
+		t.Fatalf("DESCRIBE: outcome %q reason %q, want solo/describe", bo.Outcome, bo.Reason)
 	}
-	if st := batched.BatchStats(); st.Batches == 0 || st.Bypasses[plan.BypassFallback] == 0 {
-		t.Fatalf("stats %+v, want batches and fallback bypasses", st)
+	if st := batched.BatchStats(); st.Batches == 0 || st.Bypasses[plan.BypassDescribe] == 0 {
+		t.Fatalf("stats %+v, want batches and describe bypasses", st)
 	}
 }
 
@@ -104,7 +101,7 @@ func TestBatchMemberFusion(t *testing.T) {
 	limits := batchedLimits()
 	limits.Batching.GatherWindow = 100 * time.Millisecond
 	batched, _ := newTestServer(t, limits)
-	solo, _ := newTestServer(t, Limits{Planner: true})
+	solo, _ := newTestServer(t, Limits{})
 
 	regions := []string{"R0", "R1", "R2", "R3"}
 	srcs := make([]string, 8)
@@ -184,7 +181,9 @@ func TestBatchHeaderPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := "/query?q=" + url.QueryEscape(groupQuery)
+	// A batchable query without delta partials, so after the append below
+	// its entry can only be served degraded, never upgraded.
+	q := "/query?q=" + url.QueryEscape(partialLessQuery)
 
 	// Miss: computed through the batch branch — batch header present
 	// (single query: leader), cache header miss.
@@ -251,7 +250,7 @@ func TestBatchHeaderPrecedence(t *testing.T) {
 	}
 
 	// A server without batching never emits the header, computed or not.
-	plain, _ := newTestServer(t, Limits{Planner: true})
+	plain, _ := newTestServer(t, Limits{})
 	tsp := httptest.NewServer(plain.Handler())
 	t.Cleanup(tsp.Close)
 	resp, _ = getWithHeaders(t, tsp, q, nil)
@@ -275,7 +274,6 @@ func TestBatchRaceUnderLoad(t *testing.T) {
 	}
 	limits := batchedLimits()
 	limits.ResultCacheBytes = 1 << 20
-	limits.DeltaMaintenance = true
 	limits.MaxFactsScanned = 1 << 20
 	limits.ColumnMinValues = 8
 	s := NewServer(cat, limits, testRef)
@@ -426,24 +424,5 @@ func TestBatchRaceUnderLoad(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1.Rows, r2.Rows) {
 		t.Fatalf("post-storm batched rows diverged from algebra:\n batched: %v\n algebra: %v", r1.Rows, r2.Rows)
-	}
-}
-
-// TestBatchRequiresPlanner pins the wiring guard: Batching without
-// Planner is inert — no scheduler, no headers, queries still answered.
-func TestBatchRequiresPlanner(t *testing.T) {
-	s, _ := newTestServer(t, Limits{Batching: batch.Config{Enabled: true}})
-	if s.BatchingEnabled() {
-		t.Fatal("batching without the planner must be inert")
-	}
-	if st := s.BatchStats(); st.Batches != 0 {
-		t.Fatalf("inert scheduler stats %+v", st)
-	}
-	ctx, bo := WithBatchOutcome(context.Background())
-	if _, err := s.Query(ctx, groupQuery); err != nil {
-		t.Fatal(err)
-	}
-	if bo.Outcome != "" {
-		t.Fatalf("outcome %q on a server without batching", bo.Outcome)
 	}
 }

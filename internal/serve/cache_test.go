@@ -99,8 +99,11 @@ func TestCachedDifferentialAllAggregates(t *testing.T) {
 // tentpole exists for: query → hit → append → the very next lookup is a
 // miss answered with the fresh result → hit again → second append →
 // miss again. The epoch must invalidate exactly when a write lands —
-// no stale serve, and no gratuitous misses between writes.
+// no stale serve, and no gratuitous misses between writes. The query is
+// FACTS, which keeps no delta partials: its entry is invalidated, not
+// upgraded (the upgrade schedule is TestDeltaUpgrade*'s).
 func TestCacheInterleavedAppendInvalidation(t *testing.T) {
+	const factsQuery = `SELECT FACTS FROM patients`
 	s, _ := newTestServer(t, cacheLimits)
 	ctx := context.Background()
 
@@ -113,14 +116,14 @@ func TestCacheInterleavedAppendInvalidation(t *testing.T) {
 	m, _ := s.cat.Get("patients")
 	lows := m.Dimension(casestudy.DimDiagnosis).Category(casestudy.CatLowLevel)
 
-	r1, out, err := s.ServeQuery(ctx, groupQuery)
+	r1, out, err := s.ServeQuery(ctx, factsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.CacheHit {
 		t.Fatal("first lookup hit")
 	}
-	r2, out, err := s.ServeQuery(ctx, groupQuery)
+	r2, out, err := s.ServeQuery(ctx, factsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +141,14 @@ func TestCacheInterleavedAppendInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		res, out, err := s.ServeQuery(ctx, groupQuery)
+		res, out, err := s.ServeQuery(ctx, factsQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if out.CacheHit {
 			t.Fatalf("append %d: lookup after AppendFact hit — stale serve", i)
 		}
-		fresh, err := query.Exec(groupQuery, s.cat.Snapshot(), testRef)
+		fresh, err := query.Exec(factsQuery, s.cat.Snapshot(), testRef)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +157,7 @@ func TestCacheInterleavedAppendInvalidation(t *testing.T) {
 			t.Fatalf("append %d: result did not change — the schedule is not observing the write", i)
 		}
 
-		again, out, err := s.ServeQuery(ctx, groupQuery)
+		again, out, err := s.ServeQuery(ctx, factsQuery)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,14 +12,13 @@ import (
 	"mddm/internal/query"
 )
 
-// This file is the serving half of delta-merge incremental maintenance
-// (Limits.DeltaMaintenance). With it on, a result-cache fill through the
-// planner also captures the query's mergeable per-group partials
-// (plan.Capture), and a later lookup that misses only because facts were
-// appended — same catalog generation, an epoch gap the engine's journal
-// can resolve — is answered by folding just the appended fact range and
-// merging into the cached partials (plan.UpgradeResult), instead of
-// recomputing from scratch. The repaired entry is swapped in under the
+// This file is the serving half of delta-merge incremental maintenance,
+// which every result cache runs. A result-cache fill also captures the
+// query's mergeable per-group partials (plan.Capture), and a later lookup
+// that misses only because facts were appended — same catalog generation,
+// an epoch gap the engine's journal can resolve — is answered by folding
+// just the appended fact range and merging into the cached partials
+// (plan.UpgradeResult), instead of recomputing from scratch. The repaired entry is swapped in under the
 // current version (cache.Upgrade), so sustained appends keep the entry
 // warm: every upgrade is work proportional to the append volume, not to
 // history.
@@ -64,13 +63,6 @@ var (
 type cachedResult struct {
 	res   *query.Result
 	parts *plan.Partials
-}
-
-// deltaEnabled reports whether delta maintenance is active: it requires
-// the result cache (something to upgrade) and the planner (the capture
-// and fold live on the planned path).
-func (s *Server) deltaEnabled() bool {
-	return s.limits.DeltaMaintenance && s.results != nil && s.limits.Planner
 }
 
 // tryUpgrade attempts to answer a missed lookup by delta-merging a

@@ -18,9 +18,9 @@ import (
 	"mddm/internal/segment"
 )
 
-// deltaLimits is the standard delta-maintenance configuration: result
-// cache + planner + delta, nothing else in the way.
-var deltaLimits = Limits{ResultCacheBytes: 4 << 20, Planner: true, DeltaMaintenance: true}
+// deltaLimits is the standard delta-maintenance configuration: a result
+// cache, nothing else in the way.
+var deltaLimits = Limits{ResultCacheBytes: 4 << 20}
 
 // deltaAppender returns a closure that relates-and-appends n fresh facts
 // to the server's "patients" MO — each with one low-level diagnosis and
@@ -320,7 +320,7 @@ func TestDeltaOverFreshFillStaysPlain(t *testing.T) {
 }
 
 // TestDeltaStaleOnShedInterplay is the staleness-interplay pin: with
-// both StaleOnShed and DeltaMaintenance on, an upgradeable entry shed
+// StaleOnShed on, an upgradeable entry shed
 // under overload must be answered FRESH by the delta merge — never
 // degraded-stale — while a plain (partial-less) entry under the same
 // overload still takes the degraded path with its warning, and the
@@ -332,8 +332,6 @@ func TestDeltaStaleOnShedInterplay(t *testing.T) {
 	limits.Admission.TenantRate = 1000
 	limits.Admission.TenantBurst = 1000
 	limits.StaleOnShed = time.Minute
-	limits.Planner = true
-	limits.DeltaMaintenance = true
 	s, _ := newTestServer(t, limits)
 	grow := deltaAppender(t, s, "dshed")
 	ctx := context.Background()
@@ -393,33 +391,6 @@ func TestDeltaStaleOnShedInterplay(t *testing.T) {
 	}
 	if st.Hits != st0.Hits {
 		t.Errorf("hits moved %d -> %d: upgrades must be counted distinctly from hits", st0.Hits, st.Hits)
-	}
-}
-
-// TestDeltaOffShedDegradesStale is the control for the interplay: same
-// overload, DeltaMaintenance off — the stale entry is served degraded.
-func TestDeltaOffShedDegradesStale(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	limits := admissionLimits()
-	limits.Admission.TenantRate = 1000
-	limits.Admission.TenantBurst = 1000
-	limits.StaleOnShed = time.Minute
-	limits.Planner = true
-	s, _ := newTestServer(t, limits)
-	grow := deltaAppender(t, s, "dctrl")
-	ctx := context.Background()
-
-	if _, out, err := s.ServeQuery(ctx, groupQuery); err != nil || out.CacheHit {
-		t.Fatalf("fill: %+v %v", out, err)
-	}
-	grow(1)
-	faultinject.Enable(faultinject.QuotaExhausted, nil)
-	_, out, err := s.ServeQuery(ctx, groupQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.DegradedStale || out.Upgraded {
-		t.Fatalf("outcome %+v, want DegradedStale with delta off", out)
 	}
 }
 

@@ -31,7 +31,7 @@ type queryResponse struct {
 	Warnings     []string          `json:"warnings,omitempty"`
 	Trace        *obs.TraceSummary `json:"trace,omitempty"`
 	// Plan is the planner's explain output, present with ?plan=1 on a
-	// server running with Limits.Planner.
+	// computed answer.
 	Plan *plan.Explain `json:"plan,omitempty"`
 }
 
@@ -50,9 +50,8 @@ type errorResponse struct {
 //	                      When the result cache is enabled the response carries
 //	                      X-Mddm-Cache: hit|miss (bypass for &nocache=1;
 //	                      hit-upgraded for a stale entry repaired by a delta
-//	                      merge under Limits.DeltaMaintenance; stale
-//	                      plus X-Mddm-Degraded: stale-on-shed for a degraded
-//	                      answer served under overload). With Limits.Batching
+//	                      merge; stale plus X-Mddm-Degraded: stale-on-shed
+//	                      for a degraded answer served under overload). With Limits.Batching
 //	                      computed answers also carry X-Mddm-Batch:
 //	                      solo|leader|member; answers that never reached the
 //	                      planner (cache hits, upgrades, degraded serves,
@@ -71,9 +70,9 @@ type errorResponse struct {
 //
 // Failures map to status codes by kind: malformed requests and query
 // errors are 400, resource limits and admission sheds 429 (sheds carry
-// Retry-After; 503 while draining for shutdown), cancellation/deadline
-// 504, and recovered panics 500 — the process never dies for a bad
-// query.
+// Retry-After; 503 while draining for shutdown), an engine that could not
+// be built 503 with Retry-After, cancellation/deadline 504, and recovered
+// panics 500 — the process never dies for a bad query.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -187,7 +186,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		nocache = on
 	}
 	// Batch-outcome sink: filled only when the query actually executes
-	// through the batch-enabled planner branch, so the X-Mddm-Batch header
+	// through the batch scheduler's stage, so the X-Mddm-Batch header
 	// appears exactly on computed answers. Header precedence is pinned by
 	// TestBatchHeaderPrecedence and documented in docs/TRAFFIC.md: answers
 	// that never reach the planner — cache hits, delta upgrades,
@@ -215,9 +214,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case out.Upgraded:
 		// A version-stale entry answered fresh after a delta merge folded
-		// the appended facts in (Limits.DeltaMaintenance): a hit for
-		// freshness purposes, distinguished so clients can see the
-		// maintenance machinery working.
+		// the appended facts in: a hit for freshness purposes,
+		// distinguished so clients can see the maintenance machinery
+		// working.
 		cacheHeader = "hit-upgraded"
 	case out.CacheHit:
 		cacheHeader = "hit"
@@ -241,8 +240,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ex != nil && ex.Mode == "" {
-		// The planner never ran (cache hit, or the server is not running
-		// with Limits.Planner): no plan to report.
+		// The planner never ran (a cache hit): no plan to report.
 		ex = nil
 	}
 	writeJSON(w, http.StatusOK, queryResponse{
@@ -269,6 +267,8 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrResourceExhausted):
 		return http.StatusTooManyRequests
+	case errors.Is(err, ErrUnavailable):
+		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrCanceled):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, ErrInternal):
@@ -294,11 +294,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	// Sheds carry the controller's capacity estimate as Retry-After
-	// (whole seconds, rounded up — "0" would mean "hammer me again").
+	// (whole seconds, rounded up — "0" would mean "hammer me again"); an
+	// unavailable engine is rebuilt by the next query, so retry soon.
 	var oe *admission.OverloadError
 	if errors.As(err, &oe) && oe.RetryAfter > 0 {
 		secs := int64((oe.RetryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	} else if errors.Is(err, ErrUnavailable) {
+		w.Header().Set("Retry-After", "1")
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -98,8 +98,8 @@ func TestQueryEndpointErrorEnvelopes(t *testing.T) {
 }
 
 // TestQueryTraceOptIn drives ?trace=1 end to end: the response carries a
-// trace summary whose spans cover the parse and aggregate stages, and
-// untraced requests carry none.
+// trace summary whose span covers the planned query, and untraced requests
+// carry none.
 func TestQueryTraceOptIn(t *testing.T) {
 	ts := httpServer(t, Limits{})
 	resp, err := http.Get(ts.URL + "/query?trace=1&q=" + url.QueryEscape(groupQuery))
@@ -130,10 +130,8 @@ func TestQueryTraceOptIn(t *testing.T) {
 			t.Errorf("span %s has negative duration", sp.Name)
 		}
 	}
-	for _, want := range []string{"query.parse", "algebra.aggregate"} {
-		if !seen[want] {
-			t.Errorf("trace has no %s span (spans: %v)", want, seen)
-		}
+	if !seen["plan.query"] {
+		t.Errorf("trace has no plan.query span (spans: %v)", seen)
 	}
 	if qr.Trace.Attrs["rows"] == 0 {
 		t.Errorf("trace attrs missing rows: %v", qr.Trace.Attrs)

@@ -64,7 +64,8 @@ func classifyError(err error) {
 		mErrExhausted.Inc()
 	case errors.Is(err, ErrCanceled):
 		mErrCanceled.Inc()
-	case errors.Is(err, ErrInternal):
+	case errors.Is(err, ErrInternal), errors.Is(err, ErrUnavailable):
+		// A failed engine build is the server's fault, not the query's.
 		mErrInternal.Inc()
 	default:
 		mErrBad.Inc()

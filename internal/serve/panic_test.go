@@ -34,7 +34,7 @@ func TestScanPanicBecomesInternalError(t *testing.T) {
 		{"batched", true, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			limits := Limits{Planner: true, ColumnMinValues: 1}
+			limits := Limits{ColumnMinValues: 1}
 			if tc.batched {
 				limits.Batching = batch.Config{Enabled: true, GatherWindow: 200 * time.Millisecond}
 			}

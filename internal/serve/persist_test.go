@@ -140,14 +140,15 @@ func TestAttachStoreRecoveryDifferential(t *testing.T) {
 // TestServerAppendInvalidatesCache pins that a durable append through
 // the attached store carries the same epoch-bump invalidation contract
 // as an in-memory append: fill → hit → append → miss with the fresh
-// answer.
+// answer. FACTS keeps no delta partials, so the entry is invalidated, not
+// upgraded (TestDeltaDurableRestartCoherence pins the upgrade).
 func TestServerAppendInvalidatesCache(t *testing.T) {
 	st := openStore(t, t.TempDir(), segment.Options{})
 	defer st.Close()
 	s := attachedServer(t, st, cacheLimits)
 	recs := storeRecords(t, st, 2)
 
-	src := `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Group"`
+	src := `SELECT FACTS FROM patients`
 	ctx := context.Background()
 	if _, out, err := s.ServeQuery(ctx, src); err != nil || out.CacheHit {
 		t.Fatalf("fill: hit=%v err=%v", out.CacheHit, err)

@@ -16,13 +16,12 @@ import (
 	"mddm/internal/temporal"
 )
 
-// pipelineCase is one query of the matrix: what the planner must report
-// for it when it computes (shape or fallback reason) and whether its
-// cached entry carries the partials a delta upgrade needs.
+// pipelineCase is one query of the matrix: the shape the planner must
+// report for it when it computes and whether its cached entry carries the
+// partials a delta upgrade needs.
 type pipelineCase struct {
 	src         string
-	shape       string // planned shape; "" for fallbacks and errors
-	reason      string // fallback reason; "" for planned shapes and errors
+	shape       string // planned shape; "" for errors
 	batchable   bool   // joins the scheduler (leader) instead of running solo
 	upgradeable bool
 	fails       bool // errors on every path, with the algebra's text
@@ -62,7 +61,7 @@ var pipelineCases = []pipelineCase{
 	{src: `SELECT AVG(Age) AS A FROM patients WHERE Age >= 30 GROUP BY Diagnosis."Diagnosis Family" HAVING >= 0 ORDER BY A DESC LIMIT 5`,
 		shape: plan.ShapeGroupFold, batchable: true, upgradeable: true},
 	{src: `SELECT SUM(Age) FROM patients GROUP BY Diagnosis."Diagnosis Group", Residence`, shape: plan.ShapeCross},
-	{src: `DESCRIBE patients Diagnosis`, reason: plan.ReasonDescribe},
+	{src: `DESCRIBE patients Diagnosis`, shape: plan.ShapeDescribe},
 	// timeslice: a fact valid at the instant appears, one valid later does not.
 	{src: asofQuery, shape: plan.ShapeKernelCount, batchable: true, grown: &grownFact{"3", validFrom("01/01/70"), true}},
 	{src: asofQuery, shape: plan.ShapeKernelCount, batchable: true, grown: &grownFact{"3", validFrom("01/01/90"), false}},
@@ -79,21 +78,19 @@ var pipelineCases = []pipelineCase{
 }
 
 // TestPipelineMatrix runs the product the feature suites each cover one
-// factor of: every configuration mdserve accepts of {planner} × {result
-// cache} × {delta} × {batch} × {admission}, every plan shape and every
-// query-expressible fallback reason, each through ServeQuery as a miss, a
-// repeat, and a lookup after one appended fact — for the context-view rows
-// a fact chosen to be seen, or not, under the query's context. Every answer
-// must equal the algebra's on the same MO — rows, summarizability verdict
-// and reasons, error text — and the reported outcome (cache, batch, plan
-// shape) must be the one the configuration implies.
+// factor of: every configuration mdserve can express of {result cache} ×
+// {batch} × {admission}, every plan shape, each through ServeQuery as a
+// miss, a repeat, and a lookup after one appended fact — for the
+// context-view rows a fact chosen to be seen, or not, under the query's
+// context. Every answer must equal the algebra's on the same MO — rows,
+// summarizability verdict and reasons, error text — and the reported
+// outcome (cache, batch, plan shape) must be the one the configuration
+// implies. Every query is planned and a cache is always delta-maintained;
+// the subtest names spell both out.
 func TestPipelineMatrix(t *testing.T) {
-	for bits := 0; bits < 1<<5; bits++ {
-		planner, cached, delta, batched, admitted := bits&1 != 0, bits&2 != 0, bits&4 != 0, bits&8 != 0, bits&16 != 0
-		if delta && !(planner && cached) || batched && !planner {
-			continue // mdserve rejects these at start-up
-		}
-		limits := Limits{Planner: planner, DeltaMaintenance: delta}
+	for bits := 0; bits < 1<<3; bits++ {
+		cached, batched, admitted := bits&1 != 0, bits&2 != 0, bits&4 != 0
+		var limits Limits
 		if cached {
 			limits.ResultCacheBytes = 4 << 20
 		}
@@ -103,7 +100,7 @@ func TestPipelineMatrix(t *testing.T) {
 		if admitted {
 			limits.Admission = admission.Config{MaxConcurrency: 2, TargetLatency: time.Second, MaxQueue: 4}
 		}
-		name := fmt.Sprintf("planner=%v/cache=%v/delta=%v/batch=%v/admission=%v", planner, cached, delta, batched, admitted)
+		name := fmt.Sprintf("planner=true/cache=%v/delta=%v/batch=%v/admission=%v", cached, cached, batched, admitted)
 		t.Run(name, func(t *testing.T) {
 			for _, pc := range pipelineCases {
 				runPipelineCase(t, limits, pc)
@@ -130,8 +127,8 @@ func runPipelineCase(t *testing.T, limits Limits, pc pipelineCase) {
 		{"miss", QueryOutcome{}},
 		{"repeat", QueryOutcome{CacheHit: cached}},
 		{"after append", QueryOutcome{
-			CacheHit: cached && limits.DeltaMaintenance && pc.upgradeable,
-			Upgraded: cached && limits.DeltaMaintenance && pc.upgradeable,
+			CacheHit: cached && pc.upgradeable,
+			Upgraded: cached && pc.upgradeable,
 		}},
 	}
 	for i, round := range rounds {
@@ -164,18 +161,15 @@ func runPipelineCase(t *testing.T, limits Limits, pc pipelineCase) {
 			t.Fatalf("%s: reasons/warnings %v %v, algebra %v %v", label, got.Reasons, got.Warnings, want.Reasons, want.Warnings)
 		}
 		// What computed the answer: nothing on a hit or an upgrade, the
-		// planner (with the expected shape or fallback reason) otherwise, the
-		// scheduler only for a batchable shape.
+		// planner (with the expected shape) otherwise, the scheduler only for
+		// a batchable shape.
 		computed := !out.CacheHit
 		wantEx := plan.Explain{}
-		if computed && limits.Planner {
+		if computed {
 			wantEx = plan.Explain{Mode: plan.ModePlanned, Shape: pc.shape}
-			if pc.reason != "" {
-				wantEx = plan.Explain{Mode: plan.ModeFallback, Reason: pc.reason}
-			}
 		}
-		if ex.Mode != wantEx.Mode || ex.Shape != wantEx.Shape || ex.Reason != wantEx.Reason {
-			t.Fatalf("%s: plan %+v, want mode/shape/reason of %+v", label, *ex, wantEx)
+		if ex.Mode != wantEx.Mode || ex.Shape != wantEx.Shape {
+			t.Fatalf("%s: plan %+v, want mode/shape of %+v", label, *ex, wantEx)
 		}
 		wantBatch := batch.Outcome("")
 		if computed && limits.Batching.Enabled {

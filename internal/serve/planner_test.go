@@ -19,13 +19,12 @@ import (
 	"mddm/internal/storage"
 )
 
-// TestPlannerServerParity runs the same queries through a planner server
-// and a plain algebra server and requires identical responses — the
-// serving-layer leg of the differential oracle (the package-level legs
-// live in internal/plan).
+// TestPlannerServerParity runs the same queries through a server and
+// through the algebra on the server's catalog and requires identical
+// responses — the serving-layer leg of the differential oracle (the
+// package-level legs live in internal/plan).
 func TestPlannerServerParity(t *testing.T) {
-	planned, _ := newTestServer(t, Limits{Planner: true})
-	algebra, _ := newTestServer(t, Limits{})
+	planned, cat := newTestServer(t, Limits{})
 	for _, src := range []string{
 		groupQuery,
 		`SELECT SETCOUNT(*) FROM patients`,
@@ -38,9 +37,9 @@ func TestPlannerServerParity(t *testing.T) {
 		`SELECT SETCOUNT(*) FROM nowhere`,
 	} {
 		r1, err1 := planned.Query(context.Background(), src)
-		r2, err2 := algebra.Query(context.Background(), src)
+		r2, err2 := query.ExecContext(context.Background(), src, cat.Snapshot(), testRef)
 		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%s: planner server err %v, algebra server err %v", src, err1, err2)
+			t.Fatalf("%s: server err %v, algebra err %v", src, err1, err2)
 		}
 		if err1 != nil {
 			if err1.Error() != err2.Error() {
@@ -54,11 +53,11 @@ func TestPlannerServerParity(t *testing.T) {
 	}
 }
 
-// TestPlannerExplainHTTP pins the ?plan=1 wire format: a planner server
-// reports the chosen plan, a fallback query reports its reason, and a
-// server without the planner omits the field entirely.
+// TestPlannerExplainHTTP pins the ?plan=1 wire format: a computed answer
+// reports the chosen plan, DESCRIBE included, and without ?plan= the field
+// stays off the wire.
 func TestPlannerExplainHTTP(t *testing.T) {
-	s, _ := newTestServer(t, Limits{Planner: true})
+	s, _ := newTestServer(t, Limits{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
@@ -96,8 +95,8 @@ func TestPlannerExplainHTTP(t *testing.T) {
 	if code != http.StatusOK || qr.Plan == nil {
 		t.Fatalf("status %d plan %+v, want OK with a plan", code, qr.Plan)
 	}
-	if qr.Plan.Mode != plan.ModeFallback || qr.Plan.Reason != plan.ReasonDescribe {
-		t.Fatalf("plan %+v, want fallback/describe", qr.Plan)
+	if qr.Plan.Mode != plan.ModePlanned || qr.Plan.Shape != plan.ShapeDescribe {
+		t.Fatalf("plan %+v, want planned/describe", qr.Plan)
 	}
 
 	// Without ?plan= the field stays off the wire.
@@ -110,23 +109,13 @@ func TestPlannerExplainHTTP(t *testing.T) {
 	if _, code = get(ts.URL + "/query?plan=maybe&q=" + url.QueryEscape(groupQuery)); code != http.StatusBadRequest {
 		t.Fatalf("status %d for plan=maybe, want 400", code)
 	}
-
-	// A server without the planner accepts ?plan=1 but has nothing to
-	// report — the knob degrades gracefully instead of erroring.
-	plain, _ := newTestServer(t, Limits{})
-	tsp := httptest.NewServer(plain.Handler())
-	t.Cleanup(tsp.Close)
-	qr, code = get(tsp.URL + "/query?plan=1&q=" + url.QueryEscape(groupQuery))
-	if code != http.StatusOK || qr.Plan != nil {
-		t.Fatalf("status %d plan %+v, want OK without a plan on a non-planner server", code, qr.Plan)
-	}
 }
 
-// TestPlannerResultCacheCompatible: planned and algebra execution share
-// the canonical cache key, so a planner server's cache entries behave
-// exactly like an algebra server's — fill on miss, hit on repeat.
+// TestPlannerResultCacheCompatible: planned results are keyed by the
+// canonical form of the query text, so canonically equal queries share one
+// entry — fill on miss, hit on repeat.
 func TestPlannerResultCacheCompatible(t *testing.T) {
-	s, _ := newTestServer(t, Limits{Planner: true, ResultCacheBytes: 1 << 20})
+	s, _ := newTestServer(t, Limits{ResultCacheBytes: 1 << 20})
 	ctx := context.Background()
 	// Resolve the engine first: building it during the first fill would
 	// move the result version from the "no engine" sentinel (one benign
@@ -165,7 +154,7 @@ func TestPlannerRaceUnderLoad(t *testing.T) {
 	if err := cat.Register("patients", m); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(cat, Limits{Planner: true, MaxFactsScanned: 1 << 20, ColumnMinValues: 8}, testRef)
+	s := NewServer(cat, Limits{MaxFactsScanned: 1 << 20, ColumnMinValues: 8}, testRef)
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())
 	mux.Handle("/metrics", s.MetricsHandler())
@@ -227,8 +216,8 @@ func TestPlannerRaceUnderLoad(t *testing.T) {
 
 	// A context-view querier: resolving, indexing and scanning views races
 	// with the appender dropping them and the registrar replacing their
-	// base; every other request is a DESCRIBE, which keeps the algebra path
-	// and its counters in the race.
+	// base; every fourth request is a DESCRIBE, which reads the schema
+	// without an engine.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -252,7 +241,7 @@ func TestPlannerRaceUnderLoad(t *testing.T) {
 				fail("view query %s: status %d err %v", src, resp.StatusCode, err)
 				return
 			}
-			if describe := i%len(views) == 3; describe != (qr.Plan.Mode == plan.ModeFallback) || describe == (qr.Plan.View != "") {
+			if describe := i%len(views) == 3; qr.Plan.Mode != plan.ModePlanned || describe != (qr.Plan.Shape == plan.ShapeDescribe) || describe == (qr.Plan.View != "") {
 				fail("view query %s: plan %+v", src, qr.Plan)
 				return
 			}

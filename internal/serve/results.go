@@ -30,12 +30,12 @@ import (
 // under the pre-write version, which no post-write lookup accepts.
 // Entries can be over-fresh and die young; they are never stale.
 //
-// With Limits.DeltaMaintenance, a version mismatch caused only by
-// appended facts is repaired instead of recomputed: the entry carries
-// the query's mergeable partials and a delta fold over just the appended
-// range makes it current again (delta.go). Over-fresh entries are the
-// one thing that must NOT carry partials — the fill below attaches them
-// only when the version did not move during computation.
+// A version mismatch caused only by appended facts is repaired instead of
+// recomputed (delta maintenance): the entry carries the query's mergeable
+// partials and a delta fold over just the appended range makes it current
+// again (delta.go). Over-fresh entries are the one thing that must NOT
+// carry partials — the fill below attaches them only when the version did
+// not move during computation.
 
 // ResultCacheEnabled reports whether the server was built with a result
 // cache (Limits.ResultCacheBytes > 0).
@@ -52,9 +52,9 @@ func (s *Server) ResultCacheStats() cache.Stats {
 }
 
 // resultVersion snapshots the named MO's freshness identity. Epoch is 0
-// until an engine exists (algebra-only traffic never builds one); the
-// first EngineFor then moves the version, costing one spurious
-// refill — engine construction changes no data — but never a stale hit.
+// until an engine exists; the first EngineFor then moves the version,
+// costing one spurious refill — engine construction changes no data — but
+// never a stale hit (ServeQuery builds first to avoid even that).
 func (s *Server) resultVersion(name string) cache.Version {
 	v := cache.Version{Gen: s.cat.Gen(name)}
 	s.mu.Lock()
@@ -77,9 +77,9 @@ type QueryOutcome struct {
 	CacheHit bool
 	// Upgraded: the entry was version-stale but carried mergeable
 	// partials, and the answer was produced by folding only the facts
-	// appended since the entry's version and merging (delta maintenance,
-	// Limits.DeltaMaintenance). CacheHit is also set: the result is fresh
-	// and served from cache-resident state, not recomputed.
+	// appended since the entry's version and merging (delta maintenance).
+	// CacheHit is also set: the result is fresh and served from
+	// cache-resident state, not recomputed.
 	Upgraded bool
 	// DegradedStale: the query was shed by admission control and
 	// answered from a version-stale cache entry within the
@@ -123,14 +123,14 @@ func (s *Server) ServeQuery(ctx context.Context, src string) (*query.Result, Que
 		return res, QueryOutcome{}, err
 	}
 	ver := s.resultVersion(mo)
-	if ver.Epoch == 0 && s.limits.Planner {
+	if ver.Epoch == 0 {
 		// Cold start: no engine yet, so the version lacks its epoch half. A
 		// fill now would build the engine mid-computation, move the version,
 		// and store a doomed entry (and the over-fresh guard would rightly
 		// withhold its partials). Build the engine first — the fill pays
 		// that cost anyway — and re-read the version so the first fill is
-		// cacheable and upgradeable. An unknown MO falls through to Query's
-		// canonical error.
+		// cacheable and upgradeable. An unknown MO or a failed build falls
+		// through to Query, which reports it as the query's error.
 		if _, err := s.EngineFor(ctx, mo); err == nil {
 			ver = s.resultVersion(mo)
 		}
@@ -145,18 +145,12 @@ func (s *Server) ServeQuery(ctx context.Context, src string) (*query.Result, Que
 	// folding only the appended facts (delta.go). This runs ahead of the
 	// single-flight and the degraded stale path: an entry a delta merge
 	// can answer fresh must never be served degraded-stale instead.
-	if s.deltaEnabled() {
-		if res, out, err, handled := s.tryUpgrade(ctx, key, mo, ver); handled {
-			return res, out, err
-		}
+	if res, out, err, handled := s.tryUpgrade(ctx, key, mo, ver); handled {
+		return res, out, err
 	}
 	obs.TraceFrom(ctx).SetAttr("cache_hit", 0)
 	v, err := s.flights.Do(flightKey(key, ver), func() (any, error) {
-		fctx := ctx
-		var cp *plan.Capture
-		if s.deltaEnabled() {
-			fctx, cp = plan.WithCapture(fctx)
-		}
+		fctx, cp := plan.WithCapture(ctx)
 		res, err := s.Query(fctx, src)
 		if err != nil {
 			// Errors are not cached: transient failures (timeouts,
@@ -164,7 +158,7 @@ func (s *Server) ServeQuery(ctx context.Context, src string) (*query.Result, Que
 			return nil, err
 		}
 		entry := &cachedResult{res: res}
-		if cp != nil && cp.Partials != nil && s.resultVersion(mo) == ver {
+		if cp.Partials != nil && s.resultVersion(mo) == ver {
 			// The partials are attached only when no write raced the
 			// computation: an over-fresh result stored under the pre-write
 			// version is harmless as a plain entry (it dies at its next

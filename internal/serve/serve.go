@@ -2,11 +2,12 @@
 // copy-on-write catalog of MOs, a single-flight engine cache, and one
 // query pipeline — ServeQuery (result cache, delta upgrade, single-flight)
 // in front of Query (limits, admission, panic isolation, planner, batch
-// scheduler, row cap) — whose stages are each a no-op when unconfigured.
-// It is what turns the single-shot research pipeline (parse → algebra →
-// render) into something that can sit behind an HTTP listener and survive
-// bad inputs, slow queries, and rebuild failures without taking the
-// process down. See docs/SERVING.md.
+// scheduler, row cap) — whose optional stages are each a no-op when
+// unconfigured. Every query is planned (internal/plan); the algebra is the
+// oracle the tests compare against, never a served path. It is what turns
+// the single-shot research pipeline into something that can sit behind an
+// HTTP listener and survive bad inputs, slow queries, and rebuild failures
+// without taking the process down. See docs/SERVING.md.
 package serve
 
 import (
@@ -35,6 +36,10 @@ var (
 	// layer. Match with errors.Is; the concrete *InternalError carries the
 	// query text and stack.
 	ErrInternal = errors.New("serve: internal error")
+	// ErrUnavailable reports a query whose MO has no engine: the build
+	// failed (a fault, or an MO the engine rejects). The query did not run;
+	// a retry rebuilds. Maps to HTTP 503 with Retry-After.
+	ErrUnavailable = errors.New("serve: engine unavailable")
 )
 
 // InternalError is a recovered panic from query execution: the process
@@ -84,8 +89,12 @@ type Limits struct {
 	// results are validated at lookup against the MO's registration
 	// generation and its engine's mutation epoch, so re-registrations and
 	// appended facts invalidate by version comparison — a stale result is
-	// never served. Zero disables caching; ServeQuery is then exactly
-	// Query. A cache hit charges no fact budget (the computation it
+	// never served. The cache is delta-maintained: a lookup that misses
+	// only because facts were appended is answered by folding just the
+	// appended range into the entry's partials (delta.go), and an upgrade
+	// that is not sound takes the recompute path, counted in
+	// mddm_delta_fallbacks_total. Zero disables caching; ServeQuery is then
+	// exactly Query. A cache hit charges no fact budget (the computation it
 	// replaces already charged it once); see docs/SERVING.md.
 	ResultCacheBytes int64
 	// Admission, when its MaxConcurrency is positive, installs the
@@ -102,33 +111,19 @@ type Limits struct {
 	// — with a warning attached, instead of a 429. Zero means shed
 	// requests always get the overload error. Requires ResultCacheBytes.
 	StaleOnShed time.Duration
-	// Planner routes queries through the columnar planner
-	// (internal/plan): selection, grouping, and aggregation run over the
-	// engine's bitmap indexes and kernels without materializing a result
-	// MO, and operators needing full MO semantics (probabilistic,
-	// timeslice, probability thresholds) fall back to the algebra path. Results, error texts, and cache keys are identical on
-	// either path — only wall-clock and allocations change. See
-	// docs/PLANNER.md.
+	// Deprecated: ignored — every query runs through the planner; kept
+	// only because bench/ sets it (ROADMAP item 1).
 	Planner bool
-	// DeltaMaintenance keeps cached results warm under sustained appends:
-	// result-cache fills through the planner retain mergeable per-group
-	// partials, and a lookup that misses only because
-	// facts were appended is answered by folding just the appended fact
-	// range and merging — work proportional to the append volume, not to
-	// history. Requires Planner and ResultCacheBytes (it is inert without
-	// them); when an upgrade is not sound (catalog re-registration, epoch
-	// outside the engine's journal, non-mergeable shape) the query takes
-	// the normal recompute path and the fallback reason is counted in
-	// mddm_delta_fallbacks_total. See docs/STORAGE.md "Delta maintenance".
+	// Deprecated: ignored — a result cache is always delta-maintained; kept
+	// only because bench/ sets it (ROADMAP item 1).
 	DeltaMaintenance bool
 	// Batching, when Enabled, installs the shared-scan batch scheduler
 	// (internal/batch) between admission and the planner: concurrent
 	// queries grouping over the same (engine, dimension, category) leg
 	// are gathered for a short window and answered from one fused pass
 	// over the characterization column, bit-identical to solo execution
-	// (budget accounting and fallbacks included). Non-batchable shapes
-	// (facts, global, cross, fallbacks) bypass transparently. Requires
-	// Planner (inert without it); the gather window adapts to the
+	// (budget accounting included). Non-batchable shapes (describe, facts,
+	// global, cross) bypass transparently. The gather window adapts to the
 	// admission controller's load signals when Admission is also
 	// configured. See docs/TRAFFIC.md.
 	Batching batch.Config

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -11,8 +15,8 @@ import (
 	"mddm/internal/casestudy"
 	"mddm/internal/core"
 	"mddm/internal/faultinject"
-	"mddm/internal/obs"
 	"mddm/internal/plan"
+	"mddm/internal/qos"
 	"mddm/internal/query"
 	"mddm/internal/temporal"
 )
@@ -136,22 +140,19 @@ func TestMaxResultRowsLimit(t *testing.T) {
 }
 
 // TestFactsLimitUnderRowCap pins LIMIT on SELECT FACTS being applied
-// before the row cap is checked, on the algebra path and the planner: the
-// two-fact MO answers a LIMIT within a one-row cap and is still refused
-// without one.
+// before the row cap is checked: the two-fact MO answers a LIMIT within a
+// one-row cap and is still refused without one.
 func TestFactsLimitUnderRowCap(t *testing.T) {
-	for _, planner := range []bool{false, true} {
-		s, _ := newTestServer(t, Limits{MaxResultRows: 1, Planner: planner})
-		res, err := s.Query(context.Background(), `SELECT FACTS FROM patients LIMIT 1`)
-		if err != nil {
-			t.Fatalf("planner=%v: LIMIT within the cap: %v", planner, err)
-		}
-		if len(res.Rows) != 1 {
-			t.Fatalf("planner=%v: %d rows, want 1", planner, len(res.Rows))
-		}
-		if _, err := s.Query(context.Background(), `SELECT FACTS FROM patients`); !errors.Is(err, ErrResourceExhausted) {
-			t.Fatalf("planner=%v: unlimited FACTS over the cap: got %v, want ErrResourceExhausted", planner, err)
-		}
+	s, _ := newTestServer(t, Limits{MaxResultRows: 1})
+	res, err := s.Query(context.Background(), `SELECT FACTS FROM patients LIMIT 1`)
+	if err != nil {
+		t.Fatalf("LIMIT within the cap: %v", err)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("%d rows, want 1", len(res.Rows))
+	}
+	if _, err := s.Query(context.Background(), `SELECT FACTS FROM patients`); !errors.Is(err, ErrResourceExhausted) {
+		t.Fatalf("unlimited FACTS over the cap: got %v, want ErrResourceExhausted", err)
 	}
 }
 
@@ -202,15 +203,17 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestEngineBuildFailureDegradesToAlgebra is the degrade that remains:
-// after the catalog entry is replaced, a forced engine-build failure must
-// not take queries down and must not serve the old MO either — every
-// query answers from the algebra on the NEW registration, counted once as
-// an engine-unavailable fallback, and planned mode resumes when the fault
-// clears.
-func TestEngineBuildFailureDegradesToAlgebra(t *testing.T) {
+// TestEngineBuildFailureIs503 pins what a failed engine build does: after
+// the catalog entry is replaced and its build forced to fail, every query
+// on it — uncached, through the cache, over HTTP — fails with
+// ErrUnavailable, which is a 503 with Retry-After. Nothing is cached, the
+// old MO's engine is never served, and planned answers on the NEW
+// registration resume once the fault clears.
+func TestEngineBuildFailureIs503(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	s, cat := newTestServer(t, Limits{Planner: true, ResultCacheBytes: 1 << 20, DeltaMaintenance: true})
+	s, cat := newTestServer(t, Limits{ResultCacheBytes: 1 << 20})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 	ctx := context.Background()
 	if _, _, err := s.ServeQuery(ctx, groupQuery); err != nil {
 		t.Fatal(err)
@@ -231,41 +234,62 @@ func TestEngineBuildFailureDegradesToAlgebra(t *testing.T) {
 	}
 	faultinject.Enable(faultinject.EngineBuild, errors.New("disk on fire"))
 
-	// Registration is idempotent: this is the planner's own counter.
-	unavailable := obs.NewCounter("mddm_plan_fallbacks_total", "",
-		obs.Label{Key: "reason", Value: plan.ReasonEngineUnavailable})
-	fallbacks := unavailable.Value()
 	for i := 0; i < 3; i++ {
-		ectx, ex := plan.WithExplain(ctx)
-		// ?nocache=1's path: every call computes, so every call must degrade.
-		got, err := s.Query(ectx, groupQuery)
-		if err != nil {
-			t.Fatalf("degraded call %d must not error: %v", i, err)
+		// ?nocache=1's path: every call computes, so every call must fail.
+		if _, err := s.Query(ctx, groupQuery); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("call %d: err %v, want ErrUnavailable", i, err)
 		}
-		sameResult(t, fmt.Sprintf("degraded call %d vs algebra on the new MO", i), got, want)
-		if ex.Mode != plan.ModeFallback || ex.Reason != plan.ReasonEngineUnavailable {
-			t.Fatalf("call %d: plan %+v, want fallback/engine-unavailable", i, ex)
-		}
-		if d := unavailable.Value() - fallbacks; d != int64(i+1) {
-			t.Fatalf("call %d: %d engine-unavailable fallbacks counted, want %d", i, d, i+1)
+		if _, out, err := s.ServeQuery(ctx, groupQuery); !errors.Is(err, ErrUnavailable) || out != (QueryOutcome{}) {
+			t.Fatalf("cached call %d: outcome %+v err %v, want ErrUnavailable and no outcome", i, out, err)
 		}
 	}
-	got, out, err := s.ServeQuery(ctx, groupQuery)
-	if err != nil || out.CacheHit {
-		t.Fatalf("ServeQuery under the fault: hit=%v err=%v, want a computed answer", out.CacheHit, err)
+	resp, body := getWithHeaders(t, ts, "/query?q="+url.QueryEscape(groupQuery), nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("HTTP: status %d Retry-After %q (%s), want 503 with Retry-After 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
 	}
-	sameResult(t, "ServeQuery under the fault vs algebra on the new MO", got, want)
+	if st := s.ResultCacheStats(); st.Entries != 0 {
+		t.Fatalf("cache holds %d entries under the fault, want none", st.Entries)
+	}
 
-	// Recovery: the fault clears, the engine builds, planned mode resumes.
+	// Recovery: the fault clears, the engine builds, planned answers on the
+	// new MO resume.
 	faultinject.Disable(faultinject.EngineBuild)
 	ectx, ex := plan.WithExplain(ctx)
-	got, err = s.Query(ectx, groupQuery)
+	got, out, err := s.ServeQuery(ectx, groupQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "recovered vs algebra", got, want)
-	if ex.Mode != plan.ModePlanned {
-		t.Fatalf("recovered plan %+v, want planned", ex)
+	sameResult(t, "recovered vs algebra on the new MO", got, want)
+	if out.CacheHit || ex.Mode != plan.ModePlanned {
+		t.Fatalf("recovered: outcome %+v plan %+v, want a planned computation", out, ex)
+	}
+}
+
+// TestEngineBuildBudgetUncharged pins that an engine build spends nothing
+// of the fact budget of the query that triggers it: on an MO with five
+// times more fact–dimension pairs than MaxFactsScanned, a global count,
+// whose own scan fits the budget, answers on the call that builds the
+// engine and on the one that reuses it — one build for both.
+func TestEngineBuildBudgetUncharged(t *testing.T) {
+	cfg := casestudy.DefaultGen()
+	cfg.Patients = 2000
+	cat := NewCatalog()
+	if err := cat.Register("gen", casestudy.MustGenerate(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(cat, Limits{MaxFactsScanned: 3000}, testRef)
+	for i := 0; i < 2; i++ {
+		res, err := s.Query(context.Background(), `SELECT SETCOUNT(*) FROM gen`)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if want := [][]string{{"2000"}}; !reflect.DeepEqual(res.Rows, want) {
+			t.Fatalf("call %d: rows %v, want %v", i, res.Rows, want)
+		}
+	}
+	if got := s.Stats().Rebuilds; got != 1 {
+		t.Fatalf("%d engine builds, want 1", got)
 	}
 }
 
@@ -291,9 +315,53 @@ func TestCanceledBuildPropagatesInsteadOfDegrading(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := s.EngineFor(ctx, "patients")
-	if !errors.Is(err, ErrCanceled) {
+	if !errors.Is(err, ErrCanceled) || errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
+}
+
+// TestCanceledSharedBuildRetries pins that a caller waiting on another
+// caller's engine build never inherits that caller's cancellation: when
+// the shared build ends canceled, a waiter whose own context is live
+// builds again and gets the engine.
+func TestCanceledSharedBuildRetries(t *testing.T) {
+	s, _ := newTestServer(t, Limits{})
+	e := s.entry("patients")
+	b := &buildState{done: make(chan struct{})}
+	e.mu.Lock()
+	e.inflight = b
+	e.mu.Unlock()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	// The moment the waiter starts waiting on the build in flight, that
+	// build ends with its leader's own cancellation, as a leader ends it.
+	ctx := &doneHook{Context: context.Background(), hook: func() {
+		b.err = fmt.Errorf("storage: engine build: %w", qos.Canceled(canceled))
+		e.mu.Lock()
+		e.inflight = nil
+		e.mu.Unlock()
+		close(b.done)
+	}}
+	eng, err := s.EngineFor(ctx, "patients")
+	if err != nil || eng == nil {
+		t.Fatalf("waiter: engine %v err %v, want its own build", eng, err)
+	}
+	if n := s.Stats().Rebuilds; n != 1 {
+		t.Fatalf("%d builds, want the waiter's one", n)
+	}
+}
+
+// doneHook is a context whose first Done call runs hook: a test's handle
+// on the moment a caller starts waiting on it.
+type doneHook struct {
+	context.Context
+	once sync.Once
+	hook func()
+}
+
+func (c *doneHook) Done() <-chan struct{} {
+	c.once.Do(c.hook)
+	return c.Context.Done()
 }
 
 func TestSingleFlightBuild(t *testing.T) {

@@ -54,7 +54,7 @@ type Server struct {
 	adm *admission.Controller
 
 	// batcher is the shared-scan batch scheduler (nil unless
-	// Limits.Batching.Enabled and Limits.Planner); see batch.go.
+	// Limits.Batching.Enabled); see batch.go.
 	batcher *batch.Scheduler
 
 	queries        atomic.Int64
@@ -80,7 +80,7 @@ func NewServer(cat *Catalog, limits Limits, ref temporal.Chronon) *Server {
 	if limits.Admission.MaxConcurrency > 0 {
 		s.adm = admission.New(limits.Admission)
 	}
-	if limits.Batching.Enabled && limits.Planner {
+	if limits.Batching.Enabled {
 		// The admission controller doubles as the scheduler's load signal
 		// (nil adm: fixed window).
 		var sig batch.Signals
@@ -159,13 +159,12 @@ func (s *Server) AdmissionStats() admission.Stats {
 
 // Query is the pipeline's compute stage — limits → admit → track/recover
 // → prepare → (batch | execute) → row cap — run against the current
-// catalog snapshot. Each stage is a no-op when its Limits field is unset:
-// the deadline (Timeout) and fact budget (MaxFactsScanned) are installed
-// into the context before admission, the planner prepares the query
-// (without Limits.Planner the algebra executes it), the batch scheduler
-// fuses one-leg aggregates, and MaxResultRows is enforced on the result. A
-// panic anywhere in the query path is recovered into an *InternalError
-// rather than crashing the process.
+// catalog snapshot. Each optional stage is a no-op when its Limits field is
+// unset: the deadline (Timeout) and fact budget (MaxFactsScanned) are
+// installed into the context before admission, the planner prepares the
+// query, the batch scheduler fuses one-leg aggregates, and MaxResultRows is
+// enforced on the result. A panic anywhere in the query path is recovered
+// into an *InternalError rather than crashing the process.
 func (s *Server) Query(ctx context.Context, src string) (res *query.Result, err error) {
 	s.queries.Add(1)
 	mQueries.Inc()
@@ -207,16 +206,12 @@ func (s *Server) Query(ctx context.Context, src string) (res *query.Result, err 
 	if ferr := faultinject.Check(faultinject.QueryExec); ferr != nil {
 		return nil, fmt.Errorf("serve: query: %w", ferr)
 	}
-	if !s.limits.Planner {
-		res, err = query.ExecContext(ctx, src, s.cat.Snapshot(), s.ref)
-	} else {
-		// The server itself is the engine resolver, so the planner reads the
-		// warmed, version-checked snapshots EngineFor hands out; an
-		// unresolvable engine falls back to the algebra inside the planner.
-		var p *plan.Prepared
-		if p, err = plan.PrepareContext(ctx, src, s.cat.Snapshot(), s.ref, s); err == nil {
-			res, err = s.execute(ctx, p)
-		}
+	// The server itself is the engine resolver, so the planner reads the
+	// warmed, version-checked snapshots EngineFor hands out; an engine that
+	// cannot be built fails the query with EngineFor's error.
+	var p *plan.Prepared
+	if p, err = plan.PrepareContext(ctx, src, s.cat.Snapshot(), s.ref, s); err == nil {
+		res, err = s.execute(ctx, p)
 	}
 	var sp *batch.ScanPanic
 	if errors.As(err, &sp) {
@@ -273,12 +268,13 @@ func (s *Server) entry(name string) *engineEntry {
 // (single-flight: concurrent callers share one build) when the catalog's
 // MO pointer differs from the cached engine's, and never hands out an
 // engine built from anything but the registered MO: a failed build is an
-// error (the planner then answers from the algebra, counted as an
-// engine-unavailable fallback), and the caller's own cancellation
-// propagates as ErrCanceled. This is also the sanctioned append flow:
-// mutate the registered MO (e.g. core.MO.Relate), then call AppendFact on
-// this engine — the epoch bump invalidates every cached result computed
-// before the append.
+// ErrUnavailable error, which fails the query that needed the engine, and
+// the caller's own cancellation propagates as ErrCanceled. A caller whose
+// context is live never inherits another caller's cancellation: when the
+// shared build it waited on was canceled, it builds again. This is also
+// the sanctioned append flow: mutate the registered MO (e.g.
+// core.MO.Relate), then call AppendFact on this engine — the epoch bump
+// invalidates every cached result computed before the append.
 func (s *Server) EngineFor(ctx context.Context, name string) (*storage.Engine, error) {
 	m, ok := s.cat.Get(name)
 	if !ok {
@@ -298,6 +294,11 @@ func (s *Server) EngineFor(ctx context.Context, name string) (*storage.Engine, e
 		case <-b.done:
 		case <-ctx.Done():
 			return nil, fmt.Errorf("serve: %w", qos.Canceled(ctx))
+		}
+		if errors.Is(b.err, qos.ErrCanceled) && ctx.Err() == nil {
+			// The leader's own cancellation ended the shared build; this
+			// caller's context is live, so it builds again.
+			return s.EngineFor(ctx, name)
 		}
 	} else {
 		b = &buildState{done: make(chan struct{})}
@@ -320,8 +321,11 @@ func (s *Server) EngineFor(ctx context.Context, name string) (*storage.Engine, e
 		e.mu.Unlock()
 		close(b.done)
 	}
-	if b.err != nil {
+	switch {
+	case b.err == nil:
+		return b.engine, nil
+	case errors.Is(b.err, qos.ErrCanceled):
 		return nil, fmt.Errorf("serve: engine build: %w", b.err)
 	}
-	return b.engine, nil
+	return nil, fmt.Errorf("%w: %w", ErrUnavailable, b.err)
 }

@@ -113,7 +113,9 @@ func (e *UnknownFactError) Is(target error) bool { return target == ErrUnknownFa
 // the cancellation-aware, validating constructor: the pair scan checks
 // ctx cooperatively, every fact–dimension pair must reference a known
 // fact identity (returning an UnknownFactError otherwise), and the
-// faultinject.EngineBuild point is honored for robustness tests.
+// faultinject.EngineBuild point is honored for robustness tests. The scan
+// charges no fact budget: the engine is a shared, memoized index, not the
+// scan of the query whose context happens to trigger its build.
 func BuildEngine(ctx context.Context, m *core.MO, ectx dimension.Context) (*Engine, error) {
 	if err := faultinject.Check(faultinject.EngineBuild); err != nil {
 		return nil, fmt.Errorf("storage: engine build: %w", err)
@@ -137,7 +139,7 @@ func BuildEngine(ctx context.Context, m *core.MO, ectx dimension.Context) (*Engi
 		di := &dimIndex{direct: map[string]*Bitmap{}, closure: map[string]*Bitmap{}}
 		r := m.Relation(name)
 		for _, p := range r.Pairs() {
-			if err := g.Facts(1); err != nil {
+			if err := g.Check(); err != nil {
 				return nil, fmt.Errorf("storage: engine build: %w", err)
 			}
 			i, known := e.idx[p.FactID]

@@ -15,11 +15,10 @@ func newPatientMO() (*core.MO, error) {
 	return casestudy.BuildPatientMO(casestudy.DefaultOptions())
 }
 
-// batchedLimits mirrors the mdserve -planner -batch configuration the
-// committed mixes are written against.
+// batchedLimits mirrors the mdserve -batch configuration the committed
+// mixes are written against.
 func batchedLimits() serve.Limits {
 	return serve.Limits{
-		Planner:          true,
 		ResultCacheBytes: 1 << 20,
 		Batching: batch.Config{
 			Enabled:      true,
