@@ -1,6 +1,7 @@
 package casestudy
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -231,6 +232,33 @@ func TestGenerate(t *testing.T) {
 	bad.FamilyFan = 0
 	if _, err := Generate(bad); err == nil {
 		t.Error("zero fan-out must be rejected")
+	}
+}
+
+// generateBytesPerFact is the live-heap budget of a generated MO: about
+// 25 % above the ≈ 0.92 KB per fact the per-fact relation slices and the
+// shared all-time element measure at 10 k patients.
+const generateBytesPerFact = 1150
+
+// TestGenerateHeapBudget gates the served MO's memory on allocation, not
+// on the host: the heap a generated MO keeps live, per fact, stays within
+// budget.
+func TestGenerateHeapBudget(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	cfg := DefaultGen()
+	cfg.Patients = 10000
+	before := heap()
+	m := MustGenerate(cfg)
+	perFact := float64(heap()-before) / float64(cfg.Patients)
+	runtime.KeepAlive(m)
+	t.Logf("Generate keeps %.0f B per fact live", perFact)
+	if perFact > generateBytesPerFact {
+		t.Errorf("Generate keeps %.0f B per fact live, budget %d", perFact, generateBytesPerFact)
 	}
 }
 

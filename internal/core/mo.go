@@ -146,7 +146,7 @@ func (m *MO) EnsureTotal() {
 	for _, name := range m.schema.DimensionNames() {
 		r := m.rels[name]
 		for _, id := range m.facts.IDs() {
-			if len(r.ValuesOf(id)) == 0 {
+			if r.ValuesLen(id) == 0 {
 				r.Add(id, dimension.TopValue)
 			}
 		}
@@ -163,16 +163,24 @@ func (m *MO) Validate() error {
 		if d == nil || r == nil {
 			return fmt.Errorf("core: dimension %q missing instance or relation", name)
 		}
-		for _, p := range r.Pairs() {
-			if !m.facts.Has(p.FactID) {
-				return fmt.Errorf("core: relation %q references unknown fact %q", name, p.FactID)
+		// The walk is unordered; the error names the first offending pair
+		// in (fact, value) order all the same.
+		var bad *fact.Pair
+		r.Range(func(f, v string, _ dimension.Annot) bool {
+			if (!m.facts.Has(f) || !d.Has(v)) &&
+				(bad == nil || f < bad.FactID || (f == bad.FactID && v < bad.ValueID)) {
+				bad = &fact.Pair{FactID: f, ValueID: v}
 			}
-			if !d.Has(p.ValueID) {
-				return fmt.Errorf("core: relation %q references unknown value %q", name, p.ValueID)
+			return true
+		})
+		if bad != nil {
+			if !m.facts.Has(bad.FactID) {
+				return fmt.Errorf("core: relation %q references unknown fact %q", name, bad.FactID)
 			}
+			return fmt.Errorf("core: relation %q references unknown value %q", name, bad.ValueID)
 		}
 		for _, id := range m.facts.IDs() {
-			if len(r.ValuesOf(id)) == 0 {
+			if r.ValuesLen(id) == 0 {
 				return fmt.Errorf("core: fact %q has no value in dimension %q (add (f,⊤) for unknown)", id, name)
 			}
 		}

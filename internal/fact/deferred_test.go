@@ -25,12 +25,12 @@ func deferredTwin(t *testing.T, ran *int) *Relation {
 	t.Helper()
 	return NewRelationDeferred(3, func(r *Relation) {
 		*ran++
-		r.AdoptPairs("f1", map[string]dimension.Annot{"a": dimension.Always(), "b": dimension.Always()})
-		r.AdoptPairs("f2", map[string]dimension.Annot{"a": dimension.Always()})
-		r.AdoptPairs("f3", map[string]dimension.Annot{"c": {
+		r.AdoptPairs("f1", []Entry{{"a", dimension.Always()}, {"b", dimension.Always()}})
+		r.AdoptPairs("f2", []Entry{{"a", dimension.Always()}})
+		r.AdoptPairs("f3", []Entry{{"c", dimension.Annot{
 			Time: temporal.Bitemporal{Valid: temporal.Single(0, 10), Trans: temporal.AlwaysElement()},
 			Prob: 0.5,
-		}})
+		}}})
 	})
 }
 
@@ -53,17 +53,29 @@ func TestDeferredRelationEquivalence(t *testing.T) {
 	// Exhaust the accessor surface on a fresh deferred instance each time,
 	// so every method proves it materializes on its own.
 	accessors := map[string]func(r *Relation) bool{
-		"ValuesLen":   func(r *Relation) bool { return r.ValuesLen("f1") == 2 },
-		"RangeValues": func(r *Relation) bool { n := 0; r.RangeValues("f1", func(string, dimension.Annot) bool { n++; return true }); return n == 2 },
-		"Annot":       func(r *Relation) bool { a, ok := r.Annot("f3", "c"); return ok && a.Prob == 0.5 },
-		"Has":         func(r *Relation) bool { return r.Has("f2", "a") && !r.Has("f2", "b") },
-		"ValuesOf":    func(r *Relation) bool { v := r.ValuesOf("f1"); return len(v) == 2 && v[0] == "a" },
-		"FactsOf":     func(r *Relation) bool { f := r.FactsOf("a"); return len(f) == 2 && f[0] == "f1" },
-		"Facts":       func(r *Relation) bool { return len(r.Facts()) == 3 },
-		"Len":         func(r *Relation) bool { return r.Len() == 4 },
-		"Pairs":       func(r *Relation) bool { return len(r.Pairs()) == 4 },
-		"Restrict":    func(r *Relation) bool { return r.Restrict(func(f string) bool { return f == "f1" }).Len() == 2 },
-		"Clone":       func(r *Relation) bool { return r.Clone().Len() == 4 },
+		"ValuesLen": func(r *Relation) bool { return r.ValuesLen("f1") == 2 },
+		"RangeValues": func(r *Relation) bool {
+			n := 0
+			r.RangeValues("f1", func(string, dimension.Annot) bool { n++; return true })
+			return n == 2
+		},
+		"Annot":    func(r *Relation) bool { a, ok := r.Annot("f3", "c"); return ok && a.Prob == 0.5 },
+		"Has":      func(r *Relation) bool { return r.Has("f2", "a") && !r.Has("f2", "b") },
+		"ValuesOf": func(r *Relation) bool { v := r.ValuesOf("f1"); return len(v) == 2 && v[0] == "a" },
+		"FactsOf":  func(r *Relation) bool { f := r.FactsOf("a"); return len(f) == 2 && f[0] == "f1" },
+		"Facts":    func(r *Relation) bool { return len(r.Facts()) == 3 },
+		"Len":      func(r *Relation) bool { return r.Len() == 4 },
+		"Pairs":    func(r *Relation) bool { return len(r.Pairs()) == 4 },
+		"Restrict": func(r *Relation) bool { return r.Restrict(func(f string) bool { return f == "f1" }).Len() == 2 },
+		"Clone":    func(r *Relation) bool { return r.Clone().Len() == 4 },
+		"Range": func(r *Relation) bool {
+			n := 0
+			r.Range(func(string, string, dimension.Annot) bool { n++; return true })
+			return n == 4
+		},
+		"SliceValid": func(r *Relation) bool { return r.SliceValid(5, 100).Len() == 4 && r.SliceValid(50, 100).Len() == 3 },
+		"SliceTrans": func(r *Relation) bool { return r.SliceTrans(5, 100).Len() == 4 },
+		"FilterProb": func(r *Relation) bool { return r.FilterProb(0).Len() == 4 && r.FilterProb(0.6).Len() == 3 },
 	}
 	for name, probe := range accessors {
 		ran := 0
@@ -117,18 +129,18 @@ func TestDeferredRelationMutators(t *testing.T) {
 // fallback when the fact already exists.
 func TestAdoptPairsSemantics(t *testing.T) {
 	r := NewRelation()
-	r.AdoptPairs("f1", map[string]dimension.Annot{})
+	r.AdoptPairs("f1", nil)
 	if r.Len() != 0 {
 		t.Fatal("empty adopt must be a no-op")
 	}
-	r.AdoptPairs("f1", map[string]dimension.Annot{"a": {Time: dimension.Always().Time, Prob: 0.4}})
+	r.AdoptPairs("f1", []Entry{{"a", dimension.Always().WithProb(0.4)}})
 	if r.Len() != 1 {
 		t.Fatal("adopt did not record the pair")
 	}
 	// Adopting into an existing fact coalesces instead of clobbering.
-	r.AdoptPairs("f1", map[string]dimension.Annot{
-		"a": {Time: dimension.Always().Time, Prob: 0.7},
-		"b": dimension.Always(),
+	r.AdoptPairs("f1", []Entry{
+		{"a", dimension.Always().WithProb(0.7)},
+		{"b", dimension.Always()},
 	})
 	if r.Len() != 2 {
 		t.Fatalf("len after re-adopt = %d", r.Len())
@@ -140,9 +152,8 @@ func TestAdoptPairsSemantics(t *testing.T) {
 	if got := r.FactsOf("b"); len(got) != 1 || got[0] != "f1" {
 		t.Fatalf("postings after adopt: %v", got)
 	}
-	// A reader between adopts sees a consistent index even though the
-	// staleness flag cycles.
-	r.AdoptPairs("f2", map[string]dimension.Annot{"b": dimension.Always()})
+	// Postings built by a reader are maintained by later adopts.
+	r.AdoptPairs("f2", []Entry{{"b", dimension.Always()}})
 	if got := r.FactsOf("b"); len(got) != 2 {
 		t.Fatalf("postings after second adopt: %v", got)
 	}
@@ -163,5 +174,28 @@ func TestSetGrow(t *testing.T) {
 	s.Add(NewFact("c"))
 	if s.Len() != 3 {
 		t.Fatal("add after grow broken")
+	}
+}
+
+// TestRelationReadsAllocateNothing gates the hot accessors on work, not
+// wall clock: the walks, the point lookups and a coalescing re-add of an
+// existing all-time pair allocate nothing.
+func TestRelationReadsAllocateNothing(t *testing.T) {
+	r := eagerTwin()
+	always := dimension.Always()
+	n := 0
+	for name, op := range map[string]func(){
+		"Range":       func() { r.Range(func(string, string, dimension.Annot) bool { n++; return true }) },
+		"RangeValues": func() { r.RangeValues("f1", func(string, dimension.Annot) bool { n++; return true }) },
+		"Has":         func() { _ = r.Has("f1", "b") },
+		"Annot":       func() { _, _ = r.Annot("f3", "c") },
+		"AddAnnot":    func() { r.AddAnnot("f1", "b", always) },
+	} {
+		if got := testing.AllocsPerRun(100, op); got != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, got)
+		}
+	}
+	if r.Len() != 4 {
+		t.Fatalf("re-adds changed the relation: len %d", r.Len())
 	}
 }

@@ -1,6 +1,7 @@
 package fact
 
 import (
+	"slices"
 	"sort"
 
 	"mddm/internal/dimension"
@@ -14,47 +15,55 @@ type Pair struct {
 	Annot   dimension.Annot
 }
 
+// Entry is one (value, annotation) of a fact's slice in a relation: the
+// fact-less half of a Pair.
+type Entry struct {
+	ValueID string
+	Annot   dimension.Annot
+}
+
 // Relation is a fact–dimension relation R between a fact set and a
 // dimension: a set of annotated (fact, value) pairs. A fact may be related
 // to any number of values, at any granularity — the relation captures the
 // many-to-many relationships and mixed granularities of requirement 6
 // and 9. Duplicate (fact, value) pairs coalesce their chronon sets.
+//
+// Each fact holds its values as a small unordered slice without
+// duplicates: a fact has one to three values per dimension, so a linear
+// scan beats a per-fact map and costs a fraction of its memory. The
+// value→facts postings FactsOf reads exist only once something asks for
+// them.
 type Relation struct {
-	pairs  map[string]map[string]dimension.Annot // fact -> value -> annot
-	byVal  map[string]map[string]bool            // value -> facts
+	pairs  map[string][]Entry // fact -> its values, unordered
 	nPairs int
-	// byValStale defers the value→facts postings after a bulk load:
-	// AdoptPairs skips them and the first reader rebuilds the whole index
-	// from pairs in one pass. Readers go through materializeByVal.
-	byValStale bool
+	// byVal holds the value→facts postings. It is nil until the first
+	// FactsOf builds it from pairs in one pass, and maintained by every
+	// mutator from then on.
+	byVal map[string]map[string]bool
 	// fill, when non-nil, holds a deferred bulk load (NewRelationDeferred):
-	// the pair maps do not exist yet and the first access of any kind runs
+	// the pairs do not exist yet and the first access of any kind runs
 	// fill to build them. Every public method materializes first.
 	fill func(*Relation)
 }
 
 // NewRelation returns an empty fact–dimension relation.
 func NewRelation() *Relation {
-	return &Relation{
-		pairs: map[string]map[string]dimension.Annot{},
-		byVal: map[string]map[string]bool{},
-	}
+	return &Relation{pairs: map[string][]Entry{}}
 }
 
 // NewRelationDeferred returns a relation whose contents arrive lazily:
 // fill runs exactly once, on the relation's first access of any kind,
 // and populates it through the normal mutators (typically AdoptPairs).
-// nFacts pre-sizes the pair map for the load. A restore can hand back a
-// model in O(decode) and let each relation pay its map-building cost
+// nFacts pre-sizes the pair map when the fill runs. A restore can hand
+// back a model in O(decode) and let each relation pay its build cost
 // when — and only when — something actually reads or writes it; an
 // engine serving queries from bitmaps and columns may never touch the
 // relation at all.
 func NewRelationDeferred(nFacts int, fill func(*Relation)) *Relation {
-	return &Relation{
-		pairs: make(map[string]map[string]dimension.Annot, nFacts),
-		byVal: map[string]map[string]bool{},
-		fill:  fill,
-	}
+	return &Relation{fill: func(r *Relation) {
+		r.pairs = make(map[string][]Entry, nFacts)
+		fill(r)
+	}}
 }
 
 // materialize runs a pending deferred fill. Clearing fill first makes
@@ -68,48 +77,50 @@ func (r *Relation) materialize() {
 	fill(r)
 }
 
-// AdoptPairs records every (factID, value) pair of vals at once, taking
-// ownership of the map — the caller must not use it afterwards. For a
-// fact not yet in the relation this skips both the per-pair coalescing
-// walk AddAnnot does and the posting maintenance (deferred to the first
-// posting reader); a fact already present falls back to AddAnnot so the
-// coalescing semantics hold regardless.
-func (r *Relation) AdoptPairs(factID string, vals map[string]dimension.Annot) {
+// find returns the index of valueID in es, or -1.
+func find(es []Entry, valueID string) int {
+	for i := range es {
+		if es[i].ValueID == valueID {
+			return i
+		}
+	}
+	return -1
+}
+
+// post records (f, e) in the postings, if they are built.
+func (r *Relation) post(factID, valueID string) {
+	if r.byVal == nil {
+		return
+	}
+	fs := r.byVal[valueID]
+	if fs == nil {
+		fs = map[string]bool{}
+		r.byVal[valueID] = fs
+	}
+	fs[factID] = true
+}
+
+// AdoptPairs records every (factID, value) pair of es at once, taking
+// ownership of the slice — the caller must not use it afterwards, and it
+// must not repeat a value. For a fact not yet in the relation this skips
+// the per-pair coalescing walk AddAnnot does; a fact already present
+// falls back to AddAnnot so the coalescing semantics hold regardless.
+func (r *Relation) AdoptPairs(factID string, es []Entry) {
 	r.materialize()
-	if len(vals) == 0 {
+	if len(es) == 0 {
 		return
 	}
 	if _, exists := r.pairs[factID]; exists {
-		for v, a := range vals {
-			r.AddAnnot(factID, v, a)
+		for _, e := range es {
+			r.AddAnnot(factID, e.ValueID, e.Annot)
 		}
 		return
 	}
-	r.pairs[factID] = vals
-	r.nPairs += len(vals)
-	r.byValStale = true
-}
-
-// materializeByVal rebuilds the value→facts postings after AdoptPairs
-// deferred them. One pass over all pairs, so a bulk load pays for the
-// postings once at first use instead of per adopted fact — and not at
-// all if nothing ever reads them.
-func (r *Relation) materializeByVal() {
-	if !r.byValStale {
-		return
+	r.pairs[factID] = es
+	r.nPairs += len(es)
+	for _, e := range es {
+		r.post(factID, e.ValueID)
 	}
-	r.byVal = map[string]map[string]bool{}
-	for f, vs := range r.pairs {
-		for v := range vs {
-			fs := r.byVal[v]
-			if fs == nil {
-				fs = map[string]bool{}
-				r.byVal[v] = fs
-			}
-			fs[f] = true
-		}
-	}
-	r.byValStale = false
 }
 
 // ValuesLen returns the number of values directly related to a fact.
@@ -124,9 +135,23 @@ func (r *Relation) ValuesLen(factID string) int {
 // during the walk.
 func (r *Relation) RangeValues(factID string, fn func(valueID string, a dimension.Annot) bool) {
 	r.materialize()
-	for v, a := range r.pairs[factID] {
-		if !fn(v, a) {
+	for _, e := range r.pairs[factID] {
+		if !fn(e.ValueID, e.Annot) {
 			return
+		}
+	}
+}
+
+// Range calls fn for every pair of the relation, in unspecified order,
+// stopping early when fn returns false. Unlike Pairs it allocates
+// nothing; the relation must not be mutated during the walk.
+func (r *Relation) Range(fn func(factID, valueID string, a dimension.Annot) bool) {
+	r.materialize()
+	for f, es := range r.pairs {
+		for _, e := range es {
+			if !fn(f, e.ValueID, e.Annot) {
+				return
+			}
 		}
 	}
 }
@@ -141,45 +166,34 @@ func (r *Relation) Add(factID, valueID string) {
 // combine by max.
 func (r *Relation) AddAnnot(factID, valueID string, a dimension.Annot) {
 	r.materialize()
-	vs := r.pairs[factID]
-	if vs == nil {
-		vs = map[string]dimension.Annot{}
-		r.pairs[factID] = vs
-	}
-	if old, ok := vs[valueID]; ok {
-		p := old.Prob
-		if a.Prob > p {
-			p = a.Prob
-		}
-		vs[valueID] = dimension.Annot{Time: old.Time.Union(a.Time), Prob: p}
-	} else {
-		vs[valueID] = a
-		r.nPairs++
-	}
-	if r.byValStale {
-		// The postings are pending a full rebuild that will cover this
-		// pair too; maintaining the partial index would be wasted work.
+	es := r.pairs[factID]
+	if i := find(es, valueID); i >= 0 {
+		old := es[i].Annot
+		es[i].Annot = dimension.Annot{Time: old.Time.Union(a.Time), Prob: max(old.Prob, a.Prob)}
 		return
 	}
-	if r.byVal[valueID] == nil {
-		r.byVal[valueID] = map[string]bool{}
-	}
-	r.byVal[valueID][factID] = true
+	r.pairs[factID] = append(es, Entry{ValueID: valueID, Annot: a})
+	r.nPairs++
+	r.post(factID, valueID)
 }
 
 // Remove deletes the (fact, value) pair.
 func (r *Relation) Remove(factID, valueID string) {
 	r.materialize()
-	r.materializeByVal()
-	if vs, ok := r.pairs[factID]; ok {
-		if _, had := vs[valueID]; had {
-			delete(vs, valueID)
-			r.nPairs--
-			if len(vs) == 0 {
-				delete(r.pairs, factID)
-			}
-		}
+	es := r.pairs[factID]
+	i := find(es, valueID)
+	if i < 0 {
+		return
 	}
+	last := len(es) - 1
+	es[i] = es[last]
+	es[last] = Entry{} // drop the references the shortened slice still holds
+	if last == 0 {
+		delete(r.pairs, factID)
+	} else {
+		r.pairs[factID] = es[:last]
+	}
+	r.nPairs--
 	if fs, ok := r.byVal[valueID]; ok {
 		delete(fs, factID)
 		if len(fs) == 0 {
@@ -191,32 +205,43 @@ func (r *Relation) Remove(factID, valueID string) {
 // Annot returns the annotation of the pair (f, e) and whether it exists.
 func (r *Relation) Annot(factID, valueID string) (dimension.Annot, bool) {
 	r.materialize()
-	a, ok := r.pairs[factID][valueID]
-	return a, ok
+	es := r.pairs[factID]
+	if i := find(es, valueID); i >= 0 {
+		return es[i].Annot, true
+	}
+	return dimension.Annot{}, false
 }
 
 // Has reports whether (f, e) ∈ R for some annotation.
 func (r *Relation) Has(factID, valueID string) bool {
 	r.materialize()
-	_, ok := r.pairs[factID][valueID]
-	return ok
+	return find(r.pairs[factID], valueID) >= 0
 }
 
 // ValuesOf returns the sorted dimension values directly related to a fact.
 func (r *Relation) ValuesOf(factID string) []string {
 	r.materialize()
-	out := make([]string, 0, len(r.pairs[factID]))
-	for v := range r.pairs[factID] {
-		out = append(out, v)
+	es := r.pairs[factID]
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = e.ValueID
 	}
 	sort.Strings(out)
 	return out
 }
 
-// FactsOf returns the sorted facts directly related to a value.
+// FactsOf returns the sorted facts directly related to a value. The first
+// call builds the value→facts postings for the whole relation.
 func (r *Relation) FactsOf(valueID string) []string {
 	r.materialize()
-	r.materializeByVal()
+	if r.byVal == nil {
+		r.byVal = map[string]map[string]bool{}
+		for f, es := range r.pairs {
+			for _, e := range es {
+				r.post(f, e.ValueID)
+			}
+		}
+	}
 	out := make([]string, 0, len(r.byVal[valueID]))
 	for f := range r.byVal[valueID] {
 		out = append(out, f)
@@ -245,13 +270,11 @@ func (r *Relation) Len() int {
 // Pairs returns all pairs sorted by fact then value, for deterministic
 // iteration and rendering.
 func (r *Relation) Pairs() []Pair {
-	r.materialize()
-	out := make([]Pair, 0, r.nPairs)
-	for f, vs := range r.pairs {
-		for v, a := range vs {
-			out = append(out, Pair{FactID: f, ValueID: v, Annot: a})
-		}
-	}
+	out := make([]Pair, 0, r.Len())
+	r.Range(func(f, v string, a dimension.Annot) bool {
+		out = append(out, Pair{FactID: f, ValueID: v, Annot: a})
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].FactID != out[j].FactID {
 			return out[i].FactID < out[j].FactID
@@ -265,12 +288,10 @@ func (r *Relation) Pairs() []Pair {
 func (r *Relation) Restrict(keep func(factID string) bool) *Relation {
 	r.materialize()
 	n := NewRelation()
-	for f, vs := range r.pairs {
-		if !keep(f) {
-			continue
-		}
-		for v, a := range vs {
-			n.AddAnnot(f, v, a)
+	for f, es := range r.pairs {
+		if keep(f) {
+			n.pairs[f] = slices.Clone(es)
+			n.nPairs += len(es)
 		}
 	}
 	return n
@@ -280,44 +301,31 @@ func (r *Relation) Restrict(keep func(factID string) bool) *Relation {
 // paper's temporal union rule: (f,e) ∈T1 R1 ∧ (f,e) ∈T2 R2 ⇒
 // (f,e) ∈T1∪T2 R'.
 func (r *Relation) Union(o *Relation) *Relation {
-	o.materialize()
 	n := r.Clone()
-	for f, vs := range o.pairs {
-		for v, a := range vs {
-			n.AddAnnot(f, v, a)
-		}
-	}
+	o.Range(func(f, v string, a dimension.Annot) bool {
+		n.AddAnnot(f, v, a)
+		return true
+	})
 	return n
 }
 
 // Clone returns a deep copy of the relation.
 func (r *Relation) Clone() *Relation {
-	r.materialize()
-	n := NewRelation()
-	for f, vs := range r.pairs {
-		for v, a := range vs {
-			n.AddAnnot(f, v, a)
-		}
-	}
-	return n
+	return r.Restrict(func(string) bool { return true })
 }
 
 // Equal reports whether two relations hold the same pairs with equal
 // annotations.
 func (r *Relation) Equal(o *Relation) bool {
-	r.materialize()
-	o.materialize()
-	if r.nPairs != o.nPairs {
+	if r.Len() != o.Len() {
 		return false
 	}
-	for f, vs := range r.pairs {
-		for v, a := range vs {
-			b, ok := o.pairs[f][v]
-			if !ok || a.Prob != b.Prob ||
-				!a.Time.Valid.Equal(b.Time.Valid) || !a.Time.Trans.Equal(b.Time.Trans) {
-				return false
-			}
-		}
-	}
-	return true
+	eq := true
+	r.Range(func(f, v string, a dimension.Annot) bool {
+		b, ok := o.Annot(f, v)
+		eq = ok && a.Prob == b.Prob &&
+			a.Time.Valid.Equal(b.Time.Valid) && a.Time.Trans.Equal(b.Time.Trans)
+		return eq
+	})
+	return eq
 }

@@ -1,0 +1,347 @@
+package fact
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+
+	"mddm/internal/dimension"
+	"mddm/internal/temporal"
+)
+
+// refRelation is the reference model FuzzRelation checks Relation
+// against: the plain fact→value→annotation map with an eagerly maintained
+// value→facts reverse map.
+type refRelation struct {
+	pairs map[string]map[string]dimension.Annot
+	byVal map[string]map[string]bool
+}
+
+func newRef() *refRelation {
+	return &refRelation{pairs: map[string]map[string]dimension.Annot{}, byVal: map[string]map[string]bool{}}
+}
+
+// refUnion unions two elements by canonicalising the concatenation of
+// their intervals, independently of Element.Union's shortcuts.
+func refUnion(a, b temporal.Element) temporal.Element {
+	return temporal.NewElement(append(a.Intervals(), b.Intervals()...)...)
+}
+
+func (m *refRelation) add(f, v string, a dimension.Annot) {
+	vs := m.pairs[f]
+	if vs == nil {
+		vs = map[string]dimension.Annot{}
+		m.pairs[f] = vs
+	}
+	if old, ok := vs[v]; ok {
+		a = dimension.Annot{
+			Time: temporal.Bitemporal{Valid: refUnion(old.Time.Valid, a.Time.Valid), Trans: refUnion(old.Time.Trans, a.Time.Trans)},
+			Prob: max(old.Prob, a.Prob),
+		}
+	}
+	vs[v] = a
+	if m.byVal[v] == nil {
+		m.byVal[v] = map[string]bool{}
+	}
+	m.byVal[v][f] = true
+}
+
+func (m *refRelation) remove(f, v string) {
+	delete(m.pairs[f], v)
+	if len(m.pairs[f]) == 0 {
+		delete(m.pairs, f)
+	}
+	delete(m.byVal[v], f)
+	if len(m.byVal[v]) == 0 {
+		delete(m.byVal, v)
+	}
+}
+
+func (m *refRelation) clone() *refRelation {
+	n := newRef()
+	for f, vs := range m.pairs {
+		for v, a := range vs {
+			n.add(f, v, a)
+		}
+	}
+	return n
+}
+
+func (m *refRelation) len() int {
+	n := 0
+	for _, vs := range m.pairs {
+		n += len(vs)
+	}
+	return n
+}
+
+// sortedPairs renders the model the way Relation.Pairs must.
+func (m *refRelation) sortedPairs() []Pair {
+	var out []Pair
+	for f, vs := range m.pairs {
+		for v, a := range vs {
+			out = append(out, Pair{FactID: f, ValueID: v, Annot: a})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].FactID != out[j].FactID {
+			return out[i].FactID < out[j].FactID
+		}
+		return out[i].ValueID < out[j].ValueID
+	})
+	return out
+}
+
+// build returns an ordinary Relation holding the model's pairs.
+func (m *refRelation) build() *Relation {
+	r := NewRelation()
+	for f, vs := range m.pairs {
+		for v, a := range vs {
+			r.AddAnnot(f, v, a)
+		}
+	}
+	return r
+}
+
+func annotEqual(a, b dimension.Annot) bool {
+	return a.Prob == b.Prob && a.Time.Valid.Equal(b.Time.Valid) && a.Time.Trans.Equal(b.Time.Trans)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// The fuzz domain: four facts and four values, so operations collide, and
+// a fifth of each that the operations never touch, so absent lookups are
+// probed too.
+var (
+	fuzzFacts  = []string{"f0", "f1", "f2", "f3"}
+	fuzzValues = []string{"v0", "v1", "v2", "v3"}
+	probeFacts = append(append([]string(nil), fuzzFacts...), "fX")
+	probeVals  = append(append([]string(nil), fuzzValues...), "vX")
+	fuzzAnnots = []dimension.Annot{
+		dimension.Always(),
+		dimension.Always().WithProb(0.5),
+		dimension.ValidDuring(temporal.Single(0, 10)),
+		dimension.ValidDuring(temporal.Single(5, 20)).WithProb(0.3),
+		dimension.ValidDuring(temporal.Single(30, 40)),
+		{Time: temporal.TransOnly(temporal.NewElement(temporal.MustNewInterval(100, temporal.Now))), Prob: 0.8},
+	}
+)
+
+// unionOperand is the fixed right-hand side of the Union check: it
+// overlaps the fuzz domain on some pairs and extends it on others.
+func unionOperand() (*Relation, *refRelation) {
+	r, m := NewRelation(), newRef()
+	for _, p := range []struct {
+		f, v string
+		k    int
+	}{{"f0", "v0", 2}, {"f1", "v3", 3}, {"f9", "v9", 0}} {
+		r.AddAnnot(p.f, p.v, fuzzAnnots[p.k])
+		m.add(p.f, p.v, fuzzAnnots[p.k])
+	}
+	return r, m
+}
+
+// checkRelation compares every accessor of r with the model.
+func checkRelation(t *testing.T, step int, r *Relation, m *refRelation) {
+	t.Helper()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("step %d: %s", step, fmt.Sprintf(format, args...))
+	}
+	if r.Len() != m.len() {
+		fail("Len = %d, model %d", r.Len(), m.len())
+	}
+	for _, f := range probeFacts {
+		if r.ValuesLen(f) != len(m.pairs[f]) {
+			fail("ValuesLen(%s) = %d, model %d", f, r.ValuesLen(f), len(m.pairs[f]))
+		}
+		if got, want := r.ValuesOf(f), sortedKeys(m.pairs[f]); !slices.Equal(got, want) {
+			fail("ValuesOf(%s) = %v, model %v", f, got, want)
+		}
+		n := 0
+		r.RangeValues(f, func(v string, a dimension.Annot) bool {
+			n++
+			if b, ok := m.pairs[f][v]; !ok || !annotEqual(a, b) {
+				fail("RangeValues(%s) yields (%s, %v), model %v/%v", f, v, a, b, ok)
+			}
+			return true
+		})
+		if n != len(m.pairs[f]) {
+			fail("RangeValues(%s) yields %d values, model %d", f, n, len(m.pairs[f]))
+		}
+		for _, v := range probeVals {
+			want, inModel := m.pairs[f][v]
+			if r.Has(f, v) != inModel {
+				fail("Has(%s, %s) = %v, model %v", f, v, r.Has(f, v), inModel)
+			}
+			got, ok := r.Annot(f, v)
+			if ok != inModel || (ok && !annotEqual(got, want)) {
+				fail("Annot(%s, %s) = %v/%v, model %v/%v", f, v, got, ok, want, inModel)
+			}
+		}
+	}
+	if got, want := r.Facts(), sortedKeys(m.pairs); !slices.Equal(got, want) {
+		fail("Facts = %v, model %v", got, want)
+	}
+	got, want := r.Pairs(), m.sortedPairs()
+	if len(got) != len(want) {
+		fail("Pairs has %d, model %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].FactID != want[i].FactID || got[i].ValueID != want[i].ValueID || !annotEqual(got[i].Annot, want[i].Annot) {
+			fail("Pairs[%d] = %v, model %v", i, got[i], want[i])
+		}
+	}
+	seen := map[[2]string]bool{}
+	r.Range(func(f, v string, a dimension.Annot) bool {
+		if seen[[2]string{f, v}] {
+			fail("Range yields (%s, %s) twice", f, v)
+		}
+		seen[[2]string{f, v}] = true
+		if b, ok := m.pairs[f][v]; !ok || !annotEqual(a, b) {
+			fail("Range yields (%s, %s, %v), model %v/%v", f, v, a, b, ok)
+		}
+		return true
+	})
+	if len(seen) != m.len() {
+		fail("Range yields %d pairs, model %d", len(seen), m.len())
+	}
+	built := m.build()
+	if !r.Equal(built) || !built.Equal(r) {
+		fail("Equal to the model's relation is false")
+	}
+	if m.len() > 0 {
+		skew := m.clone()
+		p := m.sortedPairs()[0]
+		skew.remove(p.FactID, p.ValueID)
+		skew.add(p.FactID, p.ValueID, p.Annot.WithProb(p.Annot.Prob/2))
+		if r.Equal(skew.build()) {
+			fail("Equal ignores an annotation difference on (%s, %s)", p.FactID, p.ValueID)
+		}
+	}
+
+	// Clone is deep: coalescing into and extending the copy leaves r as
+	// it was. FactsOf on the copy checks postings built from scratch.
+	c := r.Clone()
+	if !c.Equal(built) {
+		fail("Clone differs from the model")
+	}
+	for _, v := range probeVals {
+		if got, want := c.FactsOf(v), sortedKeys(m.byVal[v]); !slices.Equal(got, want) {
+			fail("Clone().FactsOf(%s) = %v, model %v", v, got, want)
+		}
+	}
+	for _, p := range m.sortedPairs() {
+		c.AddAnnot(p.FactID, p.ValueID, dimension.ValidDuring(temporal.Single(-50, -40)))
+		c.AddAnnot(p.FactID, "vClone", dimension.Always())
+	}
+	if !r.Equal(built) {
+		fail("mutating a Clone changed the original")
+	}
+
+	keep := func(f string) bool { return f == "f0" || f == "f2" || f == "f9" }
+	rm := newRef()
+	for f, vs := range m.pairs {
+		if keep(f) {
+			for v, a := range vs {
+				rm.add(f, v, a)
+			}
+		}
+	}
+	rs := r.Restrict(keep)
+	if !rs.Equal(rm.build()) {
+		fail("Restrict differs from the model")
+	}
+	rs.Add("f0", "vRestrict")
+	if r.Has("f0", "vRestrict") {
+		fail("mutating a Restrict result changed the original")
+	}
+
+	o, om := unionOperand()
+	um := m.clone()
+	for f, vs := range om.pairs {
+		for v, a := range vs {
+			um.add(f, v, a)
+		}
+	}
+	if !r.Union(o).Equal(um.build()) {
+		fail("Union differs from the model")
+	}
+	if !r.Equal(built) {
+		fail("Union changed its receiver")
+	}
+}
+
+// FuzzRelation applies a decoded sequence of operations to a Relation
+// and to the reference model, comparing every accessor after each one.
+// Each operation takes four bytes: opcode, fact, value, and an argument
+// (an annotation index, or a value mask for AdoptPairs).
+func FuzzRelation(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 3, 0, 1, 0, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		r, m := NewRelation(), newRef()
+		const maxOps = 48
+		for step := 0; step+4 <= len(ops) && step/4 < maxOps; step += 4 {
+			op, fi, vi, arg := ops[step]%5, ops[step+1], ops[step+2], ops[step+3]
+			f, v := fuzzFacts[int(fi)%len(fuzzFacts)], fuzzValues[int(vi)%len(fuzzValues)]
+			a := fuzzAnnots[int(arg)%len(fuzzAnnots)]
+			switch op {
+			case 0: // AddAnnot, coalescing when the pair exists
+				r.AddAnnot(f, v, a)
+				m.add(f, v, a)
+			case 1: // Remove, possibly of an absent pair
+				r.Remove(f, v)
+				m.remove(f, v)
+			case 2: // AdoptPairs of the values in arg's low four bits
+				var es []Entry
+				for i, val := range fuzzValues {
+					if arg&(1<<i) != 0 {
+						ea := fuzzAnnots[(int(vi)+i)%len(fuzzAnnots)]
+						es = append(es, Entry{ValueID: val, Annot: ea})
+						m.add(f, val, ea)
+					}
+				}
+				r.AdoptPairs(f, es)
+			case 3: // Deferred fill: a fresh relation that adopts the
+				// model's pairs as windows of one shared slice, as a
+				// snapshot restore does. The next operation is the first
+				// access, so it is left unchecked until then.
+				var all []Entry
+				var lens []int
+				facts := sortedKeys(m.pairs)
+				for _, f := range facts {
+					for _, v := range sortedKeys(m.pairs[f]) {
+						all = append(all, Entry{ValueID: v, Annot: m.pairs[f][v]})
+					}
+					lens = append(lens, len(m.pairs[f]))
+				}
+				r = NewRelationDeferred(len(facts), func(r *Relation) {
+					p := 0
+					for i, f := range facts {
+						q := p + lens[i]
+						r.AdoptPairs(f, all[p:q:q])
+						p = q
+					}
+				})
+				continue
+			case 4: // FactsOf on the relation itself: builds its postings,
+				// which every later mutation must then maintain.
+				for _, v := range probeVals {
+					if got, want := r.FactsOf(v), sortedKeys(m.byVal[v]); !slices.Equal(got, want) {
+						t.Fatalf("step %d: FactsOf(%s) = %v, model %v", step/4, v, got, want)
+					}
+				}
+			}
+			checkRelation(t, step/4, r, m)
+		}
+		checkRelation(t, len(ops)/4, r, m)
+	})
+}

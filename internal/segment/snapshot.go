@@ -105,10 +105,39 @@ func encodeSnapshot(baseFP, seq uint64, m *core.MO, eng *storage.Engine) []byte 
 	return e.b
 }
 
+// adoptGroups decodes one dimension's ng pair groups, npairs pairs in
+// all, into r: one entry slab for the dimension, and a capacity-clamped
+// window of it adopted per fact. decodeSnapshot validated these bytes, so
+// a decode error here can only be a bug.
+func adoptGroups(r *fact.Relation, d *dec, ng, npairs int, vals, facts []string) {
+	must := func(err error) {
+		if err != nil {
+			panic(fmt.Sprintf("segment: validated snapshot groups fail to decode: %v", err))
+		}
+	}
+	ents := make([]fact.Entry, 0, npairs)
+	for g := 0; g < ng; g++ {
+		fi, err := d.u32()
+		must(err)
+		nvals, err := d.count(maxPairs, "snapshot pair")
+		must(err)
+		start := len(ents)
+		for j := 0; j < nvals; j++ {
+			vi, err := d.u32()
+			must(err)
+			a, err := d.annot()
+			must(err)
+			ents = append(ents, fact.Entry{ValueID: vals[vi], Annot: a})
+		}
+		r.AdoptPairs(facts[fi], ents[start:len(ents):len(ents)])
+	}
+}
+
 // decodeSnapshot validates and parses a snapshot image against the live
 // base MO and the opening context, building the direct bitmaps a restore
-// would install and deferred relations whose maps materialize on first
-// access. Every failure is a typed error and
+// would install and deferred relations that decode their pairs from b on
+// first access — b must not be modified afterwards. Every failure is a
+// typed error and
 // leaves m untouched — validation is complete before the caller applies
 // anything. Checks beyond the envelope (magic, version, fingerprint,
 // CRC-32C): the dimension sections must name the schema's dimensions in
@@ -162,6 +191,7 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 			ErrCorrupt, nf, baseLen, img.seq, uint64(baseLen)+img.seq)
 	}
 	img.facts = make([]string, nf)
+	img.appended = make([]string, 0, img.seq) // the check above bounds seq by nf
 	seen := make(map[string]struct{}, nf)
 	for i := range img.facts {
 		f, err := d.str()
@@ -231,18 +261,15 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 		if ng > nf {
 			return nil, fmt.Errorf("%w: snapshot dimension %q has %d groups over %d facts", ErrCorrupt, name, ng, nf)
 		}
-		// The groups decode into flat columnar slices, fully validated —
-		// and the relation's per-fact maps build lazily from them on first
-		// access. The bitmaps the engine serves from are derived eagerly
-		// here, so a restore that never touches the relation never builds
-		// its maps at all.
+		// The groups are validated and the bitmaps the engine serves from
+		// derived here; the relation's entries are decoded a second time,
+		// from the same bytes, only when something first accesses the
+		// relation. A restore that serves from bitmaps and columns never
+		// allocates them at all.
+		groups, npairs := d.off, 0
 		grouped := make([]bool, nf)
 		valSeen := make([]uint32, nv) // per-value marker: group index + 1
-		bms := map[string]*storage.Bitmap{}
-		gFact := make([]uint32, ng)
-		gLen := make([]uint32, ng)
-		pVal := make([]uint32, 0, 2*ng)
-		pAnn := make([]dimension.Annot, 0, 2*ng)
+		valBM := make([]*storage.Bitmap, nv)
 		for g := 0; g < ng; g++ {
 			fi, err := d.u32()
 			if err != nil {
@@ -255,7 +282,6 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 				return nil, fmt.Errorf("%w: snapshot dimension %q repeats fact %q", ErrCorrupt, name, img.facts[fi])
 			}
 			grouped[fi] = true
-			gFact[g] = fi
 			nvals, err := d.count(maxPairs, "snapshot pair")
 			if err != nil {
 				return nil, err
@@ -263,7 +289,7 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 			if nvals == 0 {
 				return nil, fmt.Errorf("%w: snapshot group for fact %q has no pairs", ErrCorrupt, img.facts[fi])
 			}
-			gLen[g] = uint32(nvals)
+			npairs += nvals
 			for j := 0; j < nvals; j++ {
 				vi, err := d.u32()
 				if err != nil {
@@ -281,32 +307,25 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 				if err != nil {
 					return nil, err
 				}
-				pVal = append(pVal, vi)
-				pAnn = append(pAnn, a)
 				// The direct bitmaps admit exactly what BuildEngine admits.
 				if ectx.Admits(a) {
-					v := vals[vi]
-					bm := bms[v]
-					if bm == nil {
-						bm = storage.NewBitmap(nf)
-						bms[v] = bm
+					if valBM[vi] == nil {
+						valBM[vi] = storage.NewBitmap(nf)
 					}
-					bm.Set(int(fi))
+					valBM[vi].Set(int(fi))
 				}
 			}
 		}
 		facts := img.facts
-		img.rels[name] = fact.NewRelationDeferred(len(gFact), func(r *fact.Relation) {
-			p := 0
-			for g, fi := range gFact {
-				vs := make(map[string]dimension.Annot, gLen[g])
-				for j := uint32(0); j < gLen[g]; j++ {
-					vs[vals[pVal[p]]] = pAnn[p]
-					p++
-				}
-				r.AdoptPairs(facts[fi], vs)
-			}
+		img.rels[name] = fact.NewRelationDeferred(ng, func(r *fact.Relation) {
+			adoptGroups(r, &dec{b: body, off: groups}, ng, npairs, vals, facts)
 		})
+		bms := map[string]*storage.Bitmap{}
+		for vi, bm := range valBM {
+			if bm != nil {
+				bms[vals[vi]] = bm
+			}
+		}
 		img.direct[name] = bms
 	}
 	if d.remaining() != 0 {

@@ -137,24 +137,38 @@ func BuildEngine(ctx context.Context, m *core.MO, ectx dimension.Context) (*Engi
 	n := len(e.facts)
 	for _, name := range m.Schema().DimensionNames() {
 		di := &dimIndex{direct: map[string]*Bitmap{}, closure: map[string]*Bitmap{}}
-		r := m.Relation(name)
-		for _, p := range r.Pairs() {
-			if err := g.Check(); err != nil {
-				return nil, fmt.Errorf("storage: engine build: %w", err)
+		// The walk is unordered; an unknown fact is reported as the first
+		// offending pair in (fact, value) order all the same, so the error
+		// does not depend on map iteration.
+		var cancelled error
+		var unknown *UnknownFactError
+		m.Relation(name).Range(func(f, v string, a dimension.Annot) bool {
+			if cancelled = g.Check(); cancelled != nil {
+				return false
 			}
-			i, known := e.idx[p.FactID]
+			i, known := e.idx[f]
 			if !known {
-				return nil, &UnknownFactError{Dim: name, FactID: p.FactID, ValueID: p.ValueID}
+				if unknown == nil || f < unknown.FactID || (f == unknown.FactID && v < unknown.ValueID) {
+					unknown = &UnknownFactError{Dim: name, FactID: f, ValueID: v}
+				}
+				return true
 			}
-			if !ectx.Admits(p.Annot) {
-				continue
+			if !ectx.Admits(a) {
+				return true
 			}
-			bm, ok := di.direct[p.ValueID]
+			bm, ok := di.direct[v]
 			if !ok {
 				bm = NewBitmap(n)
-				di.direct[p.ValueID] = bm
+				di.direct[v] = bm
 			}
 			bm.Set(i)
+			return true
+		})
+		if cancelled != nil {
+			return nil, fmt.Errorf("storage: engine build: %w", cancelled)
+		}
+		if unknown != nil {
+			return nil, unknown
 		}
 		e.dims[name] = di
 	}

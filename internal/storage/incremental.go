@@ -58,11 +58,10 @@ func (e *Engine) AppendFact(factID string) error {
 			continue
 		}
 		d := e.Dimension(name)
-		r := e.mo.Relation(name)
-		for _, v := range r.ValuesOf(factID) {
-			a, _ := r.Annot(factID, v)
+		// Setting bits is order-free, so the walk need not sort.
+		e.mo.Relation(name).RangeValues(factID, func(v string, a dimension.Annot) bool {
 			if !e.ctx.Admits(a) {
-				continue
+				return true
 			}
 			bm, ok := di.direct[v]
 			if !ok {
@@ -78,7 +77,7 @@ func (e *Engine) AppendFact(factID string) error {
 			// normal state during segment replay at startup — skips the
 			// ancestor walk entirely.
 			if len(di.closure) == 0 {
-				continue
+				return true
 			}
 			if cbm, ok := di.closure[v]; ok {
 				cbm.grow(n)
@@ -94,7 +93,8 @@ func (e *Engine) AppendFact(factID string) error {
 				cbm.grow(n)
 				cbm.Set(i)
 			}
-		}
+			return true
+		})
 	}
 	// Maintain the built characterization columns: append the new fact's
 	// code (and overflow entries, for many-to-many facts). Appends never

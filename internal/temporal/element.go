@@ -20,9 +20,23 @@ type Element struct {
 // Empty returns the empty temporal element.
 func Empty() Element { return Element{} }
 
+// alwaysIvs backs every all-time element. Elements are immutable — no
+// code writes an element's ivs — so one shared array serves them all; the
+// capacity clamp keeps an append from ever reaching it.
+var alwaysIvs = [1]Interval{{Start: MinChronon, End: Now}}
+
 // AlwaysElement returns the element covering the entire time domain,
-// including the growing NOW endpoint.
-func AlwaysElement() Element { return Element{ivs: []Interval{Always()}} }
+// including the growing NOW endpoint. It allocates nothing.
+func AlwaysElement() Element { return Element{ivs: alwaysIvs[:1:1]} }
+
+// isAlways reports whether e is the all-time element.
+func (e Element) isAlways() bool { return len(e.ivs) == 1 && e.ivs[0] == alwaysIvs[0] }
+
+// within reports whether every chronon of e lies in [MinChronon, NOW], so
+// that its union with the all-time element is the all-time element.
+func (e Element) within() bool {
+	return e.ivs[0].Start >= MinChronon && e.ivs[len(e.ivs)-1].End <= Now
+}
 
 // NewElement builds a canonical element from arbitrary (possibly
 // overlapping, unordered, adjacent) intervals.
@@ -105,6 +119,15 @@ func (e Element) Union(o Element) Element {
 	}
 	if o.IsEmpty() {
 		return e
+	}
+	// All time absorbs the other side without allocating: the result is
+	// what NewElement would canonicalise the concatenation to, because
+	// NOW sorts above every fixed chronon.
+	if e.isAlways() && o.within() {
+		return e
+	}
+	if o.isAlways() && e.within() {
+		return o
 	}
 	all := make([]Interval, 0, len(e.ivs)+len(o.ivs))
 	all = append(all, e.ivs...)

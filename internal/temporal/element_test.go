@@ -257,3 +257,26 @@ func TestAlwaysElement(t *testing.T) {
 		t.Error("AlwaysElement must cover any element")
 	}
 }
+
+// TestAlwaysElementShared pins the all-time element's zero-allocation
+// contract and that Union's all-time shortcut is what the general path
+// would canonicalise to.
+func TestAlwaysElementShared(t *testing.T) {
+	x := Single(5, 20)
+	if got := testing.AllocsPerRun(100, func() { _ = AlwaysElement() }); got != 0 {
+		t.Errorf("AlwaysElement allocates %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = AlwaysElement().Union(x) }); got != 0 {
+		t.Errorf("AlwaysElement().Union allocates %v times, want 0", got)
+	}
+	below := NewElement(MustNewInterval(MinChronon-10, MinChronon-5), MustNewInterval(0, 1))
+	for _, o := range []Element{x, AlwaysElement(), AtElement(Now), Span("01/01/80", "NOW"), below} {
+		want := NewElement(append(AlwaysElement().Intervals(), o.Intervals()...)...)
+		if got := AlwaysElement().Union(o); !got.Equal(want) || !got.Valid() {
+			t.Errorf("Always ∪ %v = %v, want %v", o, got, want)
+		}
+		if got := o.Union(AlwaysElement()); !got.Equal(want) {
+			t.Errorf("%v ∪ Always = %v, want %v", o, got, want)
+		}
+	}
+}
