@@ -471,3 +471,55 @@ func BenchmarkColumnKernels(b *testing.B) {
 		})
 	}
 }
+
+// --- Strictness probe: the summarizability check's per-query question ----------
+
+// multiFree returns the facts characterized by at most one value of the
+// category: a selection that holds no multi-valued fact, so the probe
+// must look at every selected fact before it can answer false.
+func multiFree(m *mddm.MO, e *mddm.Engine, dim, cat string) *mddm.Bitmap {
+	var seen, dup *mddm.Bitmap
+	for _, v := range m.Dimension(dim).CategoryAt(cat, benchCtx()) {
+		bm := e.Characterizing(dim, v)
+		if seen == nil {
+			seen, dup = bm.Clone(), bm.Clone().AndNot(bm) // dup starts empty
+			continue
+		}
+		dup.Or(bm.Clone().And(seen))
+		seen.Or(bm)
+	}
+	return seen.Fill().AndNot(dup)
+}
+
+func BenchmarkStrictnessProbe(b *testing.B) {
+	cfg := mddm.DefaultGen()
+	cfg.Patients = 40000
+	m, err := mddm.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := mddm.NewEngine(m, benchCtx())
+	for _, leg := range [][2]string{
+		{"Diagnosis", "Diagnosis Group"},
+		{"Residence", "Region"},
+		{"Diagnosis", "Low-level Diagnosis"},
+	} {
+		dim, cat := leg[0], leg[1]
+		free := multiFree(m, e, dim, cat)
+		e.MultiValued(dim, cat, nil) // warm
+		if e.MultiValued(dim, cat, free) {
+			b.Fatalf("%s/%s: the multi-free selection holds a multi-valued fact", dim, cat)
+		}
+		for _, s := range []struct {
+			name string
+			sel  *mddm.Bitmap
+		}{{"nil", nil}, {"multi-free", free}} {
+			b.Run(fmt.Sprintf("%s/sel=%s", cat, s.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					e.MultiValued(dim, cat, s.sel)
+				}
+			})
+		}
+	}
+}

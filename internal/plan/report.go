@@ -8,11 +8,11 @@ import (
 	"mddm/internal/storage"
 )
 
-// checkSummarizable reproduces agg.CheckSummarizable over the engine's
-// memoized closures instead of per-fact model walks. Strictness of a
-// selected path is a bitmap-overlap probe (MultiValued): a fact covered
-// by two closure bitmaps of the same category is exactly a fact with two
-// admitted ancestors there. The covering check still walks the hierarchy
+// checkSummarizable reproduces agg.CheckSummarizable over the engine
+// instead of per-fact model walks. Strictness of a selected path is one
+// read of the category column's multi-valued bitmap (MultiValued): a
+// fact coded colMulti there is exactly a fact with two admitted ancestors
+// in the category. The covering check still walks the hierarchy
 // — it is value-count bound, not fact-count bound. Reason texts and
 // ordering match agg.CheckSummarizable verbatim. The hierarchy is the
 // engine's (a context view's is sliced), walked under the engine's context.

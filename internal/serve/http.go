@@ -120,6 +120,30 @@ func requestSeq(ctx context.Context) uint64 {
 	return seq
 }
 
+// The request-body caps of /query and /append. A body past its cap is
+// refused with 413, never truncated into a shorter request that runs.
+const (
+	maxQueryBody  = 1 << 20
+	maxAppendBody = 4 << 20
+)
+
+// readBody reads r's body, at most limit bytes of it. On failure it has
+// answered the request itself — 413 past the cap, 400 otherwise — and ok
+// is false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("serve: reading body: %w", err))
+		return nil, false
+	}
+	return body, true
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		w.Header().Set("Allow", "GET, POST")
@@ -129,9 +153,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	src := r.URL.Query().Get("q")
 	if src == "" && r.Method == http.MethodPost {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: reading body: %w", err))
+		body, ok := readBody(w, r, maxQueryBody)
+		if !ok {
 			return
 		}
 		src = strings.TrimSpace(string(body))

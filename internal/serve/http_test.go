@@ -76,6 +76,33 @@ func TestQueryEndpointPOSTBody(t *testing.T) {
 	}
 }
 
+// TestQueryEndpointOversizedBody pins the /query body cap: a body one
+// byte past it is refused with 413 — not truncated into its shorter,
+// still valid prefix, which would answer an ungrouped count — while a
+// body exactly at the cap still runs.
+func TestQueryEndpointOversizedBody(t *testing.T) {
+	ts := httpServer(t, Limits{})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	prefix := "SELECT SETCOUNT(*) FROM patients"
+	tail := " GROUP BY Diagnosis"
+	atCap := prefix + strings.Repeat(" ", maxQueryBody-len(prefix)-len(tail)) + tail
+	if code := post(atCap); code != http.StatusOK {
+		t.Fatalf("body at the cap: status %d, want 200", code)
+	}
+	over := prefix + strings.Repeat(" ", maxQueryBody-len(prefix)) + tail
+	if code := post(over); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body past the cap: status %d, want 413", code)
+	}
+}
+
 func TestQueryEndpointStatusMapping(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 
@@ -163,9 +162,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			errors.New("serve: method not allowed on /append (use POST)"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 4<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: reading body: %w", err))
+	body, ok := readBody(w, r, maxAppendBody)
+	if !ok {
 		return
 	}
 	var req appendRequest

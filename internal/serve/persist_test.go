@@ -284,6 +284,20 @@ func TestHandleAppendHTTP(t *testing.T) {
 		}
 	}
 
+	// Oversized: a valid record padded past the 4 MiB cap, with trailing
+	// content after it, is refused whole — and not logged, so the same
+	// record unpadded is then accepted as new.
+	rec2 := storeRecords(t, st, 4)[3]
+	body2 := fmt.Sprintf(`{"mo":"patients","fact":%q,"pairs":[{"dim":%q,"value":%q}]}`,
+		rec2.FactID, rec2.Pairs[0].Dim, rec2.Pairs[0].Value)
+	padded := body2 + strings.Repeat(" ", maxAppendBody-len(body2)) + "trailing"
+	if code, out := post(padded); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized append: status %d (want 413) body %s", code, out)
+	}
+	if code, out := post(body2); code != http.StatusOK {
+		t.Fatalf("append after the refused oversized one: status %d body %s", code, out)
+	}
+
 	// Wrong method.
 	getResp, err := http.Get(hs.URL + "/append")
 	if err != nil {

@@ -141,27 +141,6 @@ func (b *Bitmap) And(o *Bitmap) *Bitmap {
 	return b
 }
 
-// AndInto sets the receiver to x ∧ y, reusing the receiver's storage — the
-// scratch-bitmap operation the cross-tab hot path uses instead of
-// allocating a clone per cell pair. The receiver's universe is resized to
-// x's; x and y are not modified (the receiver must not alias either).
-func (b *Bitmap) AndInto(x, y *Bitmap) *Bitmap {
-	nw := len(x.words)
-	if cap(b.words) < nw {
-		b.words = make([]uint64, nw)
-	}
-	b.words = b.words[:nw]
-	b.n = x.n
-	for i := range b.words {
-		var yw uint64
-		if i < len(y.words) {
-			yw = y.words[i]
-		}
-		b.words[i] = x.words[i] & yw
-	}
-	return b
-}
-
 // Fill marks every fact in the universe and returns the receiver — the
 // complement seed for NOT predicates (full ∧¬ base).
 func (b *Bitmap) Fill() *Bitmap {
@@ -228,23 +207,6 @@ func (b *Bitmap) Iterate(fn func(i int) bool) {
 				return
 			}
 			w &= w - 1
-		}
-	}
-}
-
-// IterateRange calls fn for every marked index in [lo, hi) in ascending
-// order; fn returning false stops the iteration.
-func (b *Bitmap) IterateRange(lo, hi int, fn func(i int) bool) {
-	lo, hi = b.clamp(lo, hi)
-	if lo >= hi {
-		return
-	}
-	for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
-		base := wi << 6
-		for w := b.andWord(nil, wi, lo, hi); w != 0; w &= w - 1 {
-			if !fn(base + bits.TrailingZeros64(w)) {
-				return
-			}
 		}
 	}
 }

@@ -20,12 +20,15 @@ import (
 // characterizes no value of it and encodes colNone; a many-to-many fact
 // carrying several values of the category encodes colMulti and stores its
 // value-ids in a compact overflow side-table sorted by (fact, value-id).
+// A bitmap of the colMulti facts answers the summarizability check's
+// strictness question (MultiValuedRange) in one word-wise pass.
 //
 // Concurrency: columns live behind the engine's RWMutex. Builds take the
 // write lock; scans snapshot the codes and overflow slice headers under
 // the read lock and then run lock-free — AppendFact only ever appends to
 // these slices (never mutates existing elements), so a snapshot of the
-// first n facts stays immutable.
+// first n facts stays immutable. The multi-valued bitmap is the exception:
+// AppendFact grows it in place, so it is read under the read lock only.
 
 // Kernel-selection and column-maintenance metrics. The kernel counters
 // count aggregations by the strategy that answered — one per member of a
@@ -71,6 +74,7 @@ type column struct {
 	vid      map[string]uint32 // reverse dictionary
 	codes    []uint32          // fact index → value-id, colNone, or colMulti
 	over     []overPair        // overflow side-table, sorted by (fact, vid)
+	multi    *Bitmap           // the facts whose code is colMulti
 	// catVer is the category's Dimension.CategoryVersion when the
 	// dictionary was taken; see fresh.
 	catVer int
@@ -170,6 +174,7 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 		vals:   vals,
 		vid:    make(map[string]uint32, len(vals)),
 		codes:  make([]uint32, len(e.facts)),
+		multi:  NewBitmap(len(e.facts)),
 		catVer: catVer,
 	}
 	for j, v := range vals {
@@ -202,6 +207,7 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 					overPair{fact: i, vid: col.codes[i]},
 					overPair{fact: i, vid: vid})
 				col.codes[i] = colMulti
+				col.multi.Set(i)
 			}
 			return true
 		})
@@ -296,6 +302,7 @@ func (e *Engine) appendToColumn(col *column, factID string, i int) {
 	for len(col.codes) < i {
 		col.codes = append(col.codes, colNone)
 	}
+	col.multi.grow(i + 1)
 	d := e.Dimension(col.dim)
 	r := e.mo.Relation(col.dim)
 	var vids []uint32
@@ -325,6 +332,7 @@ func (e *Engine) appendToColumn(col *column, factID string, i int) {
 	default:
 		sort.Slice(vids, func(a, b int) bool { return vids[a] < vids[b] })
 		col.codes = append(col.codes, colMulti)
+		col.multi.Set(i)
 		for _, id := range vids {
 			col.over = append(col.over, overPair{fact: i, vid: id})
 		}

@@ -277,9 +277,9 @@ func crossAccumulate(g *qos.Guard, legs []crossLeg, sel *Bitmap, av [][]float64,
 
 // CrossCountByColumn answers CrossCount through the column kernel,
 // building both columns first if needed: the unselected, count-only call
-// of the cross scan. Budget parity with crossCountSeq: per row value in
-// dictionary order, Check always, then Facts(row fact count) for non-empty
-// rows only.
+// of the cross scan. Budget parity with the bitmap cross-tab crossCount:
+// per row value in dictionary order, Check always, then Facts(row fact
+// count) for non-empty rows only.
 func (e *Engine) CrossCountByColumn(ctx context.Context, dim1, cat1, dim2, cat2 string) ([]CrossCell, error) {
 	mKernelColumn.Inc()
 	g := qos.NewGuard(ctx)

@@ -38,58 +38,28 @@ func (e *Engine) AggregateByRange(ctx context.Context, dim, cat, argDim string, 
 	return values, counts, args, nil
 }
 
-// MultiValuedRange is MultiValued restricted to the dense fact range
-// [lo, hi): it reports whether any selected fact in the range is
-// characterized by two or more distinct values of the category. Old
-// facts' characterizations are append-invariant, so
+// MultiValuedRange reports whether any selected fact (every fact when sel
+// is nil) in the dense fact range [lo, hi) is characterized by two or more
+// distinct values of the category — the selection-masked strict-path
+// probe of the summarizability check. It reads the multi-valued bitmap of
+// the category's live column (built on first use, whatever the
+// cardinality, like the cross kernel's), one word-wise pass over the
+// range. Old facts' characterizations are append-invariant, so
 //
 //	MultiValued(all) == MultiValued(old) || MultiValuedRange(delta)
 //
 // — which is how a cached strictness verdict is upgraded without
-// rescanning history. Like MultiValued it is a metadata probe and
-// charges no fact budget.
+// rescanning history. Like the algebra's StrictPath it charges no fact
+// budget: it is a metadata probe, not an aggregation scan.
 func (e *Engine) MultiValuedRange(dim, cat string, sel *Bitmap, lo, hi int) bool {
-	d := e.Dimension(dim)
-	if d == nil {
+	col, _ := e.liveColumn(context.Background(), dim, cat) // uncancellable: cannot fail but on an oversized dictionary
+	if col == nil {
 		return false
 	}
-	vals := e.categoryValues(d, cat)
-	_ = e.ensureClosures(nil, dim, vals) // nil guard: cannot fail
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if hi > len(e.facts) {
-		hi = len(e.facts)
+	if sel == nil {
+		return col.multi.CountRange(lo, hi) > 0
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	di := e.dims[dim]
-	if di == nil || lo >= hi {
-		return false
-	}
-	// seen is indexed relative to lo so the probe allocates proportional
-	// to the delta, not to history.
-	seen := NewBitmap(hi - lo)
-	found := false
-	for _, v := range vals {
-		bm := di.closure[v]
-		if bm == nil {
-			continue
-		}
-		bm.IterateRange(lo, hi, func(i int) bool {
-			if sel != nil && !sel.Has(i) {
-				return true
-			}
-			if seen.Has(i - lo) {
-				found = true
-				return false
-			}
-			seen.Set(i - lo)
-			return true
-		})
-		if found {
-			return true
-		}
-	}
-	return false
+	return col.multi.AndCountRange(sel, lo, hi) > 0
 }

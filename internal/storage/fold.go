@@ -47,41 +47,9 @@ func (e *Engine) SelectedFactIDs(sel *Bitmap) []string {
 	return out
 }
 
-// MultiValued reports whether any selected fact (every fact when sel is
-// nil) is characterized by two or more distinct values of the category —
-// the selection-masked strict-path probe of the summarizability check.
-// Like the algebra's StrictPath it charges no fact budget: it is a
-// metadata probe, not an aggregation scan.
+// MultiValued is MultiValuedRange over every fact.
 func (e *Engine) MultiValued(dim, cat string, sel *Bitmap) bool {
-	d := e.Dimension(dim)
-	if d == nil {
-		return false
-	}
-	vals := e.categoryValues(d, cat)
-	_ = e.ensureClosures(nil, dim, vals) // nil guard: cannot fail
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	di := e.dims[dim]
-	if di == nil {
-		return false
-	}
-	n := len(e.facts)
-	seen := NewBitmap(n)
-	dup := NewBitmap(n)
-	scratch := NewBitmap(n)
-	for _, v := range vals {
-		bm := di.closure[v]
-		if bm == nil {
-			continue
-		}
-		scratch.AndInto(seen, bm)
-		dup.Or(scratch)
-		seen.Or(bm)
-	}
-	if sel != nil {
-		dup.And(sel)
-	}
-	return !dup.IsEmpty()
+	return e.MultiValuedRange(dim, cat, sel, 0, math.MaxInt)
 }
 
 // AggregateBy is the grouped fold in list form: for every value of the

@@ -187,10 +187,12 @@ func (e *Engine) InstallColumn(dim, cat string, vals []string, codes []uint32, o
 	}
 	nv := uint32(len(vals))
 	oc := 0
+	multi := NewBitmap(len(codes))
 	for i, c := range codes {
 		switch {
 		case c == colNone:
 		case c == colMulti:
+			multi.Set(i)
 			// Every colMulti fact must own a sorted run of ≥2 in-range
 			// overflow entries; the cursor walk also rejects entries for
 			// non-multi facts (they would be skipped here and caught below).
@@ -236,6 +238,7 @@ func (e *Engine) InstallColumn(dim, cat string, vals []string, codes []uint32, o
 		vals:   append([]string(nil), vals...),
 		vid:    make(map[string]uint32, len(vals)),
 		codes:  codes[:len(codes):len(codes)],
+		multi:  multi,
 		catVer: d.CategoryVersion(cat),
 	}
 	for j, v := range col.vals {

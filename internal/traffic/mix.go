@@ -2,9 +2,8 @@
 // declarative traffic mix (JSON) plus a closed- or open-loop HTTP runner
 // that drives an mdserve instance and reports latency distributions
 // (p50/p90/p99/p999), error counts, and per-class tallies of the
-// X-Mddm-Batch and X-Mddm-Cache response headers. mdbench -exp B19 uses
-// the same runner to produce the committed batching latency artifacts;
-// docs/TRAFFIC.md describes the methodology.
+// X-Mddm-Batch and X-Mddm-Cache response headers. cmd/mdload is its only
+// user; docs/TRAFFIC.md describes the methodology.
 package traffic
 
 import (
