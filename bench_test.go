@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mddm"
+	"mddm/internal/plan"
 )
 
 var benchRef = mddm.MustDate("01/01/2026")
@@ -521,5 +522,61 @@ func BenchmarkStrictnessProbe(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// --- B18 companion: one delta upgrade of a cached grouped result ---------------
+
+// BenchmarkDeltaUpgrade continues captured partials over a one-fact append
+// at 40 k facts: what a read of a cached result an append made stale costs.
+// UpgradeResult never mutates the partials it continues, so every
+// iteration repeats the same continuation.
+func BenchmarkDeltaUpgrade(b *testing.B) {
+	m := genMO(b, 40000, true, true)
+	cat := mddm.QueryCatalog{"patients": m}
+	engines := plan.NewCatalogEngines(cat, benchRef)
+	ctx := context.Background()
+	eng, err := engines.EngineFor(ctx, "patients")
+	if err != nil {
+		b.Fatal(err)
+	}
+	shapes := []struct{ name, src string }{
+		{"low-level-desc-limit5", `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Low-level Diagnosis" ORDER BY N DESC LIMIT 5`},
+		{"low-level-avg-having-asc-limit3", `SELECT AVG(Age) AS N FROM patients GROUP BY Diagnosis."Low-level Diagnosis" HAVING >= 30 ORDER BY N ASC LIMIT 3`},
+		{"area", `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Residence."Area"`},
+		{"family-sum", `SELECT SUM(Age) AS N FROM patients GROUP BY Diagnosis."Diagnosis Family"`},
+	}
+	parts := make([]*plan.Partials, len(shapes))
+	for i, s := range shapes {
+		cctx, cp := plan.WithCapture(ctx)
+		if _, err := plan.ExecContext(cctx, s.src, cat, benchRef, engines); err != nil {
+			b.Fatal(err)
+		}
+		if parts[i] = cp.Partials; parts[i] == nil {
+			b.Fatalf("%s: no partials captured", s.name)
+		}
+	}
+	epoch := eng.Epoch()
+	for _, rel := range [][2]string{{"Diagnosis", "L0"}, {"Residence", "A0"}, {"Age", "40"}} {
+		if err := m.Relate(rel[0], "delta0", rel[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.AppendFact("delta0"); err != nil {
+		b.Fatal(err)
+	}
+	lo, hi, _, ok := eng.DeltaRange(epoch)
+	if !ok || hi-lo != 1 {
+		b.Fatalf("delta range [%d, %d) resolved %v, want one fact", lo, hi, ok)
+	}
+	for i, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if _, _, err := plan.UpgradeResult(ctx, eng, parts[i], lo, hi, benchRef); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -201,8 +201,10 @@ func (p *Prepared) finishLeg(kernel string, values []string, counts []int64, arg
 	if err := storage.ChargeLeg(qos.NewGuard(p.cctx), op, gd.dim, gd.cat, counts); err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
+	// The dictionary is in CategoryAt order, which is sorted: the groups
+	// and the partials fill in canonical order.
 	parts := p.newPartials(shape, len(values))
-	rows := make([][]string, 0, len(values))
+	groups := make([]row, 0, len(values))
 	for j, val := range values {
 		var acc agg.Acc
 		if folds != nil {
@@ -213,11 +215,11 @@ func (p *Prepared) finishLeg(kernel string, values []string, counts []int64, arg
 			list = args[j]
 		}
 		if parts != nil && counts[j] > 0 {
-			parts.Groups[val] = Group{Count: counts[j], Acc: acc}
+			parts.Groups = append(parts.Groups, Group{Value: val, Count: counts[j], Acc: acc})
 		}
 		if v, ok := groupValue(p.fn, counts[j], acc, list); ok {
-			rows = append(rows, gd.row(val, v))
+			groups = append(groups, gd.group(values[j:j+1:j+1], v))
 		}
 	}
-	return p.finish(rows, parts)
+	return p.finish(groups, true, parts)
 }

@@ -3,6 +3,8 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"mddm/internal/agg"
 	"mddm/internal/query"
@@ -26,24 +28,25 @@ import (
 // group that pruning hid.
 
 // Group is one group's partial, copied from the scan's member slot: the
-// member count and the fold of the group's argument values in ascending
+// group value ("" for ⊤, the global shape's single group), the member
+// count and the fold of the group's argument values in ascending
 // dense-index order (zero when the function takes no argument: presence
 // and result are Count alone). A plain value — copying it is all it takes
 // to continue it without touching the cached original.
 type Group struct {
+	Value string
 	Count int64
 	Acc   agg.Acc
 }
 
 // Partials is everything needed to continue a planned aggregate query
 // over appended facts: the parsed query (WHERE is recompiled against the
-// grown engine; HAVING/ORDER/LIMIT re-applied to the rebuilt rows), the
-// grouping leg, the per-group partials keyed by group value ("" for ⊤, the
-// global shape's single group), and the decomposed
-// summarizability report — the strictness verdict is continued with a
-// delta probe, while the covering reasons are value-level hierarchy
-// facts that appends cannot change (hierarchy edits rebuild the engine,
-// which empties its epoch journal and forces invalidation).
+// grown engine; HAVING/ORDER/LIMIT re-applied to the continued groups),
+// the grouping leg, the per-group partials sorted by group value, and the
+// decomposed summarizability report — the strictness verdict is continued
+// with a delta probe, while the covering reasons are value-level
+// hierarchy facts that appends cannot change (hierarchy edits rebuild the
+// engine, which empties its epoch journal and forces invalidation).
 type Partials struct {
 	// Query is the parsed query the partials answer.
 	Query *query.Query
@@ -62,9 +65,9 @@ type Partials struct {
 	// Columns is the result header exactly as the planned query emitted
 	// it (shown dimensions then result dimension).
 	Columns []string
-	// Groups holds the partial of every non-empty group, keyed by group
-	// value.
-	Groups map[string]Group
+	// Groups holds the partial of every non-empty group, sorted by value —
+	// the canonical row order of a one-leg result.
+	Groups []Group
 	// MultiValued is the cached strictness verdict for the grouping leg
 	// under the query's selection; continued via MultiValuedRange.
 	MultiValued bool
@@ -119,7 +122,7 @@ func (p *Prepared) newPartials(shape string, groups int) *Partials {
 		Cat:      gd.cat,
 		ArgDim:   p.argDim,
 		FactType: factType,
-		Groups:   make(map[string]Group, groups),
+		Groups:   make([]Group, 0, groups),
 	}
 	rest := p.report.Reasons
 	if !p.fn.Distributive && len(rest) > 0 && rest[0] == fnReason(p.fn) {
@@ -167,13 +170,14 @@ func (p *Partials) rebuildReport() agg.Report {
 // [0, hi): it recompiles the WHERE selection against the grown engine
 // (old facts' membership is append-invariant, so the new bitmap agrees
 // with the old one on [0, lo)), scans only the delta range with the same
-// kernel, continues a copy of each cached group's Acc with the range's
-// argument values, re-derives the summarizability report with a delta
-// strictness probe, and evaluates and tails the groups exactly as
-// finishLeg does. The returned Partials carry the continued groups for the
-// next continuation; the input Partials are never mutated — they stay
-// valid for their own version even if this continuation is abandoned (CAS
-// failure, cancellation). Bit-identity with a recompute from scratch
+// kernel, merges the range's values into one copy of the value-sorted
+// groups — continuing each touched group's Acc with its argument values —
+// re-derives the summarizability report with a delta strictness probe,
+// and evaluates and tails the groups exactly as finishLeg does. The
+// returned Partials carry the continued groups for the next continuation;
+// the input Partials are never mutated — they stay valid for their own
+// version even if this continuation is abandoned (CAS failure,
+// cancellation). Bit-identity with a recompute from scratch
 // follows from the kernel's extraction order: every argument value is
 // Added in ascending dense-index order on both paths, and an Acc is only
 // ever continued, never merged. eng is the engine the partials were captured
@@ -193,18 +197,21 @@ func UpgradeResult(ctx context.Context, eng *storage.Engine, old *Partials, lo, 
 	if err != nil {
 		return nil, nil, err
 	}
+	// Merge the delta's few values into a copy of the sorted groups: a
+	// value first seen in the delta starts from the zero Group.
 	next := *old
-	next.Groups = make(map[string]Group, len(old.Groups)+len(values))
-	for v, g := range old.Groups {
-		next.Groups[v] = g
-	}
+	next.Groups = make([]Group, len(old.Groups), len(old.Groups)+len(values))
+	copy(next.Groups, old.Groups)
 	for j, v := range values {
-		g := next.Groups[v] // the zero Group for a value first seen in the delta
+		i, found := slices.BinarySearchFunc(next.Groups, v, func(g Group, v string) int { return strings.Compare(g.Value, v) })
+		if !found {
+			next.Groups = slices.Insert(next.Groups, i, Group{Value: v})
+		}
+		g := &next.Groups[i]
 		g.Count += int64(counts[j])
 		for _, x := range args[j] {
 			g.Acc.Add(x)
 		}
-		next.Groups[v] = g
 	}
 
 	// Continue the strictness verdict: old facts' characterizations are
@@ -215,13 +222,15 @@ func UpgradeResult(ctx context.Context, eng *storage.Engine, old *Partials, lo, 
 	}
 
 	gd := groupDim{dim: old.Dim, cat: old.Cat}
-	rows := make([][]string, 0, len(next.Groups))
-	for val, g := range next.Groups {
+	vals := make([]string, len(next.Groups))
+	groups := make([]row, 0, len(next.Groups))
+	for i, g := range next.Groups {
 		if v, ok := groupValue(old.Fn, g.Count, g.Acc, nil); ok {
-			rows = append(rows, gd.row(val, v))
+			vals[i] = g.Value
+			groups = append(groups, gd.group(vals[i:i+1:i+1], v))
 		}
 	}
-	res, err := assemble(q, old.Columns, rows, next.rebuildReport())
+	res, err := assemble(q, old.Columns, groups, true, next.rebuildReport())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -127,12 +128,23 @@ func unusedLow(t *testing.T, cat query.Catalog, p *Partials, skip map[string]boo
 	t.Helper()
 	lows := cat["gen"].Dimension(casestudy.DimDiagnosis).Category(casestudy.CatLowLevel)
 	for _, low := range lows {
-		if _, used := p.Groups[low]; !used && !skip[low] {
+		if used := groupOf(p, low).Count > 0; !used && !skip[low] {
 			return low
 		}
 	}
 	t.Fatal("no unused low-level diagnosis in fixture")
 	return ""
+}
+
+// groupOf returns the partial of the group with value v, the zero Group
+// when the partials hold none.
+func groupOf(p *Partials, v string) Group {
+	for _, g := range p.Groups {
+		if g.Value == v {
+			return g
+		}
+	}
+	return Group{}
 }
 
 // TestUpgradeResultGlobalShapes continues every globally-grouped
@@ -165,7 +177,7 @@ func TestUpgradeResultGlobalShapes(t *testing.T) {
 				t.Fatalf("empty-range upgrade changed rows: %v vs %v", noop.Rows, cached.Rows)
 			}
 
-			oldCount := parts.Groups[""].Count
+			oldCount := groupOf(parts, "").Count
 			for i := 0; i < 5; i++ {
 				appendFact(25+7*i, cat["gen"].Dimension(casestudy.DimDiagnosis).Category(casestudy.CatLowLevel)[i])
 			}
@@ -173,8 +185,8 @@ func TestUpgradeResultGlobalShapes(t *testing.T) {
 
 			res, next, cur := upgradeOnce(t, eng, parts, cur)
 			requireMatchesAlgebra(t, src, cat, res)
-			if parts.Groups[""].Count != oldCount {
-				t.Fatalf("upgrade mutated cached partials: count %d -> %d", oldCount, parts.Groups[""].Count)
+			if groupOf(parts, "").Count != oldCount {
+				t.Fatalf("upgrade mutated cached partials: count %d -> %d", oldCount, groupOf(parts, "").Count)
 			}
 
 			// Chain a second round from the returned partials.
@@ -208,7 +220,7 @@ func TestUpgradeResultGroupedStrict(t *testing.T) {
 	if next.MultiValued {
 		t.Fatal("single-valued append flipped the strictness verdict")
 	}
-	if g := next.Groups[newLow]; g.Count != 1 {
+	if g := groupOf(next, newLow); g.Count != 1 {
 		t.Fatalf("new group %q not merged: %+v", newLow, g)
 	}
 
@@ -221,7 +233,7 @@ func TestUpgradeResultGroupedStrict(t *testing.T) {
 	appendFact(-1, noAge)
 	avgRes, avgNext, _ := upgradeOnce(t, eng, avgParts, epoch)
 	requireMatchesAlgebra(t, avgSrc, cat, avgRes)
-	if g := avgNext.Groups[noAge]; g.Count != 1 {
+	if g := groupOf(avgNext, noAge); g.Count != 1 {
 		t.Fatalf("age-less group %q not tracked in partials: %+v", noAge, g)
 	}
 	for _, row := range avgRes.Rows {
@@ -402,10 +414,7 @@ func TestUpgradeResultContinuesFolds(t *testing.T) {
 					t.Fatalf("partials %v by kernel %q, want captured by %q", cp.Partials, ex.Kernel, leg.kernel)
 				}
 				first, epoch0 := cp.Partials, eng.Epoch()
-				captured := make(map[string]Group, len(first.Groups))
-				for v, g := range first.Groups {
-					captured[v] = g
-				}
+				captured := slices.Clone(first.Groups)
 
 				parts, epoch := first, epoch0
 				for round := 0; round < 4; round++ {
@@ -450,7 +459,7 @@ func TestUpgradeResultContinuesFolds(t *testing.T) {
 		tail.Add(x)
 	}
 	_, next, _ := upgradeOnce(t, eng, parts, epoch)
-	if merged := parts.Groups[""].Acc.Sum + tail.Sum; merged == next.Groups[""].Acc.Sum {
+	if merged := groupOf(parts, "").Acc.Sum + tail.Sum; merged == groupOf(next, "").Acc.Sum {
 		t.Fatal("the measure sums exactly under re-association: the test cannot see a merged partial")
 	}
 }

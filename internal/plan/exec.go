@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mddm/internal/agg"
 	"mddm/internal/core"
 	"mddm/internal/qos"
 	"mddm/internal/query"
@@ -48,14 +47,14 @@ func execFacts(guard *qos.Guard, eng *storage.Engine, m *core.MO, sel *storage.B
 // its per-dimension value sets — including the cross-product rows that
 // merging introduces. A probabilistic function's groups are the cells
 // themselves, each evaluated over its members' cell probabilities.
-func (p *Prepared) execCross() ([][]string, error) {
+func (p *Prepared) execCross() ([]row, error) {
 	guard, fn, grouped := p.guard, p.fn, p.grouped
 	k := len(grouped)
 	legs := make([]storage.CrossLeg, k)
 	for d, gd := range grouped {
 		legs[d] = storage.CrossLeg{Dim: gd.dim, Cat: gd.cat}
 	}
-	var rows [][]string
+	var rows []row
 	pos := make([]int, k)
 	err := p.eng.CrossAggregateBy(p.cctx, legs, p.argDim, p.sel, p.NeedsArgLists(), p.ProbArg(), func(g *storage.CrossGroup) error {
 		if err := guard.Check(); err != nil {
@@ -68,14 +67,12 @@ func (p *Prepared) execCross() ([][]string, error) {
 		if !ok {
 			return nil
 		}
-		rv := agg.FormatResult(v)
 		for { // pos is all zeros here: a finished walk leaves it so
-			row := make([]string, k+1)
+			keys := make([]string, k)
 			for d, vals := range g.Values {
-				row[d] = vals[pos[d]]
+				keys[d] = vals[pos[d]]
 			}
-			row[k] = rv
-			rows = append(rows, row)
+			rows = append(rows, row{keys: keys, v: v})
 			d := k - 1
 			for ; d >= 0; d-- {
 				if pos[d]++; pos[d] < len(g.Values[d]) {

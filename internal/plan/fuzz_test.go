@@ -2,9 +2,14 @@ package plan
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"mddm/internal/agg"
 	"mddm/internal/query"
 )
 
@@ -83,6 +88,91 @@ func FuzzPlanDifferential(f *testing.F) {
 			!reflect.DeepEqual(r1.Reasons, r2.Reasons) ||
 			!reflect.DeepEqual(r1.Warnings, r2.Warnings) {
 			t.Fatalf("%q: results diverged:\n planner: %+v\n algebra: %+v", src, r1, r2)
+		}
+	})
+}
+
+// fuzzKeys are group values for FuzzFinishDifferential: numeric-looking
+// and not, so an ORDER BY of a group column mixes both comparisons.
+var fuzzKeys = []string{"", "0", "1", "10", "9", "-1", "1e3", "NaN", "+Inf", "2.5", "0x10", "a", "A0", "b", "é"}
+
+// fuzzValues are aggregate values for FuzzFinishDifferential: integers
+// beyond 2^53 and past int64, fractions, ±Inf, NaN and −0, which formats
+// as 0.
+var fuzzValues = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.5, 1.0 / 3, 2.5, 100, 1e21,
+	1 << 53, 1<<53 + 2, 1<<60 + 1<<10, 1 << 63, -(1 << 63), 1e300,
+	math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// FuzzFinishDifferential checks the planner's typed finish against the
+// algebra's string one on generated groups: format every group, sort the
+// rows canonically, nil for none, then query.ApplyHaving and
+// query.OrderAndLimit. data encodes the groups, three bytes each — two key
+// indexes and a value index, where an index past fuzzValues takes the next
+// eight bytes as the value's bits; width is the number of group columns
+// (0 to 2, duplicates allowed); op picks the HAVING operator, an unknown
+// one or none, against the fuzzValues entry having picks (an index, not a
+// float argument: the fuzzer's minimizer spins on a NaN float); order picks ORDER BY nothing, the aggregate, the first
+// group column or no output column, ascending or descending.
+func FuzzFinishDifferential(f *testing.F) {
+	ops := []string{"=", "<>", "!=", "<", "<=", ">", ">=", "~"}
+	f.Add([]byte{}, uint8(1), uint8(5), uint8(0), uint8(1), int8(3))                  // no groups: nil rows
+	f.Add([]byte{1, 0, 2, 2, 0, 3}, uint8(1), uint8(5), uint8(15), uint8(0), int8(0)) // HAVING removes all: []
+	f.Add([]byte{3, 0, 9, 4, 0, 10, 5, 0, 9, 6, 0, 19, 7, 0, 1, 8, 0, 0}, uint8(1), uint8(6), uint8(3), uint8(3), int8(2))
+	f.Add([]byte{3, 1, 7, 4, 2, 7, 5, 3, 7, 11, 4, 2}, uint8(2), uint8(8), uint8(0), uint8(5), int8(0))
+	f.Add([]byte{1, 0, 17, 2, 0, 18, 3, 0, 12, 4, 0, 13, 9, 0, 99, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, uint8(1), uint8(1), uint8(6), uint8(4), int8(4))
+	f.Add([]byte{0, 0, 3, 0, 0, 3}, uint8(0), uint8(9), uint8(0), uint8(2), int8(1))
+	f.Fuzz(func(t *testing.T, data []byte, width, op, having, order uint8, limit int8) {
+		k := int(width % 3)
+		columns := []string{"A", "B", "N"}[2-k:]
+		if len(data) > 3*64 {
+			return // long inputs find nothing short ones do, and minimize for a minute each
+		}
+		var groups []row
+		for len(data) >= 3 {
+			keys := []string{fuzzKeys[int(data[0])%len(fuzzKeys)], fuzzKeys[int(data[1])%len(fuzzKeys)]}[:k]
+			sel := int(data[2])
+			data = data[3:]
+			var v float64
+			if sel < len(fuzzValues) {
+				v = fuzzValues[sel]
+			} else if len(data) >= 8 {
+				v = math.Float64frombits(binary.LittleEndian.Uint64(data))
+				data = data[8:]
+			}
+			groups = append(groups, row{keys: keys, v: v})
+		}
+		q := &query.Query{Limit: int(limit)}
+		if int(op) < len(ops) {
+			q.Having, q.HavingOp, q.HavingVal = true, ops[op], fuzzValues[int(having)%len(fuzzValues)]
+		}
+		switch order % 4 {
+		case 1:
+			q.OrderBy = "N"
+		case 2:
+			q.OrderBy = columns[0]
+		case 3:
+			q.OrderBy = "missing"
+		}
+		q.OrderDesc = order&4 != 0
+
+		want := &query.Result{Columns: columns, Summarizable: true}
+		for _, g := range groups {
+			want.Rows = append(want.Rows, append(slices.Clone(g.keys), agg.FormatResult(g.v)))
+		}
+		sort.Slice(want.Rows, func(i, j int) bool { return slices.Compare(want.Rows[i], want.Rows[j]) < 0 })
+		wantErr := query.ApplyHaving(q, want)
+		if wantErr == nil {
+			wantErr = query.OrderAndLimit(q, want)
+		}
+
+		got, err := assemble(q, columns, groups, false, agg.Report{Summarizable: true})
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("error diverged: typed %v, string %v", err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: results diverged:\n typed:  %q (nil %v)\n string: %q (nil %v)", *q, got.Rows, got.Rows == nil, want.Rows, want.Rows == nil)
 		}
 	})
 }

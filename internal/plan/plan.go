@@ -17,7 +17,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"mddm/internal/agg"
@@ -270,11 +269,11 @@ func (p *Prepared) Execute() (*query.Result, error) {
 		}
 		// Cross captures nothing: its merged set-valued groups do not
 		// decompose per appended fact.
-		rows, err := p.execCross()
+		groups, err := p.execCross()
 		if err != nil {
 			return nil, err
 		}
-		return p.finish(rows, nil)
+		return p.finish(groups, false, nil)
 	}
 	// Solo is a batch of one, and ungrouped is a leg of one value: the same
 	// kernel scan the batch scheduler runs, with this query as its only
@@ -300,44 +299,21 @@ func (p *Prepared) leg() groupDim {
 }
 
 // finish is the planned shapes' result tail: header assembly and the
-// shared row tail, then — for a shape that captured partials — their
-// attachment to the context's sink.
-func (p *Prepared) finish(rows [][]string, parts *Partials) (*query.Result, error) {
+// typed row tail (sorted says the groups arrive in canonical order), then —
+// for a shape that captured partials — their attachment to the context's
+// sink.
+func (p *Prepared) finish(groups []row, sorted bool, parts *Partials) (*query.Result, error) {
 	columns := append(append([]string{}, p.shownDims...), p.resultDim)
 	if p.ex != nil {
-		p.ex.Groups = len(rows)
+		p.ex.Groups = len(groups)
 	}
-	res, err := assemble(p.q, columns, rows, p.report)
+	res, err := assemble(p.q, columns, groups, sorted, p.report)
 	if err != nil {
 		return nil, err
 	}
 	if parts != nil {
 		parts.Columns = columns
 		captureFrom(p.cctx).Partials = parts
-	}
-	return res, nil
-}
-
-// assemble turns a shape's pre-HAVING rows into the result, for a computed
-// query and a delta-upgraded one alike: canonical row order, nil for an
-// empty row set (as the algebra path leaves it), the summarizability
-// verdict, then HAVING, ORDER and LIMIT.
-func assemble(q *query.Query, columns []string, rows [][]string, report agg.Report) (*query.Result, error) {
-	sortRows(rows)
-	if len(rows) == 0 {
-		rows = nil
-	}
-	res := &query.Result{
-		Columns:      columns,
-		Rows:         rows,
-		Summarizable: report.Summarizable,
-		Reasons:      report.Reasons,
-	}
-	if err := query.ApplyHaving(q, res); err != nil {
-		return nil, err
-	}
-	if err := query.OrderAndLimit(q, res); err != nil {
-		return nil, err
 	}
 	return res, nil
 }
@@ -349,13 +325,13 @@ type groupDim struct {
 	cat string
 }
 
-// row flattens one group of the leg: its value — ⊤ shows none — then the
-// aggregate.
-func (gd groupDim) row(val string, v float64) []string {
+// group is one group of the leg: its value in a one-element slice — ⊤
+// shows none — and the aggregate.
+func (gd groupDim) group(val []string, v float64) row {
 	if gd.dim == "" {
-		return []string{agg.FormatResult(v)}
+		return row{v: v}
 	}
-	return []string{val, agg.FormatResult(v)}
+	return row{keys: val, v: v}
 }
 
 // groupedDims lists the effective grouping legs in schema order — the
@@ -369,18 +345,4 @@ func groupedDims(m *core.MO, groupBy map[string]string) []groupDim {
 		}
 	}
 	return out
-}
-
-// sortRows orders flattened rows by group values then aggregate value —
-// the canonical order the algebra's SQL flattening produces.
-func sortRows(rows [][]string) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
 }

@@ -212,8 +212,10 @@ func ApplyHaving(q *Query, res *Result) error {
 
 // OrderAndLimit applies ORDER BY and LIMIT to the flattened rows. Values
 // that parse as numbers sort numerically, others lexicographically (the
-// aggregate column is almost always numeric). Exported for the planned
-// execution path.
+// aggregate column is almost always numeric): each sort cell is parsed
+// once, and the stable sort compares the parsed keys. Exported for the
+// planned execution path, which keeps this string finish for orders its
+// typed one cannot reproduce.
 func OrderAndLimit(q *Query, res *Result) error {
 	if q.OrderBy != "" {
 		col := -1
@@ -226,13 +228,9 @@ func OrderAndLimit(q *Query, res *Result) error {
 		if col < 0 {
 			return fmt.Errorf("query: ORDER BY %q is not an output column (have %v)", q.OrderBy, res.Columns)
 		}
-		sort.SliceStable(res.Rows, func(i, j int) bool {
-			less := cellLess(res.Rows[i][col], res.Rows[j][col])
-			if q.OrderDesc {
-				return cellLess(res.Rows[j][col], res.Rows[i][col])
-			}
-			return less
-		})
+		if len(res.Rows) > 1 { // a sort of fewer rows reads no cell
+			sortRowsBy(res.Rows, col, q.OrderDesc)
+		}
 	}
 	if q.Limit > 0 && len(res.Rows) > q.Limit {
 		res.Rows = res.Rows[:q.Limit]
@@ -240,13 +238,38 @@ func OrderAndLimit(q *Query, res *Result) error {
 	return nil
 }
 
-func cellLess(a, b string) bool {
-	av, aerr := strconv.ParseFloat(a, 64)
-	bv, berr := strconv.ParseFloat(b, 64)
-	if aerr == nil && berr == nil {
-		return av < bv
+// sortKey is a row decorated with its sort cell, parsed once.
+type sortKey struct {
+	row   []string
+	num   float64
+	isNum bool
+}
+
+// sortRowsBy stably sorts rows by column col: numerically when both cells
+// parse as numbers, otherwise as strings — the comparison is not a strict
+// weak order on mixed or NaN cells, so the permutation is whatever
+// sort.SliceStable makes of it, the same on every call.
+func sortRowsBy(rows [][]string, col int, desc bool) {
+	keys := make([]sortKey, len(rows))
+	for i, row := range rows {
+		v, err := strconv.ParseFloat(row[col], 64)
+		keys[i] = sortKey{row: row, num: v, isNum: err == nil}
 	}
-	return a < b
+	less := func(a, b *sortKey) bool {
+		if a.isNum && b.isNum {
+			return a.num < b.num
+		}
+		return a.row[col] < b.row[col]
+	}
+	sort.SliceStable(keys, func(i, j int) bool {
+		if desc {
+			return less(&keys[j], &keys[i])
+		}
+		return less(&keys[i], &keys[j])
+	})
+	for i := range keys {
+		rows[i] = keys[i].row
+	}
 }
 
 // compilePred lowers the WHERE tree to an algebra predicate, resolving

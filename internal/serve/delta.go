@@ -20,8 +20,10 @@ import (
 // just the appended fact range and merging into the cached partials
 // (plan.UpgradeResult), instead of recomputing from scratch. The repaired entry is swapped in under the
 // current version (cache.Upgrade), so sustained appends keep the entry
-// warm: every upgrade is work proportional to the append volume, not to
-// history.
+// warm. An upgrade never rescans history: it is a range scan of the
+// appended facts, an O(delta + groups) merge into a copy of the cached
+// value-sorted partials, and an O(groups) typed finish — HAVING, then a
+// top-k for ORDER BY … LIMIT — that formats only the rows it keeps.
 //
 // Soundness leans on three invariants established below the serving
 // layer: AppendFact only adds facts at new dense indices (storage), the
@@ -145,16 +147,15 @@ func (s *Server) tryUpgrade(ctx context.Context, key, mo string, ver cache.Versi
 }
 
 // partialsBytes is the retained size of an entry's partials for the cache's
-// byte bound, on top of resultBytes' row accounting: per group the key's
-// bytes and header plus the value-typed partial, as the map stores them.
+// byte bound, on top of resultBytes' row accounting: per group the
+// value-typed partial, its value's header included, plus the value's bytes.
 func partialsBytes(p *plan.Partials) int64 {
 	if p == nil {
 		return 0
 	}
-	const perGroup = int64(unsafe.Sizeof("") + unsafe.Sizeof(plan.Group{}))
-	n := int64(256) + perGroup*int64(len(p.Groups))
-	for v := range p.Groups {
-		n += int64(len(v))
+	n := int64(256) + int64(unsafe.Sizeof(plan.Group{}))*int64(len(p.Groups))
+	for _, g := range p.Groups {
+		n += int64(len(g.Value))
 	}
 	for _, r := range p.CoverReasons {
 		n += int64(len(r)) + 16

@@ -151,7 +151,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: method %s not allowed on /query (use GET or POST)", r.Method))
 		return
 	}
-	src := r.URL.Query().Get("q")
+	params := r.URL.Query() // parsed once: each Query() call re-parses RawQuery
+	src := params.Get("q")
 	if src == "" && r.Method == http.MethodPost {
 		body, ok := readBody(w, r, maxQueryBody)
 		if !ok {
@@ -168,11 +169,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// curl-friendly fallback. No tenant = the default quota bucket.
 	tenant := r.Header.Get("X-Mddm-Tenant")
 	if tenant == "" {
-		tenant = r.URL.Query().Get("tenant")
+		tenant = params.Get("tenant")
 	}
 	ctx = admission.WithTenant(ctx, tenant)
 	var tr *obs.Trace
-	if t := r.URL.Query().Get("trace"); t != "" {
+	if t := params.Get("trace"); t != "" {
 		on, err := strconv.ParseBool(t)
 		if err != nil {
 			writeError(w, http.StatusBadRequest,
@@ -187,7 +188,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var ex *plan.Explain
-	if p := r.URL.Query().Get("plan"); p != "" {
+	if p := params.Get("plan"); p != "" {
 		on, err := strconv.ParseBool(p)
 		if err != nil {
 			writeError(w, http.StatusBadRequest,
@@ -199,7 +200,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	nocache := false
-	if nc := r.URL.Query().Get("nocache"); nc != "" {
+	if nc := params.Get("nocache"); nc != "" {
 		on, err := strconv.ParseBool(nc)
 		if err != nil {
 			writeError(w, http.StatusBadRequest,
