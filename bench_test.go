@@ -8,6 +8,9 @@ package mddm_test
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"mddm"
@@ -579,4 +582,42 @@ func BenchmarkDeltaUpgrade(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --- Result-cache hit: what a repeated dashboard query costs the server ------
+
+// BenchmarkServeHit answers a query text the result cache has seen, on the
+// case-study MO: through ServeQuery alone, and through the HTTP handler
+// with a fresh request and recorder per iteration.
+func BenchmarkServeHit(b *testing.B) {
+	const src = `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Group"`
+	cat := mddm.NewServeCatalog()
+	if err := cat.Register("patients", mddm.MustPatientMO()); err != nil {
+		b.Fatal(err)
+	}
+	s := mddm.NewServeServer(cat, mddm.ServeLimits{ResultCacheBytes: 4 << 20}, mddm.MustDate("01/01/1999"))
+	ctx := context.Background()
+	if _, _, err := s.ServeQuery(ctx, src); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("ServeQuery", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, out, err := s.ServeQuery(ctx, src); err != nil || !out.CacheHit {
+				b.Fatalf("outcome %+v err %v", out, err)
+			}
+		}
+	})
+	h := s.Handler()
+	target := "/query?q=" + url.QueryEscape(src)
+	b.Run("handler", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+			if w.Code != http.StatusOK || w.Header().Get("X-Mddm-Cache") != "hit" {
+				b.Fatalf("status %d, X-Mddm-Cache %q", w.Code, w.Header().Get("X-Mddm-Cache"))
+			}
+		}
+	})
 }

@@ -10,8 +10,12 @@
 //
 // The package also provides the single-flight group (flight.go) the
 // serving layer uses so a thundering herd of identical misses computes
-// the result once, and the canonical cache-key encoder (key.go) that
-// collapses semantically identical query texts onto one key.
+// the result once, the canonical cache-key encoder (key.go) that
+// collapses semantically identical query texts onto one key, and the
+// cache's memory of that encoder (alias.go): a query text it has keyed
+// before resolves to its key by a lookup, without being parsed again.
+// The values are the serving layer's; its entries carry their encoded
+// response body next to the result, so a hit is a lookup and a write.
 package cache
 
 import (
@@ -69,6 +73,11 @@ const entrySize = 96
 type Cache struct {
 	seed   maphash.Seed
 	shards [numShards]shard
+	// aliases are the query texts Resolve has keyed, each mapped to its
+	// canonical key and MO (alias.go): LRU shards of their own, bounded
+	// by a 1/aliasShare part of the byte bound the result shards share the
+	// rest of.
+	aliases [numShards]shard
 
 	// keepStale, when positive, makes Get retain (not drop) a
 	// version-mismatched entry younger than this bound, so GetStale can
@@ -104,9 +113,11 @@ type Stats struct {
 	Upgrades int64
 	// Evictions counts entries removed to satisfy the byte bound.
 	Evictions int64
-	// Bytes is the current resident payload+overhead size.
+	// Bytes is the current resident payload+overhead size, query-text
+	// aliases included.
 	Bytes int64
-	// Entries is the current entry count.
+	// Entries is the current result entry count (aliases are not
+	// entries).
 	Entries int64
 }
 
@@ -134,27 +145,36 @@ type entry struct {
 }
 
 // New creates a cache bounded to roughly maxBytes of declared entry
-// sizes plus bookkeeping overhead. The bound is divided evenly over the
-// internal shards, so one entry can occupy at most maxBytes/16; larger
-// entries are rejected by Put (counted as evictions) rather than
-// allowed to wedge a shard. maxBytes must be positive.
+// sizes plus bookkeeping overhead, query-text aliases included: they get
+// a 1/aliasShare part of it, results the rest. Each part is divided
+// evenly over its shards, so one entry can occupy at most
+// (maxBytes − maxBytes/aliasShare)/16; larger entries are rejected by Put
+// (counted as evictions) rather than allowed to wedge a shard. maxBytes
+// must be positive.
 func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		panic("cache: non-positive byte bound")
 	}
+	c := &Cache{seed: maphash.MakeSeed()}
+	aliasBytes := maxBytes / aliasShare
+	initShards(&c.shards, maxBytes-aliasBytes)
+	initShards(&c.aliases, aliasBytes)
+	return c
+}
+
+// initShards divides maxBytes evenly over shards and makes them empty.
+func initShards(shards *[numShards]shard, maxBytes int64) {
 	per := maxBytes / numShards
 	if per < entrySize {
 		per = entrySize
 	}
-	c := &Cache{seed: maphash.MakeSeed()}
-	for i := range c.shards {
-		s := &c.shards[i]
+	for i := range shards {
+		s := &shards[i]
 		s.maxBytes = per
 		s.entries = map[string]*entry{}
 		s.front.next = &s.front
 		s.front.prev = &s.front
 	}
-	return c
 }
 
 func (c *Cache) shard(key string) *shard {
@@ -173,8 +193,7 @@ func (c *Cache) Get(key string, ver Version) (any, bool) {
 	if ok && e.ver == ver {
 		// Move to the front of the LRU order. The value is read under the
 		// lock: Upgrade replaces it in place.
-		e.unlink()
-		e.linkFront(&s.front)
+		s.touch(e)
 		v := e.val
 		s.mu.Unlock()
 		mHits.Inc()
@@ -247,20 +266,36 @@ func (c *Cache) Put(key string, ver Version, val any, bytes int64) {
 	size := bytes + int64(len(key)) + entrySize
 	s := c.shard(key)
 	s.mu.Lock()
-	if size > s.maxBytes {
+	ok, freed, evicted := s.put(key, ver, val, size)
+	s.mu.Unlock()
+	if !ok {
 		// Too big to ever fit; admitting it would evict the whole shard
 		// for an entry the next Put would evict right back.
-		s.mu.Unlock()
 		mEvictions.Inc()
 		c.count(func(st *Stats) { st.Evictions++ })
 		return
 	}
-	var freed int64
-	if old, ok := s.entries[key]; ok {
+	mBytesAdmitted.Add(size)
+	gBytes.Add(size - freed)
+	if evicted > 0 {
+		mEvictions.Add(int64(evicted))
+		c.count(func(st *Stats) { st.Evictions += int64(evicted) })
+	}
+}
+
+// put stores val under key at an accounted size, replacing any entry the
+// key had and evicting from the LRU tail until the shard fits, and
+// reports the bytes that left and the entries evicted. An entry larger
+// than the whole shard is not stored (ok false) and nothing changes. The
+// caller holds s.mu.
+func (s *shard) put(key string, ver Version, val any, size int64) (ok bool, freed int64, evicted int) {
+	if size > s.maxBytes {
+		return false, 0, 0
+	}
+	if old, found := s.entries[key]; found {
 		freed += old.bytes
 		s.remove(old)
 	}
-	evicted := 0
 	for s.bytes+size > s.maxBytes {
 		lru := s.front.prev
 		freed += lru.bytes
@@ -271,17 +306,10 @@ func (c *Cache) Put(key string, ver Version, val any, bytes int64) {
 	s.entries[key] = e
 	e.linkFront(&s.front)
 	s.bytes += size
-	s.mu.Unlock()
-
-	mBytesAdmitted.Add(size)
-	gBytes.Add(size - freed)
-	if evicted > 0 {
-		mEvictions.Add(int64(evicted))
-		c.count(func(st *Stats) { st.Evictions += int64(evicted) })
-	}
+	return true, freed, evicted
 }
 
-// Len returns the current number of resident entries.
+// Len returns the current number of resident result entries.
 func (c *Cache) Len() int {
 	n := 0
 	for i := range c.shards {
@@ -304,6 +332,10 @@ func (c *Cache) Stats() Stats {
 		st.Bytes += s.bytes
 		st.Entries += int64(len(s.entries))
 		s.mu.Unlock()
+		a := &c.aliases[i]
+		a.mu.Lock()
+		st.Bytes += a.bytes
+		a.mu.Unlock()
 	}
 	return st
 }
@@ -312,6 +344,13 @@ func (c *Cache) count(f func(*Stats)) {
 	c.mu.Lock()
 	f(&c.stats)
 	c.mu.Unlock()
+}
+
+// touch moves an entry to the front of the LRU order; the caller holds
+// s.mu.
+func (s *shard) touch(e *entry) {
+	e.unlink()
+	e.linkFront(&s.front)
 }
 
 // remove unlinks and deletes an entry; the caller holds s.mu.

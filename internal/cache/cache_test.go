@@ -78,10 +78,10 @@ func TestReplaceSameKey(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// One shard's budget is maxBytes/16; size entries so a shard holds
+	// One shard's budget is 7/8 of maxBytes over 16; size entries so a shard holds
 	// about two of them, then overfill and check the oldest untouched
 	// keys fall out while a recently used one survives.
-	c := New(16 * 1024) // 1024 bytes per shard
+	c := New(16 * 1024) // 896 bytes per result shard (1/8 is for aliases)
 	v := Version{Gen: 1}
 	payload := int64(300) // +key+overhead ≈ 400 bytes → 2 per shard
 	var keys []string
@@ -112,7 +112,7 @@ func TestLRUOrderPreferredByGet(t *testing.T) {
 	// (the seed is random per cache, so probe), size the entries so the
 	// shard holds two, touch the first, insert a third — the untouched
 	// middle key must be the one evicted.
-	// Shard budget is 1024; accounted entry size is payload + key + 96
+	// Shard budget is 896; accounted entry size is payload + key + 96
 	// overhead ≈ 404 bytes at payload 300, so two fit and three do not.
 	c := New(16 * 1024)
 	v := Version{Gen: 1}
@@ -142,7 +142,7 @@ func TestLRUOrderPreferredByGet(t *testing.T) {
 }
 
 func TestOversizedEntryRejected(t *testing.T) {
-	c := New(16 * 1024) // shard budget 1024
+	c := New(16 * 1024) // shard budget 896
 	v := Version{Gen: 1}
 	c.Put("big", v, "x", 4096)
 	if _, ok := c.Get("big", v); ok {

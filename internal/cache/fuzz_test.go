@@ -18,6 +18,9 @@ import (
 //     collision can never serve the wrong answer.
 //  2. Stability: canonicalization is a fixpoint (QueryKey of a key
 //     returns the key), so a key is one name, not a chain of renames.
+//  3. Memory: Cache.Resolve answers QueryKey — the same key and MO the
+//     first time, keying the text, and every time after, from the alias
+//     it remembered; an unkeyable text stays unkeyable and unremembered.
 //
 // Injectivity on distinct parameters is pinned by the table-driven
 // TestQueryKeyDistinctions; the fuzzer's contribution there is finding
@@ -59,8 +62,20 @@ func FuzzCacheKey(f *testing.F) {
 	}
 	cat := query.Catalog{"patients": m}
 	ref := temporal.MustDate("01/01/1999")
+	c := New(1 << 20)
 	f.Fuzz(func(t *testing.T, src string) {
 		key, mo, err := QueryKey(src)
+		for i := 0; i < 2; i++ {
+			rkey, rmo, rerr := c.Resolve(src)
+			if (rerr == nil) != (err == nil) || rkey != key || rmo != mo {
+				t.Fatalf("Resolve #%d of %q = %q, %q, %v; QueryKey = %q, %q, %v", i+1, src, rkey, rmo, rerr, key, mo, err)
+			}
+			// A keyable text is remembered unless its alias alone outgrows a shard.
+			fits := int64(len(src)+len(key)+len(mo))+entrySize <= c.aliases[0].maxBytes
+			if remembered(c, src) != (err == nil && fits) {
+				t.Fatalf("after Resolve #%d of %q: remembered %v, keyable %v", i+1, src, remembered(c, src), err == nil)
+			}
+		}
 		if err != nil {
 			return // unkeyable input is fine; panics are not
 		}

@@ -16,6 +16,9 @@ import (
 //
 // The key deliberately excludes tracing, explain and every other
 // context-carried execution knob: none of them changes a result.
+//
+// QueryKey parses every time; Cache.Resolve is the serving layer's
+// remembered form of it.
 func QueryKey(src string) (key, mo string, err error) {
 	q, err := query.Parse(src)
 	if err != nil {

@@ -88,8 +88,7 @@ func (c *Cache) Upgrade(key string, oldVer, newVer Version, val any, bytes int64
 	}
 	delta := size - e.bytes
 	e.ver, e.val, e.bytes, e.at = newVer, val, size, time.Now()
-	e.unlink()
-	e.linkFront(&s.front)
+	s.touch(e)
 	s.bytes += delta
 	evicted := 0
 	var freed int64

@@ -37,7 +37,7 @@ func TestUpgradeNegativeBytes(t *testing.T) {
 // shard's byte bound evicts from the LRU tail — never the just-upgraded
 // entry, which the swap moved to the front.
 func TestUpgradeGrowthEvicts(t *testing.T) {
-	// 16 shards: each holds at most 1024 accounted bytes.
+	// 16 result shards: each holds at most 896 accounted bytes.
 	c := New(16 * 1024)
 	v1 := Version{Gen: 1, Epoch: 1}
 	v2 := Version{Gen: 1, Epoch: 2}
@@ -47,7 +47,7 @@ func TestUpgradeGrowthEvicts(t *testing.T) {
 	c.PutUpgradeable("up", v1, "warm", 300)
 
 	ev0 := c.Stats().Evictions
-	// 300+96+overhead twice fits 1024; growing "up" to 600 pushes the
+	// 300+96+overhead twice fits 896; growing "up" to 600 pushes the
 	// shard over and must evict the colder victim.
 	if !c.Upgrade("up", v1, v2, "merged", 600) {
 		t.Fatal("growth upgrade refused")

@@ -95,15 +95,10 @@ func assemble(q *query.Query, columns []string, groups []row, sorted bool, repor
 }
 
 // typedFinish reports whether the typed tail reproduces the string finish
-// on these groups: every row fills every column (a ⊤-grouped or repeated
-// GROUP BY dimension shows a column no row fills), and an ORDER BY names
-// the aggregate column over values without NaN. Everything else — an
-// ORDER BY of a group column or of no output column included — takes the
-// string finish, errors and all.
+// on these groups: an ORDER BY, if any, names the aggregate column over
+// values without NaN. Everything else — an ORDER BY of a group column or
+// of no output column included — takes the string finish, errors and all.
 func typedFinish(q *query.Query, columns []string, groups []row) bool {
-	if len(groups) > 0 && len(groups[0].keys) != len(columns)-1 {
-		return false
-	}
 	if q.OrderBy == "" {
 		return true
 	}

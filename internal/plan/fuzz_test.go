@@ -44,6 +44,13 @@ func FuzzPlanDifferential(f *testing.F) {
 		// Planner-specific shapes.
 		`SELECT MEDIAN(Age) FROM patients GROUP BY Residence."Region"`,
 		`SELECT MAX(Age) FROM patients GROUP BY Diagnosis."⊤", Diagnosis."⊤"`,
+		// Headers: named in schema order whatever the GROUP BY order, ⊤
+		// legs showing no column, a dimension named twice an error.
+		`SELECT SETCOUNT(*) AS N FROM patients GROUP BY Residence."Region", Diagnosis."Diagnosis Group"`,
+		`SELECT SUM(Age) AS N FROM gen GROUP BY Residence."Region", Diagnosis."Diagnosis Group" HAVING > 1 ORDER BY N DESC LIMIT 2`,
+		`SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis, Diagnosis."Diagnosis Group" HAVING >= 1`,
+		`SELECT SETCOUNT(*) AS N FROM gen GROUP BY Diagnosis."⊤", Residence."Region" HAVING >= 1 ORDER BY N DESC`,
+		`SELECT AVG(Age) AS N FROM gen GROUP BY Residence."⊤" ORDER BY N`,
 		`SELECT SETCOUNT(*) FROM patients WHERE NOT (Diagnosis = 'E10' OR Diagnosis = 'E11')`,
 		// Context views: timeslices, thresholds and probabilistic functions
 		// over temporal, uncertain hierarchies (wardsMO) and attachments.

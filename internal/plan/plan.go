@@ -74,7 +74,6 @@ type Prepared struct {
 
 	resultDim string
 	argDim    string
-	shownDims []string
 
 	factsOnly bool
 
@@ -188,6 +187,10 @@ func (p *Prepared) plan(engines Engines) {
 	}
 	groupBy := map[string]string{}
 	for _, g := range q.GroupBy {
+		if _, dup := groupBy[g.Dim]; dup {
+			p.planErr = fmt.Errorf("query: GROUP BY names dimension %q twice", g.Dim)
+			return
+		}
 		dt := m.Schema().DimensionType(g.Dim)
 		if dt == nil {
 			p.planErr = fmt.Errorf("query: unknown dimension %q", g.Dim)
@@ -202,7 +205,6 @@ func (p *Prepared) plan(engines Engines) {
 			return
 		}
 		groupBy[g.Dim] = c
-		p.shownDims = append(p.shownDims, g.Dim)
 	}
 	// Aggregate-formation validations, replicated in the algebra's order
 	// and wrapping so error texts match the oracle's byte-for-byte.
@@ -303,7 +305,13 @@ func (p *Prepared) leg() groupDim {
 // for a shape that captured partials — their attachment to the context's
 // sink.
 func (p *Prepared) finish(groups []row, sorted bool, parts *Partials) (*query.Result, error) {
-	columns := append(append([]string{}, p.shownDims...), p.resultDim)
+	// The header names the columns the rows fill: the grouped legs in
+	// schema order, ⊤ showing none, then the aggregate.
+	columns := make([]string, 0, len(p.grouped)+1)
+	for _, gd := range p.grouped {
+		columns = append(columns, gd.dim)
+	}
+	columns = append(columns, p.resultDim)
 	if p.ex != nil {
 		p.ex.Groups = len(groups)
 	}

@@ -147,8 +147,10 @@ func RunContext(cctx context.Context, q *Query, cat Catalog, ref temporal.Chrono
 	} else if q.AggArg != "*" {
 		return nil, fmt.Errorf("query: %s takes no argument dimension (use %s(*))", q.Agg, q.Agg)
 	}
-	var shownDims []string
 	for _, g := range q.GroupBy {
+		if _, dup := spec.GroupBy[g.Dim]; dup {
+			return nil, fmt.Errorf("query: GROUP BY names dimension %q twice", g.Dim)
+		}
 		dt := m.Schema().DimensionType(g.Dim)
 		if dt == nil {
 			return nil, fmt.Errorf("query: unknown dimension %q", g.Dim)
@@ -161,7 +163,14 @@ func RunContext(cctx context.Context, q *Query, cat Catalog, ref temporal.Chrono
 			return nil, fmt.Errorf("query: dimension %q has no category %q (has %v)", g.Dim, cat, dt.CategoryTypes())
 		}
 		spec.GroupBy[g.Dim] = cat
-		shownDims = append(shownDims, g.Dim)
+	}
+	// The header names the columns the rows fill: the grouped dimensions
+	// in schema order, a dimension grouped at ⊤ showing none.
+	var shownDims []string
+	for _, n := range m.Schema().DimensionNames() {
+		if c, ok := spec.GroupBy[n]; ok && c != dimension.TopName {
+			shownDims = append(shownDims, n)
+		}
 	}
 
 	rows, aggRes, err := algebra.SQLAggregateContext(cctx, m, spec, ctx)

@@ -171,6 +171,24 @@ func TestRequestIDEchoAndUniqueness(t *testing.T) {
 	}
 }
 
+// TestRequestIDFormat pins the generated id's bytes to the
+// fmt.Sprintf("%08x-%08x", nonce, seq) they have always been, for
+// sequences below 2³² — padded to eight digits — and above it, where
+// the sequence takes as many digits as it needs.
+func TestRequestIDFormat(t *testing.T) {
+	const nonce = uint32(0x00c0ffee)
+	prefix := fmt.Sprintf("%08x-", nonce)
+	for _, seq := range []uint64{0, 1, 0xabc, 0x1234567, 1<<32 - 1, 1 << 32, 0xdeadbeef01, 1<<64 - 1} {
+		want := fmt.Sprintf("%08x-%08x", nonce, seq)
+		if got := requestID(prefix, seq); got != want {
+			t.Errorf("requestID(%q, %#x) = %q, want %q", prefix, seq, got, want)
+		}
+	}
+	if !strings.HasSuffix(reqPrefix, "-") || len(reqPrefix) != 9 {
+		t.Errorf("reqPrefix = %q, want eight hex digits and a dash", reqPrefix)
+	}
+}
+
 // TestDegradedStaleOnShed drives graceful degradation end to end: fill
 // the cache with a query a delta merge cannot repair, invalidate it with
 // an append (version moves), arm the quota so the refill is shed — with

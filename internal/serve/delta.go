@@ -59,25 +59,38 @@ var (
 )
 
 // cachedResult is the result cache's entry value when the cache is
-// enabled: the served result plus, for upgradeable entries, the
-// mergeable partials that let a delta merge repair it. Both are shared
-// across readers and immutable by the cache contract.
+// enabled: the served result, its /query response body encoded once when
+// the entry is made, and, for upgradeable entries, the mergeable partials
+// that let a delta merge repair it. All three are shared across readers
+// and immutable by the cache contract.
 type cachedResult struct {
 	res   *query.Result
+	body  []byte
 	parts *plan.Partials
+}
+
+// newCachedResult makes an entry for res, encoding its response body.
+func newCachedResult(res *query.Result, parts *plan.Partials) *cachedResult {
+	return &cachedResult{res: res, body: responseBody(res, nil, nil), parts: parts}
+}
+
+// bytes is the entry's accounted size for the cache's byte bound: the
+// result, its body and its partials.
+func (c *cachedResult) bytes() int64 {
+	return resultBytes(c.res) + int64(len(c.body)) + partialsBytes(c.parts)
 }
 
 // tryUpgrade attempts to answer a missed lookup by delta-merging a
 // retained upgradeable entry. handled=false means no upgrade applied and
 // the caller should take the normal miss path; handled=true means the
-// lookup was resolved here — either served (res non-nil) or failed with
+// lookup was resolved here — either served (served non-nil) or failed with
 // the same error a recompute would have produced (the row-limit check).
 //
 // Like a plain hit, an upgrade charges no admission ticket, timeout, or
 // fact budget: the fold is maintenance work bounded by the append
 // volume, already priced by the computation the entry replaces. Request
 // cancellation is still honored through ctx.
-func (s *Server) tryUpgrade(ctx context.Context, key, mo string, ver cache.Version) (res *query.Result, out QueryOutcome, err error, handled bool) {
+func (s *Server) tryUpgrade(ctx context.Context, key, mo string, ver cache.Version) (served *cachedResult, out QueryOutcome, err error, handled bool) {
 	v, oldVer, upgradeable, ok := s.results.GetForUpgrade(key)
 	if !ok {
 		return nil, QueryOutcome{}, nil, false // plain absence: nothing to repair
@@ -89,7 +102,7 @@ func (s *Server) tryUpgrade(ctx context.Context, key, mo string, ver cache.Versi
 		s.queries.Add(1)
 		mQueries.Inc()
 		obs.TraceFrom(ctx).SetAttr("cache_hit", 1)
-		return entry.res, QueryOutcome{CacheHit: true}, nil, true
+		return entry, QueryOutcome{CacheHit: true}, nil, true
 	}
 	if !upgradeable || entry == nil || entry.parts == nil {
 		// A KeepStale-retained plain entry (or a foreign value): it was
@@ -135,15 +148,15 @@ func (s *Server) tryUpgrade(ctx context.Context, key, mo string, ver cache.Versi
 			len(merged.Rows), s.limits.MaxResultRows, qos.ErrResourceExhausted), true
 	}
 	newVer := cache.Version{Gen: ver.Gen, Epoch: cur}
-	wrapped := &cachedResult{res: merged, parts: next}
-	s.results.Upgrade(key, oldVer, newVer, wrapped, resultBytes(merged)+partialsBytes(next))
+	wrapped := newCachedResult(merged, next)
+	s.results.Upgrade(key, oldVer, newVer, wrapped, wrapped.bytes())
 	mDeltaUpgrades.Inc()
 	s.queries.Add(1)
 	mQueries.Inc()
 	tr := obs.TraceFrom(ctx)
 	tr.SetAttr("cache_hit", 1)
 	tr.SetAttr("cache_upgraded", 1)
-	return merged, QueryOutcome{CacheHit: true, Upgraded: true}, nil, true
+	return wrapped, QueryOutcome{CacheHit: true, Upgraded: true}, nil, true
 }
 
 // partialsBytes is the retained size of an entry's partials for the cache's

@@ -61,8 +61,8 @@ func TestTryUpgradeFreshRace(t *testing.T) {
 	if !out.CacheHit || out.Upgraded {
 		t.Fatalf("fresh-race outcome = %+v, want plain hit", out)
 	}
-	if !reflect.DeepEqual(res.Rows, filled.Rows) {
-		t.Fatalf("fresh-race rows diverged: %v vs %v", res.Rows, filled.Rows)
+	if !reflect.DeepEqual(res.res.Rows, filled.Rows) {
+		t.Fatalf("fresh-race rows diverged: %v vs %v", res.res.Rows, filled.Rows)
 	}
 	if mDeltaFolds.Value() != folds0 {
 		t.Fatal("fresh-race ran a delta fold")

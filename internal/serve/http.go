@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
@@ -84,16 +85,30 @@ func (s *Server) Handler() http.Handler {
 	return withRequestID(mux)
 }
 
-// reqSeq numbers requests within the process; reqNonce distinguishes
-// processes so ids from a restarted server do not collide in logs.
+// reqSeq numbers requests within the process; reqPrefix, the id's
+// "nonce-" half, distinguishes processes so ids from a restarted server
+// do not collide in logs.
 var (
-	reqSeq   atomic.Uint64
-	reqNonce = func() uint32 {
+	reqSeq    atomic.Uint64
+	reqPrefix = func() string {
 		var b [4]byte
 		_, _ = crand.Read(b[:])
-		return binary.BigEndian.Uint32(b[:])
+		return fmt.Sprintf("%08x-", binary.BigEndian.Uint32(b[:]))
 	}()
 )
+
+// requestID is the id of the seq-th request: prefix, then seq in lower-case
+// hex zero-padded to eight digits — fmt's "%08x" without fmt.
+func requestID(prefix string, seq uint64) string {
+	var hex [16]byte
+	var buf [32]byte // room for a process prefix and every uint64
+	digits := strconv.AppendUint(hex[:0], seq, 16)
+	id := append(buf[:0], prefix...)
+	for i := len(digits); i < 8; i++ {
+		id = append(id, '0')
+	}
+	return string(append(id, digits...))
+}
 
 type requestIDKey struct{}
 
@@ -106,7 +121,7 @@ func withRequestID(next http.Handler) http.Handler {
 		id := r.Header.Get("X-Mddm-Request-Id")
 		seq := reqSeq.Add(1)
 		if id == "" {
-			id = fmt.Sprintf("%08x-%08x", reqNonce, seq)
+			id = requestID(reqPrefix, seq)
 		}
 		w.Header().Set("X-Mddm-Request-Id", id)
 		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, seq)))
@@ -224,6 +239,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the response shape is unchanged from servers built without
 	// Limits.ResultCacheBytes.
 	var res *query.Result
+	var body []byte // the cache entry's encoded answer, when there is one
 	var out QueryOutcome
 	var err error
 	cacheHeader := "miss"
@@ -233,7 +249,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		cacheHeader = "bypass"
 		res, err = s.Query(ctx, src)
 	} else {
-		res, out, err = s.ServeQuery(ctx, src)
+		res, body, out, err = s.serveQuery(ctx, src)
 	}
 	switch {
 	case out.Upgraded:
@@ -267,13 +283,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// The planner never ran (a cache hit): no plan to report.
 		ex = nil
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
+	if trace := tr.Finish().Summary(); trace != nil || ex != nil || body == nil {
+		// The answer is not the cache entry's as stored: it carries a trace
+		// or a plan, or no entry holds it (?nocache=1, a stale-on-shed
+		// answer, a server without a result cache).
+		body = responseBody(res, trace, ex)
+	}
+	writeBody(w, http.StatusOK, body)
+}
+
+// responseBody is the /query body for res, with the trace and plan the
+// request opted into (nil for none — the plain answer a result-cache
+// entry stores).
+func responseBody(res *query.Result, trace *obs.TraceSummary, ex *plan.Explain) []byte {
+	return encodeJSON(queryResponse{
 		Columns:      res.Columns,
 		Rows:         res.Rows,
 		Summarizable: res.Summarizable,
 		Reasons:      res.Reasons,
 		Warnings:     res.Warnings,
-		Trace:        tr.Finish().Summary(),
+		Trace:        trace,
 		Plan:         ex,
 	})
 }
@@ -302,18 +331,28 @@ func statusFor(err error) int {
 	}
 }
 
-// writeJSON serializes v; the faultinject.Serialize point fires first so
-// robustness tests can fail this path deterministically.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeJSON is the one encoder of success bodies, whether a handler
+// writes them at once or a result-cache entry keeps them: JSON without
+// HTML escaping, then a newline. A value that fails to encode yields an
+// empty body.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
+	return buf.Bytes()
+}
+
+// writeBody writes an encoded JSON body; the faultinject.Serialize point
+// fires first so robustness tests can fail this path deterministically.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	if err := faultinject.Check(faultinject.Serialize); err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("serve: serialize: %w", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
+	_, _ = w.Write(body) // the status line is already out; nothing to recover
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

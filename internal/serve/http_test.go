@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -146,5 +147,41 @@ func TestQueryEndpointStatusMapping(t *testing.T) {
 func TestStatusForUnknownErrorIs400(t *testing.T) {
 	if got := statusFor(errors.New("anything else")); got != http.StatusBadRequest {
 		t.Fatalf("got %d", got)
+	}
+}
+
+// TestQueryHeaderMatchesCells: a result's header names the columns its
+// rows fill. Grouped dimensions are listed in schema order whatever order
+// GROUP BY names them in, a dimension grouped at ⊤ adds no column, and a
+// dimension named twice is a query error (400), not a 500.
+func TestQueryHeaderMatchesCells(t *testing.T) {
+	ts := httpServer(t, Limits{ResultCacheBytes: 1 << 20})
+	_, swapped, _ := queryStatus(t, ts, `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Residence."Region", Diagnosis."Diagnosis Group"`)
+	_, ordered, _ := queryStatus(t, ts, `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."Diagnosis Group", Residence."Region"`)
+	if want := []string{"Diagnosis", "Residence", "N"}; !reflect.DeepEqual(swapped.Columns, want) {
+		t.Fatalf("columns %v, want %v", swapped.Columns, want)
+	}
+	if len(swapped.Rows) == 0 || !reflect.DeepEqual(swapped.Rows, ordered.Rows) {
+		t.Fatalf("rows %v, want the schema-order query's %v", swapped.Rows, ordered.Rows)
+	}
+
+	for _, q := range []string{
+		`SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis."⊤", Residence."Region" HAVING >= 1 ORDER BY N DESC`,
+		`SELECT SETCOUNT(*) AS N FROM patients GROUP BY Residence."⊤" HAVING >= 1`,
+	} {
+		code, res, eres := queryStatus(t, ts, q)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", q, code, eres.Error)
+		}
+		for _, r := range res.Rows {
+			if len(r) != len(res.Columns) {
+				t.Fatalf("%s: row %v under header %v", q, r, res.Columns)
+			}
+		}
+	}
+
+	code, _, eres := queryStatus(t, ts, `SELECT SETCOUNT(*) AS N FROM patients GROUP BY Diagnosis, Diagnosis."Diagnosis Group" HAVING >= 1`)
+	if code != http.StatusBadRequest || !strings.Contains(eres.Error, "twice") {
+		t.Fatalf("repeated dimension: status %d, error %q; want 400 naming the repeat", code, eres.Error)
 	}
 }

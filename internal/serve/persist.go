@@ -194,5 +194,5 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, appendResponse{Fact: req.Fact, Seq: seq})
+	writeBody(w, http.StatusOK, encodeJSON(appendResponse{Fact: req.Fact, Seq: seq}))
 }

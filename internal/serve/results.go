@@ -89,13 +89,14 @@ type QueryOutcome struct {
 	StaleAge time.Duration
 }
 
-// ServeQuery is the serving pipeline — key → version → cache get → delta
-// upgrade → single-flight{Query} — and the one entry point in front of
-// Query: a lookup keyed by the canonical form of src and validated against
-// the MO's current version, falling through to Query on a miss with the
-// fill single-flighted per (key, version) so a thundering herd of
-// identical misses computes once. The returned Result is shared with other
-// cache readers — treat it as immutable.
+// ServeQuery is the serving pipeline — text → key → version → cache get →
+// delta upgrade → single-flight{Query} — and the one entry point in front
+// of Query: a lookup keyed by the canonical form of src (resolved from the
+// cache's memory of texts it has keyed, parsed only the first time) and
+// validated against the MO's current version, falling through to Query on
+// a miss with the fill single-flighted per (key, version) so a thundering
+// herd of identical misses computes once. The returned Result is shared
+// with other cache readers — treat it as immutable.
 //
 // A hit charges no fact budget, no timeout, and no admission ticket: the
 // pinned policy (docs/SERVING.md, TestCacheHitBudgetPolicy) is that the
@@ -111,16 +112,25 @@ type QueryOutcome struct {
 // answer beats a 429 for dashboards that would rather be a little behind
 // than blank. The stale entry is never promoted to fresh.
 func (s *Server) ServeQuery(ctx context.Context, src string) (*query.Result, QueryOutcome, error) {
+	res, _, out, err := s.serveQuery(ctx, src)
+	return res, out, err
+}
+
+// serveQuery is ServeQuery that also returns the answer's encoded /query
+// body when the answer is a cache entry's — a hit, an upgrade, a fill or
+// a follower of one — so the handler writes the bytes the entry holds
+// instead of encoding the rows again. body is nil for any other answer.
+func (s *Server) serveQuery(ctx context.Context, src string) (res *query.Result, body []byte, out QueryOutcome, err error) {
 	if s.results == nil {
 		res, err := s.Query(ctx, src)
-		return res, QueryOutcome{}, err
+		return res, nil, QueryOutcome{}, err
 	}
-	key, mo, kerr := cache.QueryKey(src)
+	key, mo, kerr := s.results.Resolve(src)
 	if kerr != nil {
 		// Unkeyable means unparseable; let the uncached path produce its
 		// canonical parse error (and its error metrics).
 		res, err := s.Query(ctx, src)
-		return res, QueryOutcome{}, err
+		return res, nil, QueryOutcome{}, err
 	}
 	ver := s.resultVersion(mo)
 	if ver.Epoch == 0 {
@@ -139,14 +149,18 @@ func (s *Server) ServeQuery(ctx context.Context, src string) (*query.Result, Que
 		s.queries.Add(1)
 		mQueries.Inc()
 		obs.TraceFrom(ctx).SetAttr("cache_hit", 1)
-		return v.(*cachedResult).res, QueryOutcome{CacheHit: true}, nil
+		e := v.(*cachedResult)
+		return e.res, e.body, QueryOutcome{CacheHit: true}, nil
 	}
 	// Before recomputing, try to repair a retained upgradeable entry by
 	// folding only the appended facts (delta.go). This runs ahead of the
 	// single-flight and the degraded stale path: an entry a delta merge
 	// can answer fresh must never be served degraded-stale instead.
-	if res, out, err, handled := s.tryUpgrade(ctx, key, mo, ver); handled {
-		return res, out, err
+	if e, out, err, handled := s.tryUpgrade(ctx, key, mo, ver); handled {
+		if err != nil {
+			return nil, nil, out, err
+		}
+		return e.res, e.body, out, nil
 	}
 	obs.TraceFrom(ctx).SetAttr("cache_hit", 0)
 	v, err := s.flights.Do(flightKey(key, ver), func() (any, error) {
@@ -157,7 +171,7 @@ func (s *Server) ServeQuery(ctx context.Context, src string) (*query.Result, Que
 			// budgets, sheds) must not shadow a later healthy computation.
 			return nil, err
 		}
-		entry := &cachedResult{res: res}
+		entry := newCachedResult(res, nil)
 		if cp.Partials != nil && s.resultVersion(mo) == ver {
 			// The partials are attached only when no write raced the
 			// computation: an over-fresh result stored under the pre-write
@@ -165,10 +179,10 @@ func (s *Server) ServeQuery(ctx context.Context, src string) (*query.Result, Que
 			// lookup) but poisonous as an upgradeable one — a later delta
 			// fold would double-count the facts the race already included.
 			entry.parts = cp.Partials
-			s.results.PutUpgradeable(key, ver, entry, resultBytes(res)+partialsBytes(entry.parts))
+			s.results.PutUpgradeable(key, ver, entry, entry.bytes())
 			return entry, nil
 		}
-		s.results.Put(key, ver, entry, resultBytes(res))
+		s.results.Put(key, ver, entry, entry.bytes())
 		return entry, nil
 	})
 	if err != nil {
@@ -179,16 +193,19 @@ func (s *Server) ServeQuery(ctx context.Context, src string) (*query.Result, Que
 		if errors.As(err, &pe) {
 			s.panics.Add(1)
 			mPanics.Inc()
-			return nil, QueryOutcome{}, &InternalError{Query: src, Panic: pe.Val}
+			return nil, nil, QueryOutcome{}, &InternalError{Query: src, Panic: pe.Val}
 		}
 		if errors.Is(err, ErrOverloaded) && s.limits.StaleOnShed > 0 {
 			if res, out, ok := s.staleOnShed(ctx, key, ver); ok {
-				return res, out, nil
+				// The warning makes it a different answer from the entry's:
+				// no stored body.
+				return res, nil, out, nil
 			}
 		}
-		return nil, QueryOutcome{}, err
+		return nil, nil, QueryOutcome{}, err
 	}
-	return v.(*cachedResult).res, QueryOutcome{}, nil
+	e := v.(*cachedResult)
+	return e.res, e.body, QueryOutcome{}, nil
 }
 
 // staleOnShed is the degraded read for a shed query: a version-stale
