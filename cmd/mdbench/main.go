@@ -1063,12 +1063,13 @@ func b16Records(m *core.MO, n int) []segment.FactAppend {
 }
 
 // b16 measures persistent-storage cold start: opening a folded segment
-// store (segments + column checkpoint) against rebuilding the same
-// state from the operational source (re-ingest every record, build the
-// engine, warm the columns). Before timing, the mmap-backed load is
-// differentially verified against the rebuilt engine — the column
-// kernels must read identical answers through a mapped checkpoint and
-// through RAM.
+// store (engine snapshot, column checkpoint, and the sealed log segment
+// the snapshot covers, walked frame by frame without decoding) against
+// rebuilding the same state from the operational source (re-ingest every
+// record, build the engine, warm the columns). Before timing, the
+// mmap-backed load is differentially verified against the rebuilt engine
+// — the column kernels must read identical answers through a mapped
+// checkpoint and through RAM.
 func b16(nFacts int) {
 	fmt.Printf("B16: cold-start segment load vs full rebuild (1000 low-level values)\n")
 	bg := context.Background()
@@ -1138,8 +1139,9 @@ func b16(nFacts int) {
 			}
 			// A from-source ingest closes over ⊤ and validates the model
 			// before serving, exactly as casestudy.Generate does; the store
-			// did the equivalent work record by record at append time, so
-			// the baseline owes it too.
+			// completes each record with ⊤ at append time (these name all
+			// three dimensions, so it adds nothing), so the baseline owes
+			// the same pass.
 			m.EnsureTotal()
 			if err := m.Validate(); err != nil {
 				fatal(err)

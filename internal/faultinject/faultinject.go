@@ -58,9 +58,9 @@ const (
 	// been written, simulating a crash during compaction: the orphaned
 	// temp file must be ignored and cleaned at the next open.
 	SegmentWrite Point = "segment-write"
-	// ChecksumMismatch fires in the segment store's checksum
-	// verification; while armed every verified artifact is treated as
-	// corrupt.
+	// ChecksumMismatch fires in the segment store's whole-file checksum
+	// verification (column checkpoint, engine snapshot); while armed
+	// every such artifact is treated as corrupt.
 	ChecksumMismatch Point = "checksum-mismatch"
 )
 

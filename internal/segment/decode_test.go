@@ -3,8 +3,10 @@ package segment
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 
 	"mddm/internal/dimension"
@@ -21,115 +23,96 @@ func stamp(b []byte) []byte {
 
 const testFP = uint64(0xdeadbeefcafe1234)
 
-// segBody builds a minimal valid segment body (one record, one pair)
-// up to but not including the trailer, then lets mutate rewrite it.
-func segBody(mutate func(e *enc)) []byte {
-	e := &enc{}
-	e.b = append(e.b, segMagic...)
-	e.u32(formatVersion)
-	e.u64(testFP)
-	e.u64(0) // from
-	e.u64(1) // to
-	if mutate != nil {
+// sealedRecs returns n one-pair records carrying seqs from, from+1, ….
+func sealedRecs(from uint64, n int) []FactAppend {
+	recs := make([]FactAppend, n)
+	for i := range recs {
+		recs[i] = FactAppend{Seq: from + uint64(i), FactID: fmt.Sprintf("f%d", i),
+			Pairs: []Pair{{Dim: "D", Value: "v", Annot: dimension.Always()}}}
+	}
+	return recs
+}
+
+// TestDecodeSegmentValidation reads damaged sealed segments on both
+// paths: decoded (records the snapshot does not cover) and frame-only
+// (covered records). Every damage is a hard, typed error naming the file.
+func TestDecodeSegmentValidation(t *testing.T) {
+	const from = 4
+	recs := sealedRecs(from, 3)
+	img := sealSegment(testFP, from, recs)
+	se := segEntry{File: "seg-test.wal", From: from, To: from + 3}
+	for _, decode := range []bool{true, false} {
+		got, err := readSealed(img, testFP, se, decode)
+		if err != nil || (decode && len(got) != 3) {
+			t.Fatalf("valid sealed segment (decode=%v): %d records, err %v", decode, len(got), err)
+		}
+	}
+	withFrame := func(payload []byte) []byte {
+		return append(append([]byte(nil), img...), encodeFrame(payload)...)
+	}
+	badRec := func(mutate func(e *enc)) []byte {
+		e := &enc{}
+		e.u64(from + 3)
 		mutate(e)
 		return e.b
 	}
-	e.u32(1)
-	e.str("D")
-	e.u32(1)
-	e.str("v")
-	e.str("f1")
-	e.u32(1)
-	e.u32(0)
-	e.u32(0)
-	e.byte(annotAlways)
-	return e.b
-}
-
-func TestDecodeSegmentValidation(t *testing.T) {
-	if _, _, _, err := decodeSegment(stamp(segBody(nil)), testFP); err != nil {
-		t.Fatalf("minimal valid segment rejected: %v", err)
+	restamp := func(mutate func(h []byte)) []byte {
+		b := append([]byte(nil), img...)
+		mutate(b)
+		binary.LittleEndian.PutUint32(b[walHeaderSize-4:], crc32.Checksum(b[:walHeaderSize-4], castagnoli))
+		return b
 	}
+	long := segEntry{File: se.File, From: from, To: from + 4}
 	cases := []struct {
-		name string
-		img  []byte
-		want error
+		name        string
+		img         []byte
+		se          segEntry
+		want        error
+		decodedOnly bool // damage only the record decoder sees
 	}{
-		{"truncated", []byte("MSEG"), ErrCorrupt},
-		{"bad-magic", stamp(append([]byte("XSEG"), segBody(nil)[4:]...)), ErrCorrupt},
-		{"bad-version", stamp(func() []byte {
-			b := segBody(nil)
-			binary.LittleEndian.PutUint32(b[4:], 9)
+		{name: "truncated", img: img[:10], se: se, want: ErrCorrupt},
+		{name: "bad-magic", img: append([]byte("XWAL"), img[4:]...), se: se, want: ErrCorrupt},
+		{name: "bad-version", img: restamp(func(h []byte) { binary.LittleEndian.PutUint32(h[4:], 1) }), se: se, want: ErrCorrupt},
+		{name: "fp-mismatch", img: restamp(func(h []byte) { binary.LittleEndian.PutUint64(h[8:], testFP+1) }), se: se, want: ErrBaseMismatch},
+		{name: "start-seq-mismatch", img: sealSegment(testFP, from+1, sealedRecs(from+1, 3)), se: se, want: ErrCorrupt},
+		{name: "inverted-range", img: img, se: segEntry{File: se.File, From: from, To: from - 1}, want: ErrCorrupt},
+		{name: "absurd-range", img: img, se: segEntry{File: se.File, From: from, To: 1 << 34}, want: ErrCorrupt},
+		{name: "frame-count-short", img: sealSegment(testFP, from, recs[:2]), se: se, want: ErrCorrupt},
+		{name: "frame-count-long", img: withFrame(encodeRecord(sealedRecs(from+3, 1)[0])), se: se, want: ErrCorrupt},
+		{name: "seq-out-of-order", img: sealSegment(testFP, from, []FactAppend{recs[1], recs[0], recs[2]}), se: se, want: ErrCorrupt},
+		{name: "truncated-frame", img: img[:len(img)-3], se: se, want: ErrCorrupt},
+		{name: "trailing-bytes", img: append(append([]byte(nil), img...), 0xff), se: se, want: ErrCorrupt},
+		{name: "flipped-bit", img: func() []byte {
+			b := append([]byte(nil), img...)
+			b[walHeaderSize+frameHeader+9] ^= 1
 			return b
-		}()), ErrCorrupt},
-		{"fp-mismatch", stamp(func() []byte {
-			b := segBody(nil)
-			binary.LittleEndian.PutUint64(b[8:], testFP+1)
-			return b
-		}()), ErrBaseMismatch},
-		{"inverted-range", stamp(func() []byte {
-			b := segBody(nil)
-			binary.LittleEndian.PutUint64(b[16:], 5) // from > to
-			return b
-		}()), ErrCorrupt},
-		{"absurd-range", stamp(func() []byte {
-			b := segBody(nil)
-			binary.LittleEndian.PutUint64(b[24:], 1<<34)
-			return b
-		}()), ErrCorrupt},
-		{"dict-count-lies", stamp(segBody(func(e *enc) {
-			e.u32(1 << 20) // dimension dict claims 1M entries with no bytes
-		})), ErrCorrupt},
-		{"empty-fact-id", stamp(segBody(func(e *enc) {
+		}(), se: se, want: ErrCorrupt},
+		{name: "empty-fact-id", img: withFrame(badRec(func(e *enc) {
+			e.str("")
 			e.u32(1)
-			e.str("D")
-			e.u32(1)
-			e.str("v")
-			e.str("") // record with empty id
-			e.u32(1)
+		})), se: long, want: ErrCorrupt, decodedOnly: true},
+		{name: "zero-pairs", img: withFrame(badRec(func(e *enc) {
+			e.str("f")
 			e.u32(0)
-			e.u32(0)
-			e.byte(annotAlways)
-		})), ErrCorrupt},
-		{"zero-pairs", stamp(segBody(func(e *enc) {
-			e.u32(1)
-			e.str("D")
-			e.u32(1)
-			e.str("v")
-			e.str("f1")
-			e.u32(0)
-		})), ErrCorrupt},
-		{"pair-count-over-cap", stamp(segBody(func(e *enc) {
-			e.u32(1)
-			e.str("D")
-			e.u32(1)
-			e.str("v")
-			e.str("f1")
+		})), se: long, want: ErrCorrupt, decodedOnly: true},
+		{name: "pair-count-over-cap", img: withFrame(badRec(func(e *enc) {
+			e.str("f")
 			e.u32(maxPairs + 1)
-		})), ErrCorrupt},
-		{"dict-ref-out-of-range", stamp(segBody(func(e *enc) {
-			e.u32(1)
-			e.str("D")
-			e.u32(1)
-			e.str("v")
-			e.str("f1")
-			e.u32(1)
-			e.u32(7) // dim index 7, dict has 1 entry
-			e.u32(0)
-			e.byte(annotAlways)
-		})), ErrCorrupt},
-		{"trailing-bytes", stamp(append(segBody(nil), 0xff)), ErrCorrupt},
-		{"flipped-bit", func() []byte {
-			b := stamp(segBody(nil))
-			b[30] ^= 1
-			return b
-		}(), ErrCorrupt},
+		})), se: long, want: ErrCorrupt, decodedOnly: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, _, _, err := decodeSegment(c.img, testFP)
-			if !errors.Is(err, c.want) {
-				t.Fatalf("err = %v, want %v", err, c.want)
+			for _, decode := range []bool{true, false} {
+				_, err := readSealed(c.img, testFP, c.se, decode)
+				if c.decodedOnly && !decode {
+					if err != nil {
+						t.Errorf("frame-only walk: %v", err)
+					}
+					continue
+				}
+				if !errors.Is(err, c.want) || !strings.Contains(err.Error(), c.se.File) {
+					t.Errorf("decode=%v: err = %v, want %v naming %s", decode, err, c.want, c.se.File)
+				}
 			}
 		})
 	}
@@ -200,7 +183,7 @@ func TestDecodeCheckpointValidation(t *testing.T) {
 		{"bad-magic", stamp(append([]byte("XCOL"), ckBody(0, nil)[4:]...)), ErrCorrupt},
 		{"bad-version", stamp(func() []byte {
 			b := ckBody(0, nil)
-			binary.LittleEndian.PutUint32(b[4:], 2)
+			binary.LittleEndian.PutUint32(b[4:], formatVersion+1)
 			return b
 		}()), ErrCorrupt},
 		{"fp-mismatch", stamp(func() []byte {
@@ -363,19 +346,19 @@ func TestScanWALValidation(t *testing.T) {
 		if _, err := decodeWALHeader(crc); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("bad crc: %v", err)
 		}
-		if _, err := scanWAL(crc, testFP); !errors.Is(err, ErrCorrupt) {
+		if _, err := scanWAL(crc, testFP, true); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("scan over bad header: %v", err)
 		}
 	})
 	t.Run("fp-mismatch-hard", func(t *testing.T) {
-		if _, err := scanWAL(header, testFP+1); !errors.Is(err, ErrBaseMismatch) {
+		if _, err := scanWAL(header, testFP+1, true); !errors.Is(err, ErrBaseMismatch) {
 			t.Errorf("err = %v, want ErrBaseMismatch", err)
 		}
 	})
 	t.Run("clean", func(t *testing.T) {
 		img := append(append([]byte(nil), header...), recFrame(5)...)
 		img = append(img, recFrame(6)...)
-		s, err := scanWAL(img, testFP)
+		s, err := scanWAL(img, testFP, true)
 		if err != nil || s.torn || len(s.recs) != 2 || s.good != int64(len(img)) {
 			t.Fatalf("clean scan: torn=%v recs=%d good=%d err=%v", s.torn, len(s.recs), s.good, err)
 		}
@@ -403,7 +386,7 @@ func TestScanWALValidation(t *testing.T) {
 			img := append(append([]byte(nil), header...), recFrame(5)...)
 			good := int64(len(img))
 			img = append(img, c.tail...)
-			s, err := scanWAL(img, testFP)
+			s, err := scanWAL(img, testFP, true)
 			if err != nil {
 				t.Fatal(err)
 			}

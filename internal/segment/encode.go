@@ -1,14 +1,15 @@
-// Package segment is the persistence subsystem: immutable, checksummed,
-// mmap-friendly on-disk segments plus a write-ahead append log, so a
-// process can recover a storage.Engine from disk instead of rebuilding
-// it from scratch.
+// Package segment is the persistence subsystem: a CRC-framed append log
+// whose folds are sealed into immutable segment files of the same
+// format, plus an engine snapshot and a column checkpoint (the one
+// artifact Options.MMap maps), so a process can recover a storage.Engine
+// from disk instead of rebuilding it from scratch.
 //
 // A Store persists the append history of one MO on top of a
 // deterministic base (the paper's case study, a seeded generator, or a
 // CSV load): the base is re-derived by the caller at open and
 // fingerprint-checked, and everything appended through Store.Append is
 // durably logged before it mutates in-memory state. A background folder
-// compacts the log into immutable segment files and snapshots the
+// seals the log into immutable segment files and snapshots the
 // engine's characterization columns into a checkpoint the next open can
 // install without recomputing any rollup closure. See docs/PERSISTENCE.md
 // for the format layout, the WAL protocol, and the recovery invariants.
@@ -41,8 +42,9 @@ var ErrCorrupt = errors.New("segment: corrupt artifact")
 var ErrBaseMismatch = errors.New("segment: base MO mismatch")
 
 // formatVersion versions every on-disk artifact; readers reject versions
-// they do not understand rather than guessing.
-const formatVersion = 1
+// they do not understand rather than guessing. Version 2 seals segments
+// as log files; a version-1 directory is refused at Open, not migrated.
+const formatVersion = 2
 
 // Decoder resource caps: arbitrary bytes must not be able to request an
 // absurd allocation before validation catches them.
@@ -86,6 +88,21 @@ func (e *enc) str(s string) { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
 func (e *enc) pad8() { // align the next field to 8 bytes
 	for len(e.b)%8 != 0 {
 		e.b = append(e.b, 0)
+	}
+}
+
+// dict interns strings in first-seen order.
+type dict struct {
+	id    map[string]uint32
+	order []string
+}
+
+func newDict() *dict { return &dict{id: map[string]uint32{}} }
+
+func (d *dict) add(s string) {
+	if _, ok := d.id[s]; !ok {
+		d.id[s] = uint32(len(d.order))
+		d.order = append(d.order, s)
 	}
 }
 
@@ -164,6 +181,25 @@ func (d *dec) count(max uint32, what string) (int, error) {
 		return 0, fmt.Errorf("%w: %s count %d exceeds cap %d", ErrCorrupt, what, n, max)
 	}
 	return int(n), nil
+}
+
+func (d *dec) dictStrings(what string) ([]string, error) {
+	n, err := d.count(1<<24, what)
+	if err != nil {
+		return nil, err
+	}
+	// Each entry costs at least a length prefix; reject counts the
+	// remaining bytes cannot possibly hold before allocating.
+	if n*4 > d.remaining() {
+		return nil, fmt.Errorf("%w: %s dictionary count %d exceeds remaining bytes", ErrCorrupt, what, n)
+	}
+	out := make([]string, n)
+	for i := range out {
+		if out[i], err = d.str(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func (d *dec) pad8() error {

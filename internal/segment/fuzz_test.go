@@ -8,13 +8,17 @@ import (
 	"mddm/internal/storage"
 )
 
+// fuzzSealed is the manifest entry fuzzed bytes are read against as a
+// sealed segment.
+var fuzzSealed = segEntry{File: "seg-fuzz.wal", From: 5, To: 10}
+
 // FuzzSegmentDecode throws arbitrary bytes at every persisted-artifact
 // decoder. The contract under fuzz is the package's untrusted-bytes
 // contract: a typed error or a successful parse — never a panic, never
 // an unbounded allocation. The seed corpus is real encoded artifacts
-// (record, WAL image, segment, checkpoint) so the fuzzer starts on the
-// interesting side of the format instead of bouncing off the magic
-// numbers.
+// (record, sealed segment, WAL image, checkpoint, snapshot) so the
+// fuzzer starts on the interesting side of the format instead of
+// bouncing off the magic numbers.
 func FuzzSegmentDecode(f *testing.F) {
 	rec := FactAppend{Seq: 3, FactID: "pat-f", Pairs: []Pair{
 		{Dim: "Diagnosis", Value: "d1", Annot: dimension.Always()},
@@ -27,7 +31,12 @@ func FuzzSegmentDecode(f *testing.F) {
 	for i := range recs {
 		recs[i].Seq = uint64(i)
 	}
-	f.Add(encodeSegment(testFP, 0, uint64(len(recs)), recs))
+	sealed := make([]FactAppend, len(recs))
+	for i, r := range recs {
+		r.Seq = fuzzSealed.From + uint64(i)
+		sealed[i] = r
+	}
+	f.Add(sealSegment(testFP, fuzzSealed.From, sealed))
 
 	wal := encodeWALHeader(walHeader{baseFP: testFP, startSeq: 0})
 	for _, r := range recs {
@@ -56,7 +65,16 @@ func FuzzSegmentDecode(f *testing.F) {
 				t.Fatalf("decoded record does not re-encode: %v", err)
 			}
 		}
-		_, _, _, _ = decodeSegment(b, testFP)
+		if recs, err := readSealed(b, testFP, fuzzSealed, true); err == nil {
+			// Whatever the decoded read accepts, the frame-only walk of a
+			// snapshot-covered segment accepts too.
+			if len(recs) != int(fuzzSealed.To-fuzzSealed.From) {
+				t.Fatalf("sealed read returned %d records", len(recs))
+			}
+			if _, err := readSealed(b, testFP, fuzzSealed, false); err != nil {
+				t.Fatalf("frame-only walk rejects a segment the decoded read accepts: %v", err)
+			}
+		}
 		_, _, _, _ = decodeCheckpoint(b, testFP, testFP+1, false)
 		_, _, _, _ = decodeCheckpoint(b, testFP, testFP+1, true)
 		if img, err := decodeSnapshot(b, fp, m, testCtx()); err == nil {
@@ -67,7 +85,7 @@ func FuzzSegmentDecode(f *testing.F) {
 				_ = r.Len()
 			}
 		}
-		if s, err := scanWAL(b, testFP); err == nil {
+		if s, err := scanWAL(b, testFP, true); err == nil {
 			// Intact frames must carry contiguous seqs from the header.
 			for i, r := range s.recs {
 				if r.Seq != s.header.startSeq+uint64(i) {

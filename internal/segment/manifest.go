@@ -18,6 +18,7 @@ import (
 const (
 	manifestName = "MANIFEST"
 	walName      = "wal.log"
+	sealedExt    = ".wal" // a sealed segment: seg-<from>-<to>.wal
 )
 
 type manifest struct {

@@ -1,12 +1,14 @@
 package segment
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mddm/internal/casestudy"
@@ -16,16 +18,20 @@ import (
 )
 
 // TestDecodeTruncationSweep restamps every proper prefix of each
-// artifact body with a valid CRC, so the structural decoders — not the
-// checksum — must catch the damage. Every prefix must produce a typed
-// error.
+// checksummed artifact body with a valid CRC, so the structural decoders
+// — not the checksum — must catch the damage; a sealed segment's frames
+// carry their own CRCs, so its prefixes are read as they are. Every
+// prefix must produce a typed error.
 func TestDecodeTruncationSweep(t *testing.T) {
-	seg := segBody(nil)
+	seg := sealSegment(testFP, 0, sealedRecs(0, 2))
+	se := segEntry{File: "seg-test.wal", From: 0, To: 2}
 	for l := 0; l < len(seg); l++ {
-		if _, _, _, err := decodeSegment(stamp(seg[:l]), testFP); err == nil {
-			t.Fatalf("segment truncated to %d bytes decoded successfully", l)
-		} else if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBaseMismatch) {
-			t.Fatalf("segment truncated to %d: untyped error %v", l, err)
+		for _, decode := range []bool{true, false} {
+			if _, err := readSealed(seg[:l], testFP, se, decode); err == nil {
+				t.Fatalf("segment truncated to %d bytes read successfully (decode=%v)", l, decode)
+			} else if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("segment truncated to %d (decode=%v): err = %v, want ErrCorrupt", l, decode, err)
+			}
 		}
 	}
 
@@ -68,10 +74,12 @@ func TestDecodeTruncationSweep(t *testing.T) {
 }
 
 func TestDictCountOverCap(t *testing.T) {
-	img := stamp(segBody(func(e *enc) {
-		e.u32(1<<24 + 1) // dimension dict count over the hard cap
+	img := stamp(ckBody(1, func(e *enc) {
+		e.str("D")
+		e.str("C")
+		e.u32(1<<24 + 1) // column dictionary count over the hard cap
 	}))
-	if _, _, _, err := decodeSegment(img, testFP); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := decodeCheckpoint(img, testFP, testFP+1, false); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
@@ -221,7 +229,7 @@ func TestRecoverRejectsUnreplayableRecords(t *testing.T) {
 func TestRecoverMissingSegment(t *testing.T) {
 	dir := t.TempDir()
 	writeFoldedStoreWithColumns(t, dir)
-	segs, _ := filepath.Glob(filepath.Join(dir, "*.mseg"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "*"+sealedExt))
 	if len(segs) != 1 {
 		t.Fatalf("segments: %v", segs)
 	}
@@ -434,4 +442,92 @@ func TestFoldErrors(t *testing.T) {
 			t.Errorf("fold over emptied WAL: %v", err)
 		}
 	})
+}
+
+// TestRecoverSealedSegmentDamage damages a committed sealed segment and
+// recovers on both paths: covered by the snapshot (the frame-only walk)
+// and, with the snapshot gone, replayed (the decoded read). Each damage
+// is a hard ErrCorrupt naming the file, and the file is left as found:
+// only the live log is ever truncated.
+func TestRecoverSealedSegmentDamage(t *testing.T) {
+	reseal := func(t *testing.T, path string, se segEntry, from uint64, keep int, shift uint64) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := fingerprintMO(base(t))
+		recs, err := readSealed(b, fp, se, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = recs[:keep]
+		for i := range recs {
+			recs[i].Seq += shift
+		}
+		if err := os.WriteFile(path, sealSegment(fp, from, recs), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	damages := []struct {
+		name   string
+		damage func(t *testing.T, path string, se segEntry)
+	}{
+		{"flipped-byte", func(t *testing.T, path string, _ segEntry) {
+			flipByte(t, path, walHeaderSize+frameHeader+9)
+		}},
+		{"truncated-frame", func(t *testing.T, path string, _ segEntry) {
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, info.Size()-3); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"frame-count", func(t *testing.T, path string, se segEntry) {
+			reseal(t, path, se, se.From, int(se.To-se.From)-1, 0)
+		}},
+		{"start-seq", func(t *testing.T, path string, se segEntry) {
+			reseal(t, path, se, se.From+1, int(se.To-se.From), 1)
+		}},
+	}
+	for _, d := range damages {
+		for _, path := range []string{"covered", "replayed"} {
+			t.Run(d.name+"-"+path, func(t *testing.T) {
+				dir := t.TempDir()
+				writeFoldedStoreWithColumns(t, dir)
+				if old, _ := filepath.Glob(filepath.Join(dir, "*.mseg")); len(old) != 0 {
+					t.Fatalf("fold wrote retired MSEG files: %v", old)
+				}
+				man, _, err := loadManifest(dir)
+				if err != nil || len(man.Segments) != 1 || man.Snapshot == nil {
+					t.Fatalf("setup: %+v, %v", man, err)
+				}
+				if path == "replayed" {
+					if err := os.Remove(filepath.Join(dir, man.Snapshot.File)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				se := man.Segments[0]
+				segPath := filepath.Join(dir, se.File)
+				d.damage(t, segPath, se)
+				damaged, err := os.ReadFile(segPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := Open(dir, base(t), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				_, err = st.Recover(context.Background(), testCtx())
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), se.File) {
+					t.Fatalf("recover over a damaged segment: %v, want ErrCorrupt naming %s", err, se.File)
+				}
+				if after, _ := os.ReadFile(segPath); !bytes.Equal(after, damaged) {
+					t.Fatal("recovery rewrote a sealed segment")
+				}
+			})
+		}
+	}
 }

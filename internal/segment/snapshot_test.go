@@ -564,6 +564,7 @@ func TestDeferredRelationMaterializes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	want.EnsureTotal() // the store records omitted dimensions as ⊤
 	for _, name := range want.Schema().DimensionNames() {
 		got, ref := st2.MO().Relation(name), want.Relation(name)
 		if got.Len() != ref.Len() {
@@ -679,6 +680,7 @@ func TestAnnotationsSurviveSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	m2.EnsureTotal() // the store records omitted dimensions as ⊤
 	got, ok1 := st2.MO().Relation(casestudy.DimDiagnosis).Annot(recs[1].FactID, recs[1].Pairs[0].Value)
 	ref, ok2 := m2.Relation(casestudy.DimDiagnosis).Annot(recs[1].FactID, recs[1].Pairs[0].Value)
 	if !ok1 || !ok2 || got.Prob != ref.Prob || !got.Time.Valid.Equal(ref.Time.Valid) || !got.Time.Trans.Equal(ref.Time.Trans) {

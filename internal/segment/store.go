@@ -2,12 +2,11 @@ package segment
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -56,6 +55,7 @@ type Store struct {
 	poisoned  bool // an injected or real mid-write fault; disk needs re-open recovery
 	closed    bool
 	maps      [][]byte
+	bytes     sizes // this store's share of the mddm_segment_bytes gauges
 
 	foldC chan struct{}
 	stopC chan struct{}
@@ -148,7 +148,7 @@ func cleanOrphans(dir string, man *manifest) error {
 		if ent.IsDir() || live[name] {
 			continue
 		}
-		if strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ".mseg") ||
+		if strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, sealedExt) ||
 			strings.HasSuffix(name, ".mcol") || strings.HasSuffix(name, ".msnp") {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
 				return err
@@ -172,7 +172,7 @@ func (s *Store) openWAL() error {
 	} else if err != nil {
 		return err
 	}
-	scan, err := scanWAL(b, s.baseFP)
+	scan, err := scanWAL(b, s.baseFP, true)
 	if err != nil {
 		return err
 	}
@@ -211,12 +211,13 @@ func (s *Store) openWAL() error {
 // validated bulk load and the engine comes back with its fact order and
 // direct bitmaps intact, O(facts) instead of O(history replay) — then
 // applies only the records the snapshot postdates. Snapshot-covered
-// segments are still integrity-checked (magic, checksum, fingerprint,
-// range) without being decoded: they remain the source of truth, the
-// snapshot is acceleration. Without a usable snapshot (none written yet,
-// or rejected with a counter) recovery falls back to full replay: every
-// persisted record is applied through the same RelateAnnot path live
-// appends use and the engine is built over the result. The column
+// segments are still integrity-checked (header, fingerprint, every
+// frame's length, CRC and seq, the frame count) without being decoded:
+// they remain the source of truth, the snapshot is acceleration. Without
+// a usable snapshot (none written yet, or rejected with a counter)
+// recovery falls back to full replay: every persisted record is applied
+// through the same RelateAnnot path live appends use and the engine is
+// built over the result. The column
 // checkpoint installs only on the snapshot path — its codes are
 // positional over the fold-time engine order, which the snapshot carries
 // and verifies; BuildEngine's sorted order offers no such guarantee once
@@ -245,23 +246,14 @@ func (s *Store) Recover(ctx context.Context, ectx dimension.Context) (*storage.E
 		mSnapshotRestores.Inc()
 	}
 	for _, se := range s.man.Segments {
-		if eng != nil && se.To <= snapSeq {
-			if err := verifySegmentShallow(filepath.Join(s.dir, se.File), s.baseFP, se); err != nil {
-				return nil, err
-			}
-			continue
-		}
 		b, err := os.ReadFile(filepath.Join(s.dir, se.File))
 		if err != nil {
 			return nil, err
 		}
-		from, to, recs, err := decodeSegment(b, s.baseFP)
+		covered := eng != nil && se.To <= snapSeq
+		recs, err := readSealed(b, s.baseFP, se, !covered)
 		if err != nil {
-			return nil, fmt.Errorf("segment %s: %w", se.File, err)
-		}
-		if from != se.From || to != se.To {
-			return nil, fmt.Errorf("%w: segment %s covers [%d, %d), manifest says [%d, %d)",
-				ErrCorrupt, se.File, from, to, se.From, se.To)
+			return nil, err
 		}
 		for _, rec := range recs {
 			if err := s.replayRecord(eng, rec, snapSeq); err != nil {
@@ -368,43 +360,6 @@ func (s *Store) applySnapshot(img *snapImage, ectx dimension.Context) (*storage.
 	return eng, nil
 }
 
-// verifySegmentShallow integrity-checks a segment whose records the
-// snapshot already covers: magic, whole-file CRC-32C, format version,
-// base fingerprint, and the manifest's claimed range against the fixed
-// header offsets — everything but the record decode. Corruption of
-// committed history is a hard error even when its records are redundant;
-// the segments stay the durable source of truth the snapshot is audited
-// against.
-func verifySegmentShallow(path string, baseFP uint64, se segEntry) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(b) < 4+4+8+8+8+4 {
-		return fmt.Errorf("%w: segment %s truncated at %d bytes", ErrCorrupt, se.File, len(b))
-	}
-	if string(b[:4]) != segMagic {
-		return fmt.Errorf("%w: bad segment magic %q in %s", ErrCorrupt, b[:4], se.File)
-	}
-	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.Checksum(body, castagnoli) != sum {
-		return fmt.Errorf("%w: segment %s checksum mismatch", ErrCorrupt, se.File)
-	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != formatVersion {
-		return fmt.Errorf("%w: segment %s format version %d, want %d", ErrCorrupt, se.File, v, formatVersion)
-	}
-	if fp := binary.LittleEndian.Uint64(b[8:]); fp != baseFP {
-		return fmt.Errorf("%w: segment %s fingerprint %016x, base is %016x", ErrBaseMismatch, se.File, fp, baseFP)
-	}
-	from := binary.LittleEndian.Uint64(b[16:])
-	to := binary.LittleEndian.Uint64(b[24:])
-	if from != se.From || to != se.To {
-		return fmt.Errorf("%w: segment %s covers [%d, %d), manifest says [%d, %d)",
-			ErrCorrupt, se.File, from, to, se.From, se.To)
-	}
-	return nil
-}
-
 // applyPairs replays one record into the MO — the identical path
 // Append takes after logging, which is what makes load-after-crash
 // equivalent to rebuild-from-scratch by construction.
@@ -474,9 +429,11 @@ func (s *Store) installCheckpoint(eng *storage.Engine, ectx dimension.Context) {
 	}
 }
 
-// Append durably logs one new fact and then applies it: validate first
-// (so a logged record can always replay), frame into the WAL, fsync when
-// Options.Sync, then mutate the MO and the engine. A crash after the
+// Append durably logs one new fact and then applies it: validate it,
+// complete it with ⊤ for every dimension it omits, and check that its
+// frame reads back (so a logged record can always replay), then frame it
+// into the WAL, fsync when Options.Sync, and mutate the MO and the
+// engine. A crash after the
 // write and before the apply is exactly what recovery replays. The
 // record's Seq is assigned by the store; the caller's value is ignored.
 func (s *Store) Append(rec FactAppend) error {
@@ -503,7 +460,12 @@ func (s *Store) AppendSeq(rec FactAppend) (uint64, error) {
 		return 0, err
 	}
 	rec.Seq = s.seq
-	frame := encodeFrame(encodeRecord(rec))
+	rec.Pairs = s.complete(rec)
+	payload := encodeRecord(rec)
+	if err := replayable(payload); err != nil {
+		return 0, fmt.Errorf("segment: append: fact %q: %w", rec.FactID, err)
+	}
+	frame := encodeFrame(payload)
 	if err := faultinject.Check(faultinject.WALTear); err != nil {
 		// Simulate a crash mid-append: half a frame reaches the disk and
 		// this process stops. In-memory state is untouched — the record
@@ -525,7 +487,9 @@ func (s *Store) AppendSeq(rec FactAppend) (uint64, error) {
 		mWALFsyncs.Inc()
 	}
 	mWALAppends.Inc()
-	mBytesWAL.Add(int64(len(frame)))
+	sz := s.bytes
+	sz.wal += int64(len(frame))
+	s.reportBytes(sz)
 	// The record is durable; the apply cannot fail validation again, so
 	// in-memory state and the log stay in lockstep.
 	if err := applyPairs(s.mo, rec); err != nil {
@@ -569,7 +533,35 @@ func (s *Store) validate(rec FactAppend) error {
 	return nil
 }
 
-// Fold compacts the unfolded log tail into a new immutable segment,
+// complete returns rec's pairs plus (f, ⊤) for every schema dimension
+// the record does not name: the model has no missing values, and an
+// unknown characterization is ⊤ (§3.1). The log then carries the whole
+// record, so replay needs no schema knowledge to restore it.
+func (s *Store) complete(rec FactAppend) []Pair {
+	pairs := slices.Clip(rec.Pairs) // never append into the caller's array
+	for _, dim := range s.mo.Schema().DimensionNames() {
+		if !slices.ContainsFunc(rec.Pairs, func(p Pair) bool { return p.Dim == dim }) {
+			pairs = append(pairs, Pair{Dim: dim, Value: dimension.TopValue, Annot: dimension.Always()})
+		}
+	}
+	return pairs
+}
+
+// replayable reports why a record payload could not be read back by the
+// log scan: longer than a frame may be, or past a decoder cap. The
+// decoder is the one statement of those limits; a record it would read
+// as a torn tail must never be acknowledged.
+func replayable(payload []byte) error {
+	if len(payload) > maxRecord {
+		return fmt.Errorf("record of %d bytes exceeds the %d-byte limit", len(payload), maxRecord)
+	}
+	if _, err := decodeRecord(payload); err != nil {
+		return fmt.Errorf("record would not replay: %w", err)
+	}
+	return nil
+}
+
+// Fold seals the unfolded log tail into a new immutable segment file,
 // snapshots the engine's columns into a fresh checkpoint, commits both
 // through the manifest, and rotates the WAL. Crash-safe at every step:
 // until the manifest rename lands the old commit is intact, and after it
@@ -602,7 +594,7 @@ func (s *Store) foldLocked() error {
 	if err != nil {
 		return err
 	}
-	scan, err := scanWAL(b, s.baseFP)
+	scan, err := scanWAL(b, s.baseFP, true)
 	if err != nil {
 		return err
 	}
@@ -618,8 +610,8 @@ func (s *Store) foldLocked() error {
 	if uint64(len(recs)) != to-from {
 		return fmt.Errorf("%w: WAL holds %d unfolded records, store expects %d", ErrCorrupt, len(recs), to-from)
 	}
-	segName := fmt.Sprintf("seg-%012d-%012d.mseg", from, to)
-	if err := s.writeArtifact(segName, encodeSegment(s.baseFP, from, to, recs)); err != nil {
+	segName := fmt.Sprintf("seg-%012d-%012d%s", from, to, sealedExt)
+	if err := s.writeArtifact(segName, sealSegment(s.baseFP, from, recs)); err != nil {
 		return err
 	}
 	man2 := *s.man
@@ -743,6 +735,7 @@ func (s *Store) Close() error {
 	if s.recovered {
 		mSegmentsOpen.Add(-int64(len(s.man.Segments)))
 	}
+	s.reportBytes(sizes{})
 	return err
 }
 
@@ -784,29 +777,37 @@ func (s *Store) MO() *core.MO {
 	return s.mo
 }
 
-// updateBytes refreshes the size gauges from the live artifact set.
+// sizes is one store's artifact bytes by kind.
+type sizes struct{ segments, wal, columns, snapshot int64 }
+
+// updateBytes reports the live artifact set's sizes.
 func (s *Store) updateBytes() {
-	var segB, colB, snapB, walB int64
-	for _, se := range s.man.Segments {
-		if st, err := os.Stat(filepath.Join(s.dir, se.File)); err == nil {
-			segB += st.Size()
+	var sz sizes
+	size := func(name string) int64 {
+		if st, err := os.Stat(filepath.Join(s.dir, name)); err == nil {
+			return st.Size()
 		}
+		return 0
+	}
+	for _, se := range s.man.Segments {
+		sz.segments += size(se.File)
 	}
 	if s.man.Columns != nil {
-		if st, err := os.Stat(filepath.Join(s.dir, s.man.Columns.File)); err == nil {
-			colB = st.Size()
-		}
+		sz.columns = size(s.man.Columns.File)
 	}
 	if s.man.Snapshot != nil {
-		if st, err := os.Stat(filepath.Join(s.dir, s.man.Snapshot.File)); err == nil {
-			snapB = st.Size()
-		}
+		sz.snapshot = size(s.man.Snapshot.File)
 	}
-	if st, err := os.Stat(filepath.Join(s.dir, walName)); err == nil {
-		walB = st.Size()
-	}
-	mBytesSegments.Set(segB)
-	mBytesColumns.Set(colB)
-	mBytesSnapshot.Set(snapB)
-	mBytesWAL.Set(walB)
+	sz.wal = size(walName)
+	s.reportBytes(sz)
+}
+
+// reportBytes moves the process-wide gauges by this store's change since
+// its last report, so with several stores open each gauge is their sum.
+func (s *Store) reportBytes(sz sizes) {
+	mBytesSegments.Add(sz.segments - s.bytes.segments)
+	mBytesWAL.Add(sz.wal - s.bytes.wal)
+	mBytesColumns.Add(sz.columns - s.bytes.columns)
+	mBytesSnapshot.Add(sz.snapshot - s.bytes.snapshot)
+	s.bytes = sz
 }

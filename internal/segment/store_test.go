@@ -86,6 +86,7 @@ func rebuildReference(t testing.TB, recs []FactAppend) *storage.Engine {
 			t.Fatal(err)
 		}
 	}
+	m.EnsureTotal() // the store records omitted dimensions as ⊤
 	eng, err := storage.BuildEngine(context.Background(), m, testCtx())
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +381,7 @@ func TestSegmentChecksumHardError(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "*.mseg"))
+	segs, err := filepath.Glob(filepath.Join(dir, "*"+sealedExt))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("expected one segment file, got %v (%v)", segs, err)
 	}
@@ -468,6 +469,7 @@ func TestCheckpointContextDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	m.EnsureTotal() // the store records omitted dimensions as ⊤
 	want, err := storage.BuildEngine(context.Background(), m, drifted)
 	if err != nil {
 		t.Fatal(err)
@@ -652,14 +654,17 @@ func TestDecodeCorruptionSweep(t *testing.T) {
 	for i := range recs {
 		recs[i].Seq = uint64(i)
 	}
-	seg := encodeSegment(0xabcd, 0, 6, recs)
+	seg := sealSegment(0xabcd, 0, recs)
+	se := segEntry{File: "seg-test.wal", From: 0, To: 6}
 	for i := range seg {
 		mut := append([]byte(nil), seg...)
 		mut[i] ^= 0x40
-		if _, _, _, err := decodeSegment(mut, 0xabcd); err == nil {
-			t.Fatalf("segment byte flip at %d went undetected", i)
-		} else if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBaseMismatch) {
-			t.Fatalf("segment byte flip at %d: untyped error %v", i, err)
+		for _, decode := range []bool{true, false} {
+			if _, err := readSealed(mut, 0xabcd, se, decode); err == nil {
+				t.Fatalf("segment byte flip at %d went undetected (decode=%v)", i, decode)
+			} else if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBaseMismatch) {
+				t.Fatalf("segment byte flip at %d: untyped error %v", i, err)
+			}
 		}
 	}
 
@@ -698,7 +703,7 @@ func TestDecodeCorruptionSweep(t *testing.T) {
 	for i := range wal {
 		mut := append([]byte(nil), wal...)
 		mut[i] ^= 0x40
-		scan, err := scanWAL(mut, 0xabcd)
+		scan, err := scanWAL(mut, 0xabcd, true)
 		if i < walHeaderSize {
 			if err == nil {
 				t.Fatalf("WAL header byte flip at %d went undetected", i)
@@ -814,15 +819,213 @@ func TestManifestValidation(t *testing.T) {
 	if _, _, err := loadManifest(dir); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad version: %v", err)
 	}
-	write(`{"version": 1, "folded_seq": 10, "segments": [{"file":"a","from":0,"to":4}]}`)
+	write(fmt.Sprintf(`{"version": %d, "folded_seq": 10, "segments": [{"file":"a","from":0,"to":4}]}`, formatVersion))
 	if _, _, err := loadManifest(dir); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("segment gap: %v", err)
 	}
-	write(`{"version": 1, "folded_seq": 4, "segments": [{"file":"a","from":0,"to":4}]}`)
+	write(fmt.Sprintf(`{"version": %d, "folded_seq": 4, "segments": [{"file":"a","from":0,"to":4}]}`, formatVersion))
 	if _, ok, err := loadManifest(dir); err != nil || !ok {
 		t.Errorf("valid manifest rejected: %v", err)
 	}
 	if !strings.Contains(dir, string(os.PathSeparator)) {
 		t.Fatal("sanity")
+	}
+}
+
+// TestSegmentAppendRejectsUnreplayableRecord pins that the store never
+// acknowledges a record the log scan would read back as a torn tail: one
+// past a decoder cap (an element of more than maxIntervals intervals), or
+// one whose payload is longer than a frame may be. Neither is logged, and
+// the append after them survives a crash and reopen.
+func TestSegmentAppendRejectsUnreplayableRecord(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openRecovered(t, dir, Options{})
+	recs := testRecords(t, st.mo, 1)
+	disjoint := func(n int) dimension.Annot {
+		ivs := make([]temporal.Interval, n)
+		for i := range ivs {
+			ivs[i] = temporal.Interval{Start: temporal.Chronon(4 * i), End: temporal.Chronon(4*i + 1)}
+		}
+		return dimension.Annot{
+			Time: temporal.Bitemporal{Valid: temporal.NewElement(ivs...), Trans: temporal.AlwaysElement()},
+			Prob: 1,
+		}
+	}
+	diag := recs[0].Pairs[0]
+	overCap := FactAppend{FactID: "many-intervals", Pairs: []Pair{
+		{Dim: diag.Dim, Value: diag.Value, Annot: disjoint(maxIntervals + 10)},
+	}}
+	big := disjoint(maxIntervals - 1) // each element decodes; nine of them overflow a frame
+	tooLong := FactAppend{FactID: "too-long"}
+	for i := 0; i < 9; i++ {
+		tooLong.Pairs = append(tooLong.Pairs, Pair{Dim: diag.Dim, Value: diag.Value, Annot: big})
+	}
+	walPath := filepath.Join(dir, walName)
+	for _, rec := range []FactAppend{overCap, tooLong} {
+		before, err := os.Stat(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(rec); err == nil {
+			t.Fatalf("%s: unreplayable append acknowledged", rec.FactID)
+		}
+		after, err := os.Stat(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Size() != before.Size() {
+			t.Fatalf("%s: rejected append logged %d bytes", rec.FactID, after.Size()-before.Size())
+		}
+	}
+	if seq, err := st.AppendSeq(recs[0]); err != nil || seq != 0 {
+		t.Fatalf("append after the rejections: seq %d, err %v", seq, err)
+	}
+	// No Close: the process "crashes" with the record in the log.
+	st2, got := openRecovered(t, dir, Options{})
+	if st2.Seq() != 1 {
+		t.Fatalf("recovered seq %d, want 1", st2.Seq())
+	}
+	assertEngineEqual(t, got, rebuildReference(t, recs))
+}
+
+// TestSegmentAppendRecordsOmittedDimensionsAsTop pins the paper's rule
+// that an unknown characterization is ⊤: a record naming only some
+// dimensions is completed with (f, ⊤) for the rest before it is logged,
+// so the MO validates after the append, after replaying the log, and
+// after restoring from a fold.
+func TestSegmentAppendRecordsOmittedDimensionsAsTop(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openRecovered(t, dir, Options{})
+	rec := testRecords(t, st.mo, 1)[0]
+	rec.Pairs = rec.Pairs[:1] // Diagnosis only
+	if err := st.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Pairs) != 1 {
+		t.Fatalf("append rewrote the caller's record: %d pairs", len(rec.Pairs))
+	}
+	check := func(stage string, m *core.MO) {
+		t.Helper()
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		for _, dim := range m.Schema().DimensionNames() {
+			if dim == casestudy.DimDiagnosis {
+				continue
+			}
+			if got := m.Relation(dim).ValuesOf(rec.FactID); !reflect.DeepEqual(got, []string{dimension.TopValue}) {
+				t.Fatalf("%s: %s values of %s = %v, want [⊤]", stage, dim, rec.FactID, got)
+			}
+		}
+	}
+	check("after append", st.MO())
+	st2, _ := openRecovered(t, dir, Options{}) // replays the log
+	check("after replay", st2.MO())
+	if err := st2.Close(); err != nil { // seals the segment, writes the snapshot
+		t.Fatal(err)
+	}
+	st3, _ := openRecovered(t, dir, Options{})
+	check("after restore", st3.MO())
+}
+
+// TestSegmentFormatVersionRefused pins that a directory written in the
+// version-1 layout (segments in the retired MSEG format) is refused at
+// Open with a version error, and left as it was: there is no migration.
+func TestSegmentFormatVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	m := base(t)
+	seg := "seg-000000000000-000000000002.mseg"
+	files := map[string]string{
+		manifestName: fmt.Sprintf(`{"version": 1, "base_fp": "%016x", "base_facts": %d, "folded_seq": 2, `+
+			`"segments": [{"file": %q, "from": 0, "to": 2}]}`, fingerprintMO(m), m.Facts().Len(), seg),
+		seg: "MSEG\x01\x00\x00\x00",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := Open(dir, m, Options{})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("open over a version-1 directory: %v, want a version error", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, seg)); err != nil {
+		t.Fatalf("refused open touched the old segment: %v", err)
+	}
+}
+
+// TestSegmentBytesGaugeSumsStores pins that the mddm_segment_bytes
+// gauges sum over every open store: each store moves them by its own
+// change, and a closed store takes its share back out.
+func TestSegmentBytesGaugeSumsStores(t *testing.T) {
+	gauges := func() sizes {
+		return sizes{mBytesSegments.Value(), mBytesWAL.Value(), mBytesColumns.Value(), mBytesSnapshot.Value()}
+	}
+	onDisk := func(dir string) sizes {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sz sizes
+		for _, ent := range ents {
+			info, err := ent.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch name := ent.Name(); {
+			case name == walName:
+				sz.wal += info.Size()
+			case strings.HasSuffix(name, sealedExt):
+				sz.segments += info.Size()
+			case strings.HasSuffix(name, ".mcol"):
+				sz.columns += info.Size()
+			case strings.HasSuffix(name, ".msnp"):
+				sz.snapshot += info.Size()
+			}
+		}
+		return sz
+	}
+	sum := func(ss ...sizes) sizes {
+		var out sizes
+		for _, s := range ss {
+			out.segments += s.segments
+			out.wal += s.wal
+			out.columns += s.columns
+			out.snapshot += s.snapshot
+		}
+		return out
+	}
+	before := gauges()
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a, _ := openRecovered(t, dirA, Options{})
+	b, _ := openRecovered(t, dirB, Options{})
+	for _, rec := range testRecords(t, a.mo, 5) {
+		if err := a.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Fold(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range testRecords(t, b.mo, 3) {
+		if err := b.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := gauges(), sum(before, onDisk(dirA), onDisk(dirB)); got != want {
+		t.Fatalf("two open stores: gauges %+v, want %+v", got, want)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := gauges(), sum(before, onDisk(dirB)); got != want {
+		t.Fatalf("one store closed: gauges %+v, want %+v", got, want)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauges(); got != before {
+		t.Fatalf("both stores closed: gauges %+v, want %+v", got, before)
 	}
 }

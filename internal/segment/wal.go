@@ -20,7 +20,8 @@ import (
 //
 // startSeq is the sequence number of the first frame; frame i carries
 // seq startSeq+i, so replay can dedup against the folded prefix after a
-// crash between folding and log rotation.
+// crash between folding and log rotation. A sealed segment is a file of
+// this same format (sealSegment, readSealed).
 
 const (
 	walMagic      = "MWAL"
@@ -74,23 +75,29 @@ func encodeFrame(payload []byte) []byte {
 	return e.b
 }
 
-// walScan is the result of scanning a WAL file: the intact records in
-// order, and where the intact prefix ends. torn is true when the file
-// holds bytes past good — the signature of a crash mid-append.
+// walScan is the result of scanning a log image: how many intact
+// frames it holds, their records when the scan decodes them, and where
+// the intact prefix ends. torn is true when the file holds bytes past
+// good — the signature of a crash mid-append.
 type walScan struct {
 	header walHeader
-	recs   []FactAppend
-	good   int64 // byte offset just past the last intact frame
+	frames int
+	recs   []FactAppend // nil when scanned without decoding
+	good   int64        // byte offset just past the last intact frame
 	torn   bool
 }
 
-// scanWAL walks the frames of a WAL image. A damaged frame — short,
-// over-long, failing its checksum, undecodable, or breaking the
-// startSeq+i sequence contract — ends the scan: everything before it is
-// intact, everything from it on is a torn tail for the caller to
-// truncate. Only a damaged header is a hard error: with the header gone
-// there is no intact prefix to stand on.
-func scanWAL(b []byte, baseFP uint64) (walScan, error) {
+// scanWAL walks the frames of a log image, the live log's or a sealed
+// segment's. A damaged frame — short, over-long, failing its checksum,
+// breaking the startSeq+i sequence contract, or (with decode)
+// undecodable — ends the scan: everything before it is intact,
+// everything from it on is a torn tail, for the caller to truncate (the
+// live log) or refuse (a sealed segment). Only a damaged header is a
+// hard error here: with the header gone there is no intact prefix to
+// stand on. Without decode the scan never calls decodeRecord and reads
+// only each payload's leading seq: the cheap walk for sealed segments
+// whose records the snapshot already holds.
+func scanWAL(b []byte, baseFP uint64, decode bool) (walScan, error) {
 	h, err := decodeWALHeader(b)
 	if err != nil {
 		return walScan{}, err
@@ -117,18 +124,56 @@ func scanWAL(b []byte, baseFP uint64) (walScan, error) {
 			s.torn = true
 			break
 		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
+		if len(payload) < 8 || binary.LittleEndian.Uint64(payload) != h.startSeq+uint64(s.frames) {
 			s.torn = true
 			break
 		}
-		if rec.Seq != h.startSeq+uint64(len(s.recs)) {
-			s.torn = true
-			break
+		if decode {
+			rec, err := decodeRecord(payload)
+			if err != nil {
+				s.torn = true
+				break
+			}
+			s.recs = append(s.recs, rec)
 		}
-		s.recs = append(s.recs, rec)
+		s.frames++
 		off += frameHeader + int64(n)
 		s.good = off
 	}
 	return s, nil
+}
+
+// sealSegment writes the log of one fold: the header with startSeq =
+// from, then the frames of the records [from, to), which a fold writes
+// once and never touches again. It is read by the same frame loop as the
+// live log, but strictly: a torn tail there is not a crash mid-append but
+// damage to committed history, and only the live log is ever truncated.
+func sealSegment(baseFP, from uint64, recs []FactAppend) []byte {
+	b := encodeWALHeader(walHeader{baseFP: baseFP, startSeq: from})
+	for _, rec := range recs {
+		b = append(b, encodeFrame(encodeRecord(rec))...)
+	}
+	return b
+}
+
+// readSealed checks a sealed segment image against its manifest entry:
+// an intact header starting at se.From, exactly se.To−se.From frames,
+// and nothing after them. Anything else is ErrCorrupt (or
+// ErrBaseMismatch) naming the file. With decode it returns the records;
+// without, it is the frame-only walk.
+func readSealed(b []byte, baseFP uint64, se segEntry, decode bool) ([]FactAppend, error) {
+	s, err := scanWAL(b, baseFP, decode)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("segment %s: %w", se.File, err)
+	case s.header.startSeq != se.From:
+		return nil, fmt.Errorf("%w: segment %s starts at seq %d, manifest says %d",
+			ErrCorrupt, se.File, s.header.startSeq, se.From)
+	case s.torn:
+		return nil, fmt.Errorf("%w: segment %s has a damaged frame at byte %d", ErrCorrupt, se.File, s.good)
+	case uint64(s.frames) != se.To-se.From:
+		return nil, fmt.Errorf("%w: segment %s holds %d records, manifest says [%d, %d)",
+			ErrCorrupt, se.File, s.frames, se.From, se.To)
+	}
+	return s.recs, nil
 }

@@ -308,3 +308,83 @@ func TestHandleAppendHTTP(t *testing.T) {
 		t.Fatalf("GET /append: status %d", getResp.StatusCode)
 	}
 }
+
+// postAppend POSTs body to the server's /append and returns the status
+// and response body.
+func postAppend(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/append", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(out)
+}
+
+// TestPersistAppendOmittedDimensionIsTop pins that an /append naming only
+// some dimensions records ⊤ for the rest (an unknown characterization is
+// ⊤, §3.1), so the served MO stays valid — live and after recovery.
+func TestPersistAppendOmittedDimensionIsTop(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, segment.Options{})
+	s := attachedServer(t, st, Limits{})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	rec := storeRecords(t, st, 1)[0]
+	body := fmt.Sprintf(`{"mo":"patients","fact":%q,"pairs":[{"dim":%q,"value":%q}]}`,
+		rec.FactID, rec.Pairs[0].Dim, rec.Pairs[0].Value)
+	if code, out := postAppend(t, hs.URL, body); code != http.StatusOK {
+		t.Fatalf("append: status %d body %s", code, out)
+	}
+	if err := st.MO().Validate(); err != nil {
+		t.Fatalf("served MO after a partial append: %v", err)
+	}
+	if got := st.MO().Relation(casestudy.DimDOB).ValuesOf(rec.FactID); len(got) != 1 || got[0] != dimension.TopValue {
+		t.Fatalf("omitted DOB recorded as %v, want [⊤]", got)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered := openStore(t, dir, segment.Options{})
+	defer recovered.Close()
+	if err := recovered.MO().Validate(); err != nil {
+		t.Fatalf("recovered MO after a partial append: %v", err)
+	}
+}
+
+// TestPersistAppendUnreplayableRecord pins that an /append whose record
+// the log could not read back — here one element of more intervals than
+// the decoder admits, a body well under the 4 MiB cap — is a 400 and is
+// not logged: the next append takes seq 0.
+func TestPersistAppendUnreplayableRecord(t *testing.T) {
+	st := openStore(t, t.TempDir(), segment.Options{})
+	defer st.Close()
+	s := attachedServer(t, st, Limits{})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	recs := storeRecords(t, st, 2)
+	var ivs strings.Builder
+	for i := 0; i < 1<<16+10; i++ {
+		if i > 0 {
+			ivs.WriteByte(',')
+		}
+		fmt.Fprintf(&ivs, "[%d,%d]", 4*i, 4*i+1)
+	}
+	body := fmt.Sprintf(`{"mo":"patients","fact":%q,"pairs":[{"dim":%q,"value":%q,"valid":[%s]}]}`,
+		recs[0].FactID, recs[0].Pairs[0].Dim, recs[0].Pairs[0].Value, ivs.String())
+	if code, out := postAppend(t, hs.URL, body); code != http.StatusBadRequest {
+		t.Fatalf("unreplayable append: status %d (want 400) body %.200s", code, out)
+	}
+	if st.Seq() != 0 {
+		t.Fatalf("rejected append was logged: seq %d", st.Seq())
+	}
+	body = fmt.Sprintf(`{"mo":"patients","fact":%q,"pairs":[{"dim":%q,"value":%q}]}`,
+		recs[1].FactID, recs[1].Pairs[0].Dim, recs[1].Pairs[0].Value)
+	if code, out := postAppend(t, hs.URL, body); code != http.StatusOK || !strings.Contains(out, `"seq":0`) {
+		t.Fatalf("append after the rejected one: status %d body %s", code, out)
+	}
+}
