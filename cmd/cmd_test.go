@@ -163,7 +163,7 @@ func TestMdservePersistenceAcrossRestart(t *testing.T) {
 	if !strings.Contains(second, "selfcheck ok: durable append") {
 		t.Fatalf("second run did not append:\n%s", second)
 	}
-	third := run(t, "mdserve", "-selfcheck", "-data", dir, "-data-mmap", "-columns", "4")
+	third := run(t, "mdserve", "-selfcheck", "-data", dir, "-columns", "4")
 	if !strings.Contains(third, "recovered 2 appended facts") {
 		t.Fatalf("third run did not recover both appends:\n%s", third)
 	}

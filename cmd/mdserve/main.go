@@ -79,7 +79,6 @@ func main() {
 	data := flag.String("data", "", "persistent data directory: recover appended facts at startup and durably log POST /append (empty = in-memory only)")
 	dataSync := flag.Bool("data-sync", true, "fsync the write-ahead log on every append (off: durability of the newest appends rides on the OS page cache)")
 	dataFold := flag.Int("data-fold", 1024, "fold the append log into an immutable segment every N appends (0 = only at shutdown)")
-	dataMMap := flag.Bool("data-mmap", false, "serve the persisted column checkpoint via a read-only memory mapping instead of copying it onto the heap")
 	flag.Parse()
 
 	if *parallelism != 1 {
@@ -127,7 +126,7 @@ func main() {
 
 	if *data != "" {
 		st, err := segment.Open(*data, mo, segment.Options{
-			Sync: *dataSync, MMap: *dataMMap, FoldEvery: *dataFold,
+			Sync: *dataSync, FoldEvery: *dataFold,
 		})
 		if err != nil {
 			fatal(err)
@@ -138,8 +137,9 @@ func main() {
 			fatal(err)
 		}
 		if *columns > 0 {
-			// Warm after install: categories the checkpoint carried are
-			// free, the rest build once here instead of on the first query.
+			// Warm after recovery: categories the restored snapshot carried
+			// columns for are free, the rest build once here instead of on
+			// the first query.
 			if err := eng.WarmColumns(context.Background(), *columns); err != nil {
 				fatal(err)
 			}

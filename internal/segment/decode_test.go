@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"mddm/internal/dimension"
-	"mddm/internal/storage"
 	"mddm/internal/temporal"
 )
 
@@ -113,120 +112,6 @@ func TestDecodeSegmentValidation(t *testing.T) {
 				if !errors.Is(err, c.want) || !strings.Contains(err.Error(), c.se.File) {
 					t.Errorf("decode=%v: err = %v, want %v naming %s", decode, err, c.want, c.se.File)
 				}
-			}
-		})
-	}
-}
-
-// ckBody builds a checkpoint body with no columns, or hands the column
-// region to mutate.
-func ckBody(ncols uint32, mutate func(e *enc)) []byte {
-	e := &enc{}
-	e.b = append(e.b, ckMagic...)
-	e.u32(formatVersion)
-	e.u64(testFP)
-	e.u64(testFP + 1) // ctxFP
-	e.u64(3)          // facts
-	e.u64(7)          // seq
-	e.u32(ncols)
-	if mutate != nil {
-		mutate(e)
-	}
-	return e.b
-}
-
-func TestDecodeCheckpointValidation(t *testing.T) {
-	ctxFP := testFP + 1
-	facts, seq, cols, err := decodeCheckpoint(stamp(ckBody(0, nil)), testFP, ctxFP, false)
-	if err != nil || facts != 3 || seq != 7 || len(cols) != 0 {
-		t.Fatalf("empty checkpoint: facts=%d seq=%d cols=%d err=%v", facts, seq, len(cols), err)
-	}
-	oneCol := func(e *enc) {
-		e.str("D")
-		e.str("C")
-		e.u32(2) // dict
-		e.str("a")
-		e.str("b")
-		e.u32(2) // overflow
-		e.u32(0)
-		e.u32(0)
-		e.u32(0)
-		e.u32(1)
-		e.u32(3) // codes
-		e.pad8()
-		e.u32(storage.ColSentinelMulti)
-		e.u32(1)
-		e.u32(storage.ColSentinelNone)
-	}
-	for _, view := range []bool{false, true} {
-		_, _, cols, err := decodeCheckpoint(stamp(ckBody(1, oneCol)), testFP, ctxFP, view)
-		if err != nil || len(cols) != 1 {
-			t.Fatalf("one-column checkpoint (view=%v): cols=%d err=%v", view, len(cols), err)
-		}
-		c := cols[0]
-		if c.dim != "D" || c.cat != "C" || len(c.vals) != 2 || len(c.over) != 2 || len(c.codes) != 3 {
-			t.Fatalf("decoded column mangled: %+v", c)
-		}
-		if cap(c.codes) != len(c.codes) {
-			t.Fatalf("codes cap %d != len %d: an append could write through the view", cap(c.codes), len(c.codes))
-		}
-		if c.codes[1] != 1 {
-			t.Fatalf("codes round-trip: %v", c.codes)
-		}
-	}
-	cases := []struct {
-		name string
-		img  []byte
-		want error
-	}{
-		{"truncated", []byte("MCOL"), ErrCorrupt},
-		{"bad-magic", stamp(append([]byte("XCOL"), ckBody(0, nil)[4:]...)), ErrCorrupt},
-		{"bad-version", stamp(func() []byte {
-			b := ckBody(0, nil)
-			binary.LittleEndian.PutUint32(b[4:], formatVersion+1)
-			return b
-		}()), ErrCorrupt},
-		{"fp-mismatch", stamp(func() []byte {
-			b := ckBody(0, nil)
-			binary.LittleEndian.PutUint64(b[8:], testFP+9)
-			return b
-		}()), ErrBaseMismatch},
-		{"ctx-mismatch", stamp(func() []byte {
-			b := ckBody(0, nil)
-			binary.LittleEndian.PutUint64(b[16:], testFP+9)
-			return b
-		}()), ErrCorrupt},
-		{"implausible-facts", stamp(func() []byte {
-			b := ckBody(0, nil)
-			binary.LittleEndian.PutUint64(b[24:], 1<<50)
-			return b
-		}()), ErrCorrupt},
-		{"column-count-over-cap", stamp(ckBody(1<<16+1, nil)), ErrCorrupt},
-		{"overflow-count-lies", stamp(ckBody(1, func(e *enc) {
-			e.str("D")
-			e.str("C")
-			e.u32(0)       // dict
-			e.u32(1 << 27) // overflow count with no bytes behind it
-		})), ErrCorrupt},
-		{"code-count-lies", stamp(ckBody(1, func(e *enc) {
-			e.str("D")
-			e.str("C")
-			e.u32(0)       // dict
-			e.u32(0)       // overflow
-			e.u32(1 << 29) // codes count with no bytes behind it
-		})), ErrCorrupt},
-		{"trailing-bytes", stamp(append(ckBody(0, nil), 0)), ErrCorrupt},
-		{"flipped-bit", func() []byte {
-			b := stamp(ckBody(0, nil))
-			b[20] ^= 1
-			return b
-		}(), ErrCorrupt},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, _, _, err := decodeCheckpoint(c.img, testFP, ctxFP, false)
-			if !errors.Is(err, c.want) {
-				t.Fatalf("err = %v, want %v", err, c.want)
 			}
 		})
 	}
@@ -336,7 +221,7 @@ func TestScanWALValidation(t *testing.T) {
 			t.Errorf("bad magic: %v", err)
 		}
 		ver := append([]byte(nil), header...)
-		binary.LittleEndian.PutUint32(ver[4:], 3)
+		binary.LittleEndian.PutUint32(ver[4:], formatVersion+1)
 		binary.LittleEndian.PutUint32(ver[walHeaderSize-4:], crc32.Checksum(ver[:walHeaderSize-4], castagnoli))
 		if _, err := decodeWALHeader(ver); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("bad version: %v", err)

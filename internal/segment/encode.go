@@ -1,17 +1,18 @@
 // Package segment is the persistence subsystem: a CRC-framed append log
 // whose folds are sealed into immutable segment files of the same
-// format, plus an engine snapshot and a column checkpoint (the one
-// artifact Options.MMap maps), so a process can recover a storage.Engine
-// from disk instead of rebuilding it from scratch.
+// format, plus one engine snapshot — the cold-start image — so a process
+// can recover a storage.Engine from disk instead of rebuilding it from
+// scratch.
 //
 // A Store persists the append history of one MO on top of a
 // deterministic base (the paper's case study, a seeded generator, or a
 // CSV load): the base is re-derived by the caller at open and
 // fingerprint-checked, and everything appended through Store.Append is
 // durably logged before it mutates in-memory state. A background folder
-// seals the log into immutable segment files and snapshots the
-// engine's characterization columns into a checkpoint the next open can
-// install without recomputing any rollup closure. See docs/PERSISTENCE.md
+// seals the log into immutable segment files and writes the engine's
+// state — its fact order, every pair, and its characterization columns —
+// into a snapshot the next open restores without replaying history or
+// recomputing any rollup closure. See docs/PERSISTENCE.md
 // for the format layout, the WAL protocol, and the recovery invariants.
 //
 // Every decoder in this package treats its input as untrusted bytes: a
@@ -42,9 +43,10 @@ var ErrCorrupt = errors.New("segment: corrupt artifact")
 var ErrBaseMismatch = errors.New("segment: base MO mismatch")
 
 // formatVersion versions every on-disk artifact; readers reject versions
-// they do not understand rather than guessing. Version 2 seals segments
-// as log files; a version-1 directory is refused at Open, not migrated.
-const formatVersion = 2
+// they do not understand rather than guessing. Version 2 sealed segments
+// as log files; version 3 carries the engine's columns inside the
+// snapshot. An older directory is refused at Open, not migrated.
+const formatVersion = 3
 
 // Decoder resource caps: arbitrary bytes must not be able to request an
 // absurd allocation before validation catches them.
@@ -85,11 +87,6 @@ func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) i32(v int32)  { e.u32(uint32(v)) }
 func (e *enc) byte(v byte)  { e.b = append(e.b, v) }
 func (e *enc) str(s string) { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
-func (e *enc) pad8() { // align the next field to 8 bytes
-	for len(e.b)%8 != 0 {
-		e.b = append(e.b, 0)
-	}
-}
 
 // dict interns strings in first-seen order.
 type dict struct {
@@ -200,15 +197,6 @@ func (d *dec) dictStrings(what string) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-func (d *dec) pad8() error {
-	for d.off%8 != 0 {
-		if _, err := d.readByte(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // annotAlways is the flag byte for the ubiquitous Always() annotation

@@ -10,7 +10,7 @@ import (
 // The manifest is the store's commit record: which artifacts are live
 // and how far the WAL has been folded. It is replaced atomically (temp
 // file, fsync, rename, directory fsync), so a reader always sees either
-// the old commit or the new one — never a mix. A segment or checkpoint
+// the old commit or the new one — never a mix. A segment or snapshot
 // file not named by the manifest is an orphan from a crashed fold; it is
 // deleted at open, and its records are still safe because the WAL only
 // rotates after the manifest naming their segment is durable.
@@ -27,8 +27,7 @@ type manifest struct {
 	BaseFacts int        `json:"base_facts"`
 	FoldedSeq uint64     `json:"folded_seq"` // seqs < this live in segments
 	Segments  []segEntry `json:"segments"`
-	Columns   *ckEntry   `json:"columns,omitempty"`
-	Snapshot  *ckEntry   `json:"snapshot,omitempty"`
+	Snapshot  *snapEntry `json:"snapshot,omitempty"`
 }
 
 type segEntry struct {
@@ -37,7 +36,7 @@ type segEntry struct {
 	To   uint64 `json:"to"`
 }
 
-type ckEntry struct {
+type snapEntry struct {
 	File  string `json:"file"`
 	Facts int    `json:"facts"`
 	Seq   uint64 `json:"seq"`

@@ -12,9 +12,6 @@ var (
 	mBytesWAL = obs.NewGauge("mddm_segment_bytes",
 		"Bytes of persisted store artifacts by kind, summed over the open stores.",
 		obs.Label{Key: "kind", Value: "wal"})
-	mBytesColumns = obs.NewGauge("mddm_segment_bytes",
-		"Bytes of persisted store artifacts by kind, summed over the open stores.",
-		obs.Label{Key: "kind", Value: "columns"})
 	mBytesSnapshot = obs.NewGauge("mddm_segment_bytes",
 		"Bytes of persisted store artifacts by kind, summed over the open stores.",
 		obs.Label{Key: "kind", Value: "snapshot"})
@@ -27,7 +24,7 @@ var (
 	mRecoveryTruncations = obs.NewCounter("mddm_segment_recovery_truncations_total",
 		"Torn WAL tails truncated during recovery.")
 	mCheckpointRejects = obs.NewCounter("mddm_segment_checkpoint_rejects_total",
-		"Column checkpoints (or single columns) rejected during recovery; recovery proceeded by rebuilding columns.")
+		"Columns sections (whole, on context drift) or single columns of a restored snapshot skipped during recovery; the skipped columns build from the closure bitmaps.")
 	mSnapshotRestores = obs.NewCounter("mddm_segment_snapshot_restores_total",
 		"Recoveries that restored the engine from a snapshot instead of replaying history.")
 	mSnapshotRejects = obs.NewCounter("mddm_segment_snapshot_rejects_total",

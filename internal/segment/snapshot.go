@@ -1,34 +1,39 @@
 package segment
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
+	"math"
 
 	"mddm/internal/core"
 	"mddm/internal/dimension"
 	"mddm/internal/fact"
+	"mddm/internal/faultinject"
 	"mddm/internal/storage"
 )
 
-// An engine snapshot is the O(facts) cold-start artifact: the store's
-// entire materialized state — the dense fact order plus every
-// fact–dimension pair of every relation — written at fold time so the
-// next open can reconstruct the MO relations and the engine's direct
-// bitmaps without replaying history record by record or re-scanning the
-// pair space. Like the column checkpoint it is derived acceleration, not
-// a source of truth: any validation failure rejects it with a counter
-// and recovery falls back to the replay path, whose input (segments +
-// WAL) the snapshot never replaces. Unlike the checkpoint it carries no
-// context fingerprint — pairs are context-independent facts of the
-// model, and the direct bitmaps are re-derived at decode time under the
-// opening context's Admits filter, exactly as BuildEngine would.
+// An engine snapshot is the O(facts) cold-start image: the store's
+// entire materialized state — the dense fact order, every fact–dimension
+// pair of every relation, and the engine's built characterization
+// columns — written at fold time so the next open can reconstruct the MO
+// relations, the engine's direct bitmaps and its columns without
+// replaying history record by record, re-scanning the pair space or
+// recomputing any rollup closure. It is derived acceleration, not a
+// source of truth: a damaged image is rejected whole with a counter and
+// recovery falls back to the replay path, whose input (segments + WAL)
+// the snapshot never replaces.
 //
-// The fact list doubles as the verified positional order for the column
-// checkpoint: codes in an .mcol file are positional over the fold-time
-// engine order, which is NOT the sorted order a from-scratch rebuild
-// produces once appended ids sort before existing ones. Only a recovery
-// that restored this snapshot may install the checkpoint.
+// The pairs are context-independent facts of the model; the direct
+// bitmaps are re-derived at decode time under the opening context's
+// Admits filter, exactly as BuildEngine would. The columns are not: they
+// were computed under the fold-time evaluation context, whose
+// fingerprint heads the columns section, and a restore under another
+// context skips the section while the rest of the image still restores.
+// Column codes are positional over the image's own fact list, so they
+// are only ever installed into the engine that list restored.
 //
 //	"MSNP" | version u32 | baseFP u64 | seq u64
 //	facts:  u32 n, n × str                  (engine dense order)
@@ -37,6 +42,11 @@ import (
 //	        dict:   u32 nv, nv × str        (value ids, first-seen order)
 //	        groups: u32 ng, ng × (factIdx u32 | u32 nvals |
 //	                nvals × (valIdx u32 | annot))
+//	cols:   ctxFP u64 | u32 nc, per column:
+//	        dim str | cat str
+//	        dict:     u32 n, n × str        (CategoryAt order)
+//	        overflow: u32 n, n × (fact u32 | vid u32)
+//	        codes:    u32 n, n × u32
 //	crc32c u32 over everything above
 //
 // Groups cover only facts with at least one pair in the dimension, each
@@ -45,19 +55,21 @@ import (
 const snapMagic = "MSNP"
 
 // snapImage is a decoded, fully validated snapshot, ready to install:
-// nothing in it aliases the store's live state, so a caller that rejects
-// it leaves the MO untouched.
+// nothing in it aliases the store's live state or the image bytes, so a
+// caller that rejects it leaves the MO untouched.
 type snapImage struct {
 	seq      uint64
 	facts    []string                              // engine dense order
 	appended []string                              // facts not in the base MO, in dense order
 	rels     map[string]*fact.Relation             // per dimension: every pair
 	direct   map[string]map[string]*storage.Bitmap // per dimension: admitted-pair bitmaps
+	ctxFP    uint64                                // the evaluation context the columns were built under
+	cols     []storage.ColumnData
 }
 
 // encodeSnapshot serializes the store's materialized state at seq: the
-// engine's dense fact order and, per schema dimension, the relation's
-// pairs in a dictionary-interned group form.
+// engine's dense fact order, per schema dimension the relation's pairs in
+// a dictionary-interned group form, and the engine's built columns.
 func encodeSnapshot(baseFP, seq uint64, m *core.MO, eng *storage.Engine) []byte {
 	facts := eng.ExportFacts()
 	e := &enc{}
@@ -101,6 +113,26 @@ func encodeSnapshot(baseFP, seq uint64, m *core.MO, eng *storage.Engine) []byte 
 		e.u32(uint32(ng))
 		e.b = append(e.b, groups.b...)
 	}
+	e.u64(fingerprintCtx(eng.Context()))
+	cols := eng.ExportColumns()
+	e.u32(uint32(len(cols)))
+	for _, c := range cols {
+		e.str(c.Dim)
+		e.str(c.Cat)
+		e.u32(uint32(len(c.Vals)))
+		for _, v := range c.Vals {
+			e.str(v)
+		}
+		e.u32(uint32(len(c.Over)))
+		for _, o := range c.Over {
+			e.u32(uint32(o.Fact))
+			e.u32(o.Vid)
+		}
+		e.u32(uint32(len(c.Codes)))
+		for _, code := range c.Codes {
+			e.u32(code)
+		}
+	}
 	e.u32(crc32.Checksum(e.b, castagnoli))
 	return e.b
 }
@@ -135,18 +167,20 @@ func adoptGroups(r *fact.Relation, d *dec, ng, npairs int, vals, facts []string)
 
 // decodeSnapshot validates and parses a snapshot image against the live
 // base MO and the opening context, building the direct bitmaps a restore
-// would install and deferred relations that decode their pairs from b on
-// first access — b must not be modified afterwards. Every failure is a
-// typed error and
-// leaves m untouched — validation is complete before the caller applies
-// anything. Checks beyond the envelope (magic, version, fingerprint,
-// CRC-32C): the dimension sections must name the schema's dimensions in
-// schema order, every dictionary value must exist in its dimension, the
-// fact list must extend the base's facts by exactly seq new ids with no
-// duplicates, and every group and pair reference must be in range with
-// no fact or value repeated.
+// would install, deferred relations that decode their pairs on first
+// access from a copy of their own group bytes, and the columns with
+// their codes copied out: nothing decoded keeps b alive. Every failure is
+// a typed error and leaves m untouched — validation is complete before
+// the caller applies anything. Checks beyond the envelope (magic,
+// version, fingerprint, CRC-32C): the dimension sections must name the
+// schema's dimensions in schema order, every dictionary value must exist
+// in its dimension, the fact list must extend the base's facts by exactly
+// seq new ids with no duplicates, every group and pair reference must be
+// in range with no fact or value repeated, and every column count must
+// fit the bytes left. Whether a column fits the live engine is
+// storage.InstallColumn's check, made when it is installed.
 func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context) (*snapImage, error) {
-	if len(b) < 4+4+8+8+4+4+4 {
+	if len(b) < 4+4+8+8+4+4+8+4+4 {
 		return nil, fmt.Errorf("%w: snapshot truncated at %d bytes", ErrCorrupt, len(b))
 	}
 	if string(b[:4]) != snapMagic {
@@ -263,10 +297,10 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 		}
 		// The groups are validated and the bitmaps the engine serves from
 		// derived here; the relation's entries are decoded a second time,
-		// from the same bytes, only when something first accesses the
-		// relation. A restore that serves from bitmaps and columns never
+		// from a copy of the same bytes, only when something first accesses
+		// the relation. A restore that serves from bitmaps and columns never
 		// allocates them at all.
-		groups, npairs := d.off, 0
+		start, npairs := d.off, 0
 		grouped := make([]bool, nf)
 		valSeen := make([]uint32, nv) // per-value marker: group index + 1
 		valBM := make([]*storage.Bitmap, nv)
@@ -316,9 +350,9 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 				}
 			}
 		}
-		facts := img.facts
+		facts, groups := img.facts, bytes.Clone(body[start:d.off])
 		img.rels[name] = fact.NewRelationDeferred(ng, func(r *fact.Relation) {
-			adoptGroups(r, &dec{b: body, off: groups}, ng, npairs, vals, facts)
+			adoptGroups(r, &dec{b: groups}, ng, npairs, vals, facts)
 		})
 		bms := map[string]*storage.Bitmap{}
 		for vi, bm := range valBM {
@@ -328,8 +362,104 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 		}
 		img.direct[name] = bms
 	}
+	if img.ctxFP, err = d.u64(); err != nil {
+		return nil, err
+	}
+	if img.cols, err = d.columns(); err != nil {
+		return nil, err
+	}
 	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot dimensions", ErrCorrupt, d.remaining())
+		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot columns", ErrCorrupt, d.remaining())
 	}
 	return img, nil
+}
+
+// columns decodes the columns section after its context fingerprint,
+// copying every code out of the image.
+func (d *dec) columns() ([]storage.ColumnData, error) {
+	ncols, err := d.count(1<<16, "column")
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]storage.ColumnData, 0, ncols)
+	for i := 0; i < ncols; i++ {
+		var c storage.ColumnData
+		if c.Dim, err = d.str(); err != nil {
+			return nil, err
+		}
+		if c.Cat, err = d.str(); err != nil {
+			return nil, err
+		}
+		if c.Vals, err = d.dictStrings("column value"); err != nil {
+			return nil, err
+		}
+		nover, err := d.count(1<<28, "overflow")
+		if err != nil {
+			return nil, err
+		}
+		if nover*8 > d.remaining() {
+			return nil, fmt.Errorf("%w: overflow count %d exceeds remaining bytes", ErrCorrupt, nover)
+		}
+		c.Over = make([]storage.OverflowEntry, nover)
+		for j := range c.Over {
+			f, _ := d.u32() // the count check above bounds both reads
+			v, _ := d.u32()
+			c.Over[j] = storage.OverflowEntry{Fact: int(f), Vid: v}
+		}
+		ncodes, err := d.count(1<<30, "code")
+		if err != nil {
+			return nil, err
+		}
+		if ncodes*4 > d.remaining() {
+			return nil, fmt.Errorf("%w: code count %d exceeds remaining bytes", ErrCorrupt, ncodes)
+		}
+		c.Codes = make([]uint32, ncodes)
+		for j := range c.Codes {
+			c.Codes[j] = binary.LittleEndian.Uint32(d.b[d.off+4*j:])
+		}
+		d.off += 4 * ncodes
+		cols = append(cols, c)
+	}
+	return cols, nil
+}
+
+// checksumOK verifies a whole-artifact CRC-32C. The ChecksumMismatch
+// faultinject point fires first, so corruption handling is testable
+// without hand-crafting bit flips.
+func checksumOK(body []byte, sum uint32) error {
+	if err := faultinject.Check(faultinject.ChecksumMismatch); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if crc32.Checksum(body, castagnoli) != sum {
+		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return nil
+}
+
+// fingerprintCtx hashes the evaluation context an image's columns were
+// computed under: the same store reopened with a different reference
+// date, instant filter, or probability threshold must not install
+// columns admitting a different pair set.
+func fingerprintCtx(ctx dimension.Context) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	if ctx.Valid != nil {
+		put(1)
+		put(uint64(int64(*ctx.Valid)))
+	} else {
+		put(0)
+	}
+	if ctx.Trans != nil {
+		put(1)
+		put(uint64(int64(*ctx.Trans)))
+	} else {
+		put(0)
+	}
+	put(uint64(int64(ctx.Ref)))
+	put(math.Float64bits(ctx.MinProb))
+	return h.Sum64()
 }

@@ -2,8 +2,10 @@ package segment
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"slices"
@@ -24,11 +26,6 @@ type Options struct {
 	// the tail; a process crash cannot), which is the right trade for
 	// bulk loads and benchmarks.
 	Sync bool
-	// MMap serves the column checkpoint via a read-only memory mapping
-	// instead of copying it onto the heap: kernels then scan the page
-	// cache directly. Mappings live until ReleaseMaps (or process exit) —
-	// see that method for the lifetime contract.
-	MMap bool
 	// FoldEvery folds the log into a new segment in the background once
 	// this many unfolded appends accumulate (0 = fold only on Close or
 	// explicit Fold calls).
@@ -50,11 +47,9 @@ type Store struct {
 	tail      []FactAppend
 	mo        *core.MO
 	eng       *storage.Engine
-	ectx      dimension.Context
 	recovered bool
 	poisoned  bool // an injected or real mid-write fault; disk needs re-open recovery
 	closed    bool
-	maps      [][]byte
 	bytes     sizes // this store's share of the mddm_segment_bytes gauges
 
 	foldC chan struct{}
@@ -63,6 +58,13 @@ type Store struct {
 }
 
 var errClosed = errors.New("segment: store closed")
+
+// ErrRejected reports an append the store refused before logging it,
+// because of the record itself: it fails validation, names a fact that
+// already exists, or would not read back from the log. Nothing was
+// written and the store is unchanged. Every other Append error is the
+// store's own: a failed log write or fsync, a poisoned or closed store.
+var ErrRejected = errors.New("segment: append rejected")
 
 // Open opens (or initializes) the store in dir for the given base MO.
 // The base must be exactly the data the store was created over — it is
@@ -124,7 +126,29 @@ func Open(dir string, base *core.MO, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// cleanOrphans deletes temp files and segment/checkpoint files the
+// fingerprintMO hashes the identity of the base MO — schema dimension
+// names in schema order, the fact count, and every base fact id in
+// sorted order. Two runs that derive the same base data agree on it;
+// a store opened over different data is rejected with ErrBaseMismatch
+// before any record is applied.
+func fingerprintMO(m *core.MO) uint64 {
+	h := fnv.New64a()
+	for _, name := range m.Schema().DimensionNames() {
+		h.Write([]byte(name))
+		h.Write([]byte{0})
+	}
+	ids := m.Facts().IDs()
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(ids)))
+	h.Write(n[:])
+	for _, id := range ids {
+		h.Write([]byte(id))
+		h.Write([]byte{0})
+	}
+	return h.Sum64()
+}
+
+// cleanOrphans deletes temp files and segment/snapshot files the
 // manifest does not name — leftovers of a crash mid-fold. Their records
 // are safe: the WAL only rotates after the manifest naming a segment is
 // durable, so an unnamed segment's range is still in the log.
@@ -132,9 +156,6 @@ func cleanOrphans(dir string, man *manifest) error {
 	live := map[string]bool{manifestName: true, walName: true}
 	for _, se := range man.Segments {
 		live[se.File] = true
-	}
-	if man.Columns != nil {
-		live[man.Columns.File] = true
 	}
 	if man.Snapshot != nil {
 		live[man.Snapshot.File] = true
@@ -149,7 +170,7 @@ func cleanOrphans(dir string, man *manifest) error {
 			continue
 		}
 		if strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, sealedExt) ||
-			strings.HasSuffix(name, ".mcol") || strings.HasSuffix(name, ".msnp") {
+			strings.HasSuffix(name, ".msnp") {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
 				return err
 			}
@@ -208,22 +229,19 @@ func (s *Store) openWAL() error {
 
 // Recover reconstructs the engine from disk. The fast path restores the
 // engine snapshot — the base MO absorbs every persisted pair in one
-// validated bulk load and the engine comes back with its fact order and
-// direct bitmaps intact, O(facts) instead of O(history replay) — then
-// applies only the records the snapshot postdates. Snapshot-covered
-// segments are still integrity-checked (header, fingerprint, every
-// frame's length, CRC and seq, the frame count) without being decoded:
-// they remain the source of truth, the snapshot is acceleration. Without
-// a usable snapshot (none written yet, or rejected with a counter)
-// recovery falls back to full replay: every persisted record is applied
-// through the same RelateAnnot path live appends use and the engine is
-// built over the result. The column
-// checkpoint installs only on the snapshot path — its codes are
-// positional over the fold-time engine order, which the snapshot carries
-// and verifies; BuildEngine's sorted order offers no such guarantee once
-// appended ids sort before base ids, so the fallback counts the
-// checkpoint rejected and rebuilds columns lazily. Idempotent: a second
-// call returns the same engine.
+// validated bulk load, the engine comes back with its fact order and
+// direct bitmaps intact, O(facts) instead of O(history replay), and the
+// image's columns install into it — then applies only the records the
+// snapshot postdates, through AppendFact, which maintains every
+// installed column. Snapshot-covered segments are still
+// integrity-checked (header, fingerprint, every frame's length, CRC and
+// seq, the frame count) without being decoded: they remain the source of
+// truth, the snapshot is acceleration. Without a usable snapshot (none
+// written yet, or rejected with a counter) recovery falls back to full
+// replay: every persisted record is applied through the same RelateAnnot
+// path live appends use, the engine is built over the result, and
+// columns build lazily. Idempotent: a second call returns the same
+// engine.
 func (s *Store) Recover(ctx context.Context, ectx dimension.Context) (*storage.Engine, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -238,10 +256,11 @@ func (s *Store) Recover(ctx context.Context, ectx dimension.Context) (*storage.E
 		snapSeq uint64
 	)
 	if img := s.loadSnapshot(ectx); img != nil {
-		e, err := s.applySnapshot(img, ectx)
+		e, err := restoreImage(s.mo, img, ectx)
 		if err != nil {
 			return nil, err
 		}
+		installColumns(e, img)
 		eng, snapSeq = e, img.seq
 		mSnapshotRestores.Inc()
 	}
@@ -272,15 +291,8 @@ func (s *Store) Recover(ctx context.Context, ectx dimension.Context) (*storage.E
 			return nil, err
 		}
 		eng = e
-		if s.man.Columns != nil {
-			// See the doc comment: without the snapshot's verified fact
-			// order the checkpoint's positional codes cannot be trusted.
-			mCheckpointRejects.Inc()
-		}
-	} else {
-		s.installCheckpoint(eng, ectx)
 	}
-	s.eng, s.ectx = eng, ectx
+	s.eng = eng
 	s.recovered = true
 	s.tail = nil
 	mSegmentsOpen.Add(int64(len(s.man.Segments)))
@@ -307,10 +319,11 @@ func (s *Store) replayRecord(eng *storage.Engine, rec FactAppend, snapSeq uint64
 	return nil
 }
 
-// loadSnapshot reads and fully validates the manifest's engine snapshot.
-// Every failure here is soft — counted, and recovery falls back to
-// replaying the history the snapshot merely accelerates. A nil return
-// with no counter just means no snapshot has been written yet.
+// loadSnapshot reads and fully validates the manifest's engine snapshot
+// with one read of the file. Every failure here is soft and rejects the
+// whole image — counted, and recovery falls back to replaying the
+// history the snapshot merely accelerates. A nil return with no counter
+// just means no snapshot has been written yet.
 func (s *Store) loadSnapshot(ectx dimension.Context) *snapImage {
 	sn := s.man.Snapshot
 	if sn == nil {
@@ -335,25 +348,25 @@ func (s *Store) loadSnapshot(ectx dimension.Context) *snapImage {
 	return img
 }
 
-// applySnapshot installs a validated snapshot: the relations replace the
-// base MO's wholesale (the base pairs are a subset of the snapshot's by
-// the decoder's coverage check), the appended facts join the fact set,
-// and the engine is restored over the persisted order and bitmaps.
-// decodeSnapshot validated everything against the live MO already, so a
-// failure here means the model mutated underneath us mid-recovery — and
-// since the MO is no longer the pristine base the replay fallback
-// requires, it is a hard ErrCorrupt, not a soft reject.
-func (s *Store) applySnapshot(img *snapImage, ectx dimension.Context) (*storage.Engine, error) {
-	s.mo.Facts().Grow(len(img.facts))
+// restoreImage installs a validated snapshot into m: the relations
+// replace the base MO's wholesale (the base pairs are a subset of the
+// snapshot's by the decoder's coverage check), the appended facts join
+// the fact set, and the engine is restored over the persisted order and
+// bitmaps. decodeSnapshot validated everything against the live MO
+// already, so a failure here means the model mutated underneath us
+// mid-recovery — and since the MO is no longer the pristine base the
+// replay fallback requires, it is a hard ErrCorrupt, not a soft reject.
+func restoreImage(m *core.MO, img *snapImage, ectx dimension.Context) (*storage.Engine, error) {
+	m.Facts().Grow(len(img.facts))
 	for _, f := range img.appended {
-		s.mo.AddFact(fact.NewFact(f))
+		m.AddFact(fact.NewFact(f))
 	}
 	for name, rel := range img.rels {
-		if err := s.mo.SetRelation(name, rel); err != nil {
+		if err := m.SetRelation(name, rel); err != nil {
 			return nil, fmt.Errorf("%w: snapshot relation %q: %v", ErrCorrupt, name, err)
 		}
 	}
-	eng, err := storage.RestoreEngine(s.mo, ectx, img.facts, img.direct)
+	eng, err := storage.RestoreEngine(m, ectx, img.facts, img.direct)
 	if err != nil {
 		return nil, fmt.Errorf("%w: snapshot restore: %v", ErrCorrupt, err)
 	}
@@ -375,57 +388,24 @@ func applyPairs(m *core.MO, rec FactAppend) error {
 	return nil
 }
 
-// installCheckpoint best-effort installs the persisted columns into a
-// freshly built engine. Any failure — unreadable file, checksum, base or
-// context fingerprint drift, a column the engine rejects — counts a
-// rejection and leaves that column to be rebuilt from bitmaps.
-func (s *Store) installCheckpoint(eng *storage.Engine, ectx dimension.Context) {
-	ck := s.man.Columns
-	if ck == nil {
-		return
-	}
-	path := filepath.Join(s.dir, ck.File)
-	var b []byte
-	mapped := false
-	if s.opts.MMap {
-		if mb, err := mmapFile(path); err == nil && mb != nil {
-			b, mapped = mb, true
-		}
-	}
-	if b == nil {
-		rb, err := os.ReadFile(path)
-		if err != nil {
-			mCheckpointRejects.Inc()
-			return
-		}
-		b = rb
-	}
-	facts, _, cols, err := decodeCheckpoint(b, s.baseFP, fingerprintCtx(ectx), mapped)
-	if err != nil || facts > eng.NumFacts() {
+// installColumns installs the image's columns into the engine the same
+// image just restored, before any record the image postdates replays:
+// each later fact then reaches every column through AppendFact's own
+// maintenance. A columns section built under another evaluation context
+// is skipped whole; a single column the engine refuses (codes that do
+// not cover exactly the image's facts, a dictionary that drifted from
+// the live category) is skipped alone. Each skip counts one checkpoint
+// reject, and what was skipped builds from the closure bitmaps when
+// first needed.
+func installColumns(eng *storage.Engine, img *snapImage) {
+	if img.ctxFP != fingerprintCtx(eng.Context()) {
 		mCheckpointRejects.Inc()
-		if mapped {
-			_ = munmap(b)
-		}
 		return
 	}
-	viewInstalled := false
-	for _, c := range cols {
-		if len(c.codes) != facts {
+	for _, c := range img.cols {
+		if err := eng.InstallColumn(c.Dim, c.Cat, c.Vals, c.Codes, c.Over); err != nil {
 			mCheckpointRejects.Inc()
-			continue
 		}
-		if err := eng.InstallColumn(c.dim, c.cat, c.vals, c.codes, c.over); err != nil {
-			mCheckpointRejects.Inc()
-			continue
-		}
-		viewInstalled = viewInstalled || mapped
-	}
-	if mapped && !viewInstalled {
-		_ = munmap(b)
-		mapped = false
-	}
-	if mapped {
-		s.maps = append(s.maps, b)
 	}
 }
 
@@ -463,7 +443,7 @@ func (s *Store) AppendSeq(rec FactAppend) (uint64, error) {
 	rec.Pairs = s.complete(rec)
 	payload := encodeRecord(rec)
 	if err := replayable(payload); err != nil {
-		return 0, fmt.Errorf("segment: append: fact %q: %w", rec.FactID, err)
+		return 0, fmt.Errorf("%w: fact %q: %v", ErrRejected, rec.FactID, err)
 	}
 	frame := encodeFrame(payload)
 	if err := faultinject.Check(faultinject.WALTear); err != nil {
@@ -508,26 +488,26 @@ func (s *Store) AppendSeq(rec FactAppend) (uint64, error) {
 	return rec.Seq, nil
 }
 
-// validate rejects a record the replay path could not apply — the check
-// runs before the WAL write so the log never holds an unreplayable
-// record.
+// validate rejects, with ErrRejected, a record the replay path could
+// not apply — the check runs before the WAL write so the log never holds
+// an unreplayable record.
 func (s *Store) validate(rec FactAppend) error {
 	if rec.FactID == "" {
-		return errors.New("segment: append: empty fact id")
+		return fmt.Errorf("%w: empty fact id", ErrRejected)
 	}
 	if s.mo.Facts().Has(rec.FactID) {
-		return fmt.Errorf("segment: append: fact %q already exists", rec.FactID)
+		return fmt.Errorf("%w: fact %q already exists", ErrRejected, rec.FactID)
 	}
 	if len(rec.Pairs) == 0 {
-		return fmt.Errorf("segment: append: fact %q has no characterizations", rec.FactID)
+		return fmt.Errorf("%w: fact %q has no characterizations", ErrRejected, rec.FactID)
 	}
 	for _, p := range rec.Pairs {
 		d := s.mo.Dimension(p.Dim)
 		if d == nil {
-			return fmt.Errorf("segment: append: unknown dimension %q", p.Dim)
+			return fmt.Errorf("%w: unknown dimension %q", ErrRejected, p.Dim)
 		}
 		if !d.Has(p.Value) {
-			return fmt.Errorf("segment: append: dimension %q has no value %q", p.Dim, p.Value)
+			return fmt.Errorf("%w: dimension %q has no value %q", ErrRejected, p.Dim, p.Value)
 		}
 	}
 	return nil
@@ -562,8 +542,8 @@ func replayable(payload []byte) error {
 }
 
 // Fold seals the unfolded log tail into a new immutable segment file,
-// snapshots the engine's columns into a fresh checkpoint, commits both
-// through the manifest, and rotates the WAL. Crash-safe at every step:
+// refreshes the engine snapshot when the tail has grown enough, commits
+// both through the manifest, and rotates the WAL. Crash-safe at every step:
 // until the manifest rename lands the old commit is intact, and after it
 // lands a lost WAL rotation only leaves already-folded records that
 // replay dedups by sequence number.
@@ -617,36 +597,25 @@ func (s *Store) foldLocked() error {
 	man2 := *s.man
 	man2.Segments = append(append([]segEntry(nil), s.man.Segments...), segEntry{File: segName, From: from, To: to})
 	man2.FoldedSeq = to
-	// The checkpoint and the engine snapshot refresh together or not at
-	// all — the checkpoint's positional codes are only installable against
-	// the fact order the paired snapshot carries, so the two must always
-	// come from the same fold. Skipping the refresh while the unfolded
-	// tail stays under a tenth of the engine keeps steady-state folds
-	// O(tail) instead of O(facts); the final flush always refreshes so a
-	// graceful shutdown leaves the fastest possible next open.
-	refresh := s.closed || s.man.Snapshot == nil || s.man.Columns == nil ||
+	// Skipping the snapshot refresh while the tail since the last one
+	// stays under a tenth of the engine keeps steady-state folds O(tail)
+	// instead of O(facts); the final flush always refreshes so a graceful
+	// shutdown leaves the fastest possible next open.
+	refresh := s.closed || s.man.Snapshot == nil ||
 		(to-s.man.Snapshot.Seq)*10 >= uint64(s.eng.NumFacts())
-	var oldCol, oldSnap *ckEntry
+	var oldSnap *snapEntry
 	if refresh {
-		ckName := fmt.Sprintf("col-%012d.mcol", to)
-		if err := s.writeArtifact(ckName, encodeCheckpoint(s.baseFP, fingerprintCtx(s.ectx), to, s.eng)); err != nil {
-			return err
-		}
 		snapName := fmt.Sprintf("snap-%012d.msnp", to)
 		if err := s.writeArtifact(snapName, encodeSnapshot(s.baseFP, to, s.mo, s.eng)); err != nil {
 			return err
 		}
-		man2.Columns = &ckEntry{File: ckName, Facts: s.eng.NumFacts(), Seq: to}
-		man2.Snapshot = &ckEntry{File: snapName, Facts: s.eng.NumFacts(), Seq: to}
-		oldCol, oldSnap = s.man.Columns, s.man.Snapshot
+		man2.Snapshot = &snapEntry{File: snapName, Facts: s.eng.NumFacts(), Seq: to}
+		oldSnap = s.man.Snapshot
 	}
 	if err := saveManifest(s.dir, &man2); err != nil {
 		return err
 	}
 	s.man = &man2
-	if oldCol != nil && oldCol.File != man2.Columns.File {
-		_ = os.Remove(filepath.Join(s.dir, oldCol.File))
-	}
 	if oldSnap != nil && oldSnap.File != man2.Snapshot.File {
 		_ = os.Remove(filepath.Join(s.dir, oldSnap.File))
 	}
@@ -705,8 +674,7 @@ func (s *Store) folder() {
 
 // Close stops the background folder, folds the remaining tail (the
 // graceful-shutdown flush), fsyncs, and closes the log. The recovered
-// engine stays valid — it owns only heap state plus any retained
-// mappings (see ReleaseMaps).
+// engine stays valid — it owns only heap state.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -739,20 +707,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// ReleaseMaps unmaps any mmap'd checkpoint the store retained. Column
-// views installed into the recovered engine alias these mappings, so
-// this must only be called once that engine is unreachable; a live
-// server simply never calls it and lets the mappings die with the
-// process.
-func (s *Store) ReleaseMaps() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, m := range s.maps {
-		_ = munmap(m)
-	}
-	s.maps = nil
-}
-
 // Seq returns the next append ordinal (equivalently: how many records
 // the store has ever acknowledged).
 func (s *Store) Seq() uint64 {
@@ -778,7 +732,7 @@ func (s *Store) MO() *core.MO {
 }
 
 // sizes is one store's artifact bytes by kind.
-type sizes struct{ segments, wal, columns, snapshot int64 }
+type sizes struct{ segments, wal, snapshot int64 }
 
 // updateBytes reports the live artifact set's sizes.
 func (s *Store) updateBytes() {
@@ -792,9 +746,6 @@ func (s *Store) updateBytes() {
 	for _, se := range s.man.Segments {
 		sz.segments += size(se.File)
 	}
-	if s.man.Columns != nil {
-		sz.columns = size(s.man.Columns.File)
-	}
 	if s.man.Snapshot != nil {
 		sz.snapshot = size(s.man.Snapshot.File)
 	}
@@ -807,7 +758,6 @@ func (s *Store) updateBytes() {
 func (s *Store) reportBytes(sz sizes) {
 	mBytesSegments.Add(sz.segments - s.bytes.segments)
 	mBytesWAL.Add(sz.wal - s.bytes.wal)
-	mBytesColumns.Add(sz.columns - s.bytes.columns)
 	mBytesSnapshot.Add(sz.snapshot - s.bytes.snapshot)
 	s.bytes = sz
 }

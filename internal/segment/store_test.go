@@ -397,54 +397,65 @@ func TestSegmentChecksumHardError(t *testing.T) {
 	}
 }
 
-// TestChecksumFaultPoint arms the checksum point past the segment read
-// so it fires on the checkpoint: recovery must succeed anyway, with the
-// columns rebuilt instead of installed.
+// TestChecksumFaultPoint arms the checksum point, which fires on the
+// snapshot (the one artifact with a whole-file checksum): recovery must
+// succeed anyway, replaying the log with the columns rebuilt instead of
+// installed.
 func TestChecksumFaultPoint(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	dir := t.TempDir()
 	recs := writeFoldedStoreWithColumns(t, dir)
 
-	before := mCheckpointRejects.Value()
-	faultinject.EnableAfter(faultinject.ChecksumMismatch, nil, 1)
+	before := mSnapshotRejects.Value()
+	faultinject.Enable(faultinject.ChecksumMismatch, nil)
 	_, got := openRecovered(t, dir, Options{})
 	faultinject.Reset()
 	if got.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
-		t.Error("checkpoint installed despite checksum fault")
+		t.Error("columns installed despite checksum fault")
 	}
-	if mCheckpointRejects.Value() == before {
-		t.Error("checkpoint reject counter did not advance")
+	if mSnapshotRejects.Value() == before {
+		t.Error("snapshot reject counter did not advance")
 	}
 	assertEngineEqual(t, got, rebuildReference(t, recs))
 }
 
-// TestCheckpointCorruptionSoft flips a byte in the column checkpoint:
-// unlike a segment this is a derived cache, so recovery proceeds and
-// rebuilds columns.
+// TestCheckpointCorruptionSoft flips a byte in the snapshot's columns
+// section: the image fails its checksum and is rejected whole, like any
+// damaged snapshot, so recovery replays the log and rebuilds columns.
 func TestCheckpointCorruptionSoft(t *testing.T) {
 	dir := t.TempDir()
 	recs := writeFoldedStoreWithColumns(t, dir)
-	cols, err := filepath.Glob(filepath.Join(dir, "*.mcol"))
-	if err != nil || len(cols) != 1 {
-		t.Fatalf("expected one checkpoint file, got %v (%v)", cols, err)
+	man, _, err := loadManifest(dir)
+	if err != nil || man.Snapshot == nil {
+		t.Fatalf("expected a snapshot: %+v (%v)", man, err)
 	}
-	flipByte(t, cols[0], 200)
+	path := filepath.Join(dir, man.Snapshot.File)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := decodeSnapshot(b, fingerprintMO(base(t)), base(t), testCtx())
+	if err != nil || len(img.cols) == 0 {
+		t.Fatalf("expected an image with columns: %d columns (%v)", len(img.cols), err)
+	}
+	flipByte(t, path, len(b)-4-columnsLen(img)/2)
 
-	before := mCheckpointRejects.Value()
+	before := mSnapshotRejects.Value()
 	_, got := openRecovered(t, dir, Options{})
 	if got.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
-		t.Error("corrupt checkpoint was installed")
+		t.Error("a column of a corrupt image was installed")
 	}
-	if mCheckpointRejects.Value() == before {
-		t.Error("checkpoint reject counter did not advance")
+	if mSnapshotRejects.Value() == before {
+		t.Error("snapshot reject counter did not advance")
 	}
 	assertEngineEqual(t, got, rebuildReference(t, recs))
 }
 
 // TestCheckpointContextDrift reopens a folded store under a different
 // reference date: the persisted columns were computed under the old
-// context and must be rejected, while the replayed records (which are
-// context-independent) still recover correctly under the new one.
+// context and must be rejected, while the rest of the snapshot (whose
+// pairs are context-independent) still restores and recovers correctly
+// under the new one.
 func TestCheckpointContextDrift(t *testing.T) {
 	dir := t.TempDir()
 	recs := writeFoldedStoreWithColumns(t, dir)
@@ -455,9 +466,16 @@ func TestCheckpointContextDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	restores, rejects := mSnapshotRestores.Value(), mCheckpointRejects.Value()
 	got, err := st.Recover(context.Background(), drifted)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if mSnapshotRestores.Value() != restores+1 {
+		t.Error("context drift kept the snapshot from restoring")
+	}
+	if mCheckpointRejects.Value() != rejects+1 {
+		t.Errorf("context drift counted %d column rejects, want 1", mCheckpointRejects.Value()-rejects)
 	}
 	if got.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
 		t.Error("checkpoint from a different context was installed")
@@ -487,55 +505,44 @@ func TestCheckpointContextDrift(t *testing.T) {
 	}
 }
 
-// TestCheckpointInstalledAndMMapParity recovers a folded store twice —
-// once copying the checkpoint onto the heap, once mmap'ing it — and
-// requires the column kernels to agree with each other, with the
-// closure-bitmap path, and to survive an append (the mmap'd views are
-// handed over with len == cap, so growth reallocates instead of writing
-// the read-only pages).
-func TestCheckpointInstalledAndMMapParity(t *testing.T) {
+// TestCheckpointInstalledParity recovers a folded store and requires the
+// columns installed from its snapshot to answer like the closure-bitmap
+// path and a from-scratch rebuild, and to keep doing so through an append
+// after the restore (AppendFact maintains an installed column as it does
+// a built one).
+func TestCheckpointInstalledParity(t *testing.T) {
 	dir := t.TempDir()
 	recs := writeFoldedStoreWithColumns(t, dir)
 	ctx := context.Background()
 
-	stRAM, engRAM := openRecovered(t, dir, Options{})
-	stMap, engMap := openRecovered(t, dir, Options{MMap: true})
-	for _, eng := range []*storage.Engine{engRAM, engMap} {
-		if !eng.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
-			t.Fatal("checkpoint columns were not installed")
-		}
+	st, eng := openRecovered(t, dir, Options{})
+	if !eng.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
+		t.Fatal("checkpoint columns were not installed")
 	}
-	_ = stRAM
+	closure := rebuildReference(t, recs) // no columns: the bitmap path
 	for _, dc := range testCats {
-		ram, err1 := engRAM.CountByColumn(ctx, dc[0], dc[1])
-		mm, err2 := engMap.CountByColumn(ctx, dc[0], dc[1])
+		col, err1 := eng.CountByColumn(ctx, dc[0], dc[1])
+		bm, err2 := closure.CountDistinctByContext(ctx, dc[0], dc[1])
 		if err1 != nil || err2 != nil {
-			t.Fatalf("column count %s/%s: %v / %v", dc[0], dc[1], err1, err2)
+			t.Fatalf("count %s/%s: %v / %v", dc[0], dc[1], err1, err2)
 		}
-		if ram != nil && !reflect.DeepEqual(ram, mm) {
-			t.Errorf("kernel over mmap diverges from in-RAM at %s/%s", dc[0], dc[1])
+		if col != nil && !reflect.DeepEqual(col, bm) {
+			t.Errorf("installed column diverges from the closure kernel at %s/%s", dc[0], dc[1])
 		}
 	}
-	assertEngineEqual(t, engMap, rebuildReference(t, recs))
+	assertEngineEqual(t, eng, closure)
 
-	// Appending through the mmap-backed engine must reallocate, not
-	// write the mapping.
-	extra := testRecords(t, stMap.mo, len(recs)+1)[len(recs)]
-	if err := stMap.Append(extra); err != nil {
+	extra := testRecords(t, st.mo, len(recs)+1)[len(recs)]
+	if err := st.Append(extra); err != nil {
 		t.Fatal(err)
 	}
-	after, err := engMap.CountByColumn(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after == nil {
+	if !eng.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
 		t.Fatal("column vanished after append")
 	}
-	if err := stMap.Close(); err != nil {
+	assertEngineEqual(t, eng, rebuildReference(t, append(recs, extra)))
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	engMap = nil
-	stMap.ReleaseMaps()
 }
 
 func TestBaseMismatchRejected(t *testing.T) {
@@ -590,6 +597,25 @@ func TestSegmentBackgroundFolder(t *testing.T) {
 	}
 	if man.FoldedSeq != 30 || len(man.Segments) == 0 {
 		t.Fatalf("expected everything folded, got folded_seq=%d segments=%d", man.FoldedSeq, len(man.Segments))
+	}
+	// A folded directory is the manifest, the live log, the sealed
+	// segments and one snapshot: nothing else.
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := 0
+	for _, ent := range ents {
+		switch name := ent.Name(); {
+		case name == manifestName, name == walName, strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, sealedExt):
+		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".msnp"):
+			snaps++
+		default:
+			t.Errorf("folded directory holds %s", name)
+		}
+	}
+	if snaps != 1 {
+		t.Errorf("folded directory holds %d snapshots, want 1", snaps)
 	}
 	_, got := openRecovered(t, dir, Options{})
 	assertEngineEqual(t, got, rebuildReference(t, recs))
@@ -675,15 +701,6 @@ func TestDecodeCorruptionSweep(t *testing.T) {
 	if err := eng.WarmColumns(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	ck := encodeCheckpoint(0xabcd, 0x1234, 0, eng)
-	for i := 0; i < len(ck); i += 3 {
-		mut := append([]byte(nil), ck...)
-		mut[i] ^= 0x40
-		if _, _, _, err := decodeCheckpoint(mut, 0xabcd, 0x1234, false); err == nil {
-			t.Fatalf("checkpoint byte flip at %d went undetected", i)
-		}
-	}
-
 	fp := fingerprintMO(m)
 	snap := encodeSnapshot(fp, 0, m, eng)
 	for i := 0; i < len(snap); i += 3 {
@@ -719,8 +736,8 @@ func TestDecodeCorruptionSweep(t *testing.T) {
 	}
 }
 
-// writeFoldedStoreWithColumns builds a store whose single fold produced
-// a checkpoint with warmed columns, then closes it cleanly.
+// writeFoldedStoreWithColumns builds a store whose single fold wrote a
+// snapshot carrying warmed columns, then closes it cleanly.
 func writeFoldedStoreWithColumns(t *testing.T, dir string) []FactAppend {
 	t.Helper()
 	st, err := Open(dir, base(t), Options{})
@@ -928,29 +945,54 @@ func TestSegmentAppendRecordsOmittedDimensionsAsTop(t *testing.T) {
 	check("after restore", st3.MO())
 }
 
-// TestSegmentFormatVersionRefused pins that a directory written in the
-// version-1 layout (segments in the retired MSEG format) is refused at
-// Open with a version error, and left as it was: there is no migration.
+// TestSegmentFormatVersionRefused pins that a directory written in an
+// older layout is refused at Open with a version error, and left as it
+// was: there is no migration. Version 1 wrote segments in the retired
+// MSEG format; version 2 wrote the columns to a separate MCOL checkpoint
+// beside the snapshot.
 func TestSegmentFormatVersionRefused(t *testing.T) {
-	dir := t.TempDir()
 	m := base(t)
-	seg := "seg-000000000000-000000000002.mseg"
-	files := map[string]string{
-		manifestName: fmt.Sprintf(`{"version": 1, "base_fp": "%016x", "base_facts": %d, "folded_seq": 2, `+
-			`"segments": [{"file": %q, "from": 0, "to": 2}]}`, fingerprintMO(m), m.Facts().Len(), seg),
-		seg: "MSEG\x01\x00\x00\x00",
+	dirs := []struct {
+		version int
+		extra   string // manifest entries past the segments
+		files   map[string]string
+	}{
+		{1, "", map[string]string{"seg-000000000000-000000000002.mseg": "MSEG\x01\x00\x00\x00"}},
+		{2, `, "columns": {"file": "col-000000000002.mcol", "facts": 4, "seq": 2}, ` +
+			`"snapshot": {"file": "snap-000000000002.msnp", "facts": 4, "seq": 2}`,
+			map[string]string{
+				"seg-000000000000-000000000002.wal": "MWAL\x02\x00\x00\x00",
+				"col-000000000002.mcol":             "MCOL\x02\x00\x00\x00",
+				"snap-000000000002.msnp":            "MSNP\x02\x00\x00\x00",
+			}},
 	}
-	for name, body := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := Open(dir, m, Options{})
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("open over a version-1 directory: %v, want a version error", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, seg)); err != nil {
-		t.Fatalf("refused open touched the old segment: %v", err)
+	for _, d := range dirs {
+		t.Run(fmt.Sprintf("version-%d", d.version), func(t *testing.T) {
+			dir := t.TempDir()
+			var seg string
+			for name, body := range d.files {
+				if strings.HasPrefix(name, "seg-") {
+					seg = name
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			man := fmt.Sprintf(`{"version": %d, "base_fp": "%016x", "base_facts": %d, "folded_seq": 2, `+
+				`"segments": [{"file": %q, "from": 0, "to": 2}]%s}`, d.version, fingerprintMO(m), m.Facts().Len(), seg, d.extra)
+			if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(man), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(dir, m, Options{})
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", d.version)) {
+				t.Fatalf("open over a version-%d directory: %v, want a version error", d.version, err)
+			}
+			for name := range d.files {
+				if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+					t.Fatalf("refused open touched %s: %v", name, err)
+				}
+			}
+		})
 	}
 }
 
@@ -959,7 +1001,7 @@ func TestSegmentFormatVersionRefused(t *testing.T) {
 // change, and a closed store takes its share back out.
 func TestSegmentBytesGaugeSumsStores(t *testing.T) {
 	gauges := func() sizes {
-		return sizes{mBytesSegments.Value(), mBytesWAL.Value(), mBytesColumns.Value(), mBytesSnapshot.Value()}
+		return sizes{mBytesSegments.Value(), mBytesWAL.Value(), mBytesSnapshot.Value()}
 	}
 	onDisk := func(dir string) sizes {
 		t.Helper()
@@ -978,8 +1020,6 @@ func TestSegmentBytesGaugeSumsStores(t *testing.T) {
 				sz.wal += info.Size()
 			case strings.HasSuffix(name, sealedExt):
 				sz.segments += info.Size()
-			case strings.HasSuffix(name, ".mcol"):
-				sz.columns += info.Size()
 			case strings.HasSuffix(name, ".msnp"):
 				sz.snapshot += info.Size()
 			}
@@ -991,7 +1031,6 @@ func TestSegmentBytesGaugeSumsStores(t *testing.T) {
 		for _, s := range ss {
 			out.segments += s.segments
 			out.wal += s.wal
-			out.columns += s.columns
 			out.snapshot += s.snapshot
 		}
 		return out

@@ -152,9 +152,11 @@ func (p appendPair) toAnnot() (dimension.Annot, error) {
 }
 
 // handleAppend is POST /append: decode, convert, and route through the
-// attached store. 404 for an MO without a store, 400 for anything the
-// validator rejects (the record was not logged), 200 with the sequence
-// number once the record is durable.
+// attached store. 400 for a body or record the store refuses before
+// logging it (segment.ErrRejected: nothing was logged), 404 for an MO
+// without a store, 503 for the store's own failure (a failed log write
+// or fsync, a poisoned or closed store), 200 with the sequence number
+// once the record is durable.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
@@ -187,8 +189,11 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	seq, err := s.Append(req.MO, rec)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrNoStore) {
+		status := http.StatusServiceUnavailable
+		switch {
+		case errors.Is(err, segment.ErrRejected):
+			status = http.StatusBadRequest
+		case errors.Is(err, ErrNoStore):
 			status = http.StatusNotFound
 		}
 		writeError(w, status, err)

@@ -14,6 +14,7 @@ import (
 	"mddm/internal/agg"
 	"mddm/internal/casestudy"
 	"mddm/internal/dimension"
+	"mddm/internal/faultinject"
 	"mddm/internal/segment"
 	"mddm/internal/temporal"
 )
@@ -386,5 +387,37 @@ func TestPersistAppendUnreplayableRecord(t *testing.T) {
 		recs[1].FactID, recs[1].Pairs[0].Dim, recs[1].Pairs[0].Value)
 	if code, out := postAppend(t, hs.URL, body); code != http.StatusOK || !strings.Contains(out, `"seq":0`) {
 		t.Fatalf("append after the rejected one: status %d body %s", code, out)
+	}
+}
+
+// TestPersistAppendStoreFaultIs503 pins the /append status split: a
+// record the store refuses before logging it is the client's fault
+// (400), a store that cannot log is the server's (503). A torn WAL write
+// answers 503 and poisons the store, so the next append is a 503 too.
+func TestPersistAppendStoreFaultIs503(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	st := openStore(t, t.TempDir(), segment.Options{})
+	defer st.Close()
+	s := attachedServer(t, st, Limits{})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	recs := storeRecords(t, st, 3)
+	body := func(rec segment.FactAppend) string {
+		return fmt.Sprintf(`{"mo":"patients","fact":%q,"pairs":[{"dim":%q,"value":%q}]}`,
+			rec.FactID, rec.Pairs[0].Dim, rec.Pairs[0].Value)
+	}
+	if code, out := postAppend(t, hs.URL, body(recs[0])); code != http.StatusOK {
+		t.Fatalf("append: status %d body %s", code, out)
+	}
+	if code, out := postAppend(t, hs.URL, body(recs[0])); code != http.StatusBadRequest {
+		t.Fatalf("duplicate fact: status %d (want 400) body %s", code, out)
+	}
+	faultinject.Enable(faultinject.WALTear, nil)
+	if code, out := postAppend(t, hs.URL, body(recs[1])); code != http.StatusServiceUnavailable {
+		t.Fatalf("torn WAL write: status %d (want 503) body %s", code, out)
+	}
+	faultinject.Reset()
+	if code, out := postAppend(t, hs.URL, body(recs[2])); code != http.StatusServiceUnavailable {
+		t.Fatalf("append to a poisoned store: status %d (want 503) body %s", code, out)
 	}
 }

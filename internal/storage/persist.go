@@ -13,7 +13,7 @@ import (
 // characterization columns in a stable, validated interchange form and
 // installs persisted columns back into a freshly loaded engine. The
 // on-disk format itself lives in internal/segment; storage only promises
-// that ColumnData → InstallColumn round-trips to an engine whose kernels
+// that ExportColumns → InstallColumn round-trips to an engine whose kernels
 // answer bit-identically to one that built its columns from the closure
 // bitmaps. Installation is defensive — persisted artifacts are untrusted
 // input (a checksum match does not prove semantic fit against the live
@@ -103,63 +103,57 @@ func RestoreEngine(m *core.MO, ectx dimension.Context, facts []string, perDim ma
 	return e, nil
 }
 
-// BuiltColumns lists the (dimension, category) pairs with a built
-// characterization column, sorted, regardless of the selection threshold.
-func (e *Engine) BuiltColumns() [][2]string {
+// ColumnData is one characterization column in interchange form, as
+// ExportColumns returns it and InstallColumn takes it: the dictionary in
+// CategoryAt order, the dense codes (one per engine fact, a value-id or
+// ColSentinelNone/ColSentinelMulti), and the overflow side-table sorted
+// by (Fact, Vid).
+type ColumnData struct {
+	Dim, Cat string
+	Vals     []string
+	Codes    []uint32
+	Over     []OverflowEntry
+}
+
+// ExportColumns returns every built column, in (dimension, category)
+// order, taken under one read lock. Vals and Codes are the column's own
+// slices, not copies: an append only ever extends a column past the
+// returned length and never rewrites an element, so they stay valid
+// after the lock is released, but callers must not modify them.
+func (e *Engine) ExportColumns() []ColumnData {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([][2]string, 0, len(e.cols))
+	out := make([]ColumnData, 0, len(e.cols))
 	for _, col := range e.cols {
-		out = append(out, [2]string{col.dim, col.cat})
+		over := make([]OverflowEntry, len(col.over))
+		for i, p := range col.over {
+			over[i] = OverflowEntry{Fact: p.fact, Vid: p.vid}
+		}
+		out = append(out, ColumnData{Dim: col.dim, Cat: col.cat, Vals: col.vals, Codes: col.codes, Over: over})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
+		if out[i].Dim != out[j].Dim {
+			return out[i].Dim < out[j].Dim
 		}
-		return out[i][1] < out[j][1]
+		return out[i].Cat < out[j].Cat
 	})
 	return out
 }
 
-// ColumnData exports the built column of (dim, cat) in interchange form:
-// the dictionary in CategoryAt order, the dense codes (including the
-// colNone/colMulti sentinels), and the sorted overflow side-table. The
-// returned slices are copies owned by the caller. ok is false when no
-// column is built.
-func (e *Engine) ColumnData(dim, cat string) (vals []string, codes []uint32, over []OverflowEntry, ok bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	col := e.cols[colKey(dim, cat)]
-	if col == nil {
-		return nil, nil, nil, false
-	}
-	vals = append([]string(nil), col.vals...)
-	codes = append([]uint32(nil), col.codes...)
-	over = make([]OverflowEntry, len(col.over))
-	for i, p := range col.over {
-		over[i] = OverflowEntry{Fact: p.fact, Vid: p.vid}
-	}
-	return vals, codes, over, true
-}
-
 // InstallColumn installs a persisted characterization column, validating
-// it against the live engine first: the dictionary must be exactly the
-// category's CategoryAt order (dictionary drift would silently relabel
-// every group), codes must be in-range or sentinels, and the overflow
-// table must be sorted by (fact, vid) with every entry belonging to a
-// colMulti fact and every colMulti fact owning at least two entries —
-// the invariants the single-pass kernels assume. codes may cover a
-// prefix of the engine's facts (a checkpoint older than the log tail);
-// the remaining facts are appended through the same maintenance path
-// AppendFact uses, so an installed column is element-for-element
-// identical to a rebuilt one. Installing over an already built column is
-// a no-op (the built one is already correct). Violations return
-// ErrBadColumn-wrapped errors and leave the engine untouched.
+// it against the live engine first: the codes must cover exactly the
+// engine's facts (a persisted column is installed before any later fact
+// is appended, and AppendFact then maintains it), the dictionary must be
+// exactly the category's CategoryAt order (dictionary drift would
+// silently relabel every group), codes must be in-range or sentinels,
+// and the overflow table must be sorted by (fact, vid) with every entry
+// belonging to a colMulti fact and every colMulti fact owning at least
+// two entries — the invariants the single-pass kernels assume.
+// Installing over an already built column is a no-op (the built one is
+// already correct). Violations return ErrBadColumn-wrapped errors and
+// leave the engine untouched.
 //
-// codes and over are retained by the engine; callers must not mutate
-// them afterwards. They may be views over read-only storage (an mmap'd
-// segment): the engine only ever appends to them, and an append copies
-// to fresh memory because the views are handed over with len == cap.
+// codes is retained by the engine; callers must not mutate it afterwards.
 func (e *Engine) InstallColumn(dim, cat string, vals []string, codes []uint32, over []OverflowEntry) error {
 	d := e.Dimension(dim)
 	if d == nil {
@@ -181,7 +175,7 @@ func (e *Engine) InstallColumn(dim, cat string, vals []string, codes []uint32, o
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(codes) > len(e.facts) {
+	if len(codes) != len(e.facts) {
 		return fmt.Errorf("%w: %s/%s covers %d facts, engine has %d",
 			ErrBadColumn, dim, cat, len(codes), len(e.facts))
 	}
@@ -247,12 +241,6 @@ func (e *Engine) InstallColumn(dim, cat string, vals []string, codes []uint32, o
 	col.over = make([]overPair, len(over))
 	for i, p := range over {
 		col.over[i] = overPair{fact: p.Fact, vid: p.Vid}
-	}
-	// Extend to the engine's current facts through the same maintenance
-	// path AppendFact uses, so a checkpoint older than the log tail still
-	// yields a column identical to a rebuilt one.
-	for i := len(codes); i < len(e.facts); i++ {
-		e.appendToColumn(col, e.facts[i], i)
 	}
 	e.cols[colKey(dim, cat)] = col
 	mColumnBuilds.Inc()

@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -131,8 +132,9 @@ func relateManyToMany(t *testing.T, m *core.MO, id string) {
 // TestMultiValuedMatchesModel checks the strictness probe against a model
 // oracle on the case-study engine, strict and non-strict generated engines,
 // an ASOF view and a WITH PROB view; then again after appending a
-// many-to-many fact, and on an engine whose columns were restored from a
-// pre-append export through InstallColumn.
+// many-to-many fact, and on an engine whose columns were installed from a
+// pre-append export through InstallColumn and then maintained by the
+// same append.
 func TestMultiValuedMatchesModel(t *testing.T) {
 	caseMO, err := casestudy.BuildPatientMO(casestudy.DefaultOptions())
 	if err != nil {
@@ -169,17 +171,7 @@ func TestMultiValuedMatchesModel(t *testing.T) {
 	// Append a many-to-many fact; the suffix range [n-1, n) is exactly
 	// the delta an upgrade probes.
 	base := engines[2].e
-	type colData struct {
-		dim, cat string
-		vals     []string
-		codes    []uint32
-		over     []OverflowEntry
-	}
-	var saved []colData
-	for _, dc := range base.BuiltColumns() {
-		vals, codes, over, _ := base.ColumnData(dc[0], dc[1])
-		saved = append(saved, colData{dc[0], dc[1], vals, codes, over})
-	}
+	saved := base.ExportColumns()
 	m := base.MO()
 	relateManyToMany(t, m, "m2m")
 	if err := base.AppendFact("m2m"); err != nil {
@@ -193,23 +185,23 @@ func TestMultiValuedMatchesModel(t *testing.T) {
 		}
 	}
 
-	// Restore the pre-append columns into a fresh engine over the same
-	// model grown the same way — the dense order a checkpoint assumes —
-	// with the append already indexed: InstallColumn extends each column
-	// through the append path.
+	// Install the pre-append columns into a fresh engine over the same
+	// model — the dense order a snapshot's columns assume — then grow it
+	// the same way: AppendFact carries every installed column through the
+	// append, as recovery does for the records a snapshot postdates.
 	m2 := casestudy.MustGenerate(nonStrictCfg)
 	restored := NewEngine(m2, dimension.CurrentContext(ref))
+	for _, c := range saved {
+		if err := restored.InstallColumn(c.Dim, c.Cat, c.Vals, slices.Clone(c.Codes), c.Over); err != nil {
+			t.Fatal(err)
+		}
+	}
 	relateManyToMany(t, m2, "m2m")
 	if err := restored.AppendFact("m2m"); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range saved {
-		if err := restored.InstallColumn(c.dim, c.cat, c.vals, c.codes, c.over); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(restored.BuiltColumns()) != len(strictLegs(restored)) {
-		t.Fatalf("restored %d columns, schema has %d legs", len(restored.BuiltColumns()), len(strictLegs(restored)))
+	if n := len(restored.ExportColumns()); n != len(strictLegs(restored)) {
+		t.Fatalf("restored %d columns, schema has %d legs", n, len(strictLegs(restored)))
 	}
 	checkStrictness(t, "restored", restored, n-1)
 }
