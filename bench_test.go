@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"testing"
 
 	"mddm"
@@ -252,6 +253,32 @@ func BenchmarkGenerate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGenerateGC prices the garbage collector's mark work over the
+// served MO: one op is one forced full collection with a generated
+// 40 k-fact MO live, and objs/fact is the heap objects that MO keeps
+// live per fact — the deterministic stand-in for the mark time.
+func BenchmarkGenerateGC(b *testing.B) {
+	cfg := mddm.DefaultGen()
+	cfg.Patients = 40000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := mddm.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+	b.StopTimer()
+	runtime.KeepAlive(m)
+	b.ReportMetric(float64(after.HeapObjects-before.HeapObjects)/float64(cfg.Patients), "objs/fact")
+	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(cfg.Patients), "B/fact")
 }
 
 // --- B7: cube materialization — derive-from-lower vs all-from-base -----------

@@ -235,30 +235,42 @@ func TestGenerate(t *testing.T) {
 	}
 }
 
-// generateBytesPerFact is the live-heap budget of a generated MO: about
-// 25 % above the ≈ 0.92 KB per fact the per-fact relation slices and the
-// shared all-time element measure at 10 k patients.
-const generateBytesPerFact = 1150
+// The live-heap budget of a generated MO at 10 k patients. The pairs hold
+// no pointers (fact.Relation's spans, entries and interval arena), so
+// what stays is ≈ 490 B and ≈ 1.1 heap objects per fact: the fact id
+// string, its slots in the fact set's and the relations' maps, and each
+// relation's few flat arrays. The object count is the deterministic
+// stand-in for the garbage collector's mark work; before the arena a
+// fact cost ≈ 930 B in ≈ 9.6 objects.
+const (
+	generateBytesPerFact   = 600
+	generateObjectsPerFact = 2
+)
 
 // TestGenerateHeapBudget gates the served MO's memory on allocation, not
-// on the host: the heap a generated MO keeps live, per fact, stays within
-// budget.
+// on the host: the heap a generated MO keeps live, in bytes and in
+// objects per fact, stays within budget.
 func TestGenerateHeapBudget(t *testing.T) {
-	heap := func() uint64 {
+	heap := func() runtime.MemStats {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		return ms
 	}
 	cfg := DefaultGen()
 	cfg.Patients = 10000
 	before := heap()
 	m := MustGenerate(cfg)
-	perFact := float64(heap()-before) / float64(cfg.Patients)
+	after := heap()
 	runtime.KeepAlive(m)
-	t.Logf("Generate keeps %.0f B per fact live", perFact)
+	perFact := float64(after.HeapAlloc-before.HeapAlloc) / float64(cfg.Patients)
+	objsPerFact := float64(after.HeapObjects-before.HeapObjects) / float64(cfg.Patients)
+	t.Logf("Generate keeps %.0f B in %.2f objects per fact live", perFact, objsPerFact)
 	if perFact > generateBytesPerFact {
 		t.Errorf("Generate keeps %.0f B per fact live, budget %d", perFact, generateBytesPerFact)
+	}
+	if objsPerFact > generateObjectsPerFact {
+		t.Errorf("Generate keeps %.2f heap objects per fact live, budget %d", objsPerFact, generateObjectsPerFact)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fact
 
 import (
+	"fmt"
 	"testing"
 
 	"mddm/internal/dimension"
@@ -176,5 +177,49 @@ func TestRelationPairsDeterministic(t *testing.T) {
 		if got := p.FactID + "/" + p.ValueID; got != want[i] {
 			t.Errorf("pair %d = %s, want %s", i, got, want[i])
 		}
+	}
+}
+
+// TestRelationDeadSpaceBounded pins that the space writes leave behind is
+// reclaimed: coalescing one pair with n disjoint chronons stores n
+// growing unions, and alternating new values between two facts moves a
+// span on every add, yet the arena and the entries stay within a small
+// multiple of what is live, not the O(n²) and O(n) an append-only layout
+// would keep. Annotations taken along the way keep their content.
+func TestRelationDeadSpaceBounded(t *testing.T) {
+	const n = 2000
+	r := NewRelation()
+	var held []dimension.Annot
+	for i := 0; i < n; i++ {
+		c := temporal.Chronon(2 * i)
+		r.AddAnnot("f", "v", dimension.ValidDuring(temporal.Single(c, c)))
+		if i%100 == 0 {
+			a, _ := r.Annot("f", "v")
+			held = append(held, a)
+		}
+	}
+	a, _ := r.Annot("f", "v")
+	if a.Time.Valid.NumIntervals() != n {
+		t.Fatalf("union has %d intervals, want %d", a.Time.Valid.NumIntervals(), n)
+	}
+	if got, bound := r.times.Len(), 3*n+2*compactMin; got > bound {
+		t.Errorf("arena holds %d intervals for %d live, bound %d", got, n, bound)
+	}
+	for k, h := range held {
+		if h.Time.Valid.NumIntervals() != 100*k+1 {
+			t.Fatalf("annotation %d taken earlier now has %d intervals", k, h.Time.Valid.NumIntervals())
+		}
+	}
+
+	r = NewRelation()
+	for i := 0; i < n; i++ {
+		r.Add("a", fmt.Sprint("x", i))
+		r.Add("b", fmt.Sprint("y", i))
+	}
+	if r.Len() != 2*n || r.ValuesLen("a") != n || r.ValuesLen("b") != n {
+		t.Fatalf("Len %d, a %d, b %d", r.Len(), r.ValuesLen("a"), r.ValuesLen("b"))
+	}
+	if got, bound := len(r.ents), 3*r.Len()+2*compactMin; got > bound {
+		t.Errorf("entries hold %d slots for %d pairs, bound %d", got, r.Len(), bound)
 	}
 }

@@ -1,10 +1,12 @@
 package fact
 
 import (
+	"maps"
 	"slices"
 	"sort"
 
 	"mddm/internal/dimension"
+	"mddm/internal/temporal"
 )
 
 // Pair is one annotated element (f, e) ∈Tv,p R of a fact–dimension
@@ -28,17 +30,29 @@ type Entry struct {
 // many-to-many relationships and mixed granularities of requirement 6
 // and 9. Duplicate (fact, value) pairs coalesce their chronon sets.
 //
-// Each fact holds its values as a small unordered slice without
-// duplicates: a fact has one to three values per dimension, so a linear
-// scan beats a per-fact map and costs a fraction of its memory. The
+// The pairs hold no pointers, so the garbage collector has nothing to
+// trace inside them. Each fact maps to a span of one flat entry array: a
+// fact has one to three values per dimension, so a linear scan of its
+// span beats a per-fact map. An entry is a value code from the relation's
+// dictionary, the runs of its valid and transaction time in one interval
+// arena, and its probability. Writes never rewrite the arena: a
+// coalescing union is stored at its end, and a span that must grow but
+// is not the last one moves to the tail. The space they leave behind is
+// reclaimed by compaction once it outweighs the live data. The
 // value→facts postings FactsOf reads exist only once something asks for
 // them.
 type Relation struct {
-	pairs  map[string][]Entry // fact -> its values, unordered
-	nPairs int
+	spans map[string]span // fact -> its entries
+	ents  []entry         // every span's entries, with dead space
+	dead  int             // entries of ents no span covers
+	vals  []string        // value code -> value id
+	codes map[string]uint32
+	times temporal.Arena // the valid and transaction times of ents
+	// deadIvs counts the arena intervals no live entry refers to.
+	deadIvs int
 	// byVal holds the value→facts postings. It is nil until the first
-	// FactsOf builds it from pairs in one pass, and maintained by every
-	// mutator from then on.
+	// FactsOf builds it from the spans in one pass, and maintained by
+	// every mutator from then on.
 	byVal map[string]map[string]bool
 	// fill, when non-nil, holds a deferred bulk load (NewRelationDeferred):
 	// the pairs do not exist yet and the first access of any kind runs
@@ -46,22 +60,37 @@ type Relation struct {
 	fill func(*Relation)
 }
 
+// span locates one fact's entries: ents[off : off+n].
+type span struct{ off, n uint32 }
+
+// entry is one (value, annotation) of a span.
+type entry struct {
+	val          uint32 // code in the relation's dictionary
+	valid, trans temporal.Run
+	prob         float64
+}
+
+// compactMin is the least dead space, in entries or in intervals, that
+// compaction reclaims; below it the copy costs more than the space.
+// FuzzRelation lowers it so that short operation sequences compact.
+var compactMin = 256
+
 // NewRelation returns an empty fact–dimension relation.
 func NewRelation() *Relation {
-	return &Relation{pairs: map[string][]Entry{}}
+	return &Relation{spans: map[string]span{}}
 }
 
 // NewRelationDeferred returns a relation whose contents arrive lazily:
 // fill runs exactly once, on the relation's first access of any kind,
 // and populates it through the normal mutators (typically AdoptPairs).
-// nFacts pre-sizes the pair map when the fill runs. A restore can hand
+// nFacts pre-sizes the span map when the fill runs. A restore can hand
 // back a model in O(decode) and let each relation pay its build cost
 // when — and only when — something actually reads or writes it; an
 // engine serving queries from bitmaps and columns may never touch the
 // relation at all.
 func NewRelationDeferred(nFacts int, fill func(*Relation)) *Relation {
 	return &Relation{fill: func(r *Relation) {
-		r.pairs = make(map[string][]Entry, nFacts)
+		r.spans = make(map[string]span, nFacts)
 		fill(r)
 	}}
 }
@@ -77,14 +106,45 @@ func (r *Relation) materialize() {
 	fill(r)
 }
 
-// find returns the index of valueID in es, or -1.
-func find(es []Entry, valueID string) int {
-	for i := range es {
-		if es[i].ValueID == valueID {
-			return i
+// code returns valueID's dictionary code, adding it if new.
+func (r *Relation) code(valueID string) uint32 {
+	if c, ok := r.codes[valueID]; ok {
+		return c
+	}
+	if r.codes == nil {
+		r.codes = map[string]uint32{}
+	}
+	c := uint32(len(r.vals))
+	r.vals = append(r.vals, valueID)
+	r.codes[valueID] = c
+	return c
+}
+
+// entry stores a's chronon sets in the arena and returns the entry of
+// (valueID, a).
+func (r *Relation) entry(valueID string, a dimension.Annot) entry {
+	return entry{
+		val:   r.code(valueID),
+		valid: r.times.Put(a.Time.Valid),
+		trans: r.times.Put(a.Time.Trans),
+		prob:  a.Prob,
+	}
+}
+
+// find returns the index in ents of valueID's entry in sp, or -1.
+func (r *Relation) find(sp span, valueID string) int {
+	for i := sp.off; i < sp.off+sp.n; i++ {
+		if r.vals[r.ents[i].val] == valueID {
+			return int(i)
 		}
 	}
 	return -1
+}
+
+// entries returns the factID's entries, empty when it has none.
+func (r *Relation) entries(factID string) []entry {
+	sp := r.spans[factID]
+	return r.ents[sp.off : sp.off+sp.n]
 }
 
 // post records (f, e) in the postings, if they are built.
@@ -100,25 +160,25 @@ func (r *Relation) post(factID, valueID string) {
 	fs[factID] = true
 }
 
-// AdoptPairs records every (factID, value) pair of es at once, taking
-// ownership of the slice — the caller must not use it afterwards, and it
-// must not repeat a value. For a fact not yet in the relation this skips
-// the per-pair coalescing walk AddAnnot does; a fact already present
-// falls back to AddAnnot so the coalescing semantics hold regardless.
+// AdoptPairs records every (factID, value) pair of es at once; es must
+// not repeat a value. The relation copies the entries, so the caller may
+// reuse es. For a fact not yet in the relation this skips the per-pair
+// coalescing walk AddAnnot does; a fact already present falls back to
+// AddAnnot so the coalescing semantics hold regardless.
 func (r *Relation) AdoptPairs(factID string, es []Entry) {
 	r.materialize()
 	if len(es) == 0 {
 		return
 	}
-	if _, exists := r.pairs[factID]; exists {
+	if _, exists := r.spans[factID]; exists {
 		for _, e := range es {
 			r.AddAnnot(factID, e.ValueID, e.Annot)
 		}
 		return
 	}
-	r.pairs[factID] = es
-	r.nPairs += len(es)
+	r.spans[factID] = span{off: uint32(len(r.ents)), n: uint32(len(es))}
 	for _, e := range es {
+		r.ents = append(r.ents, r.entry(e.ValueID, e.Annot))
 		r.post(factID, e.ValueID)
 	}
 }
@@ -126,7 +186,7 @@ func (r *Relation) AdoptPairs(factID string, es []Entry) {
 // ValuesLen returns the number of values directly related to a fact.
 func (r *Relation) ValuesLen(factID string) int {
 	r.materialize()
-	return len(r.pairs[factID])
+	return int(r.spans[factID].n)
 }
 
 // RangeValues calls fn for every (value, annotation) directly related to
@@ -135,8 +195,13 @@ func (r *Relation) ValuesLen(factID string) int {
 // during the walk.
 func (r *Relation) RangeValues(factID string, fn func(valueID string, a dimension.Annot) bool) {
 	r.materialize()
-	for _, e := range r.pairs[factID] {
-		if !fn(e.ValueID, e.Annot) {
+	for _, e := range r.entries(factID) {
+		// The annotation is built in place: a helper returning it is too
+		// large to inline, and its out-of-line result costs a
+		// store-forwarding stall per pair. Its elements are windows of the
+		// arena, which no later write changes.
+		a := dimension.Annot{Time: temporal.Bitemporal{Valid: r.times.Get(e.valid), Trans: r.times.Get(e.trans)}, Prob: e.prob}
+		if !fn(r.vals[e.val], a) {
 			return
 		}
 	}
@@ -147,9 +212,10 @@ func (r *Relation) RangeValues(factID string, fn func(valueID string, a dimensio
 // nothing; the relation must not be mutated during the walk.
 func (r *Relation) Range(fn func(factID, valueID string, a dimension.Annot) bool) {
 	r.materialize()
-	for f, es := range r.pairs {
-		for _, e := range es {
-			if !fn(f, e.ValueID, e.Annot) {
+	for f, sp := range r.spans {
+		for _, e := range r.ents[sp.off : sp.off+sp.n] {
+			a := dimension.Annot{Time: temporal.Bitemporal{Valid: r.times.Get(e.valid), Trans: r.times.Get(e.trans)}, Prob: e.prob}
+			if !fn(f, r.vals[e.val], a) {
 				return
 			}
 		}
@@ -166,48 +232,128 @@ func (r *Relation) Add(factID, valueID string) {
 // combine by max.
 func (r *Relation) AddAnnot(factID, valueID string, a dimension.Annot) {
 	r.materialize()
-	es := r.pairs[factID]
-	if i := find(es, valueID); i >= 0 {
-		old := es[i].Annot
-		es[i].Annot = dimension.Annot{Time: old.Time.Union(a.Time), Prob: max(old.Prob, a.Prob)}
-		return
+	sp, exists := r.spans[factID]
+	if exists {
+		if i := r.find(sp, valueID); i >= 0 {
+			e := &r.ents[i]
+			e.valid = r.union(e.valid, a.Time.Valid)
+			e.trans = r.union(e.trans, a.Time.Trans)
+			e.prob = max(e.prob, a.Prob)
+			r.maybeCompact()
+			return
+		}
 	}
-	r.pairs[factID] = append(es, Entry{ValueID: valueID, Annot: a})
-	r.nPairs++
+	tail := uint32(len(r.ents))
+	switch {
+	case !exists:
+		sp = span{off: tail}
+	case sp.off+sp.n != tail: // not the last span: move it to the tail
+		r.ents = append(r.ents, r.ents[sp.off:sp.off+sp.n]...)
+		r.dead += int(sp.n)
+		sp.off = tail
+	}
+	r.ents = append(r.ents, r.entry(valueID, a))
+	sp.n++
+	r.spans[factID] = sp
 	r.post(factID, valueID)
+	r.maybeCompact()
+}
+
+// union returns the run of run's element united with o. An unchanged
+// union keeps its run; a changed one is stored at the arena's end.
+func (r *Relation) union(run temporal.Run, o temporal.Element) temporal.Run {
+	old := r.times.Get(run)
+	u := old.Union(o)
+	if u.Equal(old) {
+		return run
+	}
+	r.deadIvs += run.Len()
+	return r.times.Put(u)
 }
 
 // Remove deletes the (fact, value) pair.
 func (r *Relation) Remove(factID, valueID string) {
 	r.materialize()
-	es := r.pairs[factID]
-	i := find(es, valueID)
+	sp := r.spans[factID]
+	i := r.find(sp, valueID)
 	if i < 0 {
 		return
 	}
-	last := len(es) - 1
-	es[i] = es[last]
-	es[last] = Entry{} // drop the references the shortened slice still holds
-	if last == 0 {
-		delete(r.pairs, factID)
+	r.deadIvs += r.ents[i].valid.Len() + r.ents[i].trans.Len()
+	last := int(sp.off + sp.n - 1)
+	r.ents[i] = r.ents[last]
+	if last == len(r.ents)-1 {
+		r.ents = r.ents[:last]
 	} else {
-		r.pairs[factID] = es[:last]
+		r.dead++
 	}
-	r.nPairs--
+	if sp.n--; sp.n == 0 {
+		delete(r.spans, factID)
+	} else {
+		r.spans[factID] = sp
+	}
 	if fs, ok := r.byVal[valueID]; ok {
 		delete(fs, factID)
 		if len(fs) == 0 {
 			delete(r.byVal, valueID)
 		}
 	}
+	r.maybeCompact()
+}
+
+// maybeCompact rewrites the spans without dead space once the dead
+// entries or intervals outweigh the live ones. The new arrays are fresh,
+// so annotations handed out earlier keep reading the old ones.
+func (r *Relation) maybeCompact() {
+	deadEnts := r.dead >= compactMin && 2*r.dead > len(r.ents)
+	deadIvs := r.deadIvs >= compactMin && 2*r.deadIvs > r.times.Len()
+	if deadEnts || deadIvs {
+		r.spans, r.ents, r.times = r.compact(nil)
+		r.dead, r.deadIvs = 0, 0
+	}
+}
+
+// compact returns the spans of the facts keep admits (all of them when
+// keep is nil), laid out without dead space in fresh arrays that share
+// r's value codes. A first pass picks the spans and sizes the arrays
+// exactly; the second moves each span's entries and intervals.
+func (r *Relation) compact(keep func(factID string) bool) (map[string]span, []entry, temporal.Arena) {
+	var spans map[string]span
+	if keep == nil {
+		spans = make(map[string]span, len(r.spans))
+	} else {
+		spans = map[string]span{}
+	}
+	nEnts, nIvs := 0, 0
+	for f, sp := range r.spans {
+		if keep == nil || keep(f) {
+			spans[f] = sp
+			nEnts += int(sp.n)
+			for _, e := range r.ents[sp.off : sp.off+sp.n] {
+				nIvs += e.valid.Len() + e.trans.Len()
+			}
+		}
+	}
+	ents := make([]entry, 0, nEnts)
+	var times temporal.Arena
+	times.Grow(nIvs)
+	for f, sp := range spans {
+		spans[f] = span{off: uint32(len(ents)), n: sp.n}
+		for _, e := range r.ents[sp.off : sp.off+sp.n] {
+			e.valid = times.Put(r.times.Get(e.valid))
+			e.trans = times.Put(r.times.Get(e.trans))
+			ents = append(ents, e)
+		}
+	}
+	return spans, ents, times
 }
 
 // Annot returns the annotation of the pair (f, e) and whether it exists.
 func (r *Relation) Annot(factID, valueID string) (dimension.Annot, bool) {
 	r.materialize()
-	es := r.pairs[factID]
-	if i := find(es, valueID); i >= 0 {
-		return es[i].Annot, true
+	if i := r.find(r.spans[factID], valueID); i >= 0 {
+		e := r.ents[i]
+		return dimension.Annot{Time: temporal.Bitemporal{Valid: r.times.Get(e.valid), Trans: r.times.Get(e.trans)}, Prob: e.prob}, true
 	}
 	return dimension.Annot{}, false
 }
@@ -215,16 +361,16 @@ func (r *Relation) Annot(factID, valueID string) (dimension.Annot, bool) {
 // Has reports whether (f, e) ∈ R for some annotation.
 func (r *Relation) Has(factID, valueID string) bool {
 	r.materialize()
-	return find(r.pairs[factID], valueID) >= 0
+	return r.find(r.spans[factID], valueID) >= 0
 }
 
 // ValuesOf returns the sorted dimension values directly related to a fact.
 func (r *Relation) ValuesOf(factID string) []string {
 	r.materialize()
-	es := r.pairs[factID]
+	es := r.entries(factID)
 	out := make([]string, len(es))
 	for i, e := range es {
-		out[i] = e.ValueID
+		out[i] = r.vals[e.val]
 	}
 	sort.Strings(out)
 	return out
@@ -236,9 +382,9 @@ func (r *Relation) FactsOf(valueID string) []string {
 	r.materialize()
 	if r.byVal == nil {
 		r.byVal = map[string]map[string]bool{}
-		for f, es := range r.pairs {
-			for _, e := range es {
-				r.post(f, e.ValueID)
+		for f, sp := range r.spans {
+			for _, e := range r.ents[sp.off : sp.off+sp.n] {
+				r.post(f, r.vals[e.val])
 			}
 		}
 	}
@@ -253,8 +399,8 @@ func (r *Relation) FactsOf(valueID string) []string {
 // Facts returns the sorted fact ids that appear in the relation.
 func (r *Relation) Facts() []string {
 	r.materialize()
-	out := make([]string, 0, len(r.pairs))
-	for f := range r.pairs {
+	out := make([]string, 0, len(r.spans))
+	for f := range r.spans {
 		out = append(out, f)
 	}
 	sort.Strings(out)
@@ -264,7 +410,7 @@ func (r *Relation) Facts() []string {
 // Len returns the number of (fact, value) pairs.
 func (r *Relation) Len() int {
 	r.materialize()
-	return r.nPairs
+	return len(r.ents) - r.dead
 }
 
 // Pairs returns all pairs sorted by fact then value, for deterministic
@@ -284,16 +430,17 @@ func (r *Relation) Pairs() []Pair {
 	return out
 }
 
-// Restrict returns a new relation keeping only pairs whose fact is in keep.
+// Restrict returns a new relation keeping only pairs whose fact is in
+// keep, laid out without dead space.
 func (r *Relation) Restrict(keep func(factID string) bool) *Relation {
 	r.materialize()
-	n := NewRelation()
-	for f, es := range r.pairs {
-		if keep(f) {
-			n.pairs[f] = slices.Clone(es)
-			n.nPairs += len(es)
-		}
-	}
+	return r.restrict(keep)
+}
+
+// restrict is Restrict on a materialized relation; a nil keep keeps all.
+func (r *Relation) restrict(keep func(factID string) bool) *Relation {
+	n := &Relation{vals: slices.Clone(r.vals), codes: maps.Clone(r.codes)}
+	n.spans, n.ents, n.times = r.compact(keep)
 	return n
 }
 
@@ -309,9 +456,11 @@ func (r *Relation) Union(o *Relation) *Relation {
 	return n
 }
 
-// Clone returns a deep copy of the relation.
+// Clone returns a deep copy of the relation, laid out without dead
+// space.
 func (r *Relation) Clone() *Relation {
-	return r.Restrict(func(string) bool { return true })
+	r.materialize()
+	return r.restrict(nil)
 }
 
 // Equal reports whether two relations hold the same pairs with equal

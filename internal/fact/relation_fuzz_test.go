@@ -234,6 +234,10 @@ func checkRelation(t *testing.T, step int, r *Relation, m *refRelation) {
 	if !c.Equal(built) {
 		fail("Clone differs from the model")
 	}
+	if c.dead != 0 || c.deadIvs != 0 {
+		fail("Clone keeps %d dead entries and %d dead intervals", c.dead, c.deadIvs)
+	}
+	checkLayout(t, step, c)
 	for _, v := range probeVals {
 		if got, want := c.FactsOf(v), sortedKeys(m.byVal[v]); !slices.Equal(got, want) {
 			fail("Clone().FactsOf(%s) = %v, model %v", v, got, want)
@@ -260,6 +264,9 @@ func checkRelation(t *testing.T, step int, r *Relation, m *refRelation) {
 	if !rs.Equal(rm.build()) {
 		fail("Restrict differs from the model")
 	}
+	if rs.dead != 0 || rs.deadIvs != 0 {
+		fail("Restrict keeps %d dead entries and %d dead intervals", rs.dead, rs.deadIvs)
+	}
 	rs.Add("f0", "vRestrict")
 	if r.Has("f0", "vRestrict") {
 		fail("mutating a Restrict result changed the original")
@@ -280,17 +287,81 @@ func checkRelation(t *testing.T, step int, r *Relation, m *refRelation) {
 	}
 }
 
+// checkLayout verifies the relation's storage accounting against its
+// spans: spans are non-empty and disjoint, every entry no span covers is
+// counted dead, and every arena interval no live entry refers to is
+// counted dead. A live run is never shared, so both counts are exact.
+func checkLayout(t *testing.T, step int, r *Relation) {
+	t.Helper()
+	covered := make([]bool, len(r.ents))
+	live, liveIvs := 0, 0
+	for f, sp := range r.spans {
+		if sp.n == 0 || int(sp.off+sp.n) > len(r.ents) {
+			t.Fatalf("step %d: span of %s is %+v over %d entries", step, f, sp, len(r.ents))
+		}
+		for i := sp.off; i < sp.off+sp.n; i++ {
+			if covered[i] {
+				t.Fatalf("step %d: entry %d lies in two spans", step, i)
+			}
+			covered[i] = true
+			liveIvs += r.ents[i].valid.Len() + r.ents[i].trans.Len()
+		}
+		live += int(sp.n)
+	}
+	if r.dead != len(r.ents)-live {
+		t.Fatalf("step %d: %d dead entries counted, %d present", step, r.dead, len(r.ents)-live)
+	}
+	if r.deadIvs != r.times.Len()-liveIvs {
+		t.Fatalf("step %d: %d dead intervals counted, %d present", step, r.deadIvs, r.times.Len()-liveIvs)
+	}
+}
+
+// heldAnnot is an annotation taken from a relation together with a deep
+// copy of its content at that moment.
+type heldAnnot struct {
+	a            dimension.Annot
+	valid, trans []temporal.Interval
+}
+
+func hold(a dimension.Annot) heldAnnot {
+	return heldAnnot{a: a, valid: a.Time.Valid.Intervals(), trans: a.Time.Trans.Intervals()}
+}
+
+// unchanged reports whether the held annotation still reads as it did
+// when it was taken.
+func (h heldAnnot) unchanged() bool {
+	return slices.Equal(h.a.Time.Valid.Intervals(), h.valid) && slices.Equal(h.a.Time.Trans.Intervals(), h.trans)
+}
+
 // FuzzRelation applies a decoded sequence of operations to a Relation
 // and to the reference model, comparing every accessor after each one.
 // Each operation takes four bytes: opcode, fact, value, and an argument
-// (an annotation index, or a value mask for AdoptPairs).
+// (an annotation index, or a value mask for AdoptPairs). After each
+// operation the storage accounting is checked (checkLayout), and every
+// annotation taken at an earlier step must still read as it did then:
+// writes never reach an element handed out. The compaction threshold is
+// lowered so that short sequences compact too.
 func FuzzRelation(f *testing.F) {
+	defer func(n int) { compactMin = n }(compactMin)
+	compactMin = 4
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 3, 0, 1, 0, 1})
+	// Span relocation (f0 gains v1 while f1's span is last), then
+	// coalescing into the moved span, overlapping and disjoint.
+	f.Add([]byte{0, 0, 0, 2, 0, 1, 0, 2, 0, 0, 1, 3, 0, 0, 0, 3, 0, 0, 1, 4, 0, 1, 1, 5})
+	// Remove, then re-add the value with another annotation, in a span
+	// that is and one that is not last.
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 1, 2, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 4, 1, 1, 0, 0, 0, 1, 0, 5})
+	// Clone and Restrict as the relation, after relocations and removals
+	// left dead space.
+	f.Add([]byte{0, 0, 0, 2, 0, 1, 1, 3, 0, 0, 2, 4, 1, 1, 1, 0, 5, 0, 0, 0, 0, 2, 1, 2, 5, 1, 0, 1, 0, 0, 3, 3})
+	// Deferred fill, then a relocation and a coalescing as first accesses.
+	f.Add([]byte{0, 0, 0, 2, 0, 1, 1, 3, 3, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 3, 4, 0, 0, 0, 1, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		r, m := NewRelation(), newRef()
+		var held []heldAnnot
 		const maxOps = 48
 		for step := 0; step+4 <= len(ops) && step/4 < maxOps; step += 4 {
-			op, fi, vi, arg := ops[step]%5, ops[step+1], ops[step+2], ops[step+3]
+			op, fi, vi, arg := ops[step]%6, ops[step+1], ops[step+2], ops[step+3]
 			f, v := fuzzFacts[int(fi)%len(fuzzFacts)], fuzzValues[int(vi)%len(fuzzValues)]
 			a := fuzzAnnots[int(arg)%len(fuzzAnnots)]
 			switch op {
@@ -339,9 +410,29 @@ func FuzzRelation(f *testing.F) {
 						t.Fatalf("step %d: FactsOf(%s) = %v, model %v", step/4, v, got, want)
 					}
 				}
+			case 5: // Go on with a compacted copy: Clone for an even arg,
+				// else Restrict to every fact but f.
+				if arg%2 == 0 {
+					r = r.Clone()
+				} else {
+					r = r.Restrict(func(g string) bool { return g != f })
+					for _, v := range sortedKeys(m.pairs[f]) {
+						m.remove(f, v)
+					}
+				}
 			}
 			checkRelation(t, step/4, r, m)
+			checkLayout(t, step/4, r)
+			for i, h := range held {
+				if !h.unchanged() {
+					t.Fatalf("step %d: an annotation taken at an earlier step (%d) changed", step/4, i)
+				}
+			}
+			if got, ok := r.Annot(f, v); ok {
+				held = append(held, hold(got))
+			}
 		}
 		checkRelation(t, len(ops)/4, r, m)
+		checkLayout(t, len(ops)/4, r)
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -643,6 +644,57 @@ func TestDeferredRelationMaterializes(t *testing.T) {
 	}
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoredRelationHeapBudget holds a restored relation, after its
+// first access, to the budget TestGenerateHeapBudget sets for a generated
+// one: ≤ 600 B and ≤ 2 heap objects per fact at 10 k patients. It fails
+// if a materialized relation keeps its group bytes or the decode slab
+// adoptGroups fills, or holds a pointer per pair.
+func TestRestoredRelationHeapBudget(t *testing.T) {
+	const bytesPerFact, objectsPerFact = 600, 2
+	heap := func() runtime.MemStats {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms
+	}
+	cfg := casestudy.DefaultGen()
+	cfg.Patients = 10000
+	m := casestudy.MustGenerate(cfg)
+	eng, err := storage.BuildEngine(context.Background(), m, testCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := fingerprintMO(m)
+	b := encodeSnapshot(fp, 0, m, eng)
+	eng = nil
+
+	before := heap()
+	img, err := decodeSnapshot(b, fp, m, testCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels := img.rels
+	img = nil
+	pairs := 0
+	for _, r := range rels {
+		pairs += r.Len() // the first access runs the deferred fill
+	}
+	after := heap()
+	runtime.KeepAlive(b)
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(rels)
+
+	perFact := float64(after.HeapAlloc-before.HeapAlloc) / float64(cfg.Patients)
+	objsPerFact := float64(after.HeapObjects-before.HeapObjects) / float64(cfg.Patients)
+	t.Logf("restored relations keep %.0f B in %.2f objects per fact live (%d pairs)", perFact, objsPerFact, pairs)
+	if perFact > bytesPerFact {
+		t.Errorf("restored relations keep %.0f B per fact live, budget %d", perFact, bytesPerFact)
+	}
+	if objsPerFact > objectsPerFact {
+		t.Errorf("restored relations keep %.2f heap objects per fact live, budget %d", objsPerFact, objectsPerFact)
 	}
 }
 

@@ -22,11 +22,11 @@ func (b *Bitmap) grow(n int) {
 	if n <= b.n {
 		return
 	}
-	words := (n + 63) / 64
-	if words > len(b.words) {
-		nw := make([]uint64, words)
-		copy(nw, b.words)
-		b.words = nw
+	// Capacity grows geometrically, as append's does: an exact-size copy
+	// on every word boundary would copy a rarely set bitmap whole on
+	// nearly every append that sets it. No bitmap shares its words.
+	if words := (n + 63) / 64; words > len(b.words) {
+		b.words = append(b.words, make([]uint64, words-len(b.words))...)
 	}
 	b.n = n
 }
