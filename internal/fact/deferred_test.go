@@ -1,6 +1,9 @@
 package fact
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mddm/internal/dimension"
@@ -62,7 +65,6 @@ func TestDeferredRelationEquivalence(t *testing.T) {
 		"Annot":    func(r *Relation) bool { a, ok := r.Annot("f3", "c"); return ok && a.Prob == 0.5 },
 		"Has":      func(r *Relation) bool { return r.Has("f2", "a") && !r.Has("f2", "b") },
 		"ValuesOf": func(r *Relation) bool { v := r.ValuesOf("f1"); return len(v) == 2 && v[0] == "a" },
-		"FactsOf":  func(r *Relation) bool { f := r.FactsOf("a"); return len(f) == 2 && f[0] == "f1" },
 		"Facts":    func(r *Relation) bool { return len(r.Facts()) == 3 },
 		"Len":      func(r *Relation) bool { return r.Len() == 4 },
 		"Pairs":    func(r *Relation) bool { return len(r.Pairs()) == 4 },
@@ -110,9 +112,6 @@ func TestDeferredRelationMutators(t *testing.T) {
 	if ran != 1 || r.Len() != 3 || r.Has("f1", "a") {
 		t.Fatalf("Remove on deferred: ran=%d len=%d", ran, r.Len())
 	}
-	if got := r.FactsOf("a"); len(got) != 1 || got[0] != "f2" {
-		t.Fatalf("postings after Remove: %v", got)
-	}
 
 	// Union materializes the other side too.
 	ran = 0
@@ -148,14 +147,9 @@ func TestAdoptPairsSemantics(t *testing.T) {
 	if a, _ := r.Annot("f1", "a"); a.Prob != 0.7 {
 		t.Fatalf("re-adopt must coalesce by max prob, got %v", a.Prob)
 	}
-	// Postings catch up lazily but completely.
-	if got := r.FactsOf("b"); len(got) != 1 || got[0] != "f1" {
-		t.Fatalf("postings after adopt: %v", got)
-	}
-	// Postings built by a reader are maintained by later adopts.
 	r.AdoptPairs("f2", []Entry{{"b", dimension.Always()}})
-	if got := r.FactsOf("b"); len(got) != 2 {
-		t.Fatalf("postings after second adopt: %v", got)
+	if r.Len() != 3 || !r.Has("f2", "b") {
+		t.Fatalf("adopt of a second fact: len %d", r.Len())
 	}
 }
 
@@ -197,5 +191,65 @@ func TestRelationReadsAllocateNothing(t *testing.T) {
 	}
 	if r.Len() != 4 {
 		t.Fatalf("re-adds changed the relation: len %d", r.Len())
+	}
+}
+
+// TestDeferredRelationConcurrentFirstRead pins that the first read of a
+// deferred relation may come from many goroutines at once: the fill runs
+// once, every reader waits for it and sees all of its pairs, and reads
+// after it write nothing (under -race, a read that wrote would report).
+func TestDeferredRelationConcurrentFirstRead(t *testing.T) {
+	const facts, readers = 2000, 16
+	var ran atomic.Int32
+	r := NewRelationDeferred(facts, func(r *Relation) {
+		ran.Add(1)
+		for i := 0; i < facts; i++ {
+			r.AdoptPairs(fmt.Sprintf("f%d", i), []Entry{
+				{"a", dimension.Always()},
+				{fmt.Sprintf("v%d", i%7), dimension.ValidDuring(temporal.Single(temporal.Chronon(i), temporal.Chronon(i+5)))},
+			})
+		}
+	})
+	reads := []func() bool{
+		func() bool { return r.Len() == 2*facts },
+		func() bool { return r.ValuesLen("f7") == 2 },
+		func() bool { return r.Has("f1999", "v4") },
+		func() bool { a, ok := r.Annot("f3", "v3"); return ok && a.Time.Valid.Contains(4, 0) },
+		func() bool {
+			n := 0
+			r.Range(func(string, string, dimension.Annot) bool { n++; return true })
+			return n == 2*facts
+		},
+		func() bool {
+			n := 0
+			r.RangeValues("f42", func(string, dimension.Annot) bool { n++; return true })
+			return n == 2
+		},
+		func() bool { return len(r.Facts()) == facts },
+		func() bool { return len(r.ValuesOf("f5")) == 2 },
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	bad := make(chan int, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for k := range reads {
+				if read := reads[(g+k)%len(reads)]; !read() {
+					bad <- (g + k) % len(reads)
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	close(bad)
+	for k := range bad {
+		t.Errorf("read %d saw a relation the fill had not finished", k)
+	}
+	if n := ran.Load(); n != 1 {
+		t.Fatalf("fill ran %d times, want 1", n)
 	}
 }

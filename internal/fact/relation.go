@@ -4,6 +4,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync"
 
 	"mddm/internal/dimension"
 	"mddm/internal/temporal"
@@ -38,10 +39,23 @@ type Entry struct {
 // arena, and its probability. Writes never rewrite the arena: a
 // coalescing union is stored at its end, and a span that must grow but
 // is not the last one moves to the tail. The space they leave behind is
-// reclaimed by compaction once it outweighs the live data. The
-// value→facts postings FactsOf reads exist only once something asks for
-// them.
+// reclaimed by compaction once it outweighs the live data.
+//
+// Reads may run in parallel with each other but not with a write. A
+// deferred relation's fill runs once, whichever read comes first, and
+// after it a read never writes.
 type Relation struct {
+	layout
+	// fill, when non-nil, is a deferred bulk load (NewRelationDeferred):
+	// the pairs do not exist until the first access of any kind runs it,
+	// once. It is set at construction and never written after, so every
+	// method may test it without a lock.
+	fill func()
+	once sync.Once
+}
+
+// layout is a relation's contents.
+type layout struct {
 	spans map[string]span // fact -> its entries
 	ents  []entry         // every span's entries, with dead space
 	dead  int             // entries of ents no span covers
@@ -50,14 +64,6 @@ type Relation struct {
 	times temporal.Arena // the valid and transaction times of ents
 	// deadIvs counts the arena intervals no live entry refers to.
 	deadIvs int
-	// byVal holds the value→facts postings. It is nil until the first
-	// FactsOf builds it from the spans in one pass, and maintained by
-	// every mutator from then on.
-	byVal map[string]map[string]bool
-	// fill, when non-nil, holds a deferred bulk load (NewRelationDeferred):
-	// the pairs do not exist yet and the first access of any kind runs
-	// fill to build them. Every public method materializes first.
-	fill func(*Relation)
 }
 
 // span locates one fact's entries: ents[off : off+n].
@@ -77,7 +83,7 @@ var compactMin = 256
 
 // NewRelation returns an empty fact–dimension relation.
 func NewRelation() *Relation {
-	return &Relation{spans: map[string]span{}}
+	return &Relation{layout: layout{spans: map[string]span{}}}
 }
 
 // NewRelationDeferred returns a relation whose contents arrive lazily:
@@ -87,23 +93,27 @@ func NewRelation() *Relation {
 // back a model in O(decode) and let each relation pay its build cost
 // when — and only when — something actually reads or writes it; an
 // engine serving queries from bitmaps and columns may never touch the
-// relation at all.
+// relation at all. Several goroutines may make the first read at once:
+// one runs the fill and the others wait for it.
 func NewRelationDeferred(nFacts int, fill func(*Relation)) *Relation {
-	return &Relation{fill: func(r *Relation) {
-		r.spans = make(map[string]span, nFacts)
-		fill(r)
-	}}
+	r := &Relation{}
+	r.fill = func() {
+		// The fill writes a relation of its own: its mutators materialize,
+		// and on r they would wait for the fill that is calling them.
+		b := NewRelation()
+		b.spans = make(map[string]span, nFacts)
+		fill(b)
+		fill = nil // what it captured is garbage now
+		r.layout = b.layout
+	}
+	return r
 }
 
-// materialize runs a pending deferred fill. Clearing fill first makes
-// the mutators the fill itself calls re-entrant no-ops here.
+// materialize runs a pending deferred fill.
 func (r *Relation) materialize() {
-	if r.fill == nil {
-		return
+	if r.fill != nil {
+		r.once.Do(r.fill)
 	}
-	fill := r.fill
-	r.fill = nil
-	fill(r)
 }
 
 // code returns valueID's dictionary code, adding it if new.
@@ -147,19 +157,6 @@ func (r *Relation) entries(factID string) []entry {
 	return r.ents[sp.off : sp.off+sp.n]
 }
 
-// post records (f, e) in the postings, if they are built.
-func (r *Relation) post(factID, valueID string) {
-	if r.byVal == nil {
-		return
-	}
-	fs := r.byVal[valueID]
-	if fs == nil {
-		fs = map[string]bool{}
-		r.byVal[valueID] = fs
-	}
-	fs[factID] = true
-}
-
 // AdoptPairs records every (factID, value) pair of es at once; es must
 // not repeat a value. The relation copies the entries, so the caller may
 // reuse es. For a fact not yet in the relation this skips the per-pair
@@ -179,7 +176,6 @@ func (r *Relation) AdoptPairs(factID string, es []Entry) {
 	r.spans[factID] = span{off: uint32(len(r.ents)), n: uint32(len(es))}
 	for _, e := range es {
 		r.ents = append(r.ents, r.entry(e.ValueID, e.Annot))
-		r.post(factID, e.ValueID)
 	}
 }
 
@@ -255,7 +251,6 @@ func (r *Relation) AddAnnot(factID, valueID string, a dimension.Annot) {
 	r.ents = append(r.ents, r.entry(valueID, a))
 	sp.n++
 	r.spans[factID] = sp
-	r.post(factID, valueID)
 	r.maybeCompact()
 }
 
@@ -291,12 +286,6 @@ func (r *Relation) Remove(factID, valueID string) {
 		delete(r.spans, factID)
 	} else {
 		r.spans[factID] = sp
-	}
-	if fs, ok := r.byVal[valueID]; ok {
-		delete(fs, factID)
-		if len(fs) == 0 {
-			delete(r.byVal, valueID)
-		}
 	}
 	r.maybeCompact()
 }
@@ -376,26 +365,6 @@ func (r *Relation) ValuesOf(factID string) []string {
 	return out
 }
 
-// FactsOf returns the sorted facts directly related to a value. The first
-// call builds the value→facts postings for the whole relation.
-func (r *Relation) FactsOf(valueID string) []string {
-	r.materialize()
-	if r.byVal == nil {
-		r.byVal = map[string]map[string]bool{}
-		for f, sp := range r.spans {
-			for _, e := range r.ents[sp.off : sp.off+sp.n] {
-				r.post(f, r.vals[e.val])
-			}
-		}
-	}
-	out := make([]string, 0, len(r.byVal[valueID]))
-	for f := range r.byVal[valueID] {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Facts returns the sorted fact ids that appear in the relation.
 func (r *Relation) Facts() []string {
 	r.materialize()
@@ -439,7 +408,7 @@ func (r *Relation) Restrict(keep func(factID string) bool) *Relation {
 
 // restrict is Restrict on a materialized relation; a nil keep keeps all.
 func (r *Relation) restrict(keep func(factID string) bool) *Relation {
-	n := &Relation{vals: slices.Clone(r.vals), codes: maps.Clone(r.codes)}
+	n := &Relation{layout: layout{vals: slices.Clone(r.vals), codes: maps.Clone(r.codes)}}
 	n.spans, n.ents, n.times = r.compact(keep)
 	return n
 }

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // requiredContextFuncs is the contract: package directory (relative to
@@ -61,21 +62,12 @@ func CheckContextPlumbing(root string) ([]string, error) {
 // function names take a context.Context (or ctx "context".Context alias)
 // as their first parameter.
 func contextFuncs(dir string) (map[string]bool, error) {
-	entries, err := os.ReadDir(dir)
+	files, err := parseNonTest(dir)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 	found := map[string]bool{}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != ".go" || len(name) > 8 && name[len(name)-8:] == "_test.go" {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
+	for _, f := range files {
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || fn.Type.Params == nil || len(fn.Type.Params.List) == 0 {
@@ -87,6 +79,28 @@ func contextFuncs(dir string) (map[string]bool, error) {
 		}
 	}
 	return found, nil
+}
+
+// parseNonTest parses every non-test Go file in dir, keyed by file name.
+func parseNonTest(dir string) (map[string]*ast.File, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || filepath.Ext(name) != ".go" || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files[name] = f
+	}
+	return files, nil
 }
 
 // isContextType reports whether an AST type expression is

@@ -14,7 +14,6 @@
 package obs
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -30,9 +29,6 @@ func init() { enabled.Store(true) }
 // SetEnabled turns metric and span recording on or off process-wide.
 // Values already recorded are kept.
 func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether recording is on.
-func Enabled() bool { return enabled.Load() }
 
 // numShards spreads concurrent writers of one counter over independent
 // cache lines. Power of two so the shard pick is a mask.
@@ -80,27 +76,6 @@ func (c *Counter) Value() int64 {
 	}
 	return t
 }
-
-// TimeCounter accumulates durations and renders as seconds (the
-// Prometheus convention for *_seconds_total series). Internally it is a
-// nanosecond Counter.
-type TimeCounter struct {
-	c Counter
-}
-
-// Add accumulates one duration.
-func (t *TimeCounter) Add(d time.Duration) {
-	if t == nil || d <= 0 {
-		return
-	}
-	t.c.Add(int64(d))
-}
-
-// Value returns the accumulated time.
-func (t *TimeCounter) Value() time.Duration { return time.Duration(t.c.Value()) }
-
-// Seconds returns the accumulated time in seconds.
-func (t *TimeCounter) Seconds() float64 { return float64(t.c.Value()) / 1e9 }
 
 // Gauge is a value that goes up and down (active queries, pool usage).
 type Gauge struct {
@@ -230,26 +205,4 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return float64(h.sum.Load()) * h.scale
-}
-
-// QuantileHint returns an upper bound for the q-quantile from the bucket
-// bounds — coarse (bucket-resolution) but allocation-free, good enough
-// for human-readable summaries and tests.
-func (h *Histogram) QuantileHint(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	var seen int64
-	for i := range h.bounds {
-		seen += h.counts[i].Load()
-		if seen > target {
-			return h.bounds[i]
-		}
-	}
-	return math.Inf(1)
 }

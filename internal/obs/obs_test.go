@@ -114,8 +114,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r.NewCounter("mddm_x_total", "events", Label{"outcome", "hit"}).Add(3)
 	r.NewCounter("mddm_x_total", "events", Label{"outcome", "miss"}).Add(1)
 	r.NewGauge("mddm_active", "in flight").Set(2)
-	tc := r.NewTimeCounter("mddm_busy_seconds_total", "busy time")
-	tc.Add(1500 * time.Millisecond)
 	h := r.NewHistogram("mddm_lat_seconds", "latency", DurationBuckets)
 	h.Observe(3 * time.Microsecond)
 
@@ -131,7 +129,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`mddm_x_total{outcome="miss"} 1`,
 		"# TYPE mddm_active gauge",
 		"mddm_active 2",
-		"mddm_busy_seconds_total 1.5",
 		"# TYPE mddm_lat_seconds histogram",
 		`mddm_lat_seconds_bucket{le="1e-06"} 0`,
 		`mddm_lat_seconds_bucket{le="4e-06"} 1`,

@@ -24,7 +24,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindTimeCounter
 	kindGauge
 	kindHistogram
 )
@@ -103,12 +102,6 @@ func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
 	return r.child(name, help, kindCounter, labels, func() any { return &Counter{} }).(*Counter)
 }
 
-// NewTimeCounter registers a duration-accumulating counter rendered in
-// seconds; name it *_seconds_total by convention.
-func (r *Registry) NewTimeCounter(name, help string, labels ...Label) *TimeCounter {
-	return r.child(name, help, kindTimeCounter, labels, func() any { return &TimeCounter{} }).(*TimeCounter)
-}
-
 // NewGauge registers (or returns) the gauge name{labels…}.
 func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
 	return r.child(name, help, kindGauge, labels, func() any { return &Gauge{} }).(*Gauge)
@@ -136,12 +129,6 @@ func (r *Registry) NewValueHistogram(name, help string, bounds []float64, labels
 // NewCounter registers a counter on the default registry.
 func NewCounter(name, help string, labels ...Label) *Counter {
 	return defaultRegistry.NewCounter(name, help, labels...)
-}
-
-// NewTimeCounter registers a seconds-rendering counter on the default
-// registry.
-func NewTimeCounter(name, help string, labels ...Label) *TimeCounter {
-	return defaultRegistry.NewTimeCounter(name, help, labels...)
 }
 
 // NewGauge registers a gauge on the default registry.
@@ -184,8 +171,6 @@ func (f *family) write(b *bytes.Buffer) {
 		switch m := f.children[key].(type) {
 		case *Counter:
 			fmt.Fprintf(b, "%s%s %d\n", f.name, key, m.Value())
-		case *TimeCounter:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, key, formatFloat(m.Seconds()))
 		case *Gauge:
 			fmt.Fprintf(b, "%s%s %d\n", f.name, key, m.Value())
 		case *Histogram:

@@ -64,14 +64,9 @@ func ExecContext(cctx context.Context, src string, cat Catalog, ref temporal.Chr
 	return RunContext(cctx, q, cat, ref)
 }
 
-// Run executes a parsed query: timeslices first (changing the MO's
-// temporal type), then selection, then aggregate formation, rendered as
-// rows.
-func Run(q *Query, cat Catalog, ref temporal.Chronon) (*Result, error) {
-	return RunContext(context.Background(), q, cat, ref)
-}
-
-// RunContext is Run with cooperative cancellation; see ExecContext.
+// RunContext executes a parsed query: timeslices first (changing the
+// MO's temporal type), then selection, then aggregate formation, rendered
+// as rows. It checks cctx cooperatively; see ExecContext.
 func RunContext(cctx context.Context, q *Query, cat Catalog, ref temporal.Chronon) (*Result, error) {
 	guard := qos.NewGuard(cctx)
 	if err := guard.CheckNow(); err != nil {

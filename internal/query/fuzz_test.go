@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"mddm/internal/casestudy"
@@ -44,8 +45,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
-		r1, err1 := Run(q, cat, ref)
-		r2, err2 := Run(q, cat, ref)
+		r1, err1 := RunContext(context.Background(), q, cat, ref)
+		r2, err2 := RunContext(context.Background(), q, cat, ref)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("non-deterministic error for %q: %v vs %v", src, err1, err2)
 		}

@@ -28,6 +28,7 @@ import (
 	"math"
 
 	"mddm/internal/dimension"
+	"mddm/internal/storage"
 	"mddm/internal/temporal"
 )
 
@@ -62,12 +63,9 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Pair is one annotated fact–dimension characterization of an appended
-// fact: (dimension, value, annotation), mirroring core.MO.RelateAnnot.
-type Pair struct {
-	Dim   string
-	Value string
-	Annot dimension.Annot
-}
+// fact: (dimension, value, annotation). It is the engine's own pair, so a
+// record's pairs go to storage.Engine.AppendFact as they are.
+type Pair = storage.Pair
 
 // FactAppend is one durable append record: a new fact and its
 // characterizations. Seq is the store-assigned append ordinal (the

@@ -238,10 +238,11 @@ func (s *Store) openWAL() error {
 // seq, the frame count) without being decoded: they remain the source of
 // truth, the snapshot is acceleration. Without a usable snapshot (none
 // written yet, or rejected with a counter) recovery falls back to full
-// replay: every persisted record is applied through the same RelateAnnot
-// path live appends use, the engine is built over the result, and
-// columns build lazily. Idempotent: a second call returns the same
-// engine.
+// replay: the engine is built over the base MO, every persisted record is
+// applied through the AppendFact call a live append makes, and columns
+// build lazily. Either way the engine's fact order is the live one: base
+// facts sorted, then appended facts in log order. Idempotent: a second
+// call returns the same engine.
 func (s *Store) Recover(ctx context.Context, ectx dimension.Context) (*storage.Engine, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -263,34 +264,33 @@ func (s *Store) Recover(ctx context.Context, ectx dimension.Context) (*storage.E
 		installColumns(e, img)
 		eng, snapSeq = e, img.seq
 		mSnapshotRestores.Inc()
+	} else {
+		e, err := storage.BuildEngine(ctx, s.mo, ectx)
+		if err != nil {
+			return nil, err
+		}
+		eng = e
 	}
 	for _, se := range s.man.Segments {
 		b, err := os.ReadFile(filepath.Join(s.dir, se.File))
 		if err != nil {
 			return nil, err
 		}
-		covered := eng != nil && se.To <= snapSeq
+		covered := se.To <= snapSeq
 		recs, err := readSealed(b, s.baseFP, se, !covered)
 		if err != nil {
 			return nil, err
 		}
 		for _, rec := range recs {
-			if err := s.replayRecord(eng, rec, snapSeq); err != nil {
+			if err := replayRecord(eng, rec, snapSeq); err != nil {
 				return nil, fmt.Errorf("replaying segment %s: %w", se.File, err)
 			}
 		}
 	}
 	for _, rec := range s.tail {
-		if err := s.replayRecord(eng, rec, snapSeq); err != nil {
+		if err := replayRecord(eng, rec, snapSeq); err != nil {
 			return nil, fmt.Errorf("replaying log: %w", err)
 		}
-	}
-	if eng == nil {
-		e, err := storage.BuildEngine(ctx, s.mo, ectx)
-		if err != nil {
-			return nil, err
-		}
-		eng = e
 	}
 	s.eng = eng
 	s.recovered = true
@@ -300,21 +300,15 @@ func (s *Store) Recover(ctx context.Context, ectx dimension.Context) (*storage.E
 	return eng, nil
 }
 
-// replayRecord applies one persisted record during recovery, skipping
-// records the snapshot already covers (their pairs and index entries
-// arrived with the restore). On the snapshot path the engine exists and
-// is maintained incrementally, the exact path live appends take.
-func (s *Store) replayRecord(eng *storage.Engine, rec FactAppend, snapSeq uint64) error {
-	if eng != nil && rec.Seq < snapSeq {
+// replayRecord applies one persisted record during recovery through the
+// call a live append makes, skipping records the snapshot already covers
+// (their pairs and index entries arrived with the restore).
+func replayRecord(eng *storage.Engine, rec FactAppend, snapSeq uint64) error {
+	if rec.Seq < snapSeq {
 		return nil
 	}
-	if err := applyPairs(s.mo, rec); err != nil {
-		return err
-	}
-	if eng != nil {
-		if err := eng.AppendFact(rec.FactID); err != nil {
-			return fmt.Errorf("%w: record %d: %v", ErrCorrupt, rec.Seq, err)
-		}
+	if err := eng.AppendFact(rec.FactID, rec.Pairs...); err != nil {
+		return fmt.Errorf("%w: record %d: %v", ErrCorrupt, rec.Seq, err)
 	}
 	return nil
 }
@@ -371,21 +365,6 @@ func restoreImage(m *core.MO, img *snapImage, ectx dimension.Context) (*storage.
 		return nil, fmt.Errorf("%w: snapshot restore: %v", ErrCorrupt, err)
 	}
 	return eng, nil
-}
-
-// applyPairs replays one record into the MO — the identical path
-// Append takes after logging, which is what makes load-after-crash
-// equivalent to rebuild-from-scratch by construction.
-func applyPairs(m *core.MO, rec FactAppend) error {
-	if m.Facts().Has(rec.FactID) {
-		return fmt.Errorf("%w: record %d re-appends fact %q", ErrCorrupt, rec.Seq, rec.FactID)
-	}
-	for _, p := range rec.Pairs {
-		if err := m.RelateAnnot(p.Dim, rec.FactID, p.Value, p.Annot); err != nil {
-			return fmt.Errorf("%w: record %d: %v", ErrCorrupt, rec.Seq, err)
-		}
-	}
-	return nil
 }
 
 // installColumns installs the image's columns into the engine the same
@@ -472,11 +451,8 @@ func (s *Store) AppendSeq(rec FactAppend) (uint64, error) {
 	s.reportBytes(sz)
 	// The record is durable; the apply cannot fail validation again, so
 	// in-memory state and the log stay in lockstep.
-	if err := applyPairs(s.mo, rec); err != nil {
+	if err := s.eng.AppendFact(rec.FactID, rec.Pairs...); err != nil {
 		return 0, fmt.Errorf("segment: apply after log: %w", err)
-	}
-	if err := s.eng.AppendFact(rec.FactID); err != nil {
-		return 0, fmt.Errorf("segment: index after log: %w", err)
 	}
 	s.seq++
 	if s.opts.FoldEvery > 0 && s.seq-s.man.FoldedSeq >= uint64(s.opts.FoldEvery) {

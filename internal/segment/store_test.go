@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"mddm/internal/agg"
 	"mddm/internal/casestudy"
 	"mddm/internal/core"
 	"mddm/internal/dimension"
@@ -74,6 +76,20 @@ func testRecords(t testing.TB, m *core.MO, n int) []FactAppend {
 		recs[i] = FactAppend{FactID: fmt.Sprintf("newpat%04d", i), Pairs: pairs}
 	}
 	return recs
+}
+
+// applyPairs relates one record's pairs in m, outside any engine: the
+// model-level half of an append, for references built from scratch.
+func applyPairs(m *core.MO, rec FactAppend) error {
+	if m.Facts().Has(rec.FactID) {
+		return fmt.Errorf("%w: record %d re-appends fact %q", ErrCorrupt, rec.Seq, rec.FactID)
+	}
+	for _, p := range rec.Pairs {
+		if err := m.RelateAnnot(p.Dim, rec.FactID, p.Value, p.Annot); err != nil {
+			return fmt.Errorf("%w: record %d: %v", ErrCorrupt, rec.Seq, err)
+		}
+	}
+	return nil
 }
 
 // rebuildReference is the from-scratch path every recovery must match:
@@ -1066,5 +1082,95 @@ func TestSegmentBytesGaugeSumsStores(t *testing.T) {
 	}
 	if got := gauges(); got != before {
 		t.Fatalf("both stores closed: gauges %+v, want %+v", got, before)
+	}
+}
+
+// TestRecoverFactOrderMatchesLive recovers one store from its log alone
+// and another whose image is rejected, so both replay every record, and
+// holds them to the engine that took the appends live: the same dense
+// fact order, and bit-identical EXPECTED(*) and SUM(Age) folds. The
+// appended facts' ids sort before every base id, so a replay that sorted
+// them in among the base facts would fold the probabilities in another
+// order.
+func TestRecoverFactOrderMatchesLive(t *testing.T) {
+	dir := t.TempDir()
+	st, live := openRecovered(t, dir, Options{})
+	probs := []float64{0.1, 0.7, 0.3, 0.9, 0.2, 0.6, 0.45}
+	recs := testRecords(t, st.MO(), 40)
+	for i := range recs {
+		recs[i].FactID = fmt.Sprintf("0app%03d", i)
+		recs[i].Pairs[0].Annot = dimension.Always().WithProb(probs[i%len(probs)])
+		if err := st.Append(recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walOnly := t.TempDir()
+	copyDir(t, dir, walOnly) // the open store has folded nothing yet
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	man, _, err := loadManifest(dir)
+	if err != nil || man.Snapshot == nil || len(man.Segments) == 0 {
+		t.Fatalf("expected a segment and an image after Close: %+v (%v)", man, err)
+	}
+	rejected := t.TempDir()
+	copyDir(t, dir, rejected)
+	flipByte(t, filepath.Join(rejected, man.Snapshot.File), 60)
+
+	want := recoveryFolds(t, live)
+	for _, c := range []struct {
+		name, dir string
+		rejects   int64
+	}{{"wal-only", walOnly, 0}, {"image-rejected", rejected, 1}} {
+		before := mSnapshotRejects.Value()
+		_, got := openRecovered(t, c.dir, Options{})
+		if n := mSnapshotRejects.Value() - before; n != c.rejects {
+			t.Fatalf("%s: %d snapshot rejects, want %d", c.name, n, c.rejects)
+		}
+		if g, w := got.ExportFacts(), live.ExportFacts(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: fact order\n%v\nlive\n%v", c.name, g, w)
+		}
+		if g := recoveryFolds(t, got); !reflect.DeepEqual(g, want) {
+			t.Errorf("%s: folds\n%v\nlive\n%v", c.name, g, want)
+		}
+	}
+}
+
+// recoveryFolds renders the exact bits of EXPECTED(*) and SUM(Age) per
+// diagnosis group, both folded in the engine's fact order.
+func recoveryFolds(t *testing.T, eng *storage.Engine) []string {
+	t.Helper()
+	v, _ := eng.View(eng.Answers(), true)
+	scan, err := v.ScanLeg(context.Background(), casestudy.DimDiagnosis, casestudy.CatGroup,
+		[]storage.SharedScanMember{{Prob: agg.ProbValue}, {ArgDim: casestudy.DimAge}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for j, val := range scan.Values {
+		e, s := scan.Members[0].Folds[j].Sum, scan.Members[1].Folds[j].Sum
+		out = append(out, fmt.Sprintf("%s: EXPECTED %x SUM %x", val, math.Float64bits(e), math.Float64bits(s)))
+	}
+	return out
+}
+
+// copyDir copies the regular files of src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if ent.IsDir() {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, ent.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

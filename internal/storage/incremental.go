@@ -31,11 +31,24 @@ func (b *Bitmap) grow(n int) {
 	b.n = n
 }
 
-// AppendFact indexes one new fact of the underlying MO: the fact must
-// already exist in the MO with its fact–dimension pairs recorded. Pairs
-// not admitted by the engine's context are skipped, mirroring NewEngine.
-// The engine's context views (views.go) are dropped, not maintained.
-func (e *Engine) AppendFact(factID string) error {
+// Pair is one characterization of an appended fact: the fact is related
+// to Value in dimension Dim with annotation Annot.
+type Pair struct {
+	Dim   string
+	Value string
+	Annot dimension.Annot
+}
+
+// AppendFact indexes one new fact. Given pairs, it first relates them in
+// the MO — the fact must be new to the MO and every pair's dimension
+// must hold its value, or nothing is written — under the write lock that
+// every read of the relations excludes, so the engine is the served
+// model's only writer. Without pairs the fact must already be in the MO
+// with its pairs recorded, by a caller that owns the MO while it does
+// so. Pairs not admitted by the engine's context are not indexed,
+// mirroring NewEngine. The engine's context views (views.go) are
+// dropped, not maintained.
+func (e *Engine) AppendFact(factID string, pairs ...Pair) error {
 	if e.view != nil {
 		return fmt.Errorf("storage: a context view is read-only: append %q to its base engine", factID)
 	}
@@ -44,7 +57,11 @@ func (e *Engine) AppendFact(factID string) error {
 	if _, ok := e.idx[factID]; ok {
 		return fmt.Errorf("storage: fact %q already indexed", factID)
 	}
-	if !e.mo.Facts().Has(factID) {
+	if len(pairs) > 0 {
+		if err := e.relate(factID, pairs); err != nil {
+			return err
+		}
+	} else if !e.mo.Facts().Has(factID) {
 		return fmt.Errorf("storage: fact %q not in the MO", factID)
 	}
 	i := len(e.facts)
@@ -129,5 +146,24 @@ func (e *Engine) AppendFact(factID string) error {
 	// over the facts before this one: drop them.
 	e.bumpEpoch()
 	e.dropViews()
+	return nil
+}
+
+// relate records a new fact's pairs in the MO, all of them or, when one
+// cannot be recorded, none. The caller holds the write lock.
+func (e *Engine) relate(factID string, pairs []Pair) error {
+	if e.mo.Facts().Has(factID) {
+		return fmt.Errorf("storage: fact %q already in the MO", factID)
+	}
+	for _, p := range pairs {
+		if d := e.mo.Dimension(p.Dim); d == nil || !d.Has(p.Value) {
+			return fmt.Errorf("storage: fact %q: dimension %q has no value %q", factID, p.Dim, p.Value)
+		}
+	}
+	for _, p := range pairs {
+		if err := e.mo.RelateAnnot(p.Dim, factID, p.Value, p.Annot); err != nil {
+			return err
+		}
+	}
 	return nil
 }

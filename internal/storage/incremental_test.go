@@ -77,6 +77,29 @@ func TestAppendFactErrors(t *testing.T) {
 	if err := e.AppendFact("ghost"); err == nil {
 		t.Error("appending a fact absent from the MO must fail")
 	}
+	// Given pairs, the engine relates them, all or none.
+	m := e.MO()
+	low := m.Dimension(casestudy.DimDiagnosis).Category(casestudy.CatLowLevel)[0]
+	good := Pair{Dim: casestudy.DimDiagnosis, Value: low, Annot: dimension.Always()}
+	bad := Pair{Dim: casestudy.DimResidence, Value: "no-such-area", Annot: dimension.Always()}
+	if err := e.AppendFact("ghost", good, bad); err == nil {
+		t.Error("a pair naming an unknown value must fail")
+	}
+	if m.Facts().Has("ghost") || m.Relation(casestudy.DimDiagnosis).Has("ghost", low) {
+		t.Error("a failed append left pairs in the MO")
+	}
+	if err := e.AppendFact("ghost", good); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Relation(casestudy.DimDiagnosis).Has("ghost", low) || e.NumFacts() != 3 {
+		t.Errorf("append with pairs: related %v, %d facts", m.Relation(casestudy.DimDiagnosis).Has("ghost", low), e.NumFacts())
+	}
+	if err := m.Relate(casestudy.DimDiagnosis, "related", low); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AppendFact("related", good); err == nil {
+		t.Error("pairs for a fact the MO already holds must fail")
+	}
 }
 
 func TestBitmapGrow(t *testing.T) {

@@ -247,11 +247,7 @@ func (c *Cache) RollupFromContext(ctx context.Context, dim, fromCat, toCat strin
 	return out, nil
 }
 
-// computeBase answers at toCat directly from the bitmap indexes.
-func (c *Cache) computeBase(dim, toCat string, kind AggKind, arg string) (map[string]float64, error) {
-	return c.computeBaseContext(context.Background(), dim, toCat, kind, arg)
-}
-
+// computeBaseContext answers at toCat directly from the bitmap indexes.
 func (c *Cache) computeBaseContext(ctx context.Context, dim, toCat string, kind AggKind, arg string) (map[string]float64, error) {
 	// Route through the kernel path: build the characterization column when
 	// the cost heuristic would select it, so repeated base recomputes (the

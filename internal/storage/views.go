@@ -95,10 +95,6 @@ type viewTable struct {
 	epoch uint64
 	tick  uint64
 	slots [maxViews]viewSlot
-	// relMu serializes the views' walks of the model's relations: a
-	// relation restored from a snapshot materializes on its first read,
-	// which two readers must not both trigger.
-	relMu sync.Mutex
 }
 
 type viewSlot struct {
@@ -253,21 +249,16 @@ func (e *Engine) admits(d *dimension.Dimension, value string, a dimension.Annot)
 	return e.view.full.Admits(a) && d.Has(value)
 }
 
-// lockRelations brackets a view's walk of the model's relations: the base's
-// read lock keeps AppendFact and the base's own cold paths out, relMu keeps
-// other views out. A base engine reads under its own write lock already.
-// The caller must not call into the base while holding it.
+// lockRelations brackets a view's walk of the model's relations: the
+// base's read lock keeps AppendFact, their one writer, out. A base engine
+// reads under its own lock already. The caller must not call into the
+// base while holding it.
 func (e *Engine) lockRelations() (unlock func()) {
 	if e.view == nil {
 		return func() {}
 	}
-	b := e.view.base
-	b.mu.RLock()
-	b.views.relMu.Lock()
-	return func() {
-		b.views.relMu.Unlock()
-		b.mu.RUnlock()
-	}
+	e.view.base.mu.RLock()
+	return e.view.base.mu.RUnlock
 }
 
 // factProb is one membership probability that is not 1.

@@ -344,22 +344,44 @@ func TestViewTable(t *testing.T) {
 // state: resolvers cycling through more contexts than the table holds
 // (build, hit, evict), scanning what they resolve (lazy slicing, indexing,
 // columns, measure columns), against AppendFact dropping the table. The MO
-// is fully related before the goroutines start; only the engine mutates.
-// A view never misses a fact its table's epoch had and counts none twice.
+// is fully related before the goroutines start. A view never misses a
+// fact its table's epoch had and counts none twice.
 func TestViewRaceBuildAppendEvict(t *testing.T) {
+	viewStorm(t, false)
+}
+
+// TestViewRaceBuildAppendRelate is the same storm with the appended facts'
+// pairs handed to AppendFact, as a durable append does: the engine writes
+// the MO's relations while views walk them.
+func TestViewRaceBuildAppendRelate(t *testing.T) {
+	viewStorm(t, true)
+}
+
+// viewStorm runs the view storm of TestViewRaceBuildAppendEvict. With
+// relate, AppendFact records each appended fact's pairs during the storm;
+// without, they are all related before it starts.
+func viewStorm(t *testing.T, relate bool) {
 	m := uncertainMO(t, 80)
 	base := NewEngine(m, dimension.CurrentContext(ref))
 	lows := m.Dimension(casestudy.DimDiagnosis).Category(casestudy.CatLowLevel)
 	const extra = 40
 	ids := make([]string, extra)
+	pairs := make([][]Pair, extra)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("pnew%02d", i)
-		if err := m.Relate(casestudy.DimDiagnosis, ids[i], lows[i%len(lows)]); err != nil {
-			t.Fatal(err)
+		pairs[i] = []Pair{
+			{Dim: casestudy.DimDiagnosis, Value: lows[i%len(lows)], Annot: dimension.Always()},
+			{Dim: casestudy.DimResidence, Value: "A0", Annot: dimension.Always()},
 		}
-		if err := m.Relate(casestudy.DimResidence, ids[i], "A0"); err != nil {
-			t.Fatal(err)
+		if relate {
+			continue
 		}
+		for _, p := range pairs[i] {
+			if err := m.Relate(p.Dim, ids[i], p.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pairs[i] = nil
 	}
 	// Contexts late enough that every appended fact — related without valid
 	// time — and every base fact with an open-ended residence is admitted.
@@ -369,8 +391,8 @@ func TestViewRaceBuildAppendEvict(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for _, id := range ids {
-			if err := base.AppendFact(id); err != nil {
+		for i, id := range ids {
+			if err := base.AppendFact(id, pairs[i]...); err != nil {
 				t.Error(err)
 				return
 			}
