@@ -475,7 +475,9 @@ func BenchmarkColumnKernels(b *testing.B) {
 		b.Run(fmt.Sprintf("sum-bitmap/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bitmapEng.SumBy("Diagnosis", "Low-level Diagnosis", "Age")
+				if _, err := bitmapEng.SumByContext(context.Background(), "Diagnosis", "Low-level Diagnosis", "Age"); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 		b.Run(fmt.Sprintf("sum-column/n=%d", n), func(b *testing.B) {

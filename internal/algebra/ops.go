@@ -59,7 +59,7 @@ func SelectContext(cctx context.Context, m *core.MO, p Predicate, ctx dimension.
 		}
 	}
 	for _, name := range m.Schema().DimensionNames() {
-		r := m.Relation(name).Restrict(func(f string) bool { return keep[f] })
+		r := m.Relation(name).Restrict(out.Facts().Dict(), func(f string) bool { return keep[f] })
 		if err := out.SetRelation(name, r); err != nil {
 			panic(err) // names come from the schema itself
 		}
@@ -86,7 +86,7 @@ func Project(m *core.MO, dims ...string) (*core.MO, error) {
 		if err := out.SetDimension(name, m.Dimension(name)); err != nil {
 			return nil, err
 		}
-		if err := out.SetRelation(name, m.Relation(name).Clone()); err != nil {
+		if err := out.SetRelation(name, m.Relation(name).Clone(out.Facts().Dict())); err != nil {
 			return nil, err
 		}
 	}
@@ -114,7 +114,7 @@ func Rename(m *core.MO, s *core.Schema) (*core.MO, error) {
 		if err := out.SetDimension(newNames[i], m.Dimension(oldName)); err != nil {
 			return nil, err
 		}
-		if err := out.SetRelation(newNames[i], m.Relation(oldName).Clone()); err != nil {
+		if err := out.SetRelation(newNames[i], m.Relation(oldName).Clone(out.Facts().Dict())); err != nil {
 			return nil, err
 		}
 	}
@@ -192,7 +192,7 @@ func Difference(m1, m2 *core.MO) (*core.MO, error) {
 			out.AddFact(f)
 		}
 		for _, name := range m1.Schema().DimensionNames() {
-			r := m1.Relation(name).Restrict(func(f string) bool { return survivors.Has(f) })
+			r := m1.Relation(name).Restrict(out.Facts().Dict(), func(f string) bool { return survivors.Has(f) })
 			if err := out.SetRelation(name, r); err != nil {
 				return nil, err
 			}
@@ -234,7 +234,7 @@ func Difference(m1, m2 *core.MO) (*core.MO, error) {
 		}
 	}
 	for _, name := range names {
-		r := newRels[name].Restrict(func(f string) bool { return out.Facts().Has(f) })
+		r := newRels[name].Restrict(out.Facts().Dict(), func(f string) bool { return out.Facts().Has(f) })
 		if err := out.SetRelation(name, r); err != nil {
 			return nil, err
 		}

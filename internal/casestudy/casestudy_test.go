@@ -1,11 +1,13 @@
 package casestudy
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
 
 	"mddm/internal/dimension"
+	"mddm/internal/storage"
 	"mddm/internal/temporal"
 )
 
@@ -236,27 +238,40 @@ func TestGenerate(t *testing.T) {
 }
 
 // The live-heap budget of a generated MO at 10 k patients. The pairs hold
-// no pointers (fact.Relation's spans, entries and interval arena), so
-// what stays is ≈ 490 B and ≈ 1.1 heap objects per fact: the fact id
-// string, its slots in the fact set's and the relations' maps, and each
-// relation's few flat arrays. The object count is the deterministic
-// stand-in for the garbage collector's mark work; before the arena a
-// fact cost ≈ 930 B in ≈ 9.6 objects.
+// no pointers (fact.Relation's span tables, entries and interval arena),
+// and the fact set and the relations share one fact dictionary, so what
+// stays is ≈ 345 B and ≈ 1.1 heap objects per fact: the fact id string,
+// its dictionary slot and membership bit, and each relation's span and
+// few flat arrays. The object count is the deterministic stand-in for the
+// garbage collector's mark work; before the arena a fact cost ≈ 930 B in
+// ≈ 9.6 objects, and before the shared dictionary ≈ 490 B.
 const (
-	generateBytesPerFact   = 600
+	generateBytesPerFact   = 375
 	generateObjectsPerFact = 2
 )
+
+// The live-heap budget of the engine BuildEngine makes over that MO: its
+// dense order and position tables over the MO's fact dictionary (8 B a
+// fact), and the direct bitmaps. Before the engine read the dictionary it
+// kept its own fact id list and id map, ≈ 97 B a fact.
+const (
+	engineBytesPerFact   = 60
+	engineObjectsPerFact = 0.07
+)
+
+// liveHeap returns the memory statistics after a collection.
+func liveHeap() runtime.MemStats {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms
+}
 
 // TestGenerateHeapBudget gates the served MO's memory on allocation, not
 // on the host: the heap a generated MO keeps live, in bytes and in
 // objects per fact, stays within budget.
 func TestGenerateHeapBudget(t *testing.T) {
-	heap := func() runtime.MemStats {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms
-	}
+	heap := liveHeap
 	cfg := DefaultGen()
 	cfg.Patients = 10000
 	before := heap()
@@ -271,6 +286,31 @@ func TestGenerateHeapBudget(t *testing.T) {
 	}
 	if objsPerFact > generateObjectsPerFact {
 		t.Errorf("Generate keeps %.2f heap objects per fact live, budget %d", objsPerFact, generateObjectsPerFact)
+	}
+}
+
+// TestEngineHeapBudget gates the engine's memory the same way: the heap
+// BuildEngine keeps live over a generated MO at 10 k patients, in bytes
+// and in objects per fact.
+func TestEngineHeapBudget(t *testing.T) {
+	cfg := DefaultGen()
+	cfg.Patients = 10000
+	m := MustGenerate(cfg)
+	before := liveHeap()
+	e, err := storage.BuildEngine(context.Background(), m, dimension.CurrentContext(temporal.MustDate("01/01/1999")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(e)
+	perFact := float64(after.HeapAlloc-before.HeapAlloc) / float64(cfg.Patients)
+	objsPerFact := float64(after.HeapObjects-before.HeapObjects) / float64(cfg.Patients)
+	t.Logf("BuildEngine keeps %.0f B in %.3f objects per fact live", perFact, objsPerFact)
+	if perFact > engineBytesPerFact {
+		t.Errorf("BuildEngine keeps %.0f B per fact live, budget %d", perFact, engineBytesPerFact)
+	}
+	if objsPerFact > engineObjectsPerFact {
+		t.Errorf("BuildEngine keeps %.3f heap objects per fact live, budget %g", objsPerFact, engineObjectsPerFact)
 	}
 }
 

@@ -333,3 +333,58 @@ func TestFamilyMOAndSetRelation(t *testing.T) {
 		t.Error("duplicate shared name must be rejected")
 	}
 }
+
+// TestMODictShared pins the MO's one fact dictionary: InsertFact interns a
+// new fact once for the fact set and every relation, and writes nothing
+// when a pair fails or the fact is held; SetRelation re-keys a relation
+// built over another dictionary into the MO's; and a clone numbers its
+// facts in a dictionary of its own.
+func TestMODictShared(t *testing.T) {
+	m := patientMO(t)
+	d := m.Facts().Dict()
+	n := d.Len()
+	low := m.Dimension(casestudy.DimDiagnosis).Category(casestudy.CatLowLevel)[0]
+	good := core.Pair{Dim: casestudy.DimDiagnosis, Value: low, Annot: dimension.Always()}
+	bad := core.Pair{Dim: casestudy.DimResidence, Value: "no-such-area", Annot: dimension.Always()}
+	if err := m.InsertFact("3", good, bad); err == nil {
+		t.Fatal("a pair naming an unknown value must fail")
+	}
+	if d.Len() != n || m.Facts().Has("3") || m.Relation(casestudy.DimDiagnosis).Has("3", low) {
+		t.Fatalf("a failed insert wrote: dictionary %d of %d", d.Len(), n)
+	}
+	if err := m.InsertFact("3", good); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.InsertFact("3", good); err == nil {
+		t.Fatal("inserting a fact F holds must fail")
+	}
+	if d.Len() != n+1 || !m.Facts().Has("3") || !m.Relation(casestudy.DimDiagnosis).Has("3", low) {
+		t.Fatalf("insert: dictionary %d, want %d", d.Len(), n+1)
+	}
+
+	r := fact.NewRelation()
+	r.Add("3", low)
+	r.Add("1", low)
+	if err := m.SetRelation(casestudy.DimDiagnosis, r); err != nil {
+		t.Fatal(err)
+	}
+	got := m.Relation(casestudy.DimDiagnosis)
+	if d.Len() != n+1 || !got.Has("1", low) || !got.Has("3", low) || got.Len() != 2 {
+		t.Fatalf("re-keyed relation: dictionary %d, pairs %v", d.Len(), got.Pairs())
+	}
+	got.Add("4", low) // the MO's dictionary numbers what its relations add
+	if i, ok := d.Lookup("4"); !ok || int(i) != n+1 {
+		t.Fatalf("fact 4 numbered %d/%v in the MO's dictionary", i, ok)
+	}
+
+	c := m.Clone()
+	if err := c.Relate(casestudy.DimDiagnosis, "5", low); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Lookup("5"); ok || m.Facts().Has("5") || !c.Facts().Has("5") {
+		t.Fatal("a clone's write reached the original's dictionary")
+	}
+	if !c.Relation(casestudy.DimDiagnosis).Has("4", low) || !c.Relation(casestudy.DimDiagnosis).Has("5", low) {
+		t.Fatal("the clone's relation lost or missed a pair")
+	}
+}

@@ -44,7 +44,8 @@ func (k TemporalKind) String() string {
 // MO is a multidimensional object: a four-tuple (S, F, D, R) of a fact
 // schema, a set of facts, one dimension per dimension type, and one
 // fact–dimension relation per dimension. Dimensions may be shared between
-// MOs of a family (the *dimension.Dimension values are pointers).
+// MOs of a family (the *dimension.Dimension values are pointers). The
+// fact set's dictionary numbers every relation's facts too.
 type MO struct {
 	schema *Schema
 	facts  *fact.Set
@@ -65,7 +66,7 @@ func NewMO(s *Schema) *MO {
 	}
 	for _, name := range s.DimensionNames() {
 		m.dims[name] = dimension.New(s.DimensionType(name))
-		m.rels[name] = fact.NewRelation()
+		m.rels[name] = fact.NewRelationOver(m.facts.Dict())
 	}
 	return m
 }
@@ -104,17 +105,55 @@ func (m *MO) SetDimension(name string, d *dimension.Dimension) error {
 // nil.
 func (m *MO) Relation(name string) *fact.Relation { return m.rels[name] }
 
-// SetRelation replaces the named relation.
+// SetRelation replaces the named relation. The MO takes r over: a
+// relation over another dictionary is re-keyed into the MO's.
 func (m *MO) SetRelation(name string, r *fact.Relation) error {
 	if m.schema.DimensionType(name) == nil {
 		return fmt.Errorf("core: unknown dimension %q", name)
 	}
+	r.Rekey(m.facts.Dict())
 	m.rels[name] = r
 	return nil
 }
 
 // AddFact inserts a fact into F.
 func (m *MO) AddFact(f fact.Fact) { m.facts.Add(f) }
+
+// Pair is one characterization of a fact InsertFact adds: the fact is
+// related to Value in dimension Dim with annotation Annot.
+type Pair struct {
+	Dim   string
+	Value string
+	Annot dimension.Annot
+}
+
+// CheckInsert reports why InsertFact would refuse the fact: it is in F
+// already, or a pair's dimension does not hold its value.
+func (m *MO) CheckInsert(factID string, pairs ...Pair) error {
+	if m.facts.Has(factID) {
+		return fmt.Errorf("core: fact %q already in the MO", factID)
+	}
+	for _, p := range pairs {
+		if d := m.dims[p.Dim]; d == nil || !d.Has(p.Value) {
+			return fmt.Errorf("core: fact %q: dimension %q has no value %q", factID, p.Dim, p.Value)
+		}
+	}
+	return nil
+}
+
+// InsertFact adds a new fact to F with its pairs, all of them or, when
+// CheckInsert refuses it, none. The fact set interns the id once; the
+// relations find it there.
+func (m *MO) InsertFact(factID string, pairs ...Pair) error {
+	if err := m.CheckInsert(factID, pairs...); err != nil {
+		return err
+	}
+	m.facts.Add(fact.NewFact(factID))
+	for _, p := range pairs {
+		m.rels[p.Dim].AddAnnot(factID, p.Value, p.Annot)
+	}
+	return nil
+}
 
 // Relate records (f, e) ∈ R_i for the named dimension with an Always
 // annotation, adding the fact to F if new.
@@ -163,21 +202,19 @@ func (m *MO) Validate() error {
 		if d == nil || r == nil {
 			return fmt.Errorf("core: dimension %q missing instance or relation", name)
 		}
-		// The walk is unordered; the error names the first offending pair
-		// in (fact, value) order all the same.
-		var bad *fact.Pair
+		// The walk follows the dictionary's order, so the pair reported
+		// is the same on every call.
+		var err error
 		r.Range(func(f, v string, _ dimension.Annot) bool {
-			if (!m.facts.Has(f) || !d.Has(v)) &&
-				(bad == nil || f < bad.FactID || (f == bad.FactID && v < bad.ValueID)) {
-				bad = &fact.Pair{FactID: f, ValueID: v}
+			if !m.facts.Has(f) {
+				err = fmt.Errorf("core: relation %q references unknown fact %q", name, f)
+			} else if !d.Has(v) {
+				err = fmt.Errorf("core: relation %q references unknown value %q", name, v)
 			}
-			return true
+			return err == nil
 		})
-		if bad != nil {
-			if !m.facts.Has(bad.FactID) {
-				return fmt.Errorf("core: relation %q references unknown fact %q", name, bad.FactID)
-			}
-			return fmt.Errorf("core: relation %q references unknown value %q", name, bad.ValueID)
+		if err != nil {
+			return err
 		}
 		for _, id := range m.facts.IDs() {
 			if r.ValuesLen(id) == 0 {
@@ -252,18 +289,9 @@ func (m *MO) CharacterizationTime(dim, factID, valueID string, ctx dimension.Con
 // Clone returns a deep copy of the MO. Dimensions are cloned too, so the
 // copy shares nothing with the original.
 func (m *MO) Clone() *MO {
-	n := &MO{
-		schema: m.schema,
-		facts:  m.facts.Clone(),
-		dims:   map[string]*dimension.Dimension{},
-		rels:   map[string]*fact.Relation{},
-		kind:   m.kind,
-	}
+	n := m.ShallowCloneSharing()
 	for name, d := range m.dims {
 		n.dims[name] = d.Clone()
-	}
-	for name, r := range m.rels {
-		n.rels[name] = r.Clone()
 	}
 	return n
 }
@@ -283,7 +311,7 @@ func (m *MO) ShallowCloneSharing() *MO {
 		n.dims[name] = d
 	}
 	for name, r := range m.rels {
-		n.rels[name] = r.Clone()
+		n.rels[name] = r.Clone(n.facts.Dict())
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package fact
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,7 +27,7 @@ func eagerTwin() *Relation {
 
 func deferredTwin(t *testing.T, ran *int) *Relation {
 	t.Helper()
-	return NewRelationDeferred(3, func(r *Relation) {
+	return NewRelationDeferred(NewDict(), func(r *Relation) {
 		*ran++
 		r.AdoptPairs("f1", []Entry{{"a", dimension.Always()}, {"b", dimension.Always()}})
 		r.AdoptPairs("f2", []Entry{{"a", dimension.Always()}})
@@ -65,11 +66,13 @@ func TestDeferredRelationEquivalence(t *testing.T) {
 		"Annot":    func(r *Relation) bool { a, ok := r.Annot("f3", "c"); return ok && a.Prob == 0.5 },
 		"Has":      func(r *Relation) bool { return r.Has("f2", "a") && !r.Has("f2", "b") },
 		"ValuesOf": func(r *Relation) bool { v := r.ValuesOf("f1"); return len(v) == 2 && v[0] == "a" },
-		"Facts":    func(r *Relation) bool { return len(r.Facts()) == 3 },
+		"Rekey":    func(r *Relation) bool { r.Rekey(NewDict()); return r.Len() == 4 && r.Has("f3", "c") },
 		"Len":      func(r *Relation) bool { return r.Len() == 4 },
 		"Pairs":    func(r *Relation) bool { return len(r.Pairs()) == 4 },
-		"Restrict": func(r *Relation) bool { return r.Restrict(func(f string) bool { return f == "f1" }).Len() == 2 },
-		"Clone":    func(r *Relation) bool { return r.Clone().Len() == 4 },
+		"Restrict": func(r *Relation) bool {
+			return r.Restrict(NewDict(), func(f string) bool { return f == "f1" }).Len() == 2
+		},
+		"Clone": func(r *Relation) bool { return r.Clone(NewDict()).Len() == 4 },
 		"Range": func(r *Relation) bool {
 			n := 0
 			r.Range(func(string, string, dimension.Annot) bool { n++; return true })
@@ -153,21 +156,50 @@ func TestAdoptPairsSemantics(t *testing.T) {
 	}
 }
 
-// TestSetGrow pins Grow: pre-sizing keeps the members intact and never
-// shrinks.
-func TestSetGrow(t *testing.T) {
-	s := NewSet(NewFact("a"), NewFact("b"))
-	s.Grow(100)
-	if s.Len() != 2 || !s.Has("a") || !s.Has("b") {
-		t.Fatal("grow lost members")
+// TestSetDict pins the set's dictionary: ids are numbered as they
+// arrive and kept across Remove, Dense orders members by fact id, not by
+// number, and a clone numbers its facts as the original does.
+func TestSetDict(t *testing.T) {
+	s := NewSet(NewFact("p2"), NewFact("p10"), NewGroup([]string{"p1", "p2"}))
+	d := s.Dict()
+	if i, ok := d.Lookup("p10"); !ok || i != 1 || d.At(i) != "p10" {
+		t.Fatalf("p10 numbered %d/%v", i, ok)
 	}
-	s.Grow(1) // no-op: already larger
-	if s.Len() != 2 {
-		t.Fatal("shrinking grow must be a no-op")
+	if got := s.Dense(); len(got) != 3 || d.At(got[0]) != "p10" || d.At(got[1]) != "p2" || d.At(got[2]) != "{p1,p2}" {
+		t.Fatalf("Dense = %v", got)
 	}
-	s.Add(NewFact("c"))
-	if s.Len() != 3 {
-		t.Fatal("add after grow broken")
+	if f, ok := s.Get("{p1,p2}"); !ok || f.Size() != 2 {
+		t.Fatalf("group member list lost: %+v", f)
+	}
+	s.Remove("p2")
+	if s.Len() != 2 || s.Has("p2") || d.Len() != 3 {
+		t.Fatalf("Remove: len %d, has %v, dictionary %d", s.Len(), s.Has("p2"), d.Len())
+	}
+	s.Add(NewFact("p2"))
+	if i, _ := d.Lookup("p2"); i != 0 || s.Len() != 3 || d.Len() != 3 {
+		t.Fatalf("re-add numbered p2 %d, len %d, dictionary %d", i, s.Len(), d.Len())
+	}
+	c := s.Clone()
+	c.Add(NewFact("p3"))
+	if c.Dict() == d || d.Len() != 3 || !c.Equal(s.Union(NewSet(NewFact("p3")))) {
+		t.Fatal("a clone's writes reached the original's dictionary")
+	}
+	for _, f := range s.IDs() {
+		i, _ := d.Lookup(f)
+		if j, _ := c.Dict().Lookup(f); i != j {
+			t.Fatalf("clone numbers %s %d, original %d", f, j, i)
+		}
+	}
+	// A batch interns like single calls; AddDense admits only numbered ids.
+	ids := d.InternAll([]string{"p2", "p4", "p4"})
+	if !slices.Equal(ids, []uint32{0, 3, 3}) || d.Len() != 4 || s.Has("p4") {
+		t.Fatalf("InternAll numbered %v, dictionary %d, has p4 %v", ids, d.Len(), s.Has("p4"))
+	}
+	if err := s.AddDense(4); err == nil || s.Len() != 3 {
+		t.Fatalf("AddDense past the dictionary: %v, len %d", err, s.Len())
+	}
+	if err := s.AddDense(3); err != nil || !s.Has("p4") || s.Len() != 4 {
+		t.Fatalf("AddDense(3): %v, has p4 %v, len %d", err, s.Has("p4"), s.Len())
 	}
 }
 
@@ -201,7 +233,7 @@ func TestRelationReadsAllocateNothing(t *testing.T) {
 func TestDeferredRelationConcurrentFirstRead(t *testing.T) {
 	const facts, readers = 2000, 16
 	var ran atomic.Int32
-	r := NewRelationDeferred(facts, func(r *Relation) {
+	r := NewRelationDeferred(NewDict(), func(r *Relation) {
 		ran.Add(1)
 		for i := 0; i < facts; i++ {
 			r.AdoptPairs(fmt.Sprintf("f%d", i), []Entry{
@@ -225,7 +257,7 @@ func TestDeferredRelationConcurrentFirstRead(t *testing.T) {
 			r.RangeValues("f42", func(string, dimension.Annot) bool { n++; return true })
 			return n == 2
 		},
-		func() bool { return len(r.Facts()) == facts },
+		func() bool { return len(r.Pairs()) == 2*facts },
 		func() bool { return len(r.ValuesOf("f5")) == 2 },
 	}
 	var wg sync.WaitGroup

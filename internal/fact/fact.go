@@ -9,6 +9,8 @@ package fact
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -69,63 +71,154 @@ func (f Fact) Size() int {
 // String returns the fact's identity.
 func (f Fact) String() string { return f.ID }
 
-// Set is a set of facts keyed by identity — the F component of an MO.
-// Duplicate facts cannot occur.
-type Set struct {
-	facts map[string]Fact
+// Dict numbers fact ids densely, in the order they are first interned.
+// An MO's fact set and relations share one, so a fact id is stored and
+// hashed once and what is kept per fact is an array indexed by dense id.
+// Like Relation, it is not safe for concurrent writes: reads may run in
+// parallel with each other but not with Intern.
+type Dict struct {
+	ids []string
+	idx map[string]uint32
 }
 
-// NewSet returns a set containing the given facts.
+// NewDict returns an empty dictionary.
+func NewDict() *Dict { return &Dict{idx: map[string]uint32{}} }
+
+// Intern returns id's dense id, numbering it next when it is new.
+func (d *Dict) Intern(id string) uint32 {
+	if i, ok := d.idx[id]; ok {
+		return i
+	}
+	i := uint32(len(d.ids))
+	d.ids = append(d.ids, id)
+	d.idx[id] = i
+	return i
+}
+
+// InternAll interns ids in turn and returns their dense ids. It sizes
+// the dictionary for all of them first, so a large batch rehashes
+// nothing while it grows.
+func (d *Dict) InternAll(ids []string) []uint32 {
+	idx := make(map[string]uint32, len(d.idx)+len(ids))
+	maps.Copy(idx, d.idx)
+	d.idx, d.ids = idx, slices.Grow(d.ids, len(ids))
+	out := make([]uint32, len(ids))
+	for k, id := range ids {
+		out[k] = d.Intern(id)
+	}
+	return out
+}
+
+// Lookup returns id's dense id and whether id is interned.
+func (d *Dict) Lookup(id string) (uint32, bool) {
+	i, ok := d.idx[id]
+	return i, ok
+}
+
+// At returns the fact id of dense id i.
+func (d *Dict) At(i uint32) string { return d.ids[i] }
+
+// Len returns the number of interned ids: every dense id is below it.
+func (d *Dict) Len() int { return len(d.ids) }
+
+// Set is a set of facts keyed by identity — the F component of an MO.
+// Duplicate facts cannot occur. It is membership over a dictionary, plus
+// the member lists of the set-valued facts aggregate formation creates.
+type Set struct {
+	dict    *Dict
+	in      []bool // by dense id
+	n       int
+	members map[uint32][]string
+}
+
+// NewSet returns a set of the given facts over a dictionary of its own.
 func NewSet(facts ...Fact) *Set {
-	s := &Set{facts: map[string]Fact{}}
+	s := &Set{dict: NewDict(), members: map[uint32][]string{}}
 	for _, f := range facts {
 		s.Add(f)
 	}
 	return s
 }
 
-// Add inserts a fact (idempotent).
-func (s *Set) Add(f Fact) { s.facts[f.ID] = f }
+// Dict returns the dictionary the set's facts are members of.
+func (s *Set) Dict() *Dict { return s.dict }
 
-// Grow re-allocates the set pre-sized for n facts, so a bulk load of a
-// known size pays one allocation instead of incremental map growth. A
-// no-op when the set already holds n or more facts.
-func (s *Set) Grow(n int) {
-	if n <= len(s.facts) {
-		return
+// Add inserts a fact (idempotent; adding it again replaces its members).
+func (s *Set) Add(f Fact) {
+	i := s.dict.Intern(f.ID)
+	s.add(i)
+	if f.Members == nil {
+		delete(s.members, i)
+	} else {
+		s.members[i] = f.Members
 	}
-	facts := make(map[string]Fact, n)
-	for id, f := range s.facts {
-		facts[id] = f
-	}
-	s.facts = facts
 }
 
-// Remove deletes a fact by identity.
-func (s *Set) Remove(id string) { delete(s.facts, id) }
+// AddDense inserts the fact of dense id i, which the dictionary must
+// number already; its members, if it has any, stay as they are.
+func (s *Set) AddDense(i uint32) error {
+	if int(i) >= s.dict.Len() {
+		return fmt.Errorf("fact: dense id %d is not in a dictionary of %d ids", i, s.dict.Len())
+	}
+	s.add(i)
+	return nil
+}
+
+func (s *Set) add(i uint32) {
+	if s.in = cover(s.in, i); !s.in[i] {
+		s.in[i] = true
+		s.n++
+	}
+}
+
+// Remove deletes a fact by identity. Its id stays in the dictionary.
+func (s *Set) Remove(id string) {
+	if i, ok := s.dict.Lookup(id); ok && s.HasDense(i) {
+		s.in[i] = false
+		s.n--
+		delete(s.members, i)
+	}
+}
 
 // Has reports membership by identity.
 func (s *Set) Has(id string) bool {
-	_, ok := s.facts[id]
-	return ok
+	i, ok := s.dict.Lookup(id)
+	return ok && s.HasDense(i)
 }
+
+// HasDense reports membership by dense id.
+func (s *Set) HasDense(i uint32) bool { return int(i) < len(s.in) && s.in[i] }
 
 // Get returns the fact with the given identity.
 func (s *Set) Get(id string) (Fact, bool) {
-	f, ok := s.facts[id]
-	return f, ok
+	if i, ok := s.dict.Lookup(id); ok && s.HasDense(i) {
+		return Fact{ID: id, Members: s.members[i]}, true
+	}
+	return Fact{}, false
 }
 
 // Len returns the number of facts.
-func (s *Set) Len() int { return len(s.facts) }
+func (s *Set) Len() int { return s.n }
 
 // IDs returns the sorted fact identities.
 func (s *Set) IDs() []string {
-	out := make([]string, 0, len(s.facts))
-	for id := range s.facts {
-		out = append(out, id)
+	out := make([]string, 0, s.n)
+	for i, in := range s.in {
+		if in {
+			out = append(out, s.dict.ids[i])
+		}
 	}
 	sort.Strings(out)
+	return out
+}
+
+// Dense returns the members' dense ids, sorted by fact id.
+func (s *Set) Dense() []uint32 {
+	ids := s.IDs()
+	out := make([]uint32, len(ids))
+	for k, f := range ids {
+		out[k], _ = s.dict.Lookup(f)
+	}
 	return out
 }
 
@@ -133,30 +226,24 @@ func (s *Set) IDs() []string {
 func (s *Set) All() []Fact {
 	ids := s.IDs()
 	out := make([]Fact, len(ids))
-	for i, id := range ids {
-		out[i] = s.facts[id]
+	for k, f := range ids {
+		out[k], _ = s.Get(f)
 	}
 	return out
 }
 
 // Union returns the set union F1 ∪ F2.
-func (s *Set) Union(o *Set) *Set {
-	n := NewSet()
-	for _, f := range s.facts {
-		n.Add(f)
-	}
-	for _, f := range o.facts {
-		n.Add(f)
-	}
-	return n
-}
+func (s *Set) Union(o *Set) *Set { return o.addTo(s.addTo(NewSet(), nil), nil) }
 
 // Difference returns the set difference F1 \ F2.
-func (s *Set) Difference(o *Set) *Set {
-	n := NewSet()
-	for id, f := range s.facts {
-		if !o.Has(id) {
-			n.Add(f)
+func (s *Set) Difference(o *Set) *Set { return s.addTo(NewSet(), o) }
+
+// addTo adds to n every fact of s that except does not hold, in
+// dictionary order, and returns n.
+func (s *Set) addTo(n, except *Set) *Set {
+	for i, in := range s.in {
+		if id := s.dict.ids[i]; in && (except == nil || !except.Has(id)) {
+			n.Add(Fact{ID: id, Members: s.members[uint32(i)]})
 		}
 	}
 	return n
@@ -167,21 +254,23 @@ func (s *Set) Equal(o *Set) bool {
 	if s.Len() != o.Len() {
 		return false
 	}
-	for id := range s.facts {
-		if !o.Has(id) {
+	for i, in := range s.in {
+		if in && !o.Has(s.dict.ids[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// Clone returns a copy of the set.
+// Clone returns a copy of the set over a copy of its dictionary: the
+// copy numbers every fact as the original does.
 func (s *Set) Clone() *Set {
-	n := NewSet()
-	for _, f := range s.facts {
-		n.Add(f)
+	return &Set{
+		dict:    &Dict{ids: slices.Clone(s.dict.ids), idx: maps.Clone(s.dict.idx)},
+		in:      slices.Clone(s.in),
+		n:       s.n,
+		members: maps.Clone(s.members),
 	}
-	return n
 }
 
 // String renders the set as a sorted brace list.

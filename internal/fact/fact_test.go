@@ -91,8 +91,8 @@ func TestRelationBasics(t *testing.T) {
 	if got := r.ValuesOf("2"); len(got) != 2 || got[0] != "3" || got[1] != "9" {
 		t.Errorf("ValuesOf = %v", got)
 	}
-	if got := r.Facts(); len(got) != 2 {
-		t.Errorf("Facts = %v", got)
+	if r.ValuesLen("1") != 1 || r.ValuesLen("2") != 2 || r.ValuesLen("3") != 0 {
+		t.Errorf("ValuesLen = %d, %d, %d", r.ValuesLen("1"), r.ValuesLen("2"), r.ValuesLen("3"))
 	}
 	r.Remove("2", "3")
 	if r.Has("2", "3") || r.Len() != 2 {
@@ -142,12 +142,12 @@ func TestRelationUnionRestrictCloneEqual(t *testing.T) {
 		t.Errorf("union annot = %v", a.Time.Valid)
 	}
 
-	restricted := u.Restrict(func(f string) bool { return f == "2" })
+	restricted := u.Restrict(NewDict(), func(f string) bool { return f == "2" })
 	if restricted.Len() != 1 || !restricted.Has("2", "9") {
 		t.Errorf("restrict wrong: %v", restricted.Pairs())
 	}
 
-	c := r.Clone()
+	c := r.Clone(NewDict())
 	if !c.Equal(r) {
 		t.Error("clone must equal original")
 	}

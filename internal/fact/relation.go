@@ -32,19 +32,21 @@ type Entry struct {
 // and 9. Duplicate (fact, value) pairs coalesce their chronon sets.
 //
 // The pairs hold no pointers, so the garbage collector has nothing to
-// trace inside them. Each fact maps to a span of one flat entry array: a
-// fact has one to three values per dimension, so a linear scan of its
-// span beats a per-fact map. An entry is a value code from the relation's
-// dictionary, the runs of its valid and transaction time in one interval
-// arena, and its probability. Writes never rewrite the arena: a
-// coalescing union is stored at its end, and a span that must grow but
-// is not the last one moves to the tail. The space they leave behind is
-// reclaimed by compaction once it outweighs the live data.
+// trace inside them. Each fact, numbered by its MO's dictionary (Dict),
+// has a span of one flat entry array: a fact has one to three values per
+// dimension, so a linear scan of its span beats a per-fact map. An entry
+// is a value code from the relation's dictionary, the runs of its valid
+// and transaction time in one interval arena, and its probability. Writes
+// never rewrite the arena: a coalescing union is stored at its end, and a
+// span that must grow but is not the last one moves to the tail. The
+// space they leave behind is reclaimed by compaction once it outweighs
+// the live data.
 //
 // Reads may run in parallel with each other but not with a write. A
 // deferred relation's fill runs once, whichever read comes first, and
 // after it a read never writes.
 type Relation struct {
+	dict *Dict // numbers the facts of spans; only Rekey writes it
 	layout
 	// fill, when non-nil, is a deferred bulk load (NewRelationDeferred):
 	// the pairs do not exist until the first access of any kind runs it,
@@ -56,10 +58,10 @@ type Relation struct {
 
 // layout is a relation's contents.
 type layout struct {
-	spans map[string]span // fact -> its entries
-	ents  []entry         // every span's entries, with dead space
-	dead  int             // entries of ents no span covers
-	vals  []string        // value code -> value id
+	spans []span   // dense fact id -> its entries; a zero span has none
+	ents  []entry  // every span's entries, with dead space
+	dead  int      // entries of ents no span covers
+	vals  []string // value code -> value id
 	codes map[string]uint32
 	times temporal.Arena // the valid and transaction times of ents
 	// deadIvs counts the arena intervals no live entry refers to.
@@ -81,27 +83,28 @@ type entry struct {
 // FuzzRelation lowers it so that short operation sequences compact.
 var compactMin = 256
 
-// NewRelation returns an empty fact–dimension relation.
-func NewRelation() *Relation {
-	return &Relation{layout: layout{spans: map[string]span{}}}
-}
+// NewRelation returns an empty relation over a dictionary of its own.
+func NewRelation() *Relation { return NewRelationOver(NewDict()) }
 
-// NewRelationDeferred returns a relation whose contents arrive lazily:
-// fill runs exactly once, on the relation's first access of any kind,
-// and populates it through the normal mutators (typically AdoptPairs).
-// nFacts pre-sizes the span map when the fill runs. A restore can hand
-// back a model in O(decode) and let each relation pay its build cost
-// when — and only when — something actually reads or writes it; an
-// engine serving queries from bitmaps and columns may never touch the
-// relation at all. Several goroutines may make the first read at once:
-// one runs the fill and the others wait for it.
-func NewRelationDeferred(nFacts int, fill func(*Relation)) *Relation {
-	r := &Relation{}
+// NewRelationOver returns an empty relation over d, its MO's dictionary.
+func NewRelationOver(d *Dict) *Relation { return &Relation{dict: d} }
+
+// NewRelationDeferred returns a relation over d whose contents arrive
+// lazily: fill runs exactly once, on the relation's first access of any
+// kind, and populates it through the normal mutators (typically
+// AdoptPairs). A restore can hand back a model in O(decode) and let each
+// relation pay its build cost when — and only when — something actually
+// reads or writes it; an engine serving queries from bitmaps and columns
+// may never touch the relation at all. Several goroutines may make the
+// first read at once: one runs the fill and the others wait for it, so
+// the fill must not intern new facts into d.
+func NewRelationDeferred(d *Dict, fill func(*Relation)) *Relation {
+	r := &Relation{dict: d}
 	r.fill = func() {
 		// The fill writes a relation of its own: its mutators materialize,
 		// and on r they would wait for the fill that is calling them.
-		b := NewRelation()
-		b.spans = make(map[string]span, nFacts)
+		b := NewRelationOver(d)
+		b.spans = make([]span, d.Len())
 		fill(b)
 		fill = nil // what it captured is garbage now
 		r.layout = b.layout
@@ -151,10 +154,26 @@ func (r *Relation) find(sp span, valueID string) int {
 	return -1
 }
 
+// spanOf returns factID's span, zero when it has none.
+func (r *Relation) spanOf(factID string) span {
+	if i, ok := r.dict.Lookup(factID); ok && int(i) < len(r.spans) {
+		return r.spans[i]
+	}
+	return span{}
+}
+
 // entries returns the factID's entries, empty when it has none.
 func (r *Relation) entries(factID string) []entry {
-	sp := r.spans[factID]
+	sp := r.spanOf(factID)
 	return r.ents[sp.off : sp.off+sp.n]
+}
+
+// cover extends s with zero values to cover dense id i.
+func cover[T any](s []T, i uint32) []T {
+	if int(i) < len(s) {
+		return s
+	}
+	return append(s, make([]T, int(i)+1-len(s))...)
 }
 
 // AdoptPairs records every (factID, value) pair of es at once; es must
@@ -167,13 +186,14 @@ func (r *Relation) AdoptPairs(factID string, es []Entry) {
 	if len(es) == 0 {
 		return
 	}
-	if _, exists := r.spans[factID]; exists {
+	i := r.dict.Intern(factID)
+	if r.spans = cover(r.spans, i); r.spans[i].n > 0 {
 		for _, e := range es {
 			r.AddAnnot(factID, e.ValueID, e.Annot)
 		}
 		return
 	}
-	r.spans[factID] = span{off: uint32(len(r.ents)), n: uint32(len(es))}
+	r.spans[i] = span{off: uint32(len(r.ents)), n: uint32(len(es))}
 	for _, e := range es {
 		r.ents = append(r.ents, r.entry(e.ValueID, e.Annot))
 	}
@@ -182,7 +202,7 @@ func (r *Relation) AdoptPairs(factID string, es []Entry) {
 // ValuesLen returns the number of values directly related to a fact.
 func (r *Relation) ValuesLen(factID string) int {
 	r.materialize()
-	return int(r.spans[factID].n)
+	return int(r.spanOf(factID).n)
 }
 
 // RangeValues calls fn for every (value, annotation) directly related to
@@ -208,7 +228,11 @@ func (r *Relation) RangeValues(factID string, fn func(valueID string, a dimensio
 // nothing; the relation must not be mutated during the walk.
 func (r *Relation) Range(fn func(factID, valueID string, a dimension.Annot) bool) {
 	r.materialize()
-	for f, sp := range r.spans {
+	for i, sp := range r.spans {
+		if sp.n == 0 {
+			continue
+		}
+		f := r.dict.At(uint32(i))
 		for _, e := range r.ents[sp.off : sp.off+sp.n] {
 			a := dimension.Annot{Time: temporal.Bitemporal{Valid: r.times.Get(e.valid), Trans: r.times.Get(e.trans)}, Prob: e.prob}
 			if !fn(f, r.vals[e.val], a) {
@@ -228,7 +252,10 @@ func (r *Relation) Add(factID, valueID string) {
 // combine by max.
 func (r *Relation) AddAnnot(factID, valueID string, a dimension.Annot) {
 	r.materialize()
-	sp, exists := r.spans[factID]
+	id := r.dict.Intern(factID)
+	r.spans = cover(r.spans, id)
+	sp := r.spans[id]
+	exists := sp.n > 0
 	if exists {
 		if i := r.find(sp, valueID); i >= 0 {
 			e := &r.ents[i]
@@ -250,7 +277,7 @@ func (r *Relation) AddAnnot(factID, valueID string, a dimension.Annot) {
 	}
 	r.ents = append(r.ents, r.entry(valueID, a))
 	sp.n++
-	r.spans[factID] = sp
+	r.spans[id] = sp
 	r.maybeCompact()
 }
 
@@ -269,7 +296,11 @@ func (r *Relation) union(run temporal.Run, o temporal.Element) temporal.Run {
 // Remove deletes the (fact, value) pair.
 func (r *Relation) Remove(factID, valueID string) {
 	r.materialize()
-	sp := r.spans[factID]
+	id, ok := r.dict.Lookup(factID)
+	if !ok || int(id) >= len(r.spans) {
+		return
+	}
+	sp := r.spans[id]
 	i := r.find(sp, valueID)
 	if i < 0 {
 		return
@@ -283,10 +314,9 @@ func (r *Relation) Remove(factID, valueID string) {
 		r.dead++
 	}
 	if sp.n--; sp.n == 0 {
-		delete(r.spans, factID)
-	} else {
-		r.spans[factID] = sp
+		sp = span{}
 	}
+	r.spans[id] = sp
 	r.maybeCompact()
 }
 
@@ -306,17 +336,12 @@ func (r *Relation) maybeCompact() {
 // keep is nil), laid out without dead space in fresh arrays that share
 // r's value codes. A first pass picks the spans and sizes the arrays
 // exactly; the second moves each span's entries and intervals.
-func (r *Relation) compact(keep func(factID string) bool) (map[string]span, []entry, temporal.Arena) {
-	var spans map[string]span
-	if keep == nil {
-		spans = make(map[string]span, len(r.spans))
-	} else {
-		spans = map[string]span{}
-	}
+func (r *Relation) compact(keep func(factID string) bool) ([]span, []entry, temporal.Arena) {
+	spans := make([]span, len(r.spans))
 	nEnts, nIvs := 0, 0
-	for f, sp := range r.spans {
-		if keep == nil || keep(f) {
-			spans[f] = sp
+	for i, sp := range r.spans {
+		if sp.n > 0 && (keep == nil || keep(r.dict.At(uint32(i)))) {
+			spans[i] = sp
 			nEnts += int(sp.n)
 			for _, e := range r.ents[sp.off : sp.off+sp.n] {
 				nIvs += e.valid.Len() + e.trans.Len()
@@ -326,8 +351,11 @@ func (r *Relation) compact(keep func(factID string) bool) (map[string]span, []en
 	ents := make([]entry, 0, nEnts)
 	var times temporal.Arena
 	times.Grow(nIvs)
-	for f, sp := range spans {
-		spans[f] = span{off: uint32(len(ents)), n: sp.n}
+	for i, sp := range spans {
+		if sp.n == 0 {
+			continue
+		}
+		spans[i] = span{off: uint32(len(ents)), n: sp.n}
 		for _, e := range r.ents[sp.off : sp.off+sp.n] {
 			e.valid = times.Put(r.times.Get(e.valid))
 			e.trans = times.Put(r.times.Get(e.trans))
@@ -337,10 +365,29 @@ func (r *Relation) compact(keep func(factID string) bool) (map[string]span, []en
 	return spans, ents, times
 }
 
+// Rekey numbers the relation's facts by d, the dictionary of the MO it
+// joins, interning the ones d lacks. Only the span table is rebuilt: the
+// entries and the arena stay where they are.
+func (r *Relation) Rekey(d *Dict) {
+	if r.dict == d {
+		return
+	}
+	r.materialize()
+	spans := make([]span, 0, d.Len())
+	for i, sp := range r.spans {
+		if sp.n > 0 {
+			j := d.Intern(r.dict.At(uint32(i)))
+			spans = cover(spans, j)
+			spans[j] = sp
+		}
+	}
+	r.dict, r.spans = d, spans
+}
+
 // Annot returns the annotation of the pair (f, e) and whether it exists.
 func (r *Relation) Annot(factID, valueID string) (dimension.Annot, bool) {
 	r.materialize()
-	if i := r.find(r.spans[factID], valueID); i >= 0 {
+	if i := r.find(r.spanOf(factID), valueID); i >= 0 {
 		e := r.ents[i]
 		return dimension.Annot{Time: temporal.Bitemporal{Valid: r.times.Get(e.valid), Trans: r.times.Get(e.trans)}, Prob: e.prob}, true
 	}
@@ -350,7 +397,7 @@ func (r *Relation) Annot(factID, valueID string) (dimension.Annot, bool) {
 // Has reports whether (f, e) ∈ R for some annotation.
 func (r *Relation) Has(factID, valueID string) bool {
 	r.materialize()
-	return r.find(r.spans[factID], valueID) >= 0
+	return r.find(r.spanOf(factID), valueID) >= 0
 }
 
 // ValuesOf returns the sorted dimension values directly related to a fact.
@@ -360,17 +407,6 @@ func (r *Relation) ValuesOf(factID string) []string {
 	out := make([]string, len(es))
 	for i, e := range es {
 		out[i] = r.vals[e.val]
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Facts returns the sorted fact ids that appear in the relation.
-func (r *Relation) Facts() []string {
-	r.materialize()
-	out := make([]string, 0, len(r.spans))
-	for f := range r.spans {
-		out = append(out, f)
 	}
 	sort.Strings(out)
 	return out
@@ -399,25 +435,22 @@ func (r *Relation) Pairs() []Pair {
 	return out
 }
 
-// Restrict returns a new relation keeping only pairs whose fact is in
-// keep, laid out without dead space.
-func (r *Relation) Restrict(keep func(factID string) bool) *Relation {
+// Restrict returns a new relation over d, the dictionary of the MO it is
+// for, keeping only pairs whose fact is in keep (all when keep is nil),
+// laid out without dead space.
+func (r *Relation) Restrict(d *Dict, keep func(factID string) bool) *Relation {
 	r.materialize()
-	return r.restrict(keep)
-}
-
-// restrict is Restrict on a materialized relation; a nil keep keeps all.
-func (r *Relation) restrict(keep func(factID string) bool) *Relation {
-	n := &Relation{layout: layout{vals: slices.Clone(r.vals), codes: maps.Clone(r.codes)}}
+	n := &Relation{dict: r.dict, layout: layout{vals: slices.Clone(r.vals), codes: maps.Clone(r.codes)}}
 	n.spans, n.ents, n.times = r.compact(keep)
+	n.Rekey(d)
 	return n
 }
 
-// Union returns the union of two relations, coalescing common pairs per the
-// paper's temporal union rule: (f,e) ∈T1 R1 ∧ (f,e) ∈T2 R2 ⇒
-// (f,e) ∈T1∪T2 R'.
+// Union returns the union of two relations over a dictionary of its own,
+// coalescing common pairs per the paper's temporal union rule:
+// (f,e) ∈T1 R1 ∧ (f,e) ∈T2 R2 ⇒ (f,e) ∈T1∪T2 R'.
 func (r *Relation) Union(o *Relation) *Relation {
-	n := r.Clone()
+	n := r.Clone(NewDict())
 	o.Range(func(f, v string, a dimension.Annot) bool {
 		n.AddAnnot(f, v, a)
 		return true
@@ -425,12 +458,9 @@ func (r *Relation) Union(o *Relation) *Relation {
 	return n
 }
 
-// Clone returns a deep copy of the relation, laid out without dead
-// space.
-func (r *Relation) Clone() *Relation {
-	r.materialize()
-	return r.restrict(nil)
-}
+// Clone returns a deep copy of the relation over d, laid out without
+// dead space.
+func (r *Relation) Clone(d *Dict) *Relation { return r.Restrict(d, nil) }
 
 // Equal reports whether two relations hold the same pairs with equal
 // annotations.

@@ -178,9 +178,6 @@ func checkRelation(t *testing.T, step int, r *Relation, m *refRelation) {
 			}
 		}
 	}
-	if got, want := r.Facts(), sortedKeys(m.pairs); !slices.Equal(got, want) {
-		fail("Facts = %v, model %v", got, want)
-	}
 	got, want := r.Pairs(), m.sortedPairs()
 	if len(got) != len(want) {
 		fail("Pairs has %d, model %d", len(got), len(want))
@@ -219,8 +216,8 @@ func checkRelation(t *testing.T, step int, r *Relation, m *refRelation) {
 	}
 
 	// Clone is deep: coalescing into and extending the copy leaves r as
-	// it was.
-	c := r.Clone()
+	// it was, over a dictionary that numbers the facts otherwise.
+	c := r.Clone(crossDict())
 	if !c.Equal(built) {
 		fail("Clone differs from the model")
 	}
@@ -245,7 +242,7 @@ func checkRelation(t *testing.T, step int, r *Relation, m *refRelation) {
 			}
 		}
 	}
-	rs := r.Restrict(keep)
+	rs := r.Restrict(NewDict(), keep)
 	if !rs.Equal(rm.build()) {
 		fail("Restrict differs from the model")
 	}
@@ -280,9 +277,18 @@ func checkLayout(t *testing.T, step int, r *Relation) {
 	t.Helper()
 	covered := make([]bool, len(r.ents))
 	live, liveIvs := 0, 0
+	if len(r.spans) > r.dict.Len() {
+		t.Fatalf("step %d: %d spans over %d dictionary ids", step, len(r.spans), r.dict.Len())
+	}
 	for f, sp := range r.spans {
-		if sp.n == 0 || int(sp.off+sp.n) > len(r.ents) {
-			t.Fatalf("step %d: span of %s is %+v over %d entries", step, f, sp, len(r.ents))
+		if sp.n == 0 {
+			if sp.off != 0 {
+				t.Fatalf("step %d: empty span of fact %d at %d", step, f, sp.off)
+			}
+			continue
+		}
+		if int(sp.off+sp.n) > len(r.ents) {
+			t.Fatalf("step %d: span of fact %d is %+v over %d entries", step, f, sp, len(r.ents))
 		}
 		for i := sp.off; i < sp.off+sp.n; i++ {
 			if covered[i] {
@@ -299,6 +305,18 @@ func checkLayout(t *testing.T, step int, r *Relation) {
 	if r.deadIvs != r.times.Len()-liveIvs {
 		t.Fatalf("step %d: %d dead intervals counted, %d present", step, r.deadIvs, r.times.Len()-liveIvs)
 	}
+}
+
+// crossDict returns a dictionary that has numbered the fuzz domain's
+// facts already, in reverse order, so the dense ids of a relation over it
+// differ from those of one that interns the facts as they come.
+func crossDict() *Dict {
+	d := NewDict()
+	for i := len(probeFacts) - 1; i >= 0; i-- {
+		d.Intern(probeFacts[i])
+	}
+	d.Intern("f9")
+	return d
 }
 
 // heldAnnot is an annotation taken from a relation together with a deep
@@ -324,8 +342,11 @@ func (h heldAnnot) unchanged() bool {
 // (an annotation index, or a value mask for AdoptPairs). After each
 // operation the storage accounting is checked (checkLayout), and every
 // annotation taken at an earlier step must still read as it did then:
-// writes never reach an element handed out. The compaction threshold is
-// lowered so that short sequences compact too.
+// writes never reach an element handed out. The relation starts over a
+// dictionary it shares with a sibling relation, as the relations of one
+// MO do, and copies and re-keys move it across dictionaries that number
+// the facts otherwise; the sibling must never change. The compaction
+// threshold is lowered so that short sequences compact too.
 func FuzzRelation(f *testing.F) {
 	defer func(n int) { compactMin = n }(compactMin)
 	compactMin = 4
@@ -341,12 +362,19 @@ func FuzzRelation(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0, 1, 1, 3, 0, 0, 2, 4, 1, 1, 1, 0, 5, 0, 0, 0, 0, 2, 1, 2, 5, 1, 0, 1, 0, 0, 3, 3})
 	// Deferred fill, then a relocation and a coalescing as first accesses.
 	f.Add([]byte{0, 0, 0, 2, 0, 1, 1, 3, 3, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 3, 4, 0, 0, 0, 1, 1, 1, 0})
+	// Copies over each kind of dictionary, then re-keys over a fresh and
+	// a cross-numbered one, with writes in between.
+	f.Add([]byte{0, 1, 0, 2, 5, 0, 0, 0, 0, 2, 1, 3, 5, 0, 0, 2, 0, 3, 2, 1, 5, 1, 0, 3, 6, 0, 0, 1, 0, 0, 3, 4, 6, 0, 0, 0, 1, 1, 0, 0, 5, 2, 0, 5})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		r, m := NewRelation(), newRef()
+		shared := crossDict()
+		sib := NewRelationOver(shared)
+		sibAnnot := fuzzAnnots[3]
+		sib.AddAnnot("f1", "v2", sibAnnot)
+		r, m := NewRelationOver(shared), newRef()
 		var held []heldAnnot
 		const maxOps = 48
 		for step := 0; step+4 <= len(ops) && step/4 < maxOps; step += 4 {
-			op, fi, vi, arg := ops[step]%6, ops[step+1], ops[step+2], ops[step+3]
+			op, fi, vi, arg := ops[step]%7, ops[step+1], ops[step+2], ops[step+3]
 			f, v := fuzzFacts[int(fi)%len(fuzzFacts)], fuzzValues[int(vi)%len(fuzzValues)]
 			a := fuzzAnnots[int(arg)%len(fuzzAnnots)]
 			switch op {
@@ -379,7 +407,7 @@ func FuzzRelation(f *testing.F) {
 					}
 					lens = append(lens, len(m.pairs[f]))
 				}
-				r = NewRelationDeferred(len(facts), func(r *Relation) {
+				r = NewRelationDeferred(shared, func(r *Relation) {
 					p := 0
 					for i, f := range facts {
 						q := p + lens[i]
@@ -391,15 +419,28 @@ func FuzzRelation(f *testing.F) {
 			case 4: // No write: after a deferred fill, the checks below
 				// are the first access, and every one of them a read.
 			case 5: // Go on with a compacted copy: Clone for an even arg,
-				// else Restrict to every fact but f.
+				// else Restrict to every fact but f; over the relation's
+				// own dictionary, a fresh one or a cross-numbered one.
+				d := []*Dict{r.dict, NewDict(), crossDict()}[int(arg/2)%3]
 				if arg%2 == 0 {
-					r = r.Clone()
+					r = r.Clone(d)
 				} else {
-					r = r.Restrict(func(g string) bool { return g != f })
+					r = r.Restrict(d, func(g string) bool { return g != f })
 					for _, v := range sortedKeys(m.pairs[f]) {
 						m.remove(f, v)
 					}
 				}
+			case 6: // Re-key in place, as an MO adopting the relation does:
+				// over a cross-numbered dictionary for an even arg, else a
+				// fresh one.
+				if arg%2 == 0 {
+					r.Rekey(crossDict())
+				} else {
+					r.Rekey(NewDict())
+				}
+			}
+			if a, ok := sib.Annot("f1", "v2"); sib.Len() != 1 || !ok || !annotEqual(a, sibAnnot) {
+				t.Fatalf("step %d: a write to a relation changed its sibling over the same dictionary", step/4)
 			}
 			checkRelation(t, step/4, r, m)
 			checkLayout(t, step/4, r)

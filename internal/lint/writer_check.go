@@ -1,12 +1,13 @@
 package lint
 
 // This file is a source-level check of who writes a served model: the
-// storage engine is the only writer of an MO's fact–dimension relations
-// once it serves them (Engine.AppendFact relates a new fact's pairs under
-// the lock every read of them takes), so the packages that serve, plan,
-// cache, batch and persist queries must call none of the MO and relation
-// mutators themselves. A call there would write relations that a context
-// view may be walking. The check runs in CI (via TestServedModelWriters).
+// storage engine is the only writer of an MO's fact set, fact dictionary
+// and fact–dimension relations once it serves them (Engine.AppendFact
+// inserts a new fact with its pairs under the lock every read of them
+// takes), so the packages that serve, plan, cache, batch and persist
+// queries must call none of the MO, relation and dictionary mutators
+// themselves. A call there would write what a context view may be
+// walking. The check runs in CI (via TestServedModelWriters).
 
 import (
 	"fmt"
@@ -22,15 +23,17 @@ var writerCheckDirs = []string{
 	"internal/batch", "internal/cache", "internal/plan", "internal/segment", "internal/serve",
 }
 
-// modelMutators are the MO and relation methods that write relations.
+// modelMutators are the methods that write a model's facts or relations.
 var modelMutators = map[string]bool{
 	"RelateAnnot": true, "Relate": true, "AddAnnot": true, "AdoptPairs": true, "EnsureTotal": true,
+	"AddFact": true, "AddDense": true, "InsertFact": true, "SetRelation": true, "Rekey": true, "Intern": true, "InternAll": true,
 }
 
-// writerAllowList names, per file, the mutators a file may call. The
-// snapshot restore fills relations before the MO they join is served.
+// writerAllowList names, per file, the mutators a file may call: the
+// snapshot restore builds what it installs before the MO is served.
 var writerAllowList = map[string][]string{
-	"internal/segment/snapshot.go": {"AdoptPairs"},
+	"internal/segment/snapshot.go": {"AdoptPairs", "InternAll"},
+	"internal/segment/store.go":    {"AddDense", "SetRelation"},
 }
 
 // CheckServedModelWriters parses the non-test files of writerCheckDirs

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -19,10 +20,10 @@ func TestServedModelWriters(t *testing.T) {
 	}
 }
 
-// TestServedModelWritersDetectsCall seeds violations in a scratch tree:
-// a mutator call in a checked package is reported, the same call in a
-// test file or an allow-listed one is not.
-func TestServedModelWritersDetectsCall(t *testing.T) {
+// checkSeeded runs the writer check over a scratch tree holding every
+// checked package and the given files.
+func checkSeeded(t *testing.T, files map[string]string) []string {
+	t.Helper()
 	root := t.TempDir()
 	write := func(rel, src string) {
 		t.Helper()
@@ -37,14 +38,54 @@ func TestServedModelWritersDetectsCall(t *testing.T) {
 	for _, dir := range writerCheckDirs {
 		write(dir+"/doc.go", "package p\n")
 	}
-	write("internal/serve/append.go", "package p\n\nfunc f(m interface{ RelateAnnot(a, b, c string) }) { m.RelateAnnot(\"d\", \"f\", \"v\") }\n")
-	write("internal/serve/append_test.go", "package p\n\nfunc g(m interface{ Relate(a, b, c string) }) { m.Relate(\"d\", \"f\", \"v\") }\n")
-	write("internal/segment/snapshot.go", "package p\n\nfunc h(r interface{ AdoptPairs(string) }) { r.AdoptPairs(\"f\") }\n")
+	for rel, src := range files {
+		write(rel, src)
+	}
 	problems, err := CheckServedModelWriters(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return problems
+}
+
+// TestServedModelWritersDetectsCall seeds violations in a scratch tree:
+// a mutator call in a checked package is reported, the same call in a
+// test file or an allow-listed one is not.
+func TestServedModelWritersDetectsCall(t *testing.T) {
+	problems := checkSeeded(t, map[string]string{
+		"internal/serve/append.go":      "package p\n\nfunc f(m interface{ RelateAnnot(a, b, c string) }) { m.RelateAnnot(\"d\", \"f\", \"v\") }\n",
+		"internal/serve/append_test.go": "package p\n\nfunc g(m interface{ Relate(a, b, c string) }) { m.Relate(\"d\", \"f\", \"v\") }\n",
+		"internal/segment/snapshot.go":  "package p\n\nfunc h(r interface{ AdoptPairs(string) }) { r.AdoptPairs(\"f\") }\n",
+	})
 	if len(problems) != 1 || !strings.Contains(problems[0], "internal/serve/append.go: calls RelateAnnot") {
 		t.Fatalf("want one problem in internal/serve/append.go, got %v", problems)
+	}
+}
+
+// TestServedModelWritersDetectsFactWrites seeds one call of each writer
+// of a model's facts — the fact set's, the dictionary's, an insert and a
+// relation swap or re-key — in a checked package: each is reported, and
+// the snapshot restore's own calls in its allow-listed files are not,
+// nor is a buffer's Grow.
+func TestServedModelWritersDetectsFactWrites(t *testing.T) {
+	names := []string{"AddFact", "AddDense", "InsertFact", "SetRelation", "Rekey", "Intern", "InternAll"}
+	files := map[string]string{
+		"internal/segment/store.go":    "package p\n\nfunc r(m interface{ AddDense(); SetRelation() }) { m.AddDense(); m.SetRelation() }\n",
+		"internal/segment/snapshot.go": "package p\n\nfunc s(d interface{ InternAll() }) { d.InternAll() }\n",
+		"internal/plan/buf.go":         "package p\n\nimport \"strings\"\n\nfunc b() { var sb strings.Builder; sb.Grow(8) }\n",
+	}
+	for _, name := range names {
+		files["internal/plan/"+strings.ToLower(name)+".go"] = "package p\n\nfunc f(m interface{ " + name + "() }) { m." + name + "() }\n"
+	}
+	problems := checkSeeded(t, files)
+	if len(problems) != len(names) {
+		t.Fatalf("want %d problems, got %v", len(names), problems)
+	}
+	for _, name := range names {
+		if !slices.ContainsFunc(problems, func(p string) bool {
+			return strings.HasPrefix(p, "internal/plan/"+strings.ToLower(name)+".go: calls "+name+":")
+		}) {
+			t.Errorf("the seeded %s call is not reported: %v", name, problems)
+		}
 	}
 }

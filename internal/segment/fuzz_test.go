@@ -93,15 +93,18 @@ func FuzzSegmentDecode(f *testing.F) {
 				t.Fatalf("frame-only walk rejects a segment the decoded read accepts: %v", err)
 			}
 		}
-		if img, err := decodeSnapshot(b, fp, m, testCtx()); err == nil {
+		// Each image decodes against a fresh base, the MO it restores into:
+		// the image's fact ids are numbered in that MO's dictionary.
+		mo := base(t)
+		if img, err := decodeSnapshot(b, fp, mo, testCtx()); err == nil {
 			// A successful parse promises a complete, validated image:
 			// materializing every deferred relation must not panic, it
-			// restores into a fresh base, and each of its columns installs
-			// or is refused with a typed error.
+			// restores into its base, and each of its columns installs or
+			// is refused with a typed error.
 			for _, r := range img.rels {
 				_ = r.Len()
 			}
-			restored, err := restoreImage(base(t), img, testCtx())
+			restored, err := restoreImage(mo, img, testCtx())
 			if err != nil {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("restore of a decoded image: untyped error %v", err)

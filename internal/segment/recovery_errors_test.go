@@ -345,7 +345,7 @@ func checkpointLostSoft(t *testing.T, lose func(t *testing.T, path string)) {
 	if mSnapshotRestores.Value() != restores+1 {
 		t.Error("the regenerated image did not restore")
 	}
-	if !eng.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
+	if !hasColumn(eng, casestudy.DimDiagnosis, casestudy.CatLowLevel) {
 		t.Error("the regenerated checkpoint installed no column")
 	}
 	assertEngineEqual(t, eng, rebuildReference(t, append(recs, extra)))
@@ -373,7 +373,7 @@ func TestCheckpointPerColumnRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	facts := len(img.facts)
+	facts := len(img.ids)
 	good := slices.IndexFunc(img.cols, func(c storage.ColumnData) bool {
 		return c.Dim == casestudy.DimDiagnosis && c.Cat == casestudy.CatLowLevel
 	})
@@ -431,11 +431,11 @@ func TestCheckpointPerColumnRejects(t *testing.T) {
 	if mCheckpointRejects.Value() != before+2 {
 		t.Errorf("expected two per-column rejects, counter advanced by %d", mCheckpointRejects.Value()-before)
 	}
-	if got.HasColumn(casestudy.DimDiagnosis, casestudy.CatFamily) ||
-		got.HasColumn(casestudy.DimDiagnosis, casestudy.CatGroup) {
+	if hasColumn(got, casestudy.DimDiagnosis, casestudy.CatFamily) ||
+		hasColumn(got, casestudy.DimDiagnosis, casestudy.CatGroup) {
 		t.Error("a rejected column was installed")
 	}
-	if !got.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
+	if !hasColumn(got, casestudy.DimDiagnosis, casestudy.CatLowLevel) {
 		t.Error("the good column beside the bad ones was not installed")
 	}
 	assertEngineEqual(t, got, rebuildReference(t, recs))
@@ -599,4 +599,9 @@ func TestRecoverSealedSegmentDamage(t *testing.T) {
 			})
 		}
 	}
+}
+
+// hasColumn reports whether eng has the (dim, cat) column built.
+func hasColumn(eng *storage.Engine, dim, cat string) bool {
+	return slices.ContainsFunc(eng.ExportColumns(), func(c storage.ColumnData) bool { return c.Dim == dim && c.Cat == cat })
 }

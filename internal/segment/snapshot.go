@@ -54,17 +54,19 @@ import (
 
 const snapMagic = "MSNP"
 
-// snapImage is a decoded, fully validated snapshot, ready to install:
-// nothing in it aliases the store's live state or the image bytes, so a
-// caller that rejects it leaves the MO untouched.
+// snapImage is a decoded, fully validated snapshot, ready to install
+// into the MO it was decoded against: apart from that MO's fact
+// dictionary, nothing in it aliases the store's live state or the image
+// bytes, so a caller that rejects it leaves the MO's facts and relations
+// untouched.
 type snapImage struct {
-	seq      uint64
-	facts    []string                              // engine dense order
-	appended []string                              // facts not in the base MO, in dense order
-	rels     map[string]*fact.Relation             // per dimension: every pair
-	direct   map[string]map[string]*storage.Bitmap // per dimension: admitted-pair bitmaps
-	ctxFP    uint64                                // the evaluation context the columns were built under
-	cols     []storage.ColumnData
+	seq    uint64
+	dict   *fact.Dict                            // the decoding MO's fact dictionary
+	ids    []uint32                              // engine dense order, in dict
+	rels   map[string]*fact.Relation             // per dimension: every pair
+	direct map[string]map[string]*storage.Bitmap // per dimension: admitted-pair bitmaps
+	ctxFP  uint64                                // the evaluation context the columns were built under
+	cols   []storage.ColumnData
 }
 
 // encodeSnapshot serializes the store's materialized state at seq: the
@@ -139,9 +141,10 @@ func encodeSnapshot(baseFP, seq uint64, m *core.MO, eng *storage.Engine) []byte 
 
 // adoptGroups decodes one dimension's ng pair groups, npairs pairs in
 // all, into r: one entry slab for the dimension, and a capacity-clamped
-// window of it adopted per fact. decodeSnapshot validated these bytes, so
-// a decode error here can only be a bug.
-func adoptGroups(r *fact.Relation, d *dec, ng, npairs int, vals, facts []string) {
+// window of it adopted per fact, ids naming the image's facts in dict.
+// decodeSnapshot validated these bytes, so a decode error here can only
+// be a bug.
+func adoptGroups(r *fact.Relation, d *dec, ng, npairs int, vals []string, dict *fact.Dict, ids []uint32) {
 	must := func(err error) {
 		if err != nil {
 			panic(fmt.Sprintf("segment: validated snapshot groups fail to decode: %v", err))
@@ -161,7 +164,7 @@ func adoptGroups(r *fact.Relation, d *dec, ng, npairs int, vals, facts []string)
 			must(err)
 			ents = append(ents, fact.Entry{ValueID: vals[vi], Annot: a})
 		}
-		r.AdoptPairs(facts[fi], ents[start:len(ents):len(ents)])
+		r.AdoptPairs(dict.At(ids[fi]), ents[start:len(ents):len(ents)])
 	}
 }
 
@@ -170,8 +173,11 @@ func adoptGroups(r *fact.Relation, d *dec, ng, npairs int, vals, facts []string)
 // would install, deferred relations that decode their pairs on first
 // access from a copy of their own group bytes, and the columns with
 // their codes copied out: nothing decoded keeps b alive. Every failure is
-// a typed error and leaves m untouched — validation is complete before
-// the caller applies anything. Checks beyond the envelope (magic,
+// a typed error and leaves m's facts and relations untouched — validation
+// is complete before the caller applies anything; the fact ids are
+// interned into m's dictionary, which the relations are built over, and a
+// rejected image leaves ids there that nothing uses. Checks beyond the
+// envelope (magic,
 // version, fingerprint, CRC-32C): the dimension sections must name the
 // schema's dimensions in schema order, every dictionary value must exist
 // in its dimension, the fact list must extend the base's facts by exactly
@@ -224,76 +230,106 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 		return nil, fmt.Errorf("%w: snapshot holds %d facts, base %d + seq %d demand %d",
 			ErrCorrupt, nf, baseLen, img.seq, uint64(baseLen)+img.seq)
 	}
-	img.facts = make([]string, nf)
-	img.appended = make([]string, 0, img.seq) // the check above bounds seq by nf
-	seen := make(map[string]struct{}, nf)
-	for i := range img.facts {
-		f, err := d.str()
-		if err != nil {
+	facts := make([]string, nf)
+	for i := range facts {
+		if facts[i], err = d.str(); err != nil {
 			return nil, err
 		}
-		if f == "" {
+		if facts[i] == "" {
 			return nil, fmt.Errorf("%w: snapshot fact %d has empty id", ErrCorrupt, i)
 		}
-		if _, dup := seen[f]; dup {
-			return nil, fmt.Errorf("%w: snapshot repeats fact %q", ErrCorrupt, f)
-		}
-		seen[f] = struct{}{}
-		img.facts[i] = f
-		if !m.Facts().Has(f) {
-			img.appended = append(img.appended, f)
-		}
 	}
-	if uint64(len(img.appended)) != img.seq {
-		// Equivalently: some base fact is missing (the counts above fix the
-		// total, so extra appended ids means absent base ids).
-		return nil, fmt.Errorf("%w: snapshot covers %d appended facts, seq is %d — base coverage broken",
-			ErrCorrupt, len(img.appended), img.seq)
+	// Interning the fact list is the largest single cost of a restore,
+	// and nothing decoded after it reads the dictionary: it runs beside
+	// the rest of the decode, which waits for it on every path out.
+	img.dict, img.ids = m.Facts().Dict(), make([]uint32, nf)
+	interned := make(chan error, 1)
+	go func() { interned <- img.intern(m.Facts(), facts) }()
+	err = img.decodePairs(d, m, ectx, facts)
+	if ierr := <-interned; ierr != nil {
+		return nil, ierr
 	}
-	names := m.Schema().DimensionNames()
-	nd, err := d.count(1<<16, "snapshot dimension")
 	if err != nil {
 		return nil, err
 	}
+	return img, nil
+}
+
+// intern numbers the image's fact list in its MO's dictionary, checking
+// that no fact repeats and that the list extends the base's facts by
+// exactly seq new ones.
+func (img *snapImage) intern(base *fact.Set, facts []string) error {
+	copy(img.ids, img.dict.InternAll(facts))
+	appended := 0
+	seen := make([]bool, img.dict.Len()) // by dense id: a repeated fact id interns to the same
+	for i, id := range img.ids {
+		if seen[id] {
+			return fmt.Errorf("%w: snapshot repeats fact %q", ErrCorrupt, facts[i])
+		}
+		seen[id] = true
+		if !base.HasDense(id) {
+			appended++
+		}
+	}
+	if uint64(appended) != img.seq {
+		// Equivalently: some base fact is missing (the counts above fix the
+		// total, so extra appended ids means absent base ids).
+		return fmt.Errorf("%w: snapshot covers %d appended facts, seq is %d — base coverage broken",
+			ErrCorrupt, appended, img.seq)
+	}
+	return nil
+}
+
+// decodePairs decodes the image after its fact list: per schema
+// dimension the pair groups, validated into the direct bitmaps and a
+// deferred relation, then the columns section. It reads no fact
+// dictionary: the fact list is interned beside it.
+func (img *snapImage) decodePairs(d *dec, m *core.MO, ectx dimension.Context, facts []string) error {
+	nf, alwaysAdmitted := len(facts), ectx.Admits(alwaysAnnot)
+	names := m.Schema().DimensionNames()
+	nd, err := d.count(1<<16, "snapshot dimension")
+	if err != nil {
+		return err
+	}
 	if nd != len(names) {
-		return nil, fmt.Errorf("%w: snapshot has %d dimensions, schema has %d", ErrCorrupt, nd, len(names))
+		return fmt.Errorf("%w: snapshot has %d dimensions, schema has %d", ErrCorrupt, nd, len(names))
 	}
 	for k := 0; k < nd; k++ {
 		name, err := d.str()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if name != names[k] {
-			return nil, fmt.Errorf("%w: snapshot dimension %d is %q, schema says %q", ErrCorrupt, k, name, names[k])
+			return fmt.Errorf("%w: snapshot dimension %d is %q, schema says %q", ErrCorrupt, k, name, names[k])
 		}
 		dim := m.Dimension(name)
 		if dim == nil {
-			return nil, fmt.Errorf("%w: schema dimension %q has no instance", ErrCorrupt, name)
+			return fmt.Errorf("%w: schema dimension %q has no instance", ErrCorrupt, name)
 		}
 		nv, err := d.count(1<<24, "snapshot value")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if nv*4 > d.remaining() {
-			return nil, fmt.Errorf("%w: snapshot value count %d exceeds remaining bytes", ErrCorrupt, nv)
+			return fmt.Errorf("%w: snapshot value count %d exceeds remaining bytes", ErrCorrupt, nv)
 		}
 		vals := make([]string, nv)
 		for vi := range vals {
 			v, err := d.str()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !dim.Has(v) {
-				return nil, fmt.Errorf("%w: snapshot dimension %q has no value %q", ErrCorrupt, name, v)
+				return fmt.Errorf("%w: snapshot dimension %q has no value %q", ErrCorrupt, name, v)
 			}
 			vals[vi] = v
 		}
 		ng, err := d.count(1<<30, "snapshot group")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ng > nf {
-			return nil, fmt.Errorf("%w: snapshot dimension %q has %d groups over %d facts", ErrCorrupt, name, ng, nf)
+			return fmt.Errorf("%w: snapshot dimension %q has %d groups over %d facts", ErrCorrupt, name, ng, nf)
 		}
 		// The groups are validated and the bitmaps the engine serves from
 		// derived here; the relation's entries are decoded a second time,
@@ -302,76 +338,87 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 		// allocates them at all.
 		start, npairs := d.off, 0
 		grouped := make([]bool, nf)
-		valSeen := make([]uint32, nv) // per-value marker: group index + 1
-		valBM := make([]*storage.Bitmap, nv)
+		valSeen := make([]uint32, nv)    // per-value marker: group index + 1
+		admitted := make([][]uint32, nv) // per value: the facts it is admitted for
 		for g := 0; g < ng; g++ {
 			fi, err := d.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if int(fi) >= nf {
-				return nil, fmt.Errorf("%w: snapshot group references fact %d of %d", ErrCorrupt, fi, nf)
+				return fmt.Errorf("%w: snapshot group references fact %d of %d", ErrCorrupt, fi, nf)
 			}
 			if grouped[fi] {
-				return nil, fmt.Errorf("%w: snapshot dimension %q repeats fact %q", ErrCorrupt, name, img.facts[fi])
+				return fmt.Errorf("%w: snapshot dimension %q repeats fact %q", ErrCorrupt, name, facts[fi])
 			}
 			grouped[fi] = true
 			nvals, err := d.count(maxPairs, "snapshot pair")
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if nvals == 0 {
-				return nil, fmt.Errorf("%w: snapshot group for fact %q has no pairs", ErrCorrupt, img.facts[fi])
+				return fmt.Errorf("%w: snapshot group for fact %q has no pairs", ErrCorrupt, facts[fi])
 			}
 			npairs += nvals
 			for j := 0; j < nvals; j++ {
 				vi, err := d.u32()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if int(vi) >= nv {
-					return nil, fmt.Errorf("%w: snapshot pair references value %d of %d", ErrCorrupt, vi, nv)
+					return fmt.Errorf("%w: snapshot pair references value %d of %d", ErrCorrupt, vi, nv)
 				}
 				if valSeen[vi] == uint32(g+1) {
-					return nil, fmt.Errorf("%w: snapshot group for fact %q repeats value %q",
-						ErrCorrupt, img.facts[fi], vals[vi])
+					return fmt.Errorf("%w: snapshot group for fact %q repeats value %q",
+						ErrCorrupt, facts[fi], vals[vi])
 				}
 				valSeen[vi] = uint32(g + 1)
-				a, err := d.annot()
-				if err != nil {
-					return nil, err
-				}
-				// The direct bitmaps admit exactly what BuildEngine admits.
-				if ectx.Admits(a) {
-					if valBM[vi] == nil {
-						valBM[vi] = storage.NewBitmap(nf)
+				// The direct bitmaps admit exactly what BuildEngine admits;
+				// the common all-time annotation is judged once per image.
+				admit := alwaysAdmitted
+				if d.off >= len(d.b) || d.b[d.off] != annotAlways {
+					a, err := d.annot()
+					if err != nil {
+						return err
 					}
-					valBM[vi].Set(int(fi))
+					admit = ectx.Admits(a)
+				} else {
+					d.off++
+				}
+				if admit {
+					admitted[vi] = append(admitted[vi], fi)
 				}
 			}
 		}
-		facts, groups := img.facts, bytes.Clone(body[start:d.off])
-		img.rels[name] = fact.NewRelationDeferred(ng, func(r *fact.Relation) {
-			adoptGroups(r, &dec{b: groups}, ng, npairs, vals, facts)
+		dict, ids, groups := img.dict, img.ids, bytes.Clone(d.b[start:d.off])
+		img.rels[name] = fact.NewRelationDeferred(dict, func(r *fact.Relation) {
+			adoptGroups(r, &dec{b: groups}, ng, npairs, vals, dict, ids)
 		})
+		// One value's bitmap at a time, while its freshly zeroed words are
+		// in cache: setting bits in image order would miss on nearly every
+		// pair, each touching another value's bitmap.
 		bms := map[string]*storage.Bitmap{}
-		for vi, bm := range valBM {
-			if bm != nil {
+		for vi, fis := range admitted {
+			if len(fis) > 0 {
+				bm := storage.NewBitmap(nf)
+				for _, fi := range fis {
+					bm.Set(int(fi))
+				}
 				bms[vals[vi]] = bm
 			}
 		}
 		img.direct[name] = bms
 	}
 	if img.ctxFP, err = d.u64(); err != nil {
-		return nil, err
+		return err
 	}
 	if img.cols, err = d.columns(); err != nil {
-		return nil, err
+		return err
 	}
 	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot columns", ErrCorrupt, d.remaining())
+		return fmt.Errorf("%w: %d trailing bytes after snapshot columns", ErrCorrupt, d.remaining())
 	}
-	return img, nil
+	return nil
 }
 
 // columns decodes the columns section after its context fingerprint,

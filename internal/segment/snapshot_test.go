@@ -118,7 +118,7 @@ func TestDecodeSnapshotValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("populated snapshot rejected: %v", err)
 	}
-	if got := img.rels[names[0]].ValuesOf(img.facts[0]); len(got) != 1 || got[0] != someVal(names[0]) {
+	if got := img.rels[names[0]].ValuesOf(m.Facts().Dict().At(img.ids[0])); len(got) != 1 || got[0] != someVal(names[0]) {
 		t.Fatalf("decoded relation pairs: %v", got)
 	}
 	if bm := img.direct[names[0]][someVal(names[0])]; bm == nil || !bm.Has(0) {
@@ -416,11 +416,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.seq != uint64(len(recs)) || len(dec.appended) != len(recs) {
-		t.Fatalf("seq %d appended %d, want %d", dec.seq, len(dec.appended), len(recs))
+	if dec.seq != uint64(len(recs)) {
+		t.Fatalf("seq %d, want %d", dec.seq, len(recs))
 	}
-	if len(dec.facts) != fresh.Facts().Len()+len(recs) {
-		t.Fatalf("facts %d", len(dec.facts))
+	if len(dec.ids) != fresh.Facts().Len()+len(recs) {
+		t.Fatalf("facts %d", len(dec.ids))
 	}
 	for _, name := range fresh.Schema().DimensionNames() {
 		if !dec.rels[name].Equal(st.MO().Relation(name)) {
@@ -430,8 +430,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Spot-check a bitmap: the first record's diagnosis pair must be
 	// admitted for its fact position.
 	pos := -1
-	for i, f := range dec.facts {
-		if f == recs[0].FactID {
+	for i, id := range dec.ids {
+		if fresh.Facts().Dict().At(id) == recs[0].FactID {
 			pos = i
 		}
 	}
@@ -441,6 +441,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	bm := dec.direct[casestudy.DimDiagnosis][recs[0].Pairs[0].Value]
 	if bm == nil || !bm.Has(pos) {
 		t.Fatal("admitted diagnosis pair missing from direct bitmap")
+	}
+	// The image's ids are numbered in fresh's dictionary: another MO, even
+	// one whose dictionary numbers the base alike, refuses it untouched.
+	other := base(t)
+	n := other.Facts().Len()
+	if _, err := restoreImage(other, dec, testCtx()); !errors.Is(err, ErrCorrupt) || other.Facts().Len() != n {
+		t.Fatalf("restore into another MO: %v, facts %d → %d", err, n, other.Facts().Len())
 	}
 }
 
@@ -649,11 +656,11 @@ func TestDeferredRelationMaterializes(t *testing.T) {
 
 // TestRestoredRelationHeapBudget holds a restored relation, after its
 // first access, to the budget TestGenerateHeapBudget sets for a generated
-// one: ≤ 600 B and ≤ 2 heap objects per fact at 10 k patients. It fails
+// one: ≤ 375 B and ≤ 2 heap objects per fact at 10 k patients. It fails
 // if a materialized relation keeps its group bytes or the decode slab
 // adoptGroups fills, or holds a pointer per pair.
 func TestRestoredRelationHeapBudget(t *testing.T) {
-	const bytesPerFact, objectsPerFact = 600, 2
+	const bytesPerFact, objectsPerFact = 375, 2
 	heap := func() runtime.MemStats {
 		runtime.GC()
 		var ms runtime.MemStats

@@ -14,7 +14,6 @@ import (
 
 	"mddm/internal/core"
 	"mddm/internal/dimension"
-	"mddm/internal/fact"
 	"mddm/internal/faultinject"
 	"mddm/internal/storage"
 )
@@ -333,7 +332,7 @@ func (s *Store) loadSnapshot(ectx dimension.Context) *snapImage {
 		mSnapshotRejects.Inc()
 		return nil
 	}
-	if img.seq != sn.Seq || len(img.facts) != sn.Facts || img.seq > s.man.FoldedSeq {
+	if img.seq != sn.Seq || len(img.ids) != sn.Facts || img.seq > s.man.FoldedSeq {
 		// The file disagrees with the commit record that named it, or
 		// claims records no segment holds.
 		mSnapshotRejects.Inc()
@@ -351,16 +350,20 @@ func (s *Store) loadSnapshot(ectx dimension.Context) *snapImage {
 // mid-recovery — and since the MO is no longer the pristine base the
 // replay fallback requires, it is a hard ErrCorrupt, not a soft reject.
 func restoreImage(m *core.MO, img *snapImage, ectx dimension.Context) (*storage.Engine, error) {
-	m.Facts().Grow(len(img.facts))
-	for _, f := range img.appended {
-		m.AddFact(fact.NewFact(f))
+	if img.dict != m.Facts().Dict() {
+		return nil, fmt.Errorf("%w: snapshot decoded against another model", ErrCorrupt)
+	}
+	for _, id := range img.ids { // a base fact is a member already
+		if err := m.Facts().AddDense(id); err != nil {
+			return nil, fmt.Errorf("%w: snapshot fact: %v", ErrCorrupt, err)
+		}
 	}
 	for name, rel := range img.rels {
 		if err := m.SetRelation(name, rel); err != nil {
 			return nil, fmt.Errorf("%w: snapshot relation %q: %v", ErrCorrupt, name, err)
 		}
 	}
-	eng, err := storage.RestoreEngine(m, ectx, img.facts, img.direct)
+	eng, err := storage.RestoreEngine(m, ectx, img.ids, img.direct)
 	if err != nil {
 		return nil, fmt.Errorf("%w: snapshot restore: %v", ErrCorrupt, err)
 	}
@@ -471,20 +474,11 @@ func (s *Store) validate(rec FactAppend) error {
 	if rec.FactID == "" {
 		return fmt.Errorf("%w: empty fact id", ErrRejected)
 	}
-	if s.mo.Facts().Has(rec.FactID) {
-		return fmt.Errorf("%w: fact %q already exists", ErrRejected, rec.FactID)
+	if err := s.mo.CheckInsert(rec.FactID, rec.Pairs...); err != nil {
+		return fmt.Errorf("%w: %v", ErrRejected, err)
 	}
 	if len(rec.Pairs) == 0 {
 		return fmt.Errorf("%w: fact %q has no characterizations", ErrRejected, rec.FactID)
-	}
-	for _, p := range rec.Pairs {
-		d := s.mo.Dimension(p.Dim)
-		if d == nil {
-			return fmt.Errorf("%w: unknown dimension %q", ErrRejected, p.Dim)
-		}
-		if !d.Has(p.Value) {
-			return fmt.Errorf("%w: dimension %q has no value %q", ErrRejected, p.Dim, p.Value)
-		}
 	}
 	return nil
 }

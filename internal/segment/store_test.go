@@ -426,7 +426,7 @@ func TestChecksumFaultPoint(t *testing.T) {
 	faultinject.Enable(faultinject.ChecksumMismatch, nil)
 	_, got := openRecovered(t, dir, Options{})
 	faultinject.Reset()
-	if got.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
+	if hasColumn(got, casestudy.DimDiagnosis, casestudy.CatLowLevel) {
 		t.Error("columns installed despite checksum fault")
 	}
 	if mSnapshotRejects.Value() == before {
@@ -458,7 +458,7 @@ func TestCheckpointCorruptionSoft(t *testing.T) {
 
 	before := mSnapshotRejects.Value()
 	_, got := openRecovered(t, dir, Options{})
-	if got.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
+	if hasColumn(got, casestudy.DimDiagnosis, casestudy.CatLowLevel) {
 		t.Error("a column of a corrupt image was installed")
 	}
 	if mSnapshotRejects.Value() == before {
@@ -493,7 +493,7 @@ func TestCheckpointContextDrift(t *testing.T) {
 	if mCheckpointRejects.Value() != rejects+1 {
 		t.Errorf("context drift counted %d column rejects, want 1", mCheckpointRejects.Value()-rejects)
 	}
-	if got.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
+	if hasColumn(got, casestudy.DimDiagnosis, casestudy.CatLowLevel) {
 		t.Error("checkpoint from a different context was installed")
 	}
 
@@ -532,7 +532,7 @@ func TestCheckpointInstalledParity(t *testing.T) {
 	ctx := context.Background()
 
 	st, eng := openRecovered(t, dir, Options{})
-	if !eng.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
+	if !hasColumn(eng, casestudy.DimDiagnosis, casestudy.CatLowLevel) {
 		t.Fatal("checkpoint columns were not installed")
 	}
 	closure := rebuildReference(t, recs) // no columns: the bitmap path
@@ -552,7 +552,7 @@ func TestCheckpointInstalledParity(t *testing.T) {
 	if err := st.Append(extra); err != nil {
 		t.Fatal(err)
 	}
-	if !eng.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
+	if !hasColumn(eng, casestudy.DimDiagnosis, casestudy.CatLowLevel) {
 		t.Fatal("column vanished after append")
 	}
 	assertEngineEqual(t, eng, rebuildReference(t, append(recs, extra)))

@@ -67,10 +67,6 @@ func setBatchOutcome(ctx context.Context, o batch.Outcome, reason string) {
 	}
 }
 
-// BatchingEnabled reports whether the server was built with the shared-
-// scan batch scheduler (Limits.Batching.Enabled).
-func (s *Server) BatchingEnabled() bool { return s.batcher != nil }
-
 // BatchStats snapshots the scheduler's counters (zero value when
 // batching is disabled).
 func (s *Server) BatchStats() batch.Stats {

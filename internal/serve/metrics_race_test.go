@@ -179,7 +179,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 					fail("column sum: %v", err)
 					return
 				}
-				if _, err := eng.CrossCountContext(ctx, casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea); err != nil {
+				if _, err := eng.CrossCountByColumn(ctx, casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea); err != nil {
 					fail("cross count: %v", err)
 					return
 				}

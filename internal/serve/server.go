@@ -144,10 +144,6 @@ func (s *Server) Drain() {
 	}
 }
 
-// AdmissionEnabled reports whether the server was built with admission
-// control (Limits.Admission.MaxConcurrency > 0).
-func (s *Server) AdmissionEnabled() bool { return s.adm != nil }
-
 // AdmissionStats snapshots the admission controller (zero value when
 // admission is disabled).
 func (s *Server) AdmissionStats() admission.Stats {

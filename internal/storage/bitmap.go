@@ -23,9 +23,6 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Len returns the universe size.
-func (b *Bitmap) Len() int { return b.n }
-
 // Set marks fact i.
 func (b *Bitmap) Set(i int) {
 	if i < 0 || i >= b.n {
@@ -228,14 +225,4 @@ func (b *Bitmap) andWord(o *Bitmap, wi, lo, hi int) uint64 {
 		w &= ^uint64(0) >> (64 - uint(hi)&63)
 	}
 	return w
-}
-
-// Indices returns the marked fact indices.
-func (b *Bitmap) Indices() []int {
-	out := make([]int, 0, b.Count())
-	b.Iterate(func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
 }

@@ -132,14 +132,6 @@ func (e *Engine) columnFor(dim, cat string) *column {
 	return col
 }
 
-// HasColumn reports whether a characterization column is built for
-// (dim, cat).
-func (e *Engine) HasColumn(dim, cat string) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.cols[colKey(dim, cat)] != nil
-}
-
 // BuildColumn materializes the characterization column of (dim, cat) from
 // the closure bitmaps (building any missing ones first), replacing a stale
 // one — the engine's one staleness rule: whoever asks for a column gets it
@@ -173,8 +165,8 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 		cat:    cat,
 		vals:   vals,
 		vid:    make(map[string]uint32, len(vals)),
-		codes:  make([]uint32, len(e.facts)),
-		multi:  NewBitmap(len(e.facts)),
+		codes:  make([]uint32, len(e.order)),
+		multi:  NewBitmap(len(e.order)),
 		catVer: catVer,
 	}
 	for j, v := range vals {

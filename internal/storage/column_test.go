@@ -103,7 +103,7 @@ func TestColumnDifferentialSum(t *testing.T) {
 }
 
 // TestColumnDifferentialCrossCount asserts CrossCountByColumn ≡ the bitmap
-// cross-tab (both its entry points) ≡ the model-layer CrossCountScan.
+// cross-tab (with and without a guard) ≡ the model-layer CrossCountScan.
 func TestColumnDifferentialCrossCount(t *testing.T) {
 	for name, e := range genVariants(t) {
 		want := e.CrossCount(casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea)
@@ -111,7 +111,7 @@ func TestColumnDifferentialCrossCount(t *testing.T) {
 		if fmt.Sprint(scan) != fmt.Sprint(want) {
 			t.Fatalf("%s: bitmap %v, scan %v", name, want, scan)
 		}
-		ctxPath, err := e.CrossCountContext(context.Background(), casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea)
+		ctxPath, err := e.crossCount(qos.NewGuard(context.Background()), casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,14 +175,14 @@ func TestColumnKernelSelection(t *testing.T) {
 	if err := e.EnsureColumn(context.Background(), casestudy.DimDiagnosis, casestudy.CatGroup); err != nil {
 		t.Fatal(err)
 	}
-	if e.HasColumn(casestudy.DimDiagnosis, casestudy.CatGroup) {
+	if hasColumn(e, casestudy.DimDiagnosis, casestudy.CatGroup) {
 		t.Error("EnsureColumn must not build below the threshold")
 	}
 	// CatLowLevel has 40 values — above it.
 	if err := e.EnsureColumn(context.Background(), casestudy.DimDiagnosis, casestudy.CatLowLevel); err != nil {
 		t.Fatal(err)
 	}
-	if !e.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
+	if !hasColumn(e, casestudy.DimDiagnosis, casestudy.CatLowLevel) {
 		t.Fatal("EnsureColumn must build above the threshold")
 	}
 
@@ -216,10 +216,10 @@ func TestColumnKernelSelection(t *testing.T) {
 	if err := e2.WarmColumns(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
-	if !e2.HasColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) {
+	if !hasColumn(e2, casestudy.DimDiagnosis, casestudy.CatLowLevel) {
 		t.Error("WarmColumns must build the low-level column")
 	}
-	if !e2.HasColumn(casestudy.DimResidence, casestudy.CatArea) {
+	if !hasColumn(e2, casestudy.DimResidence, casestudy.CatArea) {
 		t.Error("WarmColumns must build the area column")
 	}
 }
@@ -236,7 +236,7 @@ func TestColumnBudgetParity(t *testing.T) {
 	if err := colEng.WarmColumns(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	spend := func(e *Engine) int64 {
+	spend := func(e *Engine, cross func(context.Context) ([]CrossCell, error)) int64 {
 		ctx := qos.WithFactBudget(context.Background(), 1<<40)
 		if _, err := e.CountDistinctByContext(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel); err != nil {
 			t.Fatal(err)
@@ -244,16 +244,20 @@ func TestColumnBudgetParity(t *testing.T) {
 		if _, err := e.SumByContext(ctx, casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimAge); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.CrossCountContext(ctx, casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea); err != nil {
+		if _, err := cross(ctx); err != nil {
 			t.Fatal(err)
 		}
 		return qos.BudgetFrom(ctx).Spent()
 	}
-	want := spend(bitmapEng)
+	want := spend(bitmapEng, func(ctx context.Context) ([]CrossCell, error) {
+		return bitmapEng.crossCount(qos.NewGuard(ctx), casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea)
+	})
 	if want == 0 {
 		t.Fatal("bitmap run spent no budget")
 	}
-	if got := spend(colEng); got != want {
+	if got := spend(colEng, func(ctx context.Context) ([]CrossCell, error) {
+		return colEng.CrossCountByColumn(ctx, casestudy.DimDiagnosis, casestudy.CatFamily, casestudy.DimResidence, casestudy.CatArea)
+	}); got != want {
 		t.Errorf("column spent %d facts, bitmap spent %d", got, want)
 	}
 	for name, e := range map[string]*Engine{"bitmap": bitmapEng, "column": colEng} {
@@ -347,4 +351,11 @@ func TestColumnCancellation(t *testing.T) {
 	if _, err := e.SumByColumn(ctx, casestudy.DimDiagnosis, casestudy.CatLowLevel, casestudy.DimAge); err == nil {
 		t.Error("canceled column sum must fail")
 	}
+}
+
+// hasColumn reports whether e has built the (dim, cat) column.
+func hasColumn(e *Engine, dim, cat string) bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.cols[colKey(dim, cat)] != nil
 }

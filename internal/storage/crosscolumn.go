@@ -166,7 +166,7 @@ func (e *Engine) crossSnapshot(ctx context.Context, legs []CrossLeg, argDim stri
 	}
 	snap = make([]crossLeg, len(legs))
 	e.mu.RLock()
-	n = len(e.facts)
+	n = len(e.order)
 	for d, col := range cols {
 		snap[d] = crossLeg{vals: col.vals, codes: col.codes, over: col.over}
 		if len(col.codes) < n {

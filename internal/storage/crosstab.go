@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -22,19 +21,6 @@ type CrossCell struct {
 func (e *Engine) CrossCount(dim1, cat1, dim2, cat2 string) []CrossCell {
 	out, _ := e.crossCount(nil, dim1, cat1, dim2, cat2) // nil guard: cannot fail
 	return out
-}
-
-// CrossCountContext is CrossCount with cooperative cancellation and
-// fact-budget accounting (every non-empty row charges its fact count).
-// When the cost heuristic prefers both axes' characterization columns, the
-// single-pass column kernel answers (CrossCountByColumn); otherwise closure
-// bitmaps are intersected — identical cells either way.
-func (e *Engine) CrossCountContext(ctx context.Context, dim1, cat1, dim2, cat2 string) ([]CrossCell, error) {
-	if e.columnFor(dim1, cat1) != nil && e.columnFor(dim2, cat2) != nil {
-		return e.CrossCountByColumn(ctx, dim1, cat1, dim2, cat2)
-	}
-	mKernelBitmap.Inc()
-	return e.crossCount(qos.NewGuard(ctx), dim1, cat1, dim2, cat2)
 }
 
 // crossCount is the bitmap cross-tab. It reads both axes' memoized closures
@@ -85,7 +71,7 @@ func (e *Engine) crossCount(g *qos.Guard, dim1, cat1, dim2, cat2 string) ([]Cros
 			if bm2 == nil {
 				continue
 			}
-			if c := bm1.AndCountRange(bm2, 0, len(e.facts)); c > 0 {
+			if c := bm1.AndCountRange(bm2, 0, len(e.order)); c > 0 {
 				out = append(out, CrossCell{V1: keptVals[i], V2: vals2[j], Count: c})
 			}
 		}
@@ -111,11 +97,12 @@ func (e *Engine) CrossCountScan(dim1, cat1, dim2, cat2 string) []CrossCell {
 	if d1 == nil || d2 == nil {
 		return nil
 	}
+	facts := e.ExportFacts()
 	var out []CrossCell
 	for _, v1 := range d1.CategoryAt(cat1, e.ctx) {
 		for _, v2 := range d2.CategoryAt(cat2, e.ctx) {
 			n := 0
-			for _, f := range e.facts {
+			for _, f := range facts {
 				ok1, _ := e.mo.CharacterizedBy(dim1, f, v1, e.ctx)
 				if !ok1 {
 					continue

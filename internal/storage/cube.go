@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mddm/internal/dimension"
@@ -138,18 +137,4 @@ func (p *CubePlan) String() string {
 		}
 	}
 	return b.String()
-}
-
-// DerivableCategories returns the sorted categories the plan derives
-// rather than recomputes — the "relevant selection of the possible
-// aggregates" of §3.4.
-func (p *CubePlan) DerivableCategories() []string {
-	var out []string
-	for _, e := range p.Entries {
-		if e.DeriveFrom != "" {
-			out = append(out, e.Cat)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -74,7 +74,6 @@ func TestRangeFoldEdges(t *testing.T) {
 		"CrossCount":        func() bool { return e.CrossCount("Nope", "Nada", casestudy.DimResidence, casestudy.CatRegion) == nil },
 		"MultiValuedRange":  func() bool { return !e.MultiValuedRange("Nope", "Nada", nil, 0, n) },
 		"MultiValued":       func() bool { return !e.MultiValued("Nope", "Nada", nil) },
-		"Values":            func() bool { return len(e.Values("Nope", "Nada")) == 0 },
 		"ValueLists": func() bool {
 			l, err := e.ValueLists(ctx, "Nope", "Nada", nil)
 			return err == nil && l == nil

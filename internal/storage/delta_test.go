@@ -44,15 +44,12 @@ func growEngine(t *testing.T, patients int) (*Engine, func(n int)) {
 }
 
 // TestEpochJournal pins the journal contract delta maintenance stands
-// on: FactsAt resolves exactly the epochs this engine issued, DeltaRange
+// on: the journal resolves exactly the epochs this engine issued, DeltaRange
 // returns the appended dense range as one consistent observation, and a
 // foreign engine's epoch is unknown (ok=false), never misresolved.
 func TestEpochJournal(t *testing.T) {
 	e, grow := growEngine(t, 20)
 	e0, n0 := e.EpochFacts()
-	if got, ok := e.FactsAt(e0); !ok || got != n0 {
-		t.Fatalf("FactsAt(current) = %d,%v want %d,true", got, ok, n0)
-	}
 	if lo, hi, cur, ok := e.DeltaRange(e0); !ok || lo != n0 || hi != n0 || cur != e0 {
 		t.Fatalf("DeltaRange(current) = [%d,%d)@%d,%v want empty range at %d", lo, hi, cur, ok, e0)
 	}
@@ -67,16 +64,13 @@ func TestEpochJournal(t *testing.T) {
 		t.Fatalf("DeltaRange(old) = [%d,%d)@%d,%v want [%d,%d)@%d", lo, hi, cur, ok, n0, n1, e1)
 	}
 	// Intermediate epochs resolve too: each append journaled one window.
-	if got, ok := e.FactsAt(e1); !ok || got != n1 {
-		t.Fatalf("FactsAt(e1) = %d,%v", got, ok)
+	if got, _, _, ok := e.DeltaRange(e1); !ok || got != n1 {
+		t.Fatalf("DeltaRange(e1) starts at %d,%v", got, ok)
 	}
 
 	// An epoch this engine never issued — e.g. another engine's — must be
 	// unknown, not approximated: a wrong lo would double-count or drop.
 	other := patientEngine(t)
-	if _, ok := e.FactsAt(other.Epoch()); ok {
-		t.Fatal("foreign epoch resolved in this engine's journal")
-	}
 	if _, _, _, ok := e.DeltaRange(other.Epoch()); ok {
 		t.Fatal("DeltaRange resolved a foreign epoch")
 	}
@@ -95,11 +89,11 @@ func TestEpochJournalTrim(t *testing.T) {
 	e, grow := growEngine(t, 5)
 	first, _ := e.EpochFacts()
 	grow(maxEpochWindows + 10)
-	if _, ok := e.FactsAt(first); ok {
+	if _, _, _, ok := e.DeltaRange(first); ok {
 		t.Fatal("trimmed epoch still resolves")
 	}
 	recent, n := e.EpochFacts()
-	if got, ok := e.FactsAt(recent); !ok || got != n {
+	if got, _, _, ok := e.DeltaRange(recent); !ok || got != n {
 		t.Fatalf("recent epoch lost by trim: %d,%v", got, ok)
 	}
 	e.mu.RLock()

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"mddm/internal/core"
 	"mddm/internal/dimension"
+	"mddm/internal/fact"
 	"mddm/internal/faultinject"
 	"mddm/internal/obs"
 	"mddm/internal/qos"
@@ -45,11 +45,17 @@ var (
 // returned by exported methods are defensive copies, so a caller holding
 // a bitmap never races with a concurrent AppendFact.
 type Engine struct {
-	mo    *core.MO
-	ctx   dimension.Context
-	mu    sync.RWMutex // guards facts, idx, dims (direct + closure bitmaps), cols, argCols
-	facts []string
-	idx   map[string]int
+	mo   *core.MO
+	ctx  dimension.Context
+	mu   sync.RWMutex // guards order, pos, dims (direct + closure bitmaps), cols, argCols
+	dict *fact.Dict   // the MO's fact dictionary
+	// order maps a dense position to its fact's dictionary id: the base
+	// facts in sorted id order, then appended ones in arrival order, the
+	// order SUM folds in. pos maps a dictionary id to its position plus
+	// one (0: not indexed). A view shares a prefix of its base's order
+	// and has no pos.
+	order []uint32
+	pos   []uint32
 	dims  map[string]*dimIndex
 	// cols holds the built characterization columns, keyed by
 	// (dimension, category); see column.go.
@@ -127,31 +133,29 @@ func BuildEngine(ctx context.Context, m *core.MO, ectx dimension.Context) (*Engi
 	e := &Engine{
 		mo:    m,
 		ctx:   ectx,
-		facts: m.Facts().IDs(),
-		idx:   map[string]int{},
+		dict:  m.Facts().Dict(),
+		order: m.Facts().Dense(),
 		dims:  map[string]*dimIndex{},
 	}
-	for i, f := range e.facts {
-		e.idx[f] = i
+	e.pos = make([]uint32, e.dict.Len())
+	for i, id := range e.order {
+		e.pos[id] = uint32(i) + 1
 	}
-	n := len(e.facts)
+	n := len(e.order)
 	for _, name := range m.Schema().DimensionNames() {
 		di := &dimIndex{direct: map[string]*Bitmap{}, closure: map[string]*Bitmap{}}
-		// The walk is unordered; an unknown fact is reported as the first
-		// offending pair in (fact, value) order all the same, so the error
-		// does not depend on map iteration.
+		// The walk follows the dictionary's order, so the unknown fact
+		// reported is the same on every build.
 		var cancelled error
 		var unknown *UnknownFactError
 		m.Relation(name).Range(func(f, v string, a dimension.Annot) bool {
 			if cancelled = g.Check(); cancelled != nil {
 				return false
 			}
-			i, known := e.idx[f]
+			i, known := e.position(f)
 			if !known {
-				if unknown == nil || f < unknown.FactID || (f == unknown.FactID && v < unknown.ValueID) {
-					unknown = &UnknownFactError{Dim: name, FactID: f, ValueID: v}
-				}
-				return true
+				unknown = &UnknownFactError{Dim: name, FactID: f, ValueID: v}
+				return false
 			}
 			if !ectx.Admits(a) {
 				return true
@@ -189,18 +193,21 @@ func NewEngine(m *core.MO, ectx dimension.Context) *Engine {
 	return e
 }
 
+// position returns the dense position of factID and whether the engine
+// indexed it. The caller holds e.mu.
+func (e *Engine) position(factID string) (int, bool) {
+	id, ok := e.dict.Lookup(factID)
+	if !ok || int(id) >= len(e.pos) || e.pos[id] == 0 {
+		return 0, false
+	}
+	return int(e.pos[id]) - 1, true
+}
+
 // NumFacts returns the number of indexed facts.
 func (e *Engine) NumFacts() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.facts)
-}
-
-// FactID returns the fact identity of a dense index.
-func (e *Engine) FactID(i int) string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.facts[i]
+	return len(e.order)
 }
 
 // Characterizing returns the bitmap of facts with f ⤳ value in the named
@@ -245,7 +252,7 @@ func (e *Engine) characterizingClone(g *qos.Guard, dim, value string) (*Bitmap, 
 			return bm, nil
 		}
 	}
-	return NewBitmap(len(e.facts)), nil
+	return NewBitmap(len(e.order)), nil
 }
 
 // ensureClosures materializes the closure bitmaps of the given values so
@@ -299,10 +306,10 @@ func (e *Engine) closure(g *qos.Guard, dim string, di *dimIndex, value string, o
 	}
 	if onPath[value] {
 		// Defensive: the dimension order is acyclic by construction.
-		return NewBitmap(len(e.facts)), nil
+		return NewBitmap(len(e.order)), nil
 	}
 	onPath[value] = true
-	bm := NewBitmap(len(e.facts))
+	bm := NewBitmap(len(e.order))
 	if d := di.direct[value]; d != nil {
 		bm.Or(d)
 	}
@@ -369,9 +376,7 @@ func (e *Engine) CountDistinctScan(dim, cat string) map[string]int {
 	if d == nil {
 		return map[string]int{}
 	}
-	e.mu.RLock()
-	facts := append([]string(nil), e.facts...)
-	e.mu.RUnlock()
+	facts := e.ExportFacts()
 	out := map[string]int{}
 	for _, v := range d.CategoryAt(cat, e.ctx) {
 		c := 0
@@ -387,17 +392,11 @@ func (e *Engine) CountDistinctScan(dim, cat string) map[string]int {
 	return out
 }
 
-// SumBy computes SUM of the argument dimension's values per category value
-// of the grouping dimension, using the closure bitmaps. Facts with several
-// argument values contribute all of them.
-func (e *Engine) SumBy(dim, cat, argDim string) map[string]float64 {
-	out, _ := e.SumByContext(context.Background(), dim, cat, argDim) // background ctx: cannot fail
-	return out
-}
-
-// SumByContext is SumBy with cooperative cancellation: one accumulator
-// kernel scan, then the budget replay. Every sum is the left fold in
-// ascending fact order.
+// SumByContext computes SUM of the argument dimension's values per
+// category value of the grouping dimension, with cooperative
+// cancellation: one accumulator kernel scan, then the budget replay.
+// Facts with several argument values contribute all of them. Every sum is
+// the left fold in ascending fact order.
 func (e *Engine) SumByContext(ctx context.Context, dim, cat, argDim string) (map[string]float64, error) {
 	vals, m, err := e.scanOne(ctx, dim, cat, SharedScanMember{ArgDim: argDim}, 0, math.MaxInt)
 	if err != nil {
@@ -448,9 +447,10 @@ func (e *Engine) ensureArgValues(argDim string) {
 func (e *Engine) argValues(argDim string) [][]float64 {
 	d := e.Dimension(argDim)
 	r := e.mo.Relation(argDim)
-	out := make([][]float64, len(e.facts))
+	out := make([][]float64, len(e.order))
 	defer e.lockRelations()()
-	for i, f := range e.facts {
+	for i, id := range e.order {
+		f := e.dict.At(id)
 		for _, v := range r.ValuesOf(f) {
 			a, _ := r.Annot(f, v)
 			if !e.admits(d, v, a) {
@@ -461,31 +461,6 @@ func (e *Engine) argValues(argDim string) [][]float64 {
 			}
 		}
 	}
-	return out
-}
-
-// Values returns the sorted values of a category that characterize at
-// least one fact.
-func (e *Engine) Values(dim, cat string) []string {
-	d := e.Dimension(dim)
-	if d == nil {
-		return nil
-	}
-	vals := e.categoryValues(d, cat)
-	_ = e.ensureClosures(nil, dim, vals) // nil guard: cannot fail
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	di := e.dims[dim]
-	var out []string
-	for _, v := range vals {
-		if di == nil {
-			break
-		}
-		if bm := di.closure[v]; bm != nil && !bm.IsEmpty() {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -503,5 +478,5 @@ func (e *Engine) Context() dimension.Context { return e.ctx }
 func (e *Engine) String() string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return fmt.Sprintf("storage.Engine{%d facts, %d dimensions}", len(e.facts), len(e.dims))
+	return fmt.Sprintf("storage.Engine{%d facts, %d dimensions}", len(e.order), len(e.dims))
 }

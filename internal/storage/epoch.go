@@ -26,7 +26,7 @@ const maxEpochWindows = 4096
 // epochWindow records that when the engine's epoch was `epoch`, exactly
 // the first `facts` dense indices existed. Because the only mutation an
 // engine survives is AppendFact — builds and restores create fresh
-// engines — the fact range [w.facts, len(e.facts)) is precisely what was
+// engines — the fact range [w.facts, len(e.order)) is precisely what was
 // appended after epoch w.epoch: the delta a mergeable cached result
 // needs to fold to become current.
 type epochWindow struct {
@@ -49,7 +49,7 @@ func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
 func (e *Engine) EpochFacts() (epoch uint64, facts int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.epoch.Load(), len(e.facts)
+	return e.epoch.Load(), len(e.order)
 }
 
 // bumpEpoch moves the engine to a fresh epoch and journals the window;
@@ -57,31 +57,12 @@ func (e *Engine) EpochFacts() (epoch uint64, facts int) {
 // mutation.
 func (e *Engine) bumpEpoch() {
 	e.epoch.Store(nextEpoch())
-	e.windows = append(e.windows, epochWindow{epoch: e.epoch.Load(), facts: len(e.facts)})
+	e.windows = append(e.windows, epochWindow{epoch: e.epoch.Load(), facts: len(e.order)})
 	if len(e.windows) > maxEpochWindows {
 		// Trim in bulk so sustained appends amortize the copy.
 		keep := maxEpochWindows / 2
 		e.windows = append(e.windows[:0], e.windows[len(e.windows)-keep:]...)
 	}
-}
-
-// FactsAt reports how many facts the engine held when `epoch` was its
-// current epoch, or ok=false when the epoch is not in this engine's
-// journal (it belonged to another engine, predates a restart, or was
-// trimmed). Epochs in the journal are strictly increasing, so the
-// lookup is a binary search.
-func (e *Engine) FactsAt(epoch uint64) (int, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.factsAtLocked(epoch)
-}
-
-func (e *Engine) factsAtLocked(epoch uint64) (int, bool) {
-	i := sort.Search(len(e.windows), func(i int) bool { return e.windows[i].epoch >= epoch })
-	if i < len(e.windows) && e.windows[i].epoch == epoch {
-		return e.windows[i].facts, true
-	}
-	return 0, false
 }
 
 // DeltaRange resolves the append-only gap between oldEpoch and the
@@ -93,9 +74,9 @@ func (e *Engine) factsAtLocked(epoch uint64) (int, bool) {
 func (e *Engine) DeltaRange(oldEpoch uint64) (lo, hi int, cur uint64, ok bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	lo, ok = e.factsAtLocked(oldEpoch)
-	if !ok {
+	i := sort.Search(len(e.windows), func(i int) bool { return e.windows[i].epoch >= oldEpoch })
+	if i == len(e.windows) || e.windows[i].epoch != oldEpoch {
 		return 0, 0, 0, false
 	}
-	return lo, len(e.facts), e.epoch.Load(), true
+	return e.windows[i].facts, len(e.order), e.epoch.Load(), true
 }

@@ -30,17 +30,24 @@ func (e *Engine) ArgValues(argDim string) [][]float64 {
 
 // SelectedFactIDs returns the fact identities marked in sel in ascending
 // dense-index order, or every fact when sel is nil. One read-lock
-// acquisition for the whole extraction.
+// acquisition for the whole extraction; a view's read of the fact
+// dictionary also takes its base's, which keeps AppendFact, the
+// dictionary's writer, out.
 func (e *Engine) SelectedFactIDs(sel *Bitmap) []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	defer e.lockRelations()()
 	if sel == nil {
-		return append([]string(nil), e.facts...)
+		out := make([]string, len(e.order))
+		for i, id := range e.order {
+			out[i] = e.dict.At(id)
+		}
+		return out
 	}
 	out := make([]string, 0, sel.Count())
 	sel.Iterate(func(i int) bool {
-		if i < len(e.facts) {
-			out = append(out, e.facts[i])
+		if i < len(e.order) {
+			out = append(out, e.dict.At(e.order[i]))
 		}
 		return true
 	})
@@ -92,7 +99,7 @@ func (e *Engine) ValueLists(ctx context.Context, dim, cat string, sel *Bitmap) (
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	di := e.dims[dim]
-	out := make([][]string, len(e.facts))
+	out := make([][]string, len(e.order))
 	if di == nil {
 		return out, nil
 	}

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 
+	"mddm/internal/core"
 	"mddm/internal/dimension"
 )
 
@@ -33,17 +34,13 @@ func (b *Bitmap) grow(n int) {
 
 // Pair is one characterization of an appended fact: the fact is related
 // to Value in dimension Dim with annotation Annot.
-type Pair struct {
-	Dim   string
-	Value string
-	Annot dimension.Annot
-}
+type Pair = core.Pair
 
-// AppendFact indexes one new fact. Given pairs, it first relates them in
-// the MO — the fact must be new to the MO and every pair's dimension
-// must hold its value, or nothing is written — under the write lock that
-// every read of the relations excludes, so the engine is the served
-// model's only writer. Without pairs the fact must already be in the MO
+// AppendFact indexes one new fact. Given pairs, it first inserts the fact
+// with them into the MO (core.MO.InsertFact, all or nothing) under the
+// write lock that every read of the relations and of the fact dictionary
+// excludes, so the engine is the served model's only writer. Without
+// pairs the fact must already be in the MO
 // with its pairs recorded, by a caller that owns the MO while it does
 // so. Pairs not admitted by the engine's context are not indexed,
 // mirroring NewEngine. The engine's context views (views.go) are
@@ -54,20 +51,24 @@ func (e *Engine) AppendFact(factID string, pairs ...Pair) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.idx[factID]; ok {
+	if _, ok := e.position(factID); ok {
 		return fmt.Errorf("storage: fact %q already indexed", factID)
 	}
 	if len(pairs) > 0 {
-		if err := e.relate(factID, pairs); err != nil {
+		if err := e.mo.InsertFact(factID, pairs...); err != nil {
 			return err
 		}
 	} else if !e.mo.Facts().Has(factID) {
 		return fmt.Errorf("storage: fact %q not in the MO", factID)
 	}
-	i := len(e.facts)
-	e.facts = append(e.facts, factID)
-	e.idx[factID] = i
-	n := len(e.facts)
+	id, _ := e.dict.Lookup(factID)
+	i := len(e.order)
+	e.order = append(e.order, id)
+	if n := e.dict.Len(); n > len(e.pos) {
+		e.pos = append(e.pos, make([]uint32, n-len(e.pos))...)
+	}
+	e.pos[id] = uint32(i) + 1
+	n := len(e.order)
 
 	for _, name := range e.mo.Schema().DimensionNames() {
 		di := e.dims[name]
@@ -146,24 +147,5 @@ func (e *Engine) AppendFact(factID string, pairs ...Pair) error {
 	// over the facts before this one: drop them.
 	e.bumpEpoch()
 	e.dropViews()
-	return nil
-}
-
-// relate records a new fact's pairs in the MO, all of them or, when one
-// cannot be recorded, none. The caller holds the write lock.
-func (e *Engine) relate(factID string, pairs []Pair) error {
-	if e.mo.Facts().Has(factID) {
-		return fmt.Errorf("storage: fact %q already in the MO", factID)
-	}
-	for _, p := range pairs {
-		if d := e.mo.Dimension(p.Dim); d == nil || !d.Has(p.Value) {
-			return fmt.Errorf("storage: fact %q: dimension %q has no value %q", factID, p.Dim, p.Value)
-		}
-	}
-	for _, p := range pairs {
-		if err := e.mo.RelateAnnot(p.Dim, factID, p.Value, p.Annot); err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -114,8 +114,8 @@ func TestBitmapGrow(t *testing.T) {
 		t.Error("bits beyond the old universe must work after grow")
 	}
 	b.grow(5) // shrink is a no-op
-	if b.Len() != 200 {
-		t.Errorf("Len = %d", b.Len())
+	if b.n != 200 {
+		t.Errorf("universe = %d", b.n)
 	}
 }
 

@@ -184,7 +184,7 @@ func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, membe
 			}
 		}
 	}
-	lo, hi = max(lo, 0), min(hi, len(e.facts))
+	lo, hi = max(lo, 0), min(hi, len(e.order))
 	var err error
 	if col != nil {
 		// The column's slices are append-only: the headers snapshotted here

@@ -36,7 +36,7 @@ func referenceLeg(e *Engine, dim, cat, argDim string, sel *Bitmap, lo, hi int) l
 			}
 			in := dim == ""
 			if !in {
-				in, _ = e.mo.CharacterizedBy(dim, e.facts[i], v, e.ctx)
+				in, _ = e.mo.CharacterizedBy(dim, e.dict.At(e.order[i]), v, e.ctx)
 			}
 			if in {
 				ref.counts[j]++

@@ -44,42 +44,40 @@ const (
 
 // ExportFacts returns a copy of the engine's dense fact order — the
 // positional frame of reference every persisted column and bitmap uses.
-func (e *Engine) ExportFacts() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return append([]string(nil), e.facts...)
-}
+func (e *Engine) ExportFacts() []string { return e.SelectedFactIDs(nil) }
 
-// RestoreEngine builds an engine from a persisted dense fact order and
-// per-dimension direct bitmaps, skipping BuildEngine's full pair scan.
+// RestoreEngine builds an engine from a persisted dense fact order, as
+// ids of the MO's fact dictionary, and per-dimension direct bitmaps,
+// skipping BuildEngine's full pair scan.
 // The caller (the segment package's snapshot restore) guarantees the
 // bitmaps were derived by admitting each persisted pair under ectx —
 // exactly the filter BuildEngine applies — so a restored engine answers
 // every query identically to a rebuilt one. What restore re-checks here
-// is positional integrity: facts must exactly cover the MO's fact set
+// is positional integrity: order must exactly cover the MO's fact set
 // with no duplicates (a permuted or partial order would silently
 // misattribute every bitmap bit), and every bitmap dimension must exist
-// in the schema. facts and dims are retained; the caller must not
+// in the schema. order and dims are retained; the caller must not
 // mutate them afterwards.
-func RestoreEngine(m *core.MO, ectx dimension.Context, facts []string, perDim map[string]map[string]*Bitmap) (*Engine, error) {
-	if m.Facts().Len() != len(facts) {
-		return nil, fmt.Errorf("storage: restore: %d facts provided, MO holds %d", len(facts), m.Facts().Len())
+func RestoreEngine(m *core.MO, ectx dimension.Context, order []uint32, perDim map[string]map[string]*Bitmap) (*Engine, error) {
+	if m.Facts().Len() != len(order) {
+		return nil, fmt.Errorf("storage: restore: %d facts provided, MO holds %d", len(order), m.Facts().Len())
 	}
 	e := &Engine{
 		mo:    m,
 		ctx:   ectx,
-		facts: facts,
-		idx:   make(map[string]int, len(facts)),
+		dict:  m.Facts().Dict(),
+		order: order,
 		dims:  map[string]*dimIndex{},
 	}
-	for i, f := range facts {
-		if _, dup := e.idx[f]; dup {
-			return nil, fmt.Errorf("storage: restore: duplicate fact %q", f)
+	e.pos = make([]uint32, e.dict.Len())
+	for i, id := range order {
+		if !m.Facts().HasDense(id) {
+			return nil, fmt.Errorf("storage: restore: fact %d not in the MO", id)
 		}
-		if !m.Facts().Has(f) {
-			return nil, fmt.Errorf("storage: restore: fact %q not in the MO", f)
+		if e.pos[id] != 0 {
+			return nil, fmt.Errorf("storage: restore: duplicate fact %q", e.dict.At(id))
 		}
-		e.idx[f] = i
+		e.pos[id] = uint32(i) + 1
 	}
 	names := m.Schema().DimensionNames()
 	known := make(map[string]bool, len(names))
@@ -175,9 +173,9 @@ func (e *Engine) InstallColumn(dim, cat string, vals []string, codes []uint32, o
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(codes) != len(e.facts) {
+	if len(codes) != len(e.order) {
 		return fmt.Errorf("%w: %s/%s covers %d facts, engine has %d",
-			ErrBadColumn, dim, cat, len(codes), len(e.facts))
+			ErrBadColumn, dim, cat, len(codes), len(e.order))
 	}
 	nv := uint32(len(vals))
 	oc := 0

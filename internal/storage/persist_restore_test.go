@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mddm/internal/casestudy"
@@ -28,6 +29,7 @@ func TestRestoreEngineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	facts := built.ExportFacts()
+	order := denseOrder(m, facts)
 	perDim := map[string]map[string]*Bitmap{}
 	for _, name := range m.Schema().DimensionNames() {
 		perDim[name] = map[string]*Bitmap{}
@@ -51,7 +53,7 @@ func TestRestoreEngineEquivalence(t *testing.T) {
 			}
 		}
 	}
-	restored, err := RestoreEngine(m, ctx(), facts, perDim)
+	restored, err := RestoreEngine(m, ctx(), order, perDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,20 +87,24 @@ func TestRestoreEngineRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	facts := built.ExportFacts()
+	facts := denseOrder(m, built.ExportFacts())
 
 	if _, err := RestoreEngine(m, ctx(), facts[:len(facts)-1], nil); err == nil {
 		t.Error("short fact list accepted")
 	}
-	dup := append([]string(nil), facts...)
+	dup := slices.Clone(facts)
 	dup[1] = dup[0]
 	if _, err := RestoreEngine(m, ctx(), dup, nil); err == nil {
 		t.Error("duplicate fact accepted")
 	}
-	alien := append([]string(nil), facts...)
-	alien[0] = "no-such-fact"
+	alien := slices.Clone(facts)
+	alien[0] = m.Facts().Dict().Intern("no-such-fact") // numbered, not a member
 	if _, err := RestoreEngine(m, ctx(), alien, nil); err == nil {
 		t.Error("fact outside the MO accepted")
+	}
+	alien[0] = uint32(m.Facts().Dict().Len()) // not even numbered
+	if _, err := RestoreEngine(m, ctx(), alien, nil); err == nil {
+		t.Error("id outside the dictionary accepted")
 	}
 	if _, err := RestoreEngine(m, ctx(), facts,
 		map[string]map[string]*Bitmap{"NoSuchDim": {}}); err == nil {
@@ -114,4 +120,13 @@ func TestRestoreEngineRejects(t *testing.T) {
 	if e.NumFacts() != len(facts) {
 		t.Fatal("nil-bitmap restore lost facts")
 	}
+}
+
+// denseOrder returns the dictionary ids of facts in m, in order.
+func denseOrder(m *core.MO, facts []string) []uint32 {
+	out := make([]uint32, len(facts))
+	for i, f := range facts {
+		out[i], _ = m.Facts().Dict().Lookup(f)
+	}
+	return out
 }

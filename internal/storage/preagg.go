@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -275,16 +274,4 @@ func (c *Cache) computeBaseContext(ctx context.Context, dim, toCat string, kind 
 	default:
 		return nil, fmt.Errorf("storage: unsupported aggregate kind %q", kind)
 	}
-}
-
-// Materialized lists the cached materialization keys, sorted.
-func (c *Cache) Materialized() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.mats))
-	for k := range c.mats {
-		out = append(out, strings.ReplaceAll(k, "\x00", "/"))
-	}
-	sort.Strings(out)
-	return out
 }

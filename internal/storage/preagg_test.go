@@ -127,7 +127,7 @@ func TestReuseGuardTable1(t *testing.T) {
 					direct[v] = float64(n)
 				}
 			case KindSum:
-				direct = e.SumBy(dim, tc.to, tc.arg)
+				direct = sumBy(t, e, dim, tc.to, tc.arg)
 			}
 			if len(rows) != len(direct) {
 				t.Fatalf("rollup %v, direct %v", rows, direct)

@@ -164,7 +164,7 @@ func TestQueryCancellation(t *testing.T) {
 	if _, err := e.CountDistinctByContext(ctx, casestudy.DimDiagnosis, casestudy.CatGroup); !errors.Is(err, qos.ErrCanceled) {
 		t.Errorf("canceled count = %v, want ErrCanceled", err)
 	}
-	if _, err := e.CrossCountContext(ctx, casestudy.DimDiagnosis, casestudy.CatGroup, casestudy.DimResidence, casestudy.CatCounty); !errors.Is(err, qos.ErrCanceled) {
+	if _, err := e.crossCount(qos.NewGuard(ctx), casestudy.DimDiagnosis, casestudy.CatGroup, casestudy.DimResidence, casestudy.CatCounty); !errors.Is(err, qos.ErrCanceled) {
 		t.Errorf("canceled cross-count = %v, want ErrCanceled", err)
 	}
 }
@@ -227,7 +227,7 @@ func TestConcurrentQueriesRaceWithAppends(t *testing.T) {
 					t.Errorf("lost facts: %d < %d", total, cfg.Patients)
 					return
 				}
-				if _, err := e.CrossCountContext(ctx, casestudy.DimDiagnosis, casestudy.CatGroup, casestudy.DimResidence, casestudy.CatCounty); err != nil {
+				if _, err := e.crossCount(qos.NewGuard(ctx), casestudy.DimDiagnosis, casestudy.CatGroup, casestudy.DimResidence, casestudy.CatCounty); err != nil {
 					t.Error(err)
 					return
 				}

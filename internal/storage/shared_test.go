@@ -207,7 +207,7 @@ func TestStaleDictionaryAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 		grow(2)
-		if columns && (!e.HasColumn(dim, cat) || e.columnFor(dim, cat) != nil) {
+		if columns && (!hasColumn(e, dim, cat) || e.columnFor(dim, cat) != nil) {
 			t.Fatal("a stale column must stay built but unselected")
 		}
 		group := casestudy.TenYearGroup(200)

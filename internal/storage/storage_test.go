@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -42,15 +43,15 @@ func TestBitmapOps(t *testing.T) {
 	}
 	and := a.Clone().And(b)
 	if and.Count() != 2 || !and.Has(63) || !and.Has(64) {
-		t.Errorf("and = %v", and.Indices())
+		t.Errorf("and = %v", indices(and))
 	}
 	or := a.Clone().Or(b)
 	if or.Count() != 6 {
-		t.Errorf("or = %v", or.Indices())
+		t.Errorf("or = %v", indices(or))
 	}
 	diff := a.Clone().AndNot(b)
 	if diff.Count() != 3 || diff.Has(63) {
-		t.Errorf("andnot = %v", diff.Indices())
+		t.Errorf("andnot = %v", indices(diff))
 	}
 	if NewBitmap(10).IsEmpty() == false {
 		t.Error("fresh bitmap must be empty")
@@ -139,7 +140,7 @@ func TestFigure3ViaEngine(t *testing.T) {
 
 func TestSumBy(t *testing.T) {
 	e := patientEngine(t)
-	sums := e.SumBy(casestudy.DimResidence, casestudy.CatRegion, casestudy.DimAge)
+	sums := sumBy(t, e, casestudy.DimResidence, casestudy.CatRegion, casestudy.DimAge)
 	// Ages 29 + 48 = 77 in region R1.
 	if sums["R1"] != 77 {
 		t.Errorf("sum = %v", sums)
@@ -240,7 +241,7 @@ func TestPreAggSumReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := e.SumBy(casestudy.DimResidence, casestudy.CatRegion, casestudy.DimAge)
+	direct := sumBy(t, e, casestudy.DimResidence, casestudy.CatRegion, casestudy.DimAge)
 	for v, x := range direct {
 		if rows[v] != x {
 			t.Errorf("region %s: cache %v, direct %v", v, rows[v], x)
@@ -256,7 +257,7 @@ func TestPreAggSumReuse(t *testing.T) {
 	if _, err := c.Materialize(casestudy.DimResidence, casestudy.CatCounty, AggKind("MEDIAN"), ""); err == nil {
 		t.Error("unsupported kind must fail")
 	}
-	if got := c.Materialized(); len(got) == 0 {
+	if len(c.mats) == 0 {
 		t.Error("materializations must be listed")
 	}
 }
@@ -282,13 +283,13 @@ func TestEngineString(t *testing.T) {
 	if e.String() == "" || e.NumFacts() != 2 || e.MO() == nil {
 		t.Error("accessors wrong")
 	}
-	if e.FactID(0) != "1" {
-		t.Errorf("FactID(0) = %q", e.FactID(0))
+	if facts := e.ExportFacts(); facts[0] != "1" {
+		t.Errorf("fact 0 = %q", facts[0])
 	}
 	if e.Context().Ref != ref {
 		t.Error("context wrong")
 	}
-	vals := e.Values(casestudy.DimDiagnosis, casestudy.CatGroup)
+	vals := e.CountDistinctBy(casestudy.DimDiagnosis, casestudy.CatGroup)
 	if len(vals) != 2 {
 		t.Errorf("values = %v", vals)
 	}
@@ -420,4 +421,24 @@ func TestAlgebraEngineAgreement(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sumBy is SumByContext without cancellation.
+func sumBy(t *testing.T, e *Engine, dim, cat, argDim string) map[string]float64 {
+	t.Helper()
+	out, err := e.SumByContext(context.Background(), dim, cat, argDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// indices lists the bits set in b, for failure messages.
+func indices(b *Bitmap) []int {
+	var out []int
+	b.Iterate(func(i int) bool {
+		out = append(out, i)
+		return true
+	})
+	return out
 }

@@ -19,9 +19,9 @@ import (
 func strictOracle(e *Engine, dim, cat string) []int {
 	m, ectx := e.MO(), e.Answers()
 	vals := m.Dimension(dim).CategoryAt(cat, ectx)
-	out := make([]int, e.NumFacts())
-	for i := range out {
-		f := e.FactID(i)
+	facts := e.ExportFacts()
+	out := make([]int, len(facts))
+	for i, f := range facts {
 		for _, v := range vals {
 			if ok, _ := m.CharacterizedBy(dim, f, v, ectx); ok {
 				out[i]++

@@ -154,8 +154,8 @@ func (e *Engine) View(ectx dimension.Context, probs bool) (*Engine, string) {
 		base = e.view.base
 	}
 	base.mu.RLock()
-	epoch, n, colMin := base.epoch.Load(), len(base.facts), base.colMin
-	facts := base.facts[:n:n]
+	epoch, n, colMin := base.epoch.Load(), len(base.order), base.colMin
+	order := base.order[:n:n]
 	base.mu.RUnlock()
 
 	t := &base.views
@@ -185,7 +185,8 @@ func (e *Engine) View(ectx dimension.Context, probs bool) (*Engine, string) {
 	v := &Engine{
 		mo:     base.mo,
 		ctx:    dimension.Context{Ref: ectx.Ref, MinProb: ectx.MinProb},
-		facts:  facts,
+		dict:   base.dict,
+		order:  order,
 		dims:   map[string]*dimIndex{},
 		colMin: colMin,
 		view:   &view{base: base, full: ectx, dims: map[string]*dimension.Dimension{}},
@@ -348,7 +349,7 @@ func (e *Engine) indexViewDim(g *qos.Guard, name string, d *dimension.Dimension)
 	if r == nil {
 		return di, nil
 	}
-	full, n := e.view.full, len(e.facts)
+	full, n := e.view.full, len(e.order)
 	sliced := full.Valid != nil || full.Trans != nil
 	reach := map[string][]reached{}
 	var hits []reached // the values characterizing the current fact
@@ -385,14 +386,14 @@ func (e *Engine) indexViewDim(g *qos.Guard, name string, d *dimension.Dimension)
 		return true
 	}
 	defer e.lockRelations()()
-	for i, f := range e.facts {
+	for i, id := range e.order {
 		if i&(checkStride-1) == 0 {
 			if err := g.CheckNow(); err != nil {
 				return nil, err
 			}
 		}
 		hits, survived = hits[:0], false
-		r.RangeValues(f, pair)
+		r.RangeValues(e.dict.At(id), pair)
 		if a := dimension.Always(); sliced && !survived && e.ctx.Admits(a) {
 			witness(dimension.TopValue, a)
 		}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mddm/internal/agg"
@@ -74,7 +75,7 @@ func TestViewTimesliceMatchesSlicedModel(t *testing.T) {
 		for _, v := range sliced.Dimension(dim).Values() {
 			got, exp := view.Characterizing(dim, v), want.Characterizing(dim, v)
 			if !got.Equal(exp) {
-				t.Fatalf("%s/%s: view closure %v, sliced model %v", dim, v, got.Indices(), exp.Indices())
+				t.Fatalf("%s/%s: view closure %v, sliced model %v", dim, v, indices(got), indices(exp))
 			}
 			if !got.Equal(base.Characterizing(dim, v)) {
 				moved++
@@ -111,6 +112,7 @@ func TestViewProbMembers(t *testing.T) {
 		dimension.CurrentContext(ref).AtValid(viewInstant).WithMinProb(0.75),
 	} {
 		view, _ := base.View(ectx, true)
+		facts := view.ExportFacts()
 		if !view.IsView() {
 			t.Fatal("probabilities asked of a base engine")
 		}
@@ -157,12 +159,12 @@ func TestViewProbMembers(t *testing.T) {
 					continue
 				}
 				seen := map[string]bool{}
-				for _, v := range factAncestors(oracle, leg.dim, view.FactID(i), leg.cat, octx) {
+				for _, v := range factAncestors(oracle, leg.dim, facts[i], leg.cat, octx) {
 					if seen[v] {
 						continue
 					}
 					seen[v] = true
-					_, p := oracle.CharacterizedBy(leg.dim, view.FactID(i), v, octx)
+					_, p := oracle.CharacterizedBy(leg.dim, facts[i], v, octx)
 					model[v] = append(model[v], member{i, p})
 					if p != 1 {
 						uncertain++
@@ -214,7 +216,7 @@ func TestViewProbMembers(t *testing.T) {
 			}
 			var acc agg.Acc
 			for i := 0; i < view.NumFacts(); i++ {
-				f := view.FactID(i)
+				f := facts[i]
 				if !slices.Contains(factAncestors(oracle, legs[0].Dim, f, legs[0].Cat, octx), fam) ||
 					!slices.Contains(factAncestors(oracle, legs[1].Dim, f, legs[1].Cat, octx), county) {
 					continue
@@ -455,5 +457,61 @@ func viewStorm(t *testing.T, relate bool) {
 		if v, _ := base.View(ectx, false); v.NumFacts() != 80+extra {
 			t.Fatalf("after the storm a view has %d facts, want %d", v.NumFacts(), 80+extra)
 		}
+	}
+}
+
+// TestDictReadsRaceAppends pins the engine's reads of the shared fact
+// dictionary against AppendFact, its one writer on a served model: views
+// read fact ids and walk the relations by them for as long as appends
+// intern new ids. A view's ids are a prefix of its base's order — the
+// sorted base facts, then the appended ones in arrival order — whatever
+// the dictionary grew to meanwhile.
+func TestDictReadsRaceAppends(t *testing.T) {
+	m := uncertainMO(t, 80)
+	base := NewEngine(m, dimension.CurrentContext(ref))
+	sorted := m.Facts().IDs()
+	lows := m.Dimension(casestudy.DimDiagnosis).Category(casestudy.CatLowLevel)
+	const extra = 300
+	ids := make([]string, extra)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("a%03d", extra-i) // sorts before the base facts
+	}
+	want := append(slices.Clone(sorted), ids...)
+	ctxs := viewContexts(4)
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for i, id := range ids {
+			if err := base.AppendFact(id, Pair{Dim: casestudy.DimDiagnosis, Value: lows[i%len(lows)], Annot: dimension.Always()}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !done.Load() || i < 10; i++ {
+				v, _ := base.View(ctxs[(i+r)%len(ctxs)], false)
+				got := v.ExportFacts()
+				sel := NewBitmap(len(got)).Fill()
+				if !slices.Equal(got, want[:len(got)]) || !slices.Equal(v.SelectedFactIDs(sel), got) {
+					t.Errorf("view of %d facts reads ids %v", len(got), got)
+					return
+				}
+				if _, err := v.ScanLeg(context.Background(), casestudy.DimDiagnosis, casestudy.CatGroup, []SharedScanMember{{}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := base.ExportFacts(); !slices.Equal(got, want) {
+		t.Fatalf("base order %v, want %v", got, want)
 	}
 }
