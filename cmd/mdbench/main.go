@@ -171,6 +171,48 @@ func measure(op string, n int, fn func()) time.Duration {
 	}
 }
 
+// measureAlternating times opA and opB one call per sample, samples
+// times each, alternating them, and records each op's median time and
+// median allocation count. A host stall then costs one sample of one op,
+// not the whole measurement of the op it lands in, as it can with
+// measure's single timed call of an op slower than 50 ms.
+func measureAlternating(n, samples int, opA string, fnA func(), opB string, fnB func()) (time.Duration, time.Duration) {
+	fnA() // warm up
+	fnB()
+	ops := []string{opA, opB}
+	fns := []func(){fnA, fnB}
+	times := [2][]time.Duration{}
+	allocs := [2][]float64{}
+	for i := 0; i < samples; i++ {
+		for k, fn := range fns {
+			runtime.GC() // each sample starts without the previous one's garbage
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			start := time.Now()
+			fn()
+			times[k] = append(times[k], time.Since(start))
+			runtime.ReadMemStats(&m1)
+			allocs[k] = append(allocs[k], float64(m1.Mallocs-m0.Mallocs))
+		}
+	}
+	var med [2]time.Duration
+	for k, op := range ops {
+		med[k] = pctlDur(times[k], 0.5)
+		sort.Float64s(allocs[k])
+		benchRows = append(benchRows, benchRow{
+			Exp:         curExp,
+			Op:          op,
+			N:           n,
+			NsPerOp:     float64(med[k].Nanoseconds()),
+			AllocsPerOp: allocs[k][len(allocs[k])/2],
+		})
+	}
+	return med[0], med[1]
+}
+
+// b16Samples is how many times B16 times each of its load and rebuild.
+const b16Samples = 7
+
 func gen(patients int, nonStrict, churn bool) *core.MO {
 	cfg := casestudy.DefaultGen()
 	cfg.Patients = patients
@@ -1070,7 +1112,8 @@ func b16Records(m *core.MO, n int) []segment.FactAppend {
 // timing, the load is differentially verified against the rebuilt engine
 // — the column kernels must read identical answers — and no load may
 // reject the image or a column of it: a rejected one would time replay
-// and a column build, not a load.
+// and a column build, not a load. The load and the rebuild are each timed
+// as the median of b16Samples samples, the two alternating.
 func b16(nFacts int) {
 	fmt.Printf("B16: cold-start segment load vs full rebuild (1000 low-level values)\n")
 	bg := context.Background()
@@ -1195,8 +1238,7 @@ func b16(nFacts int) {
 			fatal(err)
 		}
 
-		tRebuild := measure("rebuild", n, func() { rebuild() })
-		tLoad := measure("load", n, func() {
+		tRebuild, tLoad := measureAlternating(n, b16Samples, "rebuild", func() { rebuild() }, "load", func() {
 			s := coldStart()
 			if err := s.Close(); err != nil {
 				fatal(err)

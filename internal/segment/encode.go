@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 
 	"mddm/internal/dimension"
@@ -77,14 +78,57 @@ type FactAppend struct {
 	Pairs  []Pair
 }
 
-// enc is an append-only little-endian encoder.
-type enc struct{ b []byte }
+// enc is an append-only little-endian encoder. Without a writer it
+// accumulates every byte in b. With one (newStream) it streams: once b
+// holds flushAt bytes they are added to a running CRC-32C, written out,
+// and b is reused, so an artifact of any size passes through one buffer.
+type enc struct {
+	b       []byte
+	w       io.Writer
+	flushAt int
+	crc     uint32 // CRC-32C of every byte written to w so far
+	err     error  // the first write error; the bytes after it are dropped
+}
 
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i32(v int32)  { e.u32(uint32(v)) }
-func (e *enc) byte(v byte)  { e.b = append(e.b, v) }
-func (e *enc) str(s string) { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
+// streamBuf is the buffer an artifact streams through.
+const streamBuf = 64 << 10
+
+// newStream returns an encoder that streams to w in writes of about
+// streamBuf bytes each. The buffer's slack holds what one encoder call
+// appends past the flush point, so it does not grow.
+func newStream(w io.Writer) *enc {
+	return &enc{b: make([]byte, 0, streamBuf+streamBuf/16), w: w, flushAt: streamBuf}
+}
+
+func (e *enc) u32(v uint32)   { e.b = binary.LittleEndian.AppendUint32(e.b, v); e.spill() }
+func (e *enc) u64(v uint64)   { e.b = binary.LittleEndian.AppendUint64(e.b, v); e.spill() }
+func (e *enc) i32(v int32)    { e.u32(uint32(v)) }
+func (e *enc) byte(v byte)    { e.b = append(e.b, v); e.spill() }
+func (e *enc) bytes(b []byte) { e.b = append(e.b, b...); e.spill() }
+func (e *enc) str(s string)   { e.u32(uint32(len(s))); e.b = append(e.b, s...); e.spill() }
+func (e *enc) spill() {
+	if e.w != nil && len(e.b) >= e.flushAt {
+		e.flush()
+	}
+}
+
+// flush writes the buffered bytes out and returns the first write error.
+func (e *enc) flush() error {
+	if e.err == nil && len(e.b) > 0 {
+		e.crc = crc32.Update(e.crc, castagnoli, e.b)
+		_, e.err = e.w.Write(e.b)
+	}
+	e.b = e.b[:0]
+	return e.err
+}
+
+// sum ends a checksummed artifact: the CRC-32C of every byte before it.
+// A write error is sticky, so the last flush reports any earlier one.
+func (e *enc) sum() error {
+	e.flush()
+	e.u32(e.crc)
+	return e.flush()
+}
 
 // dict interns strings in first-seen order.
 type dict struct {
@@ -93,6 +137,12 @@ type dict struct {
 }
 
 func newDict() *dict { return &dict{id: map[string]uint32{}} }
+
+// reset empties d, keeping its storage for the next dictionary.
+func (d *dict) reset() {
+	clear(d.id)
+	d.order = d.order[:0]
+}
 
 func (d *dict) add(s string) {
 	if _, ok := d.id[s]; !ok {
@@ -224,9 +274,10 @@ func (e *enc) annot(a dimension.Annot) {
 }
 
 func (e *enc) element(el temporal.Element) {
-	ivs := el.Intervals()
-	e.u32(uint32(len(ivs)))
-	for _, iv := range ivs {
+	n := el.NumIntervals()
+	e.u32(uint32(n))
+	for i := 0; i < n; i++ {
+		iv := el.IntervalAt(i)
 		e.i32(int32(iv.Start))
 		e.i32(int32(iv.End))
 	}
@@ -288,6 +339,11 @@ func (d *dec) element() (temporal.Element, error) {
 // encodeRecord serializes one append record as a WAL frame payload.
 func encodeRecord(rec FactAppend) []byte {
 	e := &enc{}
+	e.record(rec)
+	return e.b
+}
+
+func (e *enc) record(rec FactAppend) {
 	e.u64(rec.Seq)
 	e.str(rec.FactID)
 	e.u32(uint32(len(rec.Pairs)))
@@ -296,7 +352,6 @@ func encodeRecord(rec FactAppend) []byte {
 		e.str(p.Value)
 		e.annot(p.Annot)
 	}
-	return e.b
 }
 
 // decodeRecord parses a WAL frame payload. The payload must be consumed

@@ -3,6 +3,7 @@ package segment
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -84,17 +85,26 @@ func saveManifest(dir string, m *manifest) error {
 	return atomicWrite(dir, manifestName, append(b, '\n'))
 }
 
-// atomicWrite publishes name in dir via temp file + fsync + rename +
-// directory fsync: after it returns the content is durable under its
-// final name, and a crash at any point leaves either the old file or the
-// new one plus at worst an orphaned *.tmp.
+// atomicWrite publishes b as name in dir (see atomicWriteFunc).
 func atomicWrite(dir, name string, b []byte) error {
+	return atomicWriteFunc(dir, name, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
+}
+
+// atomicWriteFunc publishes name in dir via temp file + write + fsync +
+// rename + directory fsync, write streaming the content into the temp
+// file: after it returns the content is durable under its final name,
+// and a crash or a failed write at any point leaves either the old file
+// or the new one plus at worst an orphaned *.tmp.
+func atomicWriteFunc(dir, name string, write func(io.Writer) error) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"math"
 
 	"mddm/internal/core"
@@ -69,43 +70,50 @@ type snapImage struct {
 	cols   []storage.ColumnData
 }
 
-// encodeSnapshot serializes the store's materialized state at seq: the
+// writeSnapshot streams the store's materialized state at seq to w: the
 // engine's dense fact order, per schema dimension the relation's pairs in
-// a dictionary-interned group form, and the engine's built columns.
-func encodeSnapshot(baseFP, seq uint64, m *core.MO, eng *storage.Engine) []byte {
-	facts := eng.ExportFacts()
-	e := &enc{}
+// a dictionary-interned group form, and the engine's built columns. The
+// image passes through one stream buffer and is never held whole; the
+// columns are the engine's own slices and the fact order its own array.
+func writeSnapshot(w io.Writer, baseFP, seq uint64, m *core.MO, eng *storage.Engine) error {
+	e := newStream(w)
+	e.snapshot(baseFP, seq, m, eng)
+	return e.sum()
+}
+
+// snapshot encodes the image up to its checksum.
+func (e *enc) snapshot(baseFP, seq uint64, m *core.MO, eng *storage.Engine) {
+	facts, order := m.Facts().Dict(), eng.ExportOrder()
 	e.b = append(e.b, snapMagic...)
 	e.u32(formatVersion)
 	e.u64(baseFP)
 	e.u64(seq)
-	e.u32(uint32(len(facts)))
-	for _, f := range facts {
-		e.str(f)
+	e.u32(uint32(len(order)))
+	for _, id := range order {
+		e.str(facts.At(id))
 	}
 	names := m.Schema().DimensionNames()
 	e.u32(uint32(len(names)))
+	vals := newDict()
 	for _, name := range names {
 		e.str(name)
 		r := m.Relation(name)
-		vals := newDict()
-		groups := &enc{}
+		// A dimension's value dictionary and group count precede its
+		// groups, so one walk of the relation learns them and a second
+		// writes the groups.
+		vals.reset()
 		ng := 0
 		if r != nil {
-			for i, f := range facts {
-				nv := r.ValuesLen(f)
-				if nv == 0 {
-					continue
-				}
-				ng++
-				groups.u32(uint32(i))
-				groups.u32(uint32(nv))
-				r.RangeValues(f, func(v string, a dimension.Annot) bool {
+			for _, id := range order {
+				grouped := false
+				r.RangeValues(facts.At(id), func(v string, _ dimension.Annot) bool {
 					vals.add(v)
-					groups.u32(vals.id[v])
-					groups.annot(a)
+					grouped = true
 					return true
 				})
+				if grouped {
+					ng++
+				}
 			}
 		}
 		e.u32(uint32(len(vals.order)))
@@ -113,7 +121,23 @@ func encodeSnapshot(baseFP, seq uint64, m *core.MO, eng *storage.Engine) []byte 
 			e.str(v)
 		}
 		e.u32(uint32(ng))
-		e.b = append(e.b, groups.b...)
+		if r == nil {
+			continue
+		}
+		for i, id := range order {
+			f := facts.At(id)
+			nv := r.ValuesLen(f)
+			if nv == 0 {
+				continue
+			}
+			e.u32(uint32(i))
+			e.u32(uint32(nv))
+			r.RangeValues(f, func(v string, a dimension.Annot) bool {
+				e.u32(vals.id[v])
+				e.annot(a)
+				return true
+			})
+		}
 	}
 	e.u64(fingerprintCtx(eng.Context()))
 	cols := eng.ExportColumns()
@@ -135,8 +159,6 @@ func encodeSnapshot(baseFP, seq uint64, m *core.MO, eng *storage.Engine) []byte 
 			e.u32(code)
 		}
 	}
-	e.u32(crc32.Checksum(e.b, castagnoli))
-	return e.b
 }
 
 // adoptGroups decodes one dimension's ng pair groups, npairs pairs in

@@ -705,6 +705,54 @@ func TestRestoredRelationHeapBudget(t *testing.T) {
 	}
 }
 
+// TestSnapshotWriteHeapBudget holds one snapshot image write of a 40 k
+// fact generated engine with warmed columns to ≤ 2 MB and ≤ 200 heap
+// objects allocated, whatever the image's size: the image streams
+// through one buffer, the fact order and the columns are the engine's
+// own, and an annotation's intervals are encoded in place. It fails if
+// the write holds the image whole, copies a column or the fact order,
+// or allocates per pair.
+func TestSnapshotWriteHeapBudget(t *testing.T) {
+	const maxBytes, maxObjects = 2 << 20, 200
+	cfg := casestudy.DefaultGen()
+	cfg.Patients = 40000
+	m := casestudy.MustGenerate(cfg)
+	eng, err := storage.BuildEngine(context.Background(), m, testCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.WarmColumns(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	fp := fingerprintMO(m)
+	var w countingWriter
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := writeSnapshot(&w, fp, 0, m, eng); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("a %.1f MB image allocates %.2f MB in %d objects", float64(w.n)/(1<<20), float64(bytes)/(1<<20), objects)
+	if w.n < 4<<20 {
+		t.Fatalf("test setup: image of %d B is too small to show a whole-image buffer", w.n)
+	}
+	if bytes > maxBytes {
+		t.Errorf("writing the image allocates %d B, budget %d", bytes, maxBytes)
+	}
+	if objects > maxObjects {
+		t.Errorf("writing the image allocates %d objects, budget %d", objects, maxObjects)
+	}
+}
+
+// countingWriter discards what it is given and counts it.
+type countingWriter struct{ n int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
 // TestShallowSegmentVerification pins that snapshot-covered segments are
 // still integrity-checked at open: corruption under the snapshot is a
 // hard error, not silently skipped.

@@ -1,11 +1,13 @@
 package segment
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -50,6 +52,9 @@ type Store struct {
 	poisoned  bool // an injected or real mid-write fault; disk needs re-open recovery
 	closed    bool
 	bytes     sizes // this store's share of the mddm_segment_bytes gauges
+	// wrapArtifact, when set, wraps the temp file each artifact streams
+	// into; tests use it to fail a fold's write at a chosen byte.
+	wrapArtifact func(name string, w io.Writer) io.Writer
 
 	foldC chan struct{}
 	stopC chan struct{}
@@ -183,16 +188,15 @@ func cleanOrphans(dir string, man *manifest) error {
 // Recover.
 func (s *Store) openWAL() error {
 	path := filepath.Join(s.dir, walName)
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		b = encodeWALHeader(walHeader{baseFP: s.baseFP, startSeq: s.man.FoldedSeq})
+	if _, err := os.Stat(path); os.IsNotExist(err) {
+		b := encodeWALHeader(walHeader{baseFP: s.baseFP, startSeq: s.man.FoldedSeq})
 		if err := atomicWrite(s.dir, walName, b); err != nil {
 			return err
 		}
 	} else if err != nil {
 		return err
 	}
-	scan, err := scanWAL(b, s.baseFP, true)
+	scan, err := s.scanLiveWAL()
 	if err != nil {
 		return err
 	}
@@ -270,13 +274,11 @@ func (s *Store) Recover(ctx context.Context, ectx dimension.Context) (*storage.E
 		}
 		eng = e
 	}
+	// Every segment streams through one read buffer: a covered one is only
+	// walked, and a replayed one's records copy what they keep.
+	br := bufio.NewReaderSize(nil, streamBuf)
 	for _, se := range s.man.Segments {
-		b, err := os.ReadFile(filepath.Join(s.dir, se.File))
-		if err != nil {
-			return nil, err
-		}
-		covered := se.To <= snapSeq
-		recs, err := readSealed(b, s.baseFP, se, !covered)
+		recs, err := s.readSegment(br, se, se.To > snapSeq)
 		if err != nil {
 			return nil, err
 		}
@@ -297,6 +299,28 @@ func (s *Store) Recover(ctx context.Context, ectx dimension.Context) (*storage.E
 	mSegmentsOpen.Add(int64(len(s.man.Segments)))
 	s.updateBytes()
 	return eng, nil
+}
+
+// readSegment checks the sealed segment se through br, returning its
+// records when decode is set (see readSealedFrom).
+func (s *Store) readSegment(br *bufio.Reader, se segEntry, decode bool) ([]FactAppend, error) {
+	f, err := os.Open(filepath.Join(s.dir, se.File))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	br.Reset(f)
+	return readSealedFrom(br, s.baseFP, se, decode)
+}
+
+// scanLiveWAL scans and decodes the live log from its file.
+func (s *Store) scanLiveWAL() (walScan, error) {
+	f, err := os.Open(filepath.Join(s.dir, walName))
+	if err != nil {
+		return walScan{}, err
+	}
+	defer f.Close()
+	return scanLog(f, s.baseFP, true)
 }
 
 // replayRecord applies one persisted record during recovery through the
@@ -540,11 +564,7 @@ func (s *Store) foldLocked() error {
 	// Fold what is durable, not what is resident: re-reading the log is
 	// the cheap way to guarantee segments never contain a record the WAL
 	// would not have replayed.
-	b, err := os.ReadFile(filepath.Join(s.dir, walName))
-	if err != nil {
-		return err
-	}
-	scan, err := scanWAL(b, s.baseFP, true)
+	scan, err := s.scanLiveWAL()
 	if err != nil {
 		return err
 	}
@@ -561,7 +581,7 @@ func (s *Store) foldLocked() error {
 		return fmt.Errorf("%w: WAL holds %d unfolded records, store expects %d", ErrCorrupt, len(recs), to-from)
 	}
 	segName := fmt.Sprintf("seg-%012d-%012d%s", from, to, sealedExt)
-	if err := s.writeArtifact(segName, sealSegment(s.baseFP, from, recs)); err != nil {
+	if err := s.writeArtifact(segName, func(w io.Writer) error { return writeSealed(w, s.baseFP, from, recs) }); err != nil {
 		return err
 	}
 	man2 := *s.man
@@ -576,7 +596,7 @@ func (s *Store) foldLocked() error {
 	var oldSnap *snapEntry
 	if refresh {
 		snapName := fmt.Sprintf("snap-%012d.msnp", to)
-		if err := s.writeArtifact(snapName, encodeSnapshot(s.baseFP, to, s.mo, s.eng)); err != nil {
+		if err := s.writeArtifact(snapName, func(w io.Writer) error { return writeSnapshot(w, s.baseFP, to, s.mo, s.eng) }); err != nil {
 			return err
 		}
 		man2.Snapshot = &snapEntry{File: snapName, Facts: s.eng.NumFacts(), Seq: to}
@@ -598,16 +618,32 @@ func (s *Store) foldLocked() error {
 	return nil
 }
 
-// writeArtifact atomically publishes an immutable artifact; the
-// SegmentWrite faultinject point instead leaves the partial temp file a
-// crash mid-fold would.
-func (s *Store) writeArtifact(name string, b []byte) error {
+// writeArtifact atomically publishes the immutable artifact write
+// streams out. A failed write leaves the old commit intact and at worst
+// an orphaned temp file. The SegmentWrite faultinject point instead
+// leaves the partial temp file a crash mid-fold would: the artifact
+// streamed whole, then cut to half its length.
+func (s *Store) writeArtifact(name string, write func(io.Writer) error) error {
+	if s.wrapArtifact != nil {
+		inner := write
+		write = func(w io.Writer) error { return inner(s.wrapArtifact(name, w)) }
+	}
 	if err := faultinject.Check(faultinject.SegmentWrite); err != nil {
-		_ = os.WriteFile(filepath.Join(s.dir, name+".tmp"), b[:len(b)/2], 0o644)
+		if f, ferr := os.Create(filepath.Join(s.dir, name+".tmp")); ferr == nil {
+			if write(f) == nil {
+				if n, serr := f.Seek(0, io.SeekCurrent); serr == nil {
+					_ = f.Truncate(n / 2)
+				}
+			}
+			f.Close()
+		}
 		s.poisoned = true
 		return fmt.Errorf("segment: writing %s: %w", name, err)
 	}
-	return atomicWrite(s.dir, name, b)
+	if err := atomicWriteFunc(s.dir, name, write); err != nil {
+		return fmt.Errorf("segment: writing %s: %w", name, err)
+	}
+	return nil
 }
 
 // rotateWAL replaces the log with an empty one starting at startSeq.

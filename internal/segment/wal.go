@@ -1,9 +1,11 @@
 package segment
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // The write-ahead log is the durability point of every append: a fixed
@@ -21,7 +23,7 @@ import (
 // startSeq is the sequence number of the first frame; frame i carries
 // seq startSeq+i, so replay can dedup against the folded prefix after a
 // crash between folding and log rotation. A sealed segment is a file of
-// this same format (sealSegment, readSealed).
+// this same format (writeSealed, readSealedFrom).
 
 const (
 	walMagic      = "MWAL"
@@ -69,10 +71,14 @@ func decodeWALHeader(b []byte) (walHeader, error) {
 // encodeFrame wraps one record payload in the WAL framing.
 func encodeFrame(payload []byte) []byte {
 	e := &enc{b: make([]byte, 0, frameHeader+len(payload))}
+	e.frame(payload)
+	return e.b
+}
+
+func (e *enc) frame(payload []byte) {
 	e.u32(uint32(len(payload)))
 	e.u32(crc32.Checksum(payload, castagnoli))
-	e.b = append(e.b, payload...)
-	return e.b
+	e.bytes(payload)
 }
 
 // walScan is the result of scanning a log image: how many intact
@@ -87,7 +93,7 @@ type walScan struct {
 	torn   bool
 }
 
-// scanWAL walks the frames of a log image, the live log's or a sealed
+// scanLog walks the frames of a log image, the live log's or a sealed
 // segment's. A damaged frame — short, over-long, failing its checksum,
 // breaking the startSeq+i sequence contract, or (with decode)
 // undecodable — ends the scan: everything before it is intact,
@@ -97,8 +103,20 @@ type walScan struct {
 // stand on. Without decode the scan never calls decodeRecord and reads
 // only each payload's leading seq: the cheap walk for sealed segments
 // whose records the snapshot already holds.
-func scanWAL(b []byte, baseFP uint64, decode bool) (walScan, error) {
-	h, err := decodeWALHeader(b)
+//
+// The image streams from r through one buffer (r itself when it is a
+// large enough *bufio.Reader) and each frame's payload through one
+// scratch slice, so a walk holds one frame at a time, never the file;
+// decoded records copy what they keep out of the payload. A read error
+// other than the end of the stream is returned.
+func scanLog(r io.Reader, baseFP uint64, decode bool) (walScan, error) {
+	br := bufio.NewReaderSize(r, streamBuf)
+	var head [walHeaderSize]byte
+	n, err := io.ReadFull(br, head[:])
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return walScan{}, err
+	}
+	h, err := decodeWALHeader(head[:n])
 	if err != nil {
 		return walScan{}, err
 	}
@@ -106,20 +124,36 @@ func scanWAL(b []byte, baseFP uint64, decode bool) (walScan, error) {
 		return walScan{}, fmt.Errorf("%w: WAL fingerprint %016x, base is %016x", ErrBaseMismatch, h.baseFP, baseFP)
 	}
 	s := walScan{header: h, good: walHeaderSize}
-	off := int64(walHeaderSize)
-	for off < int64(len(b)) {
-		rest := b[off:]
-		if len(rest) < frameHeader {
+	fh, payload := make([]byte, frameHeader), []byte(nil)
+	for {
+		n, err := io.ReadFull(br, fh)
+		if n == 0 && err == io.EOF {
+			break // the intact end
+		}
+		if err != nil {
+			if err != io.ErrUnexpectedEOF {
+				return walScan{}, err
+			}
 			s.torn = true
 			break
 		}
-		n := binary.LittleEndian.Uint32(rest)
-		sum := binary.LittleEndian.Uint32(rest[4:])
-		if n > maxRecord || int64(len(rest)) < frameHeader+int64(n) {
+		size := binary.LittleEndian.Uint32(fh)
+		sum := binary.LittleEndian.Uint32(fh[4:])
+		if size > maxRecord {
 			s.torn = true
 			break
 		}
-		payload := rest[frameHeader : frameHeader+int(n)]
+		if cap(payload) < int(size) {
+			payload = make([]byte, size)
+		}
+		payload = payload[:size]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			if err != io.ErrUnexpectedEOF && err != io.EOF {
+				return walScan{}, err
+			}
+			s.torn = true
+			break
+		}
 		if crc32.Checksum(payload, castagnoli) != sum {
 			s.torn = true
 			break
@@ -137,32 +171,42 @@ func scanWAL(b []byte, baseFP uint64, decode bool) (walScan, error) {
 			s.recs = append(s.recs, rec)
 		}
 		s.frames++
-		off += frameHeader + int64(n)
-		s.good = off
+		s.good += frameHeader + int64(size)
 	}
 	return s, nil
 }
 
-// sealSegment writes the log of one fold: the header with startSeq =
-// from, then the frames of the records [from, to), which a fold writes
-// once and never touches again. It is read by the same frame loop as the
-// live log, but strictly: a torn tail there is not a crash mid-append but
-// damage to committed history, and only the live log is ever truncated.
-func sealSegment(baseFP, from uint64, recs []FactAppend) []byte {
-	b := encodeWALHeader(walHeader{baseFP: baseFP, startSeq: from})
-	for _, rec := range recs {
-		b = append(b, encodeFrame(encodeRecord(rec))...)
-	}
-	return b
+// writeSealed streams the log of one fold to w: the header with
+// startSeq = from, then the frames of the records [from, to), which a fold
+// writes once and never touches again. It is read by the same frame loop
+// as the live log, but strictly: a torn tail there is not a crash
+// mid-append but damage to committed history, and only the live log is
+// ever truncated.
+func writeSealed(w io.Writer, baseFP, from uint64, recs []FactAppend) error {
+	e := newStream(w)
+	e.sealed(baseFP, from, recs)
+	return e.flush()
 }
 
-// readSealed checks a sealed segment image against its manifest entry:
+// sealed encodes a sealed segment, each record's payload through one
+// scratch buffer.
+func (e *enc) sealed(baseFP, from uint64, recs []FactAppend) {
+	e.bytes(encodeWALHeader(walHeader{baseFP: baseFP, startSeq: from}))
+	payload := &enc{}
+	for _, rec := range recs {
+		payload.b = payload.b[:0]
+		payload.record(rec)
+		e.frame(payload.b)
+	}
+}
+
+// readSealedFrom checks a sealed segment image against its manifest entry:
 // an intact header starting at se.From, exactly se.To−se.From frames,
 // and nothing after them. Anything else is ErrCorrupt (or
 // ErrBaseMismatch) naming the file. With decode it returns the records;
 // without, it is the frame-only walk.
-func readSealed(b []byte, baseFP uint64, se segEntry, decode bool) ([]FactAppend, error) {
-	s, err := scanWAL(b, baseFP, decode)
+func readSealedFrom(r io.Reader, baseFP uint64, se segEntry, decode bool) ([]FactAppend, error) {
+	s, err := scanLog(r, baseFP, decode)
 	switch {
 	case err != nil:
 		return nil, fmt.Errorf("segment %s: %w", se.File, err)

@@ -17,9 +17,16 @@ import (
 // query running.
 func appendStorm(t *testing.T, n int, queries []string) {
 	t.Helper()
-	st := openStore(t, t.TempDir(), segment.Options{})
+	appendStormWith(t, n, queries, segment.Options{}, Limits{})
+}
+
+// appendStormWith is appendStorm on a store opened with opts, serving
+// under limits.
+func appendStormWith(t *testing.T, n int, queries []string, opts segment.Options, limits Limits) {
+	t.Helper()
+	st := openStore(t, t.TempDir(), opts)
 	defer st.Close()
-	s := attachedServer(t, st, Limits{})
+	s := attachedServer(t, st, limits)
 	recs := storeRecords(t, st, n)
 	ctx := context.Background()
 
@@ -56,7 +63,7 @@ func appendStorm(t *testing.T, n int, queries []string) {
 
 	calm := openStore(t, t.TempDir(), segment.Options{})
 	defer calm.Close()
-	ref := attachedServer(t, calm, Limits{})
+	ref := attachedServer(t, calm, limits)
 	for _, rec := range recs {
 		if _, err := ref.Append("patients", rec); err != nil {
 			t.Fatal(err)
@@ -91,4 +98,18 @@ func TestPersistAppendRaceColdSum(t *testing.T) {
 		`SELECT SUM(Age) FROM patients GROUP BY Diagnosis."Diagnosis Group"`,
 		`SELECT SUM(Age) FROM patients GROUP BY Residence."Region" WITH PROB >= 0.5`,
 	})
+}
+
+// TestPersistFoldRaceQueries folds every few appends while context views
+// and column queries run: each fold streams a snapshot image from the
+// engine's fact order, its relations and the overflow tables its columns
+// share with the queries scanning them, and none of it may race the
+// queries or an append's maintenance of them.
+func TestPersistFoldRaceQueries(t *testing.T) {
+	appendStormWith(t, 300, []string{
+		asofQuery,
+		minProbQuery,
+		`SELECT SETCOUNT(*) FROM patients GROUP BY Diagnosis."Low-level Diagnosis"`,
+		`SELECT SUM(Age) FROM patients GROUP BY Diagnosis."Diagnosis Group"`,
+	}, segment.Options{FoldEvery: 7}, Limits{ColumnMinValues: 2})
 }

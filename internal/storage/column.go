@@ -59,12 +59,14 @@ const (
 // the full-column read.
 const DefaultColumnMinValues = 16
 
-// overPair is one overflow entry: fact (dense index) carries value-id vid.
-// The side-table is sorted by (fact, vid); appends keep the order because
-// new facts get the largest dense index.
-type overPair struct {
-	fact int
-	vid  uint32
+// OverflowEntry is one entry of a column's overflow side-table: the
+// many-to-many fact at dense index Fact carries dictionary value-id Vid.
+// The side-table is sorted by (Fact, Vid); appends keep the order because
+// new facts get the largest dense index. It is also the persisted form
+// (ColumnData.Over), so export and install share the column's own table.
+type OverflowEntry struct {
+	Fact int
+	Vid  uint32
 }
 
 // column is one characterization column for a (dimension, category) pair.
@@ -73,7 +75,7 @@ type column struct {
 	vals     []string          // dictionary: value-id → value, in CategoryAt order
 	vid      map[string]uint32 // reverse dictionary
 	codes    []uint32          // fact index → value-id, colNone, or colMulti
-	over     []overPair        // overflow side-table, sorted by (fact, vid)
+	over     []OverflowEntry   // overflow side-table, sorted by (Fact, Vid)
 	multi    *Bitmap           // the facts whose code is colMulti
 	// catVer is the category's Dimension.CategoryVersion when the
 	// dictionary was taken; see fresh.
@@ -193,11 +195,11 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 			case colNone:
 				col.codes[i] = vid
 			case colMulti:
-				col.over = append(col.over, overPair{fact: i, vid: vid})
+				col.over = append(col.over, OverflowEntry{Fact: i, Vid: vid})
 			default:
 				col.over = append(col.over,
-					overPair{fact: i, vid: col.codes[i]},
-					overPair{fact: i, vid: vid})
+					OverflowEntry{Fact: i, Vid: col.codes[i]},
+					OverflowEntry{Fact: i, Vid: vid})
 				col.codes[i] = colMulti
 				col.multi.Set(i)
 			}
@@ -205,10 +207,10 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 		})
 	}
 	sort.Slice(col.over, func(a, b int) bool {
-		if col.over[a].fact != col.over[b].fact {
-			return col.over[a].fact < col.over[b].fact
+		if col.over[a].Fact != col.over[b].Fact {
+			return col.over[a].Fact < col.over[b].Fact
 		}
-		return col.over[a].vid < col.over[b].vid
+		return col.over[a].Vid < col.over[b].Vid
 	})
 	e.cols[colKey(dim, cat)] = col
 	mColumnBuilds.Inc()
@@ -258,8 +260,8 @@ func (e *Engine) WarmColumns(ctx context.Context, minValues int) error {
 
 // overStart positions an overflow cursor at the first entry with
 // fact ≥ lo.
-func overStart(over []overPair, lo int) int {
-	return sort.Search(len(over), func(k int) bool { return over[k].fact >= lo })
+func overStart(over []OverflowEntry, lo int) int {
+	return sort.Search(len(over), func(k int) bool { return over[k].Fact >= lo })
 }
 
 // checkStride is how often the sequential per-fact scans poll the guard:
@@ -326,7 +328,7 @@ func (e *Engine) appendToColumn(col *column, factID string, i int) {
 		col.codes = append(col.codes, colMulti)
 		col.multi.Set(i)
 		for _, id := range vids {
-			col.over = append(col.over, overPair{fact: i, vid: id})
+			col.over = append(col.over, OverflowEntry{Fact: i, Vid: id})
 		}
 	}
 }

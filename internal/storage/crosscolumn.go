@@ -56,7 +56,7 @@ type CrossGroup struct {
 type crossLeg struct {
 	vals   []string
 	codes  []uint32
-	over   []overPair
+	over   []OverflowEntry
 	stride uint64
 	probs  [][]factProb
 }
@@ -222,18 +222,18 @@ func scanCross(g *qos.Guard, legs []crossLeg, sel *Bitmap, n int, visit func(i i
 					continue facts
 				case colMulti:
 					oc := ocs[d]
-					for oc < len(l.over) && l.over[oc].fact < i {
+					for oc < len(l.over) && l.over[oc].Fact < i {
 						oc++
 					}
 					first := oc
-					for oc < len(l.over) && l.over[oc].fact == i {
+					for oc < len(l.over) && l.over[oc].Fact == i {
 						oc++
 					}
 					ocs[d] = oc
 					next = next[:0]
 					for _, id := range ids {
 						for _, o := range l.over[first:oc] {
-							next = append(next, id+uint64(o.vid)*l.stride)
+							next = append(next, id+uint64(o.Vid)*l.stride)
 						}
 					}
 					ids, next = next, ids

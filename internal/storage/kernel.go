@@ -229,7 +229,7 @@ func (e *Engine) scanLeg(ctx context.Context, dim, cat string, lo, hi int, membe
 // fact to its value-id, or to the overflow entries of a many-to-many fact,
 // and appends the fact's argument values to those lists, or folds them
 // (and counts the fact) into those Accs.
-func scanCodes(g *qos.Guard, codes []uint32, over []overPair, lo, hi int, m *LegMember) error {
+func scanCodes(g *qos.Guard, codes []uint32, over []OverflowEntry, lo, hi int, m *LegMember) error {
 	counts, sel, av, lists, folds := m.Counts, m.sel, m.av, m.Args, m.Folds
 	if folds == nil {
 		for clo := lo; clo < hi; clo += checkStride {
@@ -243,8 +243,8 @@ func scanCodes(g *qos.Guard, codes []uint32, over []overPair, lo, hi int, m *Leg
 			}
 		}
 		for k, ke := overStart(over, lo), overStart(over, hi); k < ke; k++ {
-			if sel == nil || sel.Has(over[k].fact) {
-				counts[over[k].vid]++
+			if sel == nil || sel.Has(over[k].Fact) {
+				counts[over[k].Vid]++
 			}
 		}
 		if lists == nil {
@@ -291,11 +291,11 @@ func scanCodes(g *qos.Guard, codes []uint32, over []overPair, lo, hi int, m *Leg
 			add(c, i)
 			continue
 		}
-		for oc < len(over) && over[oc].fact < i {
+		for oc < len(over) && over[oc].Fact < i {
 			oc++
 		}
-		for ; oc < len(over) && over[oc].fact == i; oc++ {
-			add(over[oc].vid, i)
+		for ; oc < len(over) && over[oc].Fact == i; oc++ {
+			add(over[oc].Vid, i)
 		}
 	}
 	return nil

@@ -21,14 +21,6 @@ import (
 // mismatch is a typed rejection, never a panic or a silently wrong
 // column.
 
-// OverflowEntry is one (fact, value-id) overflow pair of a persisted
-// characterization column: Fact is the dense fact index, Vid the
-// dictionary index. The overflow table is sorted by (Fact, Vid).
-type OverflowEntry struct {
-	Fact int
-	Vid  uint32
-}
-
 // ErrBadColumn reports persisted column data that does not fit the live
 // engine (dictionary drift, out-of-range codes, unsorted or dangling
 // overflow entries). Callers treat the artifact as invalid and fall back
@@ -45,6 +37,16 @@ const (
 // ExportFacts returns a copy of the engine's dense fact order — the
 // positional frame of reference every persisted column and bitmap uses.
 func (e *Engine) ExportFacts() []string { return e.SelectedFactIDs(nil) }
+
+// ExportOrder is ExportFacts as ids of the MO's fact dictionary, without
+// the copy: it returns the engine's own order, which an append only
+// extends past the returned length, so it stays valid after the lock is
+// released, but callers must not modify it.
+func (e *Engine) ExportOrder() []uint32 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.order[:len(e.order):len(e.order)]
+}
 
 // RestoreEngine builds an engine from a persisted dense fact order, as
 // ids of the MO's fact dictionary, and per-dimension direct bitmaps,
@@ -114,20 +116,17 @@ type ColumnData struct {
 }
 
 // ExportColumns returns every built column, in (dimension, category)
-// order, taken under one read lock. Vals and Codes are the column's own
-// slices, not copies: an append only ever extends a column past the
-// returned length and never rewrites an element, so they stay valid
+// order, taken under one read lock. Vals, Codes and Over are the column's
+// own slices, not copies: an append only ever extends a column past the
+// returned length and never rewrites an element (a build sorts its
+// overflow table before it publishes the column), so they stay valid
 // after the lock is released, but callers must not modify them.
 func (e *Engine) ExportColumns() []ColumnData {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	out := make([]ColumnData, 0, len(e.cols))
 	for _, col := range e.cols {
-		over := make([]OverflowEntry, len(col.over))
-		for i, p := range col.over {
-			over[i] = OverflowEntry{Fact: p.fact, Vid: p.vid}
-		}
-		out = append(out, ColumnData{Dim: col.dim, Cat: col.cat, Vals: col.vals, Codes: col.codes, Over: over})
+		out = append(out, ColumnData{Dim: col.dim, Cat: col.cat, Vals: col.vals, Codes: col.codes, Over: col.over})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dim != out[j].Dim {
@@ -151,7 +150,9 @@ func (e *Engine) ExportColumns() []ColumnData {
 // already correct). Violations return ErrBadColumn-wrapped errors and
 // leave the engine untouched.
 //
-// codes is retained by the engine; callers must not mutate it afterwards.
+// codes and over are retained by the engine, capacity-clamped so that its
+// appends never write into the caller's arrays; callers must not mutate
+// them afterwards.
 func (e *Engine) InstallColumn(dim, cat string, vals []string, codes []uint32, over []OverflowEntry) error {
 	d := e.Dimension(dim)
 	if d == nil {
@@ -236,10 +237,7 @@ func (e *Engine) InstallColumn(dim, cat string, vals []string, codes []uint32, o
 	for j, v := range col.vals {
 		col.vid[v] = uint32(j)
 	}
-	col.over = make([]overPair, len(over))
-	for i, p := range over {
-		col.over[i] = overPair{fact: p.Fact, vid: p.Vid}
-	}
+	col.over = over[:len(over):len(over)]
 	e.cols[colKey(dim, cat)] = col
 	mColumnBuilds.Inc()
 	return nil

@@ -99,16 +99,26 @@ func checkStrictness(t *testing.T, label string, e *Engine, k int) (nonStrict in
 // every category of both dimensions.
 func relateManyToMany(t *testing.T, m *core.MO, id string) {
 	t.Helper()
+	for _, p := range manyToManyPairs(t, m) {
+		if err := m.Relate(p.Dim, id, p.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// manyToManyPairs is the pairs relateManyToMany relates.
+func manyToManyPairs(t *testing.T, m *core.MO) []Pair {
+	t.Helper()
 	ctx := dimension.CurrentContext(ref)
-	diag, res := m.Dimension(casestudy.DimDiagnosis), m.Dimension(casestudy.DimResidence)
-	pick := func(d *dimension.Dimension, leaf, top string) []string {
-		var out []string
+	pick := func(dim, leaf, top string) []Pair {
+		d := m.Dimension(dim)
+		var out []Pair
 		seen := map[string]bool{}
 		for _, v := range d.CategoryAt(leaf, ctx) {
 			for _, up := range d.CategoryAt(top, ctx) {
 				if ok, _ := d.LessEq(v, up, ctx); ok && !seen[up] && len(out) < 2 {
 					seen[up] = true
-					out = append(out, v)
+					out = append(out, Pair{Dim: dim, Value: v, Annot: dimension.Always()})
 				}
 			}
 		}
@@ -117,16 +127,8 @@ func relateManyToMany(t *testing.T, m *core.MO, id string) {
 		}
 		return out
 	}
-	for _, v := range pick(diag, casestudy.CatLowLevel, casestudy.CatGroup) {
-		if err := m.Relate(casestudy.DimDiagnosis, id, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, v := range pick(res, casestudy.CatArea, casestudy.CatRegion) {
-		if err := m.Relate(casestudy.DimResidence, id, v); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return append(pick(casestudy.DimDiagnosis, casestudy.CatLowLevel, casestudy.CatGroup),
+		pick(casestudy.DimResidence, casestudy.CatArea, casestudy.CatRegion)...)
 }
 
 // TestMultiValuedMatchesModel checks the strictness probe against a model
@@ -271,4 +273,101 @@ func TestMultiValuedConcurrentAppend(t *testing.T) {
 	}
 	wg.Wait()
 	checkStrictness(t, "quiesced", e, cfg.Patients)
+}
+
+// TestExportOverflowSharedUnderAppends pins the shared overflow tables:
+// ExportColumns hands out each column's own overflow slice and
+// InstallColumn keeps the one it is given, so an engine, its export and
+// an engine restored from that export share one array. Many-to-many
+// appends to both engines run while the export is read and the columns
+// are scanned: the export never changes, and afterwards the two engines
+// answer alike on every leg.
+func TestExportOverflowSharedUnderAppends(t *testing.T) {
+	cfg := casestudy.DefaultGen()
+	cfg.Patients = 200
+	ctx := context.Background()
+	live := NewEngine(casestudy.MustGenerate(cfg), dimension.CurrentContext(ref))
+	if err := live.WarmColumns(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	saved := live.ExportColumns()
+	want, entries := make([][]OverflowEntry, len(saved)), 0
+	for i, c := range saved {
+		want[i] = slices.Clone(c.Over)
+		entries += len(c.Over)
+	}
+	if entries == 0 {
+		t.Fatal("fixture: no column has an overflow entry")
+	}
+	restored := NewEngine(casestudy.MustGenerate(cfg), dimension.CurrentContext(ref))
+	for _, c := range saved {
+		if err := restored.InstallColumn(c.Dim, c.Cat, c.Vals, c.Codes, c.Over); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairs := manyToManyPairs(t, live.MO())
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			for i, c := range saved {
+				if !slices.Equal(c.Over, want[i]) {
+					t.Errorf("%s/%s: an append rewrote the exported overflow table", c.Dim, c.Cat)
+					return
+				}
+			}
+			for _, e := range []*Engine{live, restored} {
+				for _, c := range e.ExportColumns() {
+					for k := 1; k < len(c.Over); k++ {
+						if c.Over[k].Fact < c.Over[k-1].Fact {
+							t.Errorf("%s/%s: exported overflow table out of order", c.Dim, c.Cat)
+							return
+						}
+					}
+				}
+				if _, err := e.CountDistinctByContext(ctx, casestudy.DimDiagnosis, casestudy.CatGroup); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	var writers sync.WaitGroup
+	for _, e := range []*Engine{live, restored} {
+		writers.Add(1)
+		go func(e *Engine) {
+			defer writers.Done()
+			for i := 0; i < 50; i++ {
+				if err := e.AppendFact(fmt.Sprintf("m2m%03d", i), pairs...); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(e)
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+
+	for _, leg := range strictLegs(live) {
+		got, err := restored.CountDistinctByContext(ctx, leg[0], leg[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := live.CountDistinctByContext(ctx, leg[0], leg[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Errorf("%s/%s: restored engine answers %v, live %v", leg[0], leg[1], got, ref)
+		}
+	}
 }

@@ -89,6 +89,10 @@ func (e Element) IsEmpty() bool { return len(e.ivs) == 0 }
 // NumIntervals returns the number of maximal intervals.
 func (e Element) NumIntervals() int { return len(e.ivs) }
 
+// IntervalAt returns the i-th maximal interval in ascending order, for
+// 0 ≤ i < NumIntervals(). Unlike Intervals it allocates nothing.
+func (e Element) IntervalAt(i int) Interval { return e.ivs[i] }
+
 // Valid reports whether the representation invariant holds: sorted,
 // disjoint, non-adjacent, non-empty intervals.
 func (e Element) Valid() bool {

@@ -32,6 +32,28 @@ func TestNewElementCoalesces(t *testing.T) {
 	}
 }
 
+// TestIntervalAtMatchesIntervals pins IntervalAt to the copy Intervals
+// returns, and that reading it allocates nothing.
+func TestIntervalAtMatchesIntervals(t *testing.T) {
+	e := NewElement(MustNewInterval(50, 60), MustNewInterval(0, 1), MustNewInterval(20, 30))
+	ivs := e.Intervals()
+	if len(ivs) != e.NumIntervals() {
+		t.Fatalf("Intervals has %d, NumIntervals %d", len(ivs), e.NumIntervals())
+	}
+	for i, iv := range ivs {
+		if got := e.IntervalAt(i); got != iv {
+			t.Errorf("IntervalAt(%d) = %v, want %v", i, got, iv)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < e.NumIntervals(); i++ {
+			_ = e.IntervalAt(i)
+		}
+	}); n != 0 {
+		t.Errorf("IntervalAt allocates %.0f times per walk", n)
+	}
+}
+
 func TestElementContains(t *testing.T) {
 	e := el("[01/01/70 - 31/12/79]", "[01/01/85 - NOW]")
 	for _, c := range []struct {
