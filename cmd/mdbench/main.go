@@ -1127,7 +1127,7 @@ func b16(nFacts int) {
 	// The registry hands back the segment package's own counters.
 	snapRejects := obs.NewCounter("mddm_segment_snapshot_rejects_total", "")
 	colRejects := obs.NewCounter("mddm_segment_checkpoint_rejects_total", "")
-	fmt.Printf("%10s %14s %14s %10s\n", "facts", "rebuild/op", "load/op", "speedup")
+	fmt.Printf("%10s %14s %14s %10s %22s %22s\n", "facts", "rebuild/op", "load/op", "speedup", "rebuild alloc/op", "load alloc/op")
 	for i, n := range sizes {
 		if i > 0 && n == sizes[i-1] {
 			continue
@@ -1249,13 +1249,37 @@ func b16(nFacts int) {
 		}
 		speedup := float64(tRebuild) / float64(tLoad)
 		benchRows = append(benchRows, benchRow{Exp: curExp, Op: "speedup-load-vs-rebuild", N: n, Value: speedup})
-		fmt.Printf("%10d %14v %14v %9.1fx\n", n, tRebuild, tLoad, speedup)
+		rebuildAlloc := allocOnce(n, "rebuild", func() { rebuild() })
+		loadAlloc := allocOnce(n, "load", func() {
+			if err := coldStart().Close(); err != nil {
+				fatal(err)
+			}
+		})
+		fmt.Printf("%10d %14v %14v %9.1fx %22s %22s\n", n, tRebuild, tLoad, speedup, rebuildAlloc, loadAlloc)
 		if n >= 100_000 && speedup < 5 {
 			fatal(fmt.Errorf("B16: cold-start speedup %.1fx at %d facts, want >= 5x", speedup, n))
 		}
 	}
 	fmt.Println("  verify: loaded column kernels identical to the rebuilt engine, no image or column rejected ✓")
 	fmt.Println()
+}
+
+// allocOnce runs fn once, untimed, and records what it allocates as two
+// report-only rows, op+"-alloc-bytes" and op+"-alloc-objects". It is an
+// extra call beside the timed samples, so reading the allocator's
+// statistics costs none of them anything. It returns the figures for
+// the table.
+func allocOnce(n int, op string, fn func()) string {
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	fn()
+	runtime.ReadMemStats(&m1)
+	bytes, objects := m1.TotalAlloc-m0.TotalAlloc, m1.Mallocs-m0.Mallocs
+	benchRows = append(benchRows,
+		benchRow{Exp: curExp, Op: op + "-alloc-bytes", N: n, Value: float64(bytes)},
+		benchRow{Exp: curExp, Op: op + "-alloc-objects", N: n, Value: float64(objects)})
+	return fmt.Sprintf("%.1f MB, %d objs", float64(bytes)/(1<<20), objects)
 }
 
 // pctlDur reports the p-th percentile of ds (sorting it in place).

@@ -3,6 +3,7 @@ package casestudy
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"mddm/internal/core"
 	"mddm/internal/dimension"
@@ -72,32 +73,35 @@ func Generate(cfg GenConfig) (*core.MO, error) {
 	if nGrp == 0 {
 		nGrp = 1
 	}
-	for g := 0; g < nGrp; g++ {
-		if err := diag.AddValue(CatGroup, fmt.Sprintf("G%d", g)); err != nil {
+	// Each value's name is formatted once, where it is created; the
+	// patients below draw names from these tables.
+	groups := names("G", nGrp)
+	for _, id := range groups {
+		if err := diag.AddValue(CatGroup, id); err != nil {
 			return nil, err
 		}
 	}
-	for f := 0; f < nFam; f++ {
-		id := fmt.Sprintf("F%d", f)
+	fams := names("F", nFam)
+	for f, id := range fams {
 		if err := diag.AddValue(CatFamily, id); err != nil {
 			return nil, err
 		}
-		if err := diag.AddEdge(id, fmt.Sprintf("G%d", f/cfg.GroupFan)); err != nil {
+		if err := diag.AddEdge(id, groups[f/cfg.GroupFan]); err != nil {
 			return nil, err
 		}
 	}
-	for l := 0; l < cfg.LowLevel; l++ {
-		id := fmt.Sprintf("L%d", l)
+	lows := names("L", cfg.LowLevel)
+	for l, id := range lows {
 		if err := diag.AddValue(CatLowLevel, id); err != nil {
 			return nil, err
 		}
 		fam := l / cfg.FamilyFan
-		if err := diag.AddEdge(id, fmt.Sprintf("F%d", fam)); err != nil {
+		if err := diag.AddEdge(id, fams[fam]); err != nil {
 			return nil, err
 		}
 		if cfg.NonStrict && nFam > 1 && l%3 == 0 {
 			other := (fam + 1) % nFam
-			if err := diag.AddEdge(id, fmt.Sprintf("F%d", other)); err != nil {
+			if err := diag.AddEdge(id, fams[other]); err != nil {
 				return nil, err
 			}
 		}
@@ -114,43 +118,47 @@ func Generate(cfg GenConfig) (*core.MO, error) {
 	if cfg.Areas <= 0 {
 		cfg.Areas = 1
 	}
-	for i := 0; i < cfg.Regions; i++ {
-		if err := res.AddValue(CatRegion, fmt.Sprintf("R%d", i)); err != nil {
+	regions := names("R", cfg.Regions)
+	for _, id := range regions {
+		if err := res.AddValue(CatRegion, id); err != nil {
 			return nil, err
 		}
 	}
-	for i := 0; i < cfg.Counties; i++ {
-		id := fmt.Sprintf("C%d", i)
+	counties := names("C", cfg.Counties)
+	for i, id := range counties {
 		if err := res.AddValue(CatCounty, id); err != nil {
 			return nil, err
 		}
-		if err := res.AddEdge(id, fmt.Sprintf("R%d", i%cfg.Regions)); err != nil {
+		if err := res.AddEdge(id, regions[i%cfg.Regions]); err != nil {
 			return nil, err
 		}
 	}
-	for i := 0; i < cfg.Areas; i++ {
-		id := fmt.Sprintf("A%d", i)
+	areas := names("A", cfg.Areas)
+	for i, id := range areas {
 		if err := res.AddValue(CatArea, id); err != nil {
 			return nil, err
 		}
-		if err := res.AddEdge(id, fmt.Sprintf("C%d", i%cfg.Counties)); err != nil {
+		if err := res.AddEdge(id, counties[i%cfg.Counties]); err != nil {
 			return nil, err
 		}
 	}
 
-	// Age hierarchy (shared across patients).
+	// Age hierarchy (shared across patients): an age's values and edges
+	// are added the first time a patient draws it, and its id is reused
+	// after that.
 	age := m.Dimension(DimAge)
+	var ages [100]string
 
 	// Patients.
 	for p := 0; p < cfg.Patients; p++ {
-		pid := fmt.Sprintf("p%d", p)
+		pid := "p" + strconv.Itoa(p)
 
 		for d := 0; d < cfg.DiagnosesPerPatient; d++ {
 			var value string
 			if cfg.MixedGranularity && r.Intn(5) == 0 {
-				value = fmt.Sprintf("F%d", r.Intn(nFam))
+				value = fams[r.Intn(nFam)]
 			} else {
-				value = fmt.Sprintf("L%d", r.Intn(cfg.LowLevel))
+				value = lows[r.Intn(cfg.LowLevel)]
 			}
 			a := dimension.Always()
 			if cfg.Churn {
@@ -166,10 +174,10 @@ func Generate(cfg GenConfig) (*core.MO, error) {
 			}
 		}
 
-		area := fmt.Sprintf("A%d", r.Intn(cfg.Areas))
+		area := areas[r.Intn(cfg.Areas)]
 		if cfg.Churn && r.Intn(3) == 0 {
 			move := genEpoch + temporal.Chronon(2000+r.Intn(4000))
-			area2 := fmt.Sprintf("A%d", r.Intn(cfg.Areas))
+			area2 := areas[r.Intn(cfg.Areas)]
 			if err := m.RelateAnnot(DimResidence, pid, area,
 				dimension.ValidDuring(temporal.NewElement(temporal.MustNewInterval(genEpoch, move)))); err != nil {
 				return nil, err
@@ -184,11 +192,15 @@ func Generate(cfg GenConfig) (*core.MO, error) {
 			}
 		}
 
-		ageID, err := AddAge(age, r.Intn(100))
-		if err != nil {
-			return nil, err
+		a := r.Intn(len(ages))
+		if ages[a] == "" {
+			id, err := AddAge(age, a)
+			if err != nil {
+				return nil, err
+			}
+			ages[a] = id
 		}
-		if err := m.Relate(DimAge, pid, ageID); err != nil {
+		if err := m.Relate(DimAge, pid, ages[a]); err != nil {
 			return nil, err
 		}
 	}
@@ -197,6 +209,16 @@ func Generate(cfg GenConfig) (*core.MO, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// names returns the value ids prefix+"0" … prefix+itoa(n-1), none when
+// n is not positive.
+func names(prefix string, n int) []string {
+	out := make([]string, max(n, 0))
+	for i := range out {
+		out[i] = prefix + strconv.Itoa(i)
+	}
+	return out
 }
 
 // MustGenerate is Generate that panics on error.

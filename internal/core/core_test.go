@@ -125,6 +125,24 @@ func TestEnsureTotalAndValidate(t *testing.T) {
 	}
 }
 
+// TestValidateReportsSmallestUncharacterized pins which fact Validate
+// names when several lack a value: the smallest id, whatever order the
+// facts were added in.
+func TestValidateReportsSmallestUncharacterized(t *testing.T) {
+	s := core.MustSchema("F", dimension.MustDimensionType("D", dimension.Constant, dimension.KindString, "Bottom"))
+	m := core.NewMO(s)
+	for _, id := range []string{"f9", "f3", "f10", "f5"} {
+		m.AddFact(factOf(id))
+	}
+	if err := m.Relate("D", "f3", dimension.TopValue); err != nil {
+		t.Fatal(err)
+	}
+	err := m.Validate()
+	if err == nil || !strings.Contains(err.Error(), `fact "f10" has no value`) {
+		t.Errorf("Validate = %v, want the smallest uncharacterized fact f10 named", err)
+	}
+}
+
 func TestRelateValidation(t *testing.T) {
 	s := core.MustSchema("F", dimension.MustDimensionType("D", dimension.Constant, dimension.KindString, "Bottom"))
 	m := core.NewMO(s)

@@ -184,11 +184,12 @@ func (m *MO) RelateAnnot(dim, factID, valueID string, a dimension.Annot) error {
 func (m *MO) EnsureTotal() {
 	for _, name := range m.schema.DimensionNames() {
 		r := m.rels[name]
-		for _, id := range m.facts.IDs() {
+		m.facts.Range(func(id string) bool {
 			if r.ValuesLen(id) == 0 {
 				r.Add(id, dimension.TopValue)
 			}
-		}
+			return true
+		})
 	}
 }
 
@@ -216,10 +217,17 @@ func (m *MO) Validate() error {
 		if err != nil {
 			return err
 		}
-		for _, id := range m.facts.IDs() {
-			if r.ValuesLen(id) == 0 {
-				return fmt.Errorf("core: fact %q has no value in dimension %q (add (f,⊤) for unknown)", id, name)
+		// Any order finds whether a fact lacks a value; the one reported
+		// is the smallest such id, so the error does not depend on it.
+		missing, lacks := "", false
+		m.facts.Range(func(id string) bool {
+			if r.ValuesLen(id) == 0 && (!lacks || id < missing) {
+				missing, lacks = id, true
 			}
+			return true
+		})
+		if lacks {
+			return fmt.Errorf("core: fact %q has no value in dimension %q (add (f,⊤) for unknown)", missing, name)
 		}
 	}
 	return nil

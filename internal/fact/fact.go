@@ -222,6 +222,17 @@ func (s *Set) Dense() []uint32 {
 	return out
 }
 
+// Range calls fn for every member's id, in dictionary order, stopping
+// early when fn returns false. It sorts nothing: a walk that only needs
+// membership, not the fact-id order IDs gives, takes it.
+func (s *Set) Range(fn func(id string) bool) {
+	for i, in := range s.in {
+		if in && !fn(s.dict.ids[i]) {
+			return
+		}
+	}
+}
+
 // All returns the facts sorted by identity.
 func (s *Set) All() []Fact {
 	ids := s.IDs()

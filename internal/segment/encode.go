@@ -153,17 +153,112 @@ func (d *dict) add(s string) {
 
 // dec is a bounds-checked little-endian decoder over untrusted bytes.
 // Every read method reports failure through a typed error; none panics.
+//
+// Without a source it decodes b whole. With one (newStreamDec) b is a
+// window of a stream of known size, refilled through one buffer as the
+// reads reach its end: remaining counts against the stream's size, so
+// every bound checked against it holds as it would over the whole image,
+// and every byte consumed is added to a running CRC-32C (see sync).
 type dec struct {
 	b   []byte
 	off int
+
+	src    io.Reader
+	pos    int64  // stream offset of b[0]
+	size   int64  // stream length
+	summed int    // b[:summed] is in crc
+	crc    uint32 // CRC-32C of the stream before b[summed]
+	// While marking, the bytes consumed are summed into markCRC too.
+	marking bool
+	markCRC uint32
 }
 
-func (d *dec) remaining() int { return len(d.b) - d.off }
+// readBuf is the buffer a streaming decoder reads through. Tests shrink
+// it so that values straddle its refills.
+var readBuf = streamBuf
+
+// newStreamDec returns a decoder over the size bytes src yields, read
+// through a buffer of readBuf bytes.
+func newStreamDec(src io.Reader, size int64) *dec {
+	return &dec{b: make([]byte, 0, readBuf), src: src, size: size}
+}
+
+// at is the stream offset of the next byte to decode.
+func (d *dec) at() int64 { return d.pos + int64(d.off) }
+
+func (d *dec) remaining() int {
+	if d.src == nil {
+		return len(d.b) - d.off
+	}
+	return int(d.size - d.at())
+}
 
 func (d *dec) need(n int) error {
-	if n < 0 || d.remaining() < n {
-		return fmt.Errorf("%w: need %d bytes at offset %d, have %d", ErrCorrupt, n, d.off, d.remaining())
+	if n >= 0 && n <= len(d.b)-d.off {
+		return nil
 	}
+	if n < 0 || d.remaining() < n {
+		return fmt.Errorf("%w: need %d bytes at offset %d, have %d", ErrCorrupt, n, d.at(), d.remaining())
+	}
+	return d.fill(n)
+}
+
+// fill slides the window past the bytes consumed and reads until it
+// holds at least n, as much more as the buffer and the stream allow. A
+// value longer than the buffer grows it.
+func (d *dec) fill(n int) error {
+	d.sync()
+	rest := copy(d.b[:cap(d.b)], d.b[d.off:])
+	d.pos += int64(d.off)
+	d.off, d.summed = 0, 0
+	if n > cap(d.b) {
+		d.b = append(d.b[:rest], make([]byte, n-rest)...)
+	}
+	want := int(min(int64(cap(d.b)), d.size-d.pos))
+	got, err := io.ReadAtLeast(d.src, d.b[rest:want], n-rest)
+	d.b = d.b[:rest+got]
+	if err != nil {
+		return fmt.Errorf("%w: reading at offset %d: %v", ErrCorrupt, d.pos+int64(rest+got), err)
+	}
+	return nil
+}
+
+// sync adds the bytes consumed since the last sync to the running CRC
+// and, while marking, to the mark's.
+func (d *dec) sync() {
+	seen := d.b[d.summed:d.off]
+	d.crc = crc32.Update(d.crc, castagnoli, seen)
+	if d.marking {
+		d.markCRC = crc32.Update(d.markCRC, castagnoli, seen)
+	}
+	d.summed = d.off
+}
+
+// mark starts summing the bytes consumed from here on into a CRC of
+// their own, and returns the stream offset it starts at.
+func (d *dec) mark() int64 {
+	d.sync()
+	d.marking, d.markCRC = true, 0
+	return d.at()
+}
+
+// unmark ends a mark and returns the CRC-32C of the bytes it covered.
+func (d *dec) unmark() uint32 {
+	d.sync()
+	d.marking = false
+	return d.markCRC
+}
+
+// drain consumes the rest of the stream, summing it.
+func (d *dec) drain() error {
+	d.off = len(d.b)
+	for d.remaining() > 0 {
+		if err := d.fill(1); err != nil {
+			return err
+		}
+		d.off = len(d.b)
+	}
+	d.sync()
 	return nil
 }
 
@@ -183,6 +278,22 @@ func (d *dec) u64() (uint64, error) {
 	v := binary.LittleEndian.Uint64(d.b[d.off:])
 	d.off += 8
 	return v, nil
+}
+
+// u32s decodes len(out) consecutive u32s into out, a window at a time.
+func (d *dec) u32s(out []uint32) error {
+	for j := 0; j < len(out); {
+		if err := d.need(4); err != nil {
+			return err
+		}
+		k := min(len(out)-j, (len(d.b)-d.off)/4)
+		for i := range out[j : j+k] {
+			out[j+i] = binary.LittleEndian.Uint32(d.b[d.off+4*i:])
+		}
+		d.off += 4 * k
+		j += k
+	}
+	return nil
 }
 
 func (d *dec) i32() (int32, error) {
@@ -205,7 +316,7 @@ func (d *dec) str() (string, error) {
 		return "", err
 	}
 	if n > maxString {
-		return "", fmt.Errorf("%w: string length %d exceeds cap at offset %d", ErrCorrupt, n, d.off)
+		return "", fmt.Errorf("%w: string length %d exceeds cap at offset %d", ErrCorrupt, n, d.at())
 	}
 	if err := d.need(int(n)); err != nil {
 		return "", err
@@ -284,56 +395,66 @@ func (e *enc) element(el temporal.Element) {
 }
 
 func (d *dec) annot() (dimension.Annot, error) {
+	a, _, err := d.annotIn(nil)
+	return a, err
+}
+
+// annotIn decodes one annotation, building its elements in buf's storage
+// (temporal.Canonicalize), and returns buf grown. The annotation aliases
+// buf: a caller that keeps it passes a buf nothing else writes, as annot
+// does, and one that only judges it may reuse buf for the next.
+func (d *dec) annotIn(buf []temporal.Interval) (dimension.Annot, []temporal.Interval, error) {
 	flag, err := d.readByte()
 	if err != nil {
-		return dimension.Annot{}, err
+		return dimension.Annot{}, buf, err
 	}
 	switch flag {
 	case annotAlways:
-		return alwaysAnnot, nil
+		return alwaysAnnot, buf, nil
 	case annotFull:
 		bits, err := d.u64()
 		if err != nil {
-			return dimension.Annot{}, err
+			return dimension.Annot{}, buf, err
 		}
 		prob := math.Float64frombits(bits)
 		if math.IsNaN(prob) || prob < 0 || prob > 1 {
-			return dimension.Annot{}, fmt.Errorf("%w: annotation probability %v out of [0,1]", ErrCorrupt, prob)
+			return dimension.Annot{}, buf, fmt.Errorf("%w: annotation probability %v out of [0,1]", ErrCorrupt, prob)
 		}
-		valid, err := d.element()
-		if err != nil {
-			return dimension.Annot{}, err
+		if buf, err = d.intervals(buf); err != nil {
+			return dimension.Annot{}, buf, err
 		}
-		trans, err := d.element()
-		if err != nil {
-			return dimension.Annot{}, err
+		nValid := len(buf)
+		if buf, err = d.intervals(buf); err != nil {
+			return dimension.Annot{}, buf, err
 		}
-		return dimension.Annot{Time: temporal.Bitemporal{Valid: valid, Trans: trans}, Prob: prob}, nil
+		// Canonicalizing sorts and coalesces in place, so no byte
+		// sequence can smuggle a non-canonical element into the model.
+		valid := temporal.Canonicalize(buf[:nValid:nValid])
+		trans := temporal.Canonicalize(buf[nValid:])
+		return dimension.Annot{Time: temporal.Bitemporal{Valid: valid, Trans: trans}, Prob: prob}, buf, nil
 	default:
-		return dimension.Annot{}, fmt.Errorf("%w: unknown annotation flag %d", ErrCorrupt, flag)
+		return dimension.Annot{}, buf, fmt.Errorf("%w: unknown annotation flag %d", ErrCorrupt, flag)
 	}
 }
 
-func (d *dec) element() (temporal.Element, error) {
+// intervals appends one element's intervals to buf.
+func (d *dec) intervals(buf []temporal.Interval) ([]temporal.Interval, error) {
 	n, err := d.count(maxIntervals, "interval")
 	if err != nil {
-		return temporal.Element{}, err
+		return buf, err
 	}
-	ivs := make([]temporal.Interval, n)
-	for i := range ivs {
+	for i := 0; i < n; i++ {
 		s, err := d.i32()
 		if err != nil {
-			return temporal.Element{}, err
+			return buf, err
 		}
 		e, err := d.i32()
 		if err != nil {
-			return temporal.Element{}, err
+			return buf, err
 		}
-		ivs[i] = temporal.Interval{Start: temporal.Chronon(s), End: temporal.Chronon(e)}
+		buf = append(buf, temporal.Interval{Start: temporal.Chronon(s), End: temporal.Chronon(e)})
 	}
-	// NewElement canonicalizes (sorts, coalesces, drops empties), so no
-	// byte sequence can smuggle a non-canonical element into the model.
-	return temporal.NewElement(ivs...), nil
+	return buf, nil
 }
 
 // encodeRecord serializes one append record as a WAL frame payload.

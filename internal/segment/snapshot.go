@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -14,6 +13,7 @@ import (
 	"mddm/internal/fact"
 	"mddm/internal/faultinject"
 	"mddm/internal/storage"
+	"mddm/internal/temporal"
 )
 
 // An engine snapshot is the O(facts) cold-start image: the store's
@@ -190,35 +190,69 @@ func adoptGroups(r *fact.Relation, d *dec, ng, npairs int, vals []string, dict *
 	}
 }
 
-// decodeSnapshot validates and parses a snapshot image against the live
-// base MO and the opening context, building the direct bitmaps a restore
-// would install, deferred relations that decode their pairs on first
-// access from a copy of their own group bytes, and the columns with
-// their codes copied out: nothing decoded keeps b alive. Every failure is
-// a typed error and leaves m's facts and relations untouched — validation
-// is complete before the caller applies anything; the fact ids are
-// interned into m's dictionary, which the relations are built over, and a
-// rejected image leaves ids there that nothing uses. Checks beyond the
-// envelope (magic,
-// version, fingerprint, CRC-32C): the dimension sections must name the
-// schema's dimensions in schema order, every dictionary value must exist
-// in its dimension, the fact list must extend the base's facts by exactly
-// seq new ids with no duplicates, every group and pair reference must be
-// in range with no fact or value repeated, and every column count must
-// fit the bytes left. Whether a column fits the live engine is
-// storage.InstallColumn's check, made when it is installed.
-func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context) (*snapImage, error) {
-	if len(b) < 4+4+8+8+4+4+8+4+4 {
-		return nil, fmt.Errorf("%w: snapshot truncated at %d bytes", ErrCorrupt, len(b))
+// readSnapshot validates and parses the snapshot image of size bytes at
+// the start of r against the live base MO and the opening context. The
+// image streams through one buffer under a running CRC-32C; only each
+// dimension's group bytes are read a second time, straight into a slice
+// of their own, which must match the CRC the stream took of them. It
+// builds the direct bitmaps a restore would install, deferred relations
+// that decode their pairs on first access from those group bytes, and
+// the columns with their codes copied out: nothing decoded keeps a
+// buffer of the image alive. Every failure is a typed error and leaves
+// m's facts and relations untouched — validation, the trailing checksum
+// included, is complete before the caller applies anything; the fact
+// ids are interned into m's dictionary, which the relations are built
+// over, and a rejected image leaves ids there that nothing uses. A
+// damaged image is reported as a checksum mismatch, whatever its parse
+// ran into first, as if the checksum had been checked before it. Checks
+// beyond the envelope (magic, version, fingerprint, CRC-32C): the
+// dimension sections must name the schema's dimensions in schema order,
+// every dictionary value must exist in its dimension, the fact list must
+// extend the base's facts by exactly seq new ids with no duplicates,
+// every group and pair reference must be in range with no fact or value
+// repeated, and every count must fit the bytes left in the image.
+// Whether a column fits the live engine is storage.InstallColumn's
+// check, made when it is installed.
+func readSnapshot(r io.ReaderAt, size int64, baseFP uint64, m *core.MO, ectx dimension.Context) (*snapImage, error) {
+	if size < 4+4+8+8+4+4+8+4+4 {
+		return nil, fmt.Errorf("%w: snapshot truncated at %d bytes", ErrCorrupt, size)
 	}
-	if string(b[:4]) != snapMagic {
-		return nil, fmt.Errorf("%w: bad snapshot magic %q", ErrCorrupt, b[:4])
+	d := newStreamDec(io.NewSectionReader(r, 0, size-4), size-4)
+	if err := d.need(4); err != nil {
+		return nil, err
 	}
-	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if err := checksumOK(body, sum); err != nil {
-		return nil, fmt.Errorf("snapshot file: %w", err)
+	if magic := d.b[:4]; string(magic) != snapMagic {
+		return nil, fmt.Errorf("%w: bad snapshot magic %q", ErrCorrupt, magic)
 	}
-	d := &dec{b: body, off: 4}
+	d.off = 4
+	// The ChecksumMismatch faultinject point fires before any parse, so
+	// corruption handling is testable without hand-crafting bit flips.
+	if err := faultinject.Check(faultinject.ChecksumMismatch); err != nil {
+		return nil, fmt.Errorf("snapshot file: %w: %v", ErrCorrupt, err)
+	}
+	img, err := decodeSnapshotBody(d, r, baseFP, m, ectx)
+	if err != nil {
+		if derr := d.drain(); derr != nil {
+			return nil, derr
+		}
+	}
+	var sum [4]byte
+	if _, serr := r.ReadAt(sum[:], size-4); serr != nil {
+		return nil, fmt.Errorf("%w: reading snapshot checksum: %v", ErrCorrupt, serr)
+	}
+	d.sync()
+	if d.crc != binary.LittleEndian.Uint32(sum[:]) {
+		return nil, fmt.Errorf("snapshot file: %w: checksum mismatch", ErrCorrupt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return img, nil
+}
+
+// decodeSnapshotBody decodes the image after its magic, r being the
+// image the stream d reads, for the group bytes.
+func decodeSnapshotBody(d *dec, r io.ReaderAt, baseFP uint64, m *core.MO, ectx dimension.Context) (*snapImage, error) {
 	ver, err := d.u32()
 	if err != nil {
 		return nil, err
@@ -267,7 +301,7 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 	img.dict, img.ids = m.Facts().Dict(), make([]uint32, nf)
 	interned := make(chan error, 1)
 	go func() { interned <- img.intern(m.Facts(), facts) }()
-	err = img.decodePairs(d, m, ectx, facts)
+	err = img.decodePairs(d, r, m, ectx, facts)
 	if ierr := <-interned; ierr != nil {
 		return nil, ierr
 	}
@@ -306,7 +340,7 @@ func (img *snapImage) intern(base *fact.Set, facts []string) error {
 // dimension the pair groups, validated into the direct bitmaps and a
 // deferred relation, then the columns section. It reads no fact
 // dictionary: the fact list is interned beside it.
-func (img *snapImage) decodePairs(d *dec, m *core.MO, ectx dimension.Context, facts []string) error {
+func (img *snapImage) decodePairs(d *dec, r io.ReaderAt, m *core.MO, ectx dimension.Context, facts []string) error {
 	nf, alwaysAdmitted := len(facts), ectx.Admits(alwaysAnnot)
 	names := m.Schema().DimensionNames()
 	nd, err := d.count(1<<16, "snapshot dimension")
@@ -335,7 +369,13 @@ func (img *snapImage) decodePairs(d *dec, m *core.MO, ectx dimension.Context, fa
 		if nv*4 > d.remaining() {
 			return fmt.Errorf("%w: snapshot value count %d exceeds remaining bytes", ErrCorrupt, nv)
 		}
-		vals := make([]string, nv)
+		// The dictionary holds distinct values of the dimension, so it
+		// has no more than the dimension does, and with it the direct
+		// bitmaps below; the image's size does not bound them.
+		if nv > dim.NumValues() {
+			return fmt.Errorf("%w: snapshot dimension %q lists %d values, it has %d", ErrCorrupt, name, nv, dim.NumValues())
+		}
+		vals, listed := make([]string, nv), make(map[string]bool, nv)
 		for vi := range vals {
 			v, err := d.str()
 			if err != nil {
@@ -344,7 +384,10 @@ func (img *snapImage) decodePairs(d *dec, m *core.MO, ectx dimension.Context, fa
 			if !dim.Has(v) {
 				return fmt.Errorf("%w: snapshot dimension %q has no value %q", ErrCorrupt, name, v)
 			}
-			vals[vi] = v
+			if listed[v] {
+				return fmt.Errorf("%w: snapshot dimension %q lists value %q twice", ErrCorrupt, name, v)
+			}
+			vals[vi], listed[v] = v, true
 		}
 		ng, err := d.count(1<<30, "snapshot group")
 		if err != nil {
@@ -355,11 +398,12 @@ func (img *snapImage) decodePairs(d *dec, m *core.MO, ectx dimension.Context, fa
 		}
 		// The groups are validated and the bitmaps the engine serves from
 		// derived here; the relation's entries are decoded a second time,
-		// from a copy of the same bytes, only when something first accesses
-		// the relation. A restore that serves from bitmaps and columns never
-		// allocates them at all.
-		start, npairs := d.off, 0
+		// from the same bytes read into a slice of their own, only when
+		// something first accesses the relation. A restore that serves from
+		// bitmaps and columns never allocates them at all.
+		start, npairs := d.mark(), 0
 		grouped := make([]bool, nf)
+		var ivs []temporal.Interval      // the annotations' scratch, reused pair to pair
 		valSeen := make([]uint32, nv)    // per-value marker: group index + 1
 		admitted := make([][]uint32, nv) // per value: the facts it is admitted for
 		for g := 0; g < ng; g++ {
@@ -398,21 +442,25 @@ func (img *snapImage) decodePairs(d *dec, m *core.MO, ectx dimension.Context, fa
 				// The direct bitmaps admit exactly what BuildEngine admits;
 				// the common all-time annotation is judged once per image.
 				admit := alwaysAdmitted
-				if d.off >= len(d.b) || d.b[d.off] != annotAlways {
-					a, err := d.annot()
-					if err != nil {
+				if d.need(1) == nil && d.b[d.off] == annotAlways {
+					d.off++
+				} else {
+					var a dimension.Annot
+					if a, ivs, err = d.annotIn(ivs[:0]); err != nil {
 						return err
 					}
 					admit = ectx.Admits(a)
-				} else {
-					d.off++
 				}
 				if admit {
 					admitted[vi] = append(admitted[vi], fi)
 				}
 			}
 		}
-		dict, ids, groups := img.dict, img.ids, bytes.Clone(d.b[start:d.off])
+		groups, err := readMarked(r, start, d)
+		if err != nil {
+			return fmt.Errorf("snapshot dimension %q: %w", name, err)
+		}
+		dict, ids := img.dict, img.ids
 		img.rels[name] = fact.NewRelationDeferred(dict, func(r *fact.Relation) {
 			adoptGroups(r, &dec{b: groups}, ng, npairs, vals, dict, ids)
 		})
@@ -471,8 +519,14 @@ func (d *dec) columns() ([]storage.ColumnData, error) {
 		}
 		c.Over = make([]storage.OverflowEntry, nover)
 		for j := range c.Over {
-			f, _ := d.u32() // the count check above bounds both reads
-			v, _ := d.u32()
+			f, err := d.u32()
+			if err != nil {
+				return nil, err
+			}
+			v, err := d.u32()
+			if err != nil {
+				return nil, err
+			}
 			c.Over[j] = storage.OverflowEntry{Fact: int(f), Vid: v}
 		}
 		ncodes, err := d.count(1<<30, "code")
@@ -483,26 +537,31 @@ func (d *dec) columns() ([]storage.ColumnData, error) {
 			return nil, fmt.Errorf("%w: code count %d exceeds remaining bytes", ErrCorrupt, ncodes)
 		}
 		c.Codes = make([]uint32, ncodes)
-		for j := range c.Codes {
-			c.Codes[j] = binary.LittleEndian.Uint32(d.b[d.off+4*j:])
+		if err := d.u32s(c.Codes); err != nil {
+			return nil, err
 		}
-		d.off += 4 * ncodes
 		cols = append(cols, c)
 	}
 	return cols, nil
 }
 
-// checksumOK verifies a whole-artifact CRC-32C. The ChecksumMismatch
-// faultinject point fires first, so corruption handling is testable
-// without hand-crafting bit flips.
-func checksumOK(body []byte, sum uint32) error {
-	if err := faultinject.Check(faultinject.ChecksumMismatch); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+// readMarked ends d's mark, which started at stream offset start, and
+// reads the bytes it covered from r into a slice of their own. They must
+// be the bytes the stream summed: a file that changed between the two
+// reads is corrupt.
+func readMarked(r io.ReaderAt, start int64, d *dec) ([]byte, error) {
+	sum := d.unmark()
+	b := make([]byte, d.at()-start)
+	if len(b) == 0 {
+		return b, nil
 	}
-	if crc32.Checksum(body, castagnoli) != sum {
-		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if _, err := r.ReadAt(b, start); err != nil {
+		return nil, fmt.Errorf("%w: reading back %d bytes at offset %d: %v", ErrCorrupt, len(b), start, err)
 	}
-	return nil
+	if crc32.Checksum(b, castagnoli) != sum {
+		return nil, fmt.Errorf("%w: %d bytes at offset %d read back differently", ErrCorrupt, len(b), start)
+	}
+	return b, nil
 }
 
 // fingerprintCtx hashes the evaluation context an image's columns were

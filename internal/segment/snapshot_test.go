@@ -218,6 +218,20 @@ func TestDecodeSnapshotValidation(t *testing.T) {
 		{"value-count-lies", stamp(withGroup(func(e *enc, name string) {
 			e.u32(1 << 23) // values claimed with no bytes behind them
 		})), ErrCorrupt},
+		{"repeated-dict-value", stamp(withGroup(func(e *enc, name string) {
+			e.u32(2)
+			e.str(someVal(name))
+			e.str(someVal(name))
+			e.u32(0)
+		})), ErrCorrupt},
+		{"dict-over-dimension", stamp(withGroup(func(e *enc, name string) {
+			n := m.Dimension(name).NumValues() + 1
+			e.u32(uint32(n))
+			for i := 0; i < n; i++ {
+				e.str(someVal(name))
+			}
+			e.u32(0)
+		})), ErrCorrupt},
 		{"groups-over-facts", stamp(withGroup(func(e *enc, name string) {
 			e.u32(1)
 			e.str(someVal(name))
@@ -742,6 +756,76 @@ func TestSnapshotWriteHeapBudget(t *testing.T) {
 	}
 	if objects > maxObjects {
 		t.Errorf("writing the image allocates %d objects, budget %d", objects, maxObjects)
+	}
+}
+
+// TestSnapshotLoadAllocBudget holds what one cold start allocates — Open,
+// then Recover restoring a 40 k-fact image that carries warmed columns,
+// then the WarmColumns a server runs, which finds them installed — to a
+// multiple of the image's size. The image streams through one buffer and
+// only each dimension's group bytes are copied out, into slices of their
+// own; a restore that read the file whole, or copied the groups out of
+// such a read, goes over.
+func TestSnapshotLoadAllocBudget(t *testing.T) {
+	const budget = 2.4 // bytes allocated per image byte
+	bg := context.Background()
+	cfg := casestudy.DefaultGen()
+	cfg.Patients = 40000
+	dir := t.TempDir()
+	st, err := Open(dir, casestudy.MustGenerate(cfg), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := st.Recover(bg, testCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.WarmColumns(bg, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range testRecords(t, st.MO(), 10) {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	man, _, err := loadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(filepath.Join(dir, man.Snapshot.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := casestudy.MustGenerate(cfg)
+	restores, rejects := mSnapshotRestores.Value(), mSnapshotRejects.Value()+mCheckpointRejects.Value()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err = Open(dir, m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if eng, err = st.Recover(bg, testCtx()); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.WarmColumns(bg, 2); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mSnapshotRestores.Value() != restores+1 || mSnapshotRejects.Value()+mCheckpointRejects.Value() != rejects {
+		t.Fatal("the cold start did not restore the image whole")
+	}
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	ratio := float64(bytes) / float64(info.Size())
+	t.Logf("a cold start from a %.1f MB image allocates %.1f MB in %d objects: %.2f× the image",
+		float64(info.Size())/(1<<20), float64(bytes)/(1<<20), objects, ratio)
+	if ratio > budget {
+		t.Errorf("a cold start allocates %.2f× its image's size, budget %.2f×", ratio, budget)
 	}
 }
 

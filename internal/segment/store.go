@@ -336,22 +336,17 @@ func replayRecord(eng *storage.Engine, rec FactAppend, snapSeq uint64) error {
 	return nil
 }
 
-// loadSnapshot reads and fully validates the manifest's engine snapshot
-// with one read of the file. Every failure here is soft and rejects the
-// whole image — counted, and recovery falls back to replaying the
-// history the snapshot merely accelerates. A nil return with no counter
-// just means no snapshot has been written yet.
+// loadSnapshot streams and fully validates the manifest's engine
+// snapshot from its file (readSnapshot). Every failure here is soft and
+// rejects the whole image — counted, and recovery falls back to
+// replaying the history the snapshot merely accelerates. A nil return
+// with no counter just means no snapshot has been written yet.
 func (s *Store) loadSnapshot(ectx dimension.Context) *snapImage {
 	sn := s.man.Snapshot
 	if sn == nil {
 		return nil
 	}
-	b, err := os.ReadFile(filepath.Join(s.dir, sn.File))
-	if err != nil {
-		mSnapshotRejects.Inc()
-		return nil
-	}
-	img, err := decodeSnapshot(b, s.baseFP, s.mo, ectx)
+	img, err := s.readSnapshotFile(sn.File, ectx)
 	if err != nil {
 		mSnapshotRejects.Inc()
 		return nil
@@ -363,6 +358,21 @@ func (s *Store) loadSnapshot(ectx dimension.Context) *snapImage {
 		return nil
 	}
 	return img
+}
+
+// readSnapshotFile decodes the snapshot file name of the store's
+// directory.
+func (s *Store) readSnapshotFile(name string, ectx dimension.Context) (*snapImage, error) {
+	f, err := os.Open(filepath.Join(s.dir, name))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return readSnapshot(f, fi.Size(), s.baseFP, s.mo, ectx)
 }
 
 // restoreImage installs a validated snapshot into m: the relations

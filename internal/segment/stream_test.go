@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"mddm/internal/core"
+	"mddm/internal/dimension"
 	"mddm/internal/faultinject"
 	"mddm/internal/storage"
 )
@@ -25,6 +26,11 @@ func encodeSnapshot(baseFP, seq uint64, m *core.MO, eng *storage.Engine) []byte 
 		panic(err) // a bytes.Buffer write does not fail
 	}
 	return b.Bytes()
+}
+
+// decodeSnapshot is readSnapshot over an in-memory image.
+func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context) (*snapImage, error) {
+	return readSnapshot(bytes.NewReader(b), int64(len(b)), baseFP, m, ectx)
 }
 
 // sealSegment is the whole sealed segment image writeSealed streams.
@@ -128,6 +134,62 @@ func TestSnapshotStreamSameBytes(t *testing.T) {
 		}
 		if !bytes.Equal(sw.Bytes(), wantSeg) {
 			t.Fatalf("flush every %d B: sealed segment differs", flushAt)
+		}
+	}
+}
+
+// TestSnapshotStreamDecodeWindows decodes one image through read buffers
+// of a few odd sizes, so that nearly every value straddles a refill and
+// fact ids outgrow the buffer: the image decoded is the one the full
+// buffer decodes, and a damaged copy fails with the same error.
+func TestSnapshotStreamDecodeWindows(t *testing.T) {
+	st, _, _ := bigStore(t, t.TempDir(), 300)
+	img := encodeSnapshot(st.baseFP, st.Seq(), st.MO(), st.Engine())
+	fresh := base(t)
+	want, err := decodeSnapshot(img, st.baseFP, fresh, testCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both damaged copies carry a valid checksum, so their parse fails.
+	damaged := slices.Clone(img[:len(img)-4])
+	damaged[len(damaged)/3] ^= 0x40
+	damaged = stamp(damaged)
+	_, wantErr := decodeSnapshot(damaged, st.baseFP, fresh, testCtx())
+	short := stamp(slices.Clone(img[:len(img)-4-9]))
+	_, wantShortErr := decodeSnapshot(short, st.baseFP, fresh, testCtx())
+	if wantErr == nil || wantShortErr == nil {
+		t.Fatalf("damaged images decoded: %v, %v", wantErr, wantShortErr)
+	}
+	t.Logf("damaged: %v; truncated: %v", wantErr, wantShortErr)
+	defer func(n int) { readBuf = n }(readBuf)
+	for _, n := range []int{1, 3, 7, 13, 61} {
+		readBuf = n
+		got, err := decodeSnapshot(img, st.baseFP, fresh, testCtx())
+		if err != nil {
+			t.Fatalf("%d B buffer: %v", n, err)
+		}
+		if got.seq != want.seq || !slices.Equal(got.ids, want.ids) || got.ctxFP != want.ctxFP ||
+			!reflect.DeepEqual(got.cols, want.cols) {
+			t.Fatalf("%d B buffer: facts or columns differ", n)
+		}
+		for dim, r := range want.rels {
+			if !got.rels[dim].Equal(r) {
+				t.Fatalf("%d B buffer: relation %s differs", n, dim)
+			}
+			if len(got.direct[dim]) != len(want.direct[dim]) {
+				t.Fatalf("%d B buffer: dimension %s has %d direct bitmaps, want %d", n, dim, len(got.direct[dim]), len(want.direct[dim]))
+			}
+			for v, bm := range want.direct[dim] {
+				if !got.direct[dim][v].Equal(bm) {
+					t.Fatalf("%d B buffer: direct bitmap %s/%s differs", n, dim, v)
+				}
+			}
+		}
+		if _, err := decodeSnapshot(damaged, st.baseFP, fresh, testCtx()); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%d B buffer: damaged image fails with %v, want %v", n, err, wantErr)
+		}
+		if _, err := decodeSnapshot(short, st.baseFP, fresh, testCtx()); fmt.Sprint(err) != fmt.Sprint(wantShortErr) {
+			t.Fatalf("%d B buffer: truncated image fails with %v, want %v", n, err, wantShortErr)
 		}
 	}
 }

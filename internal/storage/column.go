@@ -206,15 +206,34 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 			return true
 		})
 	}
-	sort.Slice(col.over, func(a, b int) bool {
-		if col.over[a].Fact != col.over[b].Fact {
-			return col.over[a].Fact < col.over[b].Fact
-		}
-		return col.over[a].Vid < col.over[b].Vid
-	})
+	col.over = placeByFact(col.over, len(e.order))
 	e.cols[colKey(dim, cat)] = col
 	mColumnBuilds.Inc()
 	return nil
+}
+
+// placeByFact returns over's entries in (Fact, Vid) order. BuildColumn
+// appends them value by value, in value-id order, so one fact's entries
+// already follow Vid order and a stable placement by fact — count per
+// fact, prefix sums, place — orders them in O(entries + facts).
+func placeByFact(over []OverflowEntry, nFacts int) []OverflowEntry {
+	if len(over) == 0 {
+		return over
+	}
+	next := make([]uint32, nFacts+1) // next[f]: the slot of fact f's next entry
+	for _, o := range over {
+		next[o.Fact+1]++
+	}
+	for f := 1; f <= nFacts; f++ {
+		next[f] += next[f-1]
+	}
+	// The table keeps over's spare capacity: AppendFact appends to it.
+	out := make([]OverflowEntry, len(over), cap(over))
+	for _, o := range over {
+		out[next[o.Fact]] = o
+		next[o.Fact]++
+	}
+	return out
 }
 
 // EnsureColumn builds the column of (dim, cat) — or rebuilds a stale one —

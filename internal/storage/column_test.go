@@ -359,3 +359,88 @@ func hasColumn(e *Engine, dim, cat string) bool {
 	defer e.mu.RUnlock()
 	return e.cols[colKey(dim, cat)] != nil
 }
+
+// TestBuildColumnOverflowOrder checks every built column's overflow table
+// against one the test derives from the closure bitmaps: each fact that
+// two or more of the column's values characterize contributes one entry
+// per such value, in (Fact, Vid) order. It covers a generated model with
+// many-to-many and mixed-granularity facts, a context view's columns, and
+// a column rebuilt stale after its category grew and facts were appended.
+func TestBuildColumnOverflowOrder(t *testing.T) {
+	bg := context.Background()
+	cfg := casestudy.DefaultGen()
+	cfg.Patients = 3000
+	m := casestudy.MustGenerate(cfg)
+	e := NewEngine(m, dimension.CurrentContext(ref))
+	if err := e.WarmColumns(bg, 1); err != nil {
+		t.Fatal(err)
+	}
+	checkOverflowOrder(t, "base", e)
+
+	v, _ := e.View(viewContexts(1)[0], false)
+	if err := v.WarmColumns(bg, 1); err != nil {
+		t.Fatal(err)
+	}
+	checkOverflowOrder(t, "view", v)
+
+	diag := m.Dimension(casestudy.DimDiagnosis)
+	if err := diag.AddValue(casestudy.CatLowLevel, "Lnew"); err != nil {
+		t.Fatal(err)
+	}
+	if err := diag.AddEdge("Lnew", "F0"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("pover%d", i)
+		for _, val := range []string{"Lnew", fmt.Sprintf("L%d", i%7)} {
+			if err := m.Relate(casestudy.DimDiagnosis, id, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.AppendFact(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hasFresh := e.builtColumn(casestudy.DimDiagnosis, casestudy.CatLowLevel) != nil; hasFresh {
+		t.Fatal("the low-level column must be stale once its category grew")
+	}
+	if err := e.WarmColumns(bg, 1); err != nil {
+		t.Fatal(err)
+	}
+	checkOverflowOrder(t, "rebuilt", e)
+}
+
+// checkOverflowOrder compares every column of e with the overflow table
+// its closure bitmaps imply.
+func checkOverflowOrder(t *testing.T, tag string, e *Engine) {
+	t.Helper()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	multi := 0
+	for key, col := range e.cols {
+		byFact := map[int][]uint32{}
+		for j, v := range col.vals {
+			if bm := e.dims[col.dim].closure[v]; bm != nil {
+				bm.Iterate(func(i int) bool {
+					byFact[i] = append(byFact[i], uint32(j))
+					return true
+				})
+			}
+		}
+		var want []OverflowEntry
+		for i := range col.codes {
+			if vids := byFact[i]; len(vids) > 1 {
+				for _, vid := range vids {
+					want = append(want, OverflowEntry{Fact: i, Vid: vid})
+				}
+			}
+		}
+		if fmt.Sprint(col.over) != fmt.Sprint(want) {
+			t.Errorf("%s: column %q: overflow %d entries, want %d in (Fact, Vid) order", tag, key, len(col.over), len(want))
+		}
+		multi += len(want)
+	}
+	if multi == 0 {
+		t.Fatalf("%s: no column has a many-to-many fact; the check is vacuous", tag)
+	}
+}

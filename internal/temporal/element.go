@@ -1,6 +1,8 @@
 package temporal
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -44,28 +46,39 @@ func NewElement(ivs ...Interval) Element {
 	if len(ivs) == 0 {
 		return Element{}
 	}
-	sorted := make([]Interval, len(ivs))
-	copy(sorted, ivs)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Start != sorted[j].Start {
-			return sorted[i].Start < sorted[j].Start
+	return Canonicalize(slices.Clone(ivs))
+}
+
+// Canonicalize is NewElement done in ivs's own storage: it sorts and
+// coalesces ivs in place and returns the element over the prefix that
+// holds the result, allocating nothing. The element aliases ivs and
+// stays as it is only while nothing writes ivs: a caller that keeps the
+// element must not write ivs again, and one that reuses ivs must be done
+// with the element first.
+func Canonicalize(ivs []Interval) Element {
+	if len(ivs) == 0 {
+		return Element{}
+	}
+	slices.SortFunc(ivs, func(a, b Interval) int {
+		if a.Start != b.Start {
+			return cmp.Compare(a.Start, b.Start)
 		}
-		return sorted[i].End < sorted[j].End
+		return cmp.Compare(a.End, b.End)
 	})
-	out := make([]Interval, 0, len(sorted))
-	cur := sorted[0]
-	for _, iv := range sorted[1:] {
+	k, cur := 0, ivs[0]
+	for _, iv := range ivs[1:] {
 		if iv.Start <= cur.End.Succ() { // overlapping or adjacent: merge
 			if iv.End > cur.End {
 				cur.End = iv.End
 			}
 			continue
 		}
-		out = append(out, cur)
+		ivs[k] = cur // k trails the read position, so this is a read interval
+		k++
 		cur = iv
 	}
-	out = append(out, cur)
-	return Element{ivs: out}
+	ivs[k] = cur
+	return Element{ivs: ivs[: k+1 : k+1]}
 }
 
 // Single returns the element consisting of one interval [start, end]; it

@@ -2,6 +2,8 @@ package temporal
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -300,5 +302,66 @@ func TestAlwaysElementShared(t *testing.T) {
 		if got := o.Union(AlwaysElement()); !got.Equal(want) {
 			t.Errorf("%v ∪ Always = %v, want %v", o, got, want)
 		}
+	}
+}
+
+// coalesceReference is the canonical form NewElement documents, computed
+// apart from it: sort by (start, end) and merge overlapping or adjacent
+// neighbours into a fresh list.
+func coalesceReference(ivs []Interval) []Interval {
+	sorted := append([]Interval(nil), ivs...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Start != sorted[j].Start {
+			return sorted[i].Start < sorted[j].Start
+		}
+		return sorted[i].End < sorted[j].End
+	})
+	var out []Interval
+	for _, iv := range sorted {
+		if n := len(out); n > 0 && iv.Start <= out[n-1].End.Succ() {
+			if iv.End > out[n-1].End {
+				out[n-1].End = iv.End
+			}
+			continue
+		}
+		out = append(out, iv)
+	}
+	return out
+}
+
+// TestCanonicalizeInPlace checks Canonicalize against the reference on
+// random interval lists, NOW and the domain's ends included, raw pairs
+// with start after end too (a decoder hands them over unchecked), and
+// checks that it allocates nothing and writes nothing past its result.
+func TestCanonicalizeInPlace(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	ends := []Chronon{MinChronon, MaxChronon, Now, 0, 5}
+	pick := func() Chronon {
+		if r.Intn(4) == 0 {
+			return ends[r.Intn(len(ends))]
+		}
+		return Chronon(r.Intn(40))
+	}
+	for k := 0; k < 2000; k++ {
+		ivs := make([]Interval, r.Intn(8))
+		for i := range ivs {
+			ivs[i] = Interval{Start: pick(), End: pick()}
+		}
+		want := coalesceReference(ivs)
+		if got := NewElement(ivs...).Intervals(); !slices.Equal(got, want) {
+			t.Fatalf("NewElement(%v) = %v, want %v", ivs, got, want)
+		}
+		buf := slices.Clone(ivs)
+		got := Canonicalize(buf)
+		if !slices.Equal(got.Intervals(), want) {
+			t.Fatalf("Canonicalize(%v) = %v, want %v", ivs, got.Intervals(), want)
+		}
+		if got.NumIntervals() > 0 && &got.ivs[0] != &buf[0] {
+			t.Fatalf("Canonicalize(%v) did not build in place", ivs)
+		}
+	}
+	buf := []Interval{{Start: 9, End: 12}, {Start: 1, End: 3}, {Start: 4, End: 6}}
+	if n := testing.AllocsPerRun(100, func() { Canonicalize(buf) }); n != 0 {
+		t.Errorf("Canonicalize allocates %.0f times per call", n)
 	}
 }
