@@ -171,10 +171,11 @@ func (m *MO) RelateAnnot(dim, factID, valueID string, a dimension.Annot) error {
 	if !d.Has(valueID) {
 		return fmt.Errorf("core: dimension %q has no value %q", dim, valueID)
 	}
-	if !m.facts.Has(factID) {
-		m.facts.Add(fact.NewFact(factID))
+	i := m.facts.Dict().Intern(factID) // the one hash of factID
+	if err := m.facts.AddDense(i); err != nil {
+		return err
 	}
-	m.rels[dim].AddAnnot(factID, valueID, a)
+	m.rels[dim].AddDenseAnnot(i, valueID, a)
 	return nil
 }
 

@@ -214,11 +214,13 @@ func (s *Set) IDs() []string {
 
 // Dense returns the members' dense ids, sorted by fact id.
 func (s *Set) Dense() []uint32 {
-	ids := s.IDs()
-	out := make([]uint32, len(ids))
-	for k, f := range ids {
-		out[k], _ = s.dict.Lookup(f)
+	out := make([]uint32, 0, s.n)
+	for i, in := range s.in {
+		if in {
+			out = append(out, uint32(i))
+		}
 	}
+	slices.SortFunc(out, func(a, b uint32) int { return strings.Compare(s.dict.ids[a], s.dict.ids[b]) })
 	return out
 }
 

@@ -251,8 +251,14 @@ func (r *Relation) Add(factID, valueID string) {
 // sets union per the paper's rule for value-equivalent data, probabilities
 // combine by max.
 func (r *Relation) AddAnnot(factID, valueID string, a dimension.Annot) {
+	r.AddDenseAnnot(r.dict.Intern(factID), valueID, a)
+}
+
+// AddDenseAnnot is AddAnnot for the fact of dense id id, which the
+// relation's dictionary must number already: a caller that interned the
+// fact id once passes what it got.
+func (r *Relation) AddDenseAnnot(id uint32, valueID string, a dimension.Annot) {
 	r.materialize()
-	id := r.dict.Intern(factID)
 	r.spans = cover(r.spans, id)
 	sp := r.spans[id]
 	exists := sp.n > 0

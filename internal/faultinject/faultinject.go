@@ -54,9 +54,10 @@ const (
 	// mid-write leaves behind, so recovery tests exercise the torn-tail
 	// truncation path deterministically.
 	WALTear Point = "wal-tear"
-	// SegmentWrite fires mid-fold after a partial segment temp file has
-	// been written, simulating a crash during compaction: the orphaned
-	// temp file must be ignored and cleaned at the next open.
+	// SegmentWrite fires on a fold's snapshot image write (a fold seals
+	// its segment by a link and writes no segment bytes), after a partial
+	// temp file has been written, simulating a crash during compaction:
+	// the orphaned temp file must be ignored and cleaned at the next open.
 	SegmentWrite Point = "segment-write"
 	// ChecksumMismatch fires in the segment store's whole-file checksum
 	// verification (column checkpoint, engine snapshot); while armed

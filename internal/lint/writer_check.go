@@ -25,7 +25,7 @@ var writerCheckDirs = []string{
 
 // modelMutators are the methods that write a model's facts or relations.
 var modelMutators = map[string]bool{
-	"RelateAnnot": true, "Relate": true, "AddAnnot": true, "AdoptPairs": true, "EnsureTotal": true,
+	"RelateAnnot": true, "Relate": true, "AddAnnot": true, "AddDenseAnnot": true, "AdoptPairs": true, "EnsureTotal": true,
 	"AddFact": true, "AddDense": true, "InsertFact": true, "SetRelation": true, "Rekey": true, "Intern": true, "InternAll": true,
 }
 

@@ -63,12 +63,12 @@ func TestServedModelWritersDetectsCall(t *testing.T) {
 }
 
 // TestServedModelWritersDetectsFactWrites seeds one call of each writer
-// of a model's facts — the fact set's, the dictionary's, an insert and a
-// relation swap or re-key — in a checked package: each is reported, and
-// the snapshot restore's own calls in its allow-listed files are not,
-// nor is a buffer's Grow.
+// of a model's facts — the fact set's, the dictionary's, a relation's add
+// by dense id, an insert and a relation swap or re-key — in a checked
+// package: each is reported, and the snapshot restore's own calls in its
+// allow-listed files are not, nor is a buffer's Grow.
 func TestServedModelWritersDetectsFactWrites(t *testing.T) {
-	names := []string{"AddFact", "AddDense", "InsertFact", "SetRelation", "Rekey", "Intern", "InternAll"}
+	names := []string{"AddFact", "AddDense", "AddDenseAnnot", "InsertFact", "SetRelation", "Rekey", "Intern", "InternAll"}
 	files := map[string]string{
 		"internal/segment/store.go":    "package p\n\nfunc r(m interface{ AddDense(); SetRelation() }) { m.AddDense(); m.SetRelation() }\n",
 		"internal/segment/snapshot.go": "package p\n\nfunc s(d interface{ InternAll() }) { d.InternAll() }\n",

@@ -1,6 +1,6 @@
 // Package segment is the persistence subsystem: a CRC-framed append log
-// whose folds are sealed into immutable segment files of the same
-// format, plus one engine snapshot — the cold-start image — so a process
+// whose folds seal the log file itself into an immutable segment, plus
+// one engine snapshot — the cold-start image — so a process
 // can recover a storage.Engine from disk instead of rebuilding it from
 // scratch.
 //

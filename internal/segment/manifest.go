@@ -14,7 +14,8 @@ import (
 // the old commit or the new one — never a mix. A segment or snapshot
 // file not named by the manifest is an orphan from a crashed fold; it is
 // deleted at open, and its records are still safe because the WAL only
-// rotates after the manifest naming their segment is durable.
+// rotates after the manifest naming their segment is durable (an orphan
+// segment may be a second name of the live log's file).
 
 const (
 	manifestName = "MANIFEST"

@@ -75,8 +75,9 @@ var ErrRejected = errors.New("segment: append rejected")
 // fingerprinted (schema dimension names + sorted base fact ids) and a
 // mismatch is ErrBaseMismatch before anything is applied. Open repairs
 // crash damage that is repairable (torn WAL tail → truncate, orphaned
-// temp and unreferenced artifact files → delete) and rejects damage that
-// is not (corrupt manifest or WAL header, missing committed segments).
+// temp and unreferenced artifact files → delete, a log left unrotated by
+// a fold → replaced) and rejects damage that is not (corrupt manifest or
+// WAL header, missing committed segments).
 // The returned store holds base and will mutate it during Recover and
 // Append; the caller must not mutate it independently.
 func Open(dir string, base *core.MO, opts Options) (*Store, error) {
@@ -155,7 +156,8 @@ func fingerprintMO(m *core.MO) uint64 {
 // cleanOrphans deletes temp files and segment/snapshot files the
 // manifest does not name — leftovers of a crash mid-fold. Their records
 // are safe: the WAL only rotates after the manifest naming a segment is
-// durable, so an unnamed segment's range is still in the log.
+// durable, so an unnamed segment's range is still in the log (whose
+// file it may be, under a second name).
 func cleanOrphans(dir string, man *manifest) error {
 	live := map[string]bool{manifestName: true, walName: true}
 	for _, se := range man.Segments {
@@ -185,18 +187,23 @@ func cleanOrphans(dir string, man *manifest) error {
 
 // openWAL reads, validates, and repairs the log, leaving the handle
 // positioned for appends and the unfolded tail records staged for
-// Recover.
+// Recover. On return the live log starts at FoldedSeq: a rotation-crash
+// remnant, which may be a committed segment's file, is replaced by a
+// fresh log instead of being truncated or appended to.
 func (s *Store) openWAL() error {
 	path := filepath.Join(s.dir, walName)
+	s.seq = s.man.FoldedSeq
 	if _, err := os.Stat(path); os.IsNotExist(err) {
-		b := encodeWALHeader(walHeader{baseFP: s.baseFP, startSeq: s.man.FoldedSeq})
-		if err := atomicWrite(s.dir, walName, b); err != nil {
-			return err
-		}
+		return s.freshWAL(nil)
 	} else if err != nil {
 		return err
 	}
-	scan, err := s.scanLiveWAL()
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	scan, err := scanLog(f, s.baseFP, true)
+	f.Close()
 	if err != nil {
 		return err
 	}
@@ -204,29 +211,46 @@ func (s *Store) openWAL() error {
 		return fmt.Errorf("%w: WAL starts at seq %d but only %d are folded — a log range is missing",
 			ErrCorrupt, scan.header.startSeq, s.man.FoldedSeq)
 	}
+	for _, rec := range scan.recs {
+		if rec.Seq >= s.man.FoldedSeq {
+			s.tail = append(s.tail, rec)
+		}
+	}
+	s.seq += uint64(len(s.tail))
+	if scan.header.startSeq < s.man.FoldedSeq {
+		return s.freshWAL(s.tail)
+	}
 	if scan.torn {
 		if err := os.Truncate(path, scan.good); err != nil {
 			return err
 		}
 		mRecoveryTruncations.Inc()
 	}
-	end := scan.header.startSeq + uint64(len(scan.recs))
-	if end < s.man.FoldedSeq {
-		// Rotation-crash remnant: every surviving record is already folded
-		// into a committed segment; the log contributes nothing.
-		end = s.man.FoldedSeq
+	s.wal, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	return err
+}
+
+// freshWAL publishes a new log file starting at FoldedSeq and holding
+// recs' frames — at first open, for a remnant, and as a fold's rotation
+// — and makes it the append handle; the file it replaces is never
+// written again.
+func (s *Store) freshWAL(recs []FactAppend) error {
+	b := encodeWALHeader(walHeader{baseFP: s.baseFP, startSeq: s.man.FoldedSeq})
+	for _, rec := range recs {
+		b = append(b, encodeFrame(encodeRecord(rec))...)
 	}
-	s.seq = end
-	for _, rec := range scan.recs {
-		if rec.Seq >= s.man.FoldedSeq {
-			s.tail = append(s.tail, rec)
-		}
+	if err := atomicWrite(s.dir, walName, b); err != nil {
+		return err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return err
 	}
+	old := s.wal
 	s.wal = f
+	if old != nil {
+		return old.Close()
+	}
 	return nil
 }
 
@@ -311,16 +335,6 @@ func (s *Store) readSegment(br *bufio.Reader, se segEntry, decode bool) ([]FactA
 	defer f.Close()
 	br.Reset(f)
 	return readSealedFrom(br, s.baseFP, se, decode)
-}
-
-// scanLiveWAL scans and decodes the live log from its file.
-func (s *Store) scanLiveWAL() (walScan, error) {
-	f, err := os.Open(filepath.Join(s.dir, walName))
-	if err != nil {
-		return walScan{}, err
-	}
-	defer f.Close()
-	return scanLog(f, s.baseFP, true)
 }
 
 // replayRecord applies one persisted record during recovery through the
@@ -545,12 +559,14 @@ func replayable(payload []byte) error {
 	return nil
 }
 
-// Fold seals the unfolded log tail into a new immutable segment file,
+// Fold seals the unfolded log tail into a new immutable segment,
 // refreshes the engine snapshot when the tail has grown enough, commits
-// both through the manifest, and rotates the WAL. Crash-safe at every step:
-// until the manifest rename lands the old commit is intact, and after it
-// lands a lost WAL rotation only leaves already-folded records that
-// replay dedups by sequence number.
+// both through the manifest, and rotates the WAL. The segment is the
+// live log's file, hard-linked to the segment's name: no byte is copied.
+// Crash-safe at every step: until the manifest rename lands the old
+// commit is intact (the link is an orphan the next open deletes), and
+// after it lands a lost rotation leaves a log starting before the
+// folded sequence, which the next open replaces.
 func (s *Store) Fold() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -571,29 +587,16 @@ func (s *Store) foldLocked() error {
 	if from == to {
 		return nil
 	}
-	// Fold what is durable, not what is resident: re-reading the log is
-	// the cheap way to guarantee segments never contain a record the WAL
-	// would not have replayed.
-	scan, err := s.scanLiveWAL()
-	if err != nil {
+	// Seal what is durable, not what is resident: the log must pass
+	// recovery's check of a segment before a segment name points at it.
+	if _, err := s.readSegment(bufio.NewReaderSize(nil, streamBuf), segEntry{File: walName, From: from, To: to}, false); err != nil {
 		return err
 	}
-	if scan.torn {
-		return fmt.Errorf("%w: live WAL has a torn tail", ErrCorrupt)
-	}
-	recs := make([]FactAppend, 0, to-from)
-	for _, rec := range scan.recs {
-		if rec.Seq >= from {
-			recs = append(recs, rec)
-		}
-	}
-	if uint64(len(recs)) != to-from {
-		return fmt.Errorf("%w: WAL holds %d unfolded records, store expects %d", ErrCorrupt, len(recs), to-from)
+	if err := s.wal.Sync(); err != nil {
+		s.poisoned = true
+		return fmt.Errorf("segment: wal fsync: %w", err)
 	}
 	segName := fmt.Sprintf("seg-%012d-%012d%s", from, to, sealedExt)
-	if err := s.writeArtifact(segName, func(w io.Writer) error { return writeSealed(w, s.baseFP, from, recs) }); err != nil {
-		return err
-	}
 	man2 := *s.man
 	man2.Segments = append(append([]segEntry(nil), s.man.Segments...), segEntry{File: segName, From: from, To: to})
 	man2.FoldedSeq = to
@@ -612,6 +615,17 @@ func (s *Store) foldLocked() error {
 		man2.Snapshot = &snapEntry{File: snapName, Facts: s.eng.NumFacts(), Seq: to}
 		oldSnap = s.man.Snapshot
 	}
+	// A fold that failed before its commit may have left the name.
+	segPath := filepath.Join(s.dir, segName)
+	if err := os.Remove(segPath); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("segment: sealing %s: %w", segName, err)
+	}
+	if err := os.Link(filepath.Join(s.dir, walName), segPath); err != nil {
+		return fmt.Errorf("segment: sealing %s: %w", segName, err)
+	}
+	if err := syncDir(s.dir); err != nil {
+		return err
+	}
 	if err := saveManifest(s.dir, &man2); err != nil {
 		return err
 	}
@@ -619,7 +633,10 @@ func (s *Store) foldLocked() error {
 	if oldSnap != nil && oldSnap.File != man2.Snapshot.File {
 		_ = os.Remove(filepath.Join(s.dir, oldSnap.File))
 	}
-	if err := s.rotateWAL(to); err != nil {
+	// The log's file is now the committed segment's: until a re-open
+	// replaces it, nothing may append to it.
+	if err := s.freshWAL(nil); err != nil {
+		s.poisoned = true
 		return err
 	}
 	mFolds.Inc()
@@ -654,22 +671,6 @@ func (s *Store) writeArtifact(name string, write func(io.Writer) error) error {
 		return fmt.Errorf("segment: writing %s: %w", name, err)
 	}
 	return nil
-}
-
-// rotateWAL replaces the log with an empty one starting at startSeq.
-// Losing this step to a crash is harmless: the stale log's records all
-// carry seqs below the committed folded_seq and replay skips them.
-func (s *Store) rotateWAL(startSeq uint64) error {
-	if err := atomicWrite(s.dir, walName, encodeWALHeader(walHeader{baseFP: s.baseFP, startSeq: startSeq})); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return err
-	}
-	old := s.wal
-	s.wal = f
-	return old.Close()
 }
 
 // folder is the background compaction loop; Append signals it when the

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -1172,5 +1173,58 @@ func copyDir(t *testing.T, src, dst string) {
 		if err := os.WriteFile(filepath.Join(dst, ent.Name()), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestStoreGolden pins every byte a store writes: a fixed script — open,
+// warm the columns, append 40, fold, append 30, fold, append 30, close —
+// leaves exactly these files with exactly these digests. Any change to
+// how a fold seals, commits or rotates that is not byte-neutral shows
+// here first.
+func TestStoreGolden(t *testing.T) {
+	dir := t.TempDir()
+	st, eng := openRecovered(t, dir, Options{})
+	if err := eng.WarmColumns(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(t, st.MO(), 100)
+	for i, n := range []int{40, 30, 30} {
+		for _, rec := range recs[:n] {
+			if err := st.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recs = recs[n:]
+		if i < 2 {
+			if err := st.Fold(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"MANIFEST":                          "087ec543d9db0663a375245c254f0e149ed5a181a27119f7a09f85792f140c9b",
+		"seg-000000000000-000000000040.wal": "27d13eb051861876fcce9420e8c669b93411d52ecaa7f1c5567ce70fcd835a22",
+		"seg-000000000040-000000000070.wal": "9dd746de9adbd2bc7b9f013ecf9ba0bce2fcdf227572e35b061dcf0f038a9648",
+		"seg-000000000070-000000000100.wal": "69e7a74fda68359ce4e029519281b4474839d4ce4110e4e7ce036c6742de147e",
+		"snap-000000000100.msnp":            "831f0b6917af421137184ebe18b60a84318ab0d0fe1c42f5a4e4a06eea7b9cd6",
+		"wal.log":                           "57f27185790fe577d56e487307c0ec25330175b9481f01084952c87d1f1990d2",
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[ent.Name()] = fmt.Sprintf("%x", sha256.Sum256(b))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("store files differ from the golden digests:\n got %v\nwant %v", got, want)
 	}
 }

@@ -33,13 +33,14 @@ func decodeSnapshot(b []byte, baseFP uint64, m *core.MO, ectx dimension.Context)
 	return readSnapshot(bytes.NewReader(b), int64(len(b)), baseFP, m, ectx)
 }
 
-// sealSegment is the whole sealed segment image writeSealed streams.
+// sealSegment is a sealed segment's image: the live log a store writes
+// from seq from on holding recs, which a fold seals as it stands.
 func sealSegment(baseFP, from uint64, recs []FactAppend) []byte {
-	var b bytes.Buffer
-	if err := writeSealed(&b, baseFP, from, recs); err != nil {
-		panic(err)
+	b := encodeWALHeader(walHeader{baseFP: baseFP, startSeq: from})
+	for _, rec := range recs {
+		b = append(b, encodeFrame(encodeRecord(rec))...)
 	}
-	return b.Bytes()
+	return b
 }
 
 // scanWAL is scanLog over an in-memory log image.
@@ -102,13 +103,11 @@ func bigStore(t *testing.T, dir string, n int) (*Store, *storage.Engine, []FactA
 
 // TestSnapshotStreamSameBytes pins that where the stream flushes does not
 // change what it writes: streamed in a few odd-sized bytes per write, a
-// snapshot image is the image written whole into a bytes.Buffer, and so
-// is a sealed segment. Every write but the checksummed tail carries at
-// least the flush size.
+// snapshot image is the image written whole into a bytes.Buffer. Every
+// write but the checksummed tail carries at least the flush size.
 func TestSnapshotStreamSameBytes(t *testing.T) {
-	st, eng, recs := bigStore(t, t.TempDir(), 12)
+	st, eng, _ := bigStore(t, t.TempDir(), 12)
 	want := encodeSnapshot(st.baseFP, st.Seq(), st.MO(), eng)
-	wantSeg := sealSegment(st.baseFP, 0, recs)
 	for _, flushAt := range []int{1, 3, 7, 13, 61} {
 		var w chunkWriter
 		e := newStream(&w)
@@ -124,16 +123,6 @@ func TestSnapshotStreamSameBytes(t *testing.T) {
 			if n < flushAt {
 				t.Fatalf("flush every %d B: write %d carried %d B", flushAt, i, n)
 			}
-		}
-		var sw chunkWriter
-		se := newStream(&sw)
-		se.flushAt = flushAt
-		se.sealed(st.baseFP, 0, recs)
-		if err := se.flush(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sw.Bytes(), wantSeg) {
-			t.Fatalf("flush every %d B: sealed segment differs", flushAt)
 		}
 	}
 }
@@ -236,9 +225,11 @@ func TestSnapshotStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFoldWriteFailureKeepsCommit fails a fold's artifact write at byte
-// k, for several k — at the start, around a stream flush, in the last
-// frame, and inside the snapshot's trailing checksum. The fold returns
+// TestFoldWriteFailureKeepsCommit fails a fold's image write at byte k,
+// for several k — at the start, around a stream flush, and inside the
+// snapshot's trailing checksum. (The segment is the live log itself,
+// sealed by a link: no segment bytes are written to fail; a failing seal
+// is TestFoldSealFailureKeepsCommit's case.) The fold returns
 // the error, the manifest is unchanged, the store is not poisoned, and a
 // copy of the directory opens to every record.
 func TestFoldWriteFailureKeepsCommit(t *testing.T) {
@@ -259,7 +250,6 @@ func TestFoldWriteFailureKeepsCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapLen := len(encodeSnapshot(st.baseFP, st.Seq(), st.MO(), st.Engine()))
-	segLen := len(sealSegment(st.baseFP, uint64(len(first)), recs[len(first):]))
 	if snapLen <= streamBuf+1 {
 		t.Fatalf("test setup: image of %d B fits one stream buffer", snapLen)
 	}
@@ -267,7 +257,6 @@ func TestFoldWriteFailureKeepsCommit(t *testing.T) {
 		prefix string
 		k      int
 	}{
-		{"seg-", 0}, {"seg-", segLen / 2}, {"seg-", segLen - 1},
 		{"snap-", 0}, {"snap-", 1}, {"snap-", streamBuf - 1}, {"snap-", streamBuf}, {"snap-", streamBuf + 1},
 		{"snap-", snapLen - 5}, {"snap-", snapLen - 4}, {"snap-", snapLen - 2}, {"snap-", snapLen - 1},
 	}

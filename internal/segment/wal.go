@@ -22,8 +22,10 @@ import (
 //
 // startSeq is the sequence number of the first frame; frame i carries
 // seq startSeq+i, so replay can dedup against the folded prefix after a
-// crash between folding and log rotation. A sealed segment is a file of
-// this same format (writeSealed, readSealedFrom).
+// crash between folding and log rotation. A sealed segment is a former
+// live log, sealed by a hard link (Store.foldLocked) and never written
+// again; a log that starts before the folded sequence may be one, so
+// Open replaces it rather than truncate it (Store.openWAL).
 
 const (
 	walMagic      = "MWAL"
@@ -71,14 +73,10 @@ func decodeWALHeader(b []byte) (walHeader, error) {
 // encodeFrame wraps one record payload in the WAL framing.
 func encodeFrame(payload []byte) []byte {
 	e := &enc{b: make([]byte, 0, frameHeader+len(payload))}
-	e.frame(payload)
-	return e.b
-}
-
-func (e *enc) frame(payload []byte) {
 	e.u32(uint32(len(payload)))
 	e.u32(crc32.Checksum(payload, castagnoli))
 	e.bytes(payload)
+	return e.b
 }
 
 // walScan is the result of scanning a log image: how many intact
@@ -174,30 +172,6 @@ func scanLog(r io.Reader, baseFP uint64, decode bool) (walScan, error) {
 		s.good += frameHeader + int64(size)
 	}
 	return s, nil
-}
-
-// writeSealed streams the log of one fold to w: the header with
-// startSeq = from, then the frames of the records [from, to), which a fold
-// writes once and never touches again. It is read by the same frame loop
-// as the live log, but strictly: a torn tail there is not a crash
-// mid-append but damage to committed history, and only the live log is
-// ever truncated.
-func writeSealed(w io.Writer, baseFP, from uint64, recs []FactAppend) error {
-	e := newStream(w)
-	e.sealed(baseFP, from, recs)
-	return e.flush()
-}
-
-// sealed encodes a sealed segment, each record's payload through one
-// scratch buffer.
-func (e *enc) sealed(baseFP, from uint64, recs []FactAppend) {
-	e.bytes(encodeWALHeader(walHeader{baseFP: baseFP, startSeq: from}))
-	payload := &enc{}
-	for _, rec := range recs {
-		payload.b = payload.b[:0]
-		payload.record(rec)
-		e.frame(payload.b)
-	}
 }
 
 // readSealedFrom checks a sealed segment image against its manifest entry:
