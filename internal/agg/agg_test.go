@@ -3,6 +3,7 @@ package agg
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -318,5 +319,79 @@ func TestMedianEval(t *testing.T) {
 	med.Eval(in)
 	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
 		t.Errorf("Eval mutated its input: %v", in)
+	}
+}
+
+// TestMedianMatchesSort pins MEDIAN's selection to the sort it replaced:
+// over random lists of odd and even length, with duplicates, ±Inf and NaN,
+// sorted and reversed runs, the result is bit for bit the middle of a copy
+// sorted by sort.Float64s (any NaN is any NaN). Lists that mix −0 and +0
+// are compared by value only: sort's order between the two is unstable.
+func TestMedianMatchesSort(t *testing.T) {
+	med := MustLookup("MEDIAN")
+	reference := func(xs []float64) float64 {
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		mid := len(s) / 2
+		if len(s)%2 == 1 {
+			return s[mid]
+		}
+		return (s[mid-1] + s[mid]) / 2
+	}
+	r := rand.New(rand.NewSource(49))
+	pool := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1, 2, 2.5, -7, 1e308, -1e308, 1.0 / 3}
+	var lists [][]float64
+	for i := 0; i < 3000; i++ {
+		xs := make([]float64, 1+r.Intn(1+r.Intn(400)))
+		distinct := 1 + r.Intn(len(xs))
+		for k := range xs {
+			switch r.Intn(5) {
+			case 0:
+				xs[k] = pool[r.Intn(len(pool))]
+			default:
+				xs[k] = float64(r.Intn(distinct)) * 0.75
+			}
+		}
+		switch i % 7 {
+		case 1:
+			sort.Float64s(xs)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		}
+		lists = append(lists, xs)
+	}
+	for n := 1; n <= 40; n++ {
+		allNaN := make([]float64, n)
+		for k := range allNaN {
+			allNaN[k] = math.NaN()
+		}
+		half := append([]float64(nil), allNaN...)
+		for k := 0; k < n/2; k++ {
+			half[k] = float64(k)
+		}
+		lists = append(lists, allNaN, half)
+	}
+	for _, xs := range lists {
+		in := append([]float64(nil), xs...)
+		got, ok := med.Eval(xs)
+		want := reference(xs)
+		if !ok || math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("MEDIAN(%v) = %v, %v; sorting gives %v", xs, got, ok, want)
+		}
+		for k := range xs {
+			if math.Float64bits(xs[k]) != math.Float64bits(in[k]) {
+				t.Fatalf("MEDIAN reordered its input at %d: %v", k, xs)
+			}
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for i := 0; i < 500; i++ {
+		xs := make([]float64, 1+r.Intn(60))
+		for k := range xs {
+			xs[k] = []float64{negZero, 0, -1, 1}[r.Intn(4)]
+		}
+		if got, _ := med.Eval(xs); got != reference(xs) {
+			t.Fatalf("MEDIAN(%v) = %v; sorting gives %v", xs, got, reference(xs))
+		}
 	}
 }

@@ -9,6 +9,8 @@ package agg
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -260,13 +262,7 @@ func init() {
 			if len(vals) == 0 {
 				return 0, false
 			}
-			s := append([]float64(nil), vals...)
-			sort.Float64s(s)
-			mid := len(s) / 2
-			if len(s)%2 == 1 {
-				return s[mid], true
-			}
-			return (s[mid-1] + s[mid]) / 2, true
+			return median(vals), true
 		},
 	})
 	// SETCOUNT is the set-count of Example 12: the number of members of a
@@ -331,4 +327,73 @@ func init() {
 			return float64(n), true
 		},
 	})
+}
+
+// median returns the median of a non-empty list as it stands in a copy
+// sorted by sort.Float64s — NaN first, then ascending — without sorting
+// the copy: the NaNs are moved to its front and the order statistics
+// after them are found by selection. Equal values are interchangeable, so
+// the result is sort's bit for bit, except that where −0 and +0 meet at
+// the middle either may be returned, as either may land there in sort's
+// unstable order.
+func median(vals []float64) float64 {
+	s := append([]float64(nil), vals...)
+	nan := 0
+	for i, v := range s {
+		if v != v {
+			s[i], s[nan] = s[nan], v
+			nan++
+		}
+	}
+	mid := len(s) / 2
+	if mid >= nan {
+		selectNth(s[nan:], mid-nan)
+	}
+	if len(s)%2 == 1 {
+		return s[mid]
+	}
+	// The value sorting puts before s[mid]: a NaN, or the largest of the
+	// numbers selection left below mid.
+	below := s[mid-1]
+	if mid-1 >= nan {
+		below = slices.Max(s[nan:mid])
+	}
+	return (below + s[mid]) / 2
+}
+
+// selectNth reorders s, which holds no NaN, so that s[n] is the value
+// sorting would put there, no value before it is greater and none after
+// it is smaller: quickselect with a median-of-three pivot and a
+// three-way partition, so runs of equal values end the search. A search
+// that has not converged after 2·log₂ len(s) rounds sorts what is left,
+// which bounds the worst case at a sort's.
+func selectNth(s []float64, n int) {
+	lo, hi := 0, len(s)
+	for rounds := 2 * bits.Len(uint(len(s))); hi-lo > 12 && rounds > 0; rounds-- {
+		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi-1]
+		p := max(min(a, b), min(max(a, b), c))
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := s[i]; {
+			case v < p:
+				s[lt], s[i] = v, s[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				s[gt], s[i] = v, s[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case n < lt:
+			hi = lt
+		case n >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+	sort.Float64s(s[lo:hi])
 }

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Fact is a fact with separate identity. Result MOs of the
@@ -129,6 +130,9 @@ type Set struct {
 	in      []bool // by dense id
 	n       int
 	members map[uint32][]string
+	// sorted holds Dense's order until the membership changes. Atomic,
+	// because readers that may run in parallel each fill it on first use.
+	sorted atomic.Pointer[[]uint32]
 }
 
 // NewSet returns a set of the given facts over a dictionary of its own.
@@ -168,6 +172,7 @@ func (s *Set) add(i uint32) {
 	if s.in = cover(s.in, i); !s.in[i] {
 		s.in[i] = true
 		s.n++
+		s.sorted.Store(nil)
 	}
 }
 
@@ -176,6 +181,7 @@ func (s *Set) Remove(id string) {
 	if i, ok := s.dict.Lookup(id); ok && s.HasDense(i) {
 		s.in[i] = false
 		s.n--
+		s.sorted.Store(nil)
 		delete(s.members, i)
 	}
 }
@@ -200,20 +206,24 @@ func (s *Set) Get(id string) (Fact, bool) {
 // Len returns the number of facts.
 func (s *Set) Len() int { return s.n }
 
-// IDs returns the sorted fact identities.
+// IDs returns the sorted fact identities, in Dense's order.
 func (s *Set) IDs() []string {
-	out := make([]string, 0, s.n)
-	for i, in := range s.in {
-		if in {
-			out = append(out, s.dict.ids[i])
-		}
+	dense := s.Dense()
+	out := make([]string, len(dense))
+	for k, i := range dense {
+		out[k] = s.dict.ids[i]
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Dense returns the members' dense ids, sorted by fact id.
+// Dense returns the members' dense ids, sorted by fact id. The order is
+// sorted once per change of membership and shared by every call until
+// the next: the caller must not write into the slice, and since its
+// capacity is its length, an append to it copies.
 func (s *Set) Dense() []uint32 {
+	if p := s.sorted.Load(); p != nil {
+		return *p
+	}
 	out := make([]uint32, 0, s.n)
 	for i, in := range s.in {
 		if in {
@@ -221,6 +231,8 @@ func (s *Set) Dense() []uint32 {
 		}
 	}
 	slices.SortFunc(out, func(a, b uint32) int { return strings.Compare(s.dict.ids[a], s.dict.ids[b]) })
+	out = slices.Clip(out)
+	s.sorted.Store(&out)
 	return out
 }
 

@@ -217,3 +217,80 @@ func TestRelationDeadSpaceBounded(t *testing.T) {
 		t.Errorf("entries hold %d slots for %d pairs, bound %d", got, r.Len(), bound)
 	}
 }
+
+// TestSetDenseSortedOnce pins Dense's shared order: it is sorted by fact
+// id, every call until the membership changes returns the same slice, an
+// append to that slice copies instead of writing into it, and each kind
+// of membership change gives a fresh order.
+func TestSetDenseSortedOnce(t *testing.T) {
+	s := NewSet(NewFact("p3"), NewFact("p10"), NewFact("p2"))
+	ids := func(dense []uint32) string {
+		out := make([]string, len(dense))
+		for k, i := range dense {
+			out[k] = s.Dict().At(i)
+		}
+		return fmt.Sprint(out)
+	}
+	first := s.Dense()
+	if got := ids(first); got != "[p10 p2 p3]" {
+		t.Fatalf("Dense = %s, want [p10 p2 p3]", got)
+	}
+	if again := s.Dense(); &again[0] != &first[0] {
+		t.Error("a second Dense sorted again instead of sharing the first order")
+	}
+	if cap(first) != len(first) {
+		t.Fatalf("Dense has spare capacity %d: an append would write into the set's order", cap(first)-len(first))
+	}
+	_ = append(first, 99)
+	if got := ids(s.Dense()); got != "[p10 p2 p3]" || fmt.Sprint(s.IDs()) != "[p10 p2 p3]" {
+		t.Errorf("after an append to Dense's slice: Dense %s, IDs %v", got, s.IDs())
+	}
+	steps := []struct {
+		name string
+		do   func()
+		want string
+	}{
+		{"Add", func() { s.Add(NewFact("p1")) }, "[p1 p10 p2 p3]"},
+		{"Remove", func() { s.Remove("p2") }, "[p1 p10 p3]"},
+		{"AddDense", func() {
+			if err := s.AddDense(s.Dict().Intern("p0")); err != nil {
+				t.Fatal(err)
+			}
+		}, "[p0 p1 p10 p3]"},
+	}
+	for _, st := range steps {
+		s.Dense()
+		st.do()
+		if got := ids(s.Dense()); got != st.want {
+			t.Errorf("after %s: Dense %s, want %s", st.name, got, st.want)
+		}
+		if got := fmt.Sprint(s.IDs()); got != st.want {
+			t.Errorf("after %s: IDs %s, want %s", st.name, got, st.want)
+		}
+	}
+}
+
+// TestSetDenseConcurrentDictReads has readers that may run in parallel
+// fill the shared order at once (the race detector checks the fill); each
+// gets the same sorted order.
+func TestSetDenseConcurrentDictReads(t *testing.T) {
+	s := NewSet()
+	for k := 0; k < 500; k++ {
+		s.Add(NewFact(fmt.Sprintf("f%d", (k*7919)%500)))
+	}
+	want := fmt.Sprint(s.Clone().IDs())
+	done := make(chan string)
+	for w := 0; w < 4; w++ {
+		go func() {
+			if w%2 == 0 {
+				s.Dense()
+			}
+			done <- fmt.Sprint(s.IDs())
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		if got := <-done; got != want {
+			t.Errorf("a concurrent reader got another order")
+		}
+	}
+}

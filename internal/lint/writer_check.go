@@ -8,6 +8,10 @@ package lint
 // queries must call none of the MO, relation and dictionary mutators
 // themselves. A call there would write what a context view may be
 // walking. The check runs in CI (via TestServedModelWriters).
+//
+// A second check covers the dimensions: nothing that serves, plans,
+// caches, batches, persists or indexes queries writes one, the engine
+// included (via TestServedDimensionWriters).
 
 import (
 	"fmt"
@@ -40,8 +44,39 @@ var writerAllowList = map[string][]string{
 // under root (the module root) and returns a problem per call of a model
 // mutator the allow-list does not name.
 func CheckServedModelWriters(root string) ([]string, error) {
+	return checkCalls(root, writerCheckDirs, modelMutators, writerAllowList,
+		"a served model is written only by storage.Engine.AppendFact")
+}
+
+// dimensionCheckDirs are the packages (relative to the module root) that
+// must never write a served dimension: storage.Engine memoizes each
+// covering verdict for its lifetime (Engine.Covering), which holds only
+// while no dimension it serves gains or loses a value, an edge or a
+// representation.
+var dimensionCheckDirs = []string{
+	"internal/batch", "internal/cache", "internal/plan", "internal/segment", "internal/serve", "internal/storage",
+}
+
+// dimensionMutators are the methods that write a dimension.
+var dimensionMutators = map[string]bool{
+	"AddValue": true, "AddValueAnnot": true, "RemoveValue": true,
+	"AddEdge": true, "AddEdgeAnnot": true, "AddRepresentation": true,
+}
+
+// CheckServedDimensionWriters parses the non-test files of
+// dimensionCheckDirs under root (the module root) and returns a problem
+// per call of a dimension mutator.
+func CheckServedDimensionWriters(root string) ([]string, error) {
+	return checkCalls(root, dimensionCheckDirs, dimensionMutators, nil,
+		"a served dimension is never written: storage.Engine memoizes its covering verdicts")
+}
+
+// checkCalls parses the non-test files of dirs under root and returns,
+// sorted, a problem per call of a method named in names that allow does
+// not list for the call's file; why ends each problem.
+func checkCalls(root string, dirs []string, names map[string]bool, allow map[string][]string, why string) ([]string, error) {
 	var problems []string
-	for _, dir := range writerCheckDirs {
+	for _, dir := range dirs {
 		files, err := parseNonTest(filepath.Join(root, dir))
 		if err != nil {
 			return nil, fmt.Errorf("lint: %s: %w", dir, err)
@@ -53,9 +88,9 @@ func CheckServedModelWriters(root string) ([]string, error) {
 				if !ok {
 					return true
 				}
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && modelMutators[sel.Sel.Name] &&
-					!slices.Contains(writerAllowList[path], sel.Sel.Name) {
-					problems = append(problems, fmt.Sprintf("%s: calls %s: a served model is written only by storage.Engine.AppendFact", path, sel.Sel.Name))
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && names[sel.Sel.Name] &&
+					!slices.Contains(allow[path], sel.Sel.Name) {
+					problems = append(problems, fmt.Sprintf("%s: calls %s: %s", path, sel.Sel.Name, why))
 				}
 				return true
 			})

@@ -20,9 +20,9 @@ func TestServedModelWriters(t *testing.T) {
 	}
 }
 
-// checkSeeded runs the writer check over a scratch tree holding every
-// checked package and the given files.
-func checkSeeded(t *testing.T, files map[string]string) []string {
+// seedTree writes a scratch module tree holding every package of dirs
+// and the given files, and returns its root.
+func seedTree(t *testing.T, dirs []string, files map[string]string) string {
 	t.Helper()
 	root := t.TempDir()
 	write := func(rel, src string) {
@@ -35,13 +35,20 @@ func checkSeeded(t *testing.T, files map[string]string) []string {
 			t.Fatal(err)
 		}
 	}
-	for _, dir := range writerCheckDirs {
+	for _, dir := range dirs {
 		write(dir+"/doc.go", "package p\n")
 	}
 	for rel, src := range files {
 		write(rel, src)
 	}
-	problems, err := CheckServedModelWriters(root)
+	return root
+}
+
+// checkSeeded runs the writer check over a scratch tree holding every
+// checked package and the given files.
+func checkSeeded(t *testing.T, files map[string]string) []string {
+	t.Helper()
+	problems, err := CheckServedModelWriters(seedTree(t, writerCheckDirs, files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +93,47 @@ func TestServedModelWritersDetectsFactWrites(t *testing.T) {
 			return strings.HasPrefix(p, "internal/plan/"+strings.ToLower(name)+".go: calls "+name+":")
 		}) {
 			t.Errorf("the seeded %s call is not reported: %v", name, problems)
+		}
+	}
+}
+
+// TestServedDimensionWriters runs the dimension check against this
+// repository: no serving package, the engine included, writes a dimension.
+func TestServedDimensionWriters(t *testing.T) {
+	problems, err := CheckServedDimensionWriters("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestServedDimensionWritersDetectsCall seeds one call of each dimension
+// mutator, each in a checked package of its own: every one is reported,
+// and the same call in a test file or an unchecked package is not.
+func TestServedDimensionWritersDetectsCall(t *testing.T) {
+	names := []string{"AddValue", "AddValueAnnot", "RemoveValue", "AddEdge", "AddEdgeAnnot", "AddRepresentation"}
+	files := map[string]string{}
+	checked := func(k int) string {
+		return dimensionCheckDirs[k%len(dimensionCheckDirs)] + "/" + strings.ToLower(names[k]) + ".go"
+	}
+	for k, name := range names {
+		call := "package p\n\nfunc f(d interface{ " + name + "() }) { d." + name + "() }\n"
+		files[checked(k)] = call
+		files[strings.TrimSuffix(checked(k), ".go")+"_test.go"] = call
+		files["internal/casestudy/"+strings.ToLower(name)+".go"] = call
+	}
+	problems, err := CheckServedDimensionWriters(seedTree(t, dimensionCheckDirs, files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != len(names) {
+		t.Fatalf("want %d problems, got %v", len(names), problems)
+	}
+	for k, name := range names {
+		if !slices.ContainsFunc(problems, func(p string) bool { return strings.HasPrefix(p, checked(k)+": calls "+name+":") }) {
+			t.Errorf("the seeded %s call in %s is not reported: %v", name, checked(k), problems)
 		}
 	}
 }

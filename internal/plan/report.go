@@ -12,12 +12,14 @@ import (
 // instead of per-fact model walks. Strictness of a selected path is one
 // read of the category column's multi-valued bitmap (MultiValued): a
 // fact coded colMulti there is exactly a fact with two admitted ancestors
-// in the category. The covering check still walks the hierarchy
-// — it is value-count bound, not fact-count bound. Reason texts and
-// ordering match agg.CheckSummarizable verbatim. The hierarchy is the
-// engine's (a context view's is sliced), walked under the engine's context.
+// in the category. Covering does not depend on the selection, so it is
+// the engine's memoized verdict (Engine.Covering), asked of the engine's
+// hierarchy (a context view's is sliced) under the engine's context. A
+// category with no values covers, which is agg.CheckSummarizable's skip
+// of an empty one. Reason texts and ordering match agg.CheckSummarizable
+// verbatim.
 func checkSummarizable(eng *storage.Engine, fn *agg.Func, groupBy map[string]string, sel *storage.Bitmap) agg.Report {
-	m, ectx := eng.MO(), eng.Context()
+	m := eng.MO()
 	rep := agg.Report{Summarizable: true}
 	fail := func(format string, args ...any) {
 		rep.Summarizable = false
@@ -31,19 +33,16 @@ func checkSummarizable(eng *storage.Engine, fn *agg.Func, groupBy map[string]str
 		if !ok || cat == dimension.TopName {
 			continue
 		}
-		d := eng.Dimension(dimName)
 		if eng.MultiValued(dimName, cat, sel) {
 			fail("path from %s facts to %s/%s is non-strict",
 				m.Schema().FactType(), dimName, cat)
 		}
-		for _, below := range d.Type().CategoryTypes() {
-			if below == cat || !d.Type().LessEq(below, cat) {
+		dt := eng.Dimension(dimName).Type()
+		for _, below := range dt.CategoryTypes() {
+			if below == cat || !dt.LessEq(below, cat) {
 				continue
 			}
-			if len(d.Category(below)) == 0 {
-				continue
-			}
-			if !d.Covering(below, cat, ectx) {
+			if !eng.Covering(dimName, below, cat) {
 				fail("hierarchy %s: category %s does not fully roll up into %s",
 					dimName, below, cat)
 			}

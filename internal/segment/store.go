@@ -135,19 +135,20 @@ func Open(dir string, base *core.MO, opts Options) (*Store, error) {
 // names in schema order, the fact count, and every base fact id in
 // sorted order. Two runs that derive the same base data agree on it;
 // a store opened over different data is rejected with ErrBaseMismatch
-// before any record is applied.
+// before any record is applied. The order is the fact set's Dense,
+// which BuildEngine then reads without sorting again.
 func fingerprintMO(m *core.MO) uint64 {
 	h := fnv.New64a()
 	for _, name := range m.Schema().DimensionNames() {
 		h.Write([]byte(name))
 		h.Write([]byte{0})
 	}
-	ids := m.Facts().IDs()
+	dense, dict := m.Facts().Dense(), m.Facts().Dict()
 	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(ids)))
+	binary.LittleEndian.PutUint64(n[:], uint64(len(dense)))
 	h.Write(n[:])
-	for _, id := range ids {
-		h.Write([]byte(id))
+	for _, i := range dense {
+		h.Write([]byte(dict.At(i)))
 		h.Write([]byte{0})
 	}
 	return h.Sum64()

@@ -80,6 +80,8 @@ type Engine struct {
 	// engine's own; see views.go.
 	view  *view
 	views viewTable
+	// covers memoizes Covering's verdicts; see covering.go.
+	covers coverMemo
 }
 
 // dimIndex is one dimension's bitmaps. A base engine holds the direct

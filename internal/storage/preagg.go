@@ -144,7 +144,7 @@ func (c *Cache) ReuseGuard(dim, fromCat, toCat string, kind AggKind) error {
 	if !d.IsStrictBetween(fromCat, toCat, ctx) {
 		return fmt.Errorf("storage: mapping %s→%s is non-strict; combining would double-count", fromCat, toCat)
 	}
-	if !d.Covering(fromCat, toCat, ctx) {
+	if !c.engine.Covering(dim, fromCat, toCat) {
 		return fmt.Errorf("storage: mapping %s→%s has gaps; combining would drop facts", fromCat, toCat)
 	}
 	// Value-level strictness and covering do not see how facts attach to

@@ -515,3 +515,43 @@ func TestDictReadsRaceAppends(t *testing.T) {
 		t.Fatalf("base order %v, want %v", got, want)
 	}
 }
+
+// TestViewCoveringMatchesDimension checks the memoized covering verdict
+// against the walk it stands for: for every pair of categories, on a base
+// engine and on a timeslice, a threshold and a combined view, asked twice
+// (the second answer read from the memo) and after an append, which
+// leaves the verdicts standing.
+func TestViewCoveringMatchesDimension(t *testing.T) {
+	m := uncertainMO(t, 60)
+	base := NewEngine(m, dimension.CurrentContext(ref))
+	engines := []*Engine{base}
+	for _, c := range []dimension.Context{
+		dimension.CurrentContext(ref).AtValid(viewInstant),
+		dimension.CurrentContext(ref).WithMinProb(0.9),
+		dimension.CurrentContext(ref).AtValid(viewInstant).WithMinProb(0.9),
+	} {
+		v, _ := base.View(c, false)
+		engines = append(engines, v)
+	}
+	check := func(stage string) {
+		t.Helper()
+		for k, e := range engines {
+			for _, dim := range m.Schema().DimensionNames() {
+				d := e.Dimension(dim)
+				for _, below := range d.Type().CategoryTypes() {
+					for _, cat := range d.Type().CategoryTypes() {
+						if got, want := e.Covering(dim, below, cat), d.Covering(below, cat, e.Context()); got != want {
+							t.Errorf("%s: engine %d: Covering(%s, %s, %s) = %v, the walk gives %v", stage, k, dim, below, cat, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	check("first")
+	check("memoized")
+	if err := base.AppendFact("appended", Pair{Dim: casestudy.DimDiagnosis, Value: dimension.TopValue, Annot: dimension.Always()}); err != nil {
+		t.Fatal(err)
+	}
+	check("after an append")
+}
